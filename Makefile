@@ -30,6 +30,9 @@
 #   make bench-procpool-smoke -- just the process-tier benchmark's smoke matrix
 #   make bench-diff       -- per-metric deltas of benchmarks/results/ against
 #                            the committed benchmarks/baseline/ snapshot
+#   make bench-wall       -- the wall-clock benchmark's own tests, then 3 s of
+#                            each workload; fails only on a wrong output, never
+#                            on a timing (not part of `make check`)
 #   make examples         -- run each example script end to end
 
 PYTHON ?= python
@@ -41,7 +44,7 @@ EXAMPLES := $(wildcard examples/*.py)
 
 .PHONY: test check check-parallel check-procs check-bench check-keyed \
 	check-corpus check-apps check-load experiments-smoke bench bench-smoke \
-	bench-procpool-smoke bench-diff figures examples
+	bench-procpool-smoke bench-diff bench-wall figures examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -155,6 +158,19 @@ bench-procpool-smoke:
 # the committed baseline/ snapshot and print per-metric deltas.
 bench-diff:
 	$(PYTHON) benchmarks/bench_diff.py
+
+# The wall-clock benchmark (wallbench/): its unit tests, then a short run of
+# every workload.  run.py exits 1 only when a pass's outputs fail their check
+# (a wrong byte, a scorecard miss, a lost request); timings are printed, never
+# gated, because they are noisy on a small shared host.
+WALL_WORKLOADS := fleet-httpd corpus-grade openloop-ftpd
+
+bench-wall:
+	$(PYTHON) -m pytest -q wallbench/
+	@set -e; for workload in $(WALL_WORKLOADS); do \
+		echo "== wallbench $$workload"; \
+		$(PYTHON) wallbench/run.py --workload $$workload --seconds 3 --trace 0; \
+	done; echo "bench-wall ok: every workload's outputs checked"
 
 examples:
 	@set -e; for example in $(EXAMPLES); do \

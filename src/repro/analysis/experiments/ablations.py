@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for the paper's rejected or deferred design choices.
 
 Three design decisions in the paper have explicit alternatives that were
 considered and rejected (or deferred); each ablation here makes the trade-off

@@ -245,10 +245,14 @@ class SyscallComparator:
     The comparator precomputes the union of the variations' declared rewrite
     footprints (:attr:`~repro.core.variations.base.Variation.canonical_syscalls`
     and :attr:`~repro.core.variations.base.Variation.transform_syscalls`) so
-    those common rounds skip the per-variation hook walk entirely and fall
-    into one batched tuple comparison.  A variation that cannot declare its
-    footprint (``None``) disables the corresponding fast path, so correctness
-    never depends on the declaration being present -- only speed does.
+    those common rounds skip the per-variation hook walk entirely: one loop
+    that stops at the first differing name or argument tuple decides the
+    comparison, and the requests go to the wrappers as they are.  The third
+    footprint, :attr:`~repro.core.variations.base.Variation.result_syscalls`,
+    is applied by the session on the way back.  A variation that cannot
+    declare a footprint (``None``) disables the corresponding fast path, so
+    correctness never depends on the declaration being present -- only
+    speed does.
     """
 
     def __init__(
@@ -277,21 +281,23 @@ class SyscallComparator:
         canonicalization walk for syscalls no variation rewrites.
         """
         first = requests[0]
+        name = first.name
         affected = self._canonical_affected
-        if affected is not None and first.name not in affected:
-            name_uniform = all(r.name is first.name for r in requests[1:])
-            if name_uniform:
-                args = first.args
-                if all(r.args == args for r in requests[1:]):
-                    stats = self.monitor.stats
-                    stats.lockstep_points += 1
-                    stats.syscalls_compared += len(requests)
-                    stats.fast_path_rounds += 1
-                    if first.name in self._detection:
-                        stats.detection_calls_checked += 1
-                    return None
-            # A divergence (or mixed names): fall through to the slow path so
-            # the alarm carries the same classification and rendering as ever.
+        if affected is not None and name not in affected:
+            args = first.args
+            for request in requests:
+                if request.name is not name or request.args != args:
+                    # A divergence (or mixed names): take the slow path so the
+                    # alarm carries the same classification and rendering.
+                    break
+            else:
+                stats = self.monitor.stats
+                stats.lockstep_points += 1
+                stats.syscalls_compared += len(requests)
+                stats.fast_path_rounds += 1
+                if name in self._detection:
+                    stats.detection_calls_checked += 1
+                return None
         canonical = [
             self.variations.canonicalize_request(index, request)
             for index, request in enumerate(requests)
@@ -306,8 +312,12 @@ class SyscallComparator:
         decode the UID-carrying calls of the variants that issued them.
         """
         affected = self._transform_affected
-        if affected is not None and all(r.name not in affected for r in requests):
-            return list(requests)
+        if affected is not None:
+            for request in requests:
+                if request.name in affected:
+                    break
+            else:
+                return list(requests)
         return [
             self.variations.transform_request(index, request)
             for index, request in enumerate(requests)

@@ -52,12 +52,18 @@ class Variation:
     #: A subclass overriding :meth:`canonicalize_request` without redeclaring
     #: this in the same class is detected by :class:`VariationStack`, which
     #: then treats the footprint as unknown -- a stale inherited declaration
-    #: can never silently bypass the subclass's canonicalization.
+    #: can never silently bypass the subclass's canonicalization.  The two
+    #: footprints below follow the same contract and the same guard.
     canonical_syscalls: Optional[frozenset[Syscall]] = None
 
     #: The system calls :meth:`transform_request` may rewrite (same contract
     #: as :attr:`canonical_syscalls`, for the outgoing-request hook).
     transform_syscalls: Optional[frozenset[Syscall]] = None
+
+    #: The system calls whose results :meth:`transform_result` may rewrite
+    #: (for the incoming-result hook).  The lockstep session hands every
+    #: other call's result to the variants without walking the stack.
+    result_syscalls: Optional[frozenset[Syscall]] = None
 
     # -- reexpression functions ------------------------------------------------
 
@@ -172,6 +178,7 @@ class VariationStack:
         self._transform_syscalls = self._union_footprint(
             "transform_syscalls", "transform_request"
         )
+        self._result_syscalls = self._union_footprint("result_syscalls", "transform_result")
 
     @staticmethod
     def _declaring_class(cls: type, attribute: str) -> Optional[type]:
@@ -188,8 +195,8 @@ class VariationStack:
                 return None
             # A class that overrides the hook below where the footprint was
             # declared inherited a footprint that cannot be trusted to cover
-            # the override; fall back to "unknown" so the comparator's fast
-            # path is disabled rather than silently skipping the new rewrite.
+            # the override; fall back to "unknown" so the fast path is
+            # disabled rather than silently skipping the new rewrite.
             hook_class = self._declaring_class(type(variation), hook)
             declaration_class = self._declaring_class(type(variation), attribute)
             if (
@@ -209,6 +216,10 @@ class VariationStack:
     def transform_syscalls(self) -> Optional[frozenset[Syscall]]:
         """Union of the stack's request-transformation footprints."""
         return self._transform_syscalls
+
+    def result_syscalls(self) -> Optional[frozenset[Syscall]]:
+        """Union of the stack's result-transformation footprints."""
+        return self._result_syscalls
 
     def make_address_space(self, index: int) -> AddressSpace:
         """First variation-provided address space, or a default flat space."""

@@ -25,7 +25,7 @@ handled.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.interpose import CLASSIC_TABLE, InterpositionTable, PolicyKind
 from repro.kernel.errors import Errno
@@ -38,9 +38,6 @@ from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
 # wrapper itself dispatches on its *active* table, not on these.
 FD_SYSCALLS = CLASSIC_TABLE.fd_syscalls
 DESCRIPTOR_CREATING_SYSCALLS = CLASSIC_TABLE.descriptor_creating_syscalls
-REPLICATED_SYSCALLS = frozenset(
-    {Syscall.TIME, Syscall.GETRANDOM, Syscall.GETDENTS, Syscall.GETPID}
-)
 
 
 class UnsharedFileRegistry:
@@ -102,7 +99,8 @@ class SyscallWrappers:
     before the kernel is entered, descriptor-creating and fd-carrying calls
     go through the shared/unshared descriptor machinery, replicated calls
     run once on behalf of all variants, and everything else fans out per
-    variant.
+    variant.  The choice depends only on the call name and the table, so it
+    is made once per name (:meth:`strategy`) and remembered.
     """
 
     def __init__(
@@ -118,6 +116,7 @@ class SyscallWrappers:
         self.table = table if table is not None else CLASSIC_TABLE
         self.stats = WrapperStats()
         self._unshared_fds: set[int] = set()
+        self._strategies: dict[Syscall, _Strategy] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -127,19 +126,25 @@ class SyscallWrappers:
             raise ValueError("one request per variant is required")
         self.stats.checks += 1
         name = requests[0].name
-        entry = self.table.entry(name)
+        strategy = self._strategies.get(name)
+        if strategy is None:
+            strategy = self._strategies[name] = self.strategy(name)
+        return strategy(self, requests)
 
+    def strategy(self, name: Syscall) -> "_Strategy":
+        """The execution strategy the active table assigns to *name*."""
+        entry = self.table.entry(name)
         if entry.policy is PolicyKind.DENY:
-            return self._execute_deny(requests)
+            return SyscallWrappers._execute_deny
         if name is Syscall.OPEN:
-            return self._execute_open(requests)
+            return SyscallWrappers._execute_open
         if entry.creates_fd:
-            return self._execute_descriptor_creating(requests)
+            return SyscallWrappers._execute_descriptor_creating
         if entry.fd_arg:
-            return self._execute_fd_call(requests)
+            return SyscallWrappers._execute_fd_call
         if entry.policy is PolicyKind.REPLICATE:
-            return self._execute_once(requests)
-        return self._execute_per_variant(requests)
+            return SyscallWrappers._execute_once
+        return SyscallWrappers._execute_per_variant
 
     def is_unshared_fd(self, fd: int) -> bool:
         """True when descriptor *fd* currently refers to an unshared file."""
@@ -239,3 +244,8 @@ class SyscallWrappers:
                 if fd in process.fds:
                     process.fds.close(fd)
         return [result for _ in self.processes]
+
+
+#: One of the ``SyscallWrappers._execute_*`` functions, called unbound with
+#: the wrapper instance (so the per-instance cache holds no reference cycle).
+_Strategy = Callable[[SyscallWrappers, Sequence[SyscallRequest]], list[SyscallResult]]

@@ -10,11 +10,15 @@ cooperative scheduler interleaves, and running ``step()`` in a loop until the
 session leaves ``RUNNING`` reproduces the original single-session semantics
 exactly.
 
-The hot path of a round -- canonicalize every variant's request and compare --
-goes through :class:`~repro.core.monitor.SyscallComparator`, which precomputes
-which system calls each variation actually rewrites so the overwhelming
-majority of rounds (read/write/open/accept/...) skip the per-variation
-canonicalization walk entirely and fall into a batched tuple comparison.
+A round does only the work its system call needs.  The variation stack
+declares three footprints -- the calls whose requests it canonicalizes,
+whose requests it rewrites for the kernel, and whose results it
+re-expresses -- so the overwhelming majority of rounds (read/write/open/
+accept/...) skip every per-variation walk: the
+:class:`~repro.core.monitor.SyscallComparator` compares the raw requests in
+one batched check and passes them to the wrappers unchanged, and the results
+go back to the variants as the kernel produced them.  The wrapper layer picks
+each call name's execution strategy once and remembers it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,13 @@ class SessionState(enum.Enum):
     COMPLETED = "completed"
     #: The monitor stopped the session (the paper's halt-on-divergence policy).
     HALTED = "halted"
+
+
+# Bound once: attribute access on an Enum class goes through the metaclass's
+# ``__getattr__`` hook, several times slower than a module global, and these
+# are read every round.
+_RUNNING = SessionState.RUNNING
+_EXIT = Syscall.EXIT
 
 
 @dataclasses.dataclass
@@ -98,6 +109,7 @@ class NVariantSession:
         self.table = get_table(interposition)
         self.monitor = Monitor(table=self.table)
         self.comparator = SyscallComparator(self.variations, self.monitor)
+        self._result_affected = self.variations.result_syscalls()
         self.rounds = 0
         self.state = SessionState.RUNNING
         self._ticks_consumed = 0
@@ -202,7 +214,7 @@ class NVariantSession:
     @property
     def done(self) -> bool:
         """True once the session has reached a terminal state."""
-        return self.state is not SessionState.RUNNING
+        return self.state is not _RUNNING
 
     @property
     def virtual_elapsed(self) -> int:
@@ -218,7 +230,7 @@ class NVariantSession:
 
     def step(self) -> SessionState:
         """Execute one lockstep round; returns the resulting session state."""
-        if self.state is not SessionState.RUNNING:
+        if self.state is not _RUNNING:
             return self.state
         if self.rounds >= self.max_rounds:
             raise RuntimeError(f"lockstep session exceeded {self.max_rounds} rounds")
@@ -233,25 +245,37 @@ class NVariantSession:
         runtimes = self._runtimes
         self._advance_all(runtimes)
 
-        active = [r for r in runtimes if not r.finished]
-        faulted = [r for r in runtimes if r.fault is not None]
+        finished = 0
+        faulted = 0
+        requests = []
+        waiting = False
+        for runtime in runtimes:
+            if runtime.finished:
+                finished += 1
+            if runtime.fault is not None:
+                faulted += 1
+            request = runtime.pending_request
+            if request is None:
+                waiting = True
+            requests.append(request)
 
         if faulted:
-            for runtime in faulted:
+            faulted_runtimes = [r for r in runtimes if r.fault is not None]
+            for runtime in faulted_runtimes:
                 if not self._already_reported(runtime):
                     self.monitor.report_fault(
                         runtime.context.index, runtime.fault, lockstep_index=self.rounds
                     )
             if self.halt_on_alarm:
                 return self.halt()
-            for runtime in faulted:
+            for runtime in faulted_runtimes:
                 runtime.fault = None  # keep going without re-reporting
 
-        if not active:
+        if finished == len(runtimes):
             self.state = SessionState.COMPLETED
             return self.state
 
-        if len(active) != len(runtimes):
+        if finished:
             finished_indices = tuple(r.context.index for r in runtimes if r.finished)
             self.monitor.report_lifecycle_divergence(
                 "some variants terminated while others kept running",
@@ -264,8 +288,7 @@ class NVariantSession:
             self.state = SessionState.COMPLETED
             return self.state
 
-        requests = [r.pending_request for r in runtimes]
-        if any(request is None for request in requests):
+        if waiting:
             return self.state
 
         alarm = self.comparator.check_round(requests, lockstep_index=self.rounds)
@@ -274,12 +297,18 @@ class NVariantSession:
 
         transformed = self.comparator.transform_round(requests)
         raw_results = self.wrappers.execute_round(transformed)
-        for runtime, request, raw in zip(runtimes, requests, raw_results):
-            runtime.pending_result = self.variations.transform_result(
-                runtime.context.index, request, raw
-            )
+        # Only calls in the stack's declared result footprint can have their
+        # results re-expressed; every other result reaches the variant as is.
+        result_affected = self._result_affected
+        for runtime, request, result in zip(runtimes, requests, raw_results):
+            name = request.name
+            if result_affected is None or name in result_affected:
+                result = self.variations.transform_result(
+                    runtime.context.index, request, result
+                )
+            runtime.pending_result = result
             runtime.pending_request = None
-            if request.name is Syscall.EXIT or not runtime.context.process.alive:
+            if name is _EXIT or not runtime.context.process.alive:
                 runtime.finished = True
                 runtime.program.close()
         return self.state

@@ -17,7 +17,8 @@ failures rather than Python exceptions.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+import inspect
+from typing import Any, Callable, Optional
 
 from repro.kernel.credentials import ROOT_UID
 from repro.kernel.errors import Errno, KernelError, SegmentationFault
@@ -38,6 +39,10 @@ from repro.kernel.process import Process, ProcessTable
 from repro.kernel.signals import Signal
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
 
+# Bound once: attribute access on an Enum class goes through the metaclass's
+# ``__getattr__`` hook, several times slower than a module global.
+_ERRNO_OK = Errno.OK
+
 
 @dataclasses.dataclass
 class KernelStats:
@@ -51,7 +56,24 @@ class KernelStats:
     def record(self, name: Syscall) -> None:
         """Count one executed system call."""
         self.syscall_count += 1
-        self.syscall_breakdown[name.value] = self.syscall_breakdown.get(name.value, 0) + 1
+        # ``_value_`` is the member's plain attribute; ``.value`` goes through
+        # the enum property descriptor on every call.
+        key = name._value_
+        breakdown = self.syscall_breakdown
+        breakdown[key] = breakdown.get(key, 0) + 1
+
+
+def _positional_arity(handler: Callable[..., Any]) -> tuple[int, Optional[int]]:
+    """``(min, max)`` syscall arguments *handler* accepts after the process.
+
+    ``max`` is ``None`` for a ``*args`` handler.
+    """
+    code = handler.__code__
+    # Positional parameters after the kernel and the process.
+    positional = code.co_argcount - 2
+    optional = len(handler.__defaults__ or ())
+    accepted = None if code.co_flags & inspect.CO_VARARGS else positional
+    return positional - optional, accepted
 
 
 class SimulatedKernel:
@@ -68,58 +90,6 @@ class SimulatedKernel:
         self.stats = KernelStats()
         self.clock = 0
         self._random_state = 0x12345678
-        self._handlers: dict[Syscall, Callable[..., Any]] = {
-            Syscall.EXIT: self._sys_exit,
-            Syscall.GETPID: self._sys_getpid,
-            Syscall.FORK: self._sys_unsupported,
-            Syscall.WAITPID: self._sys_unsupported,
-            Syscall.KILL: self._sys_kill,
-            Syscall.GETUID: self._sys_getuid,
-            Syscall.GETEUID: self._sys_geteuid,
-            Syscall.GETGID: self._sys_getgid,
-            Syscall.GETEGID: self._sys_getegid,
-            Syscall.SETUID: self._sys_setuid,
-            Syscall.SETEUID: self._sys_seteuid,
-            Syscall.SETREUID: self._sys_setreuid,
-            Syscall.SETRESUID: self._sys_setresuid,
-            Syscall.SETGID: self._sys_setgid,
-            Syscall.SETEGID: self._sys_setegid,
-            Syscall.SETGROUPS: self._sys_setgroups,
-            Syscall.OPEN: self._sys_open,
-            Syscall.CLOSE: self._sys_close,
-            Syscall.READ: self._sys_read,
-            Syscall.WRITE: self._sys_write,
-            Syscall.LSEEK: self._sys_lseek,
-            Syscall.STAT: self._sys_stat,
-            Syscall.FSTAT: self._sys_fstat,
-            Syscall.ACCESS: self._sys_access,
-            Syscall.MKDIR: self._sys_mkdir,
-            Syscall.UNLINK: self._sys_unlink,
-            Syscall.RENAME: self._sys_rename,
-            Syscall.CHOWN: self._sys_chown,
-            Syscall.CHMOD: self._sys_chmod,
-            Syscall.GETDENTS: self._sys_getdents,
-            Syscall.CHDIR: self._sys_chdir,
-            Syscall.SOCKET: self._sys_socket,
-            Syscall.BIND: self._sys_bind,
-            Syscall.LISTEN: self._sys_listen,
-            Syscall.ACCEPT: self._sys_accept,
-            Syscall.RECV: self._sys_recv,
-            Syscall.SEND: self._sys_send,
-            Syscall.SHUTDOWN: self._sys_shutdown,
-            Syscall.TIME: self._sys_time,
-            Syscall.GETRANDOM: self._sys_getrandom,
-            Syscall.NANOSLEEP: self._sys_nanosleep,
-            Syscall.PEEK: self._sys_peek,
-            Syscall.UID_VALUE: self._sys_uid_value,
-            Syscall.COND_CHK: self._sys_cond_chk,
-            Syscall.CC_EQ: self._sys_cc(lambda a, b: a == b),
-            Syscall.CC_NEQ: self._sys_cc(lambda a, b: a != b),
-            Syscall.CC_LT: self._sys_cc(lambda a, b: a < b),
-            Syscall.CC_LEQ: self._sys_cc(lambda a, b: a <= b),
-            Syscall.CC_GT: self._sys_cc(lambda a, b: a > b),
-            Syscall.CC_GEQ: self._sys_cc(lambda a, b: a >= b),
-        }
 
     # -- process management ----------------------------------------------------
 
@@ -133,23 +103,24 @@ class SimulatedKernel:
         """Execute *request* on behalf of *process* and return its result."""
         if not process.alive:
             return SyscallResult.failure(Errno.ESRCH)
-        handler = self._handlers.get(request.name)
-        if handler is None:
+        name = request.name
+        found = _HANDLERS.get(name)
+        if found is None:
             return SyscallResult.failure(Errno.ENOSYS)
+        handler, min_args, max_args = found
         self.clock += 1
-        self.stats.record(request.name)
+        self.stats.record(name)
         process.stats.syscall_count += 1
+        args = request.args
+        if len(args) < min_args or (max_args is not None and len(args) > max_args):
+            # A malformed call is refused like a real kernel would, never
+            # entering the handler.
+            return SyscallResult.failure(Errno.EINVAL)
         try:
-            value = handler(process, *request.args)
+            value = handler(self, process, *args)
         except KernelError as error:
             return SyscallResult.failure(error.errno)
-        except TypeError as error:
-            # Wrong number/kind of arguments from the program: EINVAL, not a
-            # Python crash -- mirrors the kernel rejecting a malformed call.
-            if "positional argument" in str(error) or "argument" in str(error):
-                return SyscallResult.failure(Errno.EINVAL)
-            raise
-        return SyscallResult.success(value)
+        return SyscallResult(value, _ERRNO_OK)
 
     # -- process control handlers ---------------------------------------------------
 
@@ -164,7 +135,7 @@ class SimulatedKernel:
         raise KernelError(
             Errno.ENOSYS,
             "fork/waitpid are not supported by the simulated kernel; the "
-            "mini-httpd uses a single-process event loop (see DESIGN.md)",
+            "served programs are single-process event loops",
         )
 
     def _sys_kill(self, process: Process, pid: int, signal: int) -> int:
@@ -447,14 +418,77 @@ class SimulatedKernel:
     def _sys_cond_chk(self, process: Process, condition: bool) -> bool:
         return bool(condition)
 
-    def _sys_cc(self, comparison: Callable[[int, int], bool]) -> Callable[..., bool]:
-        def handler(process: Process, left: int, right: int) -> bool:
-            return bool(comparison(left, right))
-
-        return handler
-
     # -- helpers for drivers (not syscalls) -------------------------------------------------------
 
     def client_connect(self, port: int, request: bytes, *, client: str = "client") -> Connection:
         """Inject a client connection carrying *request* bytes (driver-side)."""
         return self.network.connect(port, request, client=client)
+
+
+def _comparison_handler(comparison: Callable[[int, int], bool]) -> Callable[..., bool]:
+    """A cc_* detection-call handler computing *comparison* on its two uids."""
+
+    def handler(kernel: SimulatedKernel, process: Process, left: int, right: int) -> bool:
+        return bool(comparison(left, right))
+
+    return handler
+
+
+#: Every syscall's handler, with the ``(min, max)`` argument count it
+#: accepts, worked out once at import: a malformed call is refused before
+#: the handler runs, and a ``TypeError`` raised inside a handler stays a bug.
+_HANDLERS: dict[Syscall, tuple[Callable[..., Any], int, Optional[int]]] = {
+    name: (handler, *_positional_arity(handler))
+    for name, handler in {
+        Syscall.EXIT: SimulatedKernel._sys_exit,
+        Syscall.GETPID: SimulatedKernel._sys_getpid,
+        Syscall.FORK: SimulatedKernel._sys_unsupported,
+        Syscall.WAITPID: SimulatedKernel._sys_unsupported,
+        Syscall.KILL: SimulatedKernel._sys_kill,
+        Syscall.GETUID: SimulatedKernel._sys_getuid,
+        Syscall.GETEUID: SimulatedKernel._sys_geteuid,
+        Syscall.GETGID: SimulatedKernel._sys_getgid,
+        Syscall.GETEGID: SimulatedKernel._sys_getegid,
+        Syscall.SETUID: SimulatedKernel._sys_setuid,
+        Syscall.SETEUID: SimulatedKernel._sys_seteuid,
+        Syscall.SETREUID: SimulatedKernel._sys_setreuid,
+        Syscall.SETRESUID: SimulatedKernel._sys_setresuid,
+        Syscall.SETGID: SimulatedKernel._sys_setgid,
+        Syscall.SETEGID: SimulatedKernel._sys_setegid,
+        Syscall.SETGROUPS: SimulatedKernel._sys_setgroups,
+        Syscall.OPEN: SimulatedKernel._sys_open,
+        Syscall.CLOSE: SimulatedKernel._sys_close,
+        Syscall.READ: SimulatedKernel._sys_read,
+        Syscall.WRITE: SimulatedKernel._sys_write,
+        Syscall.LSEEK: SimulatedKernel._sys_lseek,
+        Syscall.STAT: SimulatedKernel._sys_stat,
+        Syscall.FSTAT: SimulatedKernel._sys_fstat,
+        Syscall.ACCESS: SimulatedKernel._sys_access,
+        Syscall.MKDIR: SimulatedKernel._sys_mkdir,
+        Syscall.UNLINK: SimulatedKernel._sys_unlink,
+        Syscall.RENAME: SimulatedKernel._sys_rename,
+        Syscall.CHOWN: SimulatedKernel._sys_chown,
+        Syscall.CHMOD: SimulatedKernel._sys_chmod,
+        Syscall.GETDENTS: SimulatedKernel._sys_getdents,
+        Syscall.CHDIR: SimulatedKernel._sys_chdir,
+        Syscall.SOCKET: SimulatedKernel._sys_socket,
+        Syscall.BIND: SimulatedKernel._sys_bind,
+        Syscall.LISTEN: SimulatedKernel._sys_listen,
+        Syscall.ACCEPT: SimulatedKernel._sys_accept,
+        Syscall.RECV: SimulatedKernel._sys_recv,
+        Syscall.SEND: SimulatedKernel._sys_send,
+        Syscall.SHUTDOWN: SimulatedKernel._sys_shutdown,
+        Syscall.TIME: SimulatedKernel._sys_time,
+        Syscall.GETRANDOM: SimulatedKernel._sys_getrandom,
+        Syscall.NANOSLEEP: SimulatedKernel._sys_nanosleep,
+        Syscall.PEEK: SimulatedKernel._sys_peek,
+        Syscall.UID_VALUE: SimulatedKernel._sys_uid_value,
+        Syscall.COND_CHK: SimulatedKernel._sys_cond_chk,
+        Syscall.CC_EQ: _comparison_handler(lambda a, b: a == b),
+        Syscall.CC_NEQ: _comparison_handler(lambda a, b: a != b),
+        Syscall.CC_LT: _comparison_handler(lambda a, b: a < b),
+        Syscall.CC_LEQ: _comparison_handler(lambda a, b: a <= b),
+        Syscall.CC_GT: _comparison_handler(lambda a, b: a > b),
+        Syscall.CC_GEQ: _comparison_handler(lambda a, b: a >= b),
+    }.items()
+}

@@ -27,6 +27,10 @@ class ProcessState(enum.Enum):
     FAULTED = "faulted"
 
 
+_RUNNABLE = ProcessState.RUNNABLE
+_BLOCKED = ProcessState.BLOCKED
+
+
 @dataclasses.dataclass
 class ProcessStats:
     """Per-process accounting used by the virtual-time performance model."""
@@ -70,7 +74,8 @@ class Process:
     @property
     def alive(self) -> bool:
         """True while the process has not exited or faulted."""
-        return self.state in (ProcessState.RUNNABLE, ProcessState.BLOCKED)
+        state = self.state
+        return state is _RUNNABLE or state is _BLOCKED
 
     def exit(self, code: int) -> None:
         """Mark the process as exited with *code* and release descriptors."""

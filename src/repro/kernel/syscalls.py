@@ -103,19 +103,31 @@ class Syscall(enum.Enum):
     CC_GT = "cc_gt"
     CC_GEQ = "cc_geq"
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # runs in C; Enum's default hashes the member name in Python on every
+    # set or dict lookup, which the lockstep hot path does several times a
+    # round.
+    __hash__ = object.__hash__
 
-@dataclasses.dataclass(frozen=True)
+
+_set_attribute = object.__setattr__
+# Bound once: attribute access on an Enum class goes through the metaclass's
+# ``__getattr__`` hook, several times slower than a module global.
+_ERRNO_OK = Errno.OK
+
+
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class SyscallRequest:
     """A trap into the kernel: the call name and its positional arguments."""
 
     name: Syscall
-    args: tuple[Any, ...] = ()
+    args: tuple[Any, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, Syscall):
-            raise TypeError(f"SyscallRequest.name must be a Syscall, got {self.name!r}")
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: Syscall, args: tuple[Any, ...] = ()) -> None:
+        if not isinstance(name, Syscall):
+            raise TypeError(f"SyscallRequest.name must be a Syscall, got {name!r}")
+        _set_attribute(self, "name", name)
+        _set_attribute(self, "args", args if isinstance(args, tuple) else tuple(args))
 
     def with_args(self, args: tuple[Any, ...]) -> "SyscallRequest":
         """Return a copy of this request with substituted arguments."""
@@ -127,9 +139,13 @@ class SyscallRequest:
         return f"{self.name.value}({rendered})"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SyscallResult:
-    """The kernel's reply to a :class:`SyscallRequest`."""
+    """The kernel's reply to a :class:`SyscallRequest`.
+
+    ``errno`` is always an :class:`Errno` member (:meth:`failure` converts
+    plain integers), so success is an identity test.
+    """
 
     value: Any = 0
     errno: Errno = Errno.OK
@@ -137,7 +153,7 @@ class SyscallResult:
     @property
     def ok(self) -> bool:
         """True when the call succeeded."""
-        return self.errno == Errno.OK
+        return self.errno is _ERRNO_OK
 
     @classmethod
     def success(cls, value: Any = 0) -> "SyscallResult":

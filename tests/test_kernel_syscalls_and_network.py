@@ -72,6 +72,27 @@ class TestFileSyscalls:
     def test_unknown_syscall_arguments_return_einval(self, kernel, proc):
         assert call(kernel, proc, Syscall.OPEN).errno is Errno.EINVAL
 
+    def test_too_many_arguments_are_refused_before_the_handler(self, kernel, proc):
+        result = call(kernel, proc, Syscall.OPEN, "/tmp/never", O_WRONLY | O_CREAT, 0o644, 7)
+        assert result.errno is Errno.EINVAL
+        assert not kernel.fs.exists("/tmp/never")
+        assert call(kernel, proc, Syscall.GETPID, 1).errno is Errno.EINVAL
+
+    def test_optional_arguments_and_varargs_handlers_accept_any_valid_count(
+        self, kernel, proc
+    ):
+        assert call(kernel, proc, Syscall.OPEN, "/etc/passwd").ok
+        assert call(kernel, proc, Syscall.OPEN, "/etc/passwd", O_RDONLY, 0o644).ok
+        # fork/waitpid take *args: any count reaches the handler, which refuses.
+        assert call(kernel, proc, Syscall.FORK, 1, 2, 3, 4).errno is Errno.ENOSYS
+
+    def test_type_error_inside_a_handler_propagates(self, kernel, proc):
+        # int(None) fails inside _sys_exit with a message that mentions
+        # "argument"; the call's arity is fine, so this is a handler bug and
+        # must surface rather than turn into EINVAL.
+        with pytest.raises(TypeError, match="argument"):
+            call(kernel, proc, Syscall.EXIT, None)
+
 
 class TestCredentialSyscalls:
     def test_getuid_family(self, kernel, proc):
