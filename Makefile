@@ -100,7 +100,7 @@ check-keyed:
 # (a written smoke corpus, graded on both backends; any scorecard miss fails
 # the experiment's claims and with them the target).
 check-corpus:
-	$(PYTHON) -m pytest -q tests/test_corpus.py tests/test_seed_and_boundaries.py
+	$(PYTHON) -m pytest -q tests/test_corpus.py tests/test_seed_and_boundaries.py tests/test_host_image.py
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(PYTHON) -m repro corpus generate --seed 20080625 --records 60 --out "$$dir" > /dev/null; \
 	$(PYTHON) -m repro experiment corpus --corpus-dir "$$dir" --set workers=4 > /dev/null

@@ -29,13 +29,6 @@ from repro.interpose import CLASSIC_TABLE, InterpositionTable
 from repro.kernel.errors import VariantFault
 from repro.kernel.syscalls import Syscall, SyscallRequest
 
-# Re-exported for backwards compatibility: the classification families now
-# live on the interposition table, and these module names are views of the
-# classic table's derived sets (identical by construction).
-DETECTION_SYSCALLS = CLASSIC_TABLE.detection_syscalls
-UID_COMPARISON_SYSCALLS = CLASSIC_TABLE.uid_comparison_syscalls
-UID_PARAMETER_SYSCALLS = CLASSIC_TABLE.uid_parameter_syscalls
-
 
 @dataclasses.dataclass
 class MonitorStats:

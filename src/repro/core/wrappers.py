@@ -33,12 +33,6 @@ from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.process import Process
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
 
-# Backwards-compatible views of the classic interposition table's derived
-# sets (identical to the historical frozen constants by construction); the
-# wrapper itself dispatches on its *active* table, not on these.
-FD_SYSCALLS = CLASSIC_TABLE.fd_syscalls
-DESCRIPTOR_CREATING_SYSCALLS = CLASSIC_TABLE.descriptor_creating_syscalls
-
 
 class UnsharedFileRegistry:
     """Mapping from original paths to per-variant diversified paths."""

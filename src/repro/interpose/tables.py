@@ -199,8 +199,8 @@ class InterpositionTable:
 # The classic table: today's behaviour, derived from the historical sets
 # ---------------------------------------------------------------------------
 
-#: Calls whose first argument is a file descriptor (the historical
-#: ``core.wrappers.FD_SYSCALLS``, restated here so the table owns the policy).
+#: Calls whose first argument is a file descriptor (the wrappers' historical
+#: descriptor set, restated here so the table owns the policy).
 _CLASSIC_FD_SYSCALLS = frozenset(
     {
         Syscall.READ,

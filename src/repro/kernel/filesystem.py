@@ -76,19 +76,39 @@ class StatResult:
 
 
 class Inode:
-    """A filesystem object: either a regular file or a directory."""
+    """A filesystem object: either a regular file or a directory.
 
-    _next_number = 1
+    The owning :class:`FileSystem` assigns ``number``, so a fresh filesystem
+    numbers its inodes the same way however many were built before it; a
+    bare inode made outside any filesystem is number 0.
+    """
 
-    def __init__(self, *, mode: int, uid: int, gid: int, is_directory: bool):
-        self.number = Inode._next_number
-        Inode._next_number += 1
+    __slots__ = ("number", "mode", "uid", "gid", "is_directory", "data", "entries")
+
+    def __init__(
+        self, *, mode: int, uid: int, gid: int, is_directory: bool, number: int = 0
+    ):
+        self.number = number
         self.mode = mode
         self.uid = uid
         self.gid = gid
         self.is_directory = is_directory
         self.data = bytearray()
-        self.entries: dict[str, "Inode"] = {} if is_directory else {}
+        self.entries: dict[str, "Inode"] = {}
+
+    def clone(self) -> "Inode":
+        """A deep copy of this inode and its subtree: new objects and buffers."""
+        # Every standard host is a clone, so this skips ``__init__`` and its
+        # throwaway buffer and dict.
+        copy = Inode.__new__(Inode)
+        copy.number = self.number
+        copy.mode = self.mode
+        copy.uid = self.uid
+        copy.gid = self.gid
+        copy.is_directory = self.is_directory
+        copy.data = bytearray(self.data)
+        copy.entries = {name: child.clone() for name, child in self.entries.items()}
+        return copy
 
     # -- metadata ----------------------------------------------------------
 
@@ -138,7 +158,26 @@ class FileSystem:
     """A tree of :class:`Inode` objects rooted at ``/``."""
 
     def __init__(self) -> None:
-        self.root = Inode(mode=0o755, uid=ROOT_UID, gid=ROOT_GID, is_directory=True)
+        self._next_number = 1
+        self.root = self._new_inode(mode=0o755, uid=ROOT_UID, gid=ROOT_GID, is_directory=True)
+
+    def _new_inode(self, *, mode: int, uid: int, gid: int, is_directory: bool) -> Inode:
+        node = Inode(
+            mode=mode, uid=uid, gid=gid, is_directory=is_directory, number=self._next_number
+        )
+        self._next_number += 1
+        return node
+
+    def clone(self) -> "FileSystem":
+        """A structural copy: new inodes and data buffers, same numbers and metadata.
+
+        The copy numbers the inodes it creates from where this filesystem
+        would, so a clone of a fresh build behaves exactly like that build.
+        """
+        copy = FileSystem.__new__(FileSystem)
+        copy._next_number = self._next_number
+        copy.root = self.root.clone()
+        return copy
 
     # -- path handling -------------------------------------------------------
 
@@ -232,19 +271,26 @@ class FileSystem:
         gid: int = ROOT_GID,
         parents: bool = False,
     ) -> Inode:
-        """Create a directory at *path*."""
+        """Create a directory at *path*.
+
+        With *parents*, every missing component is created in one walk and
+        existing directories are kept (``mkdir -p``).
+        """
         if parents:
-            accumulated = ""
             node = self.root
             for part in self.split(path):
-                accumulated += "/" + part
-                if not self.exists(accumulated):
-                    self.mkdir(accumulated, mode=mode, uid=uid, gid=gid)
-            return self._lookup(path)
+                child = node.entries.get(part)
+                if child is None:
+                    child = self._new_inode(mode=mode, uid=uid, gid=gid, is_directory=True)
+                    node.entries[part] = child
+                elif not child.is_directory:
+                    raise KernelError(Errno.ENOTDIR, path)
+                node = child
+            return node
         parent, name = self._lookup_parent(path)
         if name in parent.entries:
             raise KernelError(Errno.EEXIST, path)
-        node = Inode(mode=mode, uid=uid, gid=gid, is_directory=True)
+        node = self._new_inode(mode=mode, uid=uid, gid=gid, is_directory=True)
         parent.entries[name] = node
         return node
 
@@ -264,7 +310,7 @@ class FileSystem:
         existing = parent.entries.get(name)
         if existing is not None and existing.is_directory:
             raise KernelError(Errno.EISDIR, path)
-        node = Inode(mode=mode, uid=uid, gid=gid, is_directory=False)
+        node = self._new_inode(mode=mode, uid=uid, gid=gid, is_directory=False)
         node.data = bytearray(content)
         parent.entries[name] = node
         return node

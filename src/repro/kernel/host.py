@@ -6,11 +6,17 @@ databases, a web document root with a WebBench-like mix of static pages, the
 server configuration file, log and runtime directories, and a few root-only
 files that exist purely so a successful privilege-escalation attack has
 something worth reading.
+
+Every campaign cell builds its own host, so :func:`build_standard_host` does
+not rebuild that image each time.  With default arguments it clones one
+private image, built on first use: the image itself is never handed out, so
+nothing a host does to its filesystem can reach the image or the next host.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Iterable, Sequence
 
 from repro.kernel.filesystem import FileSystem
@@ -135,8 +141,7 @@ def build_filesystem(
         "/var/log/httpd",
         "/var/run",
     ):
-        if not fs.exists(directory):
-            fs.mkdir(directory, parents=True)
+        fs.mkdir(directory, parents=True)
     # World-writable scratch space, as on a real host.
     fs.chmod("/tmp", 0o777)
 
@@ -243,8 +248,7 @@ def install_ftp_site(
         f"{FTP_ROOT}/incoming",
         "/var/log/ftpd",
     ):
-        if not fs.exists(directory):
-            fs.mkdir(directory, parents=True)
+        fs.mkdir(directory, parents=True)
     fs.create_file(FTPD_CONF, ftpd_conf, mode=0o644)
     fs.create_file(FTP_ERROR_LOG, b"", mode=0o640)
     fs.create_file(FTP_TRANSFER_LOG, b"", mode=0o640)
@@ -268,5 +272,14 @@ def build_standard_host(
     documents: Iterable[DocumentSpec] = DEFAULT_DOCUMENTS,
 ) -> SimulatedKernel:
     """Build a kernel whose filesystem is the standard host image."""
-    fs = build_filesystem(passwd_entries, group_entries, documents)
+    if passwd_entries is None and group_entries is None and documents is DEFAULT_DOCUMENTS:
+        fs = _standard_image().clone()
+    else:
+        fs = build_filesystem(passwd_entries, group_entries, documents)
     return SimulatedKernel(filesystem=fs)
+
+
+@functools.cache
+def _standard_image() -> FileSystem:
+    """The default host image; only ever cloned, never handed out or mutated."""
+    return build_filesystem()

@@ -17,6 +17,7 @@ reexpression function to the numeric columns to produce a variant's copy.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Iterable, Sequence
 
 from repro.kernel.errors import Errno, KernelError
@@ -64,7 +65,21 @@ class GroupEntry:
 
 
 def parse_passwd(text: str) -> list[PasswdEntry]:
-    """Parse the contents of an ``/etc/passwd`` file."""
+    """Parse the contents of an ``/etc/passwd`` file (a fresh list every call)."""
+    return list(_parse_passwd(text))
+
+
+def parse_group(text: str) -> list[GroupEntry]:
+    """Parse the contents of an ``/etc/group`` file (a fresh list every call)."""
+    return list(_parse_group(text))
+
+
+# Every host and every httpd start-up parses the same few account-database
+# texts, so parsing is memoised on the text.  The cache holds tuples of frozen
+# entries, which no caller can mutate; a malformed text raises on every call
+# because ``lru_cache`` does not cache exceptions.
+@functools.lru_cache(maxsize=256)
+def _parse_passwd(text: str) -> tuple[PasswdEntry, ...]:
     entries = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -87,11 +102,11 @@ def parse_passwd(text: str) -> list[PasswdEntry]:
                 shell=shell,
             )
         )
-    return entries
+    return tuple(entries)
 
 
-def parse_group(text: str) -> list[GroupEntry]:
-    """Parse the contents of an ``/etc/group`` file."""
+@functools.lru_cache(maxsize=256)
+def _parse_group(text: str) -> tuple[GroupEntry, ...]:
     entries = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -107,7 +122,7 @@ def parse_group(text: str) -> list[GroupEntry]:
         entries.append(
             GroupEntry(name=name, password=password, gid=int(gid), members=member_names)
         )
-    return entries
+    return tuple(entries)
 
 
 def format_passwd(entries: Iterable[PasswdEntry]) -> str:
@@ -178,7 +193,15 @@ def diversify_passwd(
     that variant's representation of each UID/GID.
     """
     return [
-        dataclasses.replace(entry, uid=reexpress(entry.uid), gid=reexpress(entry.gid))
+        PasswdEntry(
+            name=entry.name,
+            password=entry.password,
+            uid=reexpress(entry.uid),
+            gid=reexpress(entry.gid),
+            gecos=entry.gecos,
+            home=entry.home,
+            shell=entry.shell,
+        )
         for entry in entries
     ]
 
@@ -187,7 +210,15 @@ def diversify_group(
     entries: Iterable[GroupEntry], reexpress: Callable[[int], int]
 ) -> list[GroupEntry]:
     """Apply *reexpress* to the GID column of group entries."""
-    return [dataclasses.replace(entry, gid=reexpress(entry.gid)) for entry in entries]
+    return [
+        GroupEntry(
+            name=entry.name,
+            password=entry.password,
+            gid=reexpress(entry.gid),
+            members=entry.members,
+        )
+        for entry in entries
+    ]
 
 
 def default_passwd_entries() -> list[PasswdEntry]:

@@ -9,8 +9,6 @@ the per-family alarm behaviour of the wide table.
 
 import pytest
 
-from repro.core import wrappers as wrappers_module
-from repro.core import monitor as monitor_module
 from repro.core.alarm import AlarmType
 from repro.core.nvariant import NVariantSystem
 from repro.interpose import (
@@ -50,13 +48,7 @@ class TestClassicTable:
     """The classic table must be the historical constants, definitionally."""
 
     def test_derived_sets_match_the_legacy_views(self):
-        assert CLASSIC_TABLE.fd_syscalls == wrappers_module.FD_SYSCALLS
-        assert (
-            CLASSIC_TABLE.descriptor_creating_syscalls
-            == wrappers_module.DESCRIPTOR_CREATING_SYSCALLS
-        )
         assert CLASSIC_TABLE.detection_syscalls == DETECTION_SYSCALLS
-        assert CLASSIC_TABLE.detection_syscalls == monitor_module.DETECTION_SYSCALLS
         assert CLASSIC_TABLE.uid_parameter_syscalls == UID_PARAMETER_SYSCALLS
         assert CLASSIC_TABLE.denied_syscalls == frozenset()
         assert CLASSIC_TABLE.output_syscalls == frozenset()
