@@ -11,7 +11,8 @@
 #   make check-bench      -- smoke-regenerate benchmarks/results/, then diff
 #                            against the baseline with claim flips fatal
 #   make check-keyed      -- the keyed-scheme/attacker-model tier: both unit
-#                            suites plus an entropy-experiment smoke via the CLI
+#                            suites, the round fast-path suite, plus an
+#                            entropy-experiment smoke via the CLI
 #   make check-corpus     -- the scenario-corpus tier: corpus/seed unit suites,
 #                            then generate a small corpus and run the corpus
 #                            experiment over it (scorecard must be all-pass)
@@ -89,11 +90,13 @@ check-procs:
 
 # The keyed tier gate: keyed-scheme determinism/rotation, the attacker-model
 # suite (including the process-backend parity and WorkerError CLI checks),
-# and one seeded entropy-experiment smoke through the CLI.
+# the round fast-path suite (its UID decode memo must not survive a key
+# rotation), and one seeded entropy-experiment smoke through the CLI.
 check-keyed:
-	$(PYTHON) -m pytest -q tests/test_keyed_schemes.py tests/test_security_attacker.py
+	$(PYTHON) -m pytest -q tests/test_keyed_schemes.py tests/test_security_attacker.py \
+		tests/test_round_fast_path.py
 	$(PYTHON) -m repro experiment entropy --smoke --seed 20080625 > /dev/null
-	@echo "check-keyed ok: keyed schemes + attacker suite + entropy smoke"
+	@echo "check-keyed ok: keyed schemes + attacker suite + fast-path suite + entropy smoke"
 
 # The scenario-corpus gate: the corpus/oracle/scorecard unit suite and the
 # seed/boundary properties, then a generate -> run round trip through the CLI

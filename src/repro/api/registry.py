@@ -17,6 +17,7 @@ expressible in every campaign, benchmark and CLI scenario.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 from typing import Any, Callable, Iterator, Mapping, Optional
 
@@ -72,11 +73,17 @@ class RegisteredVariation:
 
     def parameters(self) -> list[str]:
         """The factory's accepted parameter names (for CLI listings)."""
+        return list(self._parameter_names)
+
+    @functools.cached_property
+    def _parameter_names(self) -> tuple[str, ...]:
+        # Worked out once per entry: ``inspect.signature`` is slow, and spec
+        # building asks for every cell of a campaign.
         try:
             signature = inspect.signature(self.factory)
         except (TypeError, ValueError):
-            return []
-        return [
+            return ()
+        return tuple(
             parameter.name
             for parameter in signature.parameters.values()
             if parameter.kind
@@ -84,7 +91,7 @@ class RegisteredVariation:
                 inspect.Parameter.POSITIONAL_OR_KEYWORD,
                 inspect.Parameter.KEYWORD_ONLY,
             )
-        ]
+        )
 
 
 class VariationRegistry:

@@ -113,29 +113,36 @@ class Monitor:
         Returns the alarm raised, or ``None`` when the variants are
         equivalent at this point.
         """
-        self.stats.lockstep_points += 1
-        self.stats.syscalls_compared += len(canonical_requests)
+        stats = self.stats
+        stats.lockstep_points += 1
+        stats.syscalls_compared += len(canonical_requests)
 
-        names = {request.name for request in canonical_requests}
-        if len(names) > 1:
-            return self._record(
-                Alarm(
-                    alarm_type=AlarmType.SYSCALL_MISMATCH,
-                    description="variants issued different system calls",
-                    syscall="/".join(sorted(name.value for name in names)),
-                    variant_values=tuple(r.describe() for r in canonical_requests),
-                    lockstep_index=lockstep_index,
+        first = canonical_requests[0]
+        name = first.name
+        first_args = first.args
+        equivalent = True
+        for request in canonical_requests:
+            if request.name is not name:
+                return self._record(
+                    Alarm(
+                        alarm_type=AlarmType.SYSCALL_MISMATCH,
+                        description="variants issued different system calls",
+                        syscall="/".join(
+                            sorted({r.name.value for r in canonical_requests})
+                        ),
+                        variant_values=tuple(r.describe() for r in canonical_requests),
+                        lockstep_index=lockstep_index,
+                    )
                 )
-            )
+            if request.args != first_args:
+                equivalent = False
 
-        name = canonical_requests[0].name
         if name in self.table.detection_syscalls:
-            self.stats.detection_calls_checked += 1
-
-        args = [request.args for request in canonical_requests]
-        if all(arg == args[0] for arg in args[1:]):
+            stats.detection_calls_checked += 1
+        if equivalent:
             return None
 
+        args = [request.args for request in canonical_requests]
         alarm_type = self._classify_argument_mismatch(name)
         return self._record(
             Alarm(

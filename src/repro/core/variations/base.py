@@ -21,7 +21,7 @@ UID variation on the 2-variant baseline), as long as each hook composes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.reexpression import ReexpressionFunction, identity_reexpression
 from repro.kernel.filesystem import FileSystem
@@ -47,13 +47,19 @@ class Variation:
     #: The system calls :meth:`canonicalize_request` may rewrite, or ``None``
     #: when the set cannot be stated statically.  Declaring the footprint lets
     #: the lockstep engine's :class:`~repro.core.monitor.SyscallComparator`
-    #: skip canonicalization entirely for unaffected calls; ``None`` disables
-    #: that fast path, so an undeclared subclass stays correct, just slower.
-    #: A subclass overriding :meth:`canonicalize_request` without redeclaring
-    #: this in the same class is detected by :class:`VariationStack`, which
-    #: then treats the footprint as unknown -- a stale inherited declaration
-    #: can never silently bypass the subclass's canonicalization.  The two
-    #: footprints below follow the same contract and the same guard.
+    #: skip canonicalization entirely for calls no variation rewrites, and
+    #: lets :class:`VariationStack` leave this variation out of the hook
+    #: chain it walks for every other call name (a variation with an empty
+    #: footprint is never called at all).  ``None`` disables both shortcuts
+    #: -- the variation joins every name's chain -- so an undeclared subclass
+    #: stays correct, just slower.  A subclass overriding
+    #: :meth:`canonicalize_request` without redeclaring this in the same class
+    #: is detected by :class:`VariationStack`, which then treats the footprint
+    #: as unknown -- a stale inherited declaration can never silently bypass
+    #: the subclass's canonicalization.  The two footprints below follow the
+    #: same contract and the same guard.  Hooks rewrite arguments and results
+    #: only, never the call name, so a chain chosen by name stays valid for
+    #: the whole walk.
     canonical_syscalls: Optional[frozenset[Syscall]] = None
 
     #: The system calls :meth:`transform_request` may rewrite (same contract
@@ -146,10 +152,14 @@ class Variation:
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.num_variants:
-            raise ValueError(
-                f"variant index {index} out of range for {self.name} "
-                f"({self.num_variants} variants)"
-            )
+            raise self._index_error(index)
+
+    def _index_error(self, index: int) -> ValueError:
+        """The error a hook raises for an out-of-range variant *index*."""
+        return ValueError(
+            f"variant index {index} out of range for {self.name} "
+            f"({self.num_variants} variants)"
+        )
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r} target={self.target_type!r}>"
@@ -161,6 +171,15 @@ class VariationStack:
     Hooks compose in order for outgoing transformations and in reverse order
     for results, which keeps nested reexpressions well-formed even though the
     paper's variations touch disjoint data types.
+
+    Each hook walks a *per-name chain*: the variations, in stack order (or
+    reverse order for results), whose declared footprint for that hook
+    contains the call's name, plus every variation whose footprint is
+    unknown.  Leaving out a variation that declares it never rewrites the
+    call is exactly the identity it would have applied, so a chain's result
+    equals the full walk's.  Chains are built on a name's first use and kept
+    for the stack's lifetime; building them all up front would cost every
+    short-lived session a pass over every call name.
     """
 
     def __init__(self, variations: Sequence[Variation], num_variants: int = 2):
@@ -172,13 +191,18 @@ class VariationStack:
                 )
         self.variations = list(variations)
         self.num_variants = num_variants
-        self._canonical_syscalls = self._union_footprint(
-            "canonical_syscalls", "canonicalize_request"
-        )
-        self._transform_syscalls = self._union_footprint(
-            "transform_syscalls", "transform_request"
-        )
-        self._result_syscalls = self._union_footprint("result_syscalls", "transform_result")
+        # Per hook: every variation's trusted footprint (None = unknown), the
+        # stack-wide union, and the lazily filled per-name chains.
+        self._footprints = {
+            hook: [self._footprint(variation, attribute, hook) for variation in self.variations]
+            for hook, attribute in _HOOK_FOOTPRINTS
+        }
+        self._canonical_syscalls = self._union(self._footprints["canonicalize_request"])
+        self._transform_syscalls = self._union(self._footprints["transform_request"])
+        self._result_syscalls = self._union(self._footprints["transform_result"])
+        self._canonical_chains: dict[Syscall, tuple[Callable[..., SyscallRequest], ...]] = {}
+        self._transform_chains: dict[Syscall, tuple[Callable[..., SyscallRequest], ...]] = {}
+        self._result_chains: dict[Syscall, tuple[Callable[..., SyscallResult], ...]] = {}
 
     @staticmethod
     def _declaring_class(cls: type, attribute: str) -> Optional[type]:
@@ -187,27 +211,50 @@ class VariationStack:
                 return klass
         return None
 
-    def _union_footprint(self, attribute: str, hook: str) -> Optional[frozenset[Syscall]]:
-        footprint: frozenset[Syscall] = frozenset()
-        for variation in self.variations:
-            declared = getattr(variation, attribute)
-            if declared is None:
+    @classmethod
+    def _footprint(
+        cls, variation: Variation, attribute: str, hook: str
+    ) -> Optional[frozenset[Syscall]]:
+        """*variation*'s declared footprint for *hook*, or ``None`` if untrusted."""
+        declared = getattr(variation, attribute)
+        if declared is None:
+            return None
+        # A class that overrides the hook below where the footprint was
+        # declared inherited a footprint that cannot be trusted to cover the
+        # override; fall back to "unknown" so the shortcuts are disabled
+        # rather than silently skipping the new rewrite.
+        hook_class = cls._declaring_class(type(variation), hook)
+        declaration_class = cls._declaring_class(type(variation), attribute)
+        if (
+            hook_class is not None
+            and declaration_class is not None
+            and hook_class is not declaration_class
+            and issubclass(hook_class, declaration_class)
+        ):
+            return None
+        return declared
+
+    @staticmethod
+    def _union(
+        footprints: Sequence[Optional[frozenset[Syscall]]],
+    ) -> Optional[frozenset[Syscall]]:
+        union: frozenset[Syscall] = frozenset()
+        for footprint in footprints:
+            if footprint is None:
                 return None
-            # A class that overrides the hook below where the footprint was
-            # declared inherited a footprint that cannot be trusted to cover
-            # the override; fall back to "unknown" so the fast path is
-            # disabled rather than silently skipping the new rewrite.
-            hook_class = self._declaring_class(type(variation), hook)
-            declaration_class = self._declaring_class(type(variation), attribute)
-            if (
-                hook_class is not None
-                and declaration_class is not None
-                and hook_class is not declaration_class
-                and issubclass(hook_class, declaration_class)
-            ):
-                return None
-            footprint |= declared
-        return footprint
+            union |= footprint
+        return union
+
+    def _chain(self, hook: str, name: Syscall, *, reverse: bool = False) -> tuple[Callable, ...]:
+        """The bound *hook* of every variation that may rewrite *name*."""
+        pairs = list(zip(self.variations, self._footprints[hook]))
+        if reverse:
+            pairs.reverse()
+        return tuple(
+            getattr(variation, hook)
+            for variation, footprint in pairs
+            if footprint is None or name in footprint
+        )
 
     def canonical_syscalls(self) -> Optional[frozenset[Syscall]]:
         """Union of the stack's canonicalization footprints (``None`` = unknown)."""
@@ -238,22 +285,36 @@ class VariationStack:
 
     def transform_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
         """Compose every variation's outgoing transformation."""
-        for variation in self.variations:
-            request = variation.transform_request(index, request)
+        name = request.name
+        chain = self._transform_chains.get(name)
+        if chain is None:
+            chain = self._transform_chains[name] = self._chain("transform_request", name)
+        for hook in chain:
+            request = hook(index, request)
         return request
 
     def transform_result(
         self, index: int, request: SyscallRequest, result: SyscallResult
     ) -> SyscallResult:
         """Compose every variation's result transformation (reverse order)."""
-        for variation in reversed(self.variations):
-            result = variation.transform_result(index, request, result)
+        name = request.name
+        chain = self._result_chains.get(name)
+        if chain is None:
+            chain = self._result_chains[name] = self._chain(
+                "transform_result", name, reverse=True
+            )
+        for hook in chain:
+            result = hook(index, request, result)
         return result
 
     def canonicalize_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
         """Compose every variation's canonicalization function."""
-        for variation in self.variations:
-            request = variation.canonicalize_request(index, request)
+        name = request.name
+        chain = self._canonical_chains.get(name)
+        if chain is None:
+            chain = self._canonical_chains[name] = self._chain("canonicalize_request", name)
+        for hook in chain:
+            request = hook(index, request)
         return request
 
     def __iter__(self):
@@ -261,3 +322,11 @@ class VariationStack:
 
     def __len__(self) -> int:
         return len(self.variations)
+
+
+#: Each system-call hook with the footprint attribute that bounds it.
+_HOOK_FOOTPRINTS = (
+    ("canonicalize_request", "canonical_syscalls"),
+    ("transform_request", "transform_syscalls"),
+    ("transform_result", "result_syscalls"),
+)

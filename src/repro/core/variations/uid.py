@@ -32,6 +32,7 @@ from repro.core.reexpression import (
     xor_reexpression,
 )
 from repro.core.variations.base import Variation
+from repro.kernel.errors import Errno
 from repro.kernel.filesystem import FileSystem
 from repro.memory.partition import (
     KeyedXorMaskScheme,
@@ -47,6 +48,7 @@ from repro.kernel.syscalls import (
     UID_COMPARISON_SYSCALLS,
     UID_PARAMETER_SYSCALLS,
     UID_RESULT_SYSCALLS,
+    _trusted_success,
 )
 
 #: ``UID_MASK_31`` (the paper's mask: flips the 31 low bits, leaves the sign
@@ -54,6 +56,18 @@ from repro.kernel.syscalls import (
 
 #: The "ideal" mask discussed and rejected in Section 3.2.
 UID_MASK_32 = 0xFFFFFFFF
+
+#: The uid_t argument positions of every call whose request the variation
+#: decodes both for the monitor and for the kernel: the setuid family (and
+#: chown) plus the cc_* comparisons, which compare their first two arguments.
+_DECODED_POSITIONS: dict[Syscall, tuple[int, ...]] = {
+    **UID_PARAMETER_SYSCALLS,
+    **{name: (0, 1) for name in UID_COMPARISON_SYSCALLS},
+}
+# Bound once: attribute access on an Enum class goes through the metaclass's
+# ``__getattr__`` hook, several times slower than a module global.
+_UID_VALUE = Syscall.UID_VALUE
+_ERRNO_OK = Errno.OK
 
 
 class UIDVariation(Variation):
@@ -74,7 +88,25 @@ class UIDVariation(Variation):
             raise ValueError("the UID variation is defined for exactly two variants")
         self.mask = mask
         self.num_variants = num_variants
-        self._functions = [identity_reexpression("uid"), xor_reexpression(mask, "uid")]
+        self._install_functions([identity_reexpression("uid"), xor_reexpression(mask, "uid")])
+
+    def _install_functions(self, functions: "list[ReexpressionFunction]") -> None:
+        """Adopt *functions* as ``R_0 .. R_{N-1}`` and drop every cached decode.
+
+        The per-variant forward and inverse callables are unpacked once, so
+        the hooks index a list instead of going through :meth:`reexpression`.
+        ``_decoded[i]`` is variant *i*'s one-entry memo of its last decoded
+        request, ``(request, decoded)``: the monitor's canonicalization and
+        the kernel-bound transformation of a setuid-family or cc_* call
+        produce the same decoded request, so the second finds it here.  The
+        memo holds the request it was computed from, which keeps the
+        identity key from being reused; new masks must go through this
+        method so no decode under the old key survives.
+        """
+        self._functions = functions
+        self._forward = [function.forward for function in functions]
+        self._inverse = [function.inverse for function in functions]
+        self._decoded = [None] * len(functions)
 
     # -- reexpression ------------------------------------------------------------
 
@@ -85,11 +117,15 @@ class UIDVariation(Variation):
 
     def encode(self, index: int, uid: int) -> int:
         """Variant *index*'s concrete representation of semantic *uid*."""
-        return self.reexpression(index).forward(uid)
+        if not 0 <= index < self.num_variants:
+            raise self._index_error(index)
+        return self._forward[index](uid)
 
     def decode(self, index: int, value: int) -> int:
         """Semantic UID corresponding to variant *index*'s concrete *value*."""
-        return self.reexpression(index).inverse(value)
+        if not 0 <= index < self.num_variants:
+            raise self._index_error(index)
+        return self._inverse[index](value)
 
     def variant_root(self, index: int) -> int:
         """The concrete value representing root in variant *index*.
@@ -108,21 +144,20 @@ class UIDVariation(Variation):
         comparison on decoded values so the variants' instruction streams can
         stay identical.
         """
-        self._check_index(index)
-        uid_positions = UID_PARAMETER_SYSCALLS.get(request.name)
-        if uid_positions is not None:
-            return request.with_args(self._decode_positions(index, request.args, uid_positions))
-        if request.name in UID_COMPARISON_SYSCALLS:
-            return request.with_args(self._decode_positions(index, request.args, (0, 1)))
+        if not 0 <= index < self.num_variants:
+            raise self._index_error(index)
+        if request.name in _DECODED_POSITIONS:
+            return self._decoded_request(index, request)
         return request
 
     def transform_result(
         self, index: int, request: SyscallRequest, result: SyscallResult
     ) -> SyscallResult:
         """Apply ``R_index`` to trusted uid_t results (getuid family)."""
-        self._check_index(index)
-        if request.name in UID_RESULT_SYSCALLS and result.ok:
-            return SyscallResult(value=self.encode(index, result.value), errno=result.errno)
+        if not 0 <= index < self.num_variants:
+            raise self._index_error(index)
+        if request.name in UID_RESULT_SYSCALLS and result.errno is _ERRNO_OK:
+            return _trusted_success(self._forward[index](result.value))
         return result
 
     def canonicalize_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
@@ -132,13 +167,12 @@ class UIDVariation(Variation):
         (the call returns exactly what was passed in), so canonicalization is
         where its cross-variant equivalence check happens.
         """
-        self._check_index(index)
-        uid_positions = UID_PARAMETER_SYSCALLS.get(request.name)
-        if uid_positions is not None:
-            return request.with_args(self._decode_positions(index, request.args, uid_positions))
-        if request.name in UID_COMPARISON_SYSCALLS:
-            return request.with_args(self._decode_positions(index, request.args, (0, 1)))
-        if request.name is Syscall.UID_VALUE:
+        if not 0 <= index < self.num_variants:
+            raise self._index_error(index)
+        name = request.name
+        if name in _DECODED_POSITIONS:
+            return self._decoded_request(index, request)
+        if name is _UID_VALUE:
             return request.with_args(self._decode_positions(index, request.args, (0,)))
         return request
 
@@ -155,9 +189,22 @@ class UIDVariation(Variation):
 
     # -- helpers ------------------------------------------------------------------------
 
+    def _decoded_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
+        """*request* with its uid_t arguments decoded, memoised per variant."""
+        memo = self._decoded[index]
+        if memo is not None and memo[0] is request:
+            return memo[1]
+        decoded = request.with_args(
+            self._decode_positions(index, request.args, _DECODED_POSITIONS[request.name])
+        )
+        self._decoded[index] = (request, decoded)
+        return decoded
+
     def _decode_positions(
         self, index: int, args: tuple, positions: tuple[int, ...]
     ) -> tuple:
+        """*args* with the uid_t values at *positions* decoded (*index* is valid)."""
+        inverse = self._inverse[index]
         new_args = list(args)
         for position in positions:
             if position >= len(new_args):
@@ -175,7 +222,7 @@ class UIDVariation(Variation):
             # ablation benchmark).
             if value in (-1, 0xFFFFFFFF):
                 continue
-            new_args[position] = self.decode(index, value)
+            new_args[position] = inverse(value)
         return tuple(new_args)
 
 
@@ -233,7 +280,7 @@ XorMaskScheme.for_uids>` (whose masks come from
         self.masks = scheme.masks
         self.mask = scheme.masks[1]  # UIDVariation compatibility: R_1's mask
         self.num_variants = num_variants
-        self._functions = scheme.reexpressions(domain="uid")
+        self._install_functions(scheme.reexpressions(domain="uid"))
 
 
 class KeyedUIDVariation(OrbitUIDVariation):
@@ -271,9 +318,7 @@ class KeyedUIDVariation(OrbitUIDVariation):
     def rotate_key(self) -> None:
         """Redraw the masks and refresh the cached per-variant functions."""
         self.scheme.rotate()
-        self.masks = self.scheme.masks
-        self.mask = self.scheme.masks[1]
-        self._functions = self.scheme.reexpressions(domain="uid")
+        self._adopt_scheme_masks()
 
     def install_secret(self, values: "Sequence[int]") -> None:
         """Adopt a checkpointed secret and refresh the cached functions.
@@ -284,6 +329,10 @@ class KeyedUIDVariation(OrbitUIDVariation):
         through here instead (see :mod:`repro.load.checkpoint`).
         """
         self.scheme.install_secret(values)
+        self._adopt_scheme_masks()
+
+    def _adopt_scheme_masks(self) -> None:
+        """Re-read the scheme's masks, replacing every cached function and decode."""
         self.masks = self.scheme.masks
         self.mask = self.scheme.masks[1]
-        self._functions = self.scheme.reexpressions(domain="uid")
+        self._install_functions(self.scheme.reexpressions(domain="uid"))

@@ -33,6 +33,12 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.engine.session import NVariantSession, SessionState
 
+# Bound once: attribute access on an Enum class goes through the metaclass's
+# ``__getattr__`` hook, several times slower than a module global, and the
+# scheduling loop compares against these after every step.
+_RUNNING = SessionState.RUNNING
+_HALTED = SessionState.HALTED
+
 
 class CampaignHaltPolicy(enum.Enum):
     """What one job's halt (monitor alarm) means for the rest of the campaign."""
@@ -208,6 +214,8 @@ class CampaignScheduler:
         max_wait_turns = 0
         max_live = 0
         campaign_halted = False
+        rounds_per_turn = range(self.rounds_per_turn)
+        halt_campaign = self.halt_policy is CampaignHaltPolicy.HALT_CAMPAIGN
 
         def finalize(entry: _LiveJob) -> None:
             session = entry.session
@@ -249,19 +257,23 @@ class CampaignScheduler:
                 raise RuntimeError(f"campaign exceeded {self.max_turns} scheduling turns")
             finished: list[_LiveJob] = []
             for entry in live:
-                max_wait_turns = max(max_wait_turns, turns - entry.last_stepped_turn - 1)
+                waited = turns - entry.last_stepped_turn - 1
+                if waited > max_wait_turns:
+                    max_wait_turns = waited
                 entry.last_stepped_turn = turns
-                for _ in range(self.rounds_per_turn):
-                    if entry.session.step() is not SessionState.RUNNING:
+                step = entry.session.step
+                for _ in rounds_per_turn:
+                    # ``step`` returns the session's state: the first
+                    # terminal one ends the job's batch and the job.
+                    if step() is not _RUNNING:
+                        finished.append(entry)
                         break
-                if entry.session.done:
-                    finished.append(entry)
             for entry in finished:
                 live.remove(entry)
                 finalize(entry)
                 if (
-                    entry.session.state is SessionState.HALTED
-                    and self.halt_policy is CampaignHaltPolicy.HALT_CAMPAIGN
+                    entry.session.state is _HALTED
+                    and halt_campaign
                     and not campaign_halted
                 ):
                     campaign_halted = True

@@ -24,6 +24,12 @@ from typing import Iterable, Optional
 
 from repro.engine.session import NVariantSession, SessionState
 
+# Bound once: attribute access on an Enum class goes through the metaclass's
+# ``__getattr__`` hook, several times slower than a module global, and the
+# scheduling loop compares against these after every step.
+_RUNNING = SessionState.RUNNING
+_HALTED = SessionState.HALTED
+
 
 class HaltPolicy(enum.Enum):
     """What an alarm in one session means for its siblings."""
@@ -181,20 +187,30 @@ class MultiSessionEngine:
         if not self._sessions:
             return EngineResult(sessions=[], scheduler_turns=0)
         turns = 0
-        active = [s for s in self._sessions if not s.done]
+        halt_all = self.halt_policy is HaltPolicy.HALT_ALL
+        admitted = self._intake_admitted
+        active = [s for s in self._sessions if s.state is _RUNNING]
         while active:
             turns += 1
             if turns > self.max_turns:
                 raise RuntimeError(f"engine exceeded {self.max_turns} scheduling turns")
+            # ``step`` returns the session's state, so a turn in which every
+            # session stays running needs no second pass over them.
+            ended = False
             for session in active:
                 state = session.step()
-                if state is SessionState.HALTED and self.halt_policy is HaltPolicy.HALT_ALL:
-                    self.halt_all()
-            for session in active:
-                if session.done and session.name in self._intake_admitted:
-                    self._intake_admitted.discard(session.name)
-                    self.intake.released()
-            active = [s for s in active if not s.done]
+                if state is not _RUNNING:
+                    ended = True
+                    if state is _HALTED and halt_all:
+                        self.halt_all()
+            if not ended:
+                continue
+            if admitted:
+                for session in active:
+                    if session.state is not _RUNNING and session.name in admitted:
+                        admitted.discard(session.name)
+                        self.intake.released()
+            active = [s for s in active if s.state is _RUNNING]
         return self._build_result(turns)
 
     def halt_all(self) -> None:

@@ -35,7 +35,7 @@ from repro.interpose import get_table
 from repro.kernel.errors import VariantFault
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.libc import Libc
-from repro.kernel.process import Process
+from repro.kernel.process import LIVE_STATES, Process
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
 
 
@@ -63,6 +63,8 @@ class _VariantRuntime:
 
     context: "VariantContext"
     program: "Program"
+    #: ``context.process``, one attribute hop closer for the round loop.
+    process: Process
     started: bool = False
     finished: bool = False
     fault: Optional[VariantFault] = None
@@ -153,7 +155,9 @@ class NVariantSession:
             self.kernel, processes, self._unshared_registry, table=self.table
         )
         self._runtimes = [
-            _VariantRuntime(context=context, program=self.program_factory(context))
+            _VariantRuntime(
+                context=context, program=self.program_factory(context), process=context.process
+            )
             for context in self._contexts
         ]
 
@@ -165,22 +169,31 @@ class NVariantSession:
         knowledge an attacker accumulated across probes dies with the old
         session) unless *rotate_keys* is False.  The monitor, comparator and
         per-variant runtimes are rebuilt from scratch; the previous run's
-        processes are exited and its alarms discarded.
+        processes are exited and its alarms discarded.  A rotation also
+        rewrites the unshared files (``/etc/passwd-i``, ``/etc/group-i``),
+        whose UID columns were encoded under the old key.
         """
         from repro.memory.partition import KeyedScheme
 
+        rotated = False
         if rotate_keys:
             for variation in self.variations:
                 rotate = getattr(variation, "rotate_key", None)
                 if rotate is not None:
                     rotate()
+                    rotated = True
                     continue
                 scheme = getattr(variation, "scheme", None)
                 if isinstance(scheme, KeyedScheme):
                     scheme.rotate()
+                    rotated = True
         for context in self._contexts:
             if context.process.alive:
                 context.process.exit(0)
+        if rotated:
+            self._unshared_registry.register_mapping(
+                self.variations.setup_unshared_files(self.kernel.fs)
+            )
         self.monitor = Monitor(table=self.table)
         self.comparator = SyscallComparator(self.variations, self.monitor)
         self.rounds = 0
@@ -300,15 +313,13 @@ class NVariantSession:
         # Only calls in the stack's declared result footprint can have their
         # results re-expressed; every other result reaches the variant as is.
         result_affected = self._result_affected
-        for runtime, request, result in zip(runtimes, requests, raw_results):
+        for index, (runtime, request, result) in enumerate(zip(runtimes, requests, raw_results)):
             name = request.name
             if result_affected is None or name in result_affected:
-                result = self.variations.transform_result(
-                    runtime.context.index, request, result
-                )
+                result = self.variations.transform_result(index, request, result)
             runtime.pending_result = result
             runtime.pending_request = None
-            if name is _EXIT or not runtime.context.process.alive:
+            if name is _EXIT or runtime.process.state not in LIVE_STATES:
                 runtime.finished = True
                 runtime.program.close()
         return self.state

@@ -35,13 +35,9 @@ from repro.kernel.filesystem import (
 )
 from repro.kernel.filetable import OpenFile, SocketDescriptor
 from repro.kernel.network import Connection, ListeningSocket, NetworkStack
-from repro.kernel.process import Process, ProcessTable
+from repro.kernel.process import LIVE_STATES, Process, ProcessTable
 from repro.kernel.signals import Signal
-from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
-
-# Bound once: attribute access on an Enum class goes through the metaclass's
-# ``__getattr__`` hook, several times slower than a module global.
-_ERRNO_OK = Errno.OK
+from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult, _trusted_success
 
 
 @dataclasses.dataclass
@@ -101,7 +97,7 @@ class SimulatedKernel:
 
     def execute(self, process: Process, request: SyscallRequest) -> SyscallResult:
         """Execute *request* on behalf of *process* and return its result."""
-        if not process.alive:
+        if process.state not in LIVE_STATES:
             return SyscallResult.failure(Errno.ESRCH)
         name = request.name
         found = _HANDLERS.get(name)
@@ -120,7 +116,7 @@ class SimulatedKernel:
             value = handler(self, process, *args)
         except KernelError as error:
             return SyscallResult.failure(error.errno)
-        return SyscallResult(value, _ERRNO_OK)
+        return _trusted_success(value)
 
     # -- process control handlers ---------------------------------------------------
 
@@ -199,14 +195,18 @@ class SimulatedKernel:
     def _sys_open(self, process: Process, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
         creds = process.credentials
         accmode = flags & O_ACCMODE
-        if not self.fs.exists(path):
+        try:
+            inode = self.fs.lookup(path)
+        except KernelError:
+            # Any failed resolution (missing, through a regular file, not
+            # absolute) reads as "does not exist", as ``FileSystem.exists``
+            # would report it.
             if not flags & O_CREAT:
-                raise KernelError(Errno.ENOENT, path)
+                raise KernelError(Errno.ENOENT, path) from None
             parent = path.rsplit("/", 1)[0] or "/"
             if not self.fs.access(parent, creds, W_OK):
-                raise KernelError(Errno.EACCES, f"cannot create in {parent}")
-            self.fs.create_file(path, b"", mode=mode, uid=creds.euid, gid=creds.egid)
-        inode = self.fs.lookup(path)
+                raise KernelError(Errno.EACCES, f"cannot create in {parent}") from None
+            inode = self.fs.create_file(path, b"", mode=mode, uid=creds.euid, gid=creds.egid)
         if inode.is_directory and accmode != O_RDONLY:
             raise KernelError(Errno.EISDIR, path)
         want = 0

@@ -19,9 +19,65 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.kernel.filesystem import O_RDONLY
-from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
+from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult, _trusted_request
 
 SyscallGen = Generator[SyscallRequest, SyscallResult, SyscallResult]
+
+# Bound once: attribute access on an Enum class goes through the metaclass's
+# ``__getattr__`` hook, several times slower than a module global, and every
+# helper call reads one.
+_EXIT = Syscall.EXIT
+_GETPID = Syscall.GETPID
+_GETUID = Syscall.GETUID
+_GETEUID = Syscall.GETEUID
+_GETGID = Syscall.GETGID
+_GETEGID = Syscall.GETEGID
+_SETUID = Syscall.SETUID
+_SETEUID = Syscall.SETEUID
+_SETGID = Syscall.SETGID
+_SETEGID = Syscall.SETEGID
+_SETGROUPS = Syscall.SETGROUPS
+_OPEN = Syscall.OPEN
+_CLOSE = Syscall.CLOSE
+_READ = Syscall.READ
+_WRITE = Syscall.WRITE
+_LSEEK = Syscall.LSEEK
+_STAT = Syscall.STAT
+_FSTAT = Syscall.FSTAT
+_ACCESS = Syscall.ACCESS
+_MKDIR = Syscall.MKDIR
+_UNLINK = Syscall.UNLINK
+_CHOWN = Syscall.CHOWN
+_CHMOD = Syscall.CHMOD
+_GETDENTS = Syscall.GETDENTS
+_SOCKET = Syscall.SOCKET
+_BIND = Syscall.BIND
+_LISTEN = Syscall.LISTEN
+_ACCEPT = Syscall.ACCEPT
+_RECV = Syscall.RECV
+_SEND = Syscall.SEND
+_SHUTDOWN = Syscall.SHUTDOWN
+_TIME = Syscall.TIME
+_GETRANDOM = Syscall.GETRANDOM
+_NANOSLEEP = Syscall.NANOSLEEP
+_PEEK = Syscall.PEEK
+_UID_VALUE = Syscall.UID_VALUE
+_COND_CHK = Syscall.COND_CHK
+_CC_EQ = Syscall.CC_EQ
+_CC_NEQ = Syscall.CC_NEQ
+_CC_LT = Syscall.CC_LT
+_CC_LEQ = Syscall.CC_LEQ
+_CC_GT = Syscall.CC_GT
+_CC_GEQ = Syscall.CC_GEQ
+
+
+def _trap(name: Syscall, args: tuple[Any, ...]) -> SyscallGen:
+    """The named helpers' trampoline: yield the request, return the result.
+
+    *name* is a ``Syscall`` member and *args* a tuple by construction, so the
+    request skips the public constructor's checks.
+    """
+    return (yield _trusted_request(name, args))
 
 
 class Libc:
@@ -39,185 +95,185 @@ class Libc:
 
     def exit(self, code: int = 0) -> SyscallGen:
         """Terminate the calling program."""
-        return self.syscall(Syscall.EXIT, code)
+        return _trap(_EXIT, (code,))
 
     def getpid(self) -> SyscallGen:
         """Return the process id."""
-        return self.syscall(Syscall.GETPID)
+        return _trap(_GETPID, ())
 
     # -- credentials --------------------------------------------------------------
 
     def getuid(self) -> SyscallGen:
         """Return the real user id."""
-        return self.syscall(Syscall.GETUID)
+        return _trap(_GETUID, ())
 
     def geteuid(self) -> SyscallGen:
         """Return the effective user id."""
-        return self.syscall(Syscall.GETEUID)
+        return _trap(_GETEUID, ())
 
     def getgid(self) -> SyscallGen:
         """Return the real group id."""
-        return self.syscall(Syscall.GETGID)
+        return _trap(_GETGID, ())
 
     def getegid(self) -> SyscallGen:
         """Return the effective group id."""
-        return self.syscall(Syscall.GETEGID)
+        return _trap(_GETEGID, ())
 
     def setuid(self, uid: int) -> SyscallGen:
         """Set the real/effective/saved user id."""
-        return self.syscall(Syscall.SETUID, uid)
+        return _trap(_SETUID, (uid,))
 
     def seteuid(self, euid: int) -> SyscallGen:
         """Set the effective user id."""
-        return self.syscall(Syscall.SETEUID, euid)
+        return _trap(_SETEUID, (euid,))
 
     def setgid(self, gid: int) -> SyscallGen:
         """Set the real/effective/saved group id."""
-        return self.syscall(Syscall.SETGID, gid)
+        return _trap(_SETGID, (gid,))
 
     def setegid(self, egid: int) -> SyscallGen:
         """Set the effective group id."""
-        return self.syscall(Syscall.SETEGID, egid)
+        return _trap(_SETEGID, (egid,))
 
     def setgroups(self, groups: tuple[int, ...]) -> SyscallGen:
         """Set the supplementary group list."""
-        return self.syscall(Syscall.SETGROUPS, tuple(groups))
+        return _trap(_SETGROUPS, (tuple(groups),))
 
     # -- files ----------------------------------------------------------------------
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> SyscallGen:
         """Open *path*, returning a descriptor in ``result.value``."""
-        return self.syscall(Syscall.OPEN, path, flags, mode)
+        return _trap(_OPEN, (path, flags, mode))
 
     def close(self, fd: int) -> SyscallGen:
         """Close descriptor *fd*."""
-        return self.syscall(Syscall.CLOSE, fd)
+        return _trap(_CLOSE, (fd,))
 
     def read(self, fd: int, count: int) -> SyscallGen:
         """Read up to *count* bytes from *fd*."""
-        return self.syscall(Syscall.READ, fd, count)
+        return _trap(_READ, (fd, count))
 
     def write(self, fd: int, data: bytes | str) -> SyscallGen:
         """Write *data* to *fd*."""
-        return self.syscall(Syscall.WRITE, fd, data)
+        return _trap(_WRITE, (fd, data))
 
     def lseek(self, fd: int, offset: int, whence: int = 0) -> SyscallGen:
         """Reposition the file offset of *fd*."""
-        return self.syscall(Syscall.LSEEK, fd, offset, whence)
+        return _trap(_LSEEK, (fd, offset, whence))
 
     def stat(self, path: str) -> SyscallGen:
         """Stat the inode at *path*."""
-        return self.syscall(Syscall.STAT, path)
+        return _trap(_STAT, (path,))
 
     def fstat(self, fd: int) -> SyscallGen:
         """Stat the inode open at *fd*."""
-        return self.syscall(Syscall.FSTAT, fd)
+        return _trap(_FSTAT, (fd,))
 
     def access(self, path: str, mode: int) -> SyscallGen:
         """Check accessibility of *path* for the caller's credentials."""
-        return self.syscall(Syscall.ACCESS, path, mode)
+        return _trap(_ACCESS, (path, mode))
 
     def mkdir(self, path: str, mode: int = 0o755) -> SyscallGen:
         """Create a directory."""
-        return self.syscall(Syscall.MKDIR, path, mode)
+        return _trap(_MKDIR, (path, mode))
 
     def unlink(self, path: str) -> SyscallGen:
         """Remove a file."""
-        return self.syscall(Syscall.UNLINK, path)
+        return _trap(_UNLINK, (path,))
 
     def chown(self, path: str, uid: int, gid: int) -> SyscallGen:
         """Change ownership of *path*."""
-        return self.syscall(Syscall.CHOWN, path, uid, gid)
+        return _trap(_CHOWN, (path, uid, gid))
 
     def chmod(self, path: str, mode: int) -> SyscallGen:
         """Change the permission bits of *path*."""
-        return self.syscall(Syscall.CHMOD, path, mode)
+        return _trap(_CHMOD, (path, mode))
 
     def getdents(self, path: str) -> SyscallGen:
         """List the names in the directory at *path*."""
-        return self.syscall(Syscall.GETDENTS, path)
+        return _trap(_GETDENTS, (path,))
 
     # -- sockets ---------------------------------------------------------------------
 
     def socket(self) -> SyscallGen:
         """Create a socket descriptor."""
-        return self.syscall(Syscall.SOCKET)
+        return _trap(_SOCKET, ())
 
     def bind(self, fd: int, port: int) -> SyscallGen:
         """Bind socket *fd* to *port*."""
-        return self.syscall(Syscall.BIND, fd, port)
+        return _trap(_BIND, (fd, port))
 
     def listen(self, fd: int, backlog: int = 128) -> SyscallGen:
         """Mark socket *fd* as listening."""
-        return self.syscall(Syscall.LISTEN, fd, backlog)
+        return _trap(_LISTEN, (fd, backlog))
 
     def accept(self, fd: int) -> SyscallGen:
         """Accept a pending connection on listening socket *fd*."""
-        return self.syscall(Syscall.ACCEPT, fd)
+        return _trap(_ACCEPT, (fd,))
 
     def recv(self, fd: int, count: int) -> SyscallGen:
         """Receive up to *count* bytes from connected socket *fd*."""
-        return self.syscall(Syscall.RECV, fd, count)
+        return _trap(_RECV, (fd, count))
 
     def send(self, fd: int, data: bytes | str) -> SyscallGen:
         """Send *data* on connected socket *fd*."""
-        return self.syscall(Syscall.SEND, fd, data)
+        return _trap(_SEND, (fd, data))
 
     def shutdown(self, fd: int) -> SyscallGen:
         """Shut down the socket at *fd*."""
-        return self.syscall(Syscall.SHUTDOWN, fd)
+        return _trap(_SHUTDOWN, (fd,))
 
     # -- misc ----------------------------------------------------------------------------
 
     def time(self) -> SyscallGen:
         """Return the kernel's virtual clock."""
-        return self.syscall(Syscall.TIME)
+        return _trap(_TIME, ())
 
     def getrandom(self, count: int) -> SyscallGen:
         """Return *count* deterministic pseudo-random bytes."""
-        return self.syscall(Syscall.GETRANDOM, count)
+        return _trap(_GETRANDOM, (count,))
 
     def nanosleep(self, ticks: int) -> SyscallGen:
         """Advance the virtual clock by *ticks*."""
-        return self.syscall(Syscall.NANOSLEEP, ticks)
+        return _trap(_NANOSLEEP, (ticks,))
 
     def peek(self, address: int, count: int = 4) -> SyscallGen:
         """Checked read of *count* bytes at absolute *address* (EFAULT on miss)."""
-        return self.syscall(Syscall.PEEK, address, count)
+        return _trap(_PEEK, (address, count))
 
     # -- detection calls (Table 2 of the paper) ----------------------------------------
 
     def uid_value(self, uid: int) -> SyscallGen:
         """Expose a single UID use to the monitor; returns the passed value."""
-        return self.syscall(Syscall.UID_VALUE, uid)
+        return _trap(_UID_VALUE, (uid,))
 
     def cond_chk(self, condition: bool) -> SyscallGen:
         """Expose a UID-influenced conditional to the monitor."""
-        return self.syscall(Syscall.COND_CHK, bool(condition))
+        return _trap(_COND_CHK, (bool(condition),))
 
     def cc_eq(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID equality comparison."""
-        return self.syscall(Syscall.CC_EQ, left, right)
+        return _trap(_CC_EQ, (left, right))
 
     def cc_neq(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID inequality comparison."""
-        return self.syscall(Syscall.CC_NEQ, left, right)
+        return _trap(_CC_NEQ, (left, right))
 
     def cc_lt(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID less-than comparison."""
-        return self.syscall(Syscall.CC_LT, left, right)
+        return _trap(_CC_LT, (left, right))
 
     def cc_leq(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID less-or-equal comparison."""
-        return self.syscall(Syscall.CC_LEQ, left, right)
+        return _trap(_CC_LEQ, (left, right))
 
     def cc_gt(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID greater-than comparison."""
-        return self.syscall(Syscall.CC_GT, left, right)
+        return _trap(_CC_GT, (left, right))
 
     def cc_geq(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID greater-or-equal comparison."""
-        return self.syscall(Syscall.CC_GEQ, left, right)
+        return _trap(_CC_GEQ, (left, right))
 
 
 #: A module-level instance; Libc is stateless so sharing it is safe.

@@ -27,8 +27,9 @@ class ProcessState(enum.Enum):
     FAULTED = "faulted"
 
 
-_RUNNABLE = ProcessState.RUNNABLE
-_BLOCKED = ProcessState.BLOCKED
+#: The states :attr:`Process.alive` accepts.  Per-call loops test
+#: ``process.state in LIVE_STATES`` directly, skipping the property call.
+LIVE_STATES = (ProcessState.RUNNABLE, ProcessState.BLOCKED)
 
 
 @dataclasses.dataclass
@@ -74,8 +75,7 @@ class Process:
     @property
     def alive(self) -> bool:
         """True while the process has not exited or faulted."""
-        state = self.state
-        return state is _RUNNABLE or state is _BLOCKED
+        return self.state in LIVE_STATES
 
     def exit(self, code: int) -> None:
         """Mark the process as exited with *code* and release descriptors."""

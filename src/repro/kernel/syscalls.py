@@ -131,7 +131,7 @@ class SyscallRequest:
 
     def with_args(self, args: tuple[Any, ...]) -> "SyscallRequest":
         """Return a copy of this request with substituted arguments."""
-        return SyscallRequest(self.name, tuple(args))
+        return _trusted_request(self.name, tuple(args))
 
     def describe(self) -> str:
         """Human-readable one-line rendering, used in alarms and traces."""
@@ -164,6 +164,35 @@ class SyscallResult:
     def failure(cls, errno: Errno, value: Any = -1) -> "SyscallResult":
         """Build a failed result carrying *errno* (value defaults to -1)."""
         return cls(value=value, errno=Errno(errno))
+
+
+# Trusted construction for the hot paths.  The generated ``__init__`` of a
+# frozen dataclass (and the request's own type check) cost several hundred
+# nanoseconds; writing the slots through their member descriptors skips both.
+# Only callers that already hold a ``Syscall`` member and an argument tuple
+# (the libc helpers, ``with_args``) or a successful value (the kernel) use
+# these; everything public keeps its checks.
+_new_object = object.__new__
+_set_request_name = SyscallRequest.__dict__["name"].__set__
+_set_request_args = SyscallRequest.__dict__["args"].__set__
+_set_result_value = SyscallResult.__dict__["value"].__set__
+_set_result_errno = SyscallResult.__dict__["errno"].__set__
+
+
+def _trusted_request(name: Syscall, args: tuple[Any, ...]) -> SyscallRequest:
+    """``SyscallRequest(name, args)`` for a known ``Syscall`` and tuple, unchecked."""
+    trap = _new_object(SyscallRequest)
+    _set_request_name(trap, name)
+    _set_request_args(trap, args)
+    return trap
+
+
+def _trusted_success(value: Any) -> SyscallResult:
+    """``SyscallResult(value, Errno.OK)`` without the dataclass constructor."""
+    result = _new_object(SyscallResult)
+    _set_result_value(result, value)
+    _set_result_errno(result, _ERRNO_OK)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ this module pins is what makes them *keyed*:
   every invariant;
 * rotation -- ``rotate()`` redraws the secret in place (and the variation
   hooks refresh whatever they cached), including through
-  ``NVariantSession.restart(rotate_keys=True)``;
+  ``NVariantSession.restart(rotate_keys=True)``, which also re-encodes the
+  unshared account files a served program reads;
 * plumbing -- registry entries, spec helpers, and
   :func:`~repro.api.seeding.seeded_spec`'s derived-seed injection, so a
   seeded campaign is reproducible across backends.
@@ -24,10 +25,12 @@ from repro.api.builders import build_session, build_variations
 from repro.api.registry import registry
 from repro.api.seeding import derive_seed, seeded_spec
 from repro.api.spec import SystemSpec, keyed_address_spec, keyed_uid_spec
+from repro.apps.httpd.server import make_httpd_factory
+from repro.attacks.payloads import benign_request
 from repro.core.variations.address import KeyedAddressPartitioning
 from repro.core.variations.uid import KeyedUIDVariation
 from repro.engine.session import SessionState
-from repro.kernel.host import build_standard_host
+from repro.kernel.host import HTTP_PORT, build_standard_host
 from repro.memory.partition import (
     KeyedAddressScheme,
     KeyedOrbitScheme,
@@ -189,6 +192,33 @@ class TestSessionRestart:
         # still decodes to the same semantic UID.
         rotated_raw = session.result().variants[0].return_value
         assert variation.decode(0, rotated_raw) == first
+
+
+    def test_rotated_restart_keeps_serving_the_account_files(self):
+        # The transformed httpd reads its unshared /etc/passwd-i and
+        # /etc/group-i copies, whose UID columns carry each variant's
+        # encoding: a rotation must rewrite them under the new masks, or the
+        # first request after it diverges at uid_value.
+        kernel = build_standard_host()
+        session = build_session(
+            keyed_uid_spec(2, seed=9),
+            kernel,
+            make_httpd_factory(transformed=True, max_requests=1),
+            name="rotating-httpd",
+        )
+        variation = next(iter(session.variations))
+        masks = set()
+        for attempt in range(4):
+            if attempt:
+                session.restart(rotate_keys=True)
+            masks.add(variation.masks)
+            kernel.client_connect(HTTP_PORT, benign_request())
+            result = session.run()
+            assert result.alarms == [], [alarm.describe() for alarm in result.alarms]
+            assert session.state is SessionState.COMPLETED
+            response = kernel.network.connections[-1].response_bytes()
+            assert response.startswith(b"HTTP/1.0 200 OK")
+        assert len(masks) == 4
 
 
 class TestSpecPlumbing:

@@ -1,15 +1,19 @@
 """The lockstep round's shortcuts agree with the work they skip.
 
 A round hands a call's result to the variation stack only when the call is
-in the stack's declared result footprint, and the wrapper layer picks its
-execution strategy once per call name.  These tests pin both shortcuts
-against the computation they replace, and check end to end that a
+in the stack's declared result footprint, the stack walks only the hook
+chain of variations whose footprint names the call, the UID variation
+decodes a request once per variant, the libc helpers build their requests
+without the public constructor's checks, and the wrapper layer picks its
+execution strategy once per call name.  These tests pin each shortcut
+against the computation it replaces, and check end to end that a
 protected server still answers byte for byte like the unprotected one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -25,13 +29,24 @@ from repro.apps.clients.webbench import (
     drive_standalone,
 )
 from repro.apps.httpd.server import make_httpd_factory
-from repro.core.variations import AddressPartitioning, UIDVariation, VariationStack
+from repro.core.variations import (
+    AddressPartitioning,
+    KeyedUIDVariation,
+    OrbitUIDVariation,
+    UIDVariation,
+    VariationStack,
+)
 from repro.core.wrappers import SyscallWrappers
 from repro.engine import MultiSessionEngine, NVariantSession
 from repro.interpose import PolicyKind, get_table
+from repro.kernel.credentials import user_credentials
 from repro.kernel.errors import Errno
+from repro.kernel.filesystem import FileSystem, O_CREAT, O_RDONLY, O_RDWR, O_WRONLY
 from repro.kernel.host import HTTP_PORT, build_ftp_host, build_standard_host
+from repro.kernel.kernel import SimulatedKernel
+from repro.kernel.libc import Libc
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
+from repro.memory.partition import XorMaskScheme
 
 ALL_SYSCALLS = tuple(Syscall)
 
@@ -153,6 +168,373 @@ def test_an_undeclared_footprint_transforms_every_result():
     session, result, _ = _serve(variation)
     assert session.variations.result_syscalls() is None
     assert len(variation.seen) == session.num_variants * result.wrapper_stats.checks
+
+
+# -- per-name hook chains --------------------------------------------------------
+
+HOOKS = ("canonicalize_request", "transform_request", "transform_result")
+
+#: Arguments every call is tried with: ints a re-expression would rewrite at
+#: each uid_t or descriptor position, and one carrying the uid_t sentinel.
+CHAIN_ARGS = ((3, 4, 5), (70000, -1, 2))
+
+
+def _full_walk(stack, hook, index, request, result=None):
+    """*hook* composed over every variation of *stack*, with no chain."""
+    if hook == "transform_result":
+        for variation in reversed(stack.variations):
+            result = variation.transform_result(index, request, result)
+        return result
+    for variation in stack.variations:
+        request = getattr(variation, hook)(index, request)
+    return request
+
+
+def _chain_stacks():
+    for name, num_variants, variation in REGISTERED:
+        yield f"{name}-N{num_variants}", VariationStack([variation], num_variants)
+    yield "address+uid", VariationStack([AddressPartitioning(), UIDVariation()], 2)
+    yield "uid-orbit+fd-orbit", VariationStack(
+        [
+            registry.create("uid-orbit", {"num_variants": 3}),
+            registry.create("fd-orbit", {"num_variants": 3}),
+        ],
+        3,
+    )
+
+
+CHAIN_STACKS = list(_chain_stacks())
+
+
+@pytest.mark.parametrize(
+    "stack", [stack for _, stack in CHAIN_STACKS], ids=[label for label, _ in CHAIN_STACKS]
+)
+def test_per_name_chains_equal_the_full_stack_walk(stack):
+    ok, failed = SyscallResult.success(3), SyscallResult.failure(Errno.EBADF)
+    for syscall in ALL_SYSCALLS:
+        for args in CHAIN_ARGS:
+            request = SyscallRequest(syscall, args)
+            for index in range(stack.num_variants):
+                for hook in HOOKS[:2]:
+                    expected = _full_walk(stack, hook, index, request)
+                    assert getattr(stack, hook)(index, request) == expected, (hook, syscall, index)
+                for result in (ok, failed):
+                    expected = _full_walk(stack, "transform_result", index, request, result)
+                    assert stack.transform_result(index, request, result) == expected, (
+                        syscall,
+                        index,
+                        result,
+                    )
+
+
+class _UndeclaredAddress(AddressPartitioning):
+    """Counts its hook calls; overrides the hooks below the inherited footprints."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def canonicalize_request(self, index, request):
+        self.calls += 1
+        return super().canonicalize_request(index, request)
+
+    def transform_request(self, index, request):
+        self.calls += 1
+        return super().transform_request(index, request)
+
+    def transform_result(self, index, request, result):
+        self.calls += 1
+        return super().transform_result(index, request, result)
+
+
+class _QuietAddress(_UndeclaredAddress):
+    """Redeclares the empty footprints, which vouches for the hooks again."""
+
+    canonical_syscalls = transform_syscalls = result_syscalls = frozenset()
+
+
+def _walk_every_hook(stack):
+    request_count = 0
+    for syscall in ALL_SYSCALLS:
+        request = SyscallRequest(syscall, (3, 4))
+        for index in range(stack.num_variants):
+            stack.canonicalize_request(index, request)
+            stack.transform_request(index, request)
+            stack.transform_result(index, request, SyscallResult.success(3))
+            request_count += 1
+    return request_count
+
+
+def test_a_variation_with_an_empty_footprint_is_never_called():
+    quiet = _QuietAddress()
+    _walk_every_hook(VariationStack([quiet, UIDVariation()]))
+    assert quiet.calls == 0
+
+
+def test_an_override_below_the_footprint_joins_every_chain():
+    # The override guard: the inherited empty footprints cannot vouch for
+    # hooks a subclass overrides, so the variation is treated as unknown.
+    undeclared = _UndeclaredAddress()
+    stack = VariationStack([undeclared, UIDVariation()])
+    assert stack.canonical_syscalls() is None
+    assert stack.transform_syscalls() is None
+    assert stack.result_syscalls() is None
+    rounds = _walk_every_hook(stack)
+    assert undeclared.calls == len(HOOKS) * rounds
+
+
+def test_an_overridden_hook_rewrites_calls_outside_its_inherited_footprint():
+    class WiderCanonicalization(UIDVariation):
+        def canonicalize_request(self, index, request):
+            if request.name is Syscall.TIME:
+                return request.with_args(("canonical",))
+            return super().canonicalize_request(index, request)
+
+    stack = VariationStack([AddressPartitioning(), WiderCanonicalization()])
+    request = SyscallRequest(Syscall.TIME, ())
+    assert stack.canonicalize_request(1, request).args == ("canonical",)
+    # The request hook is not overridden: its footprint still holds.
+    assert stack.transform_syscalls() == UIDVariation.transform_syscalls
+    assert stack.transform_request(1, request) is request
+
+
+# -- one UID decode per variant --------------------------------------------------
+
+UID_REQUESTS = (
+    SyscallRequest(Syscall.SETEUID, (1000,)),
+    SyscallRequest(Syscall.SETRESUID, (1000, -1, 33)),
+    SyscallRequest(Syscall.CHOWN, ("/srv/file", 1000, 1000)),
+    SyscallRequest(Syscall.CC_LT, (1000, 2000)),
+    SyscallRequest(Syscall.UID_VALUE, (1000,)),
+)
+
+
+def _uid_views(variation, index, request):
+    """Everything variant *index* derives from *request* and a getuid result."""
+    getuid = SyscallRequest(Syscall.GETUID, ())
+    return (
+        variation.canonicalize_request(index, request),
+        variation.transform_request(index, request),
+        variation.transform_result(index, getuid, SyscallResult.success(1000)),
+        variation.encode(index, 1000),
+        variation.decode(index, 1000),
+    )
+
+
+@pytest.mark.parametrize("adopt", ["rotate_key", "install_secret"])
+def test_decoding_under_new_masks_matches_a_fresh_variation(adopt):
+    variation = KeyedUIDVariation(3, seed=5)
+    donor = KeyedUIDVariation(3, seed=6)
+    for request in UID_REQUESTS:
+        # Decode once under the current masks, so a memo holds this request.
+        for index in range(3):
+            _uid_views(variation, index, request)
+        before = variation.masks
+        if adopt == "rotate_key":
+            variation.rotate_key()
+        else:
+            donor.rotate_key()
+            variation.install_secret(donor.scheme.secret())
+        assert variation.masks != before
+        fresh = OrbitUIDVariation(3, scheme=XorMaskScheme(variation.masks))
+        for index in range(3):
+            assert _uid_views(variation, index, request) == _uid_views(fresh, index, request)
+
+
+def test_the_decode_is_shared_between_monitor_and_kernel():
+    variation = UIDVariation()
+    request = SyscallRequest(Syscall.SETEUID, (1000 ^ variation.mask,))
+    canonical = variation.canonicalize_request(1, request)
+    assert canonical.args == (1000,)
+    assert variation.transform_request(1, request) is canonical
+    # A different request object (even an equal one) is decoded afresh.
+    twin = SyscallRequest(Syscall.SETEUID, request.args)
+    assert variation.transform_request(1, twin) == canonical
+    assert variation.transform_request(1, twin) is not canonical
+
+
+@pytest.mark.parametrize(
+    "name,num_variants,variation",
+    REGISTERED,
+    ids=[f"{name}-N{n}" for name, n, _ in REGISTERED],
+)
+def test_an_out_of_range_variant_index_is_rejected(name, num_variants, variation):
+    result = SyscallResult.success(3)
+    for index in (-1, num_variants, num_variants + 5):
+        for syscall in (Syscall.SETEUID, Syscall.GETUID, Syscall.CC_EQ, Syscall.READ):
+            request = SyscallRequest(syscall, (3, 4))
+            with pytest.raises(ValueError, match="out of range"):
+                variation.canonicalize_request(index, request)
+            with pytest.raises(ValueError, match="out of range"):
+                variation.transform_request(index, request)
+            with pytest.raises(ValueError, match="out of range"):
+                variation.transform_result(index, request, result)
+        if isinstance(variation, UIDVariation):
+            with pytest.raises(ValueError, match="out of range"):
+                variation.encode(index, 3)
+            with pytest.raises(ValueError, match="out of range"):
+                variation.decode(index, 3)
+
+
+# -- the libc trap ----------------------------------------------------------------
+
+#: Every named libc helper: sample arguments, and the call and arguments
+#: (defaults filled in, conversions applied) its request must carry.
+LIBC_CALLS = (
+    ("exit", (3,), Syscall.EXIT, (3,)),
+    ("getpid", (), Syscall.GETPID, ()),
+    ("getuid", (), Syscall.GETUID, ()),
+    ("geteuid", (), Syscall.GETEUID, ()),
+    ("getgid", (), Syscall.GETGID, ()),
+    ("getegid", (), Syscall.GETEGID, ()),
+    ("setuid", (7,), Syscall.SETUID, (7,)),
+    ("seteuid", (7,), Syscall.SETEUID, (7,)),
+    ("setgid", (7,), Syscall.SETGID, (7,)),
+    ("setegid", (7,), Syscall.SETEGID, (7,)),
+    ("setgroups", ([1, 2],), Syscall.SETGROUPS, ((1, 2),)),
+    ("open", ("/f",), Syscall.OPEN, ("/f", O_RDONLY, 0o644)),
+    ("open", ("/f", O_WRONLY, 0o600), Syscall.OPEN, ("/f", O_WRONLY, 0o600)),
+    ("close", (3,), Syscall.CLOSE, (3,)),
+    ("read", (3, 10), Syscall.READ, (3, 10)),
+    ("write", (3, b"x"), Syscall.WRITE, (3, b"x")),
+    ("lseek", (3, 5), Syscall.LSEEK, (3, 5, 0)),
+    ("stat", ("/f",), Syscall.STAT, ("/f",)),
+    ("fstat", (3,), Syscall.FSTAT, (3,)),
+    ("access", ("/f", 4), Syscall.ACCESS, ("/f", 4)),
+    ("mkdir", ("/d",), Syscall.MKDIR, ("/d", 0o755)),
+    ("unlink", ("/f",), Syscall.UNLINK, ("/f",)),
+    ("chown", ("/f", 1, 2), Syscall.CHOWN, ("/f", 1, 2)),
+    ("chmod", ("/f", 0o600), Syscall.CHMOD, ("/f", 0o600)),
+    ("getdents", ("/d",), Syscall.GETDENTS, ("/d",)),
+    ("socket", (), Syscall.SOCKET, ()),
+    ("bind", (3, 80), Syscall.BIND, (3, 80)),
+    ("listen", (3,), Syscall.LISTEN, (3, 128)),
+    ("accept", (3,), Syscall.ACCEPT, (3,)),
+    ("recv", (3, 10), Syscall.RECV, (3, 10)),
+    ("send", (3, b"x"), Syscall.SEND, (3, b"x")),
+    ("shutdown", (3,), Syscall.SHUTDOWN, (3,)),
+    ("time", (), Syscall.TIME, ()),
+    ("getrandom", (4,), Syscall.GETRANDOM, (4,)),
+    ("nanosleep", (2,), Syscall.NANOSLEEP, (2,)),
+    ("peek", (0x1000,), Syscall.PEEK, (0x1000, 4)),
+    ("uid_value", (7,), Syscall.UID_VALUE, (7,)),
+    ("cond_chk", (1,), Syscall.COND_CHK, (True,)),
+    ("cc_eq", (1, 2), Syscall.CC_EQ, (1, 2)),
+    ("cc_neq", (1, 2), Syscall.CC_NEQ, (1, 2)),
+    ("cc_lt", (1, 2), Syscall.CC_LT, (1, 2)),
+    ("cc_leq", (1, 2), Syscall.CC_LEQ, (1, 2)),
+    ("cc_gt", (1, 2), Syscall.CC_GT, (1, 2)),
+    ("cc_geq", (1, 2), Syscall.CC_GEQ, (1, 2)),
+)
+
+
+def test_every_libc_helper_is_covered():
+    helpers = {
+        name
+        for name, member in inspect.getmembers(Libc, inspect.isfunction)
+        if not name.startswith("_")
+    }
+    assert {name for name, *_ in LIBC_CALLS} == helpers - {"syscall"}
+
+
+@pytest.mark.parametrize(
+    "helper,args,syscall,expected",
+    LIBC_CALLS,
+    ids=[f"{helper}{len(args)}" for helper, args, _, _ in LIBC_CALLS],
+)
+def test_a_libc_helper_traps_with_the_public_request(helper, args, syscall, expected):
+    trap = getattr(Libc(), helper)(*args)
+    request = next(trap)
+    assert type(request) is SyscallRequest
+    assert request == SyscallRequest(syscall, expected)
+    assert type(request.args) is tuple
+    assert request == next(Libc.syscall(syscall, *expected))
+    reply = SyscallResult.success(11)
+    with pytest.raises(StopIteration) as stop:
+        trap.send(reply)
+    assert stop.value.value is reply
+
+
+def test_the_public_request_constructors_still_check_the_name():
+    with pytest.raises(TypeError):
+        SyscallRequest("read", (3, 10))
+    with pytest.raises(TypeError):
+        next(Libc.syscall("read", 3, 10))
+    with pytest.raises(TypeError):
+        next(Libc().syscall(None))
+
+
+def test_the_kernel_success_result_is_a_plain_ok_result():
+    kernel = build_standard_host()
+    process = kernel.spawn_process("p")
+    result = kernel.execute(process, SyscallRequest(Syscall.GETPID, ()))
+    assert result == SyscallResult.success(process.pid)
+    assert result.ok and result.errno is Errno.OK
+
+
+# -- open: one path lookup, the same errnos ----------------------------------------------
+
+
+def _open_host():
+    fs = FileSystem()
+    fs.mkdir("/pub", mode=0o755)
+    fs.mkdir("/tmp", mode=0o777)
+    fs.create_file("/pub/readme", b"hello", mode=0o644)
+    fs.create_file("/pub/secret", b"hidden", mode=0o600)
+    kernel = SimulatedKernel(fs)
+    user = kernel.spawn_process("user", credentials=user_credentials(1000, 1000))
+    return kernel, user
+
+
+def _open(kernel, process, path, flags, mode=0o644):
+    return kernel.execute(process, SyscallRequest(Syscall.OPEN, (path, flags, mode)))
+
+
+@pytest.mark.parametrize(
+    "path,flags,errno",
+    [
+        ("/pub/missing", O_RDONLY, Errno.ENOENT),
+        ("/nodir/file", O_RDONLY, Errno.ENOENT),
+        ("relative", O_RDONLY, Errno.ENOENT),
+        # Through a regular file: without O_CREAT it reads as missing.
+        ("/pub/readme/below", O_RDONLY, Errno.ENOENT),
+        ("/pub/readme/below", O_WRONLY, Errno.ENOENT),
+        ("/pub/readme/below", O_CREAT | O_WRONLY, Errno.EACCES),
+        ("/tmp/new/below", O_CREAT | O_WRONLY, Errno.ENOENT),
+        ("/pub/new", O_CREAT | O_WRONLY, Errno.EACCES),
+        ("/pub/secret", O_RDONLY, Errno.EACCES),
+        ("/pub/readme", O_WRONLY, Errno.EACCES),
+        ("/pub", O_WRONLY, Errno.EISDIR),
+        ("/pub", O_RDWR | O_CREAT, Errno.EISDIR),
+    ],
+)
+def test_open_errnos(path, flags, errno):
+    kernel, user = _open_host()
+    existed = kernel.fs.exists(path)
+    result = _open(kernel, user, path, flags)
+    assert result.errno is errno
+    assert kernel.fs.exists(path) == existed  # a failed open creates nothing
+
+
+def test_open_through_a_regular_file_with_create_as_root_is_enotdir():
+    kernel, _ = _open_host()
+    root = kernel.spawn_process("root")
+    assert _open(kernel, root, "/pub/readme/below", O_CREAT | O_WRONLY).errno is Errno.ENOTDIR
+
+
+def test_open_with_create_makes_the_file_once():
+    kernel, user = _open_host()
+    created = _open(kernel, user, "/tmp/new", O_CREAT | O_WRONLY, 0o600)
+    assert created.ok
+    inode = kernel.fs.lookup("/tmp/new")
+    assert (inode.uid, inode.gid, inode.mode & 0o777) == (1000, 1000, 0o600)
+    assert user.fds.get(created.value).inode is inode
+    reopened = _open(kernel, user, "/tmp/new", O_CREAT | O_RDWR)
+    assert reopened.ok and reopened.value != created.value
+    assert kernel.fs.lookup("/tmp/new") is inode
+    readable = _open(kernel, user, "/pub/readme", O_RDONLY)
+    assert readable.ok
+    assert user.fds.get(readable.value).inode is kernel.fs.lookup("/pub/readme")
 
 
 def _ladder(table, name):
