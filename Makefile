@@ -9,7 +9,7 @@
 #   make check-procs      -- the multi-process tier: procpool unit tests plus the
 #                            slow cross-backend (virtual vs process) parity sweep
 #   make check-bench      -- smoke-regenerate benchmarks/results/, then diff
-#                            against the baseline with claim flips fatal
+#                            against the baseline; any flip or numeric move fails
 #   make check-keyed      -- the keyed-scheme/attacker-model tier: both unit
 #                            suites, the round fast-path suite, plus an
 #                            entropy-experiment smoke via the CLI
@@ -138,10 +138,11 @@ figures:
 
 # The benchmark trajectory gate: regenerate results/ in smoke mode (virtual-time
 # payloads are deterministic, so a clean tree reproduces the committed files),
-# then diff against the committed baseline with non-numeric flips fatal.  The
-# small --rtol absorbs float-formatting jitter without hiding real moves.
+# then diff against the committed baseline exactly: any non-numeric flip and
+# any numeric move (wall_ metrics aside) fails.  A PR that changes a virtual
+# figure on purpose refreshes benchmarks/baseline/ in the same commit.
 check-bench: bench-smoke
-	$(PYTHON) benchmarks/bench_diff.py --fail-on-flip --rtol 0.001
+	$(PYTHON) benchmarks/bench_diff.py --fail-on-flip --fail-on-move --rtol 0
 	@echo "check-bench ok: benchmark trajectory matches the committed baseline"
 
 bench:

@@ -16,6 +16,10 @@ Non-numeric metrics that change (a claim boolean regressing from true to
 false, a matrix cell changing outcome), vanish, or are *born false* (a new
 claim that fails from its first run) are listed under ``!`` markers;
 ``--fail-on-flip`` turns any such flip into exit status 1 for CI use.
+``--fail-on-move`` does the same for numeric metrics: exit status 1 when
+any of them moves beyond ``--rtol`` or disappears.  Together with
+``--rtol 0`` they make the gate exact, which is how ``make check-bench``
+holds the virtual-tick trajectory byte for byte.
 
 Diffing is generic over the JSON payloads, so list elements are keyed by
 position: inserting a matrix row or column mid-table shifts the cells
@@ -35,6 +39,7 @@ Usage::
     python benchmarks/bench_diff.py
     python benchmarks/bench_diff.py --baseline benchmarks/baseline --results benchmarks/results
     python benchmarks/bench_diff.py --fail-on-flip --rtol 0.05
+    python benchmarks/bench_diff.py --fail-on-flip --fail-on-move --rtol 0
 """
 
 from __future__ import annotations
@@ -102,8 +107,11 @@ def is_claim(metric: str) -> bool:
 
 def diff_benchmark(
     baseline: dict[str, Any], current: dict[str, Any], *, rtol: float = 0.0
-) -> tuple[list[str], int]:
-    """Render one benchmark's changed metrics; returns (lines, flips).
+) -> tuple[list[str], int, int]:
+    """Render one benchmark's changed metrics; returns (lines, flips, moves).
+
+    ``moves`` counts the numeric metrics that moved beyond *rtol* or
+    disappeared.
 
     *rtol* suppresses numeric deltas whose relative change (against the
     baseline value; absolute change when the baseline is zero) stays within
@@ -111,6 +119,7 @@ def diff_benchmark(
     """
     lines: list[str] = []
     flips = 0
+    moves = 0
     for metric in sorted(set(baseline) | set(current)):
         if is_wall_clock(metric):
             continue
@@ -133,6 +142,7 @@ def diff_benchmark(
                 flips += 1
                 lines.append(f"  ! {metric} (was {before!r}, gone)")
             else:
+                moves += 1
                 lines.append(f"  - {metric} (was {before!r}, gone)")
             continue
         if before == after:
@@ -142,6 +152,7 @@ def diff_benchmark(
             if before:
                 if abs(delta / before) <= rtol:
                     continue
+                moves += 1
                 lines.append(
                     f"    {metric}: {before:g} -> {after:g} "
                     f"({delta:+g}, {delta / before * 100.0:+.1f}%)"
@@ -149,11 +160,12 @@ def diff_benchmark(
             else:
                 if abs(delta) <= rtol:
                     continue
+                moves += 1
                 lines.append(f"    {metric}: {before:g} -> {after:g} ({delta:+g})")
             continue
         flips += 1
         lines.append(f"  ! {metric}: {before!r} -> {after!r}")
-    return lines, flips
+    return lines, flips, moves
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -164,6 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         "--fail-on-flip",
         action="store_true",
         help="exit 1 when any non-numeric metric (e.g. a claim boolean) changed",
+    )
+    parser.add_argument(
+        "--fail-on-move",
+        action="store_true",
+        help="exit 1 when any numeric metric (wall_ metrics excepted) moved "
+        "beyond --rtol or disappeared",
     )
     parser.add_argument(
         "--rtol",
@@ -188,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     total_flips = 0
+    total_moves = 0
     changed_benchmarks = 0
     for name in sorted(set(result_files) | set(baseline_files)):
         title = name[len("BENCH_"):-len(".json")]
@@ -205,12 +224,13 @@ def main(argv: list[str] | None = None) -> int:
         if name not in result_files:
             print(f"{title}: present in baseline only (run `make bench` to regenerate)")
             continue
-        lines, flips = diff_benchmark(
+        lines, flips, moves = diff_benchmark(
             load_metrics(baseline_files[name]),
             load_metrics(result_files[name]),
             rtol=arguments.rtol,
         )
         total_flips += flips
+        total_moves += moves
         if lines:
             changed_benchmarks += 1
             print(f"{title}:")
@@ -219,9 +239,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{title}: unchanged")
     print(
         f"\nbench-diff: {changed_benchmarks} benchmark(s) moved, "
-        f"{total_flips} non-numeric flip(s)"
+        f"{total_flips} non-numeric flip(s), {total_moves} numeric move(s)"
     )
     if arguments.fail_on_flip and total_flips:
+        return 1
+    if arguments.fail_on_move and total_moves:
         return 1
     return 0
 

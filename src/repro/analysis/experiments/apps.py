@@ -17,7 +17,7 @@ checked three ways:
 * **backend independence**: the virtual and process matrices agree cell for
   cell.
 
-A benign workload sweep (webbench for the httpd, ftpbench for the ftpd)
+A benign workload sweep (the app-keyed webbench client, on each app)
 rides along to show both servers complete their request mixes alarm-free
 under the same stacked diversity, and the monitor's per-syscall
 ``alarm_breakdown`` for the attack cells is surfaced as report telemetry,
@@ -28,7 +28,13 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.api.campaign import CampaignReport, prepare_attack, run_campaign, standard_attacks
+from repro.api.campaign import (
+    CampaignReport,
+    expand_backends,
+    prepare_attack,
+    run_campaign,
+    standard_attacks,
+)
 from repro.api.experiments import ExperimentReport, ReportTable
 from repro.api.spec import SINGLE_PROCESS_SPEC, SystemSpec
 from repro.attacks.outcomes import OutcomeKind
@@ -42,9 +48,6 @@ VARIANT_COUNTS = (2, 3)
 #: Attacks whose detection the paper explicitly does NOT promise (the same
 #: bit-granular exclusions the detection-matrix experiment documents).
 OUTSIDE_GUARANTEE = frozenset({"low-bit-flip", "high-bit-flip"})
-
-#: Execution tiers the experiment accepts (``"both"`` expands to the pair).
-BACKEND_CHOICES = ("virtual", "process", "both")
 
 
 def diversity_spec(num_variants: int) -> SystemSpec:
@@ -60,14 +63,6 @@ def diversity_spec(num_variants: int) -> SystemSpec:
         variations=("fd-orbit", "address-orbit", "uid-orbit"),
         transformed=True,
     )
-
-
-def _resolve_backends(backend: str) -> tuple[str, ...]:
-    if backend not in BACKEND_CHOICES:
-        raise ValueError(
-            f"backend must be one of {', '.join(BACKEND_CHOICES)}, got {backend!r}"
-        )
-    return ("virtual", "process") if backend == "both" else (backend,)
 
 
 def _alarm_breakdown(app: str, spec: SystemSpec) -> dict[str, int]:
@@ -238,9 +233,9 @@ def run(*, backend: str = "both", workers: int = 4, requests: int = 16) -> AppsR
     ``workers`` the campaign worker count on each, and ``requests`` the
     benign request count per workload configuration.
     """
-    from repro.apps.clients import ftpbench, webbench
+    from repro.apps.clients.webbench import WebBenchWorkload, drive_nvariant, drive_standalone
 
-    backends = _resolve_backends(backend)
+    backends = expand_backends(backend)
     specs = (SINGLE_PROCESS_SPEC, *(diversity_spec(n) for n in VARIANT_COUNTS))
     reports: dict[tuple[str, str], CampaignReport] = {}
     for app in APP_NAMES:
@@ -253,18 +248,12 @@ def run(*, backend: str = "both", workers: int = 4, requests: int = 16) -> AppsR
             )
 
     measurements: dict[str, list] = {}
-    web_workload = webbench.WebBenchWorkload(total_requests=requests)
-    measurements["httpd"] = [
-        webbench.drive_standalone(web_workload, configuration="httpd-standalone")
-    ]
-    for n in VARIANT_COUNTS:
-        measurement, _ = webbench.drive_nvariant(web_workload, diversity_spec(n))
-        measurements["httpd"].append(measurement)
-    ftp_workload = ftpbench.FtpBenchWorkload(total_requests=requests)
-    measurements["ftpd"] = [ftpbench.drive_standalone(ftp_workload)]
-    for n in VARIANT_COUNTS:
-        measurement, _ = ftpbench.drive_nvariant(ftp_workload, diversity_spec(n))
-        measurements["ftpd"].append(measurement)
+    for app in APP_NAMES:
+        workload = WebBenchWorkload(total_requests=requests, app=app)
+        measurements[app] = [drive_standalone(workload, configuration=f"{app}-standalone")]
+        for n in VARIANT_COUNTS:
+            measurement, _ = drive_nvariant(workload, diversity_spec(n))
+            measurements[app].append(measurement)
 
     breakdown: dict[str, int] = {}
     for app in APP_NAMES:

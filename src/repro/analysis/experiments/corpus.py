@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from repro.api.campaign import expand_backends
 from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
 from repro.corpus.generator import DEFAULT_RECORDS, generate_corpus
 from repro.corpus.records import CorpusRecord, read_corpus
@@ -36,9 +37,6 @@ from repro.corpus.scorecard import Scorecard, evaluate_corpus
 
 #: Default root seed: the paper's publication date (DSN 2008, June 25).
 DEFAULT_SEED = 20080625
-
-#: Backends the ``both`` setting expands to, in run order.
-ALL_BACKENDS = ("virtual", "process")
 
 
 @dataclasses.dataclass
@@ -173,7 +171,7 @@ def run(
     the scorecards; ``corpus_dir`` loads a previously written corpus instead
     of generating one (its manifest seed wins over *seed*).
     """
-    backends = ALL_BACKENDS if backend == "both" else (backend,)
+    backends = expand_backends(backend)
     if corpus_dir:
         corpus = read_corpus(Path(corpus_dir))
         regenerate_identical = True  # determinism is a generator property

@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Optional
 
+from repro.api.campaign import expand_backends
 from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
 from repro.api.spec import SystemSpec, keyed_uid_spec, uid_orbit_spec
 from repro.engine.procpool import ProcessJob, run_process_jobs
@@ -40,9 +41,6 @@ from repro.load.driver import (
     run_loadtest,
     run_loadtest_payload,
 )
-
-#: Execution tiers the experiment accepts (``"both"`` expands to the pair).
-BACKEND_CHOICES = ("virtual", "process", "both")
 
 #: Offered-load multipliers (of the calibrated service rate), in sweep order.
 LOAD_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
@@ -65,14 +63,6 @@ def _policy_config(label: str, capacity: int, service_rate: float) -> tuple[str,
     if label == "token-bucket":
         return "token-bucket", {"rate": service_rate, "burst": float(capacity)}
     raise ValueError(f"unknown policy label {label!r}")
-
-
-def _resolve_backends(backend: str) -> tuple[str, ...]:
-    if backend not in BACKEND_CHOICES:
-        raise ValueError(
-            f"backend must be one of {', '.join(BACKEND_CHOICES)}, got {backend!r}"
-        )
-    return ("virtual", "process") if backend == "both" else (backend,)
 
 
 #: The to_dict fields a migrated run must reproduce exactly.  ``bursts``/
@@ -343,7 +333,7 @@ def run(
         )
     if max_variants < 2:
         raise ValueError(f"max_variants must be >= 2, got {max_variants}")
-    backends = _resolve_backends(backend)
+    backends = expand_backends(backend)
     multipliers = LOAD_MULTIPLIERS[:rate_steps]
     variant_counts = tuple(range(2, max_variants + 1))
 

@@ -140,6 +140,21 @@ def run_attack(attack: "Attack", spec: SystemSpec) -> "AttackOutcome":
 #: Campaign execution backends `run_campaign` accepts.
 CAMPAIGN_BACKENDS = ("virtual", "process")
 
+
+def expand_backends(backend: str) -> tuple[str, ...]:
+    """The backends an experiment's ``backend`` setting selects.
+
+    ``"both"`` expands to every campaign backend, in run order; any other
+    value must name one of them.
+    """
+    if backend == "both":
+        return CAMPAIGN_BACKENDS
+    if backend not in CAMPAIGN_BACKENDS:
+        choices = ", ".join((*CAMPAIGN_BACKENDS, "both"))
+        raise ValueError(f"backend must be one of {choices}, got {backend!r}")
+    return (backend,)
+
+
 #: The runner reference process workers resolve to rebuild and run one cell.
 CELL_RUNNER = "repro.api.campaign:run_cell_payload"
 

@@ -152,23 +152,6 @@ class VariationRegistry:
             )
         return variation
 
-    def name_of(self, factory: Callable[..., Variation]) -> str:
-        """The registered public name whose factory is *factory*.
-
-        Used by the deprecation shim to translate legacy variation *classes*
-        into spec names; falls back to the class's own ``name`` attribute when
-        that is a registered alias.
-        """
-        for entry in self._entries.values():
-            if entry.factory is factory:
-                return entry.name
-        class_name = getattr(factory, "name", None)
-        if isinstance(class_name, str) and (
-            class_name in self._entries or class_name in self._aliases
-        ):
-            return self._aliases.get(class_name, class_name)
-        raise UnknownVariationError(getattr(factory, "__name__", repr(factory)), self.names())
-
     def describe(self) -> list[dict[str, str]]:
         """Rows for the CLI's ``variations`` listing.
 

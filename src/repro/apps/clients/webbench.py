@@ -3,10 +3,16 @@
 The paper measures Table 3 with WebBench 5.0: client engines issue a mix of
 static page requests against the server and report throughput (KB/s) and
 latency (ms).  This module reproduces the workload side: a deterministic
-static-page request mix, drivers that push the workload through a server
+weighted request mix, drivers that push the workload through a server
 configuration (single process or N-variant), and a measurement record that
 captures everything the virtual-time performance model needs to turn the run
 into throughput and latency figures.
+
+The client is keyed by serving app: ``WebBenchWorkload(app="ftpd")`` drives
+the mini-ftpd with the same drivers and the same measurement record.  Every
+app-specific detail (host setup, the wire format of a conversation, how
+served responses are counted, the default mix) comes from the app's
+:class:`~repro.apps.catalog.ServingApp` record.
 
 Because the simulation is single-threaded, "client engines" do not run
 concurrently; instead their count parameterises the performance model's
@@ -27,56 +33,47 @@ from typing import Optional, Sequence
 
 from repro.api.builders import build_engine, build_session
 from repro.api.spec import FleetSpec, SystemSpec
-from repro.apps.httpd.http import format_request, split_responses
-from repro.apps.httpd.server import MiniHttpd, make_httpd_factory
-from repro.core.nvariant import NVariantResult, UIDCodec
+# The mix types live in the catalog; they are re-exported here for clients.
+from repro.apps.catalog import DEFAULT_STATIC_MIX, RequestMixEntry, ServingApp, get_app
+from repro.core.nvariant import NVariantResult, UIDCodec, VariantContext
 from repro.engine import EngineResult, NVariantSession, run_sessions
-from repro.kernel.host import DOCROOT, HTTP_PORT, build_standard_host
+from repro.kernel.host import build_standard_host
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.libc import Libc
 from repro.kernel.scheduler import ProgramRunner
-
-
-@dataclasses.dataclass(frozen=True)
-class RequestMixEntry:
-    """One document in the request mix with its relative weight."""
-
-    path: str
-    weight: int = 1
-
-
-#: The default static mix: URL paths relative to the document root, weighted
-#: towards the small pages as WebBench's static workload is.
-DEFAULT_STATIC_MIX: tuple[RequestMixEntry, ...] = (
-    RequestMixEntry("/index.html", 6),
-    RequestMixEntry("/news.html", 4),
-    RequestMixEntry("/products.html", 3),
-    RequestMixEntry("/catalog.html", 2),
-    RequestMixEntry("/images/logo.gif", 3),
-    RequestMixEntry("/images/banner.jpg", 2),
-    RequestMixEntry("/docs/faq.html", 2),
-    RequestMixEntry("/docs/manual.html", 1),
-    RequestMixEntry("/cgi-data/report.html", 1),
-    RequestMixEntry("/downloads/archive.bin", 1),
-)
+from repro.kernel.syscalls import DETECTION_SYSCALLS
 
 
 @dataclasses.dataclass
 class WebBenchWorkload:
-    """A deterministic request sequence in the WebBench style.
+    """A deterministic request sequence in the WebBench style, for one app.
 
-    ``requests_per_connection`` models keep-alive clients: with the default
-    of 1 every request travels on its own connection (the original WebBench
-    behaviour); larger values pipeline that many requests per connection, so
-    ``drive_*`` callers can pair the workload with a multiplexing server.
+    ``app`` names the registered serving app (:mod:`repro.apps.catalog`)
+    the workload targets; it decides the wire format of each conversation,
+    how served responses are tallied and, when ``mix`` is left unset, the
+    weighted path mix.  ``requests_per_connection`` models keep-alive
+    clients: with the default of 1 every request travels on its own
+    connection (the original WebBench behaviour); larger values put that
+    many requests on one connection (pipelined GETs for the httpd, several
+    RETRs in one login for the ftpd), so ``drive_*`` callers can pair the
+    workload with a multiplexing server.
     """
 
     total_requests: int = 50
-    mix: Sequence[RequestMixEntry] = DEFAULT_STATIC_MIX
+    mix: Optional[Sequence[RequestMixEntry]] = None
     client_engines: int = 1
     client_machines: int = 1
     requests_per_connection: int = 1
-    extra_headers: dict[str, str] = dataclasses.field(default_factory=dict)
+    app: str = "httpd"
+
+    def __post_init__(self) -> None:
+        if self.mix is None:
+            self.mix = self.serving_app.default_mix
+
+    @property
+    def serving_app(self) -> ServingApp:
+        """The catalog record of the app this workload targets."""
+        return get_app(self.app)
 
     def request_paths(self) -> list[str]:
         """Expand the weighted mix into the ordered request path sequence."""
@@ -85,22 +82,16 @@ class WebBenchWorkload:
             cycle.extend([entry.path] * entry.weight)
         if not cycle:
             raise ValueError("request mix must not be empty")
-        paths = list(itertools.islice(itertools.cycle(cycle), self.total_requests))
-        return paths
-
-    def request_bytes(self) -> list[bytes]:
-        """The raw request payloads, in order."""
-        return [
-            format_request(path, headers=self.extra_headers) for path in self.request_paths()
-        ]
+        return list(itertools.islice(itertools.cycle(cycle), self.total_requests))
 
     def connection_payloads(self) -> list[bytes]:
-        """Request bytes grouped into per-connection keep-alive pipelines."""
+        """One conversation's client bytes per connection, in order."""
         if self.requests_per_connection < 1:
             raise ValueError("requests_per_connection must be at least 1")
-        payloads = self.request_bytes()
+        paths = self.request_paths()
         size = self.requests_per_connection
-        return [b"".join(payloads[i : i + size]) for i in range(0, len(payloads), size)]
+        render = self.serving_app.conversation
+        return [render(paths[i : i + size]) for i in range(0, len(paths), size)]
 
     def split(self, shards: int) -> list["WebBenchWorkload"]:
         """Divide the workload across *shards* independent server replicas.
@@ -172,25 +163,36 @@ class WorkloadMeasurement:
         return self.syscalls_total / self.requests_completed
 
 
-def _collect_responses(kernel: SimulatedKernel) -> tuple[int, dict[int, int], int]:
-    """Parse every connection's responses; returns (completed, statuses, bytes).
+def _load_host(workload: WebBenchWorkload, kernel: Optional[SimulatedKernel]) -> SimulatedKernel:
+    """Queue every conversation of *workload* on *kernel* (or a fresh app host)."""
+    app = workload.serving_app
+    if kernel is None:
+        kernel = build_standard_host()
+        app.prepare_host(kernel)
+    for payload in workload.connection_payloads():
+        app.connect(kernel, payload)
+    return kernel
 
-    Keep-alive connections carry one Content-Length-framed response per
-    pipelined request, so responses are counted individually rather than per
-    connection.
+
+def _measure(kernel: SimulatedKernel, workload: WebBenchWorkload, **counts) -> WorkloadMeasurement:
+    """The measurement record of one finished run.
+
+    Every driver reads the served responses and the host-wide counters the
+    same way; *counts* are the fields that depend on how the server ran.
     """
-    completed = 0
-    statuses: dict[int, int] = {}
-    body_bytes = 0
-    for connection in kernel.network.connections:
-        raw = connection.response_bytes()
-        if not raw:
-            continue
-        for status, _, body in split_responses(raw):
-            completed += 1
-            statuses[status] = statuses.get(status, 0) + 1
-            body_bytes += len(body)
-    return completed, statuses, body_bytes
+    completed, statuses, body_bytes = workload.serving_app.tally(kernel)
+    breakdown = kernel.stats.syscall_breakdown
+    return WorkloadMeasurement(
+        requests_sent=workload.total_requests,
+        requests_completed=completed,
+        status_counts=statuses,
+        response_bytes=body_bytes,
+        bytes_read=kernel.stats.bytes_read,
+        bytes_written=kernel.stats.bytes_written,
+        detection_calls=sum(breakdown.get(call.value, 0) for call in DETECTION_SYSCALLS),
+        concurrent_clients=workload.concurrent_clients,
+        **counts,
+    )
 
 
 def drive_standalone(
@@ -207,60 +209,39 @@ def drive_standalone(
     Apache on the N-variant-capable kernel); ``transformed=True`` reproduces
     Configuration 2 (the UID-transformed server running as a single process).
     """
-    kernel = kernel if kernel is not None else build_standard_host()
-    for payload in workload.connection_payloads():
-        kernel.client_connect(HTTP_PORT, payload)
-
-    process = kernel.spawn_process("httpd")
-    server = MiniHttpd(
-        Libc(),
-        UIDCodec.identity(),
-        process.address_space,
-        transformed=transformed,
-        max_requests=workload.total_requests,
-        multiplex=multiplex,
+    app = workload.serving_app
+    kernel = _load_host(workload, kernel)
+    process = kernel.spawn_process(app.name)
+    factory = app.make_factory(
+        transformed=transformed, max_requests=workload.total_requests, multiplex=multiplex
     )
-    runner = ProgramRunner(kernel)
-    run_result = runner.run(process, server.run())
-
-    completed, statuses, body_bytes = _collect_responses(kernel)
-    detection_calls = sum(
-        kernel.stats.syscall_breakdown.get(name, 0)
-        for name in ("uid_value", "cond_chk", "cc_eq", "cc_neq", "cc_lt", "cc_leq", "cc_gt", "cc_geq")
-    )
-    return WorkloadMeasurement(
+    context = VariantContext(index=0, process=process, libc=Libc(), uid_codec=UIDCodec.identity())
+    run_result = ProgramRunner(kernel).run(process, factory(context))
+    return _measure(
+        kernel,
+        workload,
         configuration=configuration,
         num_variants=1,
-        requests_sent=workload.total_requests,
-        requests_completed=completed,
-        status_counts=statuses,
-        response_bytes=body_bytes,
         syscalls_total=kernel.stats.syscall_count,
         syscalls_per_variant=[process.stats.syscall_count],
-        bytes_read=kernel.stats.bytes_read,
-        bytes_written=kernel.stats.bytes_written,
         replicated_calls=0,
         per_variant_calls=kernel.stats.syscall_count,
         monitor_checks=0,
-        detection_calls=detection_calls,
         alarms=0 if run_result.exited_normally else 1,
-        concurrent_clients=workload.concurrent_clients,
     )
 
 
-def _prepare_nvariant_session(
+def _prepare_session(
     workload: WebBenchWorkload,
     spec: SystemSpec,
     *,
-    multiplex: int = 1,
+    multiplex: int,
+    name: str,
     kernel: Optional[SimulatedKernel] = None,
-    name: str = "httpd",
 ) -> tuple[SimulatedKernel, NVariantSession]:
     """Load the workload onto a (fresh) host and build the server session."""
-    kernel = kernel if kernel is not None else build_standard_host()
-    for payload in workload.connection_payloads():
-        kernel.client_connect(HTTP_PORT, payload)
-    factory = make_httpd_factory(
+    kernel = _load_host(workload, kernel)
+    factory = workload.serving_app.make_factory(
         transformed=spec.transformed,
         max_requests=workload.total_requests,
         multiplex=multiplex,
@@ -274,29 +255,18 @@ def _nvariant_measurement(
     spec: SystemSpec,
     result: NVariantResult,
 ) -> WorkloadMeasurement:
-    """Assemble the measurement record for one finished N-variant run."""
-    completed, statuses, body_bytes = _collect_responses(kernel)
-    detection_calls = sum(
-        kernel.stats.syscall_breakdown.get(name, 0)
-        for name in ("uid_value", "cond_chk", "cc_eq", "cc_neq", "cc_lt", "cc_leq", "cc_gt", "cc_geq")
-    )
-    return WorkloadMeasurement(
+    per_variant = [v.syscall_count for v in result.variants]
+    return _measure(
+        kernel,
+        workload,
         configuration=spec.name,
         num_variants=spec.num_variants,
-        requests_sent=workload.total_requests,
-        requests_completed=completed,
-        status_counts=statuses,
-        response_bytes=body_bytes,
-        syscalls_total=sum(v.syscall_count for v in result.variants),
-        syscalls_per_variant=[v.syscall_count for v in result.variants],
-        bytes_read=kernel.stats.bytes_read,
-        bytes_written=kernel.stats.bytes_written,
+        syscalls_total=sum(per_variant),
+        syscalls_per_variant=per_variant,
         replicated_calls=result.wrapper_stats.replicated_calls,
         per_variant_calls=result.wrapper_stats.per_variant_calls,
         monitor_checks=result.monitor.stats.syscalls_compared,
-        detection_calls=detection_calls,
         alarms=len(result.alarms),
-        concurrent_clients=workload.concurrent_clients,
     )
 
 
@@ -313,8 +283,8 @@ def drive_nvariant(
     ``ADDRESS_UID_SPEC`` reproduces Configuration 4.  The spec's ``name`` is
     the measurement's configuration label.
     """
-    kernel, session = _prepare_nvariant_session(
-        workload, spec, multiplex=multiplex, kernel=kernel
+    kernel, session = _prepare_session(
+        workload, spec, multiplex=multiplex, name=workload.app, kernel=kernel
     )
     result = session.run()
     return _nvariant_measurement(kernel, workload, spec, result), result
@@ -333,18 +303,14 @@ def drive_nvariant_many(
     the ablations) use this to sweep their configurations through the engine
     in one pass instead of looping serially.
     """
-    kernels: list[SimulatedKernel] = []
-    sessions: list[NVariantSession] = []
-    for index, (workload, spec) in enumerate(jobs):
-        kernel, session = _prepare_nvariant_session(
-            workload, spec, multiplex=multiplex, name=f"many-{index}-{spec.name}"
-        )
-        kernels.append(kernel)
-        sessions.append(session)
-    engine_result = run_sessions(sessions, name="nvariant-many")
+    prepared = [
+        _prepare_session(workload, spec, multiplex=multiplex, name=f"many-{index}-{spec.name}")
+        for index, (workload, spec) in enumerate(jobs)
+    ]
+    engine_result = run_sessions([session for _, session in prepared], name="nvariant-many")
     return [
         (_nvariant_measurement(kernel, workload, spec, entry.result), entry.result)
-        for (workload, spec), kernel, entry in zip(jobs, kernels, engine_result.sessions)
+        for (workload, spec), (kernel, _), entry in zip(jobs, prepared, engine_result.sessions)
     ]
 
 
@@ -418,38 +384,25 @@ def drive_engine(
 
     The fleet's workload shape is expanded into a WebBench workload and split
     over ``fleet.num_sessions`` concurrent N-variant replicas, each running
-    the full mini-httpd on its own simulated host (a sharded fleet behind a
+    the full server on its own simulated host (a sharded fleet behind a
     load balancer) with lockstep rounds interleaved by the cooperative
     scheduler.  Sessions are built fresh from ``fleet.system`` per shard, so
     no per-host state is shared.  Pass *workload* to override the expanded
-    request sequence (e.g. a custom mix) while keeping the fleet shape.
+    request sequence (e.g. a custom mix, or ``app="ftpd"``) while keeping
+    the fleet shape.
     """
     if workload is None:
         workload = WebBenchWorkload(**fleet.workload.to_dict())
-    shards = workload.split(fleet.num_sessions)
-    kernels: list[SimulatedKernel] = []
-    sessions: list[NVariantSession] = []
-    for index, shard in enumerate(shards):
-        kernel = build_standard_host()
-        for payload in shard.connection_payloads():
-            kernel.client_connect(HTTP_PORT, payload)
-        kernels.append(kernel)
-        factory = make_httpd_factory(
-            transformed=fleet.system.transformed,
-            max_requests=shard.total_requests,
-            multiplex=fleet.multiplex,
-        )
-        sessions.append(
-            build_session(fleet.system, kernel, factory, name=f"{fleet.name}-s{index}")
-        )
-
-    engine = build_engine(fleet, sessions)
-    engine_result = engine.run()
+    prepared = [
+        _prepare_session(shard, fleet.system, multiplex=fleet.multiplex, name=f"{fleet.name}-s{index}")
+        for index, shard in enumerate(workload.split(fleet.num_sessions))
+    ]
+    engine_result = build_engine(fleet, [session for _, session in prepared]).run()
 
     completed = 0
     statuses: dict[int, int] = {}
-    for kernel in kernels:
-        shard_completed, shard_statuses, _ = _collect_responses(kernel)
+    for kernel, _ in prepared:
+        shard_completed, shard_statuses, _ = workload.serving_app.tally(kernel)
         completed += shard_completed
         for status, count in shard_statuses.items():
             statuses[status] = statuses.get(status, 0) + count

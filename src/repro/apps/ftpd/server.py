@@ -29,7 +29,7 @@ Protocol (one conversation per command connection, all lines CRLF-framed)::
 
 Each command connection is paired with one pre-connected data connection
 (accepted FIFO from the data port), matching the driver side in
-:mod:`repro.apps.clients.ftpbench`.  ``RETR`` resolves its path against the
+:mod:`repro.apps.catalog`.  ``RETR`` resolves its path against the
 FTP root without ``..`` sanitisation -- the same deliberate traversal bug as
 the httpd -- so a privilege-retention attack has an observable goal.
 """

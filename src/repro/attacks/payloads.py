@@ -15,6 +15,7 @@ configuration (where it must be detected).
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 from repro.apps.httpd.http import format_request
 from repro.apps.httpd.vulnerable import ANNOTATION_BUFFER_SIZE, VULNERABLE_HEADER
@@ -140,7 +141,7 @@ def format_ftp_commands(commands: list[str]) -> bytes:
     return "".join(command + "\r\n" for command in commands).encode("latin-1")
 
 
-def _ftp_conversation(*, annotation: str | None, paths: list[str]) -> bytes:
+def ftp_conversation(paths: Sequence[str], *, annotation: str | None = None) -> bytes:
     """A full login/annotate/retrieve/quit conversation."""
     commands = [f"USER {FTP_USER}", f"PASS {FTP_PASSWORD}"]
     if annotation is not None:
@@ -154,7 +155,7 @@ def ftp_benign_request(path: str = DEFAULT_FTP_PATH, annotation: str | None = No
     """A well-formed FTP conversation, optionally with an in-bounds annotation."""
     if annotation is not None and len(annotation) >= ANNOTATION_BUFFER_SIZE:
         raise ValueError("a benign annotation must fit in the buffer")
-    return _ftp_conversation(annotation=annotation, paths=[path])
+    return ftp_conversation([path], annotation=annotation)
 
 
 def ftp_uid_overwrite_payload(
@@ -170,9 +171,7 @@ def ftp_uid_overwrite_payload(
     at the filesystem root, so one traversal string escapes any docroot).
     """
     spec = OverflowSpec(fields=(uid,), partial_bytes=partial_bytes)
-    return _ftp_conversation(
-        annotation=spec.header_value(), paths=[path or traversal_path()]
-    )
+    return ftp_conversation([path or traversal_path()], annotation=spec.header_value())
 
 
 def ftp_banner_pointer_payload(address: int, *, path: str = DEFAULT_FTP_PATH) -> bytes:
@@ -182,4 +181,4 @@ def ftp_banner_pointer_payload(address: int, *, path: str = DEFAULT_FTP_PATH) ->
     per-transfer banner touch), mirroring :func:`banner_pointer_payload`.
     """
     spec = OverflowSpec(fields=(0, 0, 0, address))
-    return _ftp_conversation(annotation=spec.header_value(), paths=[path])
+    return ftp_conversation([path], annotation=spec.header_value())

@@ -4,8 +4,7 @@ A *program* in this reproduction is a Python generator: it yields
 :class:`~repro.kernel.syscalls.SyscallRequest` objects whenever it needs a
 kernel service and receives :class:`~repro.kernel.syscalls.SyscallResult`
 objects back.  This module provides the single-process runner (used for the
-"unmodified Apache" baseline, Configuration 1 of Table 3) and a small
-round-robin scheduler for running several independent processes.
+"unmodified Apache" baseline, Configuration 1 of Table 3).
 
 The N-variant lockstep engine in :mod:`repro.core.nvariant` uses the same
 program protocol but interposes the monitor and wrapper layer between the
@@ -15,7 +14,7 @@ programs and the kernel.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Generator, Iterable
+from typing import Any, Generator
 
 from repro.kernel.errors import VariantFault
 from repro.kernel.kernel import SimulatedKernel
@@ -34,7 +33,6 @@ class RunResult:
     steps: int
     return_value: Any = None
     fault: VariantFault | None = None
-    trace: list[SyscallRequest] = dataclasses.field(default_factory=list)
 
     @property
     def exited_normally(self) -> bool:
@@ -50,15 +48,13 @@ class RunResult:
 class ProgramRunner:
     """Runs one program to completion against a kernel."""
 
-    def __init__(self, kernel: SimulatedKernel, *, max_steps: int = 1_000_000, keep_trace: bool = False):
+    def __init__(self, kernel: SimulatedKernel, *, max_steps: int = 1_000_000):
         self.kernel = kernel
         self.max_steps = max_steps
-        self.keep_trace = keep_trace
 
     def run(self, process: Process, program: Program) -> RunResult:
         """Drive *program* until it returns, exits, or faults."""
         steps = 0
-        trace: list[SyscallRequest] = []
         result: SyscallResult | None = None
         return_value: Any = None
         fault: VariantFault | None = None
@@ -70,8 +66,6 @@ class ProgramRunner:
                     raise RuntimeError(f"program exceeded {self.max_steps} steps")
                 if not isinstance(request, SyscallRequest):
                     raise TypeError(f"program yielded {request!r}, expected a SyscallRequest")
-                if self.keep_trace:
-                    trace.append(request)
                 result = self.kernel.execute(process, request)
                 if request.name is Syscall.EXIT or not process.alive:
                     break
@@ -91,96 +85,4 @@ class ProgramRunner:
             steps=steps,
             return_value=return_value,
             fault=fault,
-            trace=trace,
         )
-
-
-class RoundRobinScheduler:
-    """Interleaves several independent programs, one syscall at a time.
-
-    This is deliberately simple: the paper's framework synchronises variants
-    of the *same* program; this scheduler exists so test scenarios can run
-    auxiliary processes (for example a log-rotation job next to the server)
-    on a single simulated host.
-    """
-
-    def __init__(self, kernel: SimulatedKernel, *, max_total_steps: int = 5_000_000):
-        self.kernel = kernel
-        self.max_total_steps = max_total_steps
-        self._jobs: list[tuple[Process, Program]] = []
-
-    def add(self, process: Process, program: Program) -> None:
-        """Register a program to run."""
-        self._jobs.append((process, program))
-
-    def run_all(self) -> list[RunResult]:
-        """Run every registered program to completion, round-robin."""
-        pending: list[dict[str, Any]] = []
-        for process, program in self._jobs:
-            pending.append(
-                {
-                    "process": process,
-                    "program": program,
-                    "result": None,
-                    "steps": 0,
-                    "done": False,
-                    "return_value": None,
-                    "fault": None,
-                    "started": False,
-                }
-            )
-        total_steps = 0
-        while any(not job["done"] for job in pending):
-            for job in pending:
-                if job["done"]:
-                    continue
-                total_steps += 1
-                if total_steps > self.max_total_steps:
-                    raise RuntimeError("scheduler exceeded maximum total steps")
-                process: Process = job["process"]
-                program: Program = job["program"]
-                try:
-                    if not job["started"]:
-                        request = program.send(None)
-                        job["started"] = True
-                    else:
-                        request = program.send(job["result"])
-                    job["steps"] += 1
-                    job["result"] = self.kernel.execute(process, request)
-                    if request.name is Syscall.EXIT or not process.alive:
-                        job["done"] = True
-                        program.close()
-                except StopIteration as stop:
-                    job["return_value"] = stop.value
-                    job["done"] = True
-                    if process.alive and process.exit_code is None:
-                        process.exit(0)
-                except VariantFault as caught:
-                    job["fault"] = caught
-                    process.fault(f"{caught.kind}: {caught.message}")
-                    job["done"] = True
-                    program.close()
-        return [
-            RunResult(
-                process=job["process"],
-                steps=job["steps"],
-                return_value=job["return_value"],
-                fault=job["fault"],
-            )
-            for job in pending
-        ]
-
-
-def run_program(
-    kernel: SimulatedKernel,
-    program: Program,
-    *,
-    name: str = "proc",
-    process: Process | None = None,
-    keep_trace: bool = False,
-) -> RunResult:
-    """Convenience wrapper: spawn a process (if needed) and run *program*."""
-    if process is None:
-        process = kernel.spawn_process(name)
-    runner = ProgramRunner(kernel, keep_trace=keep_trace)
-    return runner.run(process, program)

@@ -1,6 +1,6 @@
 """Seeded open-loop arrival processes on the engine's virtual clock.
 
-A closed-loop driver (webbench, ftpbench) sends the next request when the
+A closed-loop driver (webbench) sends the next request when the
 previous one finishes, so a slow server is never overloaded -- the driver
 politely waits.  Production traffic does not wait: requests arrive on their
 own schedule whether the fleet keeps up or not, and every claim about

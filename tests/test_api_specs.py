@@ -34,7 +34,6 @@ from repro import (
     run_campaign,
 )
 from repro.api.cli import ScenarioError, load_scenario, main as cli_main, run_scenario
-from repro.core.variations.address import AddressPartitioning, ExtendedAddressPartitioning
 from repro.core.variations.uid import UID_MASK_31, UIDVariation
 
 
@@ -127,8 +126,6 @@ class TestRegistry:
 
     def test_aliases_resolve_to_the_same_entry(self):
         assert type(registry.create("address")) is type(registry.create("address-partitioning"))
-        assert registry.name_of(AddressPartitioning) == "address"
-        assert registry.name_of(ExtendedAddressPartitioning) == "address-extended"
 
     def test_create_returns_fresh_parameterised_instances(self):
         a = registry.create("uid", {"mask": UID_MASK_31})

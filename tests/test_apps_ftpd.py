@@ -5,13 +5,13 @@ as the mini-httpd (``SITE ANNOTATE`` is the FTP spelling of the
 ``X-Annotation`` header, writing through the same unchecked 64-byte buffer
 into the worker-UID words).  These tests cover the protocol surface, the
 privilege-drop discipline per transfer, the vulnerability itself, and the
-ftpbench workload driver.
+ftpd's conversation batching in the app-keyed webbench client (the
+client's other cases run on both apps in ``test_apps_httpd.py``).
 """
 
 import pytest
 
-from repro.api.spec import UID_DIVERSITY_SPEC
-from repro.apps.clients import ftpbench
+from repro.apps.clients.webbench import WebBenchWorkload
 from repro.apps.ftpd import FtpConfig, MiniFtpd, parse_ftp_config
 from repro.attacks.payloads import (
     format_ftp_commands,
@@ -147,38 +147,10 @@ class TestMiniFtpd:
         assert b"root:$6$secrethash$" in _channel(kernel, "c0-data")
 
 
-class TestFtpBench:
-    def test_mix_expansion_is_deterministic_and_weighted(self):
-        workload = ftpbench.FtpBenchWorkload(total_requests=32)
-        paths = workload.request_paths()
-        assert len(paths) == 32
-        assert paths.count("/welcome.txt") > paths.count("/pub/dataset.bin")
-
+class TestFtpWorkload:
     def test_connection_batching(self):
-        workload = ftpbench.FtpBenchWorkload(
-            total_requests=6, transfers_per_connection=3
-        )
+        workload = WebBenchWorkload(app="ftpd", total_requests=6, requests_per_connection=3)
         payloads = workload.connection_payloads()
         assert len(payloads) == 2
         assert payloads[0].count(b"RETR ") == 3
-
-    def test_empty_mix_rejected(self):
-        with pytest.raises(ValueError):
-            ftpbench.FtpBenchWorkload(total_requests=4, mix=()).request_paths()
-
-    def test_standalone_run_completes_the_mix(self):
-        workload = ftpbench.FtpBenchWorkload(total_requests=10)
-        measurement = ftpbench.drive_standalone(workload)
-        assert measurement.requests_completed == 10
-        assert measurement.status_counts.get(226) == 10
-        assert measurement.response_bytes > 0
-        assert measurement.alarms == 0
-
-    def test_nvariant_run_stays_equivalent_under_uid_diversity(self):
-        workload = ftpbench.FtpBenchWorkload(total_requests=8)
-        measurement, result = ftpbench.drive_nvariant(workload, UID_DIVERSITY_SPEC)
-        assert measurement.requests_completed == 8
-        assert measurement.alarms == 0
-        assert result.completed_normally
-        assert measurement.monitor_checks > 0
-        assert measurement.detection_calls > 0
+        assert payloads[0].startswith(b"USER ") and payloads[0].endswith(b"QUIT\r\n")

@@ -213,31 +213,48 @@ class TestStandaloneServer:
         assert server.report.requests_handled == 1
 
 
-class TestWebBenchWorkload:
-    def test_mix_expansion_respects_weights_and_length(self):
-        workload = WebBenchWorkload(total_requests=25)
-        paths = workload.request_paths()
-        assert len(paths) == 25
-        assert paths.count("/index.html") >= paths.count("/downloads/archive.bin")
+#: Per app: a heavily and a lightly weighted path of its default mix, and
+#: the status that marks a completed request.
+APP_CASES = {
+    "httpd": ("/index.html", "/downloads/archive.bin", 200),
+    "ftpd": ("/welcome.txt", "/pub/dataset.bin", 226),
+}
+APPS = sorted(APP_CASES)
 
-    def test_request_bytes_are_valid_http(self):
+
+class TestWebBenchWorkload:
+    @pytest.mark.parametrize("app", APPS)
+    def test_mix_expansion_respects_weights_and_length(self, app):
+        heavy, light, _ = APP_CASES[app]
+        workload = WebBenchWorkload(app=app, total_requests=32)
+        paths = workload.request_paths()
+        assert len(paths) == 32
+        assert paths.count(heavy) > paths.count(light)
+
+    def test_connection_payloads_are_valid_http(self):
         workload = WebBenchWorkload(total_requests=3)
-        for raw in workload.request_bytes():
+        for raw in workload.connection_payloads():
             assert parse_request(raw).method == "GET"
 
     def test_concurrent_clients(self):
         workload = WebBenchWorkload(client_engines=5, client_machines=3)
         assert workload.concurrent_clients == 15
 
-    def test_empty_mix_rejected(self):
+    @pytest.mark.parametrize("app", APPS)
+    def test_empty_mix_rejected(self, app):
         with pytest.raises(ValueError):
-            WebBenchWorkload(total_requests=1, mix=()).request_paths()
+            WebBenchWorkload(app=app, total_requests=1, mix=()).request_paths()
 
-    def test_standalone_measurement_counts(self):
-        measurement = drive_standalone(WebBenchWorkload(total_requests=8), transformed=False)
+    @pytest.mark.parametrize("app", APPS)
+    def test_standalone_measurement_counts(self, app):
+        *_, ok_status = APP_CASES[app]
+        measurement = drive_standalone(
+            WebBenchWorkload(app=app, total_requests=8), transformed=False
+        )
         assert measurement.completed_ok
         assert measurement.requests_completed == 8
-        assert measurement.status_counts == {200: 8}
+        assert measurement.status_counts[ok_status] == 8
+        assert measurement.response_bytes > 0
         assert measurement.num_variants == 1
         assert measurement.per_request_syscalls() > 0
 
@@ -246,16 +263,19 @@ class TestWebBenchWorkload:
         transformed = drive_standalone(WebBenchWorkload(total_requests=6), transformed=True)
         assert transformed.detection_calls > plain.detection_calls
 
-    def test_nvariant_measurement_has_wrapper_stats(self):
+    @pytest.mark.parametrize("app", APPS)
+    def test_nvariant_measurement_has_wrapper_stats(self, app):
         from repro.api.spec import ADDRESS_UID_SPEC
 
         measurement, result = drive_nvariant(
-            WebBenchWorkload(total_requests=6), ADDRESS_UID_SPEC
+            WebBenchWorkload(app=app, total_requests=6), ADDRESS_UID_SPEC
         )
         assert measurement.completed_ok
         assert result.completed_normally
         assert measurement.replicated_calls > 0
         assert measurement.per_variant_calls > 0
+        assert measurement.monitor_checks > 0
+        assert measurement.detection_calls > 0
         assert measurement.num_variants == 2
 
     def test_default_mix_paths_exist_on_standard_host(self, kernel):

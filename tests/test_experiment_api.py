@@ -149,6 +149,16 @@ class TestRegistry:
                 )
                 assert parameter.accepts(parameter.default), (entry.name, parameter.name)
 
+    @pytest.mark.parametrize("name", ["apps", "corpus", "loadtest"])
+    def test_unknown_backend_names_the_choices(self, name):
+        import importlib
+
+        module = importlib.import_module(f"repro.analysis.experiments.{name}")
+        with pytest.raises(
+            ValueError, match="backend must be one of virtual, process, both, got 'bogus'"
+        ):
+            module.run(backend="bogus")
+
     def test_runner_must_return_a_report(self):
         scratch = ExperimentRegistry()
         scratch.register("broken", dict, description="not an experiment")

@@ -6,28 +6,19 @@ chain of variations whose footprint names the call, the UID variation
 decodes a request once per variant, the libc helpers build their requests
 without the public constructor's checks, and the wrapper layer picks its
 execution strategy once per call name.  These tests pin each shortcut
-against the computation it replaces, and check end to end that a
-protected server still answers byte for byte like the unprotected one.
+against the computation it replaces; ``test_cross_app_parity.py`` checks
+end to end that a protected server still answers byte for byte like the
+unprotected one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 
 import pytest
 
-from repro.api.builders import build_session
 from repro.api.registry import VariationParameterError, registry
-from repro.api.spec import ADDRESS_UID_SPEC, uid_orbit_spec
-from repro.apps.clients import ftpbench
-from repro.apps.clients.ftpbench import FtpBenchWorkload, FtpMixEntry
-from repro.apps.clients.webbench import (
-    DEFAULT_STATIC_MIX,
-    RequestMixEntry,
-    WebBenchWorkload,
-    drive_standalone,
-)
+from repro.apps.clients.webbench import WebBenchWorkload
 from repro.apps.httpd.server import make_httpd_factory
 from repro.core.variations import (
     AddressPartitioning,
@@ -37,12 +28,12 @@ from repro.core.variations import (
     VariationStack,
 )
 from repro.core.wrappers import SyscallWrappers
-from repro.engine import MultiSessionEngine, NVariantSession
+from repro.engine import NVariantSession
 from repro.interpose import PolicyKind, get_table
 from repro.kernel.credentials import user_credentials
 from repro.kernel.errors import Errno
 from repro.kernel.filesystem import FileSystem, O_CREAT, O_RDONLY, O_RDWR, O_WRONLY
-from repro.kernel.host import HTTP_PORT, build_ftp_host, build_standard_host
+from repro.kernel.host import HTTP_PORT, build_standard_host
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.libc import Libc
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
@@ -564,76 +555,3 @@ def test_memoised_wrapper_strategy_matches_the_ladder(table_name):
     wrappers.execute_round([SyscallRequest(Syscall.GETPID)] * 2)
     wrappers.execute_round([SyscallRequest(Syscall.GETPID)] * 2)
     assert wrappers._strategies == {Syscall.GETPID: _ladder(table, Syscall.GETPID)}
-
-
-# -- byte parity with the unprotected server -----------------------------------
-
-SHARDS = 2
-MULTIPLEX = 4
-
-
-def _httpd_shards():
-    paths = [entry.path for entry in DEFAULT_STATIC_MIX]
-    batch = WebBenchWorkload(
-        total_requests=16,
-        mix=tuple(RequestMixEntry(path) for path in paths + paths[:6]),
-        requests_per_connection=4,
-    )
-    shards, offset = [], 0
-    for shard in batch.split(SHARDS):
-        shards.append(dataclasses.replace(shard, mix=batch.mix[offset : offset + shard.total_requests]))
-        offset += shard.total_requests
-    return shards
-
-
-def test_protected_httpd_fleet_matches_the_unprotected_server_byte_for_byte():
-    spec = ADDRESS_UID_SPEC
-    shards = _httpd_shards()
-    kernels, sessions = [], []
-    for number, shard in enumerate(shards):
-        kernel = build_standard_host()
-        for payload in shard.connection_payloads():
-            kernel.client_connect(HTTP_PORT, payload)
-        factory = make_httpd_factory(
-            transformed=spec.transformed, max_requests=shard.total_requests, multiplex=MULTIPLEX
-        )
-        sessions.append(build_session(spec, kernel, factory, name=f"parity-s{number}"))
-        kernels.append(kernel)
-    result = MultiSessionEngine(sessions, name="parity").run()
-    assert all(not s.result.alarms for s in result.sessions)
-    for shard, kernel in zip(shards, kernels):
-        reference = build_standard_host()
-        measurement = drive_standalone(
-            shard, transformed=True, multiplex=MULTIPLEX, kernel=reference
-        )
-        assert measurement.status_counts == {200: shard.total_requests}
-        served = [c.response_bytes() for c in kernel.network.connections]
-        assert served == [c.response_bytes() for c in reference.network.connections]
-
-
-def test_protected_ftpd_fleet_matches_the_unprotected_server_byte_for_byte():
-    spec = uid_orbit_spec(3)
-    mixes = (
-        (FtpMixEntry("/welcome.txt"), FtpMixEntry("/pub/readme.txt")),
-        (FtpMixEntry("/incoming/notes.txt"), FtpMixEntry("/pub/tools.tar")),
-    )
-    shards = [
-        FtpBenchWorkload(total_requests=4, mix=mix, transfers_per_connection=2) for mix in mixes
-    ]
-    kernels, sessions = [], []
-    for number, shard in enumerate(shards):
-        kernel, session = ftpbench.prepare_nvariant_session(
-            shard, spec, multiplex=MULTIPLEX, name=f"parity-ftpd-s{number}"
-        )
-        kernels.append(kernel)
-        sessions.append(session)
-    result = MultiSessionEngine(sessions, name="parity-ftpd").run()
-    assert all(not s.result.alarms for s in result.sessions)
-    for shard, kernel in zip(shards, kernels):
-        reference = build_ftp_host()
-        measurement = ftpbench.drive_standalone(
-            shard, transformed=spec.transformed, multiplex=MULTIPLEX, kernel=reference
-        )
-        assert measurement.requests_completed == shard.total_requests
-        served = [c.response_bytes() for c in kernel.network.connections]
-        assert served == [c.response_bytes() for c in reference.network.connections]
