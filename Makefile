@@ -3,7 +3,8 @@
 #   make test             -- the tier-1 verification suite (tests/ only; slow-marked
 #                            suites are deselected via pytest.ini)
 #   make check            -- tier-1 tests + CLI scenario smoke + experiments smoke
-#                            + benchmark trajectory gate (CI gate)
+#                            + benchmark trajectory gate + example scripts
+#                            (CI gate)
 #   make check-parallel   -- tier-1 + the slow parity/stress suites + a smoke run
 #                            of the campaign-throughput benchmark
 #   make check-procs      -- the multi-process tier: procpool unit tests plus the
@@ -50,7 +51,7 @@ EXAMPLES := $(wildcard examples/*.py)
 test:
 	$(PYTHON) -m pytest -x -q
 
-check: test experiments-smoke check-keyed check-corpus check-apps check-load check-bench
+check: test experiments-smoke check-keyed check-corpus check-apps check-load check-bench examples
 	$(PYTHON) -m repro run examples/scenarios/detection_matrix.json > /dev/null
 	$(PYTHON) -m repro run examples/scenarios/throughput.json > /dev/null
 	$(PYTHON) -m repro run examples/scenarios/campaign.json --parallelism 8 > /dev/null
@@ -58,7 +59,7 @@ check: test experiments-smoke check-keyed check-corpus check-apps check-load che
 	$(PYTHON) -m repro run examples/scenarios/table3.json > /dev/null
 	$(PYTHON) -m repro run examples/scenarios/ablations.json > /dev/null
 	$(PYTHON) -m repro run examples/scenarios/address_orbit.json > /dev/null
-	@echo "check ok: tier-1 tests + experiments smoke + bench gate + CLI scenario smoke"
+	@echo "check ok: tier-1 tests + experiments smoke + bench gate + CLI scenario smoke + examples"
 
 # Every registered experiment at its smallest meaningful parameters, through
 # the same CLI path users take; a failed claim fails the target, and so does
@@ -121,7 +122,7 @@ check-apps:
 	$(PYTHON) -m repro run examples/scenarios/ftpd_campaign.json > /dev/null
 	@echo "check-apps ok: interposition + fd-orbit + ftpd suites, parity, apps smoke"
 
-# The open-loop load gate: the arrivals/admission/latency/intake unit suite
+# The open-loop load gate: the arrivals/admission/latency/driver unit suite
 # and the checkpoint/restore/migration property suite, a seeded loadtest
 # experiment smoke through the CLI (claims gate the exit code), the example
 # scenario's bursty-overload + mid-run-migration round trip, and the check

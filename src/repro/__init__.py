@@ -26,7 +26,7 @@ The package is organised as the paper's system is layered:
 
 The documented import path for the scenario API is this top-level package::
 
-    from repro import SystemSpec, FleetSpec, build_system, build_engine, registry
+    from repro import SystemSpec, FleetSpec, build_session, build_engine, registry
 
 ``python -m repro run scenario.json`` drives the same API from the shell.
 """
@@ -53,7 +53,6 @@ from repro.api import (
     WorkloadSpec,
     build_engine,
     build_session,
-    build_system,
     build_variations,
     experiments,
     prepare_attack,
@@ -91,7 +90,6 @@ __all__ = [
     "combined_orbit_spec",
     "build_engine",
     "build_session",
-    "build_system",
     "build_variations",
     "experiments",
     "keyed_address_spec",

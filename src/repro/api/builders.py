@@ -2,8 +2,8 @@
 
 These builders are the *only* supported way the repository's consumers
 (attacks, experiments, benchmarks, apps, examples, CLI) construct N-variant
-machinery; direct :class:`~repro.core.nvariant.NVariantSystem` wiring remains
-available solely as the deprecated single-session facade.  Centralising
+machinery: :func:`build_session` for one lockstep session (``.run()`` drives
+it alone to completion) and :func:`build_engine` for a fleet.  Centralising
 construction here means every layer speaks :class:`~repro.api.spec.SystemSpec`
 / :class:`~repro.api.spec.FleetSpec`, and a new variation registered in the
 :mod:`~repro.api.registry` becomes usable everywhere without touching any
@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.api.registry import VariationRegistry, registry as default_registry
 from repro.api.spec import FleetSpec, SystemSpec
-from repro.core.nvariant import NVariantSystem, Program, VariantContext
+from repro.core.nvariant import Program, VariantContext
 from repro.core.variations.base import Variation
 from repro.engine.scheduler import HaltPolicy, MultiSessionEngine
 from repro.engine.session import NVariantSession
@@ -77,27 +77,6 @@ def build_session(
     )
     session.spec = spec
     return session
-
-
-def build_system(
-    spec: SystemSpec,
-    kernel: SimulatedKernel,
-    program_factory: ProgramFactory,
-    *,
-    name: Optional[str] = None,
-    registry: Optional[VariationRegistry] = None,
-) -> NVariantSystem:
-    """Build a run-to-completion N-variant system (the M=1 facade) from a spec."""
-    return NVariantSystem(
-        kernel,
-        program_factory,
-        build_variations(spec, registry=registry),
-        num_variants=spec.num_variants,
-        halt_on_alarm=spec.halt_on_alarm,
-        max_rounds=spec.max_rounds,
-        name=name if name is not None else spec.name,
-        interposition=spec.interposition,
-    )
 
 
 def build_engine(

@@ -65,10 +65,6 @@ class CampaignReport:
         """Outcomes recorded against *configuration*."""
         return [o for o in self.outcomes if o.configuration == configuration]
 
-    def by_attack(self, attack: str) -> list["AttackOutcome"]:
-        """Outcomes recorded for *attack* across every configuration."""
-        return [o for o in self.outcomes if o.attack == attack]
-
     def security_failures(self) -> list["AttackOutcome"]:
         """Undetected compromises across the whole campaign."""
         return [o for o in self.outcomes if o.is_security_failure]

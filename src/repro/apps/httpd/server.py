@@ -88,10 +88,6 @@ class ServerReport:
             counts[request.status] = counts.get(request.status, 0) + 1
         return counts
 
-    def total_bytes(self) -> int:
-        """Total response body bytes sent."""
-        return sum(request.bytes_sent for request in self.served)
-
 
 class MiniHttpd:
     """One build of the case-study web server.

@@ -212,24 +212,6 @@ class Monitor:
             )
         )
 
-    def report_output_mismatch(
-        self,
-        syscall: Syscall,
-        variant_values: tuple,
-        *,
-        lockstep_index: int | None = None,
-    ) -> Alarm:
-        """Record divergent output data noticed by the wrapper layer."""
-        return self._record(
-            Alarm(
-                alarm_type=AlarmType.OUTPUT_MISMATCH,
-                description="variants attempted to emit different output data",
-                syscall=syscall.value,
-                variant_values=variant_values,
-                lockstep_index=lockstep_index,
-            )
-        )
-
 
 class SyscallComparator:
     """Per-session fast path for the lockstep point's comparison work.

@@ -15,8 +15,7 @@ literal values.
 
 The lockstep loop itself lives in :mod:`repro.engine.session`, where it is a
 resumable *session* that a cooperative scheduler can interleave with other
-sessions; :class:`NVariantSystem` is the single-session (M=1) facade kept for
-the original API.
+sessions.  :func:`nvexec` builds one session and runs it to completion.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.core.alarm import Alarm
 from repro.core.monitor import Monitor
-from repro.core.variations.base import Variation, VariationStack
-from repro.core.wrappers import SyscallWrappers, WrapperStats
+from repro.core.variations.base import Variation
+from repro.core.wrappers import WrapperStats
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.libc import Libc
 from repro.kernel.process import Process
@@ -145,100 +144,6 @@ class NVariantResult:
         return "\n".join(lines)
 
 
-class NVariantSystem:
-    """Runs N variants of one program in system-call lockstep.
-
-    Since the introduction of the concurrent engine this class is a thin
-    facade: it builds one :class:`~repro.engine.session.NVariantSession`
-    (the M=1 special case of the multi-session engine) and drives it to
-    completion.  All historical attributes -- ``monitor``, ``wrappers``,
-    ``contexts``, ``processes`` -- remain available and reference the
-    session's per-session state.
-    """
-
-    def __init__(
-        self,
-        kernel: SimulatedKernel,
-        program_factory: Callable[[VariantContext], Program],
-        variations: Sequence[Variation] = (),
-        *,
-        num_variants: int = 2,
-        halt_on_alarm: bool = True,
-        max_rounds: int = 2_000_000,
-        name: str = "nvariant",
-        interposition: str = "classic",
-    ):
-        # Deferred import: repro.engine.session imports this module for the
-        # shared context/result dataclasses.
-        from repro.engine.session import NVariantSession
-
-        self.session = NVariantSession(
-            kernel,
-            program_factory,
-            variations,
-            num_variants=num_variants,
-            halt_on_alarm=halt_on_alarm,
-            max_rounds=max_rounds,
-            name=name,
-            interposition=interposition,
-        )
-        self.kernel = kernel
-        self.program_factory = program_factory
-        self.num_variants = num_variants
-        self.name = name
-
-    # halt_on_alarm and max_rounds are read by the lockstep loop at run time,
-    # so they forward to the session -- assigning them after construction
-    # keeps working as it did before the engine refactor.
-
-    @property
-    def halt_on_alarm(self) -> bool:
-        """Whether the first alarm stops the system (the paper's policy)."""
-        return self.session.halt_on_alarm
-
-    @halt_on_alarm.setter
-    def halt_on_alarm(self, value: bool) -> None:
-        self.session.halt_on_alarm = value
-
-    @property
-    def max_rounds(self) -> int:
-        """Upper bound on lockstep rounds before the run is aborted."""
-        return self.session.max_rounds
-
-    @max_rounds.setter
-    def max_rounds(self, value: int) -> None:
-        self.session.max_rounds = value
-
-    @property
-    def variations(self) -> VariationStack:
-        """The session's variation stack."""
-        return self.session.variations
-
-    @property
-    def monitor(self) -> Monitor:
-        """The session's monitor (fresh per session, fresh stats per run)."""
-        return self.session.monitor
-
-    @property
-    def wrappers(self) -> SyscallWrappers:
-        """The session's syscall wrapper layer."""
-        return self.session.wrappers
-
-    @property
-    def contexts(self) -> list[VariantContext]:
-        """The per-variant contexts (useful for inspection in tests)."""
-        return self.session.contexts
-
-    @property
-    def processes(self) -> list[Process]:
-        """The per-variant kernel processes."""
-        return self.session.processes
-
-    def run(self) -> NVariantResult:
-        """Run the system until completion or (by default) the first alarm."""
-        return self.session.run()
-
-
 def nvexec(
     kernel: SimulatedKernel,
     program_factory: Callable[[VariantContext], Program],
@@ -249,12 +154,15 @@ def nvexec(
     name: str = "nvariant",
 ) -> NVariantResult:
     """Launch and run an N-variant system in one call (the paper's ``nvexec``)."""
-    system = NVariantSystem(
+    # Deferred import: repro.engine.session imports this module for the
+    # shared context/result dataclasses.
+    from repro.engine.session import NVariantSession
+
+    return NVariantSession(
         kernel,
         program_factory,
         variations,
         num_variants=num_variants,
         halt_on_alarm=halt_on_alarm,
         name=name,
-    )
-    return system.run()
+    ).run()

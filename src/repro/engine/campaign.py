@@ -8,7 +8,8 @@ exploits exactly that: it admits up to ``parallelism`` jobs at a time
 (modelling a pool of worker replicas running on parallel hardware), gives
 every live session a batch of ``rounds_per_turn`` lockstep rounds per
 scheduling turn round-robin, and admits the next pending job the moment a
-worker slot frees up.
+worker slot frees up.  The loop itself is
+:func:`repro.engine.scheduler.run_round_robin`, shared with the engine.
 
 Virtual-time accounting follows the engine's parallel-hardware semantics:
 jobs that occupied the same worker slot ran back-to-back on that worker, so
@@ -28,16 +29,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections import deque
 from typing import Any, Callable, Optional, Sequence
 
+from repro.engine.scheduler import run_round_robin
 from repro.engine.session import NVariantSession, SessionState
-
-# Bound once: attribute access on an Enum class goes through the metaclass's
-# ``__getattr__`` hook, several times slower than a module global, and the
-# scheduling loop compares against these after every step.
-_RUNNING = SessionState.RUNNING
-_HALTED = SessionState.HALTED
 
 
 class CampaignHaltPolicy(enum.Enum):
@@ -47,8 +42,9 @@ class CampaignHaltPolicy(enum.Enum):
     #: pending jobs are unaffected (the default -- what a campaign sweeping an
     #: attack matrix wants, since halted cells are its data points).
     PER_CELL = "per-cell"
-    #: The first halted session stops the whole campaign: live siblings are
-    #: halted where they stand and pending jobs are never started.
+    #: The first halted session stops the whole campaign: at the end of that
+    #: turn live siblings are halted where they stand, and pending jobs are
+    #: never started.
     HALT_CAMPAIGN = "halt-campaign"
 
 
@@ -162,18 +158,6 @@ class CampaignExecutionResult:
         return "\n".join(lines)
 
 
-@dataclasses.dataclass
-class _LiveJob:
-    """Internal bookkeeping for one admitted job."""
-
-    index: int
-    job: CampaignJob
-    session: NVariantSession
-    worker: int
-    last_stepped_turn: int
-    truncated: bool = False
-
-
 class CampaignScheduler:
     """Round-robin worker pool over lazily constructed sessions.
 
@@ -205,105 +189,60 @@ class CampaignScheduler:
 
     def run(self) -> CampaignExecutionResult:
         """Run every job to completion (or to a campaign-wide halt)."""
-        results: list[Optional[ScheduledJobResult]] = [None] * len(self.jobs)
+        jobs = self.jobs
+        results: list[Optional[ScheduledJobResult]] = [None] * len(jobs)
         worker_elapsed = [0] * self.parallelism
-        pending = deque(enumerate(self.jobs))
-        free_workers = list(range(self.parallelism - 1, -1, -1))  # pop() -> lowest
-        live: list[_LiveJob] = []
-        turns = 0
-        max_wait_turns = 0
-        max_live = 0
-        campaign_halted = False
-        rounds_per_turn = range(self.rounds_per_turn)
-        halt_campaign = self.halt_policy is CampaignHaltPolicy.HALT_CAMPAIGN
 
-        def finalize(entry: _LiveJob) -> None:
-            session = entry.session
+        def finish(index: int, session: NVariantSession, worker: int, truncated: bool) -> None:
+            job = jobs[index]
             # A truncated session was stopped by the campaign-wide halt, not
             # by its own run: finalizing it would fabricate an outcome (e.g.
             # an attack reported "no effect" because it never got to land).
             value = None
-            if not entry.truncated and entry.job.finish is not None:
-                value = entry.job.finish(session)
-            results[entry.index] = ScheduledJobResult(
-                name=entry.job.name,
-                index=entry.index,
-                worker=entry.worker,
+            if not truncated and job.finish is not None:
+                value = job.finish(session)
+            results[index] = ScheduledJobResult(
+                name=job.name,
+                index=index,
+                worker=worker,
                 state=session.state,
                 value=value,
                 rounds=session.rounds,
                 virtual_elapsed=session.virtual_elapsed,
-                truncated=entry.truncated,
+                truncated=truncated,
             )
-            worker_elapsed[entry.worker] += session.virtual_elapsed
-            free_workers.append(entry.worker)
+            worker_elapsed[worker] += session.virtual_elapsed
 
-        while live or (pending and not campaign_halted):
-            while pending and free_workers and not campaign_halted:
-                index, job = pending.popleft()
-                worker = free_workers.pop()
-                live.append(
-                    _LiveJob(
-                        index=index,
-                        job=job,
-                        session=job.start(),
-                        worker=worker,
-                        last_stepped_turn=turns,
-                    )
-                )
-            max_live = max(max_live, len(live))
-            turns += 1
-            if turns > self.max_turns:
-                raise RuntimeError(f"campaign exceeded {self.max_turns} scheduling turns")
-            finished: list[_LiveJob] = []
-            for entry in live:
-                waited = turns - entry.last_stepped_turn - 1
-                if waited > max_wait_turns:
-                    max_wait_turns = waited
-                entry.last_stepped_turn = turns
-                step = entry.session.step
-                for _ in rounds_per_turn:
-                    # ``step`` returns the session's state: the first
-                    # terminal one ends the job's batch and the job.
-                    if step() is not _RUNNING:
-                        finished.append(entry)
-                        break
-            for entry in finished:
-                live.remove(entry)
-                finalize(entry)
-                if (
-                    entry.session.state is _HALTED
-                    and halt_campaign
-                    and not campaign_halted
-                ):
-                    campaign_halted = True
-                    # Stop the stragglers where they stand.  Their partial
-                    # progress is accounted but never finalized into a value.
-                    for straggler in live:
-                        if not straggler.session.done:
-                            straggler.session.halt()
-                            straggler.truncated = True
-
-        for index, job in pending:
-            results[index] = ScheduledJobResult(
-                name=job.name,
-                index=index,
-                worker=None,
-                state=None,
-                value=None,
-                rounds=0,
-                virtual_elapsed=0,
-                skipped=True,
-            )
-
+        loop = run_round_robin(
+            (job.start() for job in jobs),
+            slots=self.parallelism,
+            rounds_per_turn=self.rounds_per_turn,
+            halt_all=self.halt_policy is CampaignHaltPolicy.HALT_CAMPAIGN,
+            max_turns=self.max_turns,
+            finish=finish,
+        )
         return CampaignExecutionResult(
-            jobs=[result for result in results if result is not None],
-            scheduler_turns=turns,
+            jobs=[
+                result
+                if result is not None
+                else ScheduledJobResult(
+                    name=job.name,
+                    index=index,
+                    worker=None,
+                    state=None,
+                    value=None,
+                    rounds=0,
+                    virtual_elapsed=0,
+                    skipped=True,
+                )
+                for index, (job, result) in enumerate(zip(jobs, results))
+            ],
+            scheduler_turns=loop.turns,
             parallelism=self.parallelism,
             rounds_per_turn=self.rounds_per_turn,
             worker_elapsed=worker_elapsed,
-            max_wait_turns=max_wait_turns,
-            max_live_sessions=max_live,
+            max_wait_turns=loop.max_wait_turns,
+            max_live_sessions=loop.max_live,
         )
 
 

@@ -9,6 +9,12 @@ making progress in parallel; the interleaving-determinism test suite asserts
 that a session's alarms and HTTP responses are identical whether it runs
 alone or interleaved with any number of siblings.
 
+:func:`run_round_robin` is the one stepping loop.  :class:`MultiSessionEngine`
+runs it with a slot per session and one round per turn;
+:class:`~repro.engine.campaign.CampaignScheduler` runs it with a bounded pool
+of worker slots and ``rounds_per_turn`` rounds per turn.  Both get the same
+fleet-wide halt rule from it, applied at the end of a turn.
+
 Aggregate throughput is measured in virtual time: each session accounts the
 kernel clock ticks it consumed, and since sessions model independent replicas
 running on parallel hardware, the engine's elapsed virtual time is the *max*
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator
 
 from repro.engine.session import NVariantSession, SessionState
 
@@ -36,7 +42,8 @@ class HaltPolicy(enum.Enum):
 
     #: Halt only the alarming session; the others keep serving (default).
     PER_SESSION = "per-session"
-    #: Halt every session in the engine at the first alarm anywhere.
+    #: Halt every session in the engine at the end of the first turn in
+    #: which any session halted.
     HALT_ALL = "halt-all"
 
 
@@ -112,6 +119,120 @@ class EngineResult:
         return "\n".join(lines)
 
 
+@dataclasses.dataclass
+class RoundRobinRun:
+    """What :func:`run_round_robin` measured beyond the sessions' own state."""
+
+    #: Scheduling turns taken; each turn gives every live session one batch.
+    turns: int
+    #: The most consecutive turns any live session waited without a batch.
+    #: Round-robin keeps this at zero; a regression that skips sessions
+    #: shows up here.
+    max_wait_turns: int
+    #: Peak number of simultaneously live sessions (<= the slot count).
+    max_live: int
+
+
+@dataclasses.dataclass(slots=True)
+class _Live:
+    """One admitted, still-running session."""
+
+    index: int
+    session: NVariantSession
+    #: ``session.step``, bound once for the round loop.
+    step: Callable[[], SessionState]
+    slot: int
+    last_turn: int
+
+
+def _ignore(index: int, session: NVariantSession, slot: int, truncated: bool) -> None:
+    pass
+
+
+def run_round_robin(
+    sessions: Iterator[NVariantSession],
+    *,
+    slots: int,
+    rounds_per_turn: int,
+    halt_all: bool,
+    max_turns: int,
+    finish: Callable[[int, NVariantSession, int, bool], None] = _ignore,
+) -> RoundRobinRun:
+    """Step *sessions* round-robin until every one has ended.
+
+    This is the one scheduling loop: the engine and the campaign scheduler
+    both run on it.  Sessions are drawn from the iterator lazily, one per
+    free slot, so at most *slots* are live at once and a campaign builds a
+    job's host only when a worker slot is free for it.  Each turn gives every
+    live session a batch of up to *rounds_per_turn* lockstep rounds, in
+    admission order.  A session that is already terminal when drawn is
+    finished at once and never stepped.
+
+    ``finish(index, session, slot, truncated)`` is called once per session
+    as it ends -- *index* counts draws from zero -- in the order sessions
+    ended within the turn, and its slot is free for the next draw.
+
+    Under *halt_all* the fleet-wide halt rule applies at the end of a turn:
+    if any session halted during the turn, every session still running is
+    halted where it stands and finished as truncated, and nothing more is
+    drawn.  Every live session therefore gets its batch in the turn the halt
+    lands, whatever its place in the turn order.
+    """
+    free = list(range(slots - 1, -1, -1))  # pop() -> the lowest free slot
+    live: list[_Live] = []
+    drawn = turns = max_wait = max_live = 0
+    drawing = True
+    batch = range(rounds_per_turn)
+    while True:
+        while drawing and free:
+            session = next(sessions, None)
+            if session is None:
+                drawing = False
+                break
+            slot = free.pop()
+            if session.state is _RUNNING:
+                live.append(_Live(drawn, session, session.step, slot, turns))
+            else:
+                finish(drawn, session, slot, False)
+                free.append(slot)
+            drawn += 1
+        if not live:
+            break
+        if len(live) > max_live:
+            max_live = len(live)
+        previous = turns
+        turns += 1
+        if turns > max_turns:
+            raise RuntimeError(f"scheduler exceeded {max_turns} scheduling turns")
+        ended: list[_Live] = []
+        for entry in live:
+            if entry.last_turn != previous:
+                max_wait = max(max_wait, previous - entry.last_turn)
+            entry.last_turn = turns
+            step = entry.step
+            for _ in batch:
+                # ``step`` returns the session's state: the first terminal
+                # one ends the session's batch and the session.
+                if step() is not _RUNNING:
+                    ended.append(entry)
+                    break
+        if not ended:
+            continue
+        live = [entry for entry in live if entry.session.state is _RUNNING]
+        halted = False
+        for entry in ended:
+            finish(entry.index, entry.session, entry.slot, False)
+            free.append(entry.slot)
+            halted = halted or entry.session.state is _HALTED
+        if halted and halt_all:
+            for entry in live:
+                entry.session.halt()
+                finish(entry.index, entry.session, entry.slot, True)
+            live = []
+            drawing = False
+    return RoundRobinRun(turns=turns, max_wait_turns=max_wait, max_live=max_live)
+
+
 class MultiSessionEngine:
     """Round-robin cooperative scheduler over N-variant sessions."""
 
@@ -122,17 +243,10 @@ class MultiSessionEngine:
         halt_policy: HaltPolicy = HaltPolicy.PER_SESSION,
         max_turns: int = 10_000_000,
         name: str = "engine",
-        intake: Optional[object] = None,
     ):
         self.name = name
         self.halt_policy = halt_policy
         self.max_turns = max_turns
-        #: Optional admission policy guarding :meth:`offer` (any object with
-        #: the repro.load.admission protocol: ``offer(now)`` returning a
-        #: decision with ``admitted``, plus ``released()``).  Typed loosely --
-        #: the engine must stay importable without the load subsystem.
-        self.intake = intake
-        self._intake_admitted: set[str] = set()
         self._sessions: list[NVariantSession] = []
         for session in sessions:
             self.add_session(session)
@@ -144,39 +258,6 @@ class MultiSessionEngine:
         self._sessions.append(session)
         return session
 
-    def offer(self, session: NVariantSession) -> bool:
-        """Admission-controlled intake: add *session* unless the policy sheds it.
-
-        Without an intake policy this is :meth:`add_session` returning True.
-        With one, the policy sees the engine's current occupancy as its clock
-        (engine intake is load-ordered, not time-ordered) and may shed the
-        offer; an accepted session is released back to the policy when it
-        reaches a terminal state during :meth:`run`.  A drop-oldest decision
-        evicts the oldest admitted session that has not started a round yet
-        (an in-flight session cannot be unwound); with none available the
-        offer is still honoured.
-        """
-        if self.intake is None:
-            self.add_session(session)
-            return True
-        decision = self.intake.offer(len(self._sessions))
-        if not decision.admitted:
-            return False
-        if getattr(decision, "evict_oldest", False):
-            for existing in self._sessions:
-                if (
-                    existing.name in self._intake_admitted
-                    and existing.rounds == 0
-                    and not existing.done
-                ):
-                    self._sessions.remove(existing)
-                    self._intake_admitted.discard(existing.name)
-                    self.intake.released()
-                    break
-        self.add_session(session)
-        self._intake_admitted.add(session.name)
-        return True
-
     @property
     def sessions(self) -> list[NVariantSession]:
         """The registered sessions, in scheduling order."""
@@ -184,42 +265,14 @@ class MultiSessionEngine:
 
     def run(self) -> EngineResult:
         """Interleave every session, one lockstep round per turn, to the end."""
-        if not self._sessions:
-            return EngineResult(sessions=[], scheduler_turns=0)
-        turns = 0
-        halt_all = self.halt_policy is HaltPolicy.HALT_ALL
-        admitted = self._intake_admitted
-        active = [s for s in self._sessions if s.state is _RUNNING]
-        while active:
-            turns += 1
-            if turns > self.max_turns:
-                raise RuntimeError(f"engine exceeded {self.max_turns} scheduling turns")
-            # ``step`` returns the session's state, so a turn in which every
-            # session stays running needs no second pass over them.
-            ended = False
-            for session in active:
-                state = session.step()
-                if state is not _RUNNING:
-                    ended = True
-                    if state is _HALTED and halt_all:
-                        self.halt_all()
-            if not ended:
-                continue
-            if admitted:
-                for session in active:
-                    if session.state is not _RUNNING and session.name in admitted:
-                        admitted.discard(session.name)
-                        self.intake.released()
-            active = [s for s in active if s.state is _RUNNING]
-        return self._build_result(turns)
-
-    def halt_all(self) -> None:
-        """Stop every still-running session (the fleet-wide halt policy)."""
-        for session in self._sessions:
-            if not session.done:
-                session.halt()
-
-    def _build_result(self, turns: int) -> EngineResult:
+        sessions = self._sessions
+        loop = run_round_robin(
+            iter(sessions),
+            slots=len(sessions),
+            rounds_per_turn=1,
+            halt_all=self.halt_policy is HaltPolicy.HALT_ALL,
+            max_turns=self.max_turns,
+        )
         return EngineResult(
             sessions=[
                 ScheduledSessionResult(
@@ -229,9 +282,9 @@ class MultiSessionEngine:
                     rounds=session.rounds,
                     virtual_elapsed=session.virtual_elapsed,
                 )
-                for session in self._sessions
+                for session in sessions
             ],
-            scheduler_turns=turns,
+            scheduler_turns=loop.turns,
         )
 
 

@@ -3,12 +3,11 @@
 A session owns everything one lockstep N-variant run needs -- the variant
 processes and contexts, the variation stack, the syscall wrapper layer, and a
 monitor created fresh for the session (so :class:`~repro.core.monitor.MonitorStats`
-never leak between runs).  Unlike :meth:`NVariantSystem.run`, which loops to
-completion, a session exposes :meth:`NVariantSession.step`: execute exactly
-one lockstep round and return the session's state.  That is the unit the
-cooperative scheduler interleaves, and running ``step()`` in a loop until the
-session leaves ``RUNNING`` reproduces the original single-session semantics
-exactly.
+never leak between runs).  A session exposes :meth:`NVariantSession.step`:
+execute exactly one lockstep round and return the session's state.  That is
+the unit the cooperative scheduler interleaves; :meth:`NVariantSession.run`
+and :func:`~repro.core.nvariant.nvexec` step one session alone until it
+leaves ``RUNNING``.
 
 A round does only the work its system call needs.  The variation stack
 declares three footprints -- the calls whose requests it canonicalizes,
@@ -29,6 +28,13 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.alarm import AlarmType
 from repro.core.monitor import Monitor, SyscallComparator
+from repro.core.nvariant import (
+    NVariantResult,
+    Program,
+    UIDCodec,
+    VariantContext,
+    VariantOutcome,
+)
 from repro.core.variations.base import Variation, VariationStack
 from repro.core.wrappers import SyscallWrappers, UnsharedFileRegistry
 from repro.interpose import get_table
@@ -61,8 +67,8 @@ _EXIT = Syscall.EXIT
 class _VariantRuntime:
     """Internal per-variant bookkeeping for the lockstep loop."""
 
-    context: "VariantContext"
-    program: "Program"
+    context: VariantContext
+    program: Program
     #: ``context.process``, one attribute hop closer for the round loop.
     process: Process
     started: bool = False
@@ -76,8 +82,8 @@ class _VariantRuntime:
 class NVariantSession:
     """One N-variant system, advanced one lockstep round at a time.
 
-    Parameters mirror :class:`~repro.core.nvariant.NVariantSystem`; the
-    difference is purely the execution interface.  Each session builds its own
+    *program_factory* builds one program per variant from its
+    :class:`~repro.core.nvariant.VariantContext`.  Each session builds its own
     :class:`~repro.core.monitor.Monitor`, so alarm lists and monitor counters
     are per-session state -- two sessions on the same engine never share or
     accumulate each other's statistics.
@@ -86,7 +92,7 @@ class NVariantSession:
     def __init__(
         self,
         kernel: SimulatedKernel,
-        program_factory: Callable[["VariantContext"], "Program"],
+        program_factory: Callable[[VariantContext], Program],
         variations: Sequence[Variation] = (),
         *,
         num_variants: int = 2,
@@ -95,11 +101,6 @@ class NVariantSession:
         name: str = "session",
         interposition: str = "classic",
     ):
-        # Imported here (not at module top) because repro.core.nvariant is the
-        # backwards-compatible facade over this module and imports it lazily;
-        # a module-level import in both directions would be circular.
-        from repro.core.nvariant import VariantContext
-
         self.kernel = kernel
         self.program_factory = program_factory
         self.variations = VariationStack(list(variations), num_variants)
@@ -133,9 +134,7 @@ class NVariantSession:
 
     def _spawn_runtimes(self) -> None:
         """Spawn fresh variant processes, contexts and program instances."""
-        from repro.core.nvariant import VariantContext
-
-        self._contexts: list["VariantContext"] = []
+        self._contexts: list[VariantContext] = []
         processes: list[Process] = []
         for index in range(self.num_variants):
             process = self.kernel.spawn_process(
@@ -202,8 +201,7 @@ class NVariantSession:
         self._spawn_runtimes()
         return self.state
 
-    def _build_codec(self, index: int) -> "UIDCodec":
-        from repro.core.nvariant import UIDCodec
+    def _build_codec(self, index: int) -> UIDCodec:
         from repro.core.variations.uid import UIDVariation
 
         for variation in self.variations:
@@ -215,7 +213,7 @@ class NVariantSession:
         return UIDCodec.identity()
 
     @property
-    def contexts(self) -> list["VariantContext"]:
+    def contexts(self) -> list[VariantContext]:
         """The per-variant contexts (useful for inspection in tests)."""
         return self._contexts
 
@@ -324,8 +322,8 @@ class NVariantSession:
                 runtime.program.close()
         return self.state
 
-    def run(self) -> "NVariantResult":
-        """Drive the session to completion (the M=1 engine special case).
+    def run(self) -> NVariantResult:
+        """Drive the session alone to completion (the paper's ``nvexec``).
 
         Resuming a partially stepped session is fine; a session that already
         reached a terminal state cannot run again (its programs are consumed
@@ -359,10 +357,8 @@ class NVariantSession:
         self.state = SessionState.HALTED
         return self.state
 
-    def result(self) -> "NVariantResult":
+    def result(self) -> NVariantResult:
         """Build the :class:`~repro.core.nvariant.NVariantResult` so far."""
-        from repro.core.nvariant import NVariantResult, VariantOutcome
-
         variants = []
         for runtime in self._runtimes:
             process = runtime.context.process

@@ -144,8 +144,3 @@ class NetworkStack:
         listener.enqueue(connection)
         self.connections.append(connection)
         return connection
-
-    def pending_count(self, port: int) -> int:
-        """Number of connections waiting to be accepted on *port*."""
-        listener = self.listeners.get(port)
-        return len(listener.pending) if listener else 0

@@ -41,10 +41,6 @@ class ProcessStats:
     bytes_written: int = 0
     compute_units: float = 0.0
 
-    def charge_compute(self, units: float) -> None:
-        """Add *units* of CPU work performed by this process."""
-        self.compute_units += units
-
 
 class Process:
     """One simulated process (or one variant of an N-variant system)."""

@@ -29,9 +29,6 @@ class Signal(enum.IntEnum):
     SIGUSR2 = 12
 
 
-#: Signals that cannot be caught or ignored.
-UNCATCHABLE = frozenset({Signal.SIGKILL})
-
 #: Signals whose default action terminates the process.
 FATAL_BY_DEFAULT = frozenset(
     {Signal.SIGHUP, Signal.SIGINT, Signal.SIGKILL, Signal.SIGSEGV, Signal.SIGPIPE, Signal.SIGTERM}
@@ -49,19 +46,6 @@ class SignalState:
     def post(self, signal: Signal) -> None:
         """Queue *signal* for delivery at the next system-call boundary."""
         self.pending.append(Signal(signal))
-
-    def register_handler(self, signal: Signal) -> None:
-        """Mark *signal* as handled (so its default fatal action is skipped)."""
-        signal = Signal(signal)
-        if signal in UNCATCHABLE:
-            raise ValueError(f"{signal.name} cannot be caught")
-        self.handled.add(signal)
-
-    def take_pending(self) -> list[Signal]:
-        """Remove and return all pending signals (delivery point)."""
-        taken, self.pending = self.pending, []
-        self.delivered.extend(taken)
-        return taken
 
     def is_fatal(self, signal: Signal) -> bool:
         """True when delivering *signal* should terminate the process."""

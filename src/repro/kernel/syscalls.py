@@ -3,7 +3,7 @@
 Programs in this reproduction are Python generator coroutines.  Whenever the
 program needs a kernel service it *yields* a :class:`SyscallRequest`; the
 execution engine (either the plain :class:`~repro.kernel.kernel.SimulatedKernel`
-for a single process, or the :class:`~repro.core.nvariant.NVariantSystem`
+for a single process, or the :class:`~repro.engine.session.NVariantSession`
 lockstep engine for a redundant system) performs the call and sends back a
 :class:`SyscallResult`.  This is the exact boundary the paper instruments:
 system calls are the synchronisation points, the monitoring points, and the

@@ -42,7 +42,6 @@ from repro.load.checkpoint import (
     build_serving_session,
     checkpoint,
     keyed_secrets,
-    migrate,
     restore,
 )
 from repro.load.driver import (
@@ -89,7 +88,6 @@ __all__ = [
     "create_admission_policy",
     "create_arrival_process",
     "keyed_secrets",
-    "migrate",
     "restore",
     "run_loadtest",
     "run_loadtest_payload",

@@ -5,14 +5,9 @@ unbounded queueing: every admitted request eventually completes, but sojourn
 times grow without limit.  Admission control trades completion for latency
 -- shed excess arrivals at the door so the requests that *are* admitted see
 bounded queues.  The policies here are pure decision logic over an abstract
-clock plus occupancy counters; the driver (or the engine's intake hook) owns
-the mechanics of actually refusing or evicting work, and reports every
+clock plus occupancy counters; the open-loop driver (:mod:`repro.load.driver`)
+owns the mechanics of actually refusing or evicting work, and reports every
 departure back via :meth:`AdmissionPolicy.released`.
-
-The protocol is deliberately dependency-free so
-:class:`repro.engine.scheduler.MultiSessionEngine` can hold a policy without
-importing this package at module level (no engine -> load -> api -> engine
-cycle).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Session checkpoint, restore and engine-to-engine migration.
+"""Session checkpoint and restore: the parts of engine-to-engine migration.
 
 A production fleet drains nodes: a serving session must be movable to
 another engine (another kernel, typically another OS process or host)
@@ -17,8 +17,9 @@ Checkpoints are quiescent-point snapshots: a session may be checkpointed
 fresh (no round stepped yet) or at a service-burst boundary (a terminal
 state), never mid-round -- variant program state lives in running
 generators, which do not serialize.  The open-loop driver
-(:mod:`repro.load.driver`) only ever pauses at burst boundaries, so this is
-not a restriction in practice.
+(:mod:`repro.load.driver`) migrates a session by checkpointing it at a burst
+boundary and restoring it on a fresh host; it only ever pauses at burst
+boundaries, so this is not a restriction in practice.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Any, Mapping, Optional
 from repro.api.builders import build_session, build_variations
 from repro.api.spec import SystemSpec
 from repro.apps.catalog import ServingApp, get_app
-from repro.engine.scheduler import MultiSessionEngine
 from repro.engine.session import NVariantSession, SessionState
 from repro.kernel.host import build_standard_host
 from repro.kernel.kernel import SimulatedKernel
@@ -295,26 +295,3 @@ def restore(
     session.serving = cp.serving
     return session
 
-
-def migrate(
-    session: NVariantSession,
-    target_engine: MultiSessionEngine,
-    *,
-    name: Optional[str] = None,
-) -> NVariantSession:
-    """Checkpoint *session* and hand the restored continuation to an engine.
-
-    The restored session goes through the target engine's admission-
-    controlled :meth:`~repro.engine.scheduler.MultiSessionEngine.offer`; a
-    shed offer raises (a migration the target refuses must be loud, not a
-    silently dropped session).  The source session is left in place --
-    callers retire it once the hand-off is confirmed.
-    """
-    cp = checkpoint(session)
-    restored = restore(cp, name=name)
-    if not target_engine.offer(restored):
-        raise LoadError(
-            f"target engine {target_engine.name!r} shed migrated session "
-            f"{restored.name!r} at intake"
-        )
-    return restored

@@ -118,11 +118,6 @@ class LoadRunResult:
     response_digest: str = ""
     secret_digest: str = ""
 
-    @property
-    def shed_fraction(self) -> float:
-        """Fraction of offered requests the policy turned away."""
-        return self.shed / self.offered if self.offered else 0.0
-
     def to_dict(self) -> dict[str, Any]:
         """Deterministic JSON-ready payload (the backend-parity unit)."""
         return {

@@ -149,13 +149,6 @@ class AddressSpace:
                 return region
         raise SegmentationFault(f"unmapped address 0x{address:08x}", address=address)
 
-    def find_region(self, name: str) -> MemoryRegion:
-        """Find a mapped region by name (raises ``KeyError`` if absent)."""
-        for region in self.regions:
-            if region.name == name:
-                return region
-        raise KeyError(name)
-
     # -- access ------------------------------------------------------------------
 
     def load_bytes(self, address: int, count: int) -> bytes:
@@ -171,10 +164,6 @@ class AddressSpace:
     def load_word(self, address: int) -> int:
         """Read a 32-bit little-endian word."""
         return int.from_bytes(self.load_bytes(address, 4), "little")
-
-    def store_word(self, address: int, value: int) -> None:
-        """Write a 32-bit little-endian word."""
-        self.store_bytes(address, (value & ADDRESS_MASK).to_bytes(4, "little"))
 
     def dereference(self, pointer: int, count: int = 4) -> bytes:
         """Follow *pointer* and read *count* bytes -- the operation an

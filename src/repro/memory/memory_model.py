@@ -150,18 +150,6 @@ class MemoryVariable:
         """Write the variable as a 32-bit word."""
         self.region.write_word(self.address, value)
 
-    # -- buffer access ----------------------------------------------------------
-
-    def get_bytes(self) -> bytes:
-        """Read the variable's full byte extent."""
-        return self.region.read(self.address, self.size)
-
-    def set_bytes(self, data: bytes) -> None:
-        """Write bytes into the variable, bounds-checked against its size."""
-        if len(data) > self.size:
-            raise ValueError(f"{len(data)} bytes do not fit in {self.name} ({self.size} bytes)")
-        self.region.write(self.address, data)
-
 
 class StackFrame:
     """A stack-frame-like layout helper.

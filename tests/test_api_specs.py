@@ -27,7 +27,6 @@ from repro import (
     WorkloadSpec,
     build_engine,
     build_session,
-    build_system,
     build_variations,
     registry,
     run_attack,
@@ -164,18 +163,18 @@ class TestBuilderParity:
             kernel.client_connect(HTTP_PORT, payload)
         return kernel
 
-    def test_spec_built_system_matches_hand_wired_system(self):
+    def test_spec_built_session_matches_hand_wired_session(self):
         from repro.apps.httpd.server import make_httpd_factory
-        from repro.core.nvariant import NVariantSystem
+        from repro.engine.session import NVariantSession
 
-        legacy = NVariantSystem(
+        legacy = NVariantSession(
             self._preloaded_kernel(),
             make_httpd_factory(transformed=True, max_requests=2),
             [UIDVariation()],
             num_variants=2,
             name="httpd",
         ).run()
-        modern = build_system(
+        modern = build_session(
             UID_DIVERSITY_SPEC,
             self._preloaded_kernel(),
             make_httpd_factory(transformed=True, max_requests=2),

@@ -13,10 +13,12 @@ import pytest
 from repro.apps.clients.webbench import WebBenchWorkload, drive_engine
 from repro.apps.httpd.server import make_httpd_factory
 from repro.attacks.payloads import benign_request, uid_overwrite_payload
-from repro.core.nvariant import NVariantSystem
 from repro.core.variations.address import AddressPartitioning
 from repro.core.variations.uid import UIDVariation
 from repro.engine import (
+    CampaignHaltPolicy,
+    CampaignJob,
+    CampaignScheduler,
     HaltPolicy,
     MultiSessionEngine,
     NVariantSession,
@@ -140,6 +142,86 @@ class TestHaltPolicies:
         assert result.session("bystander").alarms == 0
 
 
+class TestOneLoop:
+    """The engine and the campaign scheduler step sessions identically.
+
+    ``MultiSessionEngine`` is the campaign scheduler with a slot per session
+    and one round per turn, and both apply one end-of-turn fleet-wide halt
+    rule, so the two entry points must agree on every session's outcome --
+    whichever side of the alarming session a bystander sits in the turn
+    order.
+    """
+
+    POLICIES = {
+        "per-session": (HaltPolicy.PER_SESSION, CampaignHaltPolicy.PER_CELL),
+        "fleet-wide": (HaltPolicy.HALT_ALL, CampaignHaltPolicy.HALT_CAMPAIGN),
+    }
+
+    def _fleet(self, order):
+        """Fresh (kernel, session) pairs: the victim and the bystander."""
+        fleet = {
+            "victim": _httpd_session("victim", [benign_request(), uid_overwrite_payload(0)]),
+            "bystander": _httpd_session("bystander", _benign_payloads(6)),
+        }
+        return [fleet[name] for name in order]
+
+    @staticmethod
+    def _observed(kernel, session, rounds, virtual_elapsed):
+        return {
+            "name": session.name,
+            "state": session.state,
+            "rounds": rounds,
+            "virtual_elapsed": virtual_elapsed,
+            "alarms": _alarm_signature(session.result()),
+            "responses": _responses(kernel),
+        }
+
+    def _via_engine(self, order, policy):
+        fleet = self._fleet(order)
+        result = MultiSessionEngine([s for _, s in fleet], halt_policy=policy).run()
+        observed = [
+            self._observed(kernel, session, entry.rounds, entry.virtual_elapsed)
+            for (kernel, session), entry in zip(fleet, result.sessions)
+        ]
+        return observed, result.scheduler_turns
+
+    def _via_campaign(self, order, policy):
+        fleet = self._fleet(order)
+        jobs = [CampaignJob(name=s.name, start=lambda s=s: s) for _, s in fleet]
+        result = CampaignScheduler(
+            jobs, parallelism=len(jobs), rounds_per_turn=1, halt_policy=policy
+        ).run()
+        observed = [
+            self._observed(kernel, session, job.rounds, job.virtual_elapsed)
+            for (kernel, session), job in zip(fleet, result.jobs)
+        ]
+        return observed, result.scheduler_turns
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize(
+        "order", [("victim", "bystander"), ("bystander", "victim")], ids="-then-".join
+    )
+    def test_engine_and_campaign_agree(self, policy, order):
+        engine_policy, campaign_policy = self.POLICIES[policy]
+        engine = self._via_engine(order, engine_policy)
+        campaign = self._via_campaign(order, campaign_policy)
+        assert engine == campaign
+
+    def test_fleet_wide_halt_lands_at_the_end_of_the_turn(self):
+        """Under the fleet-wide halt the bystander gets its round in the turn
+        the victim halts, so its outcome does not depend on the turn order."""
+        outcomes = []
+        for order in (("victim", "bystander"), ("bystander", "victim")):
+            observed, turns = self._via_engine(order, HaltPolicy.HALT_ALL)
+            by_name = {entry["name"]: entry for entry in observed}
+            victim, bystander = by_name["victim"], by_name["bystander"]
+            assert victim["state"] is SessionState.HALTED and victim["alarms"]
+            assert bystander["state"] is SessionState.HALTED and not bystander["alarms"]
+            assert bystander["rounds"] == victim["rounds"] == turns
+            outcomes.append((victim, bystander, turns))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestMonitorStatsIsolation:
     def test_each_session_gets_fresh_stats(self):
         """Two identical sessions report identical (not accumulated) counters."""
@@ -155,12 +237,12 @@ class TestMonitorStatsIsolation:
         """Regression: stale MonitorStats must not leak into a run's result."""
         kernel = build_standard_host()
         kernel.client_connect(HTTP_PORT, benign_request())
-        system = NVariantSystem(
+        session = NVariantSession(
             kernel, make_httpd_factory(transformed=True, max_requests=1), _variations()
         )
-        system.monitor.stats.lockstep_points = 123_456  # stale from a previous run
-        system.monitor.stats.alarms_raised = 99
-        result = system.run()
+        session.monitor.stats.lockstep_points = 123_456  # stale from a previous run
+        session.monitor.stats.alarms_raised = 99
+        result = session.run()
         assert result.completed_normally
         assert 0 < result.monitor.stats.lockstep_points < 123_456
         assert result.monitor.stats.alarms_raised == 0
@@ -360,6 +442,18 @@ class TestEngineMechanics:
         engine = MultiSessionEngine([a])
         with pytest.raises(ValueError):
             engine.add_session(b)
+
+    def test_finished_session_is_reported_but_never_stepped(self):
+        """A session already halted when the engine runs costs no turn and
+        does not trigger the fleet-wide halt."""
+        _, halted = _httpd_session("halted", [benign_request(), uid_overwrite_payload(0)])
+        halted.run()
+        _, fresh = _httpd_session("fresh", _benign_payloads(1))
+        result = run_sessions([halted, fresh], halt_policy=HaltPolicy.HALT_ALL)
+        assert result.session("halted").state is SessionState.HALTED
+        assert result.session("halted").rounds == halted.rounds
+        assert result.session("fresh").state is SessionState.COMPLETED
+        assert result.scheduler_turns == result.session("fresh").rounds
 
     def test_empty_engine_returns_empty_result(self):
         result = MultiSessionEngine().run()

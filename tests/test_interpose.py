@@ -10,7 +10,7 @@ the per-family alarm behaviour of the wide table.
 import pytest
 
 from repro.core.alarm import AlarmType
-from repro.core.nvariant import NVariantSystem
+from repro.engine.session import NVariantSession
 from repro.interpose import (
     CLASSIC_TABLE,
     InterpositionEntry,
@@ -103,10 +103,10 @@ class TestWideTable:
 
 def _run(factory, *, interposition, variations=(), kernel=None):
     kernel = kernel if kernel is not None else build_standard_host()
-    system = NVariantSystem(
+    session = NVariantSession(
         kernel, factory, list(variations), interposition=interposition
     )
-    return kernel, system.run()
+    return kernel, session.run()
 
 
 class TestWideTableEngineBehaviour:

@@ -5,8 +5,7 @@ restored session is byte-for-byte the session it replaced -- same keyed
 secrets, same responses to the queued conversations, same detection
 verdicts for whatever attack bytes were waiting.  These tests pin the
 serialization format (JSON round trip, version/key validation), the secret
-hand-off (restore installs the recorded secrets before variant spawn), the
-engine-level ``migrate`` hand-off through admission-controlled intake, and
+hand-off (restore installs the recorded secrets before variant spawn), and
 -- as hypothesis properties -- that neither checkpoint/restore nor a
 non-shedding admission policy ever changes a workload's observable outcome.
 """
@@ -18,15 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.spec import keyed_uid_spec, uid_orbit_spec
 from repro.attacks.payloads import benign_request, uid_overwrite_payload
-from repro.engine import MultiSessionEngine, SessionState
+from repro.engine import SessionState
 from repro.load import (
-    BoundedQueuePolicy,
     LoadError,
     SessionCheckpoint,
     build_serving_session,
     checkpoint,
     keyed_secrets,
-    migrate,
     restore,
     run_loadtest,
 )
@@ -154,27 +151,6 @@ class TestRestoreFidelity:
         assert original["state"] is SessionState.HALTED
         assert moved["state"] is SessionState.HALTED
         assert moved["alarms"] == original["alarms"]
-
-
-class TestEngineMigration:
-    def test_migrate_hands_session_to_target_engine(self):
-        session = _serving_session(keyed_uid_spec(2, key_bits=8), [benign_request()])
-        secrets = keyed_secrets(session)
-        target = MultiSessionEngine([], name="target")
-        restored = migrate(session, target, name="moved")
-        assert [s.name for s in target.sessions] == ["moved"]
-        assert keyed_secrets(restored) == secrets
-        target.run()
-        assert restored.state is SessionState.COMPLETED
-        assert restored.monitor.alarms == []
-
-    def test_migrate_into_full_engine_is_loud(self):
-        policy = BoundedQueuePolicy(capacity=1, drop="newest")
-        target = MultiSessionEngine([], name="full", intake=policy)
-        assert target.offer(_serving_session(uid_orbit_spec(2), [benign_request()], name="tenant"))
-        session = _serving_session(uid_orbit_spec(2), [benign_request()], name="migrant")
-        with pytest.raises(LoadError, match="shed migrated session"):
-            migrate(session, target)
 
 
 PATHS = ("/index.html", "/news.html", "/docs/faq.html", "/products.html")

@@ -1,14 +1,13 @@
-"""The open-loop load primitives: arrivals, admission, latency, engine intake.
+"""The open-loop load primitives: arrivals, admission, latency, the driver.
 
-Three properties carry the subsystem's weight.  Arrival processes are
+Two properties carry the subsystem's weight.  Arrival processes are
 *seeded open-loop generators*: the same derived seed renders the same
 schedule regardless of how fast anything drains, and every registered kind
 emits strictly increasing positive ticks at (approximately) the quoted
 rate.  Admission policies are pure decision logic whose telemetry must
 balance -- offered splits exactly into admitted and shed, occupancy never
-leaks.  And the engine's ``offer`` intake is the policy's enforcement
-point: a full queue really refuses (or evicts) sessions, and departures
-flow back into the policy's occupancy.
+leaks.  The open-loop driver is where a policy is enforced, and its
+accounting must balance too.
 """
 
 import math
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.spec import uid_orbit_spec
-from repro.engine import MultiSessionEngine, SessionState
 from repro.load import (
     AcceptAllPolicy,
     BoundedQueuePolicy,
@@ -29,7 +27,6 @@ from repro.load import (
     UnknownArrivalError,
     admission_kinds,
     arrival_kinds,
-    build_serving_session,
     create_admission_policy,
     create_arrival_process,
     run_loadtest,
@@ -262,53 +259,6 @@ class TestLatencyHistogram:
         assert histogram.max == ordered[-1]
         assert histogram.p50 in ordered
         assert histogram.p50 <= histogram.p90 <= histogram.p99 <= histogram.p999
-
-
-def _fresh_session(name, requests=1):
-    """A fresh (never-stepped) serving session with *requests* queued."""
-    from repro.attacks.payloads import benign_request
-
-    session = build_serving_session(
-        uid_orbit_spec(2), "httpd", name=name, max_requests=requests
-    )
-    for _ in range(requests):
-        session.kernel.client_connect(80, benign_request())
-    return session
-
-
-class TestEngineIntake:
-    def test_offer_without_intake_admits(self):
-        engine = MultiSessionEngine([], name="open")
-        assert engine.offer(_fresh_session("s1"))
-        assert [s.name for s in engine.sessions] == ["s1"]
-
-    def test_offer_sheds_when_bounded_queue_full(self):
-        policy = BoundedQueuePolicy(capacity=2, drop="newest")
-        engine = MultiSessionEngine([], name="bounded", intake=policy)
-        assert engine.offer(_fresh_session("s1"))
-        assert engine.offer(_fresh_session("s2"))
-        assert not engine.offer(_fresh_session("s3"))
-        assert [s.name for s in engine.sessions] == ["s1", "s2"]
-        assert policy.stats.shed == 1
-
-    def test_offer_evicts_oldest_unstarted_session(self):
-        policy = BoundedQueuePolicy(capacity=2, drop="oldest")
-        engine = MultiSessionEngine([], name="evicting", intake=policy)
-        engine.offer(_fresh_session("s1"))
-        engine.offer(_fresh_session("s2"))
-        assert engine.offer(_fresh_session("s3"))
-        assert [s.name for s in engine.sessions] == ["s2", "s3"]
-        assert policy.stats.queued == 2
-
-    def test_completed_sessions_release_their_slot(self):
-        policy = BoundedQueuePolicy(capacity=1, drop="newest")
-        engine = MultiSessionEngine([], name="draining", intake=policy)
-        assert engine.offer(_fresh_session("s1"))
-        assert not engine.offer(_fresh_session("blocked"))
-        engine.run()
-        assert engine.sessions[0].state is SessionState.COMPLETED
-        assert policy.stats.queued == 0
-        assert engine.offer(_fresh_session("s2"))
 
 
 class TestDriverAccounting:
