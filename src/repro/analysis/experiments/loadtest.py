@@ -19,11 +19,11 @@ and checks that overload degrades *gracefully*:
   results under the shared seed.
 
 A **migration parity** pair rides along: the same seeded keyed-UID serving
-run executed straight and with a checkpoint/restore hand-off at a mid-run
-burst boundary must serve byte-identical responses, preserve the drawn
-keyed secrets, and reach the same detection outcomes for the trailing
-attack suite -- moving a session between engines is invisible to both
-clients and the monitor.
+run executed straight and with a checkpoint/restore hand-off mid-run (at
+an idle accept or at a halt) must serve byte-identical responses with the
+same sojourn times, preserve the drawn keyed secrets, and reach the same
+detection outcomes for the trailing attack suite -- moving a session
+between engines is invisible to both clients and the monitor.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ def _policy_config(label: str, capacity: int, service_rate: float) -> tuple[str,
     raise ValueError(f"unknown policy label {label!r}")
 
 
-#: The to_dict fields a migrated run must reproduce exactly.  ``bursts``/
-#: ``rounds``/``end_tick`` legitimately differ by the restart-vs-restore
-#: bookkeeping at the hand-off boundary; everything observable must not.
+#: The to_dict fields a migrated run must reproduce exactly.  ``bursts``,
+#: ``rounds`` and ``virtual_elapsed`` legitimately differ by the standby's
+#: start-up (and the old server's shutdown); everything observable must not.
 MIGRATION_PARITY_FIELDS = (
     "response_digest",
     "secret_digest",

@@ -421,7 +421,7 @@ def _run_loadtest_scenario(data: Mapping[str, Any], output: str) -> tuple[int, s
         f"{result.admission} admission)",
         f"  offered {result.offered}, admitted {result.admitted}, "
         f"shed {result.shed}, completed {result.completed} "
-        f"over {result.bursts} service bursts",
+        f"in {result.bursts} server run(s)",
         f"  queue high water {result.queue_high_water}, alarms {result.alarms}"
         + (", migrated mid-run" if result.migrated else ""),
         "  sojourn ticks: "

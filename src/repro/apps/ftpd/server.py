@@ -343,8 +343,8 @@ class MiniFtpd:
         cmd_listen_fd, data_listen_fd, error_fd, transfer_fd = yield from self._startup()
 
         active: list[_FtpConnection] = []
-        #: Like the httpd: the simulated accept queue never refills once
-        #: drained, so a failed accept permanently closes admission.
+        #: Like the httpd: a failed accept means no client will connect
+        #: again, so it permanently closes admission.
         accepting = True
 
         def budget_left() -> bool:

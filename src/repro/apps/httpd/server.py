@@ -100,8 +100,8 @@ class MiniHttpd:
     transformed:
         Selects the original or UID-transformed build (see module docstring).
     max_requests:
-        Stop after this many served requests (``None`` = serve until the
-        accept queue is empty).  Keep-alive connections may carry several
+        Stop after this many served requests (``None`` = serve until an
+        accept fails).  Keep-alive connections may carry several
         requests each, so this is a request budget, not a connection count.
     multiplex:
         Maximum number of connections served concurrently.  With the default
@@ -398,9 +398,9 @@ class MiniHttpd:
 
         #: (conn_fd, unserved pipelined requests) per live connection.
         active: list[tuple[int, list[bytes]]] = []
-        #: The simulated accept queue never refills once drained, so a failed
-        #: accept permanently closes admission instead of being re-polled on
-        #: every scheduling turn.
+        #: A failed accept means no client will connect again, so it
+        #: permanently closes admission instead of being re-polled on every
+        #: scheduling turn.
         accepting = True
 
         def budget_left() -> bool:

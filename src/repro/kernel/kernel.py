@@ -36,7 +36,7 @@ from repro.kernel.filesystem import (
 from repro.kernel.filetable import OpenFile, SocketDescriptor
 from repro.kernel.network import Connection, ListeningSocket, NetworkStack
 from repro.kernel.process import LIVE_STATES, Process, ProcessTable
-from repro.kernel.signals import Signal
+from repro.kernel.signals import FATAL_BY_DEFAULT, Signal
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult, _trusted_success
 
 
@@ -144,7 +144,7 @@ class SimulatedKernel:
         ):
             raise KernelError(Errno.EPERM, "kill not permitted")
         target.signals.post(Signal(signal))
-        if target.signals.is_fatal(Signal(signal)):
+        if Signal(signal) in FATAL_BY_DEFAULT:
             target.fault(f"killed by signal {Signal(signal).name}")
         return 0
 

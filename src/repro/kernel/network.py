@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+from typing import Callable, Optional
 
 from repro.kernel.errors import Errno, KernelError
 
@@ -29,16 +30,7 @@ class Connection:
     client: str = "client"
     inbound: bytearray = dataclasses.field(default_factory=bytearray)
     outbound: bytearray = dataclasses.field(default_factory=bytearray)
-    closed_by_client: bool = False
     closed_by_server: bool = False
-
-    def queue_request(self, data: bytes) -> None:
-        """Append client request bytes for the server to read."""
-        self.inbound.extend(data)
-
-    def finish_request(self) -> None:
-        """Mark that the client has finished sending (half-close)."""
-        self.closed_by_client = True
 
     def recv(self, count: int) -> bytes:
         """Server-side receive of up to *count* bytes (empty means EOF)."""
@@ -68,12 +60,20 @@ class ListeningSocket:
     placeholder created by an early client connect (workload drivers queue
     their requests before the simulated server runs; see
     :meth:`NetworkStack.connect`).
+
+    ``on_empty`` is the blocking half of ``accept``: called once with the
+    listener when the queue is empty, it may queue connections (the open-loop
+    driver advances the clock to the next arrival).  Without a hook, or when
+    it queues nothing, ``accept`` fails with ``EAGAIN``.
     """
 
     port: int
     backlog: int = 128
     bound: bool = False
     pending: collections.deque = dataclasses.field(default_factory=collections.deque)
+    on_empty: Optional[Callable[["ListeningSocket"], None]] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     def enqueue(self, connection: Connection) -> None:
         """Queue an incoming client connection for ``accept``."""
@@ -81,12 +81,10 @@ class ListeningSocket:
             raise KernelError(Errno.ECONNREFUSED, f"backlog full on port {self.port}")
         self.pending.append(connection)
 
-    def has_pending(self) -> bool:
-        """True when a connection is waiting to be accepted."""
-        return bool(self.pending)
-
     def accept(self) -> Connection:
-        """Dequeue the next pending connection."""
+        """Dequeue the next pending connection, blocking via ``on_empty``."""
+        if not self.pending and self.on_empty is not None:
+            self.on_empty(self)
         if not self.pending:
             raise KernelError(Errno.EAGAIN, "no pending connections")
         return self.pending.popleft()
@@ -123,6 +121,14 @@ class NetworkStack:
         """Release *port* (server shutdown)."""
         self.listeners.pop(port, None)
 
+    def listener(self, port: int) -> ListeningSocket:
+        """The listener on *port*, or a new placeholder for :meth:`bind` to adopt."""
+        listener = self.listeners.get(port)
+        if listener is None:
+            listener = ListeningSocket(port=port, backlog=1 << 16, bound=False)
+            self.listeners[port] = listener
+        return listener
+
     def connect(self, port: int, request: bytes = b"", *, client: str = "client") -> Connection:
         """Client-side connect: create a connection and queue it on the listener.
 
@@ -130,17 +136,11 @@ class NetworkStack:
         subsequent ``recv`` calls see them.  Returns the connection so the
         caller can later read the server's response.
         """
-        listener = self.listeners.get(port)
-        if listener is None:
-            # Create a placeholder listener so drivers can queue requests
-            # before the simulated server has had a chance to run and bind.
-            listener = ListeningSocket(port=port, backlog=1 << 16, bound=False)
-            self.listeners[port] = listener
-        connection = Connection(connection_id=self._next_connection_id, client=client)
+        listener = self.listener(port)
+        connection = Connection(
+            connection_id=self._next_connection_id, client=client, inbound=bytearray(request)
+        )
         self._next_connection_id += 1
-        if request:
-            connection.queue_request(request)
-            connection.finish_request()
         listener.enqueue(connection)
         self.connections.append(connection)
         return connection

@@ -39,7 +39,6 @@ class ProcessStats:
     syscall_count: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    compute_units: float = 0.0
 
 
 class Process:

@@ -36,17 +36,12 @@ FATAL_BY_DEFAULT = frozenset(
 
 
 class SignalState:
-    """Pending and handled signals for one process."""
+    """Pending signals for one process."""
 
     def __init__(self) -> None:
         self.pending: list[Signal] = []
-        self.handled: set[Signal] = set()
         self.delivered: list[Signal] = []
 
     def post(self, signal: Signal) -> None:
         """Queue *signal* for delivery at the next system-call boundary."""
         self.pending.append(Signal(signal))
-
-    def is_fatal(self, signal: Signal) -> bool:
-        """True when delivering *signal* should terminate the process."""
-        return signal in FATAL_BY_DEFAULT and signal not in self.handled

@@ -14,12 +14,11 @@ the restored session serves byte-identical responses to the one it
 replaced.
 
 Checkpoints are quiescent-point snapshots: a session may be checkpointed
-fresh (no round stepped yet) or at a service-burst boundary (a terminal
-state), never mid-round -- variant program state lives in running
-generators, which do not serialize.  The open-loop driver
-(:mod:`repro.load.driver`) migrates a session by checkpointing it at a burst
-boundary and restoring it on a fresh host; it only ever pauses at burst
-boundaries, so this is not a restriction in practice.
+fresh (no round stepped yet) or once it has ended (a terminal state), never
+mid-round -- variant program state lives in running generators, which do
+not serialize.  The open-loop driver (:mod:`repro.load.driver`) migrates a
+session at an idle accept, where the server declines to wait and exits
+cleanly, or at a monitor halt; either way the session has ended.
 """
 
 from __future__ import annotations
@@ -213,7 +212,7 @@ def checkpoint(session: NVariantSession) -> SessionCheckpoint:
     if session.state is SessionState.RUNNING and session.rounds > 0:
         raise LoadError(
             f"session {session.name!r} is mid-burst (round {session.rounds}); "
-            "checkpoints are taken fresh or at a service-burst boundary"
+            "checkpoints are taken fresh or once the session has ended"
         )
     pending = []
     for port in sorted(session.kernel.network.listeners):

@@ -1,25 +1,29 @@
-"""The open-loop load driver: arrivals x admission x serving bursts.
+"""The open-loop load driver: arrivals x admission x a serving session.
 
 This is where the three load primitives meet the serving apps.  An arrival
 process emits request ticks on a *global* virtual timeline; the driver
 delivers each due arrival to the admission policy and, when admitted,
-queues its wire bytes onto the session's kernel.  The session serves in
-**bursts**: the mini servers exit when their accept queue runs dry (a real
-accept loop would block; the simulated one observes EAGAIN once and
-drains), so whenever the session completes with arrivals still outstanding
-the driver fast-forwards the kernel clock to the next arrival, restarts the
-session *without* rotating keys, and keeps serving.  Alarms, rounds and
-consumed ticks are accumulated across bursts; sojourn times are measured on
-the global timeline, so idle gaps and migrations never corrupt latency.
+queues its wire bytes onto the session's kernel.  The server's ``accept``
+blocks in virtual time: as the ``on_empty`` hook of the app's client
+listener, the driver advances the kernel clock to the next arrival and
+delivers it.  ``accept`` is a run-once call (the monitor performs it once
+per round for every variant), so blocking it cannot break lockstep.  When
+the arrivals run out, ``accept`` fails and the server exits.
 
-Burst boundaries are also the quiescent points where
-:mod:`repro.load.checkpoint` applies: with ``migrate_after=k`` the driver
-checkpoints at the first boundary after *k* completions, restores onto a
-brand-new kernel, and continues there -- the global timeline carries over
-via a base offset, and the run result records whether the hand-off
-happened.  A migrated run must serve byte-identical responses and reach the
-same detection outcomes as an unmigrated one; the ``loadtest`` experiment
-asserts exactly that.
+A session thus ends only at a monitor halt, at a migration, or after the
+last arrival.  A halt aborts the request in service; if work remains, the
+driver restarts the session *without* rotating keys.  Alarms, rounds and
+service ticks are accumulated across sessions; sojourn times are measured
+on the global timeline, so idle waits and migrations never corrupt latency.
+
+With ``migrate_after=k`` the driver checkpoints at the first quiescent
+point after *k* completions -- an idle accept, which declines to wait so
+the server exits cleanly, or a halt -- and restores onto a brand-new
+kernel.  After an idle hand-off nothing is delivered until the restored
+server's first accept, which re-bases the global timeline to the hand-off
+tick, so the standby's start-up runs off the clock.  A migrated run must
+serve byte-identical responses with the same latencies and detection
+outcomes as an unmigrated one; the ``loadtest`` experiment asserts that.
 
 ``run_loadtest_payload`` is the process-backend entry point (the
 :data:`LOADTEST_RUNNER` module:function path shipped in
@@ -38,7 +42,8 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.api.seeding import derive_seed, seeded_spec
 from repro.api.spec import SystemSpec
 from repro.apps.catalog import ServingApp, get_app
-from repro.engine.session import NVariantSession, SessionState
+from repro.engine.session import SessionState
+from repro.kernel.network import ListeningSocket
 from repro.load.admission import AdmissionPolicy, create_admission_policy
 from repro.load.arrivals import LoadError, create_arrival_process
 from repro.load.checkpoint import (
@@ -62,10 +67,6 @@ ATTACK_KINDS = ("uid-overwrite", "pointer-overwrite")
 #: variant's partition under any address scheme, so dereference diverges.
 _POINTER_TARGET = 0x1000
 
-#: A single request may be re-queued across at most this many bursts before
-#: the driver declares the run wedged (a served request never re-queues).
-_MAX_REQUEUES = 64
-
 
 @dataclasses.dataclass
 class RequestRecord:
@@ -82,7 +83,6 @@ class RequestRecord:
     aborted: bool = False
     completed_at: Optional[int] = None
     response: bytes = b""
-    requeues: int = 0
     connections: tuple = ()
 
     @property
@@ -109,6 +109,8 @@ class LoadRunResult:
     queue_high_water: int
     latency: LatencyHistogram
     alarms: int
+    #: Server runs: the first, plus one per restart after a halt and one
+    #: per migration.
     bursts: int
     rounds: int
     virtual_elapsed: int
@@ -179,7 +181,7 @@ def _build_records(
         )
         records.append(RequestRecord(index=index, arrival=tick, payload=payload))
     # Attacks trail the benign stream, one mean gap apart, so benign latency
-    # statistics are never polluted by halted bursts.
+    # statistics are never polluted by halted sessions.
     gap = max(1, int(round(process.mean_gap)))
     last = ticks[-1] if ticks else 0
     for offset, kind in enumerate(attacks):
@@ -205,30 +207,28 @@ class _OpenLoopRun:
         policy: AdmissionPolicy,
         records: list[RequestRecord],
         *,
-        multiplex: int,
         migrate_after: Optional[int],
-        max_bursts: int,
         name: str,
     ):
-        self.spec = spec
         self.app = app
         self.policy = policy
         self.records = records
-        self.multiplex = multiplex
         self.migrate_after = migrate_after
-        self.max_bursts = max_bursts
         self.name = name
 
-        self.session = build_serving_session(
-            spec, app, name=name, max_requests=None, multiplex=multiplex
-        )
+        self.session = build_serving_session(spec, app, name=name)
+        self._block_accept()
         self.base = 0  # global tick = base + kernel.clock (survives migration)
+        #: The global tick of an idle hand-off, until the restored server's
+        #: first accept re-bases the timeline to it.
+        self.handoff: Optional[int] = None
         self.delivered = 0
         self.pending: list[RequestRecord] = []
         self.latency = LatencyHistogram()
         self.bursts = 1
         self.rounds = 0
         self.ticks = 0
+        self.idle = 0  # ticks the server spent blocked in accept
         self.alarms = 0
         self.completed = 0
         self.migrated = False
@@ -239,6 +239,34 @@ class _OpenLoopRun:
     def now(self) -> int:
         return self.base + self.session.kernel.clock
 
+    def _block_accept(self) -> None:
+        """Make ``accept`` on the app's client port wait for the next arrival."""
+        listener = self.session.kernel.network.listener(self.app.port)
+        listener.on_empty = self._await_arrival
+
+    def _await_arrival(self, listener: ListeningSocket) -> None:
+        """The blocking half of ``accept``: wait until a connection is queued.
+
+        Queues nothing, so the server exits, once the arrivals run out or
+        when a migration is due (an idle accept is a quiescent point).
+        """
+        if self.handoff is not None:
+            # The restored server's first accept: its start-up ran off the clock.
+            self.base = self.handoff - self.session.kernel.clock
+            self.handoff = None
+        if self._migration_due() and not self._resolved():
+            self.handoff = self.now
+            return
+        while not listener.pending and self.delivered < len(self.records):
+            self.idle += self._advance_to_next_arrival()
+
+    def _advance_to_next_arrival(self) -> int:
+        """Move the clock to the next arrival and deliver it; return the ticks skipped."""
+        gap = max(0, self.records[self.delivered].arrival - self.now)
+        self.session.kernel.clock += gap
+        self._deliver_due()
+        return gap
+
     def _connect(self, record: RequestRecord) -> None:
         kernel = self.session.kernel
         before = len(kernel.network.connections)
@@ -246,6 +274,8 @@ class _OpenLoopRun:
         record.connections = tuple(kernel.network.connections[before:])
 
     def _deliver_due(self) -> None:
+        if self.handoff is not None:
+            return  # nothing arrives until the restored server first accepts
         while self.delivered < len(self.records):
             record = self.records[self.delivered]
             if record.arrival > self.now:
@@ -270,13 +300,8 @@ class _OpenLoopRun:
         the freshly admitted arrival itself is the victim -- drop-oldest
         degenerates to drop-newest at that point.
         """
-        listeners = self.session.kernel.network.listeners
         for record in self.pending:
-            if any(
-                connection in listener.pending
-                for listener in listeners.values()
-                for connection in record.connections
-            ):
+            if self._queued(record):
                 self._scrub_connections(record)
                 self.pending.remove(record)
                 record.evicted = True
@@ -290,6 +315,14 @@ class _OpenLoopRun:
         # caller skips the connect.
         incoming.admitted = False
 
+    def _queued(self, record: RequestRecord) -> bool:
+        """True while any of a record's connections waits in an accept queue."""
+        return any(
+            connection in listener.pending
+            for listener in self.session.kernel.network.listeners.values()
+            for connection in record.connections
+        )
+
     def _scrub_connections(self, record: RequestRecord) -> None:
         """Remove a record's queued connections from every accept queue."""
         for listener in self.session.kernel.network.listeners.values():
@@ -301,9 +334,7 @@ class _OpenLoopRun:
 
     def _harvest_completions(self) -> None:
         for record in list(self.pending):
-            primary = record.connections[0] if record.connections else None
-            if primary is None:
-                continue
+            primary = record.connections[0]
             if primary.closed_by_server and primary.response_bytes():
                 record.completed_at = self.now
                 record.response = primary.response_bytes()
@@ -312,95 +343,81 @@ class _OpenLoopRun:
                 self.completed += 1
                 self.latency.add(record.completed_at - record.arrival)
 
-    # -- burst boundaries -------------------------------------------------------
+    # -- session boundaries -----------------------------------------------------
 
-    def _absorb_burst(self) -> None:
-        """Accumulate the finished burst's counters; mark a halt's victim."""
-        self.rounds += self.session.rounds
-        self.ticks += self.session.virtual_elapsed
-        self.alarms += len(self.session.monitor.alarms)
-        self._harvest_completions()
-        if self.session.state is SessionState.HALTED and self.pending:
-            victim = self._in_service_record()
-            self._scrub_connections(victim)
-            self.pending.remove(victim)
-            victim.aborted = True
-            self.policy.released()
-
-    def _in_service_record(self) -> RequestRecord:
-        """The request the halted burst was serving: oldest accepted, else oldest."""
-        listeners = self.session.kernel.network.listeners
-        for record in self.pending:
-            queued = any(
-                connection in listener.pending
-                for listener in listeners.values()
-                for connection in record.connections
-            )
-            if not queued:
-                return record
-        return self.pending[0]
+    def _migration_due(self) -> bool:
+        return (
+            self.migrate_after is not None
+            and not self.migrated
+            and self.completed >= self.migrate_after
+        )
 
     def _resolved(self) -> bool:
         return self.delivered >= len(self.records) and not self.pending
 
-    def _next_burst(self) -> None:
-        """Requeue survivors, optionally migrate, restart, fast-forward."""
-        # Catch up the timeline until something is actually waiting to serve.
-        while not self.pending and self.delivered < len(self.records):
-            target = self.records[self.delivered].arrival
-            if target > self.now:
-                self.session.kernel.clock += target - self.now
-            self._deliver_due()
-        if self._resolved():
-            return
+    def _abort_in_service(self) -> None:
+        """Mark the request a halted session was serving as aborted."""
+        victim = self._in_service_record()
+        self._scrub_connections(victim)
+        self.pending.remove(victim)
+        victim.aborted = True
+        self.policy.released()
+
+    def _in_service_record(self) -> RequestRecord:
+        """The request the halted session was serving: oldest accepted, else oldest."""
+        for record in self.pending:
+            if not self._queued(record):
+                return record
+        return self.pending[0]
+
+    def _migrate(self) -> None:
+        """Hand the session off to a fresh kernel via checkpoint/restore."""
+        # Requests queued behind a halt move as fresh connections, so each
+        # record keeps handles on the kernel that now serves it.
         survivors = list(self.pending)
         for record in survivors:
-            record.requeues += 1
-            if record.requeues > _MAX_REQUEUES:
-                raise LoadError(
-                    f"request {record.index} re-queued {record.requeues} times "
-                    "without completing; the run is wedged"
-                )
             self._scrub_connections(record)
-        # A halted burst never closed its listen socket; demote any still-
-        # bound listener to a placeholder so the next burst can rebind.
-        for listener in self.session.kernel.network.listeners.values():
-            listener.bound = False
-        if (
-            self.migrate_after is not None
-            and not self.migrated
-            and self.completed >= self.migrate_after
-        ):
-            cp = checkpoint(self.session)
-            old_clock = self.session.kernel.clock
-            self.session = restore(cp, name=f"{self.name}-migrated")
-            self.base += old_clock
-            self.migrated = True
-        else:
-            self.session.restart(rotate_keys=False)
+        cp = checkpoint(self.session)
+        self.base = self.now
+        self.session = restore(cp, name=f"{self.name}-migrated")
+        self._block_accept()
         for record in survivors:
             self._connect(record)
-        self.bursts += 1
-        if self.bursts > self.max_bursts:
-            raise LoadError(
-                f"open-loop run exceeded {self.max_bursts} service bursts"
-            )
+        self.migrated = True
 
     # -- the loop ---------------------------------------------------------------
 
     def run(self) -> None:
         while True:
             self._deliver_due()
-            if self.session.done:
-                self._absorb_burst()
-                if self._resolved():
-                    break
-                self._next_burst()
-                if self._resolved():
-                    break
+            if not self.session.done:
+                self.session.step()
+                self._harvest_completions()
                 continue
-            self.session.step()
-            self._harvest_completions()
+            self.rounds += self.session.rounds
+            self.ticks += self.session.virtual_elapsed
+            self.alarms += len(self.session.monitor.alarms)
+            halted = self.session.state is SessionState.HALTED
+            if halted and self.pending:
+                self._abort_in_service()
+            elif halted:
+                # Nothing was in service, so it may have halted at start-up;
+                # restarted now, it would halt again before it waits in accept.
+                while not self.pending and self.delivered < len(self.records):
+                    self._advance_to_next_arrival()
+            # A server that exits cleanly has seen the last arrival, unless
+            # it declined one for an idle hand-off.
+            if self._resolved() or not (halted or self.handoff is not None):
+                return
+            if self._migration_due():
+                self._migrate()
+            else:
+                # A halted server never closed its listen sockets; demote them
+                # to placeholders (queue and hook intact) so the restart rebinds.
+                for listener in self.session.kernel.network.listeners.values():
+                    listener.bound = False
+                self.session.restart(rotate_keys=False)
+            self.bursts += 1
 
 
 def run_loadtest(
@@ -414,30 +431,21 @@ def run_loadtest(
     admission_params: Optional[Mapping[str, Any]] = None,
     arrival_params: Optional[Mapping[str, Any]] = None,
     seed: Optional[int] = DEFAULT_SEED,
-    multiplex: int = 1,
     attacks: Sequence[str] = (),
     migrate_after: Optional[int] = None,
-    max_bursts: int = 4096,
     name: str = "loadtest",
 ) -> LoadRunResult:
     """Drive one open-loop load cell to resolution and measure it.
 
     Every arrival is offered to the admission policy at its scheduled global
-    tick; admitted requests are served across as many service bursts as the
-    load shape requires.  The run resolves when each request is completed,
-    shed, or aborted by a monitor halt.  With a *seed*, the whole run --
+    tick; admitted requests are served by one session whose ``accept`` waits
+    for them, restarted only after a halt.  The run resolves when each
+    request is completed, shed, or aborted by a monitor halt.  With a *seed*, the whole run --
     arrival schedule, keyed-scheme draws, and therefore every byte of every
     response -- is deterministic and backend-independent.
     """
     if requests < 0:
         raise LoadError(f"requests must be >= 0, got {requests}")
-    if multiplex < 1:
-        raise LoadError(f"multiplex must be >= 1, got {multiplex}")
-    for kind in attacks:
-        if kind not in ATTACK_KINDS:
-            raise LoadError(
-                f"unknown attack kind {kind!r}; known kinds: {', '.join(ATTACK_KINDS)}"
-            )
     app_record = get_app(app)
     spec = seeded_spec(spec, seed)
     if seed is not None:
@@ -453,9 +461,7 @@ def run_loadtest(
         app_record,
         policy,
         records,
-        multiplex=multiplex,
         migrate_after=migrate_after,
-        max_bursts=max_bursts,
         name=name,
     )
     run.run()
@@ -485,7 +491,7 @@ def run_loadtest(
         alarms=run.alarms,
         bursts=run.bursts,
         rounds=run.rounds,
-        virtual_elapsed=run.ticks,
+        virtual_elapsed=run.ticks - run.idle,
         end_tick=run.now,
         migrated=run.migrated,
         attack_outcomes=tuple(
@@ -515,7 +521,6 @@ _PAYLOAD_KEYS = frozenset(
         "admission_params",
         "arrival_params",
         "seed",
-        "multiplex",
         "attacks",
         "migrate_after",
         "name",
@@ -546,7 +551,6 @@ def run_loadtest_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
         admission_params=payload.get("admission_params"),
         arrival_params=payload.get("arrival_params"),
         seed=payload.get("seed", DEFAULT_SEED),
-        multiplex=payload.get("multiplex", 1),
         attacks=tuple(payload.get("attacks", ())),
         migrate_after=payload.get("migrate_after"),
         name=payload.get("name", "loadtest"),

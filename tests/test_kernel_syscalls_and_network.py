@@ -151,6 +151,42 @@ class TestSocketSyscalls:
         call(kernel, proc, Syscall.BIND, sock, 8080)
         assert call(kernel, proc, Syscall.ACCEPT, sock).errno is Errno.EAGAIN
 
+    def test_accept_on_empty_listener_blocks_through_the_hook(self, kernel, proc):
+        sock = call(kernel, proc, Syscall.SOCKET).value
+        call(kernel, proc, Syscall.BIND, sock, 8080)
+        listener = kernel.network.listeners[8080]
+        calls, queued = [], []
+
+        def arrive(empty_listener):
+            calls.append(empty_listener)
+            kernel.clock += 50  # the wait for the client, in virtual time
+            queued.append(kernel.client_connect(8080, b"late"))
+
+        listener.on_empty = arrive
+        clock = kernel.clock
+        conn_fd = call(kernel, proc, Syscall.ACCEPT, sock).value
+        assert calls == [listener]
+        assert kernel.clock == clock + 1 + 50
+        assert proc.fds.get(conn_fd).endpoint is queued[0]
+        assert call(kernel, proc, Syscall.RECV, conn_fd, 100).value == b"late"
+
+    def test_accept_hook_is_skipped_while_connections_are_queued(self, kernel, proc):
+        sock = call(kernel, proc, Syscall.SOCKET).value
+        call(kernel, proc, Syscall.BIND, sock, 8080)
+        calls = []
+        kernel.network.listeners[8080].on_empty = calls.append
+        kernel.client_connect(8080, b"early")
+        assert call(kernel, proc, Syscall.ACCEPT, sock).ok
+        assert calls == []
+
+    def test_accept_hook_that_queues_nothing_returns_eagain(self, kernel, proc):
+        sock = call(kernel, proc, Syscall.SOCKET).value
+        call(kernel, proc, Syscall.BIND, sock, 8080)
+        calls = []
+        kernel.network.listeners[8080].on_empty = calls.append
+        assert call(kernel, proc, Syscall.ACCEPT, sock).errno is Errno.EAGAIN
+        assert len(calls) == 1
+
     def test_double_bind_rejected(self, kernel, proc):
         s1 = call(kernel, proc, Syscall.SOCKET).value
         s2 = call(kernel, proc, Syscall.SOCKET).value
@@ -163,7 +199,7 @@ class TestNetworkStack:
         network = NetworkStack()
         connection = network.connect(9999, b"early")
         listener = network.bind(9999)
-        assert listener.has_pending()
+        assert list(listener.pending) == [connection]
         assert listener.accept() is connection
 
     def test_connect_queues_request_bytes(self):
@@ -180,7 +216,7 @@ class TestNetworkStack:
         with pytest.raises(KernelError) as info:
             network.connect(80, b"b")
         assert info.value.errno is Errno.ECONNREFUSED
-        assert listener.has_pending()
+        assert len(listener.pending) == 1
 
     def test_send_after_server_close_raises_epipe(self):
         network = NetworkStack()

@@ -6,19 +6,25 @@ secrets, same responses to the queued conversations, same detection
 verdicts for whatever attack bytes were waiting.  These tests pin the
 serialization format (JSON round trip, version/key validation), the secret
 hand-off (restore installs the recorded secrets before variant spawn), and
--- as hypothesis properties -- that neither checkpoint/restore nor a
-non-shedding admission policy ever changes a workload's observable outcome.
+-- as hypothesis properties -- that neither checkpoint/restore, a mid-run
+migration, nor a non-shedding admission policy ever changes a workload's
+observable outcome.  The open-loop driver's blocking accept must also keep
+every variant in step under each registered interposition table.
 """
 
+import dataclasses
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.experiments.loadtest import MIGRATION_PARITY_FIELDS
 from repro.api.spec import keyed_uid_spec, uid_orbit_spec
 from repro.attacks.payloads import benign_request, uid_overwrite_payload
 from repro.engine import SessionState
 from repro.load import (
+    ATTACK_KINDS,
     LoadError,
     SessionCheckpoint,
     build_serving_session,
@@ -195,6 +201,77 @@ class TestContinuationProperties:
         assert bounded.attack_outcomes == control.attack_outcomes
         assert bounded.alarms == control.alarms
         assert bounded.completed == control.completed
+
+
+#: Seeded open-loop cells whose migrated run hands off at an idle accept
+#: (the old server exits cleanly) and at a monitor halt, respectively.
+IDLE_HANDOFF = dict(seed=1, arrival="poisson", migrate_after=1, attacks=False)
+HALT_HANDOFF = dict(seed=0, arrival="poisson", migrate_after=3, attacks=True)
+
+
+def _straight_and_migrated(seed, arrival, migrate_after, attacks):
+    """One cell run straight and with a hand-off, plus the states handed off in."""
+    spec = keyed_uid_spec(2, key_bits=8)
+    kwargs = dict(
+        arrival=arrival,
+        rate=40.0,
+        requests=8,
+        seed=seed,
+        attacks=ATTACK_KINDS if attacks else (),
+    )
+    straight = run_loadtest(spec, **kwargs)
+    handed_off = []
+
+    def recording_checkpoint(session):
+        handed_off.append(session.state)
+        return checkpoint(session)
+
+    with mock.patch("repro.load.driver.checkpoint", recording_checkpoint):
+        migrated = run_loadtest(spec, migrate_after=migrate_after, **kwargs)
+    return straight.to_dict(), migrated.to_dict(), handed_off
+
+
+class TestMigrationParity:
+    @given(
+        seed=st.integers(0, 2**31),
+        arrival=st.sampled_from(["poisson", "bursty"]),
+        migrate_after=st.integers(1, 8),
+        attacks=st.booleans(),
+    )
+    @example(**IDLE_HANDOFF)
+    @example(**HALT_HANDOFF)
+    @settings(max_examples=25, deadline=None)
+    def test_a_hand_off_never_changes_what_clients_see(
+        self, seed, arrival, migrate_after, attacks
+    ):
+        straight, migrated, handed_off = _straight_and_migrated(
+            seed, arrival, migrate_after, attacks
+        )
+        assert len(handed_off) == int(migrated["migrated"])
+        for field in MIGRATION_PARITY_FIELDS:
+            assert migrated[field] == straight[field], field
+        # The standby's start-up runs off the global timeline.
+        assert migrated["end_tick"] == straight["end_tick"]
+
+    def test_the_examples_hand_off_at_an_idle_accept_and_at_a_halt(self):
+        assert _straight_and_migrated(**IDLE_HANDOFF)[2] == [SessionState.COMPLETED]
+        assert _straight_and_migrated(**HALT_HANDOFF)[2] == [SessionState.HALTED]
+
+
+class TestLockstepSafety:
+    @pytest.mark.parametrize("app", ["httpd", "ftpd"])
+    @pytest.mark.parametrize("table", ["classic", "wide"])
+    def test_blocking_accept_keeps_every_variant_in_step(self, table, app):
+        # accept blocks once per round, for all variants together; a table
+        # that ran it per variant would hand each variant a different
+        # arrival and alarm on the first benign request.
+        spec = dataclasses.replace(uid_orbit_spec(3), interposition=table)
+        result = run_loadtest(
+            spec, app=app, arrival="bursty", rate=20.0, requests=12, seed=7
+        )
+        assert result.alarms == 0
+        assert result.completed > 0
+        assert result.completed + result.evicted + result.aborted == result.admitted
 
 
 class TestBackendParity:

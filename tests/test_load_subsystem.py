@@ -16,8 +16,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api.spec import uid_orbit_spec
+from repro.api.spec import SystemSpec, VariationSpec, uid_orbit_spec
+from repro.engine.session import NVariantSession
 from repro.load import (
+    ATTACK_KINDS,
     AcceptAllPolicy,
     BoundedQueuePolicy,
     LatencyHistogram,
@@ -266,11 +268,56 @@ class TestDriverAccounting:
         with pytest.raises(LoadError, match="unknown attack kind"):
             run_loadtest(uid_orbit_spec(2), requests=2, attacks=("rm-rf",), seed=1)
 
-    def test_requests_and_multiplex_validation(self):
+    def test_requests_validation(self):
         with pytest.raises(LoadError, match="requests"):
             run_loadtest(uid_orbit_spec(2), requests=-1, seed=1)
-        with pytest.raises(LoadError, match="multiplex"):
-            run_loadtest(uid_orbit_spec(2), requests=2, multiplex=0, seed=1)
+
+    @staticmethod
+    def _count_restarts(monkeypatch):
+        calls = []
+        original = NVariantSession.restart
+
+        def counting(self, **kwargs):
+            calls.append(kwargs)
+            return original(self, **kwargs)
+
+        monkeypatch.setattr(NVariantSession, "restart", counting)
+        return calls
+
+    def test_an_idle_server_waits_in_accept_instead_of_restarting(self, monkeypatch):
+        restarts = self._count_restarts(monkeypatch)
+        # About a tenth of the 2-variant httpd's service rate: the accept
+        # queue runs dry before nearly every arrival.
+        result = run_loadtest(uid_orbit_spec(2), rate=4.0, requests=8, seed=11)
+        assert result.completed == 8
+        assert result.bursts == 1
+        assert restarts == []
+
+    @pytest.mark.parametrize(
+        "attacks, expected", [(("uid-overwrite",), 0), (ATTACK_KINDS, 1)]
+    )
+    def test_restarts_once_per_halt_that_leaves_work(self, monkeypatch, attacks, expected):
+        restarts = self._count_restarts(monkeypatch)
+        result = run_loadtest(
+            uid_orbit_spec(2), rate=4.0, requests=6, seed=11, attacks=attacks
+        )
+        assert [outcome["halted"] for outcome in result.attack_outcomes] == [True] * len(
+            attacks
+        )
+        assert result.completed == 6
+        assert restarts == [{"rotate_keys": False}] * expected
+        assert result.bursts == 1 + expected
+
+    def test_a_server_that_halts_at_start_up_aborts_every_request(self):
+        # The rejected full-flip mask alarms at start-up, before the server
+        # ever accepts; the run must still end, each request aborted.
+        spec = SystemSpec(
+            name="full-flip", num_variants=2, variations=(VariationSpec("uid-full-flip"),)
+        )
+        result = run_loadtest(spec, rate=4.0, requests=4, seed=3)
+        assert result.admitted == result.aborted == 4
+        assert result.completed == 0
+        assert result.alarms == result.bursts
 
     def test_seeded_runs_are_identical(self):
         first = run_loadtest(uid_orbit_spec(2), requests=8, rate=20.0, seed=77)
