@@ -28,7 +28,7 @@ SPECS = (*STANDARD_SYSTEM_SPECS, UID_ORBIT_3_SPEC)
 def run_scaling():
     """Run the full standard-attack campaign at each worker count."""
     return {
-        parallelism: run_campaign(SPECS, parallelism=parallelism)
+        parallelism: run_campaign(SPECS, workers=parallelism)
         for parallelism in PARALLELISMS
     }
 

@@ -9,8 +9,9 @@ drop as workers are added.
 Two workload families are timed, because they scale with different host
 resources:
 
-* ``service`` rows attach a real per-cell blocking wait (``service_delay_ms``,
-  the network/disk service time the in-process simulation elides).  Worker
+* ``service`` rows attach a real per-cell blocking wait
+  (:func:`prepare_service_cell`, the network/disk service time the
+  in-process simulation elides).  Worker
   processes overlap blocking waits regardless of core count, so the >= 2x
   acceptance bar at 4 workers holds even on a single-core CI host.
 * ``compute`` rows run the pure-simulation cells.  Their speedup needs real
@@ -33,13 +34,14 @@ assertions without timing a shared CI box.
 """
 
 import dataclasses
+import functools
 import json
 import os
 import time
 
 from conftest import emit, write_results
 
-from repro.api.campaign import process_campaign_jobs, run_campaign
+from repro.api.campaign import prepare_attack, run_campaign, standard_attacks
 from repro.api.spec import (
     SINGLE_PROCESS_SPEC,
     STANDARD_SYSTEM_SPECS,
@@ -47,6 +49,7 @@ from repro.api.spec import (
     UID_ORBIT_3_SPEC,
 )
 from repro.attacks.uid_attacks import standard_uid_attacks
+from repro.engine.campaign import CampaignJob
 from repro.engine.procpool import ProcessWorkerPool
 
 SMOKE = os.environ.get("BENCH_PROCPOOL_SMOKE") == "1"
@@ -76,6 +79,32 @@ def _service_attacks():
     return [a for a in standard_uid_attacks() if a.name in SERVICE_ATTACK_NAMES]
 
 
+def prepare_service_cell(attack, spec, delay_ms):
+    """An attack cell whose ``finish`` adds a real *delay_ms* blocking wait.
+
+    The wait never changes the cell's outcome or its virtual-time
+    accounting; it lets the benchmark measure the worker fleet's
+    blocking-overlap win independently of how many cores the host has.
+    """
+    cell = prepare_attack(attack, spec)
+
+    def finish(session):
+        value = cell.finish(session)
+        time.sleep(delay_ms / 1000.0)
+        return value
+
+    return dataclasses.replace(cell, finish=finish)
+
+
+def _jobs(specs, attacks, prepare=prepare_attack, *args):
+    """One process-tier job per attack x spec cell, attacks outer."""
+    return [
+        CampaignJob(f"{attack.name}@{spec.name}", functools.partial(prepare, attack, spec, *args))
+        for attack in attacks
+        for spec in specs
+    ]
+
+
 def _outcome_bytes(values):
     """Byte-level rendering of a result's outcome values (order-sensitive)."""
     return json.dumps(
@@ -88,13 +117,11 @@ def _families():
     service_specs = SERVICE_SPECS[:2] if SMOKE else SERVICE_SPECS
     families = {
         "service": (
-            process_campaign_jobs(
-                service_specs, _service_attacks(), service_delay_ms=SERVICE_DELAY_MS
-            ),
+            _jobs(service_specs, _service_attacks(), prepare_service_cell, SERVICE_DELAY_MS),
             run_campaign(service_specs, _service_attacks()).outcomes,
         ),
         "compute": (
-            process_campaign_jobs(COMPUTE_SPECS),
+            _jobs(COMPUTE_SPECS, standard_attacks()),
             run_campaign(COMPUTE_SPECS).outcomes,
         ),
     }

@@ -157,7 +157,7 @@ def run_detection_latency(user_space_uses: int = 5) -> DetectionLatencyResult:
         for use_detection_calls in (True, False)
     ]
     engine_result = run_sessions(sessions, name="ablation1")
-    with_calls, without_calls = (entry.result for entry in engine_result.sessions)
+    with_calls, without_calls = engine_result.values()
     return DetectionLatencyResult(
         with_detection_calls=_latency_from_result(with_calls),
         without_detection_calls=_latency_from_result(without_calls),

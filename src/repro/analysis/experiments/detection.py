@@ -165,8 +165,8 @@ def run(
 ) -> DetectionMatrixResult:
     """Run the full detection matrix.
 
-    ``parallelism`` (and the uniform ``workers`` spelling, which wins when
-    non-zero) and ``backend`` are forwarded to
+    ``workers`` (or, when it is 0, its historical spelling ``parallelism``)
+    and ``backend`` are forwarded to
     :func:`~repro.api.campaign.run_campaign`: the matrix's cells are
     independent, so any worker count on either backend produces the same
     matrix -- only faster, in engine virtual time (``"virtual"``) or in real
@@ -175,13 +175,12 @@ def run(
     from repro.attacks.memory_attacks import standard_address_attacks
     from repro.attacks.uid_attacks import standard_uid_attacks
 
-    effective_workers = workers if workers else None
+    workers = workers or parallelism
     uid_report = run_campaign(
         (SINGLE_PROCESS_SPEC, UID_DIVERSITY_SPEC, UID_ORBIT_3_SPEC, COMBINED_ORBIT_3_SPEC),
         standard_uid_attacks(),
-        parallelism=parallelism,
+        workers=workers,
         backend=backend,
-        workers=effective_workers,
     )
     address_report = run_campaign(
         (
@@ -191,9 +190,8 @@ def run(
             COMBINED_ORBIT_3_SPEC,
         ),
         standard_address_attacks(),
-        parallelism=parallelism,
+        workers=workers,
         backend=backend,
-        workers=effective_workers,
     )
     code_outcomes = [run_code_injection_untagged(), run_code_injection_tagged()]
     return DetectionMatrixResult(

@@ -322,7 +322,7 @@ def run(
     uid_report = run_campaign(
         [keyed_uid_spec(n) for n in counts],
         standard_uid_attacks(),
-        parallelism=workers,
+        workers=workers,
         backend=backend,
         seed=seed,
     )

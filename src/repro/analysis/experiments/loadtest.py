@@ -29,18 +29,14 @@ between engines is invisible to both clients and the monitor.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Optional
 
 from repro.api.campaign import expand_backends
 from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
 from repro.api.spec import SystemSpec, keyed_uid_spec, uid_orbit_spec
-from repro.engine.procpool import ProcessJob, run_process_jobs
-from repro.load.driver import (
-    DEFAULT_SEED,
-    LOADTEST_RUNNER,
-    run_loadtest,
-    run_loadtest_payload,
-)
+from repro.engine.campaign import CampaignJob, run_jobs
+from repro.load.driver import DEFAULT_SEED, LoadtestCell, run_loadtest
 
 #: Offered-load multipliers (of the calibrated service rate), in sweep order.
 LOAD_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
@@ -282,7 +278,7 @@ class LoadTestResult:
         )
 
 
-def _cell_payload(
+def _cell_kwargs(
     spec: SystemSpec,
     *,
     policy_label: str,
@@ -295,7 +291,7 @@ def _cell_payload(
 ) -> dict[str, Any]:
     kind, params = _policy_config(policy_label, capacity, service_rate)
     return {
-        "spec": spec.to_dict(),
+        "spec": spec,
         "app": "httpd",
         "arrival": "poisson",
         "rate": mult * service_rate,
@@ -350,13 +346,13 @@ def run(
     )
     service_rate = 1000.0 / calibration.latency.mean
 
-    payloads = {}
+    sweep = {}
     for n in variant_counts:
         spec = uid_orbit_spec(n)
         for label in POLICY_LABELS:
             for mult in multipliers:
                 key = (spec.name, label, mult)
-                payloads[key] = _cell_payload(
+                sweep[key] = _cell_kwargs(
                     spec,
                     policy_label=label,
                     capacity=capacity,
@@ -367,22 +363,16 @@ def run(
                     name=f"loadtest-{n}-{label}-{mult:g}x",
                 )
 
+    ordered = sorted(sweep)
+    jobs = [
+        CampaignJob(sweep[key]["name"], functools.partial(LoadtestCell, sweep[key]))
+        for key in ordered
+    ]
     cells: dict[tuple[str, str, str, float], dict[str, Any]] = {}
-    ordered = sorted(payloads)
     for tier in backends:
-        if tier == "virtual":
-            for key in ordered:
-                cells[(tier, *key)] = run_loadtest_payload(payloads[key])["value"]
-        else:
-            jobs = [
-                ProcessJob(
-                    name=payloads[key]["name"], runner=LOADTEST_RUNNER, payload=payloads[key]
-                )
-                for key in ordered
-            ]
-            campaign = run_process_jobs(jobs, workers=workers)
-            for key, job_result in zip(ordered, campaign.jobs):
-                cells[(tier, *key)] = job_result.value
+        campaign = run_jobs(jobs, backend=tier, workers=workers)
+        for key, job_result in zip(ordered, campaign.jobs):
+            cells[(tier, *key)] = job_result.value
 
     migration_base = migration_moved = None
     if migration:

@@ -166,9 +166,9 @@ def run(
     uid_specs = [uid_orbit_spec(n) for n in counts]
     address_specs = [address_orbit_spec(n) for n in counts]
 
-    uid_report = run_campaign(uid_specs, standard_uid_attacks(), parallelism=parallelism)
+    uid_report = run_campaign(uid_specs, standard_uid_attacks(), workers=parallelism)
     address_report = run_campaign(
-        address_specs, standard_address_attacks(), parallelism=parallelism
+        address_specs, standard_address_attacks(), workers=parallelism
     )
 
     workload = WebBenchWorkload(total_requests=requests)

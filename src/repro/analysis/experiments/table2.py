@@ -134,10 +134,10 @@ def run() -> Table2Result:
     engine_result = run_sessions(sessions, name="table2")
 
     checks = []
-    results = iter(engine_result.sessions)
+    results = iter(engine_result.values())
     for spec in TABLE2_DETECTION_CALLS:
-        benign = next(results).result
-        attack = next(results).result
+        benign = next(results)
+        attack = next(results)
         alarm_type = ""
         if attack.alarms:
             alarm_type = attack.first_alarm().alarm_type.value

@@ -4,18 +4,18 @@ The seed repository grew one ad-hoc campaign per attack family
 (``run_uid_campaign``, ``run_address_campaign``), each hand-wiring its own
 configurations.  With systems described by :class:`~repro.api.spec.SystemSpec`
 there is a single cross product left to run: :func:`run_campaign` takes any
-mix of attacks from the library and any list of system specs, expands each
-pair into a prepared cell -- a private kernel plus a resumable
-:class:`~repro.engine.session.NVariantSession` -- and hands the whole batch to
-the engine's :class:`~repro.engine.campaign.CampaignScheduler`.  That
-scheduler is the only execution path: ``parallelism=1`` runs the cells
-back-to-back in submission order (the historical serial campaign), larger
-values interleave up to that many cells round-robin with batched lockstep
-rounds, and because every cell owns its own simulated host the per-cell
-outcomes are identical either way (the serial-parity property test pins
-this).  The legacy ``run_uid_campaign``/``run_address_campaign`` shims were
-removed after their one-release deprecation window; this function is the
-only campaign entry point.
+mix of attacks from the library and any list of system specs, turns each
+pair into a :class:`~repro.engine.campaign.CampaignJob` whose preparer is
+``functools.partial(prepare_attack, attack, spec)`` -- a module-level
+function and two picklable objects -- and hands the list to
+:func:`~repro.engine.campaign.run_jobs`.  The same list runs on either
+backend: the in-process campaign scheduler, where ``workers=1`` runs the
+cells back-to-back in submission order and larger values interleave up to
+that many cells round-robin with batched lockstep rounds, or pre-forked OS
+worker processes, which unpickle each preparer and build the identical cell
+there.  Every cell owns its own simulated host, so the per-cell outcomes are
+identical on every backend and worker count (the serial-parity property
+test pins this).
 
 Attack drivers are imported lazily inside the dispatch functions: the attack
 modules themselves build their systems through :mod:`repro.api.builders`, so a
@@ -25,16 +25,18 @@ module-level import in either direction would be circular.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.api.spec import STANDARD_SYSTEM_SPECS, SystemSpec
 from repro.engine.campaign import (
+    CAMPAIGN_BACKENDS,
     CampaignExecutionResult,
     CampaignHaltPolicy,
     CampaignJob,
     run_jobs,
 )
-from repro.engine.procpool import ProcessJob, ProcessWorkerPool, run_process_jobs
+from repro.engine.procpool import ProcessWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the import cycle
     from repro.attacks.memory_attacks import AddressInjectionAttack
@@ -129,14 +131,6 @@ def run_attack(attack: "Attack", spec: SystemSpec) -> "AttackOutcome":
     return prepare_attack(attack, spec).run()
 
 
-# ---------------------------------------------------------------------------
-# The process backend: cells serialized as scenario payloads
-# ---------------------------------------------------------------------------
-
-#: Campaign execution backends `run_campaign` accepts.
-CAMPAIGN_BACKENDS = ("virtual", "process")
-
-
 def expand_backends(backend: str) -> tuple[str, ...]:
     """The backends an experiment's ``backend`` setting selects.
 
@@ -151,103 +145,14 @@ def expand_backends(backend: str) -> tuple[str, ...]:
     return (backend,)
 
 
-#: The runner reference process workers resolve to rebuild and run one cell.
-CELL_RUNNER = "repro.api.campaign:run_cell_payload"
-
-
-def run_cell_payload(payload) -> dict:
-    """Rebuild one attack-x-spec cell from its payload and run it (worker side).
-
-    Live sessions hold kernels and generators, so what crosses the process
-    boundary is the same declarative data a scenario file holds: the attack's
-    library name plus the :class:`~repro.api.spec.SystemSpec` dict.  The cell
-    is then prepared exactly the way the virtual backend prepares it in
-    process, which is what makes the two backends byte-identical per cell.
-
-    ``service_delay_ms``, when present, adds a real blocking wait after the
-    cell -- the per-cell network/disk service time an in-process simulation
-    elides.  The wall-clock benchmark uses it to measure the worker fleet's
-    blocking-overlap win independently of how many cores the host has; it
-    never changes the cell's outcome or virtual-time accounting.
-    """
-    import time
-
-    attack_name = payload["attack"]
-    # The "app" key is omitted for the historical default so pre-existing
-    # payloads (and their recorded benchmark bytes) are unchanged.
-    known = attacks_by_name(payload.get("app", "httpd"))
-    if attack_name not in known:
-        raise ValueError(
-            f"unknown attack {attack_name!r} in cell payload; known attacks: "
-            f"{', '.join(sorted(known))}"
-        )
-    spec = SystemSpec.from_dict(payload["spec"])
-    cell = prepare_attack(known[attack_name], spec)
-    session = cell.start()
-    while not session.done:
-        session.step()
-    value = cell.finish(session)
-    delay_ms = payload.get("service_delay_ms", 0)
-    if delay_ms:
-        time.sleep(delay_ms / 1000.0)
-    return {
-        "state": session.state.value,
-        "rounds": session.rounds,
-        "virtual_elapsed": session.virtual_elapsed,
-        "value": value,
-    }
-
-
-def process_campaign_jobs(
-    specs: Sequence[SystemSpec],
-    attacks: Optional[Iterable["Attack"]] = None,
-    *,
-    service_delay_ms: int = 0,
-) -> list[ProcessJob]:
-    """Expand the attacks-x-specs cross product into process-tier jobs.
-
-    The process backend ships cells by *name*: a worker looks the attack up
-    in the standard library and rebuilds the cell from the spec dict, so an
-    attack object that is not (or no longer matches) its registered namesake
-    cannot cross the boundary -- that is rejected here, loudly, instead of
-    silently running a different attack in the worker.
-    """
-    selected = list(attacks) if attacks is not None else standard_attacks()
-    known_per_app: dict[str, dict] = {}
-    jobs = []
-    for attack in selected:
-        app = getattr(attack, "app", "httpd")
-        if app not in known_per_app:
-            known_per_app[app] = attacks_by_name(app)
-        if known_per_app[app].get(attack.name) != attack:
-            raise ValueError(
-                f"attack {attack.name!r} is not a standard library attack; the "
-                "process backend serializes cells by attack name, so custom "
-                "attack objects must run on the virtual backend"
-            )
-        for spec in specs:
-            payload: dict = {"attack": attack.name, "spec": spec.to_dict()}
-            if app != "httpd":
-                payload["app"] = app
-            if service_delay_ms:
-                payload["service_delay_ms"] = service_delay_ms
-            jobs.append(
-                ProcessJob(
-                    name=f"{attack.name}@{spec.name}", runner=CELL_RUNNER, payload=payload
-                )
-            )
-    return jobs
-
-
 def run_campaign(
     specs: Sequence[SystemSpec] = STANDARD_SYSTEM_SPECS,
     attacks: Optional[Iterable["Attack"]] = None,
     *,
-    parallelism: int = 1,
+    workers: int = 1,
     rounds_per_turn: int = 8,
     halt: Union[CampaignHaltPolicy, str] = CampaignHaltPolicy.PER_CELL,
     backend: str = "virtual",
-    workers: Optional[int] = None,
     pool: Optional[ProcessWorkerPool] = None,
     seed: Optional[int] = None,
 ) -> CampaignReport:
@@ -258,68 +163,54 @@ def run_campaign(
     registered variation stack -- this is the generic cross product the
     detection-matrix experiment, the examples and the CLI all share.
 
-    Two backends execute the same cross product and report outcomes in the
-    same submission order (attacks outer, specs inner), regardless of
-    completion order:
+    Each cell is one :class:`~repro.engine.campaign.CampaignJob` whose
+    preparer is ``functools.partial(prepare_attack, attack, spec)``, and
+    :func:`~repro.engine.campaign.run_jobs` runs the list on either backend,
+    reporting outcomes in submission order (attacks outer, specs inner),
+    regardless of completion order:
 
     * ``backend="virtual"`` (the default): every cell runs as a resumable
       session interleaved by the in-process
       :class:`~repro.engine.campaign.CampaignScheduler`, with concurrency
       accounted in kernel ticks.  ``rounds_per_turn`` batches that many
       lockstep rounds per scheduling turn.
-    * ``backend="process"``: cells are serialized as scenario payloads and
-      sharded across pre-forked OS worker processes
-      (:mod:`repro.engine.procpool`), so the concurrency is physical
-      wall-clock parallelism.  Pass ``pool`` to reuse a started
-      :class:`~repro.engine.procpool.ProcessWorkerPool` across campaigns.
+    * ``backend="process"``: the pickled preparers are sharded across
+      pre-forked OS worker processes (:mod:`repro.engine.procpool`), so the
+      concurrency is physical wall-clock parallelism.  Any attack object
+      that pickles runs there, custom ones included.  Pass ``pool`` to reuse
+      a started :class:`~repro.engine.procpool.ProcessWorkerPool` across
+      campaigns.
 
-    ``workers`` is the uniform worker-count knob for both backends and
-    defaults to ``parallelism`` (kept as the historical spelling; 1 = the
-    serial order every other count reproduces cell-for-cell, since cells
-    share no state).  ``halt`` chooses what one cell's halt means for the
-    rest of the campaign
+    ``workers`` is the worker count on either backend (1 = the serial order
+    every other count reproduces cell-for-cell, since cells share no state).
+    ``halt`` chooses what one cell's halt means for the rest of the campaign
     (:class:`~repro.engine.campaign.CampaignHaltPolicy`).
 
     ``seed`` pins every seedable (keyed) variation in every spec to a seed
     derived from it (:func:`~repro.api.seeding.seeded_spec`).  The rewrite
-    happens *before* backend dispatch, so the derived seeds travel inside the
-    serialized spec payloads and a seeded campaign is byte-identical across
-    backends and worker counts.
+    happens before the jobs are built, so the derived seeds travel inside the
+    pickled specs and a seeded campaign is byte-identical across backends and
+    worker counts.
     """
-    if backend not in CAMPAIGN_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {', '.join(CAMPAIGN_BACKENDS)}, got {backend!r}"
-        )
     if seed is not None:
         from repro.api.seeding import seeded_spec
 
         specs = [seeded_spec(spec, seed) for spec in specs]
     selected = list(attacks) if attacks is not None else standard_attacks()
     halt_policy = halt if isinstance(halt, CampaignHaltPolicy) else CampaignHaltPolicy(halt)
-    effective_workers = workers if workers is not None else parallelism
-    if effective_workers < 1:
-        raise ValueError(f"workers must be >= 1, got {effective_workers}")
-
-    if backend == "process":
-        execution = run_process_jobs(
-            process_campaign_jobs(specs, selected),
-            workers=effective_workers,
-            halt_policy=halt_policy,
-            rounds_per_turn=rounds_per_turn,
-            pool=pool,
-        )
-    else:
-        jobs = []
-        for attack in selected:
-            for spec in specs:
-                cell = prepare_attack(attack, spec)
-                jobs.append(CampaignJob(name=cell.name, start=cell.start, finish=cell.finish))
-        execution = run_jobs(
-            jobs,
-            parallelism=effective_workers,
-            rounds_per_turn=rounds_per_turn,
-            halt_policy=halt_policy,
-        )
+    jobs = [
+        CampaignJob(f"{attack.name}@{spec.name}", functools.partial(prepare_attack, attack, spec))
+        for attack in selected
+        for spec in specs
+    ]
+    execution = run_jobs(
+        jobs,
+        backend=backend,
+        workers=workers,
+        rounds_per_turn=rounds_per_turn,
+        halt_policy=halt_policy,
+        pool=pool,
+    )
     return CampaignReport(
         outcomes=[job.value for job in execution.jobs if job.value is not None],
         execution=execution,

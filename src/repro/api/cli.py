@@ -271,17 +271,17 @@ def _run_campaign_scenario(
             f"got {halt!r}"
         ) from None
     backend = _resolve_backend(data) if with_execution else "virtual"
-    workers = (
-        _resolve_positive_int(data, "workers", 0) if data.get("workers") is not None else None
-    )
+    # ``parallelism`` is the historical spelling of ``workers``; ``workers`` wins.
+    workers = _resolve_positive_int(data, "parallelism", 1)
+    if data.get("workers") is not None:
+        workers = _resolve_positive_int(data, "workers", 0)
     report = run_campaign(
         specs,
         attacks,
-        parallelism=_resolve_positive_int(data, "parallelism", 1),
+        workers=workers,
         rounds_per_turn=rounds_per_turn,
         halt=halt_policy,
         backend=backend,
-        workers=workers,
         seed=_resolve_seed(data) if with_execution else None,
     )
     execution = report.execution

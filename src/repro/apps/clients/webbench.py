@@ -36,7 +36,7 @@ from repro.api.spec import FleetSpec, SystemSpec
 # The mix types live in the catalog; they are re-exported here for clients.
 from repro.apps.catalog import DEFAULT_STATIC_MIX, RequestMixEntry, ServingApp, get_app
 from repro.core.nvariant import NVariantResult, UIDCodec, VariantContext
-from repro.engine import EngineResult, NVariantSession, run_sessions
+from repro.engine import CampaignExecutionResult, NVariantSession, run_sessions
 from repro.kernel.host import build_standard_host
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.libc import Libc
@@ -309,8 +309,8 @@ def drive_nvariant_many(
     ]
     engine_result = run_sessions([session for _, session in prepared], name="nvariant-many")
     return [
-        (_nvariant_measurement(kernel, workload, spec, entry.result), entry.result)
-        for (workload, spec), (kernel, _), entry in zip(jobs, prepared, engine_result.sessions)
+        (_nvariant_measurement(kernel, workload, spec, entry.value), entry.value)
+        for (workload, spec), (kernel, _), entry in zip(jobs, prepared, engine_result.jobs)
     ]
 
 
@@ -337,7 +337,7 @@ class EngineWorkloadMeasurement:
     alarms: int
     virtual_elapsed: int
     virtual_elapsed_sequential: int
-    engine_result: EngineResult
+    engine_result: CampaignExecutionResult
 
     @property
     def completed_ok(self) -> bool:
@@ -413,7 +413,7 @@ def drive_engine(
         requests_sent=workload.total_requests,
         requests_completed=completed,
         status_counts=statuses,
-        alarms=engine_result.total_alarms,
+        alarms=sum(len(session.monitor.alarms) for _, session in prepared),
         virtual_elapsed=engine_result.virtual_elapsed,
         virtual_elapsed_sequential=engine_result.virtual_elapsed_sequential,
         engine_result=engine_result,

@@ -8,14 +8,12 @@ the framework's protections are application-independent.
 from repro.apps.ftpd.config import FtpConfig, parse_ftp_config
 from repro.apps.ftpd.server import (
     MiniFtpd,
-    build_ftpd_program,
     make_ftpd_factory,
 )
 
 __all__ = [
     "FtpConfig",
     "MiniFtpd",
-    "build_ftpd_program",
     "make_ftpd_factory",
     "parse_ftp_config",
 ]

@@ -398,27 +398,6 @@ class MiniFtpd:
         return self.report
 
 
-def build_ftpd_program(
-    context: VariantContext,
-    *,
-    transformed: bool = True,
-    max_requests: Optional[int] = None,
-    multiplex: int = 1,
-    config_path: str = FTPD_CONF,
-) -> ServerProgram:
-    """Program factory for :func:`repro.core.nvariant.nvexec`."""
-    server = MiniFtpd(
-        context.libc,
-        context.uid_codec,
-        context.address_space,
-        transformed=transformed,
-        max_requests=max_requests,
-        multiplex=multiplex,
-        config_path=config_path,
-    )
-    return server.run()
-
-
 def make_ftpd_factory(
     *,
     transformed: bool = True,

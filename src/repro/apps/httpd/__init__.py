@@ -18,7 +18,6 @@ from repro.apps.httpd.server import (
     MiniHttpd,
     ServedRequest,
     ServerReport,
-    build_httpd_program,
     make_httpd_factory,
 )
 from repro.apps.httpd.vulnerable import (
@@ -46,7 +45,6 @@ __all__ = [
     "ServerReport",
     "ServerStateLayout",
     "VULNERABLE_HEADER",
-    "build_httpd_program",
     "build_server_state",
     "copy_annotation_header",
     "error_response",

@@ -448,32 +448,6 @@ class MiniHttpd:
         return self.report
 
 
-def build_httpd_program(
-    context: VariantContext,
-    *,
-    transformed: bool = True,
-    max_requests: Optional[int] = None,
-    multiplex: int = 1,
-    config_path: str = HTTPD_CONF,
-) -> ServerProgram:
-    """Program factory for :func:`repro.core.nvariant.nvexec`.
-
-    ``transformed=True`` corresponds to the paper's Configuration 4 build;
-    ``transformed=False`` runs the unmodified server (used for the 2-variant
-    address-partitioning baseline, Configuration 3).
-    """
-    server = MiniHttpd(
-        context.libc,
-        context.uid_codec,
-        context.address_space,
-        transformed=transformed,
-        max_requests=max_requests,
-        multiplex=multiplex,
-        config_path=config_path,
-    )
-    return server.run()
-
-
 def make_httpd_factory(
     *,
     transformed: bool = True,

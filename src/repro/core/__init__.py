@@ -18,13 +18,12 @@ kernel:
   detection.
 """
 
-from repro.core.alarm import Alarm, AlarmType, DivergenceDetected
+from repro.core.alarm import Alarm, AlarmType
 from repro.core.detection_calls import (
     CC_FAMILY_RATIONALE,
     COMPARISON_TO_CALL,
     DetectionCallSpec,
     TABLE2_DETECTION_CALLS,
-    spec_for,
 )
 from repro.core.monitor import Monitor, MonitorStats
 from repro.core.nvariant import (
@@ -85,7 +84,6 @@ __all__ = [
     "DataDiversityPipeline",
     "DetectionCallSpec",
     "DetectionVerdict",
-    "DivergenceDetected",
     "EquivalenceVerdict",
     "ExtendedAddressPartitioning",
     "FullFlipUIDVariation",
@@ -122,7 +120,6 @@ __all__ = [
     "nvexec",
     "offset_reexpression",
     "sample_domain",
-    "spec_for",
     "vulnerable_app_interpreter",
     "xor_reexpression",
 ]

@@ -55,15 +55,3 @@ class Alarm:
             rendered = ", ".join(repr(v) for v in self.variant_values)
             parts.append(f"values=({rendered})")
         return " ".join(parts)
-
-
-class DivergenceDetected(Exception):
-    """Raised by the lockstep engine when the halt-on-alarm policy fires.
-
-    Carrying the alarm keeps the exception path informative; most callers use
-    the engine's result object instead of catching this directly.
-    """
-
-    def __init__(self, alarm: Alarm):
-        self.alarm = alarm
-        super().__init__(alarm.describe())

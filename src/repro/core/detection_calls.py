@@ -101,11 +101,3 @@ CC_FAMILY_RATIONALE = (
     "comparison in variant 1 would need its operators reversed because the "
     "XOR reexpression inverts ordering."
 )
-
-
-def spec_for(syscall: Syscall) -> DetectionCallSpec:
-    """Look up the Table 2 row for *syscall*."""
-    for spec in TABLE2_DETECTION_CALLS:
-        if spec.syscall is syscall:
-            return spec
-    raise KeyError(f"{syscall} is not a detection call")

@@ -1,17 +1,19 @@
 """Run corpus records through the campaign machinery, on either backend.
 
-A record is pure data, so the same record dict drives both tiers: the
-virtual backend rebuilds the attack cell in process and interleaves it as a
-resumable session under the campaign scheduler; the process backend ships
-the dict to a pre-forked worker, which rebuilds the identical cell there
-(:data:`CORPUS_RUNNER` is the worker-side entry point).  Results come back
-in submission order on both paths, and a seeded corpus produces
-byte-identical outcome dicts either way -- the cross-backend scorecard
-equality the ``corpus`` experiment claims.
+A record is pure data, so one job list drives both tiers: each record
+becomes a :class:`~repro.engine.campaign.CampaignJob` whose preparer is
+``functools.partial(prepare_record, record)``.  The virtual backend calls it
+in process and interleaves the cell as a resumable session under the
+campaign scheduler; the process backend pickles it to a pre-forked worker,
+which builds the identical cell there.  Results come back in submission
+order on both paths, and a seeded corpus produces byte-identical outcome
+dicts either way -- the cross-backend scorecard equality the ``corpus``
+experiment claims.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.api.spec import SystemSpec
@@ -21,12 +23,9 @@ from repro.attacks.outcomes import AttackOutcome, PreparedAttack
 from repro.attacks.payloads import uid_overwrite_payload
 from repro.attacks.uid_attacks import UIDAttack, prepare_uid_attack
 from repro.corpus.records import CorpusError, CorpusRecord
-from repro.engine.campaign import CampaignHaltPolicy, CampaignJob, run_jobs
-from repro.engine.procpool import ProcessJob, ProcessWorkerPool, run_process_jobs
+from repro.engine.campaign import CampaignJob, run_jobs
+from repro.engine.procpool import ProcessWorkerPool
 from repro.memory.corruption import CorruptionSpec
-
-#: Worker-side entry point for the process backend.
-CORPUS_RUNNER = "repro.corpus.runner:run_corpus_payload"
 
 
 def build_attack(data: Mapping[str, Any]):
@@ -95,23 +94,6 @@ def outcome_to_dict(outcome: AttackOutcome) -> dict[str, Any]:
     }
 
 
-def run_corpus_payload(payload: dict) -> dict:
-    """Worker-side record runner (the process backend's entry point)."""
-    record = CorpusRecord.from_dict(payload)
-    cell = prepare_record(record)
-    session = cell.start()
-    while not session.done:
-        session.step()
-    # The procpool result contract (RESULT_KEYS): scheduler accounting at the
-    # top level, the cell's outcome dict under "value".
-    return {
-        "state": session.state.value,
-        "rounds": session.rounds,
-        "virtual_elapsed": session.virtual_elapsed,
-        "value": outcome_to_dict(cell.finish(session)),
-    }
-
-
 def run_corpus_records(
     records: Sequence[CorpusRecord],
     *,
@@ -120,38 +102,16 @@ def run_corpus_records(
     rounds_per_turn: int = 8,
     pool: Optional[ProcessWorkerPool] = None,
 ) -> list[dict[str, Any]]:
-    """Run every record; returns outcome dicts in record order."""
-    if backend == "process":
-        jobs = [
-            ProcessJob(name=record.record_id, runner=CORPUS_RUNNER, payload=record.to_dict())
-            for record in records
-        ]
-        execution = run_process_jobs(
-            jobs,
-            workers=workers,
-            halt_policy=CampaignHaltPolicy.PER_CELL,
-            rounds_per_turn=rounds_per_turn,
-            pool=pool,
-        )
-    elif backend == "virtual":
-        jobs = []
-        for record in records:
-            cell = prepare_record(record)
-            jobs.append(
-                CampaignJob(
-                    name=record.record_id,
-                    start=cell.start,
-                    finish=(lambda finish: lambda session: outcome_to_dict(finish(session)))(
-                        cell.finish
-                    ),
-                )
-            )
-        execution = run_jobs(
-            jobs,
-            parallelism=workers,
-            rounds_per_turn=rounds_per_turn,
-            halt_policy=CampaignHaltPolicy.PER_CELL,
-        )
-    else:
-        raise ValueError(f"unknown backend {backend!r} (want 'virtual' or 'process')")
-    return [job.value for job in execution.jobs]
+    """Run every record; returns outcome dicts in record order.
+
+    ``prepare_record`` is looked up when the jobs are built, so a wrapper
+    installed over it (a per-cell clock, say) sees every cell.
+    """
+    jobs = [
+        CampaignJob(record.record_id, functools.partial(prepare_record, record))
+        for record in records
+    ]
+    execution = run_jobs(
+        jobs, backend=backend, workers=workers, rounds_per_turn=rounds_per_turn, pool=pool
+    )
+    return [outcome_to_dict(job.value) for job in execution.jobs]

@@ -30,33 +30,28 @@ On top of the interleaving engine,
 :class:`~repro.engine.campaign.CampaignScheduler` runs *campaigns*: large
 batches of independent jobs (one attack x configuration cell each) admitted
 lazily through a bounded worker pool with batched lockstep rounds per
-scheduling turn.  It is the virtual-time execution path behind
-:func:`repro.api.campaign.run_campaign`; the multi-process master/worker
-tier in :mod:`repro.engine.procpool` is the wall-clock one
-(``run_campaign(..., backend="process")``), producing the same
-submission-order :class:`~repro.engine.campaign.CampaignExecutionResult`.
+scheduling turn.  A job is a name plus a picklable zero-argument ``prepare``
+that builds the job's cell, so one job list runs on either backend through
+:func:`~repro.engine.campaign.run_jobs`: in process on the virtual-time
+scheduler, or on the pre-forked OS workers of :mod:`repro.engine.procpool`.
+The engine, the scheduler and the worker pool all return one
+:class:`~repro.engine.scheduler.CampaignExecutionResult` with one
+:class:`~repro.engine.scheduler.ScheduledJobResult` per session or job, in
+submission order.
 """
 
 from repro.engine.campaign import (
-    CampaignExecutionResult,
     CampaignHaltPolicy,
     CampaignJob,
     CampaignScheduler,
-    ScheduledJobResult,
     run_jobs,
 )
-from repro.engine.procpool import (
-    ProcessCampaignExecutor,
-    ProcessJob,
-    ProcessWorkerPool,
-    WorkerError,
-    run_process_jobs,
-)
+from repro.engine.procpool import ProcessWorkerPool, WorkerError
 from repro.engine.scheduler import (
-    EngineResult,
+    CampaignExecutionResult,
     HaltPolicy,
     MultiSessionEngine,
-    ScheduledSessionResult,
+    ScheduledJobResult,
     run_sessions,
 )
 from repro.engine.session import NVariantSession, SessionState
@@ -66,18 +61,13 @@ __all__ = [
     "CampaignHaltPolicy",
     "CampaignJob",
     "CampaignScheduler",
-    "EngineResult",
     "HaltPolicy",
     "MultiSessionEngine",
     "NVariantSession",
-    "ProcessCampaignExecutor",
-    "ProcessJob",
     "ProcessWorkerPool",
     "ScheduledJobResult",
-    "ScheduledSessionResult",
     "SessionState",
     "WorkerError",
     "run_jobs",
-    "run_process_jobs",
     "run_sessions",
 ]

@@ -12,14 +12,15 @@ jobs across them, so independent attack cells burn real CPU (and overlap
 real blocking time) on real cores.
 
 Live sessions hold kernels, generators and monitors -- none of that can
-cross a process boundary -- so the unit shipped to a worker is never a
-session but a :class:`ProcessJob`: a picklable, scenario-style payload plus
-a ``"module:function"`` runner reference the worker resolves by import.
-That keeps the protocol spawn-safe (nothing closure-shaped is pickled) and
-generic: the engine layer knows nothing about attacks; the runner the
-:mod:`repro.api` layer registers rebuilds each cell from its spec payload
-on the worker side exactly the way the virtual backend builds it in
-process, which is why the two backends produce byte-identical outcomes.
+cross a process boundary -- so what ships to a worker is never a session
+but the job's ``prepare`` callable, pickled: a module-level preparer plus
+picklable arguments (``functools.partial(prepare_attack, attack, spec)``).
+The master pickles every job before any worker runs, so a job that cannot
+ship fails at once, by name.  The worker calls ``prepare``, starts the cell,
+steps its session to the end and ships back the session's state, rounds and
+``virtual_elapsed`` with ``finish(session)``.  The cell is built the same
+way the virtual backend builds it in process, which is why the two backends
+produce byte-identical outcomes.
 
 Scheduling follows the virtual scheduler's shape so the result type can stay
 backend-agnostic: jobs are sharded round-robin into per-worker run queues,
@@ -34,96 +35,64 @@ worker-side session, and wall time left to the caller's clock.
 
 from __future__ import annotations
 
-import dataclasses
-import importlib
 import multiprocessing
+import pickle
 import queue
 import time
 import traceback
 from collections import deque
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.engine.campaign import (
     CampaignExecutionResult,
     CampaignHaltPolicy,
+    CampaignJob,
     ScheduledJobResult,
 )
 from repro.engine.session import SessionState
-
-#: Keys a runner's result mapping must carry back to the master.
-RESULT_KEYS = frozenset({"state", "rounds", "virtual_elapsed", "value"})
 
 
 class WorkerError(RuntimeError):
     """A worker process failed, died, or timed out mid-campaign."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ProcessJob:
-    """One schedulable unit for the process tier.
-
-    ``runner`` is a ``"module:function"`` reference resolved *inside the
-    worker process*; ``payload`` is the picklable, JSON-style description
-    (an attack/spec cell, a scenario, ...) the runner rebuilds the real work
-    from.  The runner must return a mapping with the :data:`RESULT_KEYS`:
-    the terminal :class:`~repro.engine.session.SessionState` value (or
-    ``None``), the session's lockstep round count, its virtual-tick
-    consumption, and the finalized (picklable) result value.
-    """
-
-    name: str
-    runner: str
-    payload: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if ":" not in self.runner:
-            raise ValueError(
-                f"runner must be a 'module:function' reference, got {self.runner!r}"
-            )
-
-
-def resolve_runner(reference: str) -> Callable[[Mapping[str, Any]], Mapping[str, Any]]:
-    """Import a ``"module:function"`` runner reference (the worker-side half)."""
-    module_name, _, attribute = reference.partition(":")
-    if not module_name or not attribute:
-        raise ValueError(f"runner must be a 'module:function' reference, got {reference!r}")
-    module = importlib.import_module(module_name)
-    runner = getattr(module, attribute, None)
-    if not callable(runner):
-        raise ValueError(f"runner {reference!r} did not resolve to a callable")
-    return runner
-
-
 def _worker_main(worker_id: int, inbox, results) -> None:
-    """One worker's loop: pull a job, run it, ship the result; None stops us.
+    """One worker's loop: pull a job, run its cell, ship the result; None stops us.
 
-    Runners are resolved once per reference and cached for the worker's
-    lifetime -- the no-per-job-process-creation half of the master/worker
-    pattern.  Failures are caught and marshalled back as ``"error"`` results
-    (with the formatted traceback) so one bad cell fails the campaign with a
-    diagnosis instead of a hung master.
+    Failures -- including a value that does not pickle -- are caught and
+    marshalled back as ``"error"`` results (with the formatted traceback) so
+    one bad cell fails the campaign with a diagnosis instead of a hung
+    master.
     """
-    runners: dict[str, Callable[[Mapping[str, Any]], Mapping[str, Any]]] = {}
     while True:
         item = inbox.get()
         if item is None:
             return
-        index, name, runner_ref, payload = item
+        index, name, prepare = item
         try:
-            runner = runners.get(runner_ref)
-            if runner is None:
-                runner = runners[runner_ref] = resolve_runner(runner_ref)
-            outcome = dict(runner(payload))
-            missing = RESULT_KEYS - set(outcome)
-            if missing:
-                raise ValueError(
-                    f"runner {runner_ref!r} result is missing keys: {sorted(missing)}"
-                )
-            results.put((worker_id, index, "ok", outcome))
+            cell = pickle.loads(prepare)()
+            session = cell.start()
+            while not session.done:
+                session.step()
+            value = cell.finish(session)
+            outcome = (session.state, session.rounds, session.virtual_elapsed, value)
+            results.put((worker_id, index, "ok", pickle.dumps(outcome)))
         except Exception:
             results.put(
                 (worker_id, index, "error", {"job": name, "traceback": traceback.format_exc()})
             )
+
+
+def _pickled_prepare(job: CampaignJob) -> bytes:
+    """*job*'s preparer as the bytes a worker unpickles, or a WorkerError naming it."""
+    try:
+        return pickle.dumps(job.prepare)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise WorkerError(
+            f"job {job.name!r} cannot be shipped to a worker process: its prepare "
+            f"does not pickle ({exc}); build it from a module-level preparer and "
+            "picklable arguments"
+        ) from exc
 
 
 def _default_context() -> multiprocessing.context.BaseContext:
@@ -229,7 +198,7 @@ class ProcessWorkerPool:
 
     def run(
         self,
-        jobs: Sequence[ProcessJob],
+        jobs: Sequence[CampaignJob],
         *,
         halt_policy: CampaignHaltPolicy = CampaignHaltPolicy.PER_CELL,
         rounds_per_turn: int = 1,
@@ -238,8 +207,9 @@ class ProcessWorkerPool:
         """Run *jobs* across the worker fleet; results in submission order.
 
         ``parallelism_hint`` is what the result records as its worker count
-        (defaults to the pool size) -- the executor uses it so a pool clamped
-        below the requested worker count still reports the caller's request,
+        (defaults to the pool size) -- :func:`~repro.engine.campaign.run_jobs`
+        uses it so a pool clamped below the requested worker count still
+        reports the caller's request,
         exactly like the virtual scheduler reports its configured
         ``parallelism`` even when jobs are fewer.  ``rounds_per_turn`` is
         recorded for result-shape parity but does not batch anything here:
@@ -251,10 +221,13 @@ class ProcessWorkerPool:
         marked ``truncated`` and their values dropped -- the process-tier
         analogue of the virtual scheduler halting live stragglers: neither
         backend ever reports an outcome for a cell the halt reached first.
+
+        Every job is pickled before any is submitted: one that does not
+        pickle raises :class:`WorkerError` naming it, and no worker runs.
+        No jobs need no started pool.
         """
-        if not self.started:
-            raise WorkerError("pool is not started; use `with ProcessWorkerPool(...) as pool`")
         jobs = list(jobs)
+        prepares = [_pickled_prepare(job) for job in jobs]
         recorded_parallelism = (
             parallelism_hint if parallelism_hint is not None else self.num_workers
         )
@@ -270,11 +243,13 @@ class ProcessWorkerPool:
                 max_live_sessions=0,
                 backend="process",
             )
+        if not self.started:
+            raise WorkerError("pool is not started; use `with ProcessWorkerPool(...) as pool`")
 
         results: list[Optional[ScheduledJobResult]] = [None] * len(jobs)
         backlog = [deque() for _ in range(self.num_workers)]
-        for index, job in enumerate(jobs):
-            backlog[index % self.num_workers].append((index, job))
+        for index in range(len(jobs)):
+            backlog[index % self.num_workers].append(index)
         in_flight: list[Optional[int]] = [None] * self.num_workers
         truncated: set[int] = set()
         campaign_halted = False
@@ -291,10 +266,8 @@ class ProcessWorkerPool:
                 if not backlog[source]:
                     return False
                 steals += 1
-            index, job = (
-                backlog[source].popleft() if source == worker else backlog[source].pop()
-            )
-            self._inboxes[worker].put((index, job.name, job.runner, dict(job.payload)))
+            index = backlog[source].popleft() if source == worker else backlog[source].pop()
+            self._inboxes[worker].put((index, jobs[index].name, prepares[index]))
             in_flight[worker] = index
             return True
 
@@ -315,19 +288,19 @@ class ProcessWorkerPool:
                     f"job {outcome['job']!r} failed on worker {worker}:\n"
                     f"{outcome['traceback']}"
                 )
-            state = SessionState(outcome["state"]) if outcome["state"] is not None else None
+            state, rounds, virtual_elapsed, value = pickle.loads(outcome)
             was_truncated = index in truncated
             results[index] = ScheduledJobResult(
                 name=jobs[index].name,
                 index=index,
                 worker=worker,
                 state=state,
-                value=None if was_truncated else outcome["value"],
-                rounds=outcome["rounds"],
-                virtual_elapsed=outcome["virtual_elapsed"],
+                value=None if was_truncated else value,
+                rounds=rounds,
+                virtual_elapsed=virtual_elapsed,
                 truncated=was_truncated,
             )
-            worker_elapsed[worker] += outcome["virtual_elapsed"]
+            worker_elapsed[worker] += virtual_elapsed
             if (
                 state is SessionState.HALTED
                 and halt_policy is CampaignHaltPolicy.HALT_CAMPAIGN
@@ -341,21 +314,11 @@ class ProcessWorkerPool:
                 for run_queue in backlog:
                     run_queue.clear()
 
-        for index, result in enumerate(results):
-            if result is None:
-                results[index] = ScheduledJobResult(
-                    name=jobs[index].name,
-                    index=index,
-                    worker=None,
-                    state=None,
-                    value=None,
-                    rounds=0,
-                    virtual_elapsed=0,
-                    skipped=True,
-                )
-
         return CampaignExecutionResult(
-            jobs=[result for result in results if result is not None],
+            jobs=[
+                result if result is not None else ScheduledJobResult(job.name, index, skipped=True)
+                for index, (job, result) in enumerate(zip(jobs, results))
+            ],
             scheduler_turns=turns,
             parallelism=recorded_parallelism,
             rounds_per_turn=rounds_per_turn,
@@ -365,93 +328,3 @@ class ProcessWorkerPool:
             backend="process",
             steals=steals,
         )
-
-
-class ProcessCampaignExecutor:
-    """One campaign through a (possibly borrowed) process worker fleet.
-
-    The one-shot counterpart of :class:`ProcessWorkerPool`: construct it with
-    the jobs and a worker count, call :meth:`run`, get the backend-agnostic
-    :class:`~repro.engine.campaign.CampaignExecutionResult`.  The fleet is
-    clamped to the job count (idle pre-forked workers would be pure startup
-    cost) while the result still reports the requested ``workers`` -- the
-    same accounting shape the virtual scheduler uses.  Pass ``pool`` to
-    reuse a long-lived fleet across campaigns (the persistent-master
-    pattern); the executor then neither starts nor closes it.
-    """
-
-    def __init__(
-        self,
-        jobs: Sequence[ProcessJob] = (),
-        *,
-        workers: int = 1,
-        halt_policy: CampaignHaltPolicy = CampaignHaltPolicy.PER_CELL,
-        rounds_per_turn: int = 1,
-        mp_context: Optional[multiprocessing.context.BaseContext] = None,
-        job_timeout: float = 300.0,
-        pool: Optional[ProcessWorkerPool] = None,
-    ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if rounds_per_turn < 1:
-            raise ValueError(f"rounds_per_turn must be >= 1, got {rounds_per_turn}")
-        self.jobs = list(jobs)
-        self.workers = workers
-        self.halt_policy = halt_policy
-        self.rounds_per_turn = rounds_per_turn
-        self.mp_context = mp_context
-        self.job_timeout = job_timeout
-        self.pool = pool
-
-    def run(self) -> CampaignExecutionResult:
-        """Run every job across the fleet (or no fleet at all for no jobs)."""
-        if not self.jobs:
-            return CampaignExecutionResult(
-                jobs=[],
-                scheduler_turns=0,
-                parallelism=self.workers,
-                rounds_per_turn=self.rounds_per_turn,
-                worker_elapsed=[0] * self.workers,
-                max_wait_turns=0,
-                max_live_sessions=0,
-                backend="process",
-            )
-        if self.pool is not None:
-            return self.pool.run(
-                self.jobs,
-                halt_policy=self.halt_policy,
-                rounds_per_turn=self.rounds_per_turn,
-                parallelism_hint=self.workers,
-            )
-        fleet_size = min(self.workers, len(self.jobs))
-        with ProcessWorkerPool(
-            fleet_size, mp_context=self.mp_context, job_timeout=self.job_timeout
-        ) as pool:
-            return pool.run(
-                self.jobs,
-                halt_policy=self.halt_policy,
-                rounds_per_turn=self.rounds_per_turn,
-                parallelism_hint=self.workers,
-            )
-
-
-def run_process_jobs(
-    jobs: Sequence[ProcessJob],
-    *,
-    workers: int = 1,
-    halt_policy: CampaignHaltPolicy = CampaignHaltPolicy.PER_CELL,
-    rounds_per_turn: int = 1,
-    mp_context: Optional[multiprocessing.context.BaseContext] = None,
-    job_timeout: float = 300.0,
-    pool: Optional[ProcessWorkerPool] = None,
-) -> CampaignExecutionResult:
-    """Build a :class:`ProcessCampaignExecutor` over *jobs* and run it."""
-    return ProcessCampaignExecutor(
-        jobs,
-        workers=workers,
-        halt_policy=halt_policy,
-        rounds_per_turn=rounds_per_turn,
-        mp_context=mp_context,
-        job_timeout=job_timeout,
-        pool=pool,
-    ).run()

@@ -13,7 +13,8 @@ alone or interleaved with any number of siblings.
 runs it with a slot per session and one round per turn;
 :class:`~repro.engine.campaign.CampaignScheduler` runs it with a bounded pool
 of worker slots and ``rounds_per_turn`` rounds per turn.  Both get the same
-fleet-wide halt rule from it, applied at the end of a turn.
+fleet-wide halt rule from it, applied at the end of a turn, and the same
+result type, :class:`CampaignExecutionResult`.
 
 Aggregate throughput is measured in virtual time: each session accounts the
 kernel clock ticks it consumed, and since sessions model independent replicas
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+from repro.core.nvariant import NVariantResult
 from repro.engine.session import NVariantSession, SessionState
 
 # Bound once: attribute access on an Enum class goes through the metaclass's
@@ -48,89 +50,112 @@ class HaltPolicy(enum.Enum):
 
 
 @dataclasses.dataclass
-class ScheduledSessionResult:
-    """Outcome of one session after the engine finished."""
+class ScheduledJobResult:
+    """Outcome of one scheduled session (a campaign job or an engine session).
+
+    ``skipped`` jobs never started (a fleet-wide halt came first);
+    ``truncated`` jobs were live when the fleet-wide halt landed and were
+    stopped mid-run, so they carry no finalized value -- treating their
+    partial state as a real outcome would fabricate result cells.
+    """
 
     name: str
-    state: SessionState
-    result: "NVariantResult"
-    rounds: int
-    virtual_elapsed: int
-
-    @property
-    def alarms(self) -> int:
-        """Number of alarms this session's monitor raised."""
-        return len(self.result.alarms)
+    index: int
+    worker: Optional[int] = None
+    state: Optional[SessionState] = None
+    value: Any = None
+    rounds: int = 0
+    virtual_elapsed: int = 0
+    skipped: bool = False
+    truncated: bool = False
 
 
 @dataclasses.dataclass
-class EngineResult:
-    """All sessions' outcomes plus aggregate accounting."""
+class CampaignExecutionResult:
+    """Per-job results plus the scheduler's aggregate accounting.
 
-    sessions: list[ScheduledSessionResult]
+    Every way of running sessions returns this one type: the engine (one job
+    per session, whose ``value`` is the session's ``NVariantResult``), the
+    campaign scheduler, and the process tier in :mod:`repro.engine.procpool`
+    (distinguished only by :attr:`backend` and its :attr:`steals` counter).
+    ``virtual_elapsed`` stays metered in kernel ticks either way; wall-clock
+    time is the caller's business.
+    """
+
+    jobs: list[ScheduledJobResult]
     scheduler_turns: int
+    parallelism: int
+    rounds_per_turn: int
+    worker_elapsed: list[int]
+    #: Fairness telemetry: the most consecutive scheduling turns any live
+    #: session spent waiting without receiving a round.  Round-robin keeps
+    #: this at zero; a scheduler regression that skips sessions shows up here.
+    max_wait_turns: int
+    #: Peak number of simultaneously live sessions (<= parallelism).
+    max_live_sessions: int
+    #: Which execution tier produced this result ("virtual" or "process").
+    backend: str = "virtual"
+    #: Process tier only: jobs a worker took from another slot's run queue.
+    steals: int = 0
+
+    def values(self) -> list[Any]:
+        """Every job's finalized value, in submission order."""
+        return [job.value for job in self.jobs]
+
+    def job(self, name: str) -> ScheduledJobResult:
+        """Look one job's result up by name."""
+        for entry in self.jobs:
+            if entry.name == name:
+                return entry
+        raise KeyError(f"no job named {name!r}")
 
     @property
-    def total_alarms(self) -> int:
-        """Alarms raised across every session."""
-        return sum(s.alarms for s in self.sessions)
+    def completed_jobs(self) -> list[ScheduledJobResult]:
+        """Jobs whose session ran to its own terminal state."""
+        return [job for job in self.jobs if not job.skipped and not job.truncated]
 
     @property
-    def completed_sessions(self) -> list[ScheduledSessionResult]:
-        """Sessions that finished without being halted."""
-        return [s for s in self.sessions if s.state is SessionState.COMPLETED]
+    def skipped_jobs(self) -> list[ScheduledJobResult]:
+        """Jobs never started because the campaign halted first."""
+        return [job for job in self.jobs if job.skipped]
 
     @property
-    def halted_sessions(self) -> list[ScheduledSessionResult]:
-        """Sessions the monitor stopped."""
-        return [s for s in self.sessions if s.state is SessionState.HALTED]
+    def truncated_jobs(self) -> list[ScheduledJobResult]:
+        """Jobs stopped mid-run by a campaign-wide halt (no finalized value)."""
+        return [job for job in self.jobs if job.truncated]
 
     @property
     def virtual_elapsed(self) -> int:
-        """Engine-level elapsed virtual time: max over concurrent sessions."""
-        return max((s.virtual_elapsed for s in self.sessions), default=0)
+        """Campaign elapsed virtual time: max over concurrent worker slots."""
+        return max(self.worker_elapsed, default=0)
 
     @property
     def virtual_elapsed_sequential(self) -> int:
-        """What the same work would cost run back-to-back on one replica."""
-        return sum(s.virtual_elapsed for s in self.sessions)
+        """What the same jobs would cost run back-to-back on one worker."""
+        return sum(job.virtual_elapsed for job in self.jobs)
 
-    def session(self, name: str) -> ScheduledSessionResult:
-        """Look one session's outcome up by name."""
-        for entry in self.sessions:
-            if entry.name == name:
-                return entry
-        raise KeyError(f"no session named {name!r}")
+    def speedup(self) -> float:
+        """Sequential over concurrent elapsed time (the worker-pool win).
+
+        An empty campaign has no measurement to form a ratio from, so the
+        result is ``nan`` -- never ``0.0``, which would read as "measured,
+        and infinitely slow".
+        """
+        if not self.virtual_elapsed:
+            return float("nan")
+        return self.virtual_elapsed_sequential / self.virtual_elapsed
 
     def describe(self) -> str:
         """Readable multi-line summary."""
         lines = [
-            f"sessions: {len(self.sessions)} "
-            f"(completed {len(self.completed_sessions)}, halted {len(self.halted_sessions)})",
-            f"alarms: {self.total_alarms}",
+            f"jobs: {len(self.jobs)} (completed {len(self.completed_jobs)}, "
+            f"truncated {len(self.truncated_jobs)}, skipped {len(self.skipped_jobs)}) "
+            f"on {self.parallelism} workers",
             f"virtual elapsed: {self.virtual_elapsed} ticks concurrent, "
-            f"{self.virtual_elapsed_sequential} sequential",
+            f"{self.virtual_elapsed_sequential} sequential "
+            f"({self.speedup():.2f}x)",
         ]
-        for entry in self.sessions:
-            lines.append(
-                f"  {entry.name}: {entry.state.value} rounds={entry.rounds} "
-                f"elapsed={entry.virtual_elapsed} alarms={entry.alarms}"
-            )
         return "\n".join(lines)
-
-
-@dataclasses.dataclass
-class RoundRobinRun:
-    """What :func:`run_round_robin` measured beyond the sessions' own state."""
-
-    #: Scheduling turns taken; each turn gives every live session one batch.
-    turns: int
-    #: The most consecutive turns any live session waited without a batch.
-    #: Round-robin keeps this at zero; a regression that skips sessions
-    #: shows up here.
-    max_wait_turns: int
-    #: Peak number of simultaneously live sessions (<= the slot count).
-    max_live: int
 
 
 @dataclasses.dataclass(slots=True)
@@ -145,19 +170,16 @@ class _Live:
     last_turn: int
 
 
-def _ignore(index: int, session: NVariantSession, slot: int, truncated: bool) -> None:
-    pass
-
-
 def run_round_robin(
+    names: Sequence[str],
     sessions: Iterator[NVariantSession],
     *,
     slots: int,
     rounds_per_turn: int,
     halt_all: bool,
     max_turns: int,
-    finish: Callable[[int, NVariantSession, int, bool], None] = _ignore,
-) -> RoundRobinRun:
+    finish: Callable[[int, NVariantSession], Any],
+) -> CampaignExecutionResult:
     """Step *sessions* round-robin until every one has ended.
 
     This is the one scheduling loop: the engine and the campaign scheduler
@@ -168,16 +190,37 @@ def run_round_robin(
     admission order.  A session that is already terminal when drawn is
     finished at once and never stepped.
 
-    ``finish(index, session, slot, truncated)`` is called once per session
-    as it ends -- *index* counts draws from zero -- in the order sessions
-    ended within the turn, and its slot is free for the next draw.
+    The *index*-th session drawn is the job ``names[index]``; as it ends,
+    ``finish(index, session)`` turns it into the job's value, and its slot is
+    free for the next draw.  A slot's elapsed time is the sum of its jobs'
+    tick consumption: jobs that shared a slot ran back-to-back on it.
 
     Under *halt_all* the fleet-wide halt rule applies at the end of a turn:
     if any session halted during the turn, every session still running is
-    halted where it stands and finished as truncated, and nothing more is
-    drawn.  Every live session therefore gets its batch in the turn the halt
-    lands, whatever its place in the turn order.
+    halted where it stands and recorded as truncated, with no value, and
+    nothing more is drawn: the jobs left are skipped.  Every live session
+    therefore gets its batch in the turn the halt lands, whatever its place
+    in the turn order.
     """
+    results: list[Optional[ScheduledJobResult]] = [None] * len(names)
+    worker_elapsed = [0] * slots
+
+    def record(index: int, session: NVariantSession, slot: int, truncated: bool) -> None:
+        # A truncated session was stopped by the fleet-wide halt, not by its
+        # own run: finalizing it would fabricate an outcome (e.g. an attack
+        # reported "no effect" because it never got to land).
+        results[index] = ScheduledJobResult(
+            name=names[index],
+            index=index,
+            worker=slot,
+            state=session.state,
+            value=None if truncated else finish(index, session),
+            rounds=session.rounds,
+            virtual_elapsed=session.virtual_elapsed,
+            truncated=truncated,
+        )
+        worker_elapsed[slot] += session.virtual_elapsed
+
     free = list(range(slots - 1, -1, -1))  # pop() -> the lowest free slot
     live: list[_Live] = []
     drawn = turns = max_wait = max_live = 0
@@ -193,7 +236,7 @@ def run_round_robin(
             if session.state is _RUNNING:
                 live.append(_Live(drawn, session, session.step, slot, turns))
             else:
-                finish(drawn, session, slot, False)
+                record(drawn, session, slot, False)
                 free.append(slot)
             drawn += 1
         if not live:
@@ -221,16 +264,27 @@ def run_round_robin(
         live = [entry for entry in live if entry.session.state is _RUNNING]
         halted = False
         for entry in ended:
-            finish(entry.index, entry.session, entry.slot, False)
+            record(entry.index, entry.session, entry.slot, False)
             free.append(entry.slot)
             halted = halted or entry.session.state is _HALTED
         if halted and halt_all:
             for entry in live:
                 entry.session.halt()
-                finish(entry.index, entry.session, entry.slot, True)
+                record(entry.index, entry.session, entry.slot, True)
             live = []
             drawing = False
-    return RoundRobinRun(turns=turns, max_wait_turns=max_wait, max_live=max_live)
+    return CampaignExecutionResult(
+        jobs=[
+            result if result is not None else ScheduledJobResult(name, index, skipped=True)
+            for index, (name, result) in enumerate(zip(names, results))
+        ],
+        scheduler_turns=turns,
+        parallelism=slots,
+        rounds_per_turn=rounds_per_turn,
+        worker_elapsed=worker_elapsed,
+        max_wait_turns=max_wait,
+        max_live_sessions=max_live,
+    )
 
 
 class MultiSessionEngine:
@@ -263,29 +317,27 @@ class MultiSessionEngine:
         """The registered sessions, in scheduling order."""
         return list(self._sessions)
 
-    def run(self) -> EngineResult:
-        """Interleave every session, one lockstep round per turn, to the end."""
+    def run(self) -> CampaignExecutionResult:
+        """Interleave every session, one lockstep round per turn, to the end.
+
+        Each session is one job of the result, named after the session; its
+        ``value`` is the session's :class:`~repro.core.nvariant.NVariantResult`,
+        or ``None`` when ``HALT_ALL`` truncated the session mid-run.
+        """
         sessions = self._sessions
-        loop = run_round_robin(
+        return run_round_robin(
+            [session.name for session in sessions],
             iter(sessions),
             slots=len(sessions),
             rounds_per_turn=1,
             halt_all=self.halt_policy is HaltPolicy.HALT_ALL,
             max_turns=self.max_turns,
+            finish=_session_result,
         )
-        return EngineResult(
-            sessions=[
-                ScheduledSessionResult(
-                    name=session.name,
-                    state=session.state,
-                    result=session.result(),
-                    rounds=session.rounds,
-                    virtual_elapsed=session.virtual_elapsed,
-                )
-                for session in sessions
-            ],
-            scheduler_turns=loop.turns,
-        )
+
+
+def _session_result(index: int, session: NVariantSession) -> NVariantResult:
+    return session.result()
 
 
 def run_sessions(
@@ -293,7 +345,7 @@ def run_sessions(
     *,
     halt_policy: HaltPolicy = HaltPolicy.PER_SESSION,
     name: str = "engine",
-) -> EngineResult:
+) -> CampaignExecutionResult:
     """Build an engine over *sessions* and run it to completion in one call."""
     engine = MultiSessionEngine(sessions, halt_policy=halt_policy, name=name)
     return engine.run()

@@ -14,16 +14,14 @@ from repro.isa.instructions import (
     decode_stream,
     encode_stream,
 )
-from repro.isa.interpreter import Interpreter, MachineState, tagged_stream_length
+from repro.isa.interpreter import Interpreter, MachineState
 from repro.isa.tagging import (
     TAG_SIZE,
     TAGGED_INSTRUCTION_SIZE,
     inject_untagged,
     retag_stream,
-    strip_tags_unchecked,
     tag_byte,
     tag_stream,
-    untag_single,
     untag_stream,
 )
 
@@ -41,10 +39,7 @@ __all__ = [
     "encode_stream",
     "inject_untagged",
     "retag_stream",
-    "strip_tags_unchecked",
     "tag_byte",
     "tag_stream",
-    "tagged_stream_length",
-    "untag_single",
     "untag_stream",
 ]

@@ -12,7 +12,7 @@ import dataclasses
 from typing import Callable, Optional
 
 from repro.isa.instructions import Instruction, Opcode, REGISTER_COUNT
-from repro.isa.tagging import TAGGED_INSTRUCTION_SIZE, untag_stream
+from repro.isa.tagging import untag_stream
 from repro.kernel.errors import IllegalInstructionFault, SegmentationFault
 
 
@@ -134,8 +134,3 @@ class Interpreter:
         """
         instructions = untag_stream(tagged_stream, variant_index)
         return self.run(instructions, state=state, max_steps=max_steps)
-
-
-def tagged_stream_length(instruction_count: int) -> int:
-    """Byte length of a tagged stream containing *instruction_count* instructions."""
-    return instruction_count * TAGGED_INSTRUCTION_SIZE

@@ -65,15 +65,6 @@ def untag_stream(tagged: bytes, variant_index: int) -> list[Instruction]:
     return instructions
 
 
-def untag_single(tagged: bytes, variant_index: int) -> Instruction:
-    """Check and strip the tag of a single instruction."""
-    if len(tagged) != TAGGED_INSTRUCTION_SIZE:
-        raise IllegalInstructionFault(
-            f"expected {TAGGED_INSTRUCTION_SIZE} bytes for one tagged instruction"
-        )
-    return untag_stream(tagged, variant_index)[0]
-
-
 def retag_stream(tagged: bytes, from_variant: int, to_variant: int) -> bytes:
     """Translate a tagged stream from one variant's tagging to another's.
 
@@ -98,12 +89,3 @@ def inject_untagged(benign_tagged: bytes, injected: list[Instruction], position:
     end = min(len(corrupted), position + len(payload))
     corrupted[position:end] = payload[: end - position]
     return bytes(corrupted)
-
-
-def strip_tags_unchecked(tagged: bytes) -> list[Instruction]:
-    """Strip tags without checking them (analysis helper, not a variant path)."""
-    instructions = []
-    for offset in range(0, len(tagged) - TAGGED_INSTRUCTION_SIZE + 1, TAGGED_INSTRUCTION_SIZE):
-        raw = tagged[offset + TAG_SIZE : offset + TAGGED_INSTRUCTION_SIZE]
-        instructions.append(Instruction.decode(raw))
-    return instructions

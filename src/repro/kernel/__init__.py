@@ -27,7 +27,6 @@ from repro.kernel.errors import (
     Errno,
     IllegalInstructionFault,
     KernelError,
-    ProcessKilled,
     SegmentationFault,
     VariantFault,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "PATH_SYSCALLS",
     "PasswdEntry",
     "Process",
-    "ProcessKilled",
     "ProcessState",
     "ProcessTable",
     "Program",

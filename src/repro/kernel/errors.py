@@ -105,9 +105,3 @@ class IllegalInstructionFault(VariantFault):
     """
 
     kind = "illegal-instruction"
-
-
-class ProcessKilled(VariantFault):
-    """Raised when the kernel forcibly terminates a variant process."""
-
-    kind = "killed"

@@ -47,11 +47,10 @@ from repro.load.checkpoint import (
 from repro.load.driver import (
     ATTACK_KINDS,
     DEFAULT_SEED,
-    LOADTEST_RUNNER,
     LoadRunResult,
+    LoadtestCell,
     RequestRecord,
     run_loadtest,
-    run_loadtest_payload,
 )
 from repro.load.latency import LatencyHistogram
 
@@ -67,10 +66,10 @@ __all__ = [
     "BurstyArrivals",
     "ConstantArrivals",
     "DEFAULT_SEED",
-    "LOADTEST_RUNNER",
     "LatencyHistogram",
     "LoadError",
     "LoadRunResult",
+    "LoadtestCell",
     "POLICIES",
     "PendingRequest",
     "PoissonArrivals",
@@ -90,5 +89,4 @@ __all__ = [
     "keyed_secrets",
     "restore",
     "run_loadtest",
-    "run_loadtest_payload",
 ]

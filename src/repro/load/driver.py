@@ -25,9 +25,8 @@ tick, so the standby's start-up runs off the clock.  A migrated run must
 serve byte-identical responses with the same latencies and detection
 outcomes as an unmigrated one; the ``loadtest`` experiment asserts that.
 
-``run_loadtest_payload`` is the process-backend entry point (the
-:data:`LOADTEST_RUNNER` module:function path shipped in
-:class:`~repro.engine.procpool.ProcessJob` payloads); with a seed, both
+:class:`LoadtestCell` runs one load test as a campaign cell, so a sweep of
+them is one job list for either campaign backend; with a seed, both
 backends reproduce the same result dict byte for byte because every random
 draw flows through :func:`repro.api.seeding.derive_seed`.
 """
@@ -37,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, ClassVar, Mapping, Optional, Sequence
 
 from repro.api.seeding import derive_seed, seeded_spec
 from repro.api.spec import SystemSpec
@@ -53,9 +52,6 @@ from repro.load.checkpoint import (
     restore,
 )
 from repro.load.latency import LatencyHistogram
-
-#: The process-backend runner path, in ProcessJob "module:function" form.
-LOADTEST_RUNNER = "repro.load.driver:run_loadtest_payload"
 
 #: Root seed default, shared with the corpus/entropy experiments.
 DEFAULT_SEED = 20080625
@@ -119,6 +115,10 @@ class LoadRunResult:
     attack_outcomes: tuple[dict[str, Any], ...] = ()
     response_digest: str = ""
     secret_digest: str = ""
+    #: A finished run, seen as a session by the campaign scheduler (see
+    #: :class:`LoadtestCell`): terminal, so it is never stepped.
+    state: ClassVar[SessionState] = SessionState.COMPLETED
+    done: ClassVar[bool] = True
 
     def to_dict(self) -> dict[str, Any]:
         """Deterministic JSON-ready payload (the backend-parity unit)."""
@@ -509,55 +509,23 @@ def run_loadtest(
     )
 
 
-#: The payload keys :func:`run_loadtest_payload` understands.
-_PAYLOAD_KEYS = frozenset(
-    {
-        "spec",
-        "app",
-        "arrival",
-        "rate",
-        "requests",
-        "admission",
-        "admission_params",
-        "arrival_params",
-        "seed",
-        "attacks",
-        "migrate_after",
-        "name",
-    }
-)
+@dataclasses.dataclass(frozen=True)
+class LoadtestCell:
+    """One open-loop run as a campaign cell.
 
-
-def run_loadtest_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Worker-side cell runner: a picklable dict in, a result mapping out.
-
-    The contract is :data:`repro.engine.procpool.RESULT_KEYS`; ``value`` is
-    :meth:`LoadRunResult.to_dict`, which is what the experiment's backend-
-    parity claim compares byte for byte.
+    ``start`` runs :func:`run_loadtest` with *kwargs* to the end, so the
+    "session" it returns -- the :class:`LoadRunResult` -- is already
+    terminal and the campaign scheduler finishes it without stepping it.
+    ``finish`` renders it with :meth:`LoadRunResult.to_dict`, which is what
+    the ``loadtest`` experiment's backend-parity claim compares byte for
+    byte.  ``functools.partial(LoadtestCell, kwargs)`` is the job's preparer
+    on either backend.
     """
-    unknown = sorted(set(payload) - _PAYLOAD_KEYS)
-    if unknown:
-        raise LoadError(f"unknown loadtest payload keys: {', '.join(unknown)}")
-    if "spec" not in payload:
-        raise LoadError("loadtest payload needs a 'spec' entry")
-    spec = SystemSpec.from_dict(payload["spec"])
-    result = run_loadtest(
-        spec,
-        app=payload.get("app", "httpd"),
-        arrival=payload.get("arrival", "poisson"),
-        rate=payload.get("rate", 8.0),
-        requests=payload.get("requests", 32),
-        admission=payload.get("admission", "accept-all"),
-        admission_params=payload.get("admission_params"),
-        arrival_params=payload.get("arrival_params"),
-        seed=payload.get("seed", DEFAULT_SEED),
-        attacks=tuple(payload.get("attacks", ())),
-        migrate_after=payload.get("migrate_after"),
-        name=payload.get("name", "loadtest"),
-    )
-    return {
-        "state": "completed",
-        "rounds": result.rounds,
-        "virtual_elapsed": result.virtual_elapsed,
-        "value": result.to_dict(),
-    }
+
+    kwargs: Mapping[str, Any]
+
+    def start(self) -> LoadRunResult:
+        return run_loadtest(**self.kwargs)
+
+    def finish(self, result: LoadRunResult) -> dict[str, Any]:
+        return result.to_dict()

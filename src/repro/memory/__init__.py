@@ -33,7 +33,6 @@ from repro.memory.partition import (
     XorMaskScheme,
     create_scheme,
     default_uid_masks,
-    register_scheme,
     scheme_kinds,
 )
 from repro.memory.corruption import (
@@ -86,6 +85,5 @@ __all__ = [
     "overflow_payload",
     "overwrite_low_bytes",
     "overwrite_word",
-    "register_scheme",
     "scheme_kinds",
 ]

@@ -156,11 +156,6 @@ class AddressSpace:
         region = self.region_for(address)
         return region.read(address, count)
 
-    def store_bytes(self, address: int, data: bytes) -> None:
-        """Write *data* starting at *address*."""
-        region = self.region_for(address)
-        region.write(address, data)
-
     def load_word(self, address: int) -> int:
         """Read a 32-bit little-endian word."""
         return int.from_bytes(self.load_bytes(address, 4), "little")

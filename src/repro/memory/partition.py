@@ -701,11 +701,6 @@ SCHEMES: dict[str, SchemeFactory] = {
 }
 
 
-def register_scheme(kind: str, factory: SchemeFactory) -> None:
-    """Register *factory* under *kind* (re-registering replaces the entry)."""
-    SCHEMES[kind] = factory
-
-
 def scheme_kinds() -> list[str]:
     """The registered scheme kinds, sorted."""
     return sorted(SCHEMES)

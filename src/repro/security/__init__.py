@@ -40,20 +40,17 @@ from repro.security.attacker import (
     run_probe_trials,
 )
 from repro.security.probes import (
-    PROBE_RUNNER,
     ProbeOutcome,
     SECRET_NOMINAL_BASE,
     SECRET_REGION_SIZE,
     make_probe_factory,
     prepare_probe_cell,
-    run_probe_payload,
 )
 
 __all__ = [
     "AttackTrace",
     "BruteForceAttacker",
     "ExhaustiveSweepAttacker",
-    "PROBE_RUNNER",
     "PartialKnowledgeAttacker",
     "ProbeOutcome",
     "ProbeTrialPlan",
@@ -65,6 +62,5 @@ __all__ = [
     "plan_trial",
     "prepare_probe_cell",
     "run_probe_batch",
-    "run_probe_payload",
     "run_probe_trials",
 ]

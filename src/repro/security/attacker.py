@@ -22,29 +22,32 @@ order the search space:
 
 Trials run as ordinary campaign cells: :func:`plan_trial` derives the trial's
 key seed and probe plan from one root seed, and :func:`run_probe_batch`
-executes any mix of planned trials through the campaign scheduler -- the
-in-process virtual backend or the pre-forked process pool -- with identical,
-submission-ordered results either way.
+turns any mix of planned trials into one job list -- each job's preparer is
+``functools.partial(prepare_probe_cell, ...)`` over the plan's picklable
+spec and probe list -- and runs it with
+:func:`~repro.engine.campaign.run_jobs`, on the in-process virtual backend
+or the pre-forked process pool, with identical, submission-ordered results
+either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import statistics
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from repro.api.seeding import derive_seed
 from repro.api.spec import SystemSpec, keyed_address_spec
-from repro.engine.campaign import CampaignHaltPolicy, CampaignJob, run_jobs
-from repro.engine.procpool import ProcessJob, ProcessWorkerPool, run_process_jobs
+from repro.engine.campaign import CampaignJob, run_jobs
+from repro.engine.procpool import ProcessWorkerPool
 from repro.memory.partition import (
     KeyedAddressScheme,
     KeyedOrbitScheme,
     VALUE_BITS,
 )
 from repro.security.probes import (
-    PROBE_RUNNER,
     ProbeOutcome,
     SECRET_NOMINAL_BASE,
     prepare_probe_cell,
@@ -157,16 +160,6 @@ class ProbeTrialPlan:
     slide: bool
     seed: int
 
-    def payload(self) -> dict:
-        """The process-backend payload (JSON-level, spawn-safe)."""
-        return {
-            "name": self.name,
-            "strategy": self.strategy,
-            "spec": self.spec.to_dict(),
-            "addresses": list(self.addresses),
-            "key_bits": self.key_bits,
-        }
-
 
 def plan_trial(
     strategy: BruteForceAttacker,
@@ -217,42 +210,30 @@ def run_probe_batch(
 ) -> list[ProbeOutcome]:
     """Execute planned trials through the campaign scheduler, in plan order.
 
-    ``backend="virtual"`` interleaves the cells as resumable sessions in
-    process; ``backend="process"`` ships each plan's payload to the
-    pre-forked worker pool.  Results come back in submission order on both
-    paths, and seeded plans produce byte-identical outcomes either way.
+    Each plan is one job whose preparer is ``functools.partial(
+    prepare_probe_cell, ...)`` over the plan's picklable spec and probe
+    list, so ``backend="virtual"`` interleaves the cells as resumable
+    sessions in process and ``backend="process"`` builds the same cells on
+    the pre-forked worker pool.  Results come back in submission order on
+    both paths, and seeded plans produce byte-identical outcomes either way.
     """
-    if backend == "process":
-        jobs = [
-            ProcessJob(name=plan.name, runner=PROBE_RUNNER, payload=plan.payload())
-            for plan in plans
-        ]
-        execution = run_process_jobs(
-            jobs,
-            workers=workers,
-            halt_policy=CampaignHaltPolicy.PER_CELL,
-            rounds_per_turn=rounds_per_turn,
-            pool=pool,
-        )
-    elif backend == "virtual":
-        jobs = []
-        for plan in plans:
-            cell = prepare_probe_cell(
+    jobs = [
+        CampaignJob(
+            plan.name,
+            functools.partial(
+                prepare_probe_cell,
                 plan.spec,
                 plan.addresses,
                 name=plan.name,
                 strategy=plan.strategy,
                 key_bits=plan.key_bits,
-            )
-            jobs.append(CampaignJob(name=cell.name, start=cell.start, finish=cell.finish))
-        execution = run_jobs(
-            jobs,
-            parallelism=workers,
-            rounds_per_turn=rounds_per_turn,
-            halt_policy=CampaignHaltPolicy.PER_CELL,
+            ),
         )
-    else:
-        raise ValueError(f"backend must be 'virtual' or 'process', got {backend!r}")
+        for plan in plans
+    ]
+    execution = run_jobs(
+        jobs, backend=backend, workers=workers, rounds_per_turn=rounds_per_turn, pool=pool
+    )
     return [
         ProbeOutcome.from_dict(job.value)
         for job in execution.jobs

@@ -44,17 +44,13 @@ SECRET_NOMINAL_BASE = 0x00001000
 #: Size of the probed secret region in bytes.
 SECRET_REGION_SIZE = 64
 
-#: Runner reference for process-backend probe cells.
-PROBE_RUNNER = "repro.security.probes:run_probe_payload"
-
-
 @dataclasses.dataclass(frozen=True)
 class ProbeOutcome:
     """What one probe cell (one planned probe sequence) observed.
 
-    Picklable and JSON-round-trippable: the process backend ships the same
-    dict :meth:`to_dict` produces, so a seeded trial is byte-identical
-    across backends.
+    Picklable and JSON-round-trippable: both backends finish a probe cell
+    with the same dict :meth:`to_dict` produces, so a seeded trial is
+    byte-identical across backends.
     """
 
     name: str
@@ -199,32 +195,3 @@ def prepare_probe_cell(
         return summary
 
     return PreparedAttack(cell_name, spec.name, start, finish)
-
-
-def run_probe_payload(payload: dict) -> dict:
-    """Worker-side probe cell runner (the process backend's entry point).
-
-    The payload carries exactly what :func:`prepare_probe_cell` needs --
-    the spec dict (whose keyed variations hold derived seeds, so the worker
-    draws the same secret layout the driver planned against) plus the probe
-    address list.
-    """
-    spec = SystemSpec.from_dict(payload["spec"])
-    cell = prepare_probe_cell(
-        spec,
-        payload["addresses"],
-        name=payload.get("name"),
-        strategy=payload.get("strategy", "probe"),
-        key_bits=int(payload.get("key_bits", 0)),
-    )
-    session = cell.start()
-    while not session.done:
-        session.step()
-    # The procpool result contract (RESULT_KEYS): scheduler accounting at the
-    # top level, the cell's own outcome dict under "value".
-    return {
-        "state": session.state.value,
-        "rounds": session.rounds,
-        "virtual_elapsed": session.virtual_elapsed,
-        "value": cell.finish(session),
-    }

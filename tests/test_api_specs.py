@@ -236,7 +236,7 @@ class TestBuilderParity:
         assert engine.halt_policy is HaltPolicy.HALT_ALL
         assert engine.name == "parity-fleet"
         result = engine.run()
-        assert len(result.sessions) == 2
+        assert len(result.jobs) == 2
 
 
 class TestOutcomeKindValues:

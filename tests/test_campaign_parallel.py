@@ -9,6 +9,7 @@ fixed matrix; the hypothesis property test (marked ``slow``, run by
 """
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -27,7 +28,8 @@ from repro.api.spec import (
 )
 from repro.attacks.memory_attacks import standard_address_attacks
 from repro.attacks.outcomes import OutcomeKind
-from repro.attacks.uid_attacks import standard_uid_attacks
+from repro.attacks.payloads import uid_overwrite_payload
+from repro.attacks.uid_attacks import UIDAttack, standard_uid_attacks
 from repro.engine.campaign import (
     CampaignHaltPolicy,
     CampaignJob,
@@ -59,7 +61,7 @@ class TestSerialParity:
         ]
         specs = (SINGLE_PROCESS_SPEC, UID_DIVERSITY_SPEC)
         expected = _serial_outcomes(specs, attacks)
-        report = run_campaign(specs, attacks, parallelism=parallelism)
+        report = run_campaign(specs, attacks, workers=parallelism)
         assert report.outcomes == expected
         assert _outcome_bytes(report.outcomes) == _outcome_bytes(expected)
 
@@ -67,7 +69,7 @@ class TestSerialParity:
         """Completion order varies with parallelism; report order must not."""
         attacks = standard_uid_attacks()[:3]
         specs = (UID_DIVERSITY_SPEC, SINGLE_PROCESS_SPEC)
-        report = run_campaign(specs, attacks, parallelism=4)
+        report = run_campaign(specs, attacks, workers=4)
         labels = [(o.attack, o.configuration) for o in report.outcomes]
         assert labels == [(a.name, s.name) for a in attacks for s in specs]
 
@@ -77,7 +79,7 @@ class TestSerialParity:
             a for a in standard_uid_attacks() if a.name == "full-word-root-overwrite"
         )
         report = run_campaign(
-            (SINGLE_PROCESS_SPEC, UID_ORBIT_3_SPEC), [attack], parallelism=2
+            (SINGLE_PROCESS_SPEC, UID_ORBIT_3_SPEC), [attack], workers=2
         )
         row = report.matrix()[attack.name]
         assert row["single-process"] == "undetected-compromise"
@@ -89,7 +91,7 @@ class TestSerialParity:
         expected = _serial_outcomes(specs, attacks)
         for rounds_per_turn in (1, 3, 64):
             report = run_campaign(
-                specs, attacks, parallelism=2, rounds_per_turn=rounds_per_turn
+                specs, attacks, workers=2, rounds_per_turn=rounds_per_turn
             )
             assert report.outcomes == expected
 
@@ -118,7 +120,7 @@ class TestSerialParityProperty:
         specs = [self.SPEC_POOL[i] for i in spec_indices]
         expected = _serial_outcomes(specs, attacks)
         for parallelism in (1, 2, 8):
-            report = run_campaign(specs, attacks, parallelism=parallelism)
+            report = run_campaign(specs, attacks, workers=parallelism)
             assert _outcome_bytes(report.outcomes) == _outcome_bytes(expected), (
                 parallelism,
                 [o.describe() for o in report.outcomes],
@@ -201,6 +203,19 @@ class TestBackendEdgeCases:
         assert all(job.value is None for job in execution.skipped_jobs)
         assert execution.truncated_jobs == []
 
+    def test_custom_attack_runs_on_the_process_backend(self):
+        """Attacks cross the process boundary as pickled objects, so one
+        outside the standard library runs there as it does in process."""
+        custom = UIDAttack(
+            name="custom-uid-7-overwrite",
+            description="not a library attack",
+            payload=uid_overwrite_payload(7),
+        )
+        specs = (SINGLE_PROCESS_SPEC, UID_DIVERSITY_SPEC)
+        expected = _serial_outcomes(specs, [custom])
+        report = run_campaign(specs, [custom], backend="process", workers=2)
+        assert _outcome_bytes(report.outcomes) == _outcome_bytes(expected)
+
 
 @pytest.mark.slow
 class TestCrossBackendParity:
@@ -247,11 +262,8 @@ class TestCampaignScheduler:
         attack = attack or next(
             a for a in standard_uid_attacks() if a.name == "low-bit-flip"
         )
-        jobs = []
-        for index in range(count):
-            cell = prepare_attack(attack, UID_DIVERSITY_SPEC)
-            jobs.append(CampaignJob(name=f"{index}-{cell.name}", start=cell.start, finish=cell.finish))
-        return jobs
+        prepare = functools.partial(prepare_attack, attack, UID_DIVERSITY_SPEC)
+        return [CampaignJob(f"{index}-{attack.name}", prepare) for index in range(count)]
 
     def test_empty_campaign(self):
         result = CampaignScheduler([]).run()
@@ -266,7 +278,7 @@ class TestCampaignScheduler:
         with pytest.raises(ValueError):
             CampaignScheduler([], rounds_per_turn=0)
         with pytest.raises(ValueError):
-            run_campaign((UID_DIVERSITY_SPEC,), [], parallelism=0)
+            run_campaign((UID_DIVERSITY_SPEC,), [], workers=0)
 
     def test_worker_accounting_serial_equals_sequential(self):
         jobs = self._cell_jobs(3)
@@ -316,7 +328,7 @@ class TestCampaignScheduler:
         report = run_campaign(
             specs,
             [attack],
-            parallelism=2,
+            workers=2,
             rounds_per_turn=1,
             halt="halt-campaign",
         )
@@ -338,7 +350,7 @@ class TestCampaignScheduler:
         report = run_campaign(
             (UID_DIVERSITY_SPEC, SINGLE_PROCESS_SPEC),
             [detected],
-            parallelism=1,
+            workers=1,
             halt="halt-campaign",
         )
         assert len(report.outcomes) == 1

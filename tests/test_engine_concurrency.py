@@ -7,6 +7,7 @@ alarm must stop only that session under the per-session halt policy.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -56,6 +57,23 @@ def _alarm_signature(result):
     return [(alarm.alarm_type, alarm.syscall) for alarm in result.alarms]
 
 
+def _total_alarms(engine_result):
+    return sum(len(job.value.alarms) for job in engine_result.jobs)
+
+
+@dataclasses.dataclass
+class _Given:
+    """A cell over an already built session; finishes with its state."""
+
+    session: NVariantSession
+
+    def start(self):
+        return self.session
+
+    def finish(self, session):
+        return session.state
+
+
 class TestInterleavingDeterminism:
     def test_concurrent_sessions_match_sequential_runs(self):
         paths = ["/index.html", "/news.html", "/docs/faq.html", "/products.html"]
@@ -73,11 +91,11 @@ class TestInterleavingDeterminism:
             concurrent_sessions.append(session)
         engine_result = run_sessions(concurrent_sessions)
 
-        assert engine_result.total_alarms == 0
-        for index, entry in enumerate(engine_result.sessions):
+        assert _total_alarms(engine_result) == 0
+        for index, entry in enumerate(engine_result.jobs):
             assert entry.state is SessionState.COMPLETED
             expected_alarms, expected_responses = sequential[index]
-            assert _alarm_signature(entry.result) == expected_alarms
+            assert _alarm_signature(entry.value) == expected_alarms
             assert _responses(concurrent_kernels[index]) == expected_responses
 
     def test_unequal_session_lengths_all_complete(self):
@@ -88,8 +106,8 @@ class TestInterleavingDeterminism:
             kernels.append(kernel)
             sessions.append(session)
         result = run_sessions(sessions)
-        assert [entry.state for entry in result.sessions] == [SessionState.COMPLETED] * 3
-        assert result.total_alarms == 0
+        assert [entry.state for entry in result.jobs] == [SessionState.COMPLETED] * 3
+        assert _total_alarms(result) == 0
         for kernel, count in zip(kernels, (1, 4, 9)):
             responses = _responses(kernel)
             assert len(responses) == count
@@ -105,7 +123,7 @@ class TestInterleavingDeterminism:
         benign = [_httpd_session(f"b-{i}", _benign_payloads(3))[1] for i in range(3)]
         engine_result = run_sessions([attacked] + benign)
         assert (
-            _alarm_signature(engine_result.session("attacked").result)
+            _alarm_signature(engine_result.job("attacked").value)
             == _alarm_signature(alone_result)
         )
 
@@ -122,12 +140,12 @@ class TestHaltPolicies:
         attack_kernel, attack_session, benign_kernel, benign_session = self._mixed_fleet()
         result = run_sessions([attack_session, benign_session])
 
-        victim = result.session("victim")
-        bystander = result.session("bystander")
+        victim = result.job("victim")
+        bystander = result.job("bystander")
         assert victim.state is SessionState.HALTED
-        assert victim.alarms >= 1
+        assert len(victim.value.alarms) >= 1
         assert bystander.state is SessionState.COMPLETED
-        assert bystander.alarms == 0
+        assert not bystander.value.alarms
         responses = _responses(benign_kernel)
         assert len(responses) == 6
         assert all(raw.startswith(b"HTTP/1.0 200") for raw in responses)
@@ -137,9 +155,12 @@ class TestHaltPolicies:
         result = run_sessions(
             [attack_session, benign_session], halt_policy=HaltPolicy.HALT_ALL
         )
-        assert result.session("victim").state is SessionState.HALTED
-        assert result.session("bystander").state is SessionState.HALTED
-        assert result.session("bystander").alarms == 0
+        assert result.job("victim").state is SessionState.HALTED
+        bystander = result.job("bystander")
+        assert bystander.state is SessionState.HALTED
+        # Halted by the policy mid-run, not by an alarm: no value is reported.
+        assert bystander.truncated and bystander.value is None
+        assert not benign_session.monitor.alarms
 
 
 class TestOneLoop:
@@ -181,13 +202,13 @@ class TestOneLoop:
         result = MultiSessionEngine([s for _, s in fleet], halt_policy=policy).run()
         observed = [
             self._observed(kernel, session, entry.rounds, entry.virtual_elapsed)
-            for (kernel, session), entry in zip(fleet, result.sessions)
+            for (kernel, session), entry in zip(fleet, result.jobs)
         ]
         return observed, result.scheduler_turns
 
     def _via_campaign(self, order, policy):
         fleet = self._fleet(order)
-        jobs = [CampaignJob(name=s.name, start=lambda s=s: s) for _, s in fleet]
+        jobs = [CampaignJob(s.name, functools.partial(_Given, s)) for _, s in fleet]
         result = CampaignScheduler(
             jobs, parallelism=len(jobs), rounds_per_turn=1, halt_policy=policy
         ).run()
@@ -228,8 +249,8 @@ class TestMonitorStatsIsolation:
         _, first = _httpd_session("first", _benign_payloads(2))
         _, second = _httpd_session("second", _benign_payloads(2))
         result = run_sessions([first, second])
-        stats_a = result.session("first").result.monitor.stats
-        stats_b = result.session("second").result.monitor.stats
+        stats_a = result.job("first").value.monitor.stats
+        stats_b = result.job("second").value.monitor.stats
         assert stats_a.lockstep_points > 0
         assert dataclasses.asdict(stats_a) == dataclasses.asdict(stats_b)
 
@@ -306,22 +327,22 @@ class TestCampaignSchedulerStress:
     def _benign_job(self, index, requests=3):
         from repro.engine.campaign import CampaignJob
 
-        def start():
+        def prepare():
             _, session = _httpd_session(f"stress-{index}", _benign_payloads(requests))
-            return session
+            return _Given(session)
 
-        return CampaignJob(name=f"stress-{index}", start=start, finish=lambda s: s.state)
+        return CampaignJob(f"stress-{index}", prepare)
 
     def _attack_job(self, index):
         from repro.engine.campaign import CampaignJob
 
-        def start():
+        def prepare():
             _, session = _httpd_session(
                 f"attack-{index}", [benign_request(), uid_overwrite_payload(0)]
             )
-            return session
+            return _Given(session)
 
-        return CampaignJob(name=f"attack-{index}", start=start, finish=lambda s: s.state)
+        return CampaignJob(f"attack-{index}", prepare)
 
     def test_32_interleaved_campaign_sessions_complete_without_starvation(self):
         from repro.engine.campaign import CampaignScheduler
@@ -400,9 +421,9 @@ class TestEngineMechanics:
     def test_virtual_elapsed_is_max_over_sessions(self):
         sessions = [_httpd_session(f"v-{i}", _benign_payloads(i + 1))[1] for i in range(3)]
         result = run_sessions(sessions)
-        assert result.virtual_elapsed == max(s.virtual_elapsed for s in result.sessions)
+        assert result.virtual_elapsed == max(s.virtual_elapsed for s in result.jobs)
         assert result.virtual_elapsed_sequential == sum(
-            s.virtual_elapsed for s in result.sessions
+            s.virtual_elapsed for s in result.jobs
         )
         assert result.virtual_elapsed < result.virtual_elapsed_sequential
 
@@ -434,7 +455,7 @@ class TestEngineMechanics:
         result = run_sessions(sessions)
         consumed = kernel.clock - clock_before
         assert result.virtual_elapsed_sequential == consumed
-        assert all(s.virtual_elapsed > 0 for s in result.sessions)
+        assert all(s.virtual_elapsed > 0 for s in result.jobs)
 
     def test_duplicate_session_names_rejected(self):
         _, a = _httpd_session("dup", _benign_payloads(1))
@@ -450,14 +471,14 @@ class TestEngineMechanics:
         halted.run()
         _, fresh = _httpd_session("fresh", _benign_payloads(1))
         result = run_sessions([halted, fresh], halt_policy=HaltPolicy.HALT_ALL)
-        assert result.session("halted").state is SessionState.HALTED
-        assert result.session("halted").rounds == halted.rounds
-        assert result.session("fresh").state is SessionState.COMPLETED
-        assert result.scheduler_turns == result.session("fresh").rounds
+        assert result.job("halted").state is SessionState.HALTED
+        assert result.job("halted").rounds == halted.rounds
+        assert result.job("fresh").state is SessionState.COMPLETED
+        assert result.scheduler_turns == result.job("fresh").rounds
 
     def test_empty_engine_returns_empty_result(self):
         result = MultiSessionEngine().run()
-        assert result.sessions == [] and result.total_alarms == 0
+        assert result.jobs == [] and result.virtual_elapsed == 0
 
     def test_drive_engine_scales_throughput(self):
         from repro.api.spec import ADDRESS_UID_SPEC, FleetSpec, WorkloadSpec

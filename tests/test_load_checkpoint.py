@@ -13,6 +13,7 @@ every variant in step under each registered interposition table.
 """
 
 import dataclasses
+import functools
 import json
 from unittest import mock
 
@@ -276,11 +277,11 @@ class TestLockstepSafety:
 
 class TestBackendParity:
     def test_process_backend_reproduces_virtual_cell(self):
-        from repro.engine.procpool import ProcessJob, run_process_jobs
-        from repro.load import LOADTEST_RUNNER, run_loadtest_payload
+        from repro.engine.campaign import CampaignJob, run_jobs
+        from repro.load import LoadtestCell
 
-        payload = {
-            "spec": uid_orbit_spec(2).to_dict(),
+        kwargs = {
+            "spec": uid_orbit_spec(2),
             "arrival": "bursty",
             "rate": 30.0,
             "requests": 8,
@@ -288,8 +289,7 @@ class TestBackendParity:
             "admission_params": {"rate": 25.0, "burst": 2.0},
             "seed": 424242,
         }
-        local = run_loadtest_payload(payload)["value"]
-        campaign = run_process_jobs(
-            [ProcessJob(name="cell", runner=LOADTEST_RUNNER, payload=payload)], workers=2
-        )
+        local = run_loadtest(**kwargs).to_dict()
+        jobs = [CampaignJob("cell", functools.partial(LoadtestCell, kwargs))]
+        campaign = run_jobs(jobs, backend="process", workers=2)
         assert campaign.jobs[0].value == local

@@ -27,7 +27,6 @@ from repro.security import (
     plan_trial,
     prepare_probe_cell,
     run_probe_batch,
-    run_probe_payload,
     run_probe_trials,
 )
 from repro.security.attacker import BruteForceAttacker
@@ -122,14 +121,6 @@ class TestProbeMechanics:
         assert outcome.probes_to_success is None
         # Two rounds per probe (peek + cond_chk) plus the retire round.
         assert session.rounds == 2 * len(misses) + 1
-
-    def test_probe_payload_round_trips_the_process_contract(self):
-        plan = plan_trial(ExhaustiveSweepAttacker(), num_variants=2, key_bits=3, seed=5)
-        result = run_probe_payload(plan.payload())
-        assert sorted(result) == ["rounds", "state", "value", "virtual_elapsed"]
-        outcome = ProbeOutcome.from_dict(result["value"])
-        assert outcome.alarmed
-        assert outcome.key_bits == 3
 
 
 class TestTrials:
