@@ -14,8 +14,9 @@
 #   make check-keyed      -- the keyed-scheme/attacker-model tier: both unit
 #                            suites, the round fast-path suite, plus an
 #                            entropy-experiment smoke via the CLI
-#   make check-corpus     -- the scenario-corpus tier: corpus/seed unit suites,
-#                            then generate a small corpus and run the corpus
+#   make check-corpus     -- the scenario-corpus tier: corpus/seed unit suites
+#                            and the host-image/filesystem suites, then
+#                            generate a small corpus and run the corpus
 #                            experiment over it (scorecard must be all-pass)
 #   make check-load       -- the open-loop load tier: arrivals/admission and
 #                            checkpoint/migration unit suites, a seeded loadtest
@@ -99,16 +100,19 @@ check-keyed:
 	$(PYTHON) -m repro experiment entropy --smoke --seed 20080625 > /dev/null
 	@echo "check-keyed ok: keyed schemes + attacker suite + fast-path suite + entropy smoke"
 
-# The scenario-corpus gate: the corpus/oracle/scorecard unit suite and the
-# seed/boundary properties, then a generate -> run round trip through the CLI
-# (a written smoke corpus, graded on both backends; any scorecard miss fails
-# the experiment's claims and with them the target).
+# The scenario-corpus gate: the corpus/oracle/scorecard unit suite, the
+# seed/boundary properties, and the host-image suites every cell's host rests
+# on (the copy-on-write image, the filesystem, the account databases and open
+# files), then a generate -> run round trip through the CLI (a written smoke
+# corpus, graded on both backends; any scorecard miss fails the experiment's
+# claims and with them the target).
 check-corpus:
-	$(PYTHON) -m pytest -q tests/test_corpus.py tests/test_seed_and_boundaries.py tests/test_host_image.py
+	$(PYTHON) -m pytest -q tests/test_corpus.py tests/test_seed_and_boundaries.py tests/test_host_image.py \
+		tests/test_kernel_filesystem.py tests/test_kernel_passwd_and_filetable.py
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(PYTHON) -m repro corpus generate --seed 20080625 --records 60 --out "$$dir" > /dev/null; \
 	$(PYTHON) -m repro experiment corpus --corpus-dir "$$dir" --set workers=4 > /dev/null
-	@echo "check-corpus ok: corpus suites + generated-corpus scorecard all-pass"
+	@echo "check-corpus ok: corpus + host-image suites + generated-corpus scorecard all-pass"
 
 # The second-workload gate: the interposition-table and fd-orbit unit suites,
 # the ftpd suite, the cross-app parity matrix, the fd-orbit slice of the

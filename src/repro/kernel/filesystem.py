@@ -81,6 +81,10 @@ class Inode:
     The owning :class:`FileSystem` assigns ``number``, so a fresh filesystem
     numbers its inodes the same way however many were built before it; a
     bare inode made outside any filesystem is number 0.
+
+    ``data`` is copy-on-write: it holds immutable ``bytes``, which clones
+    share, until the first in-place write turns it into this inode's own
+    ``bytearray`` (:meth:`mutable_data`).
     """
 
     __slots__ = ("number", "mode", "uid", "gid", "is_directory", "data", "entries")
@@ -93,22 +97,30 @@ class Inode:
         self.uid = uid
         self.gid = gid
         self.is_directory = is_directory
-        self.data = bytearray()
+        self.data: bytes | bytearray = b""
         self.entries: dict[str, "Inode"] = {}
 
     def clone(self) -> "Inode":
-        """A deep copy of this inode and its subtree: new objects and buffers."""
+        """A copy of this inode and its subtree: new objects, shared immutable data."""
         # Every standard host is a clone, so this skips ``__init__`` and its
-        # throwaway buffer and dict.
+        # throwaway dict.
         copy = Inode.__new__(Inode)
         copy.number = self.number
         copy.mode = self.mode
         copy.uid = self.uid
         copy.gid = self.gid
         copy.is_directory = self.is_directory
-        copy.data = bytearray(self.data)
+        # ``bytes`` of a ``bytes`` is the same object; a mutated buffer is copied.
+        copy.data = bytes(self.data)
         copy.entries = {name: child.clone() for name, child in self.entries.items()}
         return copy
+
+    def mutable_data(self) -> bytearray:
+        """This inode's own writable buffer, made from ``data`` on first use."""
+        data = self.data
+        if type(data) is not bytearray:
+            data = self.data = bytearray(data)
+        return data
 
     # -- metadata ----------------------------------------------------------
 
@@ -169,10 +181,12 @@ class FileSystem:
         return node
 
     def clone(self) -> "FileSystem":
-        """A structural copy: new inodes and data buffers, same numbers and metadata.
+        """A structural copy: new inodes, same numbers, metadata and data bytes.
 
-        The copy numbers the inodes it creates from where this filesystem
-        would, so a clone of a fresh build behaves exactly like that build.
+        File contents are shared until one side writes in place (see
+        :class:`Inode`), so a clone costs one object per inode.  The copy
+        numbers the inodes it creates from where this filesystem would, so a
+        clone of a fresh build behaves exactly like that build.
         """
         copy = FileSystem.__new__(FileSystem)
         copy._next_number = self._next_number
@@ -311,7 +325,7 @@ class FileSystem:
         if existing is not None and existing.is_directory:
             raise KernelError(Errno.EISDIR, path)
         node = self._new_inode(mode=mode, uid=uid, gid=gid, is_directory=False)
-        node.data = bytearray(content)
+        node.data = bytes(content)
         parent.entries[name] = node
         return node
 
@@ -322,7 +336,7 @@ class FileSystem:
         node = self._lookup(path)
         if node.is_directory:
             raise KernelError(Errno.EISDIR, path)
-        node.data = bytearray(content)
+        node.data = bytes(content)
         return node
 
     def read_file(self, path: str) -> bytes:
@@ -344,10 +358,19 @@ class FileSystem:
         del parent.entries[name]
 
     def rename(self, old: str, new: str) -> None:
-        """Rename/move the inode at *old* to *new*."""
+        """Rename/move the inode at *old* to *new*.
+
+        Renaming a path onto itself does nothing, and a directory cannot be
+        moved into its own subtree (``EINVAL``).
+        """
         node = self._lookup(old)
         new_parent, new_name = self._lookup_parent(new)
         old_parent, old_name = self._lookup_parent(old)
+        old_parts, new_parts = self.split(old), self.split(new)
+        if new_parts == old_parts:
+            return
+        if node.is_directory and new_parts[: len(old_parts)] == old_parts:
+            raise KernelError(Errno.EINVAL, f"cannot move {old} into itself")
         new_parent.entries[new_name] = node
         del old_parent.entries[old_name]
 

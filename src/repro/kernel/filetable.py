@@ -55,12 +55,13 @@ class OpenFile:
         """Write *data* at the current offset (append if O_APPEND)."""
         if not self.writable:
             raise KernelError(Errno.EBADF, f"{self.path} not open for writing")
+        buffer = self.inode.mutable_data()
         if self.flags & O_APPEND:
-            self.offset = len(self.inode.data)
+            self.offset = len(buffer)
         end = self.offset + len(data)
-        if end > len(self.inode.data):
-            self.inode.data.extend(b"\x00" * (end - len(self.inode.data)))
-        self.inode.data[self.offset : end] = data
+        if end > len(buffer):
+            buffer.extend(b"\x00" * (end - len(buffer)))
+        buffer[self.offset : end] = data
         self.offset = end
         return len(data)
 

@@ -11,6 +11,9 @@ Every campaign cell builds its own host, so :func:`build_standard_host` does
 not rebuild that image each time.  With default arguments it clones one
 private image, built on first use: the image itself is never handed out, so
 nothing a host does to its filesystem can reach the image or the next host.
+The clone shares the image's file contents copy-on-write, and the per-variant
+account databases and document bytes are memoised, so hosts share every
+byte they have not written.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from repro.kernel.passwd import (
     diversify_passwd,
     format_group,
     format_passwd,
+    parse_group,
+    parse_passwd,
 )
 
 #: Default port the mini-httpd listens on.
@@ -77,10 +82,18 @@ class DocumentSpec:
     size: int
 
     def content(self) -> bytes:
-        """Deterministic filler content of the requested size."""
-        pattern = f"<!-- {self.path} -->".encode()
-        repeats = self.size // len(pattern) + 1
-        return (pattern * repeats)[: self.size]
+        """Deterministic filler content of the requested size.
+
+        Memoised, so every host that installs this document shares its bytes.
+        """
+        return _filler(self.path, self.size)
+
+
+@functools.lru_cache(maxsize=256)
+def _filler(path: str, size: int) -> bytes:
+    pattern = f"<!-- {path} -->".encode()
+    repeats = size // len(pattern) + 1
+    return (pattern * repeats)[:size]
 
 
 #: The standard static document mix.  WebBench 5.0's static workload requests
@@ -182,27 +195,44 @@ def install_diversified_user_db(
     (Section 3.4 of the paper).  Returns the list of ``(original, variant)``
     path pairs created, which callers register with the unshared-file layer.
     """
-    from repro.kernel.passwd import parse_group, parse_passwd
-
-    passwd_entries = parse_passwd(fs.read_file(passwd_path).decode())
-    group_entries = parse_group(fs.read_file(group_path).decode())
+    passwd = fs.read_file(passwd_path)
+    group = fs.read_file(group_path)
+    ids = _account_ids(passwd, group)
     created: list[tuple[str, str]] = []
     for index, reexpress in enumerate(reexpression_functions):
         variant_passwd = f"{passwd_path}-{index}"
         variant_group = f"{group_path}-{index}"
-        fs.create_file(
-            variant_passwd,
-            format_passwd(diversify_passwd(passwd_entries, reexpress)),
-            mode=0o644,
+        passwd_text, group_text = _diversified_user_db(
+            passwd, group, tuple(reexpress(value) for value in ids)
         )
-        fs.create_file(
-            variant_group,
-            format_group(diversify_group(group_entries, reexpress)),
-            mode=0o644,
-        )
+        fs.create_file(variant_passwd, passwd_text, mode=0o644)
+        fs.create_file(variant_group, group_text, mode=0o644)
         created.append((passwd_path, variant_passwd))
         created.append((group_path, variant_group))
     return created
+
+
+@functools.lru_cache(maxsize=64)
+def _account_ids(passwd: bytes, group: bytes) -> tuple[int, ...]:
+    """Every UID and GID the two account databases contain, sorted."""
+    ids = {value for entry in parse_passwd(passwd.decode()) for value in (entry.uid, entry.gid)}
+    ids.update(entry.gid for entry in parse_group(group.decode()))
+    return tuple(sorted(ids))
+
+
+# Every cell of a spec diversifies the same databases with the same masks, so
+# the rendered text is memoised.  The key holds the image of every id under
+# the variant's re-expression, so a rotated key misses and takes effect.
+@functools.lru_cache(maxsize=256)
+def _diversified_user_db(
+    passwd: bytes, group: bytes, images: tuple[int, ...]
+) -> tuple[bytes, bytes]:
+    """``passwd`` and ``group`` with every id replaced by its image."""
+    reexpress = dict(zip(_account_ids(passwd, group), images)).__getitem__
+    return (
+        format_passwd(diversify_passwd(parse_passwd(passwd.decode()), reexpress)).encode(),
+        format_group(diversify_group(parse_group(group.decode()), reexpress)).encode(),
+    )
 
 
 #: The standard FTP site content, sized like a small public mirror.
@@ -254,16 +284,6 @@ def install_ftp_site(
     fs.create_file(FTP_TRANSFER_LOG, b"", mode=0o640)
     for document in documents:
         fs.create_file(document.path, document.content(), mode=0o644)
-
-
-def build_ftp_host(
-    passwd_entries: Sequence[PasswdEntry] | None = None,
-    group_entries: Sequence[GroupEntry] | None = None,
-) -> SimulatedKernel:
-    """A standard host with the FTP site installed on top."""
-    kernel = build_standard_host(passwd_entries, group_entries)
-    install_ftp_site(kernel.fs)
-    return kernel
 
 
 def build_standard_host(

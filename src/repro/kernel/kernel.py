@@ -20,7 +20,7 @@ import dataclasses
 import inspect
 from typing import Any, Callable, Optional
 
-from repro.kernel.credentials import ROOT_UID
+from repro.kernel.credentials import Credentials, ROOT_UID
 from repro.kernel.errors import Errno, KernelError, SegmentationFault
 from repro.kernel.filesystem import (
     FileSystem,
@@ -203,9 +203,7 @@ class SimulatedKernel:
             # would report it.
             if not flags & O_CREAT:
                 raise KernelError(Errno.ENOENT, path) from None
-            parent = path.rsplit("/", 1)[0] or "/"
-            if not self.fs.access(parent, creds, W_OK):
-                raise KernelError(Errno.EACCES, f"cannot create in {parent}") from None
+            self._require_writable_parent(creds, path)
             inode = self.fs.create_file(path, b"", mode=mode, uid=creds.euid, gid=creds.egid)
         if inode.is_directory and accmode != O_RDONLY:
             raise KernelError(Errno.EISDIR, path)
@@ -217,7 +215,7 @@ class SimulatedKernel:
         if not inode.permits(creds, want):
             raise KernelError(Errno.EACCES, path)
         if flags & O_TRUNC and not inode.is_directory:
-            inode.data = bytearray()
+            inode.data = b""
         open_file = OpenFile(inode=inode, flags=flags, path=path)
         return process.fds.allocate(open_file)
 
@@ -260,23 +258,26 @@ class SimulatedKernel:
             raise KernelError(Errno.EACCES, path)
         return 0
 
-    def _sys_mkdir(self, process: Process, path: str, mode: int = 0o755) -> int:
-        creds = process.credentials
+    def _require_writable_parent(self, creds: Credentials, path: str) -> None:
+        """Raise ``EACCES`` unless *creds* may write the directory holding *path*."""
         parent = path.rsplit("/", 1)[0] or "/"
         if not self.fs.access(parent, creds, W_OK):
             raise KernelError(Errno.EACCES, parent)
+
+    def _sys_mkdir(self, process: Process, path: str, mode: int = 0o755) -> int:
+        creds = process.credentials
+        self._require_writable_parent(creds, path)
         self.fs.mkdir(path, mode=mode, uid=creds.euid, gid=creds.egid)
         return 0
 
     def _sys_unlink(self, process: Process, path: str) -> int:
-        creds = process.credentials
-        parent = path.rsplit("/", 1)[0] or "/"
-        if not self.fs.access(parent, creds, W_OK):
-            raise KernelError(Errno.EACCES, parent)
+        self._require_writable_parent(process.credentials, path)
         self.fs.unlink(path)
         return 0
 
     def _sys_rename(self, process: Process, old: str, new: str) -> int:
+        self._require_writable_parent(process.credentials, old)
+        self._require_writable_parent(process.credentials, new)
         self.fs.rename(old, new)
         return 0
 

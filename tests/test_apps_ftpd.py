@@ -19,7 +19,7 @@ from repro.attacks.payloads import (
     ftp_uid_overwrite_payload,
 )
 from repro.core.nvariant import UIDCodec
-from repro.kernel.host import FTP_DATA_PORT, FTP_PORT, build_ftp_host
+from repro.kernel.host import FTP_DATA_PORT, FTP_PORT, build_standard_host, install_ftp_site
 from repro.kernel.libc import Libc
 from repro.kernel.scheduler import ProgramRunner
 
@@ -53,7 +53,8 @@ class TestFtpConfig:
 def _serve(conversations, *, transformed=False, max_requests=None):
     """Run one standalone ftpd over scripted conversations; returns
     (kernel, server, run_result)."""
-    kernel = build_ftp_host()
+    kernel = build_standard_host()
+    install_ftp_site(kernel.fs)
     for index, payload in enumerate(conversations):
         kernel.client_connect(FTP_PORT, payload, client=f"c{index}")
         kernel.client_connect(FTP_DATA_PORT, b"", client=f"c{index}-data")

@@ -90,6 +90,25 @@ class TestMutation:
         assert fs.exists("/etc/passwd.bak")
         assert not fs.exists("/etc/passwd")
 
+    def test_rename_onto_itself_is_a_no_op(self, fs):
+        for path in ("/etc/passwd", "/home/alice"):
+            before = [(p, node) for p, node in fs.walk()]
+            fs.rename(path, path)
+            assert [(p, node) for p, node in fs.walk()] == before
+
+    def test_rename_directory_into_its_own_subtree_raises_einval(self, fs):
+        fs.mkdir("/tmp")
+        fs.mkdir("/tmp/a")
+        fs.mkdir("/tmp/a/sub")
+        fs.create_file("/tmp/a/file", "kept")
+        for target in ("/tmp/a/b", "/tmp/a/../a/b", "/tmp/a/sub/c"):
+            with pytest.raises(KernelError) as info:
+                fs.rename("/tmp/a", target)
+            assert info.value.errno is Errno.EINVAL
+        assert fs.read_file("/tmp/a/file") == b"kept"
+        fs.rename("/tmp/a", "/tmp/ab")  # a sibling sharing the name prefix is fine
+        assert fs.read_file("/tmp/ab/file") == b"kept"
+
     def test_chown_and_chmod(self, fs):
         fs.chown("/etc/shadow", 1000, 1000)
         fs.chmod("/etc/shadow", 0o400)

@@ -65,6 +65,14 @@ class TestFileSyscalls:
         proc.credentials.setuid(1001)
         assert call(kernel, proc, Syscall.UNLINK, "/etc/passwd").errno is Errno.EACCES
 
+    def test_rename_requires_writable_parents(self, kernel, proc):
+        proc.credentials.setuid(33)
+        for old, new in (("/etc/shadow", "/tmp/shadow"), ("/tmp", "/etc/tmp")):
+            assert call(kernel, proc, Syscall.RENAME, old, new).errno is Errno.EACCES
+        assert kernel.fs.exists("/etc/shadow") and not kernel.fs.exists("/tmp/shadow")
+        call(kernel, proc, Syscall.OPEN, "/tmp/mine", O_WRONLY | O_CREAT)
+        assert call(kernel, proc, Syscall.RENAME, "/tmp/mine", "/tmp/moved").ok
+
     def test_chown_requires_privilege(self, kernel, proc):
         proc.credentials.setuid(1000)
         assert call(kernel, proc, Syscall.CHOWN, "/tmp", 1000, 1000).errno is Errno.EPERM
