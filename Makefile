@@ -2,7 +2,8 @@
 #
 #   make test             -- the tier-1 verification suite (tests/ only; slow-marked
 #                            suites are deselected via pytest.ini)
-#   make check            -- tier-1 tests + CLI scenario smoke + experiments smoke
+#   make check            -- tier-1 tests + every example scenario via the CLI
+#                            + experiments smoke
 #                            + benchmark trajectory gate + example scripts
 #                            (CI gate)
 #   make check-parallel   -- tier-1 + the slow parity/stress suites + a smoke run
@@ -44,6 +45,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # bench_diff.py is the trajectory-diff tool, not a pytest benchmark.
 BENCHES := $(filter-out benchmarks/bench_diff.py,$(wildcard benchmarks/bench_*.py))
 EXAMPLES := $(wildcard examples/*.py)
+SCENARIOS := $(wildcard examples/scenarios/*.json)
 
 .PHONY: test check check-parallel check-procs check-bench check-keyed \
 	check-corpus check-apps check-load experiments-smoke bench bench-smoke \
@@ -53,13 +55,12 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 check: test experiments-smoke check-keyed check-corpus check-apps check-load check-bench examples
-	$(PYTHON) -m repro run examples/scenarios/detection_matrix.json > /dev/null
-	$(PYTHON) -m repro run examples/scenarios/throughput.json > /dev/null
-	$(PYTHON) -m repro run examples/scenarios/campaign.json --parallelism 8 > /dev/null
+	@set -e; for scenario in $(SCENARIOS); do \
+		echo "== scenario $$scenario"; \
+		$(PYTHON) -m repro run $$scenario > /dev/null; \
+	done
+	$(PYTHON) -m repro run examples/scenarios/campaign.json --workers 8 > /dev/null
 	$(PYTHON) -m repro run examples/scenarios/campaign.json --backend process --workers 2 > /dev/null
-	$(PYTHON) -m repro run examples/scenarios/table3.json > /dev/null
-	$(PYTHON) -m repro run examples/scenarios/ablations.json > /dev/null
-	$(PYTHON) -m repro run examples/scenarios/address_orbit.json > /dev/null
 	@echo "check ok: tier-1 tests + experiments smoke + bench gate + CLI scenario smoke + examples"
 
 # Every registered experiment at its smallest meaningful parameters, through

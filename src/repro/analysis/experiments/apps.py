@@ -166,15 +166,11 @@ class AppsResult:
         configurations = [spec.name for spec in self.specs]
         reference_backend = self.backends[0]
         for app in APP_NAMES:
-            matrix = self.matrix(app, reference_backend)
             sections.append(
-                ReportTable(
-                    title=f"Detection matrix on {app} ({reference_backend} backend)",
-                    headers=(f"{app} attack", *configurations),
-                    rows=tuple(
-                        (attack, *(matrix[attack].get(c, "-") for c in configurations))
-                        for attack in matrix
-                    ),
+                self.reports[(app, reference_backend)].matrix_table(
+                    f"Detection matrix on {app} ({reference_backend} backend)",
+                    configurations,
+                    attack_header=f"{app} attack",
                 )
             )
         sections.append(

@@ -112,16 +112,10 @@ class DetectionMatrixResult:
 
     def to_report(self) -> ExperimentReport:
         """The matrix and claim evaluation as a shared experiment report."""
-        matrix = self.uid_report.matrix()
-        configurations = sorted({o.configuration for o in self.uid_report.outcomes})
-        rows = [
-            [attack] + [matrix[attack].get(configuration, "-") for configuration in configurations]
-            for attack in matrix
-        ]
-        uid_table = ReportTable(
-            title="Detection matrix: UID corruption attacks",
-            headers=("UID attack", *configurations),
-            rows=tuple(tuple(row) for row in rows),
+        uid_table = self.uid_report.matrix_table(
+            "Detection matrix: UID corruption attacks",
+            sorted({o.configuration for o in self.uid_report.outcomes}),
+            attack_header="UID attack",
         )
         address_table = ReportTable(
             title="Detection matrix: address injection",
@@ -139,23 +133,11 @@ class DetectionMatrixResult:
                 for o in self.code_injection_outcomes
             ),
         )
-        telemetry = {}
-        execution = self.uid_report.execution
-        if execution is not None:
-            telemetry.update(
-                {
-                    "campaign_backend": execution.backend,
-                    "campaign_parallelism": execution.parallelism,
-                    "campaign_cells": len(execution.jobs),
-                    "campaign_virtual_elapsed": execution.virtual_elapsed,
-                    "campaign_speedup": round(execution.speedup(), 2),
-                }
-            )
         return ExperimentReport(
             title="Detection matrix (the paper's central security claims)",
             sections=(uid_table, address_table, code_table),
             claims=self.claim_results(),
-            telemetry=telemetry,
+            telemetry=self.uid_report.execution_telemetry(),
             result=self,
         )
 

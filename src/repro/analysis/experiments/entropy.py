@@ -33,7 +33,12 @@ import statistics
 
 from repro.analysis.experiments.detection import OUTSIDE_GUARANTEE
 from repro.api.campaign import CampaignReport, run_campaign
-from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
+from repro.api.experiments import (
+    ExperimentParameterError,
+    ExperimentReport,
+    ReportKeyValues,
+    ReportTable,
+)
 from repro.api.seeding import derive_seed
 from repro.api.spec import keyed_uid_spec
 from repro.attacks.outcomes import OutcomeKind
@@ -232,17 +237,20 @@ def run(
     from repro.attacks.uid_attacks import standard_uid_attacks
 
     if not 2 <= min_variants <= max_variants:
-        raise ValueError(
-            f"need 2 <= min_variants <= max_variants, got {min_variants}..{max_variants}"
+        raise ExperimentParameterError(
+            "entropy",
+            f"need 2 <= min_variants <= max_variants, got {min_variants}..{max_variants}",
         )
     if not 1 <= min_key_bits <= max_key_bits:
-        raise ValueError(
-            f"need 1 <= min_key_bits <= max_key_bits, got {min_key_bits}..{max_key_bits}"
+        raise ExperimentParameterError(
+            "entropy",
+            f"need 1 <= min_key_bits <= max_key_bits, got {min_key_bits}..{max_key_bits}",
         )
     if (1 << min_key_bits) < max_variants:
-        raise ValueError(
+        raise ExperimentParameterError(
+            "entropy",
             f"2**min_key_bits must cover max_variants slices "
-            f"({1 << min_key_bits} < {max_variants})"
+            f"({1 << min_key_bits} < {max_variants})",
         )
     counts = list(range(min_variants, max_variants + 1))
     key_bits_range = list(range(min_key_bits, max_key_bits + 1))

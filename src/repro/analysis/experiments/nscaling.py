@@ -25,7 +25,12 @@ import dataclasses
 from repro.analysis.experiments.detection import OUTSIDE_GUARANTEE
 from repro.analysis.perfmodel import PerformanceModel
 from repro.api.campaign import CampaignReport, run_campaign
-from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
+from repro.api.experiments import (
+    ExperimentParameterError,
+    ExperimentReport,
+    ReportKeyValues,
+    ReportTable,
+)
 from repro.api.spec import SystemSpec, address_orbit_spec, uid_orbit_spec
 from repro.apps.clients.webbench import WebBenchWorkload, WorkloadMeasurement, drive_nvariant_many
 from repro.attacks.outcomes import OutcomeKind
@@ -159,8 +164,9 @@ def run(
     from repro.attacks.uid_attacks import standard_uid_attacks
 
     if not 2 <= min_variants <= max_variants:
-        raise ValueError(
-            f"need 2 <= min_variants <= max_variants, got {min_variants}..{max_variants}"
+        raise ExperimentParameterError(
+            "nscaling",
+            f"need 2 <= min_variants <= max_variants, got {min_variants}..{max_variants}",
         )
     counts = list(range(min_variants, max_variants + 1))
     uid_specs = [uid_orbit_spec(n) for n in counts]

@@ -75,5 +75,7 @@ def render_table_markdown(
 def render_key_values_markdown(
     pairs: Sequence[tuple[str, object]], *, title: str = ""
 ) -> str:
-    """Render ``key: value`` pairs as a two-column Markdown table."""
+    """Render ``key: value`` pairs as a two-column Markdown table (no pairs: the title)."""
+    if not pairs:
+        return f"### {title}"
     return render_table_markdown(["key", "value"], list(pairs), title=title)

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
+from repro.api.experiments import ReportTable
 from repro.api.spec import STANDARD_SYSTEM_SPECS, SystemSpec
 from repro.engine.campaign import (
     CAMPAIGN_BACKENDS,
@@ -87,6 +88,47 @@ class CampaignReport:
         for outcome in self.outcomes:
             table.setdefault(outcome.attack, {})[outcome.configuration] = outcome.kind.value
         return table
+
+    def matrix_table(
+        self, title: str, configurations: Sequence[str], *, attack_header: str = "attack"
+    ) -> ReportTable:
+        """The matrix as a report table, one row per attack; a cell that did not run is ``-``."""
+        matrix = self.matrix()
+        return ReportTable(
+            title=title,
+            headers=(attack_header, *configurations),
+            rows=tuple(
+                (attack, *(matrix[attack].get(c, "-") for c in configurations))
+                for attack in matrix
+            ),
+        )
+
+    def execution_telemetry(self, *, detail: bool = False) -> dict[str, Any]:
+        """The scheduler's accounting as ``campaign_*`` report telemetry.
+
+        *detail* adds the turn, fairness and halt counts to the summary.
+        """
+        execution = self.execution
+        if execution is None:
+            return {}
+        telemetry = {
+            "campaign_backend": execution.backend,
+            "campaign_parallelism": execution.parallelism,
+            "campaign_cells": len(execution.jobs),
+            "campaign_virtual_elapsed": execution.virtual_elapsed,
+            "campaign_speedup": round(execution.speedup(), 2),
+        }
+        if detail:
+            telemetry.update(
+                campaign_virtual_elapsed_sequential=execution.virtual_elapsed_sequential,
+                campaign_rounds_per_turn=execution.rounds_per_turn,
+                campaign_scheduler_turns=execution.scheduler_turns,
+                campaign_max_wait_turns=execution.max_wait_turns,
+                campaign_steals=execution.steals,
+                campaign_truncated_cells=len(execution.truncated_jobs),
+                campaign_skipped_cells=len(execution.skipped_jobs),
+            )
+        return telemetry
 
     def describe(self) -> str:
         """Multi-line report."""

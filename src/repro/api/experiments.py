@@ -26,10 +26,12 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import math
 import time
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.api.spec import ExperimentSpec
+from repro.engine.campaign import CAMPAIGN_BACKENDS
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -53,10 +55,10 @@ class UnknownExperimentError(ExperimentRegistryError):
 
 
 class ExperimentParameterError(ExperimentRegistryError):
-    """A spec's parameters do not match the experiment's declared parameters."""
+    """Parameters do not match what an experiment (or a scenario *kind*) declares."""
 
-    def __init__(self, name: str, reason: str):
-        super().__init__(f"bad parameters for experiment {name!r}: {reason}")
+    def __init__(self, name: str, reason: str, *, kind: str = "experiment"):
+        super().__init__(f"bad parameters for {kind} {name!r}: {reason}")
         self.name = name
 
 
@@ -139,7 +141,7 @@ class ReportKeyValues:
 ReportSection = Union[ReportTable, ReportKeyValues]
 
 #: Rendering styles :meth:`ExperimentReport.format` accepts.
-REPORT_STYLES = ("text", "markdown")
+REPORT_STYLES = ("text", "json", "markdown")
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +182,15 @@ class ExperimentReport:
         """The names of the claims that did not hold."""
         return [claim for claim, holds in self.claims.items() if not holds]
 
-    def tables(self) -> list[ReportTable]:
-        """Just the table sections, in order."""
-        return [s for s in self.sections if isinstance(s, ReportTable)]
-
     def rows(self) -> list[tuple[str, ...]]:
         """Every table row in the report, in section order (for parity tests)."""
-        return [row for table in self.tables() for row in table.rows]
+        tables = [s for s in self.sections if isinstance(s, ReportTable)]
+        return [row for table in tables for row in table.rows]
 
     # -- renderers -------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """The schema-stable JSON representation of this report."""
+        """The schema-stable JSON representation (NaN telemetry becomes ``null``)."""
         return {
             "experiment": self.spec.name if self.spec is not None else None,
             "params": self.spec.params_dict() if self.spec is not None else {},
@@ -199,7 +198,7 @@ class ExperimentReport:
             "ok": self.ok,
             "claims": dict(self.claims),
             "sections": [section.to_dict() for section in self.sections],
-            "telemetry": dict(self.telemetry),
+            "telemetry": _finite_or_none(self.telemetry),
         }
 
     def to_json(self, *, indent: int = 2) -> str:
@@ -207,11 +206,13 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent)
 
     def format(self, style: str = "text") -> str:
-        """Render the full report (sections, then claims, then telemetry)."""
+        """Render the full report (sections, then claims, then telemetry; or :meth:`to_json`)."""
         if style not in REPORT_STYLES:
             raise ValueError(
                 f"style must be one of {', '.join(REPORT_STYLES)}, got {style!r}"
             )
+        if style == "json":
+            return self.to_json()
         blocks = [section.render(style) for section in self.sections]
         if self.claims:
             if style == "markdown":
@@ -233,6 +234,17 @@ class ExperimentReport:
         return "\n\n".join(blocks)
 
 
+def _finite_or_none(value: Any) -> Any:
+    """*value* with every NaN or infinite float inside it replaced by ``None``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, Mapping):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(item) for item in value]
+    return value
+
+
 # ---------------------------------------------------------------------------
 # The registry
 # ---------------------------------------------------------------------------
@@ -240,25 +252,69 @@ class ExperimentReport:
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentParameter:
-    """One declared parameter of an experiment: name, scalar type, default."""
+    """One declared parameter of an experiment: name, type, default.
+
+    ``minimum`` (for numbers) and ``choices`` bound what a ``--set`` flag or a
+    scenario file may pass, so an out-of-range value fails before anything runs.
+    """
 
     name: str
     kind: type
     default: Any
     description: str = ""
+    minimum: Optional[float] = None
+    choices: tuple[Any, ...] = ()
 
-    def accepts(self, value: Any) -> bool:
-        """True when *value* is usable for this parameter.
+    def problem(self, value: Any) -> Optional[str]:
+        """Why *value* is not usable for this parameter (``None`` when it is).
 
-        ``bool`` is not accepted where ``int`` is declared (and vice versa)
-        even though Python subclasses them, since in a JSON scenario file
-        ``true`` where a count belongs is always a mistake.
+        ``bool`` is only accepted where ``bool`` is declared, even though
+        Python subclasses ``int`` with it: in a JSON scenario file ``true``
+        where a count belongs is always a mistake.
         """
-        if self.kind is int:
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self.kind is float:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        return isinstance(value, self.kind)
+        kinds = (int, float) if self.kind is float else self.kind
+        if not isinstance(value, kinds) or isinstance(value, bool) != (self.kind is bool):
+            return (
+                f"{self.name} must be {self.kind.__name__}, "
+                f"got {type(value).__name__} {value!r}"
+            )
+        if self.minimum is not None and value < self.minimum:
+            return f"{self.name} must be at least {self.minimum}, got {value!r}"
+        if self.choices and value not in self.choices:
+            return (
+                f"{self.name} must be one of {', '.join(map(str, self.choices))}, "
+                f"got {value!r}"
+            )
+        return None
+
+
+def check_parameters(
+    name: str,
+    parameters: Sequence[ExperimentParameter],
+    params: Mapping[str, Any],
+    *,
+    kind: str = "experiment",
+) -> dict[str, Any]:
+    """Check *params* against the declared *parameters* of *name*; return them.
+
+    Unknown names, type mismatches and values outside a parameter's
+    ``minimum``/``choices`` are :class:`ExperimentParameterError`\\ s.  The
+    experiment registry and the CLI's scenario kinds both check input here.
+    """
+    declared = {parameter.name: parameter for parameter in parameters}
+    unknown = sorted(set(params) - set(declared))
+    if unknown:
+        raise ExperimentParameterError(
+            name,
+            f"unknown parameters: {', '.join(unknown)}; accepted: "
+            f"{', '.join(declared) or '(none)'}",
+            kind=kind,
+        )
+    for key, value in params.items():
+        problem = declared[key].problem(value)
+        if problem is not None:
+            raise ExperimentParameterError(name, problem, kind=kind)
+    return dict(params)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,10 +335,6 @@ class RegisteredExperiment:
     description: str = ""
     parameters: tuple[ExperimentParameter, ...] = ()
     smoke_params: tuple[tuple[str, Any], ...] = ()
-
-    def parameter_names(self) -> list[str]:
-        """The declared parameter names, in declaration order."""
-        return [parameter.name for parameter in self.parameters]
 
     def resolve(self) -> Callable[..., ExperimentReport]:
         """Import (if needed) and return the runner callable."""
@@ -335,32 +387,8 @@ class ExperimentRegistry:
             raise UnknownExperimentError(name, self.names()) from None
 
     def validate(self, spec: ExperimentSpec) -> dict[str, Any]:
-        """Check *spec* against the experiment's declared parameters.
-
-        Returns the keyword arguments for the runner.  Unknown parameter
-        names and type mismatches are :class:`ExperimentParameterError`\\ s --
-        the experiment-level analogue of ``SystemSpec.from_dict`` rejecting
-        unknown keys.
-        """
-        entry = self.get(spec.name)
-        declared = {parameter.name: parameter for parameter in entry.parameters}
-        params = spec.params_dict()
-        unknown = sorted(set(params) - set(declared))
-        if unknown:
-            raise ExperimentParameterError(
-                spec.name,
-                f"unknown parameters: {', '.join(unknown)}; accepted: "
-                f"{', '.join(entry.parameter_names()) or '(none)'}",
-            )
-        for key, value in params.items():
-            parameter = declared[key]
-            if not parameter.accepts(value):
-                raise ExperimentParameterError(
-                    spec.name,
-                    f"{key} must be {parameter.kind.__name__}, "
-                    f"got {type(value).__name__} {value!r}",
-                )
-        return params
+        """The runner's keyword arguments, checked by :func:`check_parameters`."""
+        return check_parameters(spec.name, self.get(spec.name).parameters, spec.params_dict())
 
     def smoke_spec(self, name: str) -> ExperimentSpec:
         """The smallest meaningful spec for *name* (the CI smoke configuration)."""
@@ -398,16 +426,22 @@ class ExperimentRegistry:
         report.telemetry.setdefault("wall_seconds", round(elapsed, 6))
         return report
 
-    def describe(self) -> list[dict[str, str]]:
-        """Rows for the CLI's ``experiments`` listing."""
+    def describe(self) -> list[dict[str, Any]]:
+        """JSON-ready rows for the CLI's ``experiments`` listing, by name."""
         return [
             {
                 "name": entry.name,
-                "parameters": ", ".join(
-                    f"{p.name}:{p.kind.__name__}={p.default!r}" for p in entry.parameters
-                ),
-                "smoke": ", ".join(f"{k}={v!r}" for k, v in entry.smoke_params),
                 "description": entry.description,
+                "parameters": [
+                    {
+                        "name": parameter.name,
+                        "type": parameter.kind.__name__,
+                        "default": parameter.default,
+                        "description": parameter.description,
+                    }
+                    for parameter in entry.parameters
+                ],
+                "smoke_params": dict(entry.smoke_params),
             }
             for _, entry in sorted(self._entries.items())
         ]
@@ -427,6 +461,9 @@ class ExperimentRegistry:
 # ---------------------------------------------------------------------------
 
 _EXPERIMENTS = "repro.analysis.experiments"
+
+#: The ``backend`` values of experiments that can run every backend in turn.
+_BACKEND_CHOICES = (*CAMPAIGN_BACKENDS, "both")
 
 #: The default registry.  Each entry's runner returns an
 #: :class:`ExperimentReport`; parameters mirror the module ``run()`` defaults.
@@ -453,7 +490,7 @@ experiments.register(
     f"{_EXPERIMENTS}.table3:experiment",
     description="Table 3: throughput/latency of the four configurations (virtual-time model)",
     parameters=(
-        ExperimentParameter("requests", int, 40, "benign requests per configuration"),
+        ExperimentParameter("requests", int, 40, "benign requests per configuration", minimum=1),
     ),
     smoke_params={"requests": 10},
 )
@@ -481,12 +518,16 @@ experiments.register(
     f"{_EXPERIMENTS}.detection:experiment",
     description="The full detection matrix and the paper's security claims",
     parameters=(
-        ExperimentParameter("parallelism", int, 1, "campaign scheduler worker count"),
+        ExperimentParameter("parallelism", int, 1, "campaign scheduler worker count", minimum=1),
         ExperimentParameter(
-            "backend", str, "virtual", "campaign execution tier: virtual or process"
+            "backend",
+            str,
+            "virtual",
+            "campaign execution tier: virtual or process",
+            choices=CAMPAIGN_BACKENDS,
         ),
         ExperimentParameter(
-            "workers", int, 0, "uniform worker-count knob (0 = use parallelism)"
+            "workers", int, 0, "uniform worker-count knob (0 = use parallelism)", minimum=0
         ),
     ),
     smoke_params={"parallelism": 8},
@@ -499,10 +540,10 @@ experiments.register(
         "variant-count range, detection guarantee and lockstep cost vs N"
     ),
     parameters=(
-        ExperimentParameter("min_variants", int, 2, "smallest variant count swept"),
-        ExperimentParameter("max_variants", int, 6, "largest variant count swept"),
+        ExperimentParameter("min_variants", int, 2, "smallest variant count swept", minimum=2),
+        ExperimentParameter("max_variants", int, 6, "largest variant count swept", minimum=2),
         ExperimentParameter("requests", int, 12, "benign requests per configuration"),
-        ExperimentParameter("parallelism", int, 4, "campaign scheduler worker count"),
+        ExperimentParameter("parallelism", int, 4, "campaign scheduler worker count", minimum=1),
     ),
     smoke_params={"min_variants": 2, "max_variants": 3, "requests": 6, "parallelism": 4},
 )
@@ -514,16 +555,20 @@ experiments.register(
         "against keyed fleets, plus the keyed-UID deterministic-detection control"
     ),
     parameters=(
-        ExperimentParameter("min_variants", int, 2, "smallest variant count swept"),
-        ExperimentParameter("max_variants", int, 4, "largest variant count swept"),
-        ExperimentParameter("min_key_bits", int, 2, "smallest key entropy swept"),
-        ExperimentParameter("max_key_bits", int, 6, "largest key entropy swept"),
-        ExperimentParameter("trials", int, 20, "independent keyed games per cell"),
+        ExperimentParameter("min_variants", int, 2, "smallest variant count swept", minimum=2),
+        ExperimentParameter("max_variants", int, 4, "largest variant count swept", minimum=2),
+        ExperimentParameter("min_key_bits", int, 2, "smallest key entropy swept", minimum=1),
+        ExperimentParameter("max_key_bits", int, 6, "largest key entropy swept", minimum=1),
+        ExperimentParameter("trials", int, 20, "independent keyed games per cell", minimum=1),
         ExperimentParameter("seed", int, 20080625, "root seed every draw derives from"),
         ExperimentParameter(
-            "backend", str, "virtual", "campaign execution tier: virtual or process"
+            "backend",
+            str,
+            "virtual",
+            "campaign execution tier: virtual or process",
+            choices=CAMPAIGN_BACKENDS,
         ),
-        ExperimentParameter("workers", int, 4, "campaign scheduler worker count"),
+        ExperimentParameter("workers", int, 4, "campaign scheduler worker count", minimum=1),
     ),
     smoke_params={"max_variants": 3, "max_key_bits": 4, "trials": 20},
 )
@@ -535,12 +580,16 @@ experiments.register(
         "matrix over scheme x N x mutation class, graded on both backends"
     ),
     parameters=(
-        ExperimentParameter("records", int, 240, "corpus size after trimming"),
+        ExperimentParameter("records", int, 240, "corpus size after trimming", minimum=1),
         ExperimentParameter("seed", int, 20080625, "root seed the generator derives from"),
         ExperimentParameter(
-            "backend", str, "both", "execution tier: virtual, process, or both"
+            "backend",
+            str,
+            "both",
+            "execution tier: virtual, process, or both",
+            choices=_BACKEND_CHOICES,
         ),
-        ExperimentParameter("workers", int, 8, "scheduler/pool worker count"),
+        ExperimentParameter("workers", int, 8, "scheduler/pool worker count", minimum=1),
         ExperimentParameter(
             "corpus_dir", str, "", "load a written corpus instead of generating"
         ),
@@ -557,9 +606,13 @@ experiments.register(
     ),
     parameters=(
         ExperimentParameter(
-            "backend", str, "both", "execution tier: virtual, process, or both"
+            "backend",
+            str,
+            "both",
+            "execution tier: virtual, process, or both",
+            choices=_BACKEND_CHOICES,
         ),
-        ExperimentParameter("workers", int, 4, "campaign worker count per backend"),
+        ExperimentParameter("workers", int, 4, "campaign worker count per backend", minimum=1),
         ExperimentParameter(
             "requests", int, 16, "benign requests per workload configuration"
         ),
@@ -576,14 +629,22 @@ experiments.register(
     ),
     parameters=(
         ExperimentParameter(
-            "backend", str, "both", "execution tier: virtual, process, or both"
+            "backend",
+            str,
+            "both",
+            "execution tier: virtual, process, or both",
+            choices=_BACKEND_CHOICES,
         ),
-        ExperimentParameter("workers", int, 4, "process-pool worker count"),
+        ExperimentParameter("workers", int, 4, "process-pool worker count", minimum=1),
         ExperimentParameter("requests", int, 24, "benign requests per sweep cell"),
         ExperimentParameter(
-            "rate_steps", int, 4, "offered-load multipliers swept (prefix of 0.5/1/2/4x)"
+            "rate_steps",
+            int,
+            4,
+            "offered-load multipliers swept (prefix of 0.5/1/2/4x)",
+            minimum=1,
         ),
-        ExperimentParameter("max_variants", int, 3, "largest variant count swept"),
+        ExperimentParameter("max_variants", int, 3, "largest variant count swept", minimum=2),
         ExperimentParameter(
             "capacity", int, 3, "bounded-queue depth and token-bucket burst"
         ),

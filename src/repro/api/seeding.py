@@ -49,15 +49,15 @@ def seeded_spec(spec: SystemSpec, seed: Optional[int]) -> SystemSpec:
         return spec
     # Imported here: repro.api.registry imports the variation classes, and
     # keeping spec/seeding importable without the registry avoids cycles.
-    from repro.api.registry import registry
+    from repro.api.registry import UnknownVariationError, registry
 
     rewritten = []
     changed = False
     for position, variation in enumerate(spec.variations):
         try:
             accepts = "seed" in registry.get(variation.name).parameters()
-        except Exception:
-            accepts = False
+        except UnknownVariationError:
+            accepts = False  # the build reports the unknown name, not this rewrite
         params = variation.params_dict()
         if not accepts or "seed" in params:
             rewritten.append(variation)

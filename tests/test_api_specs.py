@@ -253,11 +253,17 @@ class TestCLI:
         path.write_text(json.dumps(data))
         return path
 
-    def test_detection_matrix_scenario_end_to_end(self, tmp_path, capsys):
+    def _matrix(self, payload):
+        """``{attack: {configuration: outcome}}`` from a campaign report's JSON."""
+        table = payload["sections"][0]
+        configurations = table["headers"][1:]
+        return {row[0]: dict(zip(configurations, row[1:])) for row in table["rows"]}
+
+    def test_campaign_scenario_end_to_end(self, tmp_path, capsys):
         path = self._write_scenario(
             tmp_path,
             {
-                "scenario": "detection-matrix",
+                "scenario": "campaign",
                 "systems": [
                     SINGLE_PROCESS_SPEC.to_dict(),
                     UID_DIVERSITY_SPEC.to_dict(),
@@ -268,9 +274,9 @@ class TestCLI:
         )
         assert cli_main(["run", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["matrix"]["full-word-root-overwrite"]["2-variant-uid"] == "detected"
-        assert payload["detection_rates"]["2-variant-uid"] == 1.0
-        assert payload["undetected_compromises"] == [
+        assert self._matrix(payload)["full-word-root-overwrite"]["2-variant-uid"] == "detected"
+        assert payload["telemetry"]["detection_rates"]["2-variant-uid"] == 1.0
+        assert payload["telemetry"]["undetected_compromises"] == [
             {"attack": "full-word-root-overwrite", "configuration": "single-process"}
         ]
 
@@ -289,16 +295,16 @@ class TestCLI:
             },
         )
         assert cli_main(["run", str(path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["requests_completed"] == 8
-        assert payload["alarms"] == 0
-        assert payload["speedup"] > 1.0
+        telemetry = json.loads(capsys.readouterr().out)["telemetry"]
+        assert telemetry["requests_completed"] == 8
+        assert telemetry["alarms"] == 0
+        assert telemetry["speedup"] > 1.0
 
     def test_campaign_scenario_selects_the_serving_app(self, tmp_path, capsys):
         path = self._write_scenario(
             tmp_path,
             {
-                "scenario": "detection-matrix",
+                "scenario": "campaign",
                 "app": "ftpd",
                 "systems": [
                     SINGLE_PROCESS_SPEC.to_dict(),
@@ -311,12 +317,12 @@ class TestCLI:
         assert cli_main(["run", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         # The ftpd wire format carries the same attack to the same verdicts.
-        assert payload["matrix"]["full-word-root-overwrite"]["2-variant-uid"] == "detected"
-        assert payload["detection_rates"]["2-variant-uid"] == 1.0
+        assert self._matrix(payload)["full-word-root-overwrite"]["2-variant-uid"] == "detected"
+        assert payload["telemetry"]["detection_rates"]["2-variant-uid"] == 1.0
 
     def test_unknown_app_is_a_clean_error(self, tmp_path, capsys):
         path = self._write_scenario(
-            tmp_path, {"scenario": "detection-matrix", "app": "gopherd"}
+            tmp_path, {"scenario": "campaign", "app": "gopherd"}
         )
         assert cli_main(["run", str(path)]) == 2
         err = capsys.readouterr().err
@@ -327,7 +333,7 @@ class TestCLI:
         path = self._write_scenario(
             tmp_path,
             {
-                "scenario": "detection-matrix",
+                "scenario": "campaign",
                 "systems": [{"name": "x", "interposition": "narrow"}],
                 "attacks": ["full-word-root-overwrite"],
             },
@@ -339,7 +345,7 @@ class TestCLI:
 
     def test_unknown_attack_name_is_a_clean_error(self, tmp_path, capsys):
         path = self._write_scenario(
-            tmp_path, {"scenario": "detection-matrix", "attacks": ["no-such-attack"]}
+            tmp_path, {"scenario": "campaign", "attacks": ["no-such-attack"]}
         )
         assert cli_main(["run", str(path)]) == 2
         assert "unknown attack" in capsys.readouterr().err
@@ -353,16 +359,17 @@ class TestCLI:
         """A typo like 'atacks' must not silently fall back to the full suite."""
         path = self._write_scenario(
             tmp_path,
-            {"scenario": "detection-matrix", "atacks": ["full-word-root-overwrite"]},
+            {"scenario": "campaign", "atacks": ["full-word-root-overwrite"]},
         )
         assert cli_main(["run", str(path)]) == 2
-        assert "unknown detection-matrix scenario keys: atacks" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad parameters for scenario 'campaign': unknown parameters: atacks" in err
 
     def test_bad_variation_name_in_scenario_is_a_clean_error(self, tmp_path, capsys):
         path = self._write_scenario(
             tmp_path,
             {
-                "scenario": "detection-matrix",
+                "scenario": "campaign",
                 "systems": [{"name": "x", "variations": ["bogus"]}],
                 "attacks": ["full-word-root-overwrite"],
             },
@@ -376,7 +383,7 @@ class TestCLI:
         scenarios = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
         for name in ("detection_matrix.json", "throughput.json"):
             data = load_scenario(scenarios / name)
-            assert data["scenario"] in ("detection-matrix", "throughput")
+            assert data["scenario"] in ("campaign", "throughput")
             # Every spec in the file must resolve against the real registry.
             for entry in data.get("systems", []):
                 build_variations(SystemSpec.from_dict(entry))

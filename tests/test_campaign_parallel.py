@@ -437,18 +437,23 @@ class TestCampaignCLI:
                     UID_ORBIT_3_SPEC.to_dict(),
                 ],
                 "attacks": ["full-word-root-overwrite", "partial-1-byte-overwrite"],
-                "parallelism": 4,
+                "workers": 4,
                 "output": "json",
             },
         )
         assert cli_main(["run", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["matrix"]["full-word-root-overwrite"]["3-variant-uid-orbit"] == "detected"
-        assert payload["execution"]["parallelism"] == 4
-        assert payload["execution"]["jobs"] == 4
-        assert payload["execution"]["speedup"] > 1.0
+        matrix = payload["sections"][0]
+        column = matrix["headers"].index("3-variant-uid-orbit")
+        row = matrix["rows"][0]
+        assert row[0] == "full-word-root-overwrite"
+        assert row[column] == "detected"
+        telemetry = payload["telemetry"]
+        assert telemetry["campaign_parallelism"] == 4
+        assert telemetry["campaign_cells"] == 4
+        assert telemetry["campaign_speedup"] > 1.0
 
-    def test_parallelism_flag_overrides_scenario(self, tmp_path, capsys):
+    def test_workers_flag_overrides_scenario(self, tmp_path, capsys):
         from repro.api.cli import main as cli_main
 
         path = self._write_scenario(
@@ -457,15 +462,15 @@ class TestCampaignCLI:
                 "scenario": "campaign",
                 "systems": [SINGLE_PROCESS_SPEC.to_dict()],
                 "attacks": ["low-bit-flip"],
-                "parallelism": 1,
+                "workers": 1,
                 "output": "json",
             },
         )
-        assert cli_main(["run", str(path), "--parallelism", "3"]) == 0
+        assert cli_main(["run", str(path), "--workers", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["execution"]["parallelism"] == 3
+        assert payload["telemetry"]["campaign_parallelism"] == 3
 
-    def test_parallelism_flag_rejected_for_throughput(self, tmp_path, capsys):
+    def test_workers_flag_rejected_for_throughput(self, tmp_path, capsys):
         from repro.api.cli import main as cli_main
 
         path = self._write_scenario(
@@ -475,8 +480,15 @@ class TestCampaignCLI:
                 "fleet": {"system": {"name": "s"}, "workload": {"total_requests": 2}},
             },
         )
-        assert cli_main(["run", str(path), "--parallelism", "2"]) == 2
-        assert "do not accept --parallelism" in capsys.readouterr().err
+        assert cli_main(["run", str(path), "--workers", "2"]) == 2
+        assert "unknown parameters: workers" in capsys.readouterr().err
+
+    def test_parallelism_key_is_gone(self, tmp_path, capsys):
+        from repro.api.cli import main as cli_main
+
+        path = self._write_scenario(tmp_path, {"scenario": "campaign", "parallelism": 2})
+        assert cli_main(["run", str(path)]) == 2
+        assert "unknown parameters: parallelism" in capsys.readouterr().err
 
     def test_bad_halt_policy_is_a_clean_error(self, tmp_path, capsys):
         from repro.api.cli import main as cli_main

@@ -1,24 +1,25 @@
 """Golden outputs of every example scenario through ``repro run``.
 
-Each file under ``examples/scenarios/`` is run in-process and rendered as
-text and as JSON; both renderings must match the committed files under
-``tests/goldens/`` exactly, apart from the wall-clock ``wall_seconds``
-figure, which is masked.  A change to what the CLI prints therefore shows up
-as a reviewed diff of those files.  To regenerate them after a deliberate
-output change::
+Each file under ``examples/scenarios/`` is run in-process once and its
+report rendered as text and as JSON; both renderings must match the
+committed files under ``tests/goldens/`` exactly, apart from the wall-clock
+``wall_seconds`` figure, which is masked.  A change to what the CLI prints
+therefore shows up as a reviewed diff of those files.  To regenerate them
+after a deliberate output change::
 
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_cli_goldens.py
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.api.cli import main as cli_main
+from repro.api.cli import load_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "examples" / "scenarios").glob("*.json"))
@@ -28,13 +29,21 @@ GOLDENS = Path(__file__).resolve().parent / "goldens"
 _WALL_SECONDS = re.compile(r'(wall_seconds"?\s*:\s*)[-+0-9.e]+')
 
 
-def _render(path: Path, capsys) -> dict[str, str]:
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _render(path: Path) -> dict[str, str]:
     """The scenario's text and JSON renderings, wall-clock figures masked."""
-    rendered = {}
-    for output, suffix in (("text", "txt"), ("json", "json")):
-        assert cli_main(["run", str(path), "--output", output]) == 0
-        rendered[suffix] = _WALL_SECONDS.sub(r"\1<masked>", capsys.readouterr().out)
-    return rendered
+    report = run_scenario(load_scenario(path))
+    assert report.ok, report.failed_claims
+    # Every kind renders to every format, and its JSON is strict JSON.
+    assert report.format("markdown").startswith("### ")
+    json.loads(report.format("json"), parse_constant=_reject_constant)
+    return {
+        suffix: _WALL_SECONDS.sub(r"\1<masked>", report.format(output) + "\n")
+        for output, suffix in (("text", "txt"), ("json", "json"))
+    }
 
 
 def test_every_example_scenario_has_goldens():
@@ -44,8 +53,8 @@ def test_every_example_scenario_has_goldens():
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.stem)
-def test_scenario_output_matches_golden(path, capsys):
-    for suffix, actual in _render(path, capsys).items():
+def test_scenario_output_matches_golden(path):
+    for suffix, actual in _render(path).items():
         golden = GOLDENS / f"{path.stem}.{suffix}"
         if os.environ.get("REPRO_UPDATE_GOLDENS"):
             golden.write_text(actual)

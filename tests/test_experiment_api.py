@@ -123,6 +123,14 @@ class TestRegistry:
         with pytest.raises(ExperimentParameterError, match=r"accepted: \(none\)"):
             experiments.run(ExperimentSpec.of("figure2", requests=4))
 
+    def test_out_of_range_parameter_is_a_typed_error(self):
+        with pytest.raises(ExperimentParameterError, match="requests must be at least 1"):
+            experiments.validate(ExperimentSpec.of("table3", requests=0))
+        with pytest.raises(
+            ExperimentParameterError, match="backend must be one of virtual, process, got"
+        ):
+            experiments.validate(ExperimentSpec.of("detection", backend="bogus"))
+
     def test_smoke_specs_cover_every_experiment(self):
         for name in experiments.names():
             spec = experiments.smoke_spec(name)
@@ -141,13 +149,16 @@ class TestRegistry:
                 for p in signature.parameters.values()
                 if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
             }
-            assert sorted(accepted) == sorted(entry.parameter_names()), entry.name
+            assert sorted(accepted) == sorted(p.name for p in entry.parameters), entry.name
             for parameter in entry.parameters:
                 assert accepted[parameter.name] == parameter.default, (
                     entry.name,
                     parameter.name,
                 )
-                assert parameter.accepts(parameter.default), (entry.name, parameter.name)
+                assert parameter.problem(parameter.default) is None, (
+                    entry.name,
+                    parameter.name,
+                )
 
     @pytest.mark.parametrize("name", ["apps", "corpus", "loadtest"])
     def test_unknown_backend_names_the_choices(self, name):
@@ -349,20 +360,23 @@ class TestCLI:
             {"scenario": "experiment", "experiment": "figure2", "systems": []},
         )
         assert cli_main(["run", str(path)]) == 2
-        assert "unknown experiment scenario keys: systems" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad parameters for scenario 'experiment': unknown parameters: systems" in err
 
-    def test_markdown_output_for_experiment_scenarios_only(self, tmp_path, capsys):
+    def test_markdown_output_for_experiment_scenarios(self, tmp_path, capsys):
         path = self._write_scenario(
             tmp_path,
             {"scenario": "experiment", "experiment": "section4", "output": "markdown"},
         )
         assert cli_main(["run", str(path)]) == 0
         assert "| Change category |" in capsys.readouterr().out
-        matrix = self._write_scenario(
-            tmp_path, {"scenario": "detection-matrix", "output": "markdown"}
+
+    def test_unknown_output_format_is_a_clean_error(self, tmp_path, capsys):
+        path = self._write_scenario(
+            tmp_path, {"scenario": "experiment", "experiment": "section4", "output": "html"}
         )
-        assert cli_main(["run", str(matrix)]) == 2
-        assert "output must be one of" in capsys.readouterr().err
+        assert cli_main(["run", str(path)]) == 2
+        assert "output must be one of text, json, markdown" in capsys.readouterr().err
 
     def test_example_experiment_scenarios_load_and_resolve(self):
         scenarios = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
@@ -373,6 +387,33 @@ class TestCLI:
                 {"name": data["experiment"], "params": data.get("params", {})}
             )
             experiments.validate(spec)
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            "table3 --set requests=-1",
+            "table3 --set requests=0",
+            "nscaling --set min_variants=5 --set max_variants=2",
+            "detection --set backend=bogus",
+            "detection --set parallelism=0",
+            "corpus --set records=0 --set backend=virtual",
+            "entropy --smoke --set trials=0",
+        ],
+    )
+    def test_out_of_range_parameters_are_clean_errors(self, arguments, capsys):
+        assert cli_main(["experiment", *arguments.split()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad parameters for experiment")
+        assert "Traceback" not in err
+
+    def test_experiment_command_takes_the_run_flags(self, capsys):
+        assert cli_main(["experiment", "section4", "--output", "markdown"]) == 0
+        assert "| Change category |" in capsys.readouterr().out
+        assert cli_main(["experiment", "corpus", "--smoke", "--backend", "virtual",
+                         "--workers", "2", "--seed", "7", "--set", "records=30",
+                         "--json"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert params == {"backend": "virtual", "records": 30, "seed": 7, "workers": 2}
 
     def test_failed_claims_exit_nonzero(self, monkeypatch, capsys):
         """A run whose claims do not hold is a CI failure, not a success."""

@@ -24,7 +24,7 @@ import pytest
 from repro.api.builders import build_session, build_variations
 from repro.api.registry import registry
 from repro.api.seeding import derive_seed, seeded_spec
-from repro.api.spec import SystemSpec, keyed_address_spec, keyed_uid_spec
+from repro.api.spec import SystemSpec, VariationSpec, keyed_address_spec, keyed_uid_spec
 from repro.apps.httpd.server import make_httpd_factory
 from repro.attacks.payloads import benign_request
 from repro.core.variations.address import KeyedAddressPartitioning
@@ -267,6 +267,18 @@ class TestSpecPlumbing:
 
         spec = address_orbit_spec(3)
         assert seeded_spec(spec, 42) is spec
+
+    def test_seeded_spec_leaves_unknown_variations_to_the_build(self):
+        spec = SystemSpec(name="typo", variations=(VariationSpec("no-such-variation"),))
+        assert seeded_spec(spec, 42) is spec
+
+    def test_seeded_spec_propagates_other_registry_errors(self, monkeypatch):
+        def broken_get(name):
+            raise RuntimeError("registry bug")
+
+        monkeypatch.setattr(registry, "get", broken_get)
+        with pytest.raises(RuntimeError, match="registry bug"):
+            seeded_spec(keyed_address_spec(2, key_bits=6), 42)
 
     def test_seeded_build_reproduces_the_layout(self):
         spec = seeded_spec(keyed_address_spec(2, key_bits=8), 42)

@@ -207,13 +207,17 @@ class TestCLISatellites:
                       "--workers", "2"]) == 0
         )
         process = json.loads(capsys.readouterr().out)
-        assert virtual["matrix"] == process["matrix"]
-        assert virtual["detection_rates"] == process["detection_rates"]
+        assert virtual["sections"] == process["sections"]
+        assert (
+            virtual["telemetry"]["detection_rates"] == process["telemetry"]["detection_rates"]
+        )
 
     def test_seed_rejected_where_meaningless(self, tmp_path, capsys):
-        path = self._write(tmp_path, {"scenario": "detection-matrix"})
+        path = self._write(
+            tmp_path, {"scenario": "throughput", "fleet": {"system": {"name": "s"}}}
+        )
         assert cli_main(["run", str(path), "--seed", "1"]) == 2
-        assert "--seed" in capsys.readouterr().err
+        assert "unknown parameters: seed" in capsys.readouterr().err
 
     def test_experiment_seed_flag_is_set_sugar(self, capsys):
         assert (
