@@ -1,5 +1,7 @@
 """Tests for the mini-httpd: config, HTTP handling, the server lifecycle and WebBench."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.clients.webbench import (
@@ -221,6 +223,18 @@ APP_CASES = {
 }
 APPS = sorted(APP_CASES)
 
+#: ``drive_standalone`` figures for six default-mix requests.
+PINNED_STANDALONE_SYSCALLS = {
+    ("httpd", False): 124,
+    ("httpd", True): 132,
+    ("ftpd", False): 182,
+    ("ftpd", True): 190,
+}
+PINNED_STANDALONE_STATUSES = {
+    "httpd": {200: 6},
+    "ftpd": {220: 6, 331: 6, 230: 6, 150: 6, 226: 6, 221: 5},
+}
+
 
 class TestWebBenchWorkload:
     @pytest.mark.parametrize("app", APPS)
@@ -257,6 +271,34 @@ class TestWebBenchWorkload:
         assert measurement.response_bytes > 0
         assert measurement.num_variants == 1
         assert measurement.per_request_syscalls() > 0
+
+    @pytest.mark.parametrize("transformed", [False, True])
+    @pytest.mark.parametrize("app", APPS)
+    def test_standalone_measurement_is_pinned(self, app, transformed):
+        """The unprotected baseline (Table 3 configurations 1 and 2) reports
+        exactly these figures; every field feeds the performance model."""
+        measurement = drive_standalone(
+            WebBenchWorkload(app=app, total_requests=6), transformed=transformed
+        )
+        syscalls = PINNED_STANDALONE_SYSCALLS[(app, transformed)]
+        assert dataclasses.asdict(measurement) == {
+            "configuration": "standalone",
+            "num_variants": 1,
+            "requests_sent": 6,
+            "requests_completed": 6,
+            "status_counts": PINNED_STANDALONE_STATUSES[app],
+            "response_bytes": {"httpd": 6144, "ftpd": 3072}[app],
+            "syscalls_total": syscalls,
+            "syscalls_per_variant": [syscalls],
+            "bytes_read": {"httpd": 7219, "ftpd": 4044}[app],
+            "bytes_written": {"httpd": 6876, "ftpd": 4066}[app],
+            "replicated_calls": 0,
+            "per_variant_calls": syscalls,
+            "monitor_checks": 0,
+            "detection_calls": 8 if transformed else 0,
+            "alarms": 0,
+            "concurrent_clients": 1,
+        }
 
     def test_transformed_standalone_adds_detection_calls(self):
         plain = drive_standalone(WebBenchWorkload(total_requests=6), transformed=False)

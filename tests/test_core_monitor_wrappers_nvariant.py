@@ -250,6 +250,32 @@ class TestNVariantEngine:
         assert result.completed_normally
         assert len(result.variants) == 3
 
+    def test_one_variant_program_returning_without_exit_exits_zero(self):
+        def factory(ctx):
+            def program():
+                yield from ctx.libc.getuid()
+                return "done"
+
+            return program()
+
+        result = nvexec(build_standard_host(), factory, [], num_variants=1)
+        assert not result.alarms
+        assert result.completed_normally
+        [variant] = result.variants
+        assert variant.exit_code == 0 and variant.return_value == "done"
+
+    def test_one_variant_fault_raises_one_variant_fault_alarm(self):
+        def factory(ctx):
+            def program():
+                yield from ctx.libc.getuid()
+                raise SegmentationFault("injected pointer", address=0x1234)
+
+            return program()
+
+        result = nvexec(build_standard_host(), factory, [], num_variants=1)
+        assert [alarm.alarm_type for alarm in result.alarms] == [AlarmType.VARIANT_FAULT]
+        assert result.variants[0].fault is not None
+
     def test_result_describe_is_readable(self):
         result = nvexec(build_standard_host(), _benign_factory, [UIDVariation()])
         text = result.describe()
