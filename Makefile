@@ -105,14 +105,14 @@ check-keyed:
 # seed/boundary properties, and the host-image suites every cell's host rests
 # on (the copy-on-write image, the filesystem, the account databases and open
 # files), then a generate -> run round trip through the CLI (a written smoke
-# corpus, graded on both backends; any scorecard miss fails the experiment's
-# claims and with them the target).
+# corpus, graded end to end on the process backend; any scorecard miss fails
+# the experiment's claims and with them the target).
 check-corpus:
 	$(PYTHON) -m pytest -q tests/test_corpus.py tests/test_seed_and_boundaries.py tests/test_host_image.py \
 		tests/test_kernel_filesystem.py tests/test_kernel_passwd_and_filetable.py
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(PYTHON) -m repro corpus generate --seed 20080625 --records 60 --out "$$dir" > /dev/null; \
-	$(PYTHON) -m repro experiment corpus --corpus-dir "$$dir" --set workers=4 > /dev/null
+	$(PYTHON) -m repro experiment corpus --corpus-dir "$$dir" --set backend=process --set workers=4 > /dev/null
 	@echo "check-corpus ok: corpus + host-image suites + generated-corpus scorecard all-pass"
 
 # The second-workload gate: the interposition-table and fd-orbit unit suites,

@@ -21,10 +21,10 @@ from repro.api.experiments import experiments
 from repro.api.spec import ExperimentSpec
 
 #: Parameter overrides for the benchmarked run (default: the registry entry's
-#: own defaults).  The detection matrix runs at the engine's worker-pool
-#: parallelism, as the experiment module documents.
+#: own defaults).  The detection matrix runs on eight campaign workers, as
+#: the experiment module documents.
 BENCH_PARAMS = {
-    "detection": {"parallelism": 8},
+    "detection": {"workers": 8},
 }
 
 
@@ -140,19 +140,15 @@ def _check_corpus(result) -> None:
     assert card.exempt_total > 0
     assert card.exempt_undetected == card.exempt_total
     assert card.exempt_compromises > 0
-    assert list(result.scorecards) == ["virtual", "process"]
 
 
 def _check_apps(result) -> None:
     claims = result.claim_results()
     assert all(claims.values()), claims
     assert result.all_claims_hold
-    # Both backends ran and reproduced identical matrices on both apps, the
-    # matrices agree across apps cell-for-cell, and the alarm telemetry names
-    # the interposed syscalls that raised the alarms.
-    assert result.backends == ("virtual", "process")
-    for backend in result.backends:
-        assert result.matrix("httpd", backend) == result.matrix("ftpd", backend)
+    # The matrices agree across apps cell-for-cell, and the alarm telemetry
+    # names the interposed syscalls that raised the alarms.
+    assert result.matrix("httpd") == result.matrix("ftpd")
     assert result.alarm_breakdown
     assert all(count > 0 for count in result.alarm_breakdown.values())
     for measurements in result.measurements.values():
@@ -177,16 +173,14 @@ def _check_ablations(result) -> None:
 def _check_loadtest(result) -> None:
     claims = result.claim_results()
     assert all(claims.values()), claims
-    # Both backends swept the full grid and agreed byte for byte; the
-    # migration pair actually moved; the top-rate cells genuinely shed while
-    # the accept-all control absorbed everything into its tail.
-    assert result.backends == ("virtual", "process")
+    # The migration pair actually moved; the top-rate cells genuinely shed
+    # while the accept-all control absorbed everything into its tail.
     assert result.migration_moved["migrated"]
     assert result.migration_base["response_digest"] == result.migration_moved["response_digest"]
     top = result.multipliers[-1]
     for spec in (f"{n}-variant-uid-orbit" for n in result.variant_counts):
-        accept = result.cell("virtual", spec, "accept-all", top)
-        bounded = result.cell("virtual", spec, "bounded-newest", top)
+        accept = result.cell(spec, "accept-all", top)
+        bounded = result.cell(spec, "bounded-newest", top)
         assert accept["shed"] == 0 and bounded["shed"] > 0
         assert accept["queue_high_water"] > bounded["queue_high_water"]
         assert bounded["latency"]["p99"] <= accept["latency"]["p99"]

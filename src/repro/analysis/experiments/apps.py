@@ -1,4 +1,4 @@
-"""Experiment: the second-workload generalisation (apps x backends).
+"""Experiment: the second-workload generalisation (the same matrix on each app).
 
 The paper's detection argument never mentions HTTP: the guarantees rest on
 data diversity at the syscall boundary, so they must survive swapping the
@@ -6,16 +6,18 @@ protected application.  This experiment makes that claim measurable.  Every
 standard attack class (the Table 2/3 suites) runs against both registered
 serving apps -- the mini-httpd and the mini-ftpd -- under the full stacked
 diversity configuration (``fd-orbit`` + ``address-orbit`` + ``uid-orbit``)
-at N in {2, 3}, on both campaign backends (the in-process virtual-time
-scheduler and the forked OS worker pool), and the resulting matrices are
-checked three ways:
+at N in {2, 3}, on one campaign backend (the in-process virtual-time
+scheduler by default, or the forked OS worker pool), and the resulting
+matrices are checked two ways:
 
 * **the guarantee**: every in-guarantee attack is detected at both variant
   counts, the bit-granular corruptions stay (as documented) outside it, and
   the unprotected single process is still compromised;
-* **app independence**: the httpd and ftpd matrices agree cell for cell;
-* **backend independence**: the virtual and process matrices agree cell for
-  cell.
+* **app independence**: the httpd and ftpd matrices agree cell for cell.
+
+Backend independence needs no rerun here: every attack cell is the same
+picklable job on either backend, and ``tests/test_job_parity.py`` checks
+that both backends give each one the same result.
 
 A benign workload sweep (the app-keyed webbench client, on each app)
 rides along to show both servers complete their request mixes alarm-free
@@ -28,13 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.api.campaign import (
-    CampaignReport,
-    expand_backends,
-    prepare_attack,
-    run_campaign,
-    standard_attacks,
-)
+from repro.api.campaign import CampaignReport, prepare_attack, run_campaign, standard_attacks
 from repro.api.experiments import ExperimentReport, ReportTable
 from repro.api.spec import SINGLE_PROCESS_SPEC, SystemSpec
 from repro.attacks.outcomes import OutcomeKind
@@ -81,20 +77,20 @@ def _alarm_breakdown(app: str, spec: SystemSpec) -> dict[str, int]:
 
 @dataclasses.dataclass
 class AppsResult:
-    """Both apps' matrices per backend, the workload sweep, the claims."""
+    """Both apps' matrices, the workload sweep, the claims."""
 
-    backends: tuple[str, ...]
+    backend: str
     specs: tuple[SystemSpec, ...]
-    #: ``(app, backend) -> CampaignReport`` for the full attack suite.
-    reports: dict[tuple[str, str], CampaignReport]
+    #: ``app -> CampaignReport`` for the full attack suite.
+    reports: dict[str, CampaignReport]
     #: ``app -> WorkloadMeasurement list`` (standalone, then each N).
     measurements: dict[str, list]
     #: Per-syscall alarm counts, summed over apps, at the N=2 stacked system.
     alarm_breakdown: dict[str, int]
 
-    def matrix(self, app: str, backend: str) -> dict[str, dict[str, str]]:
-        """``{attack: {configuration: outcome}}`` for one (app, backend)."""
-        return self.reports[(app, backend)].matrix()
+    def matrix(self, app: str) -> dict[str, dict[str, str]]:
+        """``{attack: {configuration: outcome}}`` for one app."""
+        return self.reports[app].matrix()
 
     # -- claims ------------------------------------------------------------------
 
@@ -102,51 +98,41 @@ class AppsResult:
         """The generalisation claims, checked against every matrix."""
         claims: dict[str, bool] = {}
         protected = [spec.name for spec in self.specs if spec.redundant]
+        backend = self.backend
         for app in APP_NAMES:
-            for backend in self.backends:
-                report = self.reports[(app, backend)]
-                single = [
-                    o
-                    for o in report.by_configuration(SINGLE_PROCESS_SPEC.name)
-                    if o.attack not in OUTSIDE_GUARANTEE
-                ]
-                guaranteed = [
-                    o
-                    for o in report.outcomes
-                    if o.configuration in protected and o.attack not in OUTSIDE_GUARANTEE
-                ]
-                outside = [
-                    o
-                    for o in report.outcomes
-                    if o.configuration in protected and o.attack in OUTSIDE_GUARANTEE
-                ]
-                claims[
-                    f"{app}/{backend}: attacks compromise the unprotected server"
-                ] = any(o.kind is OutcomeKind.UNDETECTED_COMPROMISE for o in single)
-                claims[
-                    f"{app}/{backend}: every in-guarantee attack is detected at "
-                    f"N in {{{', '.join(str(s.num_variants) for s in self.specs if s.redundant)}}} "
-                    "under the fd+address+uid stack"
-                ] = bool(guaranteed) and all(
-                    o.kind is OutcomeKind.DETECTED for o in guaranteed
-                )
-                claims[
-                    f"{app}/{backend}: bit-granular corruptions stay outside the guarantee"
-                ] = all(o.kind is not OutcomeKind.DETECTED for o in outside)
-        for backend in self.backends:
+            report = self.reports[app]
+            single = [
+                o
+                for o in report.by_configuration(SINGLE_PROCESS_SPEC.name)
+                if o.attack not in OUTSIDE_GUARANTEE
+            ]
+            guaranteed = [
+                o
+                for o in report.outcomes
+                if o.configuration in protected and o.attack not in OUTSIDE_GUARANTEE
+            ]
+            outside = [
+                o
+                for o in report.outcomes
+                if o.configuration in protected and o.attack in OUTSIDE_GUARANTEE
+            ]
             claims[
-                f"{backend}: the detection matrix is app-independent "
-                "(httpd and ftpd agree cell for cell)"
-            ] = self.matrix("httpd", backend) == self.matrix("ftpd", backend)
-        if len(self.backends) > 1:
-            first, *rest = self.backends
-            for app in APP_NAMES:
-                claims[
-                    f"{app}: every backend reproduces the same matrix"
-                ] = all(
-                    self.matrix(app, backend) == self.matrix(app, first)
-                    for backend in rest
-                )
+                f"{app}/{backend}: attacks compromise the unprotected server"
+            ] = any(o.kind is OutcomeKind.UNDETECTED_COMPROMISE for o in single)
+            claims[
+                f"{app}/{backend}: every in-guarantee attack is detected at "
+                f"N in {{{', '.join(str(s.num_variants) for s in self.specs if s.redundant)}}} "
+                "under the fd+address+uid stack"
+            ] = bool(guaranteed) and all(
+                o.kind is OutcomeKind.DETECTED for o in guaranteed
+            )
+            claims[
+                f"{app}/{backend}: bit-granular corruptions stay outside the guarantee"
+            ] = all(o.kind is not OutcomeKind.DETECTED for o in outside)
+        claims[
+            f"{backend}: the detection matrix is app-independent "
+            "(httpd and ftpd agree cell for cell)"
+        ] = self.matrix("httpd") == self.matrix("ftpd")
         for app, measurements in self.measurements.items():
             claims[
                 f"{app}: the benign workload completes alarm-free under the stacked diversity"
@@ -164,11 +150,10 @@ class AppsResult:
         """The matrices, the workload sweep and the claims as a shared report."""
         sections = []
         configurations = [spec.name for spec in self.specs]
-        reference_backend = self.backends[0]
         for app in APP_NAMES:
             sections.append(
-                self.reports[(app, reference_backend)].matrix_table(
-                    f"Detection matrix on {app} ({reference_backend} backend)",
+                self.reports[app].matrix_table(
+                    f"Detection matrix on {app} ({self.backend} backend)",
                     configurations,
                     attack_header=f"{app} attack",
                 )
@@ -199,19 +184,11 @@ class AppsResult:
             )
         )
         telemetry: dict = {
-            "backends": list(self.backends),
-            "campaign_cells_per_backend": sum(
-                len(report.outcomes)
-                for (_, backend), report in self.reports.items()
-                if backend == self.backends[0]
-            ),
+            "campaign_cells": sum(len(report.outcomes) for report in self.reports.values()),
             "alarm_breakdown": dict(self.alarm_breakdown),
         }
-        execution = self.reports[("ftpd", "virtual")].execution if (
-            "virtual" in self.backends
-        ) else None
-        if execution is not None:
-            telemetry["campaign_virtual_elapsed"] = execution.virtual_elapsed
+        if self.backend == "virtual":
+            telemetry["campaign_virtual_elapsed"] = self.reports["ftpd"].execution.virtual_elapsed
         return ExperimentReport(
             title="Second workload generalisation: detection and throughput, apps x backends",
             sections=tuple(sections),
@@ -221,27 +198,20 @@ class AppsResult:
         )
 
 
-def run(*, backend: str = "both", workers: int = 4, requests: int = 16) -> AppsResult:
+def run(*, backend: str = "virtual", workers: int = 4, requests: int = 16) -> AppsResult:
     """Run the cross-app matrices, the workload sweep and the alarm telemetry.
 
-    ``backend`` selects the execution tiers (``"both"`` runs the virtual-time
-    scheduler and the forked worker pool and asserts they agree),
-    ``workers`` the campaign worker count on each, and ``requests`` the
-    benign request count per workload configuration.
+    ``backend`` selects the campaign execution tier (the virtual-time
+    scheduler or the forked worker pool), ``workers`` its worker count, and
+    ``requests`` the benign request count per workload configuration.
     """
     from repro.apps.clients.webbench import WebBenchWorkload, drive_nvariant, drive_standalone
 
-    backends = expand_backends(backend)
     specs = (SINGLE_PROCESS_SPEC, *(diversity_spec(n) for n in VARIANT_COUNTS))
-    reports: dict[tuple[str, str], CampaignReport] = {}
-    for app in APP_NAMES:
-        for tier in backends:
-            reports[(app, tier)] = run_campaign(
-                specs,
-                standard_attacks(app),
-                backend=tier,
-                workers=workers,
-            )
+    reports = {
+        app: run_campaign(specs, standard_attacks(app), backend=backend, workers=workers)
+        for app in APP_NAMES
+    }
 
     measurements: dict[str, list] = {}
     for app in APP_NAMES:
@@ -257,7 +227,7 @@ def run(*, backend: str = "both", workers: int = 4, requests: int = 16) -> AppsR
             breakdown[name] = breakdown.get(name, 0) + count
 
     return AppsResult(
-        backends=backends,
+        backend=backend,
         specs=specs,
         reports=reports,
         measurements=measurements,
@@ -265,6 +235,8 @@ def run(*, backend: str = "both", workers: int = 4, requests: int = 16) -> AppsR
     )
 
 
-def experiment(*, backend: str = "both", workers: int = 4, requests: int = 16) -> ExperimentReport:
+def experiment(
+    *, backend: str = "virtual", workers: int = 4, requests: int = 16
+) -> ExperimentReport:
     """Registry entry point: run the generalisation suite, return the report."""
     return run(backend=backend, workers=workers, requests=requests).to_report()

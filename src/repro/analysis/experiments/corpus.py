@@ -17,10 +17,11 @@ its partition at the same nominal offset.  Those mutations are *designed* to
 evade detection, and the scorecard requires them to evade it -- an exempt
 record that alarms is as much a miss as a guaranteed record that does not.
 
-Claims: every record matches its expectation on every backend; the virtual
-and process scorecards are identical; the exempt class demonstrably escapes
-(with at least one outright undetected compromise); and the corpus itself
-regenerates byte-identically from its seed.
+Claims: every record matches its expectation; the exempt class demonstrably
+escapes (with at least one outright undetected compromise); and the corpus
+itself regenerates byte-identically from its seed.  The corpus runs on one
+campaign backend; ``tests/test_job_parity.py`` checks that a corpus record
+gives the same result on either backend.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from repro.api.campaign import expand_backends
 from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
 from repro.corpus.generator import DEFAULT_RECORDS, generate_corpus
 from repro.corpus.records import CorpusRecord, read_corpus
@@ -41,43 +41,29 @@ DEFAULT_SEED = 20080625
 
 @dataclasses.dataclass
 class CorpusResult:
-    """The graded corpus: per-backend scorecards plus determinism evidence."""
+    """The graded corpus: its scorecard plus determinism evidence."""
 
     seed: int
     records: list[CorpusRecord]
-    scorecards: dict[str, Scorecard]
+    backend: str
+    scorecard: Scorecard
     regenerate_identical: bool
     corpus_dir: str = ""
-
-    @property
-    def backends(self) -> list[str]:
-        return list(self.scorecards)
-
-    @property
-    def scorecard(self) -> Scorecard:
-        """The first backend's scorecard (all backends must agree anyway)."""
-        return next(iter(self.scorecards.values()))
 
     def mutation_classes(self) -> list[str]:
         return sorted({record.mutation_class for record in self.records})
 
     def claim_results(self) -> dict[str, bool]:
         """The guarantee boundary, graded."""
-        cards = list(self.scorecards.values())
-        first = cards[0]
+        card = self.scorecard
         return {
-            "every scenario outcome matches its analytic expectation": all(
-                card.all_pass for card in cards
-            ),
-            "virtual and process backends produce identical scorecards": all(
-                card.to_dict() == first.to_dict() for card in cards[1:]
-            ),
+            "every scenario outcome matches its analytic expectation": card.all_pass,
             "guarantee-exempt mutations escape detection as predicted": (
-                first.exempt_total > 0
-                and first.exempt_undetected == first.exempt_total
+                card.exempt_total > 0
+                and card.exempt_undetected == card.exempt_total
             ),
             "at least one exempt record is an undetected compromise": (
-                first.exempt_compromises > 0
+                card.exempt_compromises > 0
             ),
             "the corpus regenerates byte-identically from its seed": (
                 self.regenerate_identical
@@ -97,15 +83,9 @@ class CorpusResult:
                 ("seed", str(self.seed)),
                 ("records", str(card.total)),
                 ("source", self.corpus_dir or f"generated (seed {self.seed})"),
-                ("backends", ", ".join(self.backends)),
+                ("backend", self.backend),
                 ("mutation classes", str(len(self.mutation_classes()))),
-                (
-                    "passed",
-                    " / ".join(
-                        f"{backend}: {c.passed}/{c.total}"
-                        for backend, c in self.scorecards.items()
-                    ),
-                ),
+                ("passed", f"{card.passed}/{card.total}"),
                 (
                     "guarantee-exempt",
                     f"{card.exempt_total} records, "
@@ -130,22 +110,20 @@ class CorpusResult:
             ),
         )
         sections: list = [summary, rows]
-        misses = [miss for c in self.scorecards.values() for miss in c.misses]
-        if misses:
+        if card.misses:
             sections.append(
                 ReportTable(
                     title="Guarantee-edge misses",
                     headers=("record", "scheme", "expected kind", "actual kind"),
                     rows=tuple(
                         (m.record_id, m.scheme, m.expected_kind, m.actual_kind)
-                        for m in misses
+                        for m in card.misses
                     ),
                 )
             )
         telemetry = {
             "records": card.total,
             "cells": len(card.rows),
-            "backends": len(self.scorecards),
             "exempt_compromises": card.exempt_compromises,
         }
         return ExperimentReport(
@@ -161,17 +139,15 @@ def run(
     *,
     records: int = DEFAULT_RECORDS,
     seed: int = DEFAULT_SEED,
-    backend: str = "both",
+    backend: str = "virtual",
     workers: int = 8,
     corpus_dir: str = "",
 ) -> CorpusResult:
-    """Generate (or load) the corpus, run it on the requested backend(s), grade it.
+    """Generate (or load) the corpus, run it on *backend*, grade it.
 
-    ``backend="both"`` runs virtual then process and lets the claims compare
-    the scorecards; ``corpus_dir`` loads a previously written corpus instead
-    of generating one (its manifest seed wins over *seed*).
+    ``corpus_dir`` loads a previously written corpus instead of generating
+    one (its manifest seed wins over *seed*).
     """
-    backends = expand_backends(backend)
     if corpus_dir:
         corpus = read_corpus(Path(corpus_dir))
         regenerate_identical = True  # determinism is a generator property
@@ -181,16 +157,14 @@ def run(
         regenerate_identical = [r.to_json() for r in corpus] == [
             r.to_json() for r in replay
         ]
-    scorecards = {
-        name: evaluate_corpus(
-            corpus, run_corpus_records(corpus, backend=name, workers=workers)
-        )
-        for name in backends
-    }
+    scorecard = evaluate_corpus(
+        corpus, run_corpus_records(corpus, backend=backend, workers=workers)
+    )
     return CorpusResult(
         seed=seed,
         records=corpus,
-        scorecards=scorecards,
+        backend=backend,
+        scorecard=scorecard,
         regenerate_identical=regenerate_identical,
         corpus_dir=corpus_dir,
     )
@@ -200,7 +174,7 @@ def experiment(
     *,
     records: int = DEFAULT_RECORDS,
     seed: int = DEFAULT_SEED,
-    backend: str = "both",
+    backend: str = "virtual",
     workers: int = 8,
     corpus_dir: str = "",
 ) -> ExperimentReport:

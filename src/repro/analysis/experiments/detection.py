@@ -10,7 +10,7 @@ attack in the library is run against every configuration and the outcome
 matrix is reported, together with the claims the matrix must satisfy.
 
 The campaigns run through the engine's worker-pool scheduler
-(``run(parallelism=8)`` interleaves the whole matrix), and both sweeps
+(``run(workers=8)`` interleaves the whole matrix), and both sweeps
 include N>=3 orbit configurations -- the 3-variant UID orbit, the 3-variant
 address orbit, and the combined address+UID orbit -- because the guarantee
 is about data diversity, not about N=2, and the matrix shows it surviving
@@ -142,13 +142,10 @@ class DetectionMatrixResult:
         )
 
 
-def run(
-    *, parallelism: int = 1, backend: str = "virtual", workers: int = 0
-) -> DetectionMatrixResult:
+def run(*, backend: str = "virtual", workers: int = 1) -> DetectionMatrixResult:
     """Run the full detection matrix.
 
-    ``workers`` (or, when it is 0, its historical spelling ``parallelism``)
-    and ``backend`` are forwarded to
+    ``workers`` and ``backend`` are forwarded to
     :func:`~repro.api.campaign.run_campaign`: the matrix's cells are
     independent, so any worker count on either backend produces the same
     matrix -- only faster, in engine virtual time (``"virtual"``) or in real
@@ -157,7 +154,6 @@ def run(
     from repro.attacks.memory_attacks import standard_address_attacks
     from repro.attacks.uid_attacks import standard_uid_attacks
 
-    workers = workers or parallelism
     uid_report = run_campaign(
         (SINGLE_PROCESS_SPEC, UID_DIVERSITY_SPEC, UID_ORBIT_3_SPEC, COMBINED_ORBIT_3_SPEC),
         standard_uid_attacks(),
@@ -183,8 +179,6 @@ def run(
     )
 
 
-def experiment(
-    *, parallelism: int = 1, backend: str = "virtual", workers: int = 0
-) -> ExperimentReport:
+def experiment(*, backend: str = "virtual", workers: int = 1) -> ExperimentReport:
     """Registry entry point: run the matrix, return the shared report."""
-    return run(parallelism=parallelism, backend=backend, workers=workers).to_report()
+    return run(backend=backend, workers=workers).to_report()

@@ -4,7 +4,7 @@ The paper's servers live behind real traffic, and real traffic is open
 loop: requests arrive on their own schedule whether the N-variant system
 keeps up or not.  This experiment sweeps seeded Poisson arrival rates from
 half the calibrated service rate to several times it, across every
-registered admission policy and variant count, on both campaign backends,
+registered admission policy and variant count, on one campaign backend,
 and checks that overload degrades *gracefully*:
 
 * the accept-all control group never sheds (its queue, and its tail, absorb
@@ -14,9 +14,11 @@ and checks that overload degrades *gracefully*:
 * under overload, bounded-queue admission keeps the admitted requests' p99
   sojourn at or below the accept-all tail -- shedding buys latency;
 * no benign request ever raises an alarm, and every admitted benign request
-  is accounted for (completed, evicted, or aborted -- never lost);
-* the virtual-time and forked process backends produce byte-identical cell
-  results under the shared seed.
+  is accounted for (completed, evicted, or aborted -- never lost).
+
+Every sweep cell is the same picklable job on either backend, and
+``tests/test_job_parity.py`` checks that both backends give a cell
+byte-identical results under the shared seed.
 
 A **migration parity** pair rides along: the same seeded keyed-UID serving
 run executed straight and with a checkpoint/restore hand-off mid-run (at
@@ -30,9 +32,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Optional
+from typing import Any
 
-from repro.api.campaign import expand_backends
 from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
 from repro.api.spec import SystemSpec, keyed_uid_spec, uid_orbit_spec
 from repro.engine.campaign import CampaignJob, run_jobs
@@ -81,20 +82,20 @@ MIGRATION_PARITY_FIELDS = (
 class LoadTestResult:
     """The sweep grid, the calibration point, the migration pair, the claims."""
 
-    backends: tuple[str, ...]
+    backend: str
     multipliers: tuple[float, ...]
     #: Calibrated service rate in requests per kilotick (from the low-load cell).
     service_rate: float
     capacity: int
     variant_counts: tuple[int, ...]
-    #: ``(backend, spec name, policy label, multiplier) -> LoadRunResult.to_dict()``.
-    cells: dict[tuple[str, str, str, float], dict[str, Any]]
-    #: Straight and migrated runs of the parity pair (``None`` when skipped).
-    migration_base: Optional[dict[str, Any]] = None
-    migration_moved: Optional[dict[str, Any]] = None
+    #: ``(spec name, policy label, multiplier) -> LoadRunResult.to_dict()``.
+    cells: dict[tuple[str, str, float], dict[str, Any]]
+    #: Straight and migrated runs of the parity pair.
+    migration_base: dict[str, Any]
+    migration_moved: dict[str, Any]
 
-    def cell(self, backend: str, spec: str, policy: str, mult: float) -> dict[str, Any]:
-        return self.cells[(backend, spec, policy, mult)]
+    def cell(self, spec: str, policy: str, mult: float) -> dict[str, Any]:
+        return self.cells[(spec, policy, mult)]
 
     def _spec_names(self) -> tuple[str, ...]:
         return tuple(uid_orbit_spec(n).name for n in self.variant_counts)
@@ -110,78 +111,60 @@ class LoadTestResult:
         claims: dict[str, bool] = {}
         shedding = [label for label in POLICY_LABELS if label != "accept-all"]
         top = self.multipliers[-1]
-        for backend in self.backends:
-            grid = {
-                (spec, policy, mult): self.cell(backend, spec, policy, mult)
-                for spec in self._spec_names()
-                for policy in POLICY_LABELS
-                for mult in self.multipliers
-            }
-            claims[f"{backend}: accept-all sheds nothing at any offered load"] = all(
-                cell["shed"] == 0
-                for (_, policy, _), cell in grid.items()
-                if policy == "accept-all"
-            )
+        backend = self.backend
+        grid = self.cells
+        claims[f"{backend}: accept-all sheds nothing at any offered load"] = all(
+            cell["shed"] == 0
+            for (_, policy, _), cell in grid.items()
+            if policy == "accept-all"
+        )
+        claims[
+            f"{backend}: shed fraction is non-decreasing in offered load "
+            "for every shedding policy"
+        ] = all(
+            self._shed_fraction(grid[(spec, policy, lo)])
+            <= self._shed_fraction(grid[(spec, policy, hi)])
+            for spec in self._spec_names()
+            for policy in shedding
+            for lo, hi in zip(self.multipliers, self.multipliers[1:])
+        )
+        claims[
+            f"{backend}: every shedding policy sheds once offered load "
+            f"reaches {OVERLOAD_THRESHOLD:g}x capacity"
+        ] = all(
+            grid[(spec, policy, mult)]["shed"] > 0
+            for spec in self._spec_names()
+            for policy in shedding
+            for mult in self.multipliers
+            if mult >= OVERLOAD_THRESHOLD
+        )
+        claims[
+            f"{backend}: bounded-queue admission keeps the admitted p99 at or "
+            "below accept-all's under overload"
+        ] = all(
+            (grid[(spec, policy, top)]["latency"]["p99"] or 0)
+            <= (grid[(spec, "accept-all", top)]["latency"]["p99"] or 0)
+            for spec in self._spec_names()
+            for policy in ("bounded-oldest", "bounded-newest")
+        )
+        claims[f"{backend}: zero benign alarms across the whole sweep"] = all(
+            cell["alarms"] == 0 for cell in grid.values()
+        )
+        claims[
+            f"{backend}: every admitted benign request is accounted for "
+            "(completed + evicted + aborted == admitted)"
+        ] = all(
+            cell["completed"] + cell["evicted"] + cell["aborted"]
+            == cell["admitted"]
+            for cell in grid.values()
+        )
+        claims["migration: the hand-off actually happened mid-run"] = bool(
+            self.migration_moved["migrated"]
+        ) and not self.migration_base["migrated"]
+        for field in MIGRATION_PARITY_FIELDS:
             claims[
-                f"{backend}: shed fraction is non-decreasing in offered load "
-                "for every shedding policy"
-            ] = all(
-                self._shed_fraction(grid[(spec, policy, lo)])
-                <= self._shed_fraction(grid[(spec, policy, hi)])
-                for spec in self._spec_names()
-                for policy in shedding
-                for lo, hi in zip(self.multipliers, self.multipliers[1:])
-            )
-            claims[
-                f"{backend}: every shedding policy sheds once offered load "
-                f"reaches {OVERLOAD_THRESHOLD:g}x capacity"
-            ] = all(
-                grid[(spec, policy, mult)]["shed"] > 0
-                for spec in self._spec_names()
-                for policy in shedding
-                for mult in self.multipliers
-                if mult >= OVERLOAD_THRESHOLD
-            )
-            claims[
-                f"{backend}: bounded-queue admission keeps the admitted p99 at or "
-                "below accept-all's under overload"
-            ] = all(
-                (grid[(spec, policy, top)]["latency"]["p99"] or 0)
-                <= (grid[(spec, "accept-all", top)]["latency"]["p99"] or 0)
-                for spec in self._spec_names()
-                for policy in ("bounded-oldest", "bounded-newest")
-            )
-            claims[f"{backend}: zero benign alarms across the whole sweep"] = all(
-                cell["alarms"] == 0 for cell in grid.values()
-            )
-            claims[
-                f"{backend}: every admitted benign request is accounted for "
-                "(completed + evicted + aborted == admitted)"
-            ] = all(
-                cell["completed"] + cell["evicted"] + cell["aborted"]
-                == cell["admitted"]
-                for cell in grid.values()
-            )
-        if len(self.backends) > 1:
-            first, *rest = self.backends
-            claims[
-                "the campaign backends reproduce every sweep cell byte for byte"
-            ] = all(
-                self.cell(backend, spec, policy, mult)
-                == self.cell(first, spec, policy, mult)
-                for backend in rest
-                for spec in self._spec_names()
-                for policy in POLICY_LABELS
-                for mult in self.multipliers
-            )
-        if self.migration_base is not None and self.migration_moved is not None:
-            claims["migration: the hand-off actually happened mid-run"] = bool(
-                self.migration_moved["migrated"]
-            ) and not self.migration_base["migrated"]
-            for field in MIGRATION_PARITY_FIELDS:
-                claims[
-                    f"migration: {field} is identical with and without the hand-off"
-                ] = self.migration_base[field] == self.migration_moved[field]
+                f"migration: {field} is identical with and without the hand-off"
+            ] = self.migration_base[field] == self.migration_moved[field]
         return claims
 
     @property
@@ -193,12 +176,11 @@ class LoadTestResult:
 
     def to_report(self) -> ExperimentReport:
         """The sweep table, the calibration point and the claims."""
-        reference = self.backends[0]
         rows = []
         for spec in self._spec_names():
             for policy in POLICY_LABELS:
                 for mult in self.multipliers:
-                    cell = self.cell(reference, spec, policy, mult)
+                    cell = self.cell(spec, policy, mult)
                     latency = cell["latency"]
                     rows.append(
                         (
@@ -216,7 +198,7 @@ class LoadTestResult:
                     )
         sections: list = [
             ReportTable(
-                title=f"Open-loop sweep ({reference} backend; rates in req/ktick)",
+                title=f"Open-loop sweep ({self.backend} backend; rates in req/ktick)",
                 headers=(
                     "configuration",
                     "admission",
@@ -236,31 +218,25 @@ class LoadTestResult:
             ("calibrated service rate (req/ktick)", f"{self.service_rate:.2f}"),
             ("bounded-queue capacity", str(self.capacity)),
             ("offered-load multipliers", ", ".join(f"{m:g}x" for m in self.multipliers)),
+            ("migration spec", self.migration_base["spec"]),
+            (
+                "migration responses identical",
+                str(
+                    self.migration_base["response_digest"]
+                    == self.migration_moved["response_digest"]
+                ),
+            ),
+            (
+                "migration secrets preserved",
+                str(
+                    self.migration_base["secret_digest"]
+                    == self.migration_moved["secret_digest"]
+                ),
+            ),
         ]
-        if self.migration_base is not None and self.migration_moved is not None:
-            pairs.extend(
-                (
-                    ("migration spec", self.migration_base["spec"]),
-                    (
-                        "migration responses identical",
-                        str(
-                            self.migration_base["response_digest"]
-                            == self.migration_moved["response_digest"]
-                        ),
-                    ),
-                    (
-                        "migration secrets preserved",
-                        str(
-                            self.migration_base["secret_digest"]
-                            == self.migration_moved["secret_digest"]
-                        ),
-                    ),
-                )
-            )
         sections.append(ReportKeyValues(title="Calibration and migration", pairs=tuple(pairs)))
         telemetry: dict = {
-            "backends": list(self.backends),
-            "sweep_cells_per_backend": len(self._spec_names())
+            "sweep_cells": len(self._spec_names())
             * len(POLICY_LABELS)
             * len(self.multipliers),
             "service_rate": round(self.service_rate, 3),
@@ -305,21 +281,20 @@ def _cell_kwargs(
 
 def run(
     *,
-    backend: str = "both",
+    backend: str = "virtual",
     workers: int = 4,
     requests: int = 24,
     rate_steps: int = 4,
     max_variants: int = 3,
     capacity: int = 3,
     seed: int = DEFAULT_SEED,
-    migration: bool = True,
 ) -> LoadTestResult:
-    """Calibrate, sweep, and (optionally) run the migration parity pair.
+    """Calibrate, sweep, and run the migration parity pair.
 
     A constant-rate low-load cell calibrates the service rate; the sweep
     offers ``rate_steps`` multiples of it (from :data:`LOAD_MULTIPLIERS`)
-    through every admission policy at N in ``2..max_variants``, on each
-    selected ``backend``.  ``requests`` is the benign stream length per
+    through every admission policy at N in ``2..max_variants``, on
+    ``backend``.  ``requests`` is the benign stream length per
     cell, ``capacity`` the bounded-queue depth (and token-bucket burst), and
     ``seed`` the root every cell's determinism flows from.
     """
@@ -329,7 +304,6 @@ def run(
         )
     if max_variants < 2:
         raise ValueError(f"max_variants must be >= 2, got {max_variants}")
-    backends = expand_backends(backend)
     multipliers = LOAD_MULTIPLIERS[:rate_steps]
     variant_counts = tuple(range(2, max_variants + 1))
 
@@ -368,35 +342,30 @@ def run(
         CampaignJob(sweep[key]["name"], functools.partial(LoadtestCell, sweep[key]))
         for key in ordered
     ]
-    cells: dict[tuple[str, str, str, float], dict[str, Any]] = {}
-    for tier in backends:
-        campaign = run_jobs(jobs, backend=tier, workers=workers)
-        for key, job_result in zip(ordered, campaign.jobs):
-            cells[(tier, *key)] = job_result.value
+    campaign = run_jobs(jobs, backend=backend, workers=workers)
+    cells = {key: job_result.value for key, job_result in zip(ordered, campaign.jobs)}
 
-    migration_base = migration_moved = None
-    if migration:
-        parity_spec = keyed_uid_spec(2, key_bits=8)
-        parity_kwargs: dict[str, Any] = dict(
-            app="httpd",
-            arrival="poisson",
-            rate=service_rate,
-            requests=max(6, min(requests, 10)),
-            seed=seed,
-            attacks=("uid-overwrite", "pointer-overwrite"),
-        )
-        migration_base = run_loadtest(
-            parity_spec, name="loadtest-straight", **parity_kwargs
-        ).to_dict()
-        migration_moved = run_loadtest(
-            parity_spec,
-            name="loadtest-migrated",
-            migrate_after=max(2, parity_kwargs["requests"] // 2),
-            **parity_kwargs,
-        ).to_dict()
+    parity_spec = keyed_uid_spec(2, key_bits=8)
+    parity_kwargs: dict[str, Any] = dict(
+        app="httpd",
+        arrival="poisson",
+        rate=service_rate,
+        requests=max(6, min(requests, 10)),
+        seed=seed,
+        attacks=("uid-overwrite", "pointer-overwrite"),
+    )
+    migration_base = run_loadtest(
+        parity_spec, name="loadtest-straight", **parity_kwargs
+    ).to_dict()
+    migration_moved = run_loadtest(
+        parity_spec,
+        name="loadtest-migrated",
+        migrate_after=max(2, parity_kwargs["requests"] // 2),
+        **parity_kwargs,
+    ).to_dict()
 
     return LoadTestResult(
-        backends=backends,
+        backend=backend,
         multipliers=multipliers,
         service_rate=service_rate,
         capacity=capacity,
@@ -409,7 +378,7 @@ def run(
 
 def experiment(
     *,
-    backend: str = "both",
+    backend: str = "virtual",
     workers: int = 4,
     requests: int = 24,
     rate_steps: int = 4,

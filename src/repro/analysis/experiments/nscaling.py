@@ -157,7 +157,7 @@ def run(
     min_variants: int = 2,
     max_variants: int = 6,
     requests: int = 12,
-    parallelism: int = 4,
+    workers: int = 4,
 ) -> NScalingResult:
     """Sweep both orbit families over ``[min_variants, max_variants]``."""
     from repro.attacks.memory_attacks import standard_address_attacks
@@ -172,9 +172,9 @@ def run(
     uid_specs = [uid_orbit_spec(n) for n in counts]
     address_specs = [address_orbit_spec(n) for n in counts]
 
-    uid_report = run_campaign(uid_specs, standard_uid_attacks(), workers=parallelism)
+    uid_report = run_campaign(uid_specs, standard_uid_attacks(), workers=workers)
     address_report = run_campaign(
-        address_specs, standard_address_attacks(), workers=parallelism
+        address_specs, standard_address_attacks(), workers=workers
     )
 
     workload = WebBenchWorkload(total_requests=requests)
@@ -209,12 +209,12 @@ def experiment(
     min_variants: int = 2,
     max_variants: int = 6,
     requests: int = 12,
-    parallelism: int = 4,
+    workers: int = 4,
 ) -> ExperimentReport:
     """Registry entry point: run the sweep, return the shared report."""
     return run(
         min_variants=min_variants,
         max_variants=max_variants,
         requests=requests,
-        parallelism=parallelism,
+        workers=workers,
     ).to_report()

@@ -173,20 +173,6 @@ def run_attack(attack: "Attack", spec: SystemSpec) -> "AttackOutcome":
     return prepare_attack(attack, spec).run()
 
 
-def expand_backends(backend: str) -> tuple[str, ...]:
-    """The backends an experiment's ``backend`` setting selects.
-
-    ``"both"`` expands to every campaign backend, in run order; any other
-    value must name one of them.
-    """
-    if backend == "both":
-        return CAMPAIGN_BACKENDS
-    if backend not in CAMPAIGN_BACKENDS:
-        choices = ", ".join((*CAMPAIGN_BACKENDS, "both"))
-        raise ValueError(f"backend must be one of {choices}, got {backend!r}")
-    return (backend,)
-
-
 def run_campaign(
     specs: Sequence[SystemSpec] = STANDARD_SYSTEM_SPECS,
     attacks: Optional[Iterable["Attack"]] = None,

@@ -462,9 +462,6 @@ class ExperimentRegistry:
 
 _EXPERIMENTS = "repro.analysis.experiments"
 
-#: The ``backend`` values of experiments that can run every backend in turn.
-_BACKEND_CHOICES = (*CAMPAIGN_BACKENDS, "both")
-
 #: The default registry.  Each entry's runner returns an
 #: :class:`ExperimentReport`; parameters mirror the module ``run()`` defaults.
 experiments = ExperimentRegistry()
@@ -518,7 +515,6 @@ experiments.register(
     f"{_EXPERIMENTS}.detection:experiment",
     description="The full detection matrix and the paper's security claims",
     parameters=(
-        ExperimentParameter("parallelism", int, 1, "campaign scheduler worker count", minimum=1),
         ExperimentParameter(
             "backend",
             str,
@@ -526,11 +522,9 @@ experiments.register(
             "campaign execution tier: virtual or process",
             choices=CAMPAIGN_BACKENDS,
         ),
-        ExperimentParameter(
-            "workers", int, 0, "uniform worker-count knob (0 = use parallelism)", minimum=0
-        ),
+        ExperimentParameter("workers", int, 1, "campaign scheduler worker count", minimum=1),
     ),
-    smoke_params={"parallelism": 8},
+    smoke_params={"workers": 8},
 )
 experiments.register(
     "nscaling",
@@ -543,9 +537,9 @@ experiments.register(
         ExperimentParameter("min_variants", int, 2, "smallest variant count swept", minimum=2),
         ExperimentParameter("max_variants", int, 6, "largest variant count swept", minimum=2),
         ExperimentParameter("requests", int, 12, "benign requests per configuration"),
-        ExperimentParameter("parallelism", int, 4, "campaign scheduler worker count", minimum=1),
+        ExperimentParameter("workers", int, 4, "campaign scheduler worker count", minimum=1),
     ),
-    smoke_params={"min_variants": 2, "max_variants": 3, "requests": 6, "parallelism": 4},
+    smoke_params={"min_variants": 2, "max_variants": 3, "requests": 6, "workers": 4},
 )
 experiments.register(
     "entropy",
@@ -577,7 +571,7 @@ experiments.register(
     f"{_EXPERIMENTS}.corpus:experiment",
     description=(
         "Generated scenario corpus vs the analytic guarantee: seeded mutation "
-        "matrix over scheme x N x mutation class, graded on both backends"
+        "matrix over scheme x N x mutation class, graded record by record"
     ),
     parameters=(
         ExperimentParameter("records", int, 240, "corpus size after trimming", minimum=1),
@@ -585,9 +579,9 @@ experiments.register(
         ExperimentParameter(
             "backend",
             str,
-            "both",
-            "execution tier: virtual, process, or both",
-            choices=_BACKEND_CHOICES,
+            "virtual",
+            "campaign execution tier: virtual or process",
+            choices=CAMPAIGN_BACKENDS,
         ),
         ExperimentParameter("workers", int, 8, "scheduler/pool worker count", minimum=1),
         ExperimentParameter(
@@ -602,22 +596,22 @@ experiments.register(
     description=(
         "Cross-app generalisation: the detection matrix and benign workload "
         "sweeps on httpd and ftpd under stacked fd+address+uid orbit "
-        "diversity at N in {2,3}, per campaign backend"
+        "diversity at N in {2,3}"
     ),
     parameters=(
         ExperimentParameter(
             "backend",
             str,
-            "both",
-            "execution tier: virtual, process, or both",
-            choices=_BACKEND_CHOICES,
+            "virtual",
+            "campaign execution tier: virtual or process",
+            choices=CAMPAIGN_BACKENDS,
         ),
-        ExperimentParameter("workers", int, 4, "campaign worker count per backend", minimum=1),
+        ExperimentParameter("workers", int, 4, "campaign worker count", minimum=1),
         ExperimentParameter(
             "requests", int, 16, "benign requests per workload configuration"
         ),
     ),
-    smoke_params={"backend": "virtual", "requests": 8},
+    smoke_params={"requests": 8},
 )
 experiments.register(
     "loadtest",
@@ -625,17 +619,17 @@ experiments.register(
     description=(
         "Open-loop load: seeded arrival processes x admission policies x N "
         "with sojourn percentiles, graceful-overload claims, and a session "
-        "checkpoint/migration parity pair, per campaign backend"
+        "checkpoint/migration parity pair"
     ),
     parameters=(
         ExperimentParameter(
             "backend",
             str,
-            "both",
-            "execution tier: virtual, process, or both",
-            choices=_BACKEND_CHOICES,
+            "virtual",
+            "campaign execution tier: virtual or process",
+            choices=CAMPAIGN_BACKENDS,
         ),
-        ExperimentParameter("workers", int, 4, "process-pool worker count", minimum=1),
+        ExperimentParameter("workers", int, 4, "campaign worker count", minimum=1),
         ExperimentParameter("requests", int, 24, "benign requests per sweep cell"),
         ExperimentParameter(
             "rate_steps",
@@ -651,7 +645,6 @@ experiments.register(
         ExperimentParameter("seed", int, 20080625, "root seed every cell derives from"),
     ),
     smoke_params={
-        "backend": "virtual",
         "requests": 12,
         "rate_steps": 3,
         "max_variants": 2,

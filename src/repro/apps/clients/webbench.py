@@ -35,12 +35,10 @@ from repro.api.builders import build_engine, build_session
 from repro.api.spec import FleetSpec, SystemSpec
 # The mix types live in the catalog; they are re-exported here for clients.
 from repro.apps.catalog import DEFAULT_STATIC_MIX, RequestMixEntry, ServingApp, get_app
-from repro.core.nvariant import NVariantResult, UIDCodec, VariantContext
+from repro.core.nvariant import NVariantResult
 from repro.engine import CampaignExecutionResult, NVariantSession, run_sessions
 from repro.kernel.host import build_standard_host
 from repro.kernel.kernel import SimulatedKernel
-from repro.kernel.libc import Libc
-from repro.kernel.scheduler import ProgramRunner
 from repro.kernel.syscalls import DETECTION_SYSCALLS
 
 
@@ -208,26 +206,28 @@ def drive_standalone(
     ``transformed=False`` reproduces Configuration 1 of Table 3 (unmodified
     Apache on the N-variant-capable kernel); ``transformed=True`` reproduces
     Configuration 2 (the UID-transformed server running as a single process).
+    The server runs as a one-variant session: with nothing to compare against,
+    only a variant fault can raise an alarm.
     """
-    app = workload.serving_app
-    kernel = _load_host(workload, kernel)
-    process = kernel.spawn_process(app.name)
-    factory = app.make_factory(
-        transformed=transformed, max_requests=workload.total_requests, multiplex=multiplex
+    kernel, session = _prepare_session(
+        workload,
+        SystemSpec(num_variants=1, transformed=transformed),
+        multiplex=multiplex,
+        name=workload.app,
+        kernel=kernel,
     )
-    context = VariantContext(index=0, process=process, libc=Libc(), uid_codec=UIDCodec.identity())
-    run_result = ProgramRunner(kernel).run(process, factory(context))
+    result = session.run()
     return _measure(
         kernel,
         workload,
         configuration=configuration,
         num_variants=1,
         syscalls_total=kernel.stats.syscall_count,
-        syscalls_per_variant=[process.stats.syscall_count],
+        syscalls_per_variant=[result.variants[0].syscall_count],
         replicated_calls=0,
         per_variant_calls=kernel.stats.syscall_count,
         monitor_checks=0,
-        alarms=0 if run_result.exited_normally else 1,
+        alarms=len(result.alarms),
     )
 
 

@@ -5,7 +5,9 @@ variants of a program, synchronises them at system-call boundaries, routes
 every call through the monitor and the wrapper layer, and converts any
 divergence into an alarm.
 
-Programs are generator coroutines (see :mod:`repro.kernel.scheduler`); a
+Programs are generator coroutines (:data:`Program`): each yields a
+:class:`~repro.kernel.syscalls.SyscallRequest` whenever it needs a kernel
+service and receives the :class:`~repro.kernel.syscalls.SyscallResult` back.  A
 *program factory* builds one generator per variant from a
 :class:`VariantContext` carrying that variant's process, address space and
 embedded data codec.  The codec is how the reproduction models the build-time
@@ -15,7 +17,9 @@ literal values.
 
 The lockstep loop itself lives in :mod:`repro.engine.session`, where it is a
 resumable *session* that a cooperative scheduler can interleave with other
-sessions.  :func:`nvexec` builds one session and runs it to completion.
+sessions.  :func:`nvexec` builds one session and runs it to completion.  With
+``num_variants=1`` the same session runs the unprotected single-process
+baseline.
 """
 
 from __future__ import annotations

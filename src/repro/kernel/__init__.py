@@ -3,10 +3,11 @@
 This package stands in for the modified Linux kernel of the paper's
 prototype.  It provides processes with POSIX-style credentials, a virtual
 filesystem with permissions, per-process descriptor tables, a minimal network
-stack, the system-call interface (including the paper's new detection calls
-from Table 2), and runners for generator-based simulated programs.
+stack, and the system-call interface (including the paper's new detection
+calls from Table 2).
 
-The N-variant machinery itself (lockstep execution, monitoring, input
+The N-variant machinery itself (running programs -- the unprotected baseline
+is a one-variant session -- lockstep execution, monitoring, input
 replication, unshared files, reexpression) lives in :mod:`repro.core` and is
 layered *on top of* this kernel, mirroring how the paper layered its wrapper
 code on top of stock kernel services.
@@ -74,7 +75,6 @@ from repro.kernel.passwd import (
     parse_passwd,
 )
 from repro.kernel.process import Process, ProcessState, ProcessTable
-from repro.kernel.scheduler import Program, ProgramRunner, RunResult
 from repro.kernel.signals import Signal, SignalState
 from repro.kernel.syscalls import (
     DETECTION_SYSCALLS,
@@ -126,12 +126,9 @@ __all__ = [
     "Process",
     "ProcessState",
     "ProcessTable",
-    "Program",
-    "ProgramRunner",
     "R_OK",
     "ROOT_GID",
     "ROOT_UID",
-    "RunResult",
     "SHADOW_FILE",
     "SegmentationFault",
     "Signal",

@@ -11,6 +11,8 @@ client's other cases run on both apps in ``test_apps_httpd.py``).
 
 import pytest
 
+from repro.api.builders import build_session
+from repro.api.spec import SystemSpec
 from repro.apps.clients.webbench import WebBenchWorkload
 from repro.apps.ftpd import FtpConfig, MiniFtpd, parse_ftp_config
 from repro.attacks.payloads import (
@@ -18,10 +20,7 @@ from repro.attacks.payloads import (
     ftp_benign_request,
     ftp_uid_overwrite_payload,
 )
-from repro.core.nvariant import UIDCodec
 from repro.kernel.host import FTP_DATA_PORT, FTP_PORT, build_standard_host, install_ftp_site
-from repro.kernel.libc import Libc
-from repro.kernel.scheduler import ProgramRunner
 
 
 class TestFtpConfig:
@@ -51,23 +50,29 @@ class TestFtpConfig:
 
 
 def _serve(conversations, *, transformed=False, max_requests=None):
-    """Run one standalone ftpd over scripted conversations; returns
-    (kernel, server, run_result)."""
+    """Run one standalone ftpd (a one-variant session) over scripted
+    conversations; returns (kernel, server, the variant's outcome)."""
     kernel = build_standard_host()
     install_ftp_site(kernel.fs)
     for index, payload in enumerate(conversations):
         kernel.client_connect(FTP_PORT, payload, client=f"c{index}")
         kernel.client_connect(FTP_DATA_PORT, b"", client=f"c{index}-data")
-    process = kernel.spawn_process("ftpd")
-    server = MiniFtpd(
-        Libc(),
-        UIDCodec.identity(),
-        process.address_space,
-        transformed=transformed,
-        max_requests=max_requests,
-    )
-    run_result = ProgramRunner(kernel).run(process, server.run())
-    return kernel, server, run_result
+    servers = []
+
+    def factory(context):
+        server = MiniFtpd(
+            context.libc,
+            context.uid_codec,
+            context.address_space,
+            transformed=transformed,
+            max_requests=max_requests,
+        )
+        servers.append(server)
+        return server.run()
+
+    spec = SystemSpec(num_variants=1, transformed=transformed)
+    result = build_session(spec, kernel, factory, name="ftpd").run()
+    return kernel, servers[0], result.variants[0]
 
 
 def _channel(kernel, client):

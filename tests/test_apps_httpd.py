@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.api.builders import build_session
+from repro.api.spec import SystemSpec
 from repro.apps.clients.webbench import (
     DEFAULT_STATIC_MIX,
     WebBenchWorkload,
@@ -27,12 +29,9 @@ from repro.apps.httpd.vulnerable import (
     copy_annotation_header,
     read_banner,
 )
-from repro.core.nvariant import UIDCodec
 from repro.core.variations.address import AddressPartitioning
 from repro.core.variations.uid import UIDVariation
 from repro.kernel.host import DEFAULT_HTTPD_CONF, HTTP_PORT, build_standard_host
-from repro.kernel.libc import Libc
-from repro.kernel.scheduler import ProgramRunner
 from repro.memory.address_space import AddressSpace
 from repro.memory.partition import HighBitScheme
 
@@ -132,13 +131,21 @@ class TestVulnerableState:
 
 
 def run_standalone_server(kernel, *, transformed=False, max_requests=None):
-    process = kernel.spawn_process("httpd")
-    server = MiniHttpd(
-        Libc(), UIDCodec.identity(), process.address_space,
-        transformed=transformed, max_requests=max_requests,
-    )
-    result = ProgramRunner(kernel).run(process, server.run())
-    return server, result
+    """Serve from one httpd process (a one-variant session); returns
+    (server, the variant's outcome)."""
+    servers = []
+
+    def factory(context):
+        server = MiniHttpd(
+            context.libc, context.uid_codec, context.address_space,
+            transformed=transformed, max_requests=max_requests,
+        )
+        servers.append(server)
+        return server.run()
+
+    spec = SystemSpec(num_variants=1, transformed=transformed)
+    result = build_session(spec, kernel, factory, name="httpd").run()
+    return servers[0], result.variants[0]
 
 
 class TestStandaloneServer:

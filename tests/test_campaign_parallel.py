@@ -247,8 +247,8 @@ class TestCrossBackendParity:
         """The full detection matrix agrees across backends."""
         from repro.analysis.experiments import detection
 
-        virtual = detection.run(parallelism=4)
-        process = detection.run(parallelism=4, backend="process")
+        virtual = detection.run(workers=4)
+        process = detection.run(workers=4, backend="process")
         assert virtual.claim_results() == process.claim_results()
         assert process.all_claims_hold
         assert virtual.uid_report.matrix() == process.uid_report.matrix()
@@ -519,8 +519,8 @@ class TestExperimentParallelism:
         """The migrated experiment produces the same claims at any worker count."""
         from repro.analysis.experiments import detection
 
-        serial = detection.run(parallelism=1)
-        parallel = detection.run(parallelism=8)
+        serial = detection.run(workers=1)
+        parallel = detection.run(workers=8)
         assert serial.claim_results() == parallel.claim_results()
         assert parallel.all_claims_hold
         assert serial.uid_report.matrix() == parallel.uid_report.matrix()

@@ -166,7 +166,7 @@ class TestRegistry:
 
         module = importlib.import_module(f"repro.analysis.experiments.{name}")
         with pytest.raises(
-            ValueError, match="backend must be one of virtual, process, both, got 'bogus'"
+            ValueError, match="backend must be one of virtual, process, got 'bogus'"
         ):
             module.run(backend="bogus")
 
@@ -395,7 +395,7 @@ class TestCLI:
             "table3 --set requests=0",
             "nscaling --set min_variants=5 --set max_variants=2",
             "detection --set backend=bogus",
-            "detection --set parallelism=0",
+            "detection --set workers=0",
             "corpus --set records=0 --set backend=virtual",
             "entropy --smoke --set trials=0",
         ],

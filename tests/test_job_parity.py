@@ -11,6 +11,7 @@ and virtual elapsed time.
 import functools
 import multiprocessing
 
+from repro.analysis.experiments.apps import diversity_spec
 from repro.api.campaign import prepare_attack, standard_attacks
 from repro.api.spec import (
     ADDRESS_ORBIT_3_SPEC,
@@ -42,7 +43,8 @@ def _assert_parity(jobs, **process_options):
 
 
 def _attack_jobs(app="httpd"):
-    specs = (SINGLE_PROCESS_SPEC, UID_DIVERSITY_SPEC, ADDRESS_ORBIT_3_SPEC)
+    # diversity_spec(2) is the apps experiment's fd+address+uid stack.
+    specs = (SINGLE_PROCESS_SPEC, UID_DIVERSITY_SPEC, ADDRESS_ORBIT_3_SPEC, diversity_spec(2))
     return [
         CampaignJob(f"{attack.name}@{spec.name}", functools.partial(prepare_attack, attack, spec))
         for attack in standard_attacks(app)[::3]
@@ -110,6 +112,25 @@ def test_loadtest_cells_match_across_backends():
             admission_params={"capacity": 2},
             name="cell-attacked",
         )
+    )
+    # One overloaded cell per shedding policy the loadtest experiment sweeps:
+    # each sheds, and drop-oldest also evicts.
+    shedding = {
+        "oldest": ("bounded-queue", {"capacity": 1, "drop": "oldest"}),
+        "newest": ("bounded-queue", {"capacity": 1, "drop": "newest"}),
+        "bucket": ("token-bucket", {"rate": 8.0, "burst": 1.0}),
+    }
+    cells.extend(
+        dict(
+            spec=uid_orbit_spec(2),
+            rate=40.0,
+            requests=6,
+            seed=SEED,
+            admission=kind,
+            admission_params=params,
+            name=f"cell-{label}",
+        )
+        for label, (kind, params) in shedding.items()
     )
     jobs = [
         CampaignJob(kwargs["name"], functools.partial(LoadtestCell, kwargs)) for kwargs in cells
