@@ -13,8 +13,8 @@
 #   make check-bench      -- smoke-regenerate benchmarks/results/, then diff
 #                            against the baseline; any flip or numeric move fails
 #   make check-keyed      -- the keyed-scheme/attacker-model tier: both unit
-#                            suites, the round fast-path suite, plus an
-#                            entropy-experiment smoke via the CLI
+#                            suites, the round fast-path and round-plan
+#                            suites, plus an entropy-experiment smoke via the CLI
 #   make check-corpus     -- the scenario-corpus tier: corpus/seed unit suites
 #                            and the host-image/filesystem suites, then
 #                            generate a small corpus and run the corpus
@@ -94,12 +94,14 @@ check-procs:
 # The keyed tier gate: keyed-scheme determinism/rotation, the attacker-model
 # suite (including the process-backend parity and WorkerError CLI checks),
 # the round fast-path suite (its UID decode memo must not survive a key
-# rotation), and one seeded entropy-experiment smoke through the CLI.
+# rotation), the round-plan suite (every session's per-name plan equals the
+# layered definition, and a key-rotating restart leaves no stale plan), and
+# one seeded entropy-experiment smoke through the CLI.
 check-keyed:
 	$(PYTHON) -m pytest -q tests/test_keyed_schemes.py tests/test_security_attacker.py \
-		tests/test_round_fast_path.py
+		tests/test_round_fast_path.py tests/test_round_plan.py
 	$(PYTHON) -m repro experiment entropy --smoke --seed 20080625 > /dev/null
-	@echo "check-keyed ok: keyed schemes + attacker suite + fast-path suite + entropy smoke"
+	@echo "check-keyed ok: keyed schemes + attacker suite + fast-path and round-plan suites + entropy smoke"
 
 # The scenario-corpus gate: the corpus/oracle/scorecard unit suite, the
 # seed/boundary properties, and the host-image suites every cell's host rests

@@ -214,41 +214,24 @@ class Monitor:
 
 
 class SyscallComparator:
-    """Per-session fast path for the lockstep point's comparison work.
+    """The layered lockstep round: canonicalize and compare, then transform.
 
     Every lockstep round the engine must (a) canonicalize each variant's
     request so representation differences don't trigger false alarms and
     (b) inverse-reexpress each request's diversified arguments before the
-    kernel sees them.  Both rewrites touch only a small, statically known set
-    of system calls (for the UID variation: the setuid family, the cc_*
-    comparisons, and ``uid_value``), while the bulk of a web workload is
-    reads, writes, opens and socket calls that no variation rewrites.
-
-    The comparator precomputes the union of the variations' declared rewrite
-    footprints (:attr:`~repro.core.variations.base.Variation.canonical_syscalls`
-    and :attr:`~repro.core.variations.base.Variation.transform_syscalls`) so
-    those common rounds skip the per-variation hook walk entirely: one loop
-    that stops at the first differing name or argument tuple decides the
-    comparison, and the requests go to the wrappers as they are.  The third
-    footprint, :attr:`~repro.core.variations.base.Variation.result_syscalls`,
-    is applied by the session on the way back.  A variation that cannot
-    declare a footprint (``None``) disables the corresponding fast path, so
-    correctness never depends on the declaration being present -- only
-    speed does.
+    kernel sees them.  A session runs its uniform rounds straight from a
+    per-name :class:`~repro.engine.session.RoundPlan`, which already holds
+    the name's hook chains; the comparator is the general form, used for
+    the rounds a plan cannot describe -- variants that issued different
+    calls, or a call compared raw whose arguments differ.  It walks the
+    variation stack under each request's own name and hands the result to
+    :meth:`Monitor.check_syscalls`, so every alarm is classified and
+    rendered by the monitor alone.
     """
 
-    def __init__(
-        self,
-        variations: "VariationStack",
-        monitor: Monitor,
-        table: InterpositionTable | None = None,
-    ):
+    def __init__(self, variations: "VariationStack", monitor: Monitor):
         self.variations = variations
         self.monitor = monitor
-        self.table = table if table is not None else monitor.table
-        self._detection = self.table.detection_syscalls
-        self._canonical_affected = variations.canonical_syscalls()
-        self._transform_affected = variations.transform_syscalls()
 
     def check_round(
         self,
@@ -256,30 +239,7 @@ class SyscallComparator:
         *,
         lockstep_index: int | None = None,
     ) -> Optional[Alarm]:
-        """Canonicalize-and-compare one lockstep round of raw requests.
-
-        Equivalent to canonicalizing every request through the variation
-        stack and calling :meth:`Monitor.check_syscalls`, but skips the
-        canonicalization walk for syscalls no variation rewrites.
-        """
-        first = requests[0]
-        name = first.name
-        affected = self._canonical_affected
-        if affected is not None and name not in affected:
-            args = first.args
-            for request in requests:
-                if request.name is not name or request.args != args:
-                    # A divergence (or mixed names): take the slow path so the
-                    # alarm carries the same classification and rendering.
-                    break
-            else:
-                stats = self.monitor.stats
-                stats.lockstep_points += 1
-                stats.syscalls_compared += len(requests)
-                stats.fast_path_rounds += 1
-                if name in self._detection:
-                    stats.detection_calls_checked += 1
-                return None
+        """Canonicalize every request through the stack and compare the round."""
         canonical = [
             self.variations.canonicalize_request(index, request)
             for index, request in enumerate(requests)
@@ -289,17 +249,10 @@ class SyscallComparator:
     def transform_round(self, requests: Sequence[SyscallRequest]) -> list[SyscallRequest]:
         """Apply each variant's outgoing request transformation for one round.
 
-        Every request's own name is checked (not just variant 0's): a
+        Every request's own name is used (not just variant 0's): a
         mixed-name round executed under ``halt_on_alarm=False`` must still
         decode the UID-carrying calls of the variants that issued them.
         """
-        affected = self._transform_affected
-        if affected is not None:
-            for request in requests:
-                if request.name in affected:
-                    break
-            else:
-                return list(requests)
         return [
             self.variations.transform_request(index, request)
             for index, request in enumerate(requests)

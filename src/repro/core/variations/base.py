@@ -45,19 +45,17 @@ class Variation:
     reference: str = ""
 
     #: The system calls :meth:`canonicalize_request` may rewrite, or ``None``
-    #: when the set cannot be stated statically.  Declaring the footprint lets
-    #: the lockstep engine's :class:`~repro.core.monitor.SyscallComparator`
-    #: skip canonicalization entirely for calls no variation rewrites, and
-    #: lets :class:`VariationStack` leave this variation out of the hook
-    #: chain it walks for every other call name (a variation with an empty
-    #: footprint is never called at all).  ``None`` disables both shortcuts
-    #: -- the variation joins every name's chain -- so an undeclared subclass
-    #: stays correct, just slower.  A subclass overriding
-    #: :meth:`canonicalize_request` without redeclaring this in the same class
-    #: is detected by :class:`VariationStack`, which then treats the footprint
-    #: as unknown -- a stale inherited declaration can never silently bypass
-    #: the subclass's canonicalization.  The two footprints below follow the
-    #: same contract and the same guard.  Hooks rewrite arguments and results
+    #: when the set cannot be stated statically.  A lockstep session's round
+    #: plan for a name outside every variation's footprint compares the raw
+    #: requests, and each plan's hook chains leave out the variations whose
+    #: footprint does not name the call (an empty footprint is never called).
+    #: ``None`` means every call, so an undeclared subclass stays correct,
+    #: just slower.  A subclass overriding :meth:`canonicalize_request`
+    #: without redeclaring this in the same class is detected by
+    #: :class:`VariationStack`, which then treats the footprint as unknown --
+    #: a stale inherited declaration can never silently bypass the
+    #: subclass's canonicalization.  The two footprints below follow the same
+    #: contract and the same guard.  Hooks rewrite arguments and results
     #: only, never the call name, so a chain chosen by name stays valid for
     #: the whole walk.
     canonical_syscalls: Optional[frozenset[Syscall]] = None
@@ -67,8 +65,8 @@ class Variation:
     transform_syscalls: Optional[frozenset[Syscall]] = None
 
     #: The system calls whose results :meth:`transform_result` may rewrite
-    #: (for the incoming-result hook).  The lockstep session hands every
-    #: other call's result to the variants without walking the stack.
+    #: (for the incoming-result hook).  Every other call's plan has an empty
+    #: result chain, so its results reach the variants as the kernel made them.
     result_syscalls: Optional[frozenset[Syscall]] = None
 
     # -- reexpression functions ------------------------------------------------
@@ -172,14 +170,14 @@ class VariationStack:
     for results, which keeps nested reexpressions well-formed even though the
     paper's variations touch disjoint data types.
 
-    Each hook walks a *per-name chain*: the variations, in stack order (or
-    reverse order for results), whose declared footprint for that hook
-    contains the call's name, plus every variation whose footprint is
-    unknown.  Leaving out a variation that declares it never rewrites the
+    Each hook walks a *per-name chain* (:meth:`_chain`): the variations, in
+    stack order (or reverse order for results), whose declared footprint for
+    that hook contains the call's name, plus every variation whose footprint
+    is unknown.  Leaving out a variation that declares it never rewrites the
     call is exactly the identity it would have applied, so a chain's result
-    equals the full walk's.  Chains are built on a name's first use and kept
-    for the stack's lifetime; building them all up front would cost every
-    short-lived session a pass over every call name.
+    equals the full walk's.  A lockstep session keeps the chains of each
+    name it meets in that name's round plan; the hook methods here build
+    the chain on every call, for the rounds and callers no plan covers.
     """
 
     def __init__(self, variations: Sequence[Variation], num_variants: int = 2):
@@ -191,18 +189,13 @@ class VariationStack:
                 )
         self.variations = list(variations)
         self.num_variants = num_variants
-        # Per hook: every variation's trusted footprint (None = unknown), the
-        # stack-wide union, and the lazily filled per-name chains.
+        # Per hook: every variation's trusted footprint (None = unknown), and
+        # the stack-wide union.
         self._footprints = {
             hook: [self._footprint(variation, attribute, hook) for variation in self.variations]
             for hook, attribute in _HOOK_FOOTPRINTS
         }
-        self._canonical_syscalls = self._union(self._footprints["canonicalize_request"])
-        self._transform_syscalls = self._union(self._footprints["transform_request"])
-        self._result_syscalls = self._union(self._footprints["transform_result"])
-        self._canonical_chains: dict[Syscall, tuple[Callable[..., SyscallRequest], ...]] = {}
-        self._transform_chains: dict[Syscall, tuple[Callable[..., SyscallRequest], ...]] = {}
-        self._result_chains: dict[Syscall, tuple[Callable[..., SyscallResult], ...]] = {}
+        self._unions = {hook: self._union(each) for hook, each in self._footprints.items()}
 
     @staticmethod
     def _declaring_class(cls: type, attribute: str) -> Optional[type]:
@@ -247,6 +240,9 @@ class VariationStack:
 
     def _chain(self, hook: str, name: Syscall, *, reverse: bool = False) -> tuple[Callable, ...]:
         """The bound *hook* of every variation that may rewrite *name*."""
+        union = self._unions[hook]
+        if union is not None and name not in union:
+            return ()
         pairs = list(zip(self.variations, self._footprints[hook]))
         if reverse:
             pairs.reverse()
@@ -258,15 +254,15 @@ class VariationStack:
 
     def canonical_syscalls(self) -> Optional[frozenset[Syscall]]:
         """Union of the stack's canonicalization footprints (``None`` = unknown)."""
-        return self._canonical_syscalls
+        return self._unions["canonicalize_request"]
 
     def transform_syscalls(self) -> Optional[frozenset[Syscall]]:
         """Union of the stack's request-transformation footprints."""
-        return self._transform_syscalls
+        return self._unions["transform_request"]
 
     def result_syscalls(self) -> Optional[frozenset[Syscall]]:
         """Union of the stack's result-transformation footprints."""
-        return self._result_syscalls
+        return self._unions["transform_result"]
 
     def make_address_space(self, index: int) -> AddressSpace:
         """First variation-provided address space, or a default flat space."""
@@ -285,11 +281,7 @@ class VariationStack:
 
     def transform_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
         """Compose every variation's outgoing transformation."""
-        name = request.name
-        chain = self._transform_chains.get(name)
-        if chain is None:
-            chain = self._transform_chains[name] = self._chain("transform_request", name)
-        for hook in chain:
+        for hook in self._chain("transform_request", request.name):
             request = hook(index, request)
         return request
 
@@ -297,23 +289,13 @@ class VariationStack:
         self, index: int, request: SyscallRequest, result: SyscallResult
     ) -> SyscallResult:
         """Compose every variation's result transformation (reverse order)."""
-        name = request.name
-        chain = self._result_chains.get(name)
-        if chain is None:
-            chain = self._result_chains[name] = self._chain(
-                "transform_result", name, reverse=True
-            )
-        for hook in chain:
+        for hook in self._chain("transform_result", request.name, reverse=True):
             result = hook(index, request, result)
         return result
 
     def canonicalize_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
         """Compose every variation's canonicalization function."""
-        name = request.name
-        chain = self._canonical_chains.get(name)
-        if chain is None:
-            chain = self._canonical_chains[name] = self._chain("canonicalize_request", name)
-        for hook in chain:
+        for hook in self._chain("canonicalize_request", request.name):
             request = hook(index, request)
         return request
 

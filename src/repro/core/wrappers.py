@@ -98,7 +98,8 @@ class SyscallWrappers:
     go through the shared/unshared descriptor machinery, replicated calls
     run once on behalf of all variants, and everything else fans out per
     variant.  The choice depends only on the call name and the table, so it
-    is made once per name (:meth:`strategy`) and remembered.
+    is made once per name (:meth:`strategy_for`) and remembered; a session's
+    round plan holds the same choice.
     """
 
     def __init__(
@@ -114,7 +115,7 @@ class SyscallWrappers:
         self.table = table if table is not None else CLASSIC_TABLE
         self.stats = WrapperStats()
         self._unshared_fds: set[int] = set()
-        self._strategies: dict[Syscall, _Strategy] = {}
+        self._strategies: dict[Syscall, Strategy] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -123,13 +124,16 @@ class SyscallWrappers:
         if len(requests) != len(self.processes):
             raise ValueError("one request per variant is required")
         self.stats.checks += 1
-        name = requests[0].name
+        return self.strategy_for(requests[0].name)(self, requests)
+
+    def strategy_for(self, name: Syscall) -> "Strategy":
+        """:meth:`strategy` for *name*, decided on its first use and remembered."""
         strategy = self._strategies.get(name)
         if strategy is None:
             strategy = self._strategies[name] = self.strategy(name)
-        return strategy(self, requests)
+        return strategy
 
-    def strategy(self, name: Syscall) -> "_Strategy":
+    def strategy(self, name: Syscall) -> "Strategy":
         """The execution strategy the active table assigns to *name*."""
         entry = self.table.entry(name)
         if entry.policy is PolicyKind.DENY:
@@ -196,20 +200,12 @@ class SyscallWrappers:
             if fds:
                 self._unshared_fds.add(fds.pop())
             return results
-
-        self.stats.replicated_calls += 1
-        result = self.kernel.execute(self.processes[0], requests[0])
-        if result.ok:
-            entry = self.processes[0].fds.get(result.value)
-            for process in self.processes[1:]:
-                process.fds.install(result.value, entry)
-            self._unshared_fds.discard(result.value)
-        return [result] * len(self.processes)
+        return self._execute_descriptor_creating(requests)
 
     def _execute_descriptor_creating(
         self, requests: Sequence[SyscallRequest]
     ) -> list[SyscallResult]:
-        """Socket/accept: execute once and mirror the new descriptor."""
+        """Socket/accept/shared open: execute once and mirror the new descriptor."""
         self.stats.replicated_calls += 1
         result = self.kernel.execute(self.processes[0], requests[0])
         if result.ok:
@@ -225,11 +221,7 @@ class SyscallWrappers:
         name = requests[0].name
 
         if isinstance(fd, int) and fd in self._unshared_fds:
-            self.stats.per_variant_calls += 1
-            results = [
-                self.kernel.execute(process, request)
-                for process, request in zip(self.processes, requests)
-            ]
+            results = self._execute_per_variant(requests)
             if name is _CLOSE:
                 self._unshared_fds.discard(fd)
             return results
@@ -246,4 +238,4 @@ class SyscallWrappers:
 
 #: One of the ``SyscallWrappers._execute_*`` functions, called unbound with
 #: the wrapper instance (so the per-instance cache holds no reference cycle).
-_Strategy = Callable[[SyscallWrappers, Sequence[SyscallRequest]], list[SyscallResult]]
+Strategy = Callable[[SyscallWrappers, Sequence[SyscallRequest]], list[SyscallResult]]

@@ -54,7 +54,7 @@ from repro.engine.scheduler import (
     ScheduledJobResult,
     run_sessions,
 )
-from repro.engine.session import NVariantSession, SessionState
+from repro.engine.session import NVariantSession, RoundLimitError, RoundPlan, SessionState
 
 __all__ = [
     "CampaignExecutionResult",
@@ -65,6 +65,8 @@ __all__ = [
     "MultiSessionEngine",
     "NVariantSession",
     "ProcessWorkerPool",
+    "RoundLimitError",
+    "RoundPlan",
     "ScheduledJobResult",
     "SessionState",
     "WorkerError",

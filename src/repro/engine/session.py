@@ -9,24 +9,26 @@ the unit the cooperative scheduler interleaves; :meth:`NVariantSession.run`
 and :func:`~repro.core.nvariant.nvexec` step one session alone until it
 leaves ``RUNNING``.
 
-A round does only the work its system call needs.  The variation stack
-declares three footprints -- the calls whose requests it canonicalizes,
-whose requests it rewrites for the kernel, and whose results it
-re-expresses -- so the overwhelming majority of rounds (read/write/open/
-accept/...) skip every per-variation walk: the
-:class:`~repro.core.monitor.SyscallComparator` compares the raw requests in
-one batched check and passes them to the wrappers unchanged, and the results
-go back to the variants as the kernel produced them.  The wrapper layer picks
-each call name's execution strategy once and remembers it.
+A round's work depends on its call name alone, so a session resolves one
+:class:`RoundPlan` per name on first use and keeps it: raw or canonical
+comparison, detection call or not, the canonicalize/transform/result hook
+chains, and the wrapper strategy.  A *uniform* round (every variant issued
+the same name) runs straight from the plan; for the read/write/open/accept
+bulk of a workload every chain is empty, so that is one compare loop and one
+kernel call.  A mixed-name round, or a raw-compared round whose arguments
+differ, takes the layered path (:class:`~repro.core.monitor.SyscallComparator`,
+:meth:`~repro.core.wrappers.SyscallWrappers.execute_round`,
+:meth:`~repro.core.variations.base.VariationStack.transform_result`), so its
+alarm is classified and rendered by the monitor alone.  Both paths move every
+monitor and wrapper counter identically.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from repro.core.alarm import AlarmType
 from repro.core.monitor import Monitor, SyscallComparator
 from repro.core.nvariant import (
     NVariantResult,
@@ -36,7 +38,7 @@ from repro.core.nvariant import (
     VariantOutcome,
 )
 from repro.core.variations.base import Variation, VariationStack
-from repro.core.wrappers import SyscallWrappers, UnsharedFileRegistry
+from repro.core.wrappers import Strategy, SyscallWrappers, UnsharedFileRegistry
 from repro.interpose import get_table
 from repro.kernel.errors import VariantFault
 from repro.kernel.kernel import SimulatedKernel
@@ -56,11 +58,46 @@ class SessionState(enum.Enum):
     HALTED = "halted"
 
 
+class RoundLimitError(RuntimeError):
+    """A session was stepped past its ``max_rounds`` budget."""
+
+
+class RoundPlan(NamedTuple):
+    """Everything a uniform round of one call name needs, resolved once.
+
+    The chains come from :meth:`~repro.core.variations.base.VariationStack._chain`
+    (results in reverse stack order); ``strategy`` is called unbound with the
+    session's current wrappers.  A plan holds no stats object, so rebuilding
+    the monitor or the wrappers never leaves it stale.
+    """
+
+    #: The name is outside the canonicalization footprint: compare raw args.
+    fast: bool
+    #: The name is one of the interposition table's detection calls.
+    detection: bool
+    canonicalize: tuple[Callable[..., SyscallRequest], ...]
+    transform: tuple[Callable[..., SyscallRequest], ...]
+    result: tuple[Callable[..., SyscallResult], ...]
+    strategy: Strategy
+
+
 # Bound once: attribute access on an Enum class goes through the metaclass's
 # ``__getattr__`` hook, several times slower than a module global, and these
 # are read every round.
 _RUNNING = SessionState.RUNNING
 _EXIT = Syscall.EXIT
+
+
+def _rewrite(
+    chain: tuple[Callable[..., SyscallRequest], ...], requests: Sequence[SyscallRequest]
+) -> list[SyscallRequest]:
+    """Each variant's request passed through the hooks of *chain*, in order."""
+    rewritten = []
+    for index, request in enumerate(requests):
+        for hook in chain:
+            request = hook(index, request)
+        rewritten.append(request)
+    return rewritten
 
 
 @dataclasses.dataclass
@@ -71,7 +108,6 @@ class _VariantRuntime:
     program: Program
     #: ``context.process``, one attribute hop closer for the round loop.
     process: Process
-    started: bool = False
     finished: bool = False
     fault: Optional[VariantFault] = None
     return_value: object = None
@@ -110,12 +146,8 @@ class NVariantSession:
         self.name = name
         self.interposition = interposition
         self.table = get_table(interposition)
-        self.monitor = Monitor(table=self.table)
-        self.comparator = SyscallComparator(self.variations, self.monitor)
-        self._result_affected = self.variations.result_syscalls()
-        self.rounds = 0
-        self.state = SessionState.RUNNING
-        self._ticks_consumed = 0
+        #: The round plan of each call name this run has met.
+        self._plans: dict[Syscall, RoundPlan] = {}
         #: Provenance stamps used by checkpoint/migration (repro.load): the
         #: declarative SystemSpec this session was built from (set by
         #: repro.api.builders.build_session) and the serving-app configuration
@@ -128,12 +160,17 @@ class NVariantSession:
         self._unshared_registry.register_mapping(
             self.variations.setup_unshared_files(kernel.fs)
         )
-        self._spawn_runtimes()
+        self._start()
 
     # -- construction helpers --------------------------------------------------
 
-    def _spawn_runtimes(self) -> None:
-        """Spawn fresh variant processes, contexts and program instances."""
+    def _start(self) -> None:
+        """Start a run at round zero: fresh monitor, plans, processes and programs."""
+        self.monitor = Monitor(table=self.table)
+        self._plans.clear()
+        self.rounds = 0
+        self._ticks_consumed = 0
+        self.state = SessionState.RUNNING
         self._contexts: list[VariantContext] = []
         processes: list[Process] = []
         for index in range(self.num_variants):
@@ -166,8 +203,8 @@ class NVariantSession:
         Any keyed variation scheme is rotated first (the key-rotation-on-
         restart semantics: a restarted fleet faces a fresh secret layout, so
         knowledge an attacker accumulated across probes dies with the old
-        session) unless *rotate_keys* is False.  The monitor, comparator and
-        per-variant runtimes are rebuilt from scratch; the previous run's
+        session) unless *rotate_keys* is False.  The monitor, round plans
+        and per-variant runtimes are rebuilt from scratch; the previous run's
         processes are exited and its alarms discarded.  A rotation also
         rewrites the unshared files (``/etc/passwd-i``, ``/etc/group-i``),
         whose UID columns were encoded under the old key.
@@ -193,12 +230,7 @@ class NVariantSession:
             self._unshared_registry.register_mapping(
                 self.variations.setup_unshared_files(self.kernel.fs)
             )
-        self.monitor = Monitor(table=self.table)
-        self.comparator = SyscallComparator(self.variations, self.monitor)
-        self.rounds = 0
-        self._ticks_consumed = 0
-        self.state = SessionState.RUNNING
-        self._spawn_runtimes()
+        self._start()
         return self.state
 
     def _build_codec(self, index: int) -> UIDCodec:
@@ -240,86 +272,154 @@ class NVariantSession:
     # -- the lockstep round ----------------------------------------------------
 
     def step(self) -> SessionState:
-        """Execute one lockstep round; returns the resulting session state."""
+        """Execute one lockstep round (none once the session ended); return the state."""
         if self.state is not _RUNNING:
             return self.state
         if self.rounds >= self.max_rounds:
-            raise RuntimeError(f"lockstep session exceeded {self.max_rounds} rounds")
-        clock_before = self.kernel.clock
+            raise RoundLimitError(f"lockstep session exceeded {self.max_rounds} rounds")
+        kernel = self.kernel
+        clock_before = kernel.clock
         try:
-            return self._step_round()
-        finally:
-            self._ticks_consumed += self.kernel.clock - clock_before
+            self.rounds += 1
+            runtimes = self._runtimes
+            # Advance every unfinished variant to its next system call.
+            requests = []
+            trapped = True
+            for runtime in runtimes:
+                request = runtime.pending_request
+                if request is None and not runtime.finished:
+                    try:
+                        # The first send is None, which starts the generator.
+                        request = runtime.program.send(runtime.pending_result)
+                    except StopIteration as stop:
+                        runtime.return_value = stop.value
+                        runtime.finished = True
+                        process = runtime.process
+                        if process.alive and process.exit_code is None:
+                            process.exit(0)
+                    except VariantFault as fault:
+                        runtime.fault = fault
+                        runtime.finished = True
+                        runtime.process.fault(f"{fault.kind}: {fault.message}")
+                    else:
+                        runtime.pending_request = request
+                if request is None:
+                    trapped = False
+                requests.append(request)
+            if not trapped:
+                return self._untrapped_round(runtimes)
 
-    def _step_round(self) -> SessionState:
-        self.rounds += 1
-        runtimes = self._runtimes
-        self._advance_all(runtimes)
-
-        finished = 0
-        faulted = 0
-        requests = []
-        waiting = False
-        for runtime in runtimes:
-            if runtime.finished:
-                finished += 1
-            if runtime.fault is not None:
-                faulted += 1
-            request = runtime.pending_request
-            if request is None:
-                waiting = True
-            requests.append(request)
-
-        if faulted:
-            faulted_runtimes = [r for r in runtimes if r.fault is not None]
-            for runtime in faulted_runtimes:
-                if not self._already_reported(runtime):
-                    self.monitor.report_fault(
-                        runtime.context.index, runtime.fault, lockstep_index=self.rounds
-                    )
-            if self.halt_on_alarm:
-                return self.halt()
-            for runtime in faulted_runtimes:
-                runtime.fault = None  # keep going without re-reporting
-
-        if finished == len(runtimes):
-            self.state = SessionState.COMPLETED
-            return self.state
-
-        if finished:
-            finished_indices = tuple(r.context.index for r in runtimes if r.finished)
-            self.monitor.report_lifecycle_divergence(
-                "some variants terminated while others kept running",
-                lockstep_index=self.rounds,
-                variant_values=finished_indices,
+            first = requests[0]
+            name = first.name
+            fast, detection, canonicalize, transform, result_hooks, strategy = (
+                self._plans.get(name) or self.round_plan(name)
             )
-            if self.halt_on_alarm:
-                return self.halt()
-            # Without halting there is nothing sensible to synchronise on.
-            self.state = SessionState.COMPLETED
-            return self.state
+            args = first.args
+            for request in requests:
+                if request.name is not name or fast and request.args != args:
+                    return self._layered_round(runtimes, requests)
+            if fast:
+                stats = self.monitor.stats
+                stats.lockstep_points += 1
+                stats.syscalls_compared += len(requests)
+                stats.fast_path_rounds += 1
+                if detection:
+                    stats.detection_calls_checked += 1
+            else:
+                canonical = _rewrite(canonicalize, requests)
+                alarm = self.monitor.check_syscalls(canonical, lockstep_index=self.rounds)
+                if alarm is not None and self.halt_on_alarm:
+                    return self.halt()
 
-        if waiting:
-            return self.state
+            outgoing = _rewrite(transform, requests) if transform else requests
+            wrappers = self.wrappers
+            if len(outgoing) != len(wrappers.processes):
+                raise ValueError("one request per variant is required")
+            wrappers.stats.checks += 1
+            results = strategy(wrappers, outgoing)
 
-        alarm = self.comparator.check_round(requests, lockstep_index=self.rounds)
+            for index, runtime in enumerate(runtimes):
+                result = results[index]
+                if result_hooks:
+                    request = requests[index]
+                    for hook in result_hooks:
+                        result = hook(index, request, result)
+                runtime.pending_result = result
+                runtime.pending_request = None
+                if name is _EXIT or runtime.process.state not in LIVE_STATES:
+                    runtime.finished = True
+                    runtime.program.close()
+            return self.state
+        finally:
+            self._ticks_consumed += kernel.clock - clock_before
+
+    def round_plan(self, name: Syscall) -> RoundPlan:
+        """The plan a uniform round of *name* runs from, resolved on first use."""
+        plan = self._plans.get(name)
+        if plan is None:
+            variations = self.variations
+            canonical = variations.canonical_syscalls()
+            plan = self._plans[name] = RoundPlan(
+                fast=canonical is not None and name not in canonical,
+                detection=name in self.table.detection_syscalls,
+                canonicalize=variations._chain("canonicalize_request", name),
+                transform=variations._chain("transform_request", name),
+                result=variations._chain("transform_result", name, reverse=True),
+                strategy=self.wrappers.strategy_for(name),
+            )
+        return plan
+
+    def _layered_round(
+        self, runtimes: list[_VariantRuntime], requests: list[SyscallRequest]
+    ) -> SessionState:
+        """A round no plan covers: mixed names, or raw-compared args that differ.
+
+        Layer by layer, so the monitor alone classifies the alarm, and each
+        request (under ``halt_on_alarm=False``) is rewritten under its own name.
+        """
+        comparator = SyscallComparator(self.variations, self.monitor)
+        alarm = comparator.check_round(requests, lockstep_index=self.rounds)
         if alarm is not None and self.halt_on_alarm:
             return self.halt()
-
-        transformed = self.comparator.transform_round(requests)
-        raw_results = self.wrappers.execute_round(transformed)
-        # Only calls in the stack's declared result footprint can have their
-        # results re-expressed; every other result reaches the variant as is.
-        result_affected = self._result_affected
-        for index, (runtime, request, result) in enumerate(zip(runtimes, requests, raw_results)):
-            name = request.name
-            if result_affected is None or name in result_affected:
-                result = self.variations.transform_result(index, request, result)
-            runtime.pending_result = result
+        results = self.wrappers.execute_round(comparator.transform_round(requests))
+        variations = self.variations
+        for index, (runtime, request, result) in enumerate(zip(runtimes, requests, results)):
+            runtime.pending_result = variations.transform_result(index, request, result)
             runtime.pending_request = None
-            if name is _EXIT or runtime.process.state not in LIVE_STATES:
+            if request.name is _EXIT or runtime.process.state not in LIVE_STATES:
                 runtime.finished = True
                 runtime.program.close()
+        return self.state
+
+    def _untrapped_round(self, runtimes: list[_VariantRuntime]) -> SessionState:
+        """A round in which some variant finished, faulted or did not trap."""
+        finished = [runtime for runtime in runtimes if runtime.finished]
+        faulted = [runtime for runtime in runtimes if runtime.fault is not None]
+        if faulted:
+            # Reported in the round it happens, then the session halts or
+            # forgets it, so no fault is ever reported twice.
+            for runtime in faulted:
+                self.monitor.report_fault(
+                    runtime.context.index, runtime.fault, lockstep_index=self.rounds
+                )
+            if self.halt_on_alarm:
+                return self.halt()
+            for runtime in faulted:
+                runtime.fault = None
+
+        if finished:
+            if len(finished) < len(runtimes):
+                self.monitor.report_lifecycle_divergence(
+                    "some variants terminated while others kept running",
+                    lockstep_index=self.rounds,
+                    variant_values=tuple(runtime.context.index for runtime in finished),
+                )
+                if self.halt_on_alarm:
+                    return self.halt()
+            # Every variant ended, or (without halting) nothing sensible is
+            # left to synchronise on.
+            self.state = SessionState.COMPLETED
+        # Otherwise some variant yielded no request: wait for it.
         return self.state
 
     def run(self) -> NVariantResult:
@@ -377,34 +477,4 @@ class NVariantSession:
             lockstep_rounds=self.rounds,
             wrapper_stats=self.wrappers.stats,
             monitor=self.monitor,
-        )
-
-    # -- loop internals --------------------------------------------------------
-
-    def _advance_all(self, runtimes: list[_VariantRuntime]) -> None:
-        """Advance every unfinished variant to its next system call."""
-        for runtime in runtimes:
-            if runtime.finished or runtime.pending_request is not None:
-                continue
-            try:
-                if not runtime.started:
-                    runtime.pending_request = runtime.program.send(None)
-                    runtime.started = True
-                else:
-                    runtime.pending_request = runtime.program.send(runtime.pending_result)
-            except StopIteration as stop:
-                runtime.return_value = stop.value
-                runtime.finished = True
-                if runtime.context.process.alive and runtime.context.process.exit_code is None:
-                    runtime.context.process.exit(0)
-            except VariantFault as fault:
-                runtime.fault = fault
-                runtime.finished = True
-                runtime.context.process.fault(f"{fault.kind}: {fault.message}")
-
-    def _already_reported(self, runtime: _VariantRuntime) -> bool:
-        return any(
-            alarm.alarm_type is AlarmType.VARIANT_FAULT
-            and alarm.faulting_variant == runtime.context.index
-            for alarm in self.monitor.alarms
         )

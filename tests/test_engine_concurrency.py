@@ -23,6 +23,7 @@ from repro.engine import (
     HaltPolicy,
     MultiSessionEngine,
     NVariantSession,
+    RoundLimitError,
     SessionState,
     run_sessions,
 )
@@ -493,3 +494,64 @@ class TestEngineMechanics:
         )
         assert single.completed_ok and fleet.completed_ok
         assert fleet.speedup() > 3.0
+
+
+def _looping_factory(calls):
+    """Each variant makes *calls* getpid calls (forever when None), then exits."""
+
+    def factory(context):
+        def program():
+            made = 0
+            while calls is None or made < calls:
+                yield from context.libc.getpid()
+                made += 1
+            yield from context.libc.exit(0)
+
+        return program()
+
+    return factory
+
+
+class TestStepGuards:
+    def test_stepping_past_max_rounds_raises_a_typed_error(self):
+        session = NVariantSession(
+            build_standard_host(), _looping_factory(None), [], max_rounds=3
+        )
+        for _ in range(3):
+            assert session.step() is SessionState.RUNNING
+        with pytest.raises(RoundLimitError, match="exceeded 3 rounds") as raised:
+            session.step()
+        assert isinstance(raised.value, RuntimeError)
+        assert session.rounds == 3
+        assert session.state is SessionState.RUNNING
+
+    @pytest.mark.parametrize("halt", [False, True])
+    def test_stepping_a_terminal_session_changes_nothing(self, halt):
+        payloads = [benign_request(), uid_overwrite_payload(0)] if halt else _benign_payloads(1)
+        _, session = _httpd_session("terminal", payloads)
+        result = session.run()
+        expected = SessionState.HALTED if halt else SessionState.COMPLETED
+        assert session.state is expected and bool(result.alarms) is halt
+        rounds, elapsed = session.rounds, session.virtual_elapsed
+        stats = dataclasses.asdict(session.monitor.stats)
+        for _ in range(3):
+            assert session.step() is expected
+        assert session.rounds == rounds
+        assert session.virtual_elapsed == elapsed
+        assert dataclasses.asdict(session.monitor.stats) == stats
+
+    def test_sessions_sharing_a_kernel_count_only_their_own_ticks(self):
+        kernel = build_standard_host()
+        sessions = [
+            NVariantSession(kernel, _looping_factory(calls), [], name=f"shared-{calls}")
+            for calls in (2, 7)
+        ]
+        own = {session.name: 0 for session in sessions}
+        while not all(session.done for session in sessions):
+            for session in sessions:
+                before = kernel.clock
+                session.step()
+                own[session.name] += kernel.clock - before
+        elapsed = {session.name: session.virtual_elapsed for session in sessions}
+        assert elapsed == own
+        assert 0 < elapsed["shared-2"] < elapsed["shared-7"]

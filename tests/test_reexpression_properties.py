@@ -23,6 +23,9 @@ from repro.core.variations import TABLE1_VARIATIONS
 from repro.core.variations.base import VariationStack
 from repro.core.variations.instruction import InstructionSetTagging
 from repro.core.variations.uid import UIDVariation
+from repro.engine import NVariantSession
+from repro.kernel.host import build_standard_host
+from repro.kernel.libc import Libc
 from repro.kernel.syscalls import Syscall, request
 
 #: The boundary values the issue pins: 0, 1, 65535 and the domain maxima,
@@ -193,28 +196,45 @@ class TestCanonicalizationEquivalence:
         assert canonical[0].args != canonical[1].args
 
 
+def _session_round(variations, requests):
+    """Step a fresh session through one lockstep round of *requests*.
+
+    Variant *i* issues ``requests[i]``; returns the session after the round.
+    """
+
+    def factory(context):
+        issued = requests[context.index]
+        return Libc.syscall(issued.name, *issued.args)
+
+    session = NVariantSession(
+        build_standard_host(), factory, variations, num_variants=len(requests)
+    )
+    session.step()
+    return session
+
+
 class TestComparatorFastPath:
-    """The precomputed fast path must be behaviourally identical to the
+    """The raw comparison a session's round plan makes for calls outside the
+    canonicalization footprint must be behaviourally identical to the
     canonicalize-everything slow path."""
 
     def test_unaffected_syscall_takes_fast_path(self):
-        monitor = Monitor()
-        comparator = SyscallComparator(VariationStack([UIDVariation()]), monitor)
-        alarm = comparator.check_round(
-            [request(Syscall.WRITE, 1, b"same") for _ in range(2)]
+        session = _session_round(
+            [UIDVariation()], [request(Syscall.WRITE, 1, b"same") for _ in range(2)]
         )
-        assert alarm is None
+        monitor = session.monitor
+        assert not monitor.alarms
         assert monitor.stats.fast_path_rounds == 1
         assert monitor.stats.lockstep_points == 1
         assert monitor.stats.syscalls_compared == 2
 
     def test_uid_syscall_bypasses_fast_path(self):
-        monitor = Monitor()
-        comparator = SyscallComparator(VariationStack([UIDVariation()]), monitor)
         variation = UIDVariation()
-        comparator.check_round(
-            [request(Syscall.SETEUID, variation.encode(index, 33)) for index in range(2)]
+        session = _session_round(
+            [UIDVariation()],
+            [request(Syscall.SETEUID, variation.encode(index, 33)) for index in range(2)],
         )
+        monitor = session.monitor
         assert monitor.stats.fast_path_rounds == 0
         assert monitor.stats.lockstep_points == 1
 
@@ -251,10 +271,11 @@ class TestComparatorFastPath:
         class Undeclared(Variation):
             name = "undeclared"
 
-        monitor = Monitor()
-        comparator = SyscallComparator(VariationStack([Undeclared()]), monitor)
-        alarm = comparator.check_round([request(Syscall.WRITE, 1, b"x") for _ in range(2)])
-        assert alarm is None
+        session = _session_round(
+            [Undeclared()], [request(Syscall.WRITE, 1, b"x") for _ in range(2)]
+        )
+        monitor = session.monitor
+        assert not monitor.alarms
         assert monitor.stats.fast_path_rounds == 0
 
     def test_overriding_hook_without_redeclaring_footprint_disables_fast_path(self):
@@ -268,12 +289,11 @@ class TestComparatorFastPath:
             def canonicalize_request(self, index, req):  # inherits stale footprint
                 return super().canonicalize_request(index, req)
 
-        stack = VariationStack([WiderCanonicalization()])
-        assert stack.canonical_syscalls() is None
-        monitor = Monitor()
-        comparator = SyscallComparator(stack, monitor)
-        comparator.check_round([request(Syscall.WRITE, 1, b"x") for _ in range(2)])
-        assert monitor.stats.fast_path_rounds == 0
+        session = _session_round(
+            [WiderCanonicalization()], [request(Syscall.WRITE, 1, b"x") for _ in range(2)]
+        )
+        assert session.variations.canonical_syscalls() is None
+        assert session.monitor.stats.fast_path_rounds == 0
 
     def test_footprint_declared_alongside_hook_is_trusted(self):
         """Shipped variations declare footprint and hook in the same class
