@@ -204,7 +204,7 @@ class NVariantSession:
         restart semantics: a restarted fleet faces a fresh secret layout, so
         knowledge an attacker accumulated across probes dies with the old
         session) unless *rotate_keys* is False.  The monitor, round plans
-        and per-variant runtimes are rebuilt from scratch; the previous run's
+        and per-variant runtimes are all built anew; the previous run's
         processes are exited and its alarms discarded.  A rotation also
         rewrites the unshared files (``/etc/passwd-i``, ``/etc/group-i``),
         whose UID columns were encoded under the old key.

@@ -64,11 +64,16 @@ class _Undeclared(Variation):
     name = "undeclared"
 
 
+WIDER = _WiderCanonicalization()
+OVERRIDDEN_HOOK = [AddressPartitioning(), WIDER]
+UNDECLARED_FOOTPRINT = [AddressPartitioning(), _Undeclared()]
+
+
 def _stacks():
     for name, num_variants, variation in REGISTERED:
         yield f"{name}-N{num_variants}", [variation], num_variants
-    yield "overridden-hook", [AddressPartitioning(), _WiderCanonicalization()], 2
-    yield "undeclared-footprint", [AddressPartitioning(), _Undeclared()], 2
+    yield "overridden-hook", OVERRIDDEN_HOOK, 2
+    yield "undeclared-footprint", UNDECLARED_FOOTPRINT, 2
 
 
 STACKS = list(_stacks())
@@ -111,13 +116,13 @@ def test_each_plan_equals_the_layered_definition(variations, num_variants, table
 
 
 def test_the_special_stacks_take_no_raw_compare():
-    for label, variations, num_variants in STACKS[-2:]:
-        session = _idle_session(variations, num_variants, "classic")
-        assert session.variations.canonical_syscalls() is None, label
-        assert not any(session.round_plan(name).fast for name in ALL_SYSCALLS), label
-    overridden = _idle_session(STACKS[-2][1], 2, "classic")
+    for variations in (OVERRIDDEN_HOOK, UNDECLARED_FOOTPRINT):
+        session = _idle_session(variations, 2, "classic")
+        assert session.variations.canonical_syscalls() is None
+        assert not any(session.round_plan(name).fast for name in ALL_SYSCALLS)
+    overridden = _idle_session(OVERRIDDEN_HOOK, 2, "classic")
     time_chain = overridden.round_plan(Syscall.TIME).canonicalize
-    assert [hook.__self__ for hook in time_chain] == [STACKS[-2][1][1]]
+    assert [hook.__self__ for hook in time_chain] == [WIDER]
 
 
 def test_a_session_resolves_plans_only_for_the_names_it_meets():
