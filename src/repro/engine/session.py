@@ -298,6 +298,10 @@ class NVariantSession:
                         if process.alive and process.exit_code is None:
                             process.exit(0)
                     except VariantFault as fault:
+                        # Kept without its traceback and chained context:
+                        # the traceback holds this frame, and with it the
+                        # session, so keeping it would make the session cyclic.
+                        fault.__traceback__ = fault.__context__ = fault.__cause__ = None
                         runtime.fault = fault
                         runtime.finished = True
                         runtime.process.fault(f"{fault.kind}: {fault.message}")

@@ -217,6 +217,10 @@ class _OpenLoopRun:
         self.name = name
 
         self.session = build_serving_session(spec, app, name=name)
+        #: Every listener whose ``accept`` this run blocks; :meth:`run`
+        #: detaches the hook when it ends, so the run, its sessions and their
+        #: kernels form no cycle and free by reference counting.
+        self._hooked: list[ListeningSocket] = []
         self._block_accept()
         self.base = 0  # global tick = base + kernel.clock (survives migration)
         #: The global tick of an idle hand-off, until the restored server's
@@ -243,6 +247,7 @@ class _OpenLoopRun:
         """Make ``accept`` on the app's client port wait for the next arrival."""
         listener = self.session.kernel.network.listener(self.app.port)
         listener.on_empty = self._await_arrival
+        self._hooked.append(listener)
 
     def _await_arrival(self, listener: ListeningSocket) -> None:
         """The blocking half of ``accept``: wait until a connection is queued.
@@ -388,6 +393,14 @@ class _OpenLoopRun:
     # -- the loop ---------------------------------------------------------------
 
     def run(self) -> None:
+        try:
+            self._serve()
+        finally:
+            for listener in self._hooked:
+                listener.on_empty = None
+            self._hooked.clear()
+
+    def _serve(self) -> None:
         while True:
             self._deliver_due()
             if not self.session.done:
