@@ -40,9 +40,6 @@ class SignalState:
 
     def __init__(self) -> None:
         self.pending: list[Signal] = []
-        # Never written; kept because removing it measured about 1 MB more
-        # peak RSS on the corpus workload (garbage-collector timing).
-        self.delivered: list[Signal] = []
 
     def post(self, signal: Signal) -> None:
         """Queue *signal* for delivery at the next system-call boundary."""
