@@ -23,6 +23,9 @@
 #                            checkpoint/migration unit suites, a seeded loadtest
 #                            smoke via the CLI, the migration round-trip
 #                            scenario, and the committed-figure freshness check
+#   make check-gc         -- the reference-cycle tier: every example scenario,
+#                            run warm and then again with the garbage collector
+#                            off, must leave no cyclic garbage
 #   make figures          -- re-render benchmarks/figures/ from the committed
 #                            benchmark results
 #   make experiments-smoke -- every registered experiment at its smallest spec,
@@ -48,13 +51,13 @@ EXAMPLES := $(wildcard examples/*.py)
 SCENARIOS := $(wildcard examples/scenarios/*.json)
 
 .PHONY: test check check-parallel check-procs check-bench check-keyed \
-	check-corpus check-apps check-load experiments-smoke bench bench-smoke \
+	check-corpus check-apps check-load check-gc experiments-smoke bench bench-smoke \
 	bench-procpool-smoke bench-diff bench-wall figures examples
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-check: test experiments-smoke check-keyed check-corpus check-apps check-load check-bench examples
+check: test experiments-smoke check-keyed check-corpus check-apps check-load check-gc check-bench examples
 	@set -e; for scenario in $(SCENARIOS); do \
 		echo "== scenario $$scenario"; \
 		$(PYTHON) -m repro run $$scenario > /dev/null; \
@@ -140,6 +143,15 @@ check-load:
 	$(PYTHON) -m repro run examples/scenarios/loadtest.json > /dev/null
 	$(PYTHON) benchmarks/render_figures.py --check
 	@echo "check-load ok: load suites + loadtest smoke + migration scenario + figures"
+
+# The reference-cycle gate: the slow-marked sweep of tests/test_reference_cycles.py
+# runs every example scenario through run_scenario twice, the second time with
+# the garbage collector disabled; any object only the cyclic collector could
+# free fails it.  (Its tier-1 cases cover a corpus slice, an open-loop run and
+# an engine fleet.)
+check-gc:
+	$(PYTHON) -m pytest -q -m slow tests/test_reference_cycles.py
+	@echo "check-gc ok: every example scenario frees itself by reference counting"
 
 figures:
 	$(PYTHON) benchmarks/render_figures.py
