@@ -29,74 +29,82 @@ The documented import path for the scenario API is this top-level package::
     from repro import SystemSpec, FleetSpec, build_session, build_engine, registry
 
 ``python -m repro run scenario.json`` drives the same API from the shell.
+
+The package re-exports lazily: ``import repro`` loads no other module, and a
+name's defining module is imported when the name is first used (see
+``_lazy_exports``, which ``repro.api``, ``repro.engine``, ``repro.core``,
+``repro.core.variations`` and ``repro.attacks`` share).
 """
 
-from repro._version import __version__
-from repro.api import (
-    ADDRESS_ORBIT_3_SPEC,
-    ADDRESS_PARTITIONING_SPEC,
-    ADDRESS_UID_SPEC,
-    COMBINED_ORBIT_3_SPEC,
-    CampaignReport,
-    ExperimentReport,
-    ExperimentSpec,
-    FleetSpec,
-    SINGLE_PROCESS_SPEC,
-    STANDARD_SYSTEM_SPECS,
-    SystemSpec,
-    UID_DIVERSITY_SPEC,
-    UID_ORBIT_3_SPEC,
-    UnknownVariationError,
-    VariationParameterError,
-    VariationRegistry,
-    VariationSpec,
-    WorkloadSpec,
-    build_engine,
-    build_session,
-    build_variations,
-    experiments,
-    prepare_attack,
-    registry,
-    run_attack,
-    run_campaign,
-    address_orbit_spec,
-    combined_orbit_spec,
-    keyed_address_spec,
-    keyed_uid_spec,
-    uid_orbit_spec,
-)
+import importlib
+import sys
+from typing import Any, Callable, Mapping
 
-__all__ = [
-    "ADDRESS_ORBIT_3_SPEC",
-    "ADDRESS_PARTITIONING_SPEC",
-    "ADDRESS_UID_SPEC",
-    "COMBINED_ORBIT_3_SPEC",
-    "CampaignReport",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "FleetSpec",
-    "SINGLE_PROCESS_SPEC",
-    "STANDARD_SYSTEM_SPECS",
-    "SystemSpec",
-    "UID_DIVERSITY_SPEC",
-    "UID_ORBIT_3_SPEC",
-    "UnknownVariationError",
-    "VariationParameterError",
-    "VariationRegistry",
-    "VariationSpec",
-    "WorkloadSpec",
-    "__version__",
-    "address_orbit_spec",
-    "combined_orbit_spec",
-    "build_engine",
-    "build_session",
-    "build_variations",
-    "experiments",
-    "keyed_address_spec",
-    "keyed_uid_spec",
-    "prepare_attack",
-    "registry",
-    "run_attack",
-    "run_campaign",
-    "uid_orbit_spec",
-]
+from repro._version import __version__
+
+
+def _lazy_exports(
+    package: str, sources: Mapping[str, tuple[str, ...]]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]], list[str]]:
+    """PEP 562 lazy re-exports: a package's ``__getattr__``, ``__dir__`` and names.
+
+    *sources* maps each defining module to the names *package* re-exports
+    from it.  A name's module is imported on the name's first access, and the
+    value is then cached in the package's globals, so importing a package
+    loads none of the modules behind its re-exports.  A re-exported name that
+    is also a submodule's name must be imported eagerly instead: once the
+    import system binds the submodule under that name, ``__getattr__`` is
+    never consulted.
+    """
+    origins = {name: module for module, names in sources.items() for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = origins[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *origins})
+
+    return __getattr__, __dir__, list(origins)
+
+
+__getattr__, __dir__, _exports = _lazy_exports(
+    __name__,
+    {
+        "repro.api.builders": ("build_engine", "build_session", "build_variations"),
+        "repro.api.campaign": ("CampaignReport", "prepare_attack", "run_attack", "run_campaign"),
+        "repro.api.experiments": ("ExperimentReport", "experiments"),
+        "repro.api.registry": (
+            "UnknownVariationError",
+            "VariationParameterError",
+            "VariationRegistry",
+            "registry",
+        ),
+        "repro.api.spec": (
+            "ADDRESS_ORBIT_3_SPEC",
+            "ADDRESS_PARTITIONING_SPEC",
+            "ADDRESS_UID_SPEC",
+            "COMBINED_ORBIT_3_SPEC",
+            "ExperimentSpec",
+            "FleetSpec",
+            "SINGLE_PROCESS_SPEC",
+            "STANDARD_SYSTEM_SPECS",
+            "SystemSpec",
+            "UID_DIVERSITY_SPEC",
+            "UID_ORBIT_3_SPEC",
+            "VariationSpec",
+            "WorkloadSpec",
+            "address_orbit_spec",
+            "combined_orbit_spec",
+            "keyed_address_spec",
+            "keyed_uid_spec",
+            "uid_orbit_spec",
+        ),
+    },
+)
+__all__ = ["__version__", *_exports]

@@ -7,7 +7,9 @@ Each module exposes ``run()`` returning a structured result with a
 (``python -m repro experiment <name>``), JSON scenarios
 (``{"scenario": "experiment", ...}``) and the benchmark harness all run
 experiments through that registry rather than importing these modules
-one-by-one.
+one-by-one.  Importing the package loads none of them, so running one
+experiment imports only that experiment's machinery; import a module by
+name (``from repro.analysis.experiments import table3``).
 
 * :mod:`~repro.analysis.experiments.table1` -- reexpression functions.
 * :mod:`~repro.analysis.experiments.table2` -- detection system calls.
@@ -19,17 +21,6 @@ one-by-one.
 * :mod:`~repro.analysis.experiments.detection` -- the detection matrix.
 * :mod:`~repro.analysis.experiments.ablations` -- design-choice ablations.
 """
-
-from repro.analysis.experiments import (
-    ablations,
-    detection,
-    figure1,
-    figure2,
-    section4,
-    table1,
-    table2,
-    table3,
-)
 
 __all__ = [
     "ablations",

@@ -42,7 +42,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.api.campaign import CAMPAIGN_BACKENDS, attacks_by_name, run_campaign
+# Only what parsing and the listings need is imported here; each scenario
+# kind imports its own machinery when it runs.
 from repro.api.experiments import (
     REPORT_STYLES,
     ExperimentParameter,
@@ -53,10 +54,6 @@ from repro.api.experiments import (
     experiments,
 )
 from repro.api.registry import VariationRegistryError, registry
-from repro.apps.catalog import UnknownAppError
-from repro.corpus.records import CorpusError
-from repro.interpose import InterpositionError
-from repro.load import LoadError, run_loadtest
 from repro.api.spec import (
     ExperimentSpec,
     FleetSpec,
@@ -64,8 +61,7 @@ from repro.api.spec import (
     SystemSpec,
     uid_orbit_spec,
 )
-from repro.engine.campaign import CampaignHaltPolicy
-from repro.engine.procpool import WorkerError
+from repro.engine.policy import CAMPAIGN_BACKENDS, CampaignHaltPolicy
 
 class ScenarioError(ValueError):
     """A scenario file could not be understood or resolved."""
@@ -111,6 +107,8 @@ def _run_campaign(*, systems, attacks, app, **options) -> ExperimentReport:
 
     *options* are :func:`~repro.api.campaign.run_campaign`'s scheduler keywords.
     """
+    from repro.api.campaign import attacks_by_name, run_campaign
+
     specs = STANDARD_SYSTEM_SPECS if systems is None else [_system_spec(s) for s in systems]
     if not specs:
         raise ScenarioError("'systems' must name at least one system spec")
@@ -186,6 +184,8 @@ def _run_loadtest(*, system, rate, **options) -> ExperimentReport:
 
     *options* are :func:`~repro.load.run_loadtest`'s other keywords.
     """
+    from repro.load import run_loadtest
+
     spec = uid_orbit_spec(2) if system is None else _system_spec(system)
     result = run_loadtest(spec, rate=float(rate), **options)
     heading = (
@@ -366,6 +366,32 @@ def _command_corpus(arguments) -> int:
     return 0
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors ``main`` reports as an ``error:`` line instead of a traceback.
+
+    An ``except`` clause evaluates its tuple only once an exception reaches
+    it, so a command that succeeds never imports these modules.
+    """
+    from repro.apps.catalog import UnknownAppError
+    from repro.corpus.records import CorpusError
+    from repro.engine.procpool import WorkerError
+    from repro.interpose import InterpositionError
+    from repro.load import LoadError
+
+    return (
+        ScenarioError,
+        VariationRegistryError,
+        ExperimentRegistryError,
+        CorpusError,
+        InterpositionError,
+        UnknownAppError,
+        LoadError,
+        # A process-backend cell died: its message carries the worker-side
+        # traceback the pool marshalled back.
+        WorkerError,
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """The ``python -m repro`` entry point."""
     parser = argparse.ArgumentParser(
@@ -505,18 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_scenario(
             data, backend=arguments.backend, workers=arguments.workers, seed=arguments.seed
         )
-    except (
-        ScenarioError,
-        VariationRegistryError,
-        ExperimentRegistryError,
-        CorpusError,
-        InterpositionError,
-        UnknownAppError,
-        LoadError,
-        # A process-backend cell died: its message carries the worker-side
-        # traceback the pool marshalled back.
-        WorkerError,
-    ) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.format(arguments.output or data.get("output", "text")))

@@ -31,7 +31,7 @@ import time
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.api.spec import ExperimentSpec
-from repro.engine.campaign import CAMPAIGN_BACKENDS
+from repro.engine.policy import CAMPAIGN_BACKENDS
 
 # ---------------------------------------------------------------------------
 # Errors

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import inspect
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from repro.core.variations.address import (
     AddressPartitioning,
@@ -28,8 +29,6 @@ from repro.core.variations.address import (
     OrbitAddressPartitioning,
 )
 from repro.core.variations.base import Variation
-from repro.core.variations.fdspace import FdOrbitVariation
-from repro.core.variations.instruction import InstructionSetTagging
 from repro.core.variations.uid import (
     FullFlipUIDVariation,
     KeyedUIDVariation,
@@ -67,9 +66,18 @@ class RegisteredVariation:
     """One registry entry: the public name, its factory and documentation."""
 
     name: str
-    factory: Callable[..., Variation]
+    #: The factory, or its ``"module:attribute"`` path, imported on first use.
+    factory: Union[Callable[..., Variation], str]
     description: str = ""
     aliases: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def resolved_factory(self) -> Callable[..., Variation]:
+        """The factory itself, importing it first if it was registered by path."""
+        if not isinstance(self.factory, str):
+            return self.factory
+        module, _, attribute = self.factory.partition(":")
+        return getattr(importlib.import_module(module), attribute)
 
     def parameters(self) -> list[str]:
         """The factory's accepted parameter names (for CLI listings)."""
@@ -80,7 +88,7 @@ class RegisteredVariation:
         # Worked out once per entry: ``inspect.signature`` is slow, and spec
         # building asks for every cell of a campaign.
         try:
-            signature = inspect.signature(self.factory)
+            signature = inspect.signature(self.resolved_factory)
         except (TypeError, ValueError):
             return ()
         return tuple(
@@ -106,12 +114,15 @@ class VariationRegistry:
     def register(
         self,
         name: str,
-        factory: Callable[..., Variation],
+        factory: Union[Callable[..., Variation], str],
         *,
         description: str = "",
         aliases: tuple[str, ...] = (),
     ) -> RegisteredVariation:
         """Register *factory* under *name* (and optional aliases).
+
+        *factory* may be a ``"module:attribute"`` path, so that a variation
+        whose module is costly to load is imported only when it is used.
 
         Re-registering a name replaces the entry, so tests can shadow a
         variation in a scratch registry without mutating class state.
@@ -143,7 +154,7 @@ class VariationRegistry:
         entry = self.get(name)
         kwargs = dict(params or {})
         try:
-            variation = entry.factory(**kwargs)
+            variation = entry.resolved_factory(**kwargs)
         except (TypeError, ValueError) as exc:
             raise VariationParameterError(entry.name, kwargs, str(exc)) from exc
         if not isinstance(variation, Variation):
@@ -249,7 +260,7 @@ registry.register(
 )
 registry.register(
     "fd-orbit",
-    FdOrbitVariation,
+    "repro.core.variations.fdspace:FdOrbitVariation",
     description=(
         "File-descriptor orbit: variant i holds descriptors re-expressed into "
         "the i-th top-bits slice, decoded ahead of the kernel, so an injected "
@@ -259,7 +270,8 @@ registry.register(
 )
 registry.register(
     "instruction-tagging",
-    InstructionSetTagging,
+    # Instruction tagging loads the instruction-set interpreter.
+    "repro.core.variations.instruction:InstructionSetTagging",
     description="Per-variant instruction tags checked before execution",
     aliases=("instruction-set-tagging",),
 )

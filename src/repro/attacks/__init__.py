@@ -7,60 +7,40 @@ their one-release deprecation window.  :class:`~repro.api.campaign.CampaignRepor
 stays importable from here for report-consuming callers.
 """
 
-from repro.api.campaign import CampaignReport
-from repro.attacks.code_injection import (
-    CodeInjectionAttack,
-    run_code_injection_tagged,
-    run_code_injection_untagged,
-)
-from repro.attacks.memory_attacks import (
-    AddressInjectionAttack,
-    INJECTED_ABSOLUTE_ADDRESS,
-    run_address_attack_nvariant,
-    run_address_attack_single,
-    standard_address_attacks,
-)
-from repro.attacks.outcomes import AttackOutcome, OutcomeKind, classify
-from repro.attacks.payloads import (
-    DEFAULT_TARGET_FILE,
-    OverflowSpec,
-    banner_pointer_payload,
-    benign_request,
-    traversal_path,
-    uid_overwrite_payload,
-)
-from repro.attacks.uid_attacks import (
-    SHADOW_MARKER,
-    UIDAttack,
-    run_remote_attack_nvariant,
-    run_remote_attack_single,
-    run_uid_attack,
-    standard_uid_attacks,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AddressInjectionAttack",
-    "AttackOutcome",
-    "CampaignReport",
-    "CodeInjectionAttack",
-    "DEFAULT_TARGET_FILE",
-    "INJECTED_ABSOLUTE_ADDRESS",
-    "OutcomeKind",
-    "OverflowSpec",
-    "SHADOW_MARKER",
-    "UIDAttack",
-    "banner_pointer_payload",
-    "benign_request",
-    "classify",
-    "run_address_attack_nvariant",
-    "run_address_attack_single",
-    "run_code_injection_tagged",
-    "run_code_injection_untagged",
-    "run_remote_attack_nvariant",
-    "run_remote_attack_single",
-    "run_uid_attack",
-    "standard_address_attacks",
-    "standard_uid_attacks",
-    "traversal_path",
-    "uid_overwrite_payload",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.api.campaign": ("CampaignReport",),
+        "repro.attacks.code_injection": (
+            "CodeInjectionAttack",
+            "run_code_injection_tagged",
+            "run_code_injection_untagged",
+        ),
+        "repro.attacks.memory_attacks": (
+            "AddressInjectionAttack",
+            "INJECTED_ABSOLUTE_ADDRESS",
+            "run_address_attack_nvariant",
+            "run_address_attack_single",
+            "standard_address_attacks",
+        ),
+        "repro.attacks.outcomes": ("AttackOutcome", "OutcomeKind", "classify"),
+        "repro.attacks.payloads": (
+            "DEFAULT_TARGET_FILE",
+            "OverflowSpec",
+            "banner_pointer_payload",
+            "benign_request",
+            "traversal_path",
+            "uid_overwrite_payload",
+        ),
+        "repro.attacks.uid_attacks": (
+            "SHADOW_MARKER",
+            "UIDAttack",
+            "run_remote_attack_nvariant",
+            "run_remote_attack_single",
+            "run_uid_attack",
+            "standard_uid_attacks",
+        ),
+    },
+)

@@ -18,108 +18,63 @@ kernel:
   detection.
 """
 
-from repro.core.alarm import Alarm, AlarmType
-from repro.core.detection_calls import (
-    CC_FAMILY_RATIONALE,
-    COMPARISON_TO_CALL,
-    DetectionCallSpec,
-    TABLE2_DETECTION_CALLS,
-)
-from repro.core.monitor import Monitor, MonitorStats
-from repro.core.nvariant import (
-    NVariantResult,
-    UIDCodec,
-    VariantContext,
-    VariantOutcome,
-    nvexec,
-)
-from repro.core.pipeline import (
-    AppInterpreter,
-    DataDiversityPipeline,
-    PipelineRun,
-    PipelineVariant,
-    TargetInterpreter,
-    faithful_app_interpreter,
-    vulnerable_app_interpreter,
-)
-from repro.core.properties import (
-    DetectionVerdict,
-    EquivalenceVerdict,
-    check_detection,
-    check_normal_equivalence,
-    check_variation_reexpression,
-)
-from repro.core.reexpression import (
-    PropertyReport,
-    ReexpressionFunction,
-    check_disjointness,
-    check_inverse_property,
-    check_partial_overwrite_resilience,
-    identity_reexpression,
-    offset_reexpression,
-    sample_domain,
-    xor_reexpression,
-)
-from repro.core.variations import (
-    AddressPartitioning,
-    ExtendedAddressPartitioning,
-    FullFlipUIDVariation,
-    InstructionSetTagging,
-    TABLE1_VARIATIONS,
-    UID_MASK_31,
-    UID_MASK_32,
-    UIDVariation,
-    Variation,
-    VariationStack,
-)
-from repro.core.wrappers import SyscallWrappers, UnsharedFileRegistry, WrapperStats
+from repro import _lazy_exports
 
-__all__ = [
-    "Alarm",
-    "AlarmType",
-    "AddressPartitioning",
-    "AppInterpreter",
-    "CC_FAMILY_RATIONALE",
-    "COMPARISON_TO_CALL",
-    "DataDiversityPipeline",
-    "DetectionCallSpec",
-    "DetectionVerdict",
-    "EquivalenceVerdict",
-    "ExtendedAddressPartitioning",
-    "FullFlipUIDVariation",
-    "InstructionSetTagging",
-    "Monitor",
-    "MonitorStats",
-    "NVariantResult",
-    "PipelineRun",
-    "PipelineVariant",
-    "PropertyReport",
-    "ReexpressionFunction",
-    "SyscallWrappers",
-    "TABLE1_VARIATIONS",
-    "TABLE2_DETECTION_CALLS",
-    "TargetInterpreter",
-    "UIDCodec",
-    "UIDVariation",
-    "UID_MASK_31",
-    "UID_MASK_32",
-    "UnsharedFileRegistry",
-    "VariantContext",
-    "VariantOutcome",
-    "Variation",
-    "VariationStack",
-    "WrapperStats",
-    "check_detection",
-    "check_disjointness",
-    "check_inverse_property",
-    "check_normal_equivalence",
-    "check_partial_overwrite_resilience",
-    "check_variation_reexpression",
-    "faithful_app_interpreter",
-    "identity_reexpression",
-    "nvexec",
-    "offset_reexpression",
-    "sample_domain",
-    "vulnerable_app_interpreter",
-    "xor_reexpression",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.alarm": ("Alarm", "AlarmType"),
+        "repro.core.detection_calls": (
+            "CC_FAMILY_RATIONALE",
+            "COMPARISON_TO_CALL",
+            "DetectionCallSpec",
+            "TABLE2_DETECTION_CALLS",
+        ),
+        "repro.core.monitor": ("Monitor", "MonitorStats"),
+        "repro.core.nvariant": (
+            "NVariantResult",
+            "UIDCodec",
+            "VariantContext",
+            "VariantOutcome",
+            "nvexec",
+        ),
+        "repro.core.pipeline": (
+            "AppInterpreter",
+            "DataDiversityPipeline",
+            "PipelineRun",
+            "PipelineVariant",
+            "TargetInterpreter",
+            "faithful_app_interpreter",
+            "vulnerable_app_interpreter",
+        ),
+        "repro.core.properties": (
+            "DetectionVerdict",
+            "EquivalenceVerdict",
+            "check_detection",
+            "check_normal_equivalence",
+            "check_variation_reexpression",
+        ),
+        "repro.core.reexpression": (
+            "PropertyReport",
+            "ReexpressionFunction",
+            "check_disjointness",
+            "check_inverse_property",
+            "check_partial_overwrite_resilience",
+            "identity_reexpression",
+            "offset_reexpression",
+            "sample_domain",
+            "xor_reexpression",
+        ),
+        "repro.core.variations.address": ("AddressPartitioning", "ExtendedAddressPartitioning"),
+        "repro.core.variations.base": ("Variation", "VariationStack"),
+        "repro.core.variations.instruction": ("InstructionSetTagging",),
+        "repro.core.variations.table1": ("TABLE1_VARIATIONS",),
+        "repro.core.variations.uid": (
+            "FullFlipUIDVariation",
+            "UID_MASK_31",
+            "UID_MASK_32",
+            "UIDVariation",
+        ),
+        "repro.core.wrappers": ("SyscallWrappers", "UnsharedFileRegistry", "WrapperStats"),
+    },
+)

@@ -20,46 +20,28 @@
   rotated on session restart (see :mod:`repro.security`).
 """
 
-from repro.core.variations.address import (
-    AddressPartitioning,
-    ExtendedAddressPartitioning,
-    KeyedAddressPartitioning,
-    OrbitAddressPartitioning,
-)
-from repro.core.variations.base import Variation, VariationStack
-from repro.core.variations.fdspace import FdOrbitVariation
-from repro.core.variations.instruction import InstructionSetTagging
-from repro.core.variations.uid import (
-    FullFlipUIDVariation,
-    KeyedUIDVariation,
-    OrbitUIDVariation,
-    UID_MASK_31,
-    UID_MASK_32,
-    UIDVariation,
-)
+from repro import _lazy_exports
 
-#: The variations exactly as listed in Table 1, in row order.
-TABLE1_VARIATIONS = (
-    AddressPartitioning,
-    ExtendedAddressPartitioning,
-    InstructionSetTagging,
-    UIDVariation,
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.variations.address": (
+            "AddressPartitioning",
+            "ExtendedAddressPartitioning",
+            "KeyedAddressPartitioning",
+            "OrbitAddressPartitioning",
+        ),
+        "repro.core.variations.base": ("Variation", "VariationStack"),
+        "repro.core.variations.fdspace": ("FdOrbitVariation",),
+        "repro.core.variations.instruction": ("InstructionSetTagging",),
+        "repro.core.variations.table1": ("TABLE1_VARIATIONS",),
+        "repro.core.variations.uid": (
+            "FullFlipUIDVariation",
+            "KeyedUIDVariation",
+            "OrbitUIDVariation",
+            "UID_MASK_31",
+            "UID_MASK_32",
+            "UIDVariation",
+        ),
+    },
 )
-
-__all__ = [
-    "AddressPartitioning",
-    "ExtendedAddressPartitioning",
-    "FdOrbitVariation",
-    "FullFlipUIDVariation",
-    "InstructionSetTagging",
-    "KeyedAddressPartitioning",
-    "KeyedUIDVariation",
-    "OrbitAddressPartitioning",
-    "OrbitUIDVariation",
-    "TABLE1_VARIATIONS",
-    "UID_MASK_31",
-    "UID_MASK_32",
-    "UIDVariation",
-    "Variation",
-    "VariationStack",
-]

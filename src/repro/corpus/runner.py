@@ -14,7 +14,7 @@ experiment claims.
 from __future__ import annotations
 
 import functools
-from typing import Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro.api.spec import SystemSpec
 from repro.attacks.memory_attacks import AddressInjectionAttack, prepare_address_attack
@@ -24,8 +24,10 @@ from repro.attacks.payloads import uid_overwrite_payload
 from repro.attacks.uid_attacks import UIDAttack, prepare_uid_attack
 from repro.corpus.records import CorpusError, CorpusRecord
 from repro.engine.campaign import CampaignJob, run_jobs
-from repro.engine.procpool import ProcessWorkerPool
 from repro.memory.corruption import CorruptionSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; a run needs no worker pool
+    from repro.engine.procpool import ProcessWorkerPool
 
 
 def build_attack(data: Mapping[str, Any]):

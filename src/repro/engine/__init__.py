@@ -40,36 +40,21 @@ The engine, the scheduler and the worker pool all return one
 submission order.
 """
 
-from repro.engine.campaign import (
-    CampaignHaltPolicy,
-    CampaignJob,
-    CampaignScheduler,
-    run_jobs,
-)
-from repro.engine.procpool import ProcessWorkerPool, WorkerError
-from repro.engine.scheduler import (
-    CampaignExecutionResult,
-    HaltPolicy,
-    MultiSessionEngine,
-    ScheduledJobResult,
-    run_sessions,
-)
-from repro.engine.session import NVariantSession, RoundLimitError, RoundPlan, SessionState
+from repro import _lazy_exports
 
-__all__ = [
-    "CampaignExecutionResult",
-    "CampaignHaltPolicy",
-    "CampaignJob",
-    "CampaignScheduler",
-    "HaltPolicy",
-    "MultiSessionEngine",
-    "NVariantSession",
-    "ProcessWorkerPool",
-    "RoundLimitError",
-    "RoundPlan",
-    "ScheduledJobResult",
-    "SessionState",
-    "WorkerError",
-    "run_jobs",
-    "run_sessions",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.engine.campaign": ("CampaignJob", "CampaignScheduler", "run_jobs"),
+        "repro.engine.policy": ("CampaignHaltPolicy",),
+        "repro.engine.procpool": ("ProcessWorkerPool", "WorkerError"),
+        "repro.engine.scheduler": (
+            "CampaignExecutionResult",
+            "HaltPolicy",
+            "MultiSessionEngine",
+            "ScheduledJobResult",
+            "run_sessions",
+        ),
+        "repro.engine.session": ("NVariantSession", "RoundLimitError", "RoundPlan", "SessionState"),
+    },
+)

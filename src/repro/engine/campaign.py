@@ -38,9 +38,9 @@ attack, spec)``, therefore runs unchanged on both.
 from __future__ import annotations
 
 import dataclasses
-import enum
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
+from repro.engine.policy import CAMPAIGN_BACKENDS, CampaignHaltPolicy
 from repro.engine.scheduler import (
     CampaignExecutionResult,
     ScheduledJobResult,
@@ -60,23 +60,6 @@ __all__ = [
     "ScheduledJobResult",
     "run_jobs",
 ]
-
-#: The execution backends :func:`run_jobs` accepts.
-CAMPAIGN_BACKENDS = ("virtual", "process")
-
-
-class CampaignHaltPolicy(enum.Enum):
-    """What one job's halt (monitor alarm) means for the rest of the campaign."""
-
-    #: Each job applies its own halt-on-divergence policy; siblings and
-    #: pending jobs are unaffected (the default -- what a campaign sweeping an
-    #: attack matrix wants, since halted cells are its data points).
-    PER_CELL = "per-cell"
-    #: The first halted session stops the whole campaign: at the end of that
-    #: turn live siblings are halted where they stand, and pending jobs are
-    #: never started.
-    HALT_CAMPAIGN = "halt-campaign"
-
 
 @dataclasses.dataclass
 class CampaignJob:

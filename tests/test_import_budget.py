@@ -1,0 +1,196 @@
+"""A run imports only the modules it calls.
+
+Each check runs in a fresh interpreter, because this test session has
+already imported most of ``repro``.  The benchmark's workloads import what
+``wallbench/workloads.py`` imports, then run a small fleet, a corpus slice
+and an open-loop ftpd run; none of them may load the process pool, the
+campaign layer, the pipeline model, the property checkers or the
+instruction-set interpreter.  Plain ``import repro`` loads nothing behind its
+re-exports.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Modules that no workload calls into, so none may be imported.
+UNUSED_BY_WORKLOADS = (
+    "multiprocessing",
+    "repro.engine.procpool",
+    "repro.api.campaign",
+    "repro.attacks.code_injection",
+    "repro.core.pipeline",
+    "repro.core.properties",
+)
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run *code* in a fresh interpreter; returns the modules it left loaded."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def test_workloads_load_no_unused_module():
+    loaded = run_fresh(
+        """
+import wallbench.workloads
+from repro.api.spec import ADDRESS_UID_SPEC, FleetSpec, WorkloadSpec, uid_orbit_spec
+from repro.apps.clients.webbench import drive_engine
+from repro.corpus.generator import generate_corpus
+from repro.corpus.runner import run_corpus_records
+from repro.load.driver import run_loadtest
+
+fleet = FleetSpec(
+    system=ADDRESS_UID_SPEC, num_sessions=2, workload=WorkloadSpec(total_requests=8)
+)
+assert drive_engine(fleet).requests_completed == 8
+assert len(run_corpus_records(generate_corpus(20080625, records=6), workers=2)) == 6
+result = run_loadtest(
+    uid_orbit_spec(3),
+    app="ftpd",
+    arrival="bursty",
+    rate=15.0,
+    requests=6,
+    admission="token-bucket",
+    admission_params={"rate": 18.75, "burst": 4.0},
+    seed=7,
+    attacks=("uid-overwrite",),
+    migrate_after=3,
+)
+assert result.completed > 0
+"""
+    )
+    unexpected = [
+        name
+        for name in loaded
+        if name in UNUSED_BY_WORKLOADS or name == "repro.isa" or name.startswith("repro.isa.")
+    ]
+    assert unexpected == []
+
+
+def test_import_repro_loads_only_the_package_and_its_version():
+    loaded = run_fresh("import repro")
+    assert [name for name in loaded if name.startswith("repro")] == ["repro", "repro._version"]
+
+
+# -- the lazy re-exports keep every public import path ----------------------
+
+LAZY_PACKAGES = (
+    "repro",
+    "repro.api",
+    "repro.engine",
+    "repro.core",
+    "repro.core.variations",
+    "repro.attacks",
+)
+
+#: Re-exported names that are also the names of the submodules defining them.
+COLLIDING = (
+    ("repro.api", "registry"),
+    ("repro.api", "experiments"),
+    ("repro.load", "checkpoint"),
+    ("repro.kernel", "libc"),
+)
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_lazy_export_resolves_to_its_defining_object(package):
+    run_fresh(
+        f"""
+import importlib, sys, types
+
+package = importlib.import_module({package!r})
+listing = dir(package)
+for name in package.__all__:
+    value = getattr(package, name)
+    assert not isinstance(value, types.ModuleType), name
+    assert name in listing, name
+    # The same object under the same name in a (non-package) defining module.
+    assert any(
+        getattr(module, name, None) is value
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith("repro.") and not hasattr(module, "__path__")
+    ), name
+namespace = {{}}
+exec("from {package} import *", namespace)
+assert all(namespace[name] is getattr(package, name) for name in package.__all__)
+try:
+    package.no_such_export
+except AttributeError as exc:
+    assert repr({package!r}) in str(exc) and "no_such_export" in str(exc), exc
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+    )
+
+
+def _assert_objects_not_submodules(label: str) -> str:
+    return "".join(
+        f"""
+import {package}
+assert not isinstance({package}.{name}, types.ModuleType), ({label!r}, {package!r}, {name!r})
+from {package} import {name} as value
+assert value is {package}.{name}
+"""
+        for package, name in COLLIDING
+    )
+
+
+def test_colliding_names_return_the_object_when_the_submodule_comes_first():
+    imports = "".join(f"import {package}.{name}\n" for package, name in COLLIDING)
+    run_fresh(
+        "import types\n"
+        + imports
+        + _assert_objects_not_submodules("submodule first")
+        + "import repro\nassert not isinstance(repro.registry, types.ModuleType)\n"
+        + "assert not isinstance(repro.experiments, types.ModuleType)\n"
+    )
+
+
+def test_colliding_names_return_the_object_when_the_package_comes_first():
+    imports = "".join(f"import {package}.{name}\n" for package, name in COLLIDING)
+    run_fresh(
+        "import types\nimport repro\n"
+        + "registry, experiments = repro.registry, repro.experiments\n"
+        + _assert_objects_not_submodules("package first")
+        + imports
+        + _assert_objects_not_submodules("then the submodule")
+        + "assert repro.registry is registry and repro.experiments is experiments\n"
+    )
+
+
+def test_process_backend_runs_after_a_lazy_engine_import():
+    loaded = run_fresh(
+        """
+import functools
+import repro.engine as engine
+from repro.corpus.generator import generate_corpus
+from repro.corpus.runner import prepare_record
+
+records = generate_corpus(20080625, records=2)
+jobs = [engine.CampaignJob(r.record_id, functools.partial(prepare_record, r)) for r in records]
+result = engine.run_jobs(jobs, backend="process", workers=2)
+assert result.backend == "process"
+assert [job.name for job in result.jobs] == [r.record_id for r in records]
+assert all(job.state is not None for job in result.jobs)
+"""
+    )
+    assert "repro.engine.procpool" in loaded
