@@ -472,7 +472,7 @@ experiments.register(
     description="Table 1: reexpression functions and their inverse/disjointedness properties",
     parameters=(
         ExperimentParameter(
-            "sample_count", int, 2048, "domain samples per property check"
+            "sample_count", int, 2048, "domain samples per property check", minimum=1
         ),
     ),
     smoke_params={"sample_count": 256},
@@ -496,7 +496,7 @@ experiments.register(
     f"{_EXPERIMENTS}.figure1:experiment",
     description="Figure 1: two-variant address partitioning (benign equivalence + injection)",
     parameters=(
-        ExperimentParameter("benign_requests", int, 8, "benign requests driven"),
+        ExperimentParameter("benign_requests", int, 8, "benign requests driven", minimum=1),
     ),
     smoke_params={"benign_requests": 4},
 )
@@ -536,7 +536,9 @@ experiments.register(
     parameters=(
         ExperimentParameter("min_variants", int, 2, "smallest variant count swept", minimum=2),
         ExperimentParameter("max_variants", int, 6, "largest variant count swept", minimum=2),
-        ExperimentParameter("requests", int, 12, "benign requests per configuration"),
+        ExperimentParameter(
+            "requests", int, 12, "benign requests per configuration", minimum=1
+        ),
         ExperimentParameter("workers", int, 4, "campaign scheduler worker count", minimum=1),
     ),
     smoke_params={"min_variants": 2, "max_variants": 3, "requests": 6, "workers": 4},
@@ -608,7 +610,7 @@ experiments.register(
         ),
         ExperimentParameter("workers", int, 4, "campaign worker count", minimum=1),
         ExperimentParameter(
-            "requests", int, 16, "benign requests per workload configuration"
+            "requests", int, 16, "benign requests per workload configuration", minimum=1
         ),
     ),
     smoke_params={"requests": 8},
@@ -630,7 +632,7 @@ experiments.register(
             choices=CAMPAIGN_BACKENDS,
         ),
         ExperimentParameter("workers", int, 4, "campaign worker count", minimum=1),
-        ExperimentParameter("requests", int, 24, "benign requests per sweep cell"),
+        ExperimentParameter("requests", int, 24, "benign requests per sweep cell", minimum=1),
         ExperimentParameter(
             "rate_steps",
             int,
@@ -656,9 +658,11 @@ experiments.register(
     description="Design-choice ablations: detection calls, reexpression mask, unshared files",
     parameters=(
         ExperimentParameter(
-            "user_space_uses", int, 5, "UID uses between corruption and kernel call"
+            "user_space_uses", int, 5, "UID uses between corruption and kernel call", minimum=1
         ),
-        ExperimentParameter("requests", int, 4, "benign requests in the mask ablation"),
+        ExperimentParameter(
+            "requests", int, 4, "benign requests in the mask ablation", minimum=1
+        ),
     ),
     smoke_params={"user_space_uses": 3, "requests": 2},
 )

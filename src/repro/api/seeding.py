@@ -10,15 +10,28 @@ value derived here: a SHA-256 of the root seed plus a stable label path.
 Derivation is pure arithmetic on the payload the backends already ship
 (spec name, variation position, variation name), so a seeded campaign is
 byte-identical on both backends by construction.
+
+This module is also the one place SHA-256 comes from (the load driver's
+response digests use it too).  :mod:`hashlib` loads OpenSSL's libcrypto,
+about 3.6 MB of resident memory that no run needs, so the interpreter's lean
+builtin module is taken first, as :mod:`random` does for SHA-512.  It is the
+same function either way: every seed and digest is identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Optional
 
 from repro.api.spec import SystemSpec, VariationSpec
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 #: Separator for label paths; never appears in spec or variation names.
 _SEP = "\x1f"
@@ -32,7 +45,7 @@ def derive_seed(root: int, *labels: object) -> int:
     salted ``hash()`` -- and distinct label paths give independent seeds.
     """
     material = _SEP.join([str(int(root)), *(str(label) for label in labels)])
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    digest = sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 

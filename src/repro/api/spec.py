@@ -178,6 +178,16 @@ class SystemSpec:
     interposition: str = "classic"
 
     def __post_init__(self) -> None:
+        # A scenario file's "two" or "yes" must fail here, naming the key,
+        # not later as an unrelated comparison error.
+        for key in ("num_variants", "max_rounds"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{key} must be int, got {type(value).__name__} {value!r}")
+        for key in ("transformed", "halt_on_alarm"):
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise TypeError(f"{key} must be bool, got {type(value).__name__} {value!r}")
         if self.num_variants < 1:
             raise ValueError(f"num_variants must be >= 1, got {self.num_variants}")
         if self.max_rounds < 1:

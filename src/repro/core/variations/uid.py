@@ -86,6 +86,12 @@ class UIDVariation(Variation):
     def __init__(self, mask: int = UID_MASK_31, *, num_variants: int = 2):
         if num_variants != 2:
             raise ValueError("the UID variation is defined for exactly two variants")
+        if not isinstance(mask, int) or isinstance(mask, bool):
+            raise TypeError(f"mask must be int, got {type(mask).__name__} {mask!r}")
+        if mask == 0:
+            # R_1 would be the identity: root is 0 in both variants, so the
+            # variants are not disjoint (Section 2.3) and nothing is detected.
+            raise ValueError("mask must be nonzero: mask 0 encodes root as 0 in both variants")
         self.mask = mask
         self.num_variants = num_variants
         self._install_functions([identity_reexpression("uid"), xor_reexpression(mask, "uid")])

@@ -22,9 +22,14 @@ from typing import Callable, Optional
 from repro.kernel.errors import Errno, KernelError
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class Connection:
-    """One client connection: inbound request bytes and outbound response bytes."""
+    """One client connection: inbound request bytes and outbound response bytes.
+
+    Connections compare by identity: two clients that sent and received the
+    same bytes are still two connections, so an accept queue never removes
+    the wrong one.
+    """
 
     connection_id: int
     client: str = "client"

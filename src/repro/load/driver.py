@@ -34,11 +34,10 @@ draw flows through :func:`repro.api.seeding.derive_seed`.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import random
 from typing import Any, ClassVar, Mapping, Optional, Sequence
 
-from repro.api.seeding import derive_seed, seeded_spec
+from repro.api.seeding import derive_seed, seeded_spec, sha256
 from repro.api.spec import SystemSpec
 from repro.apps.catalog import ServingApp, get_app
 from repro.engine.session import SessionState
@@ -340,7 +339,7 @@ class _OpenLoopRun:
     def _harvest_completions(self) -> None:
         for record in list(self.pending):
             primary = record.connections[0]
-            if primary.closed_by_server and primary.response_bytes():
+            if primary.closed_by_server and primary.outbound:
                 record.completed_at = self.now
                 record.response = primary.response_bytes()
                 self.pending.remove(record)
@@ -479,12 +478,12 @@ def run_loadtest(
     )
     run.run()
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for record in records:
         if record.completed:
             digest.update(f"{record.index}:".encode())
             digest.update(record.response)
-    secret = hashlib.sha256(repr(keyed_secrets(run.session)).encode()).hexdigest()
+    secret = sha256(repr(keyed_secrets(run.session)).encode()).hexdigest()
     stats = policy.stats
     return LoadRunResult(
         spec_name=spec.name,

@@ -122,6 +122,11 @@ class TestRegistry:
         with pytest.raises(VariationParameterError):
             # offset >= PARTITION_BIT is rejected by the factory itself.
             registry.create("address-extended", {"offset": 0x80000000})
+        for mask in (0, "x", 1.0, True):
+            # Mask 0 makes R_1 the identity: both variants encode root as 0.
+            with pytest.raises(VariationParameterError, match="mask must be"):
+                registry.create("uid", {"mask": mask})
+        assert registry.create("uid-full-flip").mask == 0xFFFFFFFF
 
     def test_aliases_resolve_to_the_same_entry(self):
         assert type(registry.create("address")) is type(registry.create("address-partitioning"))
@@ -376,6 +381,34 @@ class TestCLI:
         )
         assert cli_main(["run", str(path)]) == 2
         assert "unknown variation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system, key",
+        [
+            ({"num_variants": "two"}, "num_variants"),
+            ({"num_variants": True}, "num_variants"),
+            ({"max_rounds": "many"}, "max_rounds"),
+            ({"max_rounds": 1.5}, "max_rounds"),
+            ({"transformed": "yes"}, "transformed"),
+            ({"halt_on_alarm": 1}, "halt_on_alarm"),
+            ({"variations": [{"name": "uid", "params": {"mask": "x"}}]}, "mask"),
+            ({"variations": [{"name": "uid", "params": {"mask": 0}}]}, "mask"),
+        ],
+    )
+    def test_mistyped_system_value_is_a_clean_error(self, tmp_path, capsys, system, key):
+        path = self._write_scenario(
+            tmp_path,
+            {
+                "scenario": "campaign",
+                "systems": [{"name": "x", "variations": ["uid"], **system}],
+                "attacks": ["full-word-root-overwrite"],
+            },
+        )
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be" in err
+        for raw in ("Traceback", "not supported between", "Unknown format code"):
+            assert raw not in err
 
     def test_example_scenario_files_load_and_validate(self):
         from pathlib import Path

@@ -398,6 +398,14 @@ class TestCLI:
             "detection --set workers=0",
             "corpus --set records=0 --set backend=virtual",
             "entropy --smoke --set trials=0",
+            # Every count parameter: a zero count leaves a claim no evidence.
+            "table1 --set sample_count=0",
+            "figure1 --set benign_requests=0",
+            "apps --set requests=0",
+            "nscaling --smoke --set requests=0",
+            "loadtest --set requests=0",
+            "ablations --set requests=0",
+            "ablations --set user_space_uses=0",
         ],
     )
     def test_out_of_range_parameters_are_clean_errors(self, arguments, capsys):

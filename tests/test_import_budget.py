@@ -6,7 +6,8 @@ already imported most of ``repro``.  The benchmark's workloads import what
 and an open-loop ftpd run; none of them may load the process pool, the
 campaign layer, the pipeline model, the property checkers or the
 instruction-set interpreter.  Plain ``import repro`` loads nothing behind its
-re-exports.
+re-exports.  Nothing loads :mod:`hashlib`, which maps OpenSSL's libcrypto:
+SHA-256 comes from the interpreter's builtin module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: The OpenSSL-backed hashing modules.
+HASHLIB = ("hashlib", "_hashlib")
+
 #: Modules that no workload calls into, so none may be imported.
 UNUSED_BY_WORKLOADS = (
     "multiprocessing",
@@ -29,6 +33,7 @@ UNUSED_BY_WORKLOADS = (
     "repro.attacks.code_injection",
     "repro.core.pipeline",
     "repro.core.properties",
+    *HASHLIB,
 )
 
 
@@ -89,6 +94,73 @@ assert result.completed > 0
 def test_import_repro_loads_only_the_package_and_its_version():
     loaded = run_fresh("import repro")
     assert [name for name in loaded if name.startswith("repro")] == ["repro", "repro._version"]
+    assert set(HASHLIB).isdisjoint(loaded)
+
+
+@pytest.mark.parametrize(
+    "arguments", ["examples/scenarios/loadtest.json", "examples/scenarios/campaign.json --seed 7"]
+)
+def test_example_scenario_runs_without_hashlib(arguments):
+    # Both run on the virtual backend, their default.
+    loaded = run_fresh(
+        f"""
+from repro.api.cli import main
+assert main(["run", *{arguments.split()!r}]) == 0
+"""
+    )
+    assert "repro.api.seeding" in loaded
+    assert set(HASHLIB).isdisjoint(loaded)
+
+
+# -- one SHA-256, whichever module provides it ------------------------------
+
+
+def test_builtin_sha256_matches_hashlib():
+    import hashlib
+
+    from repro.api.seeding import sha256
+
+    for data in (b"", bytes(range(256)) * 3):
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    lean, reference = sha256(), hashlib.sha256()
+    for chunk in (b"a", b"b" * 63, b"", b"c" * 65, bytes(200)):
+        lean.update(chunk)
+        reference.update(chunk)
+        assert lean.copy().digest() == reference.copy().digest()
+    assert lean.hexdigest() == reference.hexdigest()
+
+
+_SEEDS_AND_DIGESTS = """
+from repro.api.seeding import derive_seed
+from repro.api.spec import uid_orbit_spec
+from repro.load.driver import run_loadtest
+
+result = run_loadtest(uid_orbit_spec(2), app="ftpd", requests=4, seed=7)
+values = [
+    derive_seed(20080625),
+    derive_seed(7, "cell-3", 0, "uid-keyed"),
+    result.response_digest,
+    result.secret_digest,
+]
+"""
+
+
+def test_hashlib_fallback_gives_the_same_seeds_and_digests():
+    namespace = {}
+    exec(_SEEDS_AND_DIGESTS, namespace)
+    # A None entry in sys.modules makes importing that module fail, as on an
+    # interpreter built without the builtin SHA-2 modules.
+    run_fresh(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        + _SEEDS_AND_DIGESTS
+        + f"""
+import hashlib
+from repro.api import seeding
+assert seeding.sha256 is hashlib.sha256
+assert values == {namespace["values"]!r}, values
+"""
+    )
 
 
 # -- the lazy re-exports keep every public import path ----------------------

@@ -210,6 +210,17 @@ class TestNetworkStack:
         assert list(listener.pending) == [connection]
         assert listener.accept() is connection
 
+    def test_connections_compare_by_identity(self):
+        network = NetworkStack()
+        listener = network.bind(80)
+        first = network.connect(80, b"GET /")
+        second = network.connect(80, b"GET /")
+        second.connection_id = first.connection_id  # equal in every field
+        assert first != second
+        listener.pending.remove(second)
+        assert list(listener.pending) == [first]
+        assert second not in listener.pending
+
     def test_connect_queues_request_bytes(self):
         network = NetworkStack()
         network.bind(80)
