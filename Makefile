@@ -26,6 +26,9 @@
 #   make check-gc         -- the reference-cycle tier: every example scenario,
 #                            run warm and then again with the garbage collector
 #                            off, must leave no cyclic garbage
+#   make round-budget     -- the interpreter work of one lockstep round (Python
+#                            calls and object.__new__ per round on three fixed
+#                            shapes) against its pinned budget, figures printed
 #   make figures          -- re-render benchmarks/figures/ from the committed
 #                            benchmark results
 #   make experiments-smoke -- every registered experiment at its smallest spec,
@@ -51,7 +54,7 @@ EXAMPLES := $(wildcard examples/*.py)
 SCENARIOS := $(wildcard examples/scenarios/*.json)
 
 .PHONY: test check check-parallel check-procs check-bench check-keyed \
-	check-corpus check-apps check-load check-gc experiments-smoke bench bench-smoke \
+	check-corpus check-apps check-load check-gc round-budget experiments-smoke bench bench-smoke \
 	bench-procpool-smoke bench-diff bench-wall figures examples
 
 test:
@@ -96,8 +99,8 @@ check-procs:
 
 # The keyed tier gate: keyed-scheme determinism/rotation, the attacker-model
 # suite (including the process-backend parity and WorkerError CLI checks),
-# the round fast-path suite (its UID decode memo must not survive a key
-# rotation), the round-plan suite (every session's per-name plan equals the
+# the round fast-path suite (a UID decode must follow a key rotation), the
+# round-plan suite (every session's per-name plan equals the
 # layered definition, and a key-rotating restart leaves no stale plan), and
 # one seeded entropy-experiment smoke through the CLI.
 check-keyed:
@@ -152,6 +155,14 @@ check-load:
 check-gc:
 	$(PYTHON) -m pytest -q -m slow tests/test_reference_cycles.py
 	@echo "check-gc ok: every example scenario frees itself by reference counting"
+
+# The round-budget gate: per lockstep round, the Python calls and object.__new__
+# constructions of a 2-session httpd fleet, a three-variant ftpd session and a
+# corpus slice must stay within 5% of the figures tests/test_round_budget.py pins
+# (also part of tier-1; here with the figures printed).
+round-budget:
+	$(PYTHON) -m pytest -q -s tests/test_round_budget.py -k within_its_budget
+	@echo "round-budget ok: every shape's round within its budget"
 
 figures:
 	$(PYTHON) benchmarks/render_figures.py

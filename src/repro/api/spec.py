@@ -47,6 +47,17 @@ def _canonical_params(params: Any, *, what: str = "variation") -> tuple[tuple[st
     return tuple(canonical)
 
 
+def _require_types(spec: Any, kind: type, keys: tuple[str, ...]) -> None:
+    """Raise ``TypeError`` naming the first of *keys* whose value is no *kind*.
+
+    A ``bool`` is no ``int`` here: a scenario file's ``true`` is not a count.
+    """
+    for key in keys:
+        value = getattr(spec, key)
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise TypeError(f"{key} must be {kind.__name__}, got {type(value).__name__} {value!r}")
+
+
 def _require_known_keys(data: Mapping[str, Any], known: frozenset[str], what: str) -> None:
     unknown = sorted(set(data) - known)
     if unknown:
@@ -180,14 +191,8 @@ class SystemSpec:
     def __post_init__(self) -> None:
         # A scenario file's "two" or "yes" must fail here, naming the key,
         # not later as an unrelated comparison error.
-        for key in ("num_variants", "max_rounds"):
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{key} must be int, got {type(value).__name__} {value!r}")
-        for key in ("transformed", "halt_on_alarm"):
-            value = getattr(self, key)
-            if not isinstance(value, bool):
-                raise TypeError(f"{key} must be bool, got {type(value).__name__} {value!r}")
+        _require_types(self, int, ("num_variants", "max_rounds"))
+        _require_types(self, bool, ("transformed", "halt_on_alarm"))
         if self.num_variants < 1:
             raise ValueError(f"num_variants must be >= 1, got {self.num_variants}")
         if self.max_rounds < 1:
@@ -275,6 +280,8 @@ class WorkloadSpec:
     client_machines: int = 1
 
     def __post_init__(self) -> None:
+        counts = ("total_requests", "requests_per_connection", "client_engines", "client_machines")
+        _require_types(self, int, counts)
         if self.total_requests < 1:
             raise ValueError(f"total_requests must be >= 1, got {self.total_requests}")
         if self.requests_per_connection < 1:
@@ -318,6 +325,10 @@ class FleetSpec:
             object.__setattr__(self, "system", SystemSpec.from_dict(self.system))
         if isinstance(self.workload, Mapping):
             object.__setattr__(self, "workload", WorkloadSpec.from_dict(self.workload))
+        _require_types(self, SystemSpec, ("system",))
+        _require_types(self, WorkloadSpec, ("workload",))
+        _require_types(self, int, ("num_sessions", "multiplex"))
+        _require_types(self, str, ("halt_policy", "name"))
         if self.num_sessions < 1:
             raise ValueError(f"num_sessions must be >= 1, got {self.num_sessions}")
         if self.multiplex < 1:

@@ -47,33 +47,25 @@ class UIDCodec:
     at the points where the source transformation would have substituted the
     literal.  For an untransformed program, or for variant 0, the codec is
     the identity.
+
+    The variant's own forward and inverse functions are bound as attributes,
+    so a program's ``constant``, ``encode`` or ``decode`` is one call.
     """
 
     def __init__(self, encode: Callable[[int], int], decode: Callable[[int], int]):
-        self._encode = encode
-        self._decode = decode
+        #: The variant's representation of the trusted UID constant *uid*.
+        self.constant = encode
+        #: Alias of :attr:`constant`; reads better in data-flow contexts.
+        self.encode = encode
+        #: Semantic UID behind the variant's concrete *value*.
+        self.decode = decode
+        #: The variant's representation of root (``VARIANT_ROOT`` in the paper).
+        self.root = encode(0)
 
     @classmethod
     def identity(cls) -> "UIDCodec":
         """The codec of an untransformed program."""
         return cls(lambda value: value, lambda value: value)
-
-    def constant(self, uid: int) -> int:
-        """The variant's representation of the trusted UID constant *uid*."""
-        return self._encode(uid)
-
-    def encode(self, uid: int) -> int:
-        """Alias of :meth:`constant`; reads better in data-flow contexts."""
-        return self._encode(uid)
-
-    def decode(self, value: int) -> int:
-        """Semantic UID behind the variant's concrete *value*."""
-        return self._decode(value)
-
-    @property
-    def root(self) -> int:
-        """The variant's representation of root (``VARIANT_ROOT`` in the paper)."""
-        return self._encode(0)
 
 
 @dataclasses.dataclass

@@ -69,6 +69,12 @@ class Variation:
     #: result chain, so its results reach the variants as the kernel made them.
     result_syscalls: Optional[frozenset[Syscall]] = None
 
+    #: The system calls whose :meth:`transform_request` equals their
+    #: :meth:`canonicalize_request`, so a lockstep round may send the canonical
+    #: requests to the kernel (:meth:`VariationStack.shares_rewrite`).  An
+    #: override of either hook below this declaration voids it.
+    shared_rewrite_syscalls: frozenset[Syscall] = frozenset()
+
     # -- reexpression functions ------------------------------------------------
 
     def reexpression(self, index: int) -> ReexpressionFunction:
@@ -196,6 +202,7 @@ class VariationStack:
             for hook, attribute in _HOOK_FOOTPRINTS
         }
         self._unions = {hook: self._union(each) for hook, each in self._footprints.items()}
+        self._shared = frozenset().union(*(v.shared_rewrite_syscalls for v in self.variations))
 
     @staticmethod
     def _declaring_class(cls: type, attribute: str) -> Optional[type]:
@@ -250,6 +257,25 @@ class VariationStack:
             getattr(variation, hook)
             for variation, footprint in pairs
             if footprint is None or name in footprint
+        )
+
+    def shares_rewrite(self, name: Syscall) -> bool:
+        """True when the canonical form of a *name* request is also its outgoing form.
+
+        Both request chains of *name* must walk the same variations, each
+        trusted to rewrite it alike (:attr:`Variation.shared_rewrite_syscalls`).
+        """
+        if name not in self._shared:
+            return False
+        canonical = [hook.__self__ for hook in self._chain("canonicalize_request", name)]
+        transform = [hook.__self__ for hook in self._chain("transform_request", name)]
+        return bool(canonical) and canonical == transform and all(
+            name in variation.shared_rewrite_syscalls
+            and self._footprint(variation, "shared_rewrite_syscalls", "canonicalize_request")
+            is not None
+            and self._footprint(variation, "shared_rewrite_syscalls", "transform_request")
+            is not None
+            for variation in canonical
         )
 
     def canonical_syscalls(self) -> Optional[frozenset[Syscall]]:

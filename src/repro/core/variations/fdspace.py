@@ -58,6 +58,8 @@ class FdOrbitVariation(Variation):
     canonical_syscalls = FD_ARGUMENT_SYSCALLS
     transform_syscalls = FD_ARGUMENT_SYSCALLS
     result_syscalls = FD_RESULT_SYSCALLS
+    #: Both request hooks decode the descriptor argument the same way.
+    shared_rewrite_syscalls = FD_ARGUMENT_SYSCALLS
 
     def __init__(self, num_variants: int = 2, *, scheme: "FdOrbitScheme | None" = None):
         if scheme is None:

@@ -48,6 +48,7 @@ from repro.kernel.syscalls import (
     UID_COMPARISON_SYSCALLS,
     UID_PARAMETER_SYSCALLS,
     UID_RESULT_SYSCALLS,
+    _trusted_request,
     _trusted_success,
 )
 
@@ -64,10 +65,14 @@ _DECODED_POSITIONS: dict[Syscall, tuple[int, ...]] = {
     **UID_PARAMETER_SYSCALLS,
     **{name: (0, 1) for name in UID_COMPARISON_SYSCALLS},
 }
+#: What canonicalization decodes: the same, plus ``uid_value``'s argument.
+_CANONICAL_POSITIONS = {**_DECODED_POSITIONS, Syscall.UID_VALUE: (0,)}
 # Bound once: attribute access on an Enum class goes through the metaclass's
 # ``__getattr__`` hook, several times slower than a module global.
-_UID_VALUE = Syscall.UID_VALUE
 _ERRNO_OK = Errno.OK
+#: The (uid_t)-1 sentinel in both spellings; never decoded (see
+#: :meth:`UIDVariation._decode_positions`).
+_SENTINELS = (-1, 0xFFFFFFFF)
 
 
 class UIDVariation(Variation):
@@ -82,6 +87,8 @@ class UIDVariation(Variation):
     transform_syscalls = frozenset(UID_PARAMETER_SYSCALLS) | UID_COMPARISON_SYSCALLS
     canonical_syscalls = transform_syscalls | {Syscall.UID_VALUE}
     result_syscalls = UID_RESULT_SYSCALLS
+    #: The setuid family, chown and cc_* decode the same way for both hooks.
+    shared_rewrite_syscalls = frozenset(_DECODED_POSITIONS)
 
     def __init__(self, mask: int = UID_MASK_31, *, num_variants: int = 2):
         if num_variants != 2:
@@ -97,22 +104,15 @@ class UIDVariation(Variation):
         self._install_functions([identity_reexpression("uid"), xor_reexpression(mask, "uid")])
 
     def _install_functions(self, functions: "list[ReexpressionFunction]") -> None:
-        """Adopt *functions* as ``R_0 .. R_{N-1}`` and drop every cached decode.
+        """Adopt *functions* as ``R_0 .. R_{N-1}``.
 
         The per-variant forward and inverse callables are unpacked once, so
         the hooks index a list instead of going through :meth:`reexpression`.
-        ``_decoded[i]`` is variant *i*'s one-entry memo of its last decoded
-        request, ``(request, decoded)``: the monitor's canonicalization and
-        the kernel-bound transformation of a setuid-family or cc_* call
-        produce the same decoded request, so the second finds it here.  The
-        memo holds the request it was computed from, which keeps the
-        identity key from being reused; new masks must go through this
-        method so no decode under the old key survives.
+        New masks must go through this method so no hook keeps the old key.
         """
         self._functions = functions
         self._forward = [function.forward for function in functions]
         self._inverse = [function.inverse for function in functions]
-        self._decoded = [None] * len(functions)
 
     # -- reexpression ------------------------------------------------------------
 
@@ -150,10 +150,11 @@ class UIDVariation(Variation):
         comparison on decoded values so the variants' instruction streams can
         stay identical.
         """
+        if request.name in _DECODED_POSITIONS:
+            # The same decode the monitor compares.
+            return self.canonicalize_request(index, request)
         if not 0 <= index < self.num_variants:
             raise self._index_error(index)
-        if request.name in _DECODED_POSITIONS:
-            return self._decoded_request(index, request)
         return request
 
     def transform_result(
@@ -175,12 +176,20 @@ class UIDVariation(Variation):
         """
         if not 0 <= index < self.num_variants:
             raise self._index_error(index)
-        name = request.name
-        if name in _DECODED_POSITIONS:
-            return self._decoded_request(index, request)
-        if name is _UID_VALUE:
-            return request.with_args(self._decode_positions(index, request.args, (0,)))
-        return request
+        positions = _CANONICAL_POSITIONS.get(request.name)
+        if positions is None:
+            return request
+        args = request.args
+        if len(args) == 1 and positions[0] == 0:
+            # The setuid family's one argument, decoded without the general loop.
+            value = args[0]
+            if not isinstance(value, int) or isinstance(value, bool) or value in _SENTINELS:
+                return request
+            decoded_args = (self._inverse[index](value),)
+        else:
+            decoded_args = self._decode_positions(index, args, positions)
+        # An identity decode (variant 0) keeps the request it was given.
+        return request if decoded_args == args else _trusted_request(request.name, decoded_args)
 
     # -- unshared files ---------------------------------------------------------------
 
@@ -194,17 +203,6 @@ class UIDVariation(Variation):
         return mapping
 
     # -- helpers ------------------------------------------------------------------------
-
-    def _decoded_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
-        """*request* with its uid_t arguments decoded, memoised per variant."""
-        memo = self._decoded[index]
-        if memo is not None and memo[0] is request:
-            return memo[1]
-        decoded = request.with_args(
-            self._decode_positions(index, request.args, _DECODED_POSITIONS[request.name])
-        )
-        self._decoded[index] = (request, decoded)
-        return decoded
 
     def _decode_positions(
         self, index: int, args: tuple, positions: tuple[int, ...]
@@ -226,7 +224,7 @@ class UIDVariation(Variation):
             # XOR 0xFFFFFFFF, variant 1's representation of root *is* the
             # sentinel, which breaks normal equivalence (see the mask
             # ablation benchmark).
-            if value in (-1, 0xFFFFFFFF):
+            if value in _SENTINELS:
                 continue
             new_args[position] = inverse(value)
         return tuple(new_args)

@@ -174,10 +174,7 @@ class SyscallWrappers:
     def _execute_per_variant(self, requests: Sequence[SyscallRequest]) -> list[SyscallResult]:
         """Each variant performs its own call (credentials, detection, exits)."""
         self.stats.per_variant_calls += 1
-        return [
-            self.kernel.execute(process, request)
-            for process, request in zip(self.processes, requests)
-        ]
+        return list(map(self.kernel.execute, self.processes, requests))
 
     def _execute_open(self, requests: Sequence[SyscallRequest]) -> list[SyscallResult]:
         """Open handling: redirect unshared paths, mirror shared descriptors."""
@@ -220,7 +217,8 @@ class SyscallWrappers:
         fd = requests[0].args[0] if requests[0].args else -1
         name = requests[0].name
 
-        if isinstance(fd, int) and fd in self._unshared_fds:
+        # While no unshared descriptor is open (the common case) there is nothing to test.
+        if self._unshared_fds and isinstance(fd, int) and fd in self._unshared_fds:
             results = self._execute_per_variant(requests)
             if name is _CLOSE:
                 self._unshared_fds.discard(fd)

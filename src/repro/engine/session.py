@@ -79,6 +79,9 @@ class RoundPlan(NamedTuple):
     transform: tuple[Callable[..., SyscallRequest], ...]
     result: tuple[Callable[..., SyscallResult], ...]
     strategy: Strategy
+    #: The canonical requests are also the outgoing ones
+    #: (:meth:`~repro.core.variations.base.VariationStack.shares_rewrite`).
+    shared: bool
 
 
 # Bound once: attribute access on an Enum class goes through the metaclass's
@@ -238,10 +241,9 @@ class NVariantSession:
 
         for variation in self.variations:
             if isinstance(variation, UIDVariation):
-                return UIDCodec(
-                    encode=lambda value, v=variation, i=index: v.encode(i, value),
-                    decode=lambda value, v=variation, i=index: v.decode(i, value),
-                )
+                # Bound to this run's key: only ``restart`` rotates, and it rebuilds the codecs.
+                function = variation.reexpression(index)
+                return UIDCodec(encode=function.forward, decode=function.inverse)
         return UIDCodec.identity()
 
     @property
@@ -315,7 +317,7 @@ class NVariantSession:
 
             first = requests[0]
             name = first.name
-            fast, detection, canonicalize, transform, result_hooks, strategy = (
+            fast, detection, canonicalize, transform, result_hooks, strategy, shared = (
                 self._plans.get(name) or self.round_plan(name)
             )
             args = first.args
@@ -335,22 +337,30 @@ class NVariantSession:
                 if alarm is not None and self.halt_on_alarm:
                     return self.halt()
 
-            outgoing = _rewrite(transform, requests) if transform else requests
+            if shared:
+                outgoing = canonical
+            elif transform:
+                outgoing = _rewrite(transform, requests)
+            else:
+                outgoing = requests
             wrappers = self.wrappers
             if len(outgoing) != len(wrappers.processes):
                 raise ValueError("one request per variant is required")
             wrappers.stats.checks += 1
             results = strategy(wrappers, outgoing)
 
-            for index, runtime in enumerate(runtimes):
-                result = results[index]
-                if result_hooks:
-                    request = requests[index]
+            if result_hooks:
+                # Every strategy returns a fresh list, so it is rewritten in place.
+                for index, request in enumerate(requests):
+                    result = results[index]
                     for hook in result_hooks:
                         result = hook(index, request, result)
+                    results[index] = result
+            exiting = name is _EXIT
+            for runtime, result in zip(runtimes, results):
                 runtime.pending_result = result
                 runtime.pending_request = None
-                if name is _EXIT or runtime.process.state not in LIVE_STATES:
+                if exiting or runtime.process.state not in LIVE_STATES:
                     runtime.finished = True
                     runtime.program.close()
             return self.state
@@ -370,6 +380,7 @@ class NVariantSession:
                 transform=variations._chain("transform_request", name),
                 result=variations._chain("transform_result", name, reverse=True),
                 strategy=self.wrappers.strategy_for(name),
+                shared=variations.shares_rewrite(name),
             )
         return plan
 

@@ -146,7 +146,9 @@ class Credentials:
     def seteuid(self, euid: int) -> None:
         """Apply ``seteuid(euid)`` semantics."""
         validate_uid(euid)
-        if self.is_privileged() or euid in (self.ruid, self.euid, self.suid):
+        # ``is_privileged()`` in place: the httpd drops and restores its
+        # effective ids on every request.
+        if self.euid == ROOT_UID or euid in (self.ruid, self.euid, self.suid):
             self.euid = euid
         else:
             raise KernelError(Errno.EPERM, f"seteuid({euid}) not permitted")
@@ -192,7 +194,7 @@ class Credentials:
     def setegid(self, egid: int) -> None:
         """Apply ``setegid(egid)`` semantics."""
         validate_gid(egid)
-        if self.is_privileged() or egid in (self.rgid, self.egid, self.sgid):
+        if self.euid == ROOT_UID or egid in (self.rgid, self.egid, self.sgid):
             self.egid = egid
         else:
             raise KernelError(Errno.EPERM, f"setegid({egid}) not permitted")

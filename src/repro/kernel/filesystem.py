@@ -199,7 +199,11 @@ class FileSystem:
     def _normalize(path: str) -> str:
         if not path or not path.startswith("/"):
             raise KernelError(Errno.EINVAL, f"path must be absolute: {path!r}")
-        return posixpath.normpath(path)
+        # Without an empty, "." or ".." component there is nothing to
+        # normalise, and almost every path a program passes has none.
+        if "//" in path or "/." in path or path.endswith("/"):
+            return posixpath.normpath(path)
+        return path
 
     @staticmethod
     def split(path: str) -> list[str]:

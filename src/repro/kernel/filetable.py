@@ -31,19 +31,9 @@ class OpenFile:
     offset: int = 0
     path: str = ""
 
-    @property
-    def readable(self) -> bool:
-        """True when the open flags permit reading."""
-        return (self.flags & O_ACCMODE) in (O_RDONLY, O_RDWR)
-
-    @property
-    def writable(self) -> bool:
-        """True when the open flags permit writing."""
-        return (self.flags & O_ACCMODE) in (O_WRONLY, O_RDWR)
-
     def read(self, count: int) -> bytes:
         """Read up to *count* bytes from the current offset."""
-        if not self.readable:
+        if (self.flags & O_ACCMODE) not in (O_RDONLY, O_RDWR):
             raise KernelError(Errno.EBADF, f"{self.path} not open for reading")
         if count < 0:
             raise KernelError(Errno.EINVAL, "negative read count")
@@ -53,7 +43,7 @@ class OpenFile:
 
     def write(self, data: bytes) -> int:
         """Write *data* at the current offset (append if O_APPEND)."""
-        if not self.writable:
+        if (self.flags & O_ACCMODE) not in (O_WRONLY, O_RDWR):
             raise KernelError(Errno.EBADF, f"{self.path} not open for writing")
         buffer = self.inode.mutable_data()
         if self.flags & O_APPEND:
@@ -139,15 +129,17 @@ class FileDescriptorTable:
 
     def get_file(self, fd: int) -> OpenFile:
         """Look up *fd* expecting a regular open file."""
-        entry = self.get(fd)
+        entry = self._table.get(fd)
         if not isinstance(entry, OpenFile):
+            self.get(fd)  # EBADF when nothing is open at fd
             raise KernelError(Errno.EINVAL, f"descriptor {fd} is not a file")
         return entry
 
     def get_socket(self, fd: int) -> SocketDescriptor:
         """Look up *fd* expecting a socket."""
-        entry = self.get(fd)
+        entry = self._table.get(fd)
         if not isinstance(entry, SocketDescriptor):
+            self.get(fd)  # EBADF when nothing is open at fd
             raise KernelError(Errno.ENOTSOCK, f"descriptor {fd} is not a socket")
         return entry
 

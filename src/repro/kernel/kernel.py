@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import operator
 from typing import Any, Callable, Optional
 
 from repro.kernel.credentials import Credentials, ROOT_UID
@@ -38,6 +39,7 @@ from repro.kernel.network import Connection, ListeningSocket, NetworkStack
 from repro.kernel.process import LIVE_STATES, Process, ProcessTable
 from repro.kernel.signals import FATAL_BY_DEFAULT, Signal
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult, _trusted_success
+from repro.kernel.syscalls import _SHARED_INT_COUNT, _SHARED_INTS
 
 
 @dataclasses.dataclass
@@ -48,15 +50,6 @@ class KernelStats:
     syscall_breakdown: dict[str, int] = dataclasses.field(default_factory=dict)
     bytes_read: int = 0
     bytes_written: int = 0
-
-    def record(self, name: Syscall) -> None:
-        """Count one executed system call."""
-        self.syscall_count += 1
-        # ``_value_`` is the member's plain attribute; ``.value`` goes through
-        # the enum property descriptor on every call.
-        key = name._value_
-        breakdown = self.syscall_breakdown
-        breakdown[key] = breakdown.get(key, 0) + 1
 
 
 def _positional_arity(handler: Callable[..., Any]) -> tuple[int, Optional[int]]:
@@ -105,7 +98,13 @@ class SimulatedKernel:
             return SyscallResult.failure(Errno.ENOSYS)
         handler, min_args, max_args = found
         self.clock += 1
-        self.stats.record(name)
+        stats = self.stats
+        stats.syscall_count += 1
+        # ``_value_`` is the member's plain attribute; ``.value`` goes through
+        # the enum property descriptor on every call.
+        key = name._value_
+        breakdown = stats.syscall_breakdown
+        breakdown[key] = breakdown.get(key, 0) + 1
         process.stats.syscall_count += 1
         args = request.args
         if len(args) < min_args or (max_args is not None and len(args) > max_args):
@@ -116,6 +115,10 @@ class SimulatedKernel:
             value = handler(self, process, *args)
         except KernelError as error:
             return SyscallResult.failure(error.errno)
+        if value.__class__ is int and 0 <= value < _SHARED_INT_COUNT:
+            # The commonest result (a zero, a small descriptor or id), shared
+            # without a call.
+            return _SHARED_INTS[value]
         return _trusted_success(value)
 
     # -- process control handlers ---------------------------------------------------
@@ -227,7 +230,7 @@ class SimulatedKernel:
         entry = process.fds.get(fd)
         if isinstance(entry, SocketDescriptor):
             return self._socket_recv(entry, count)
-        data = process.fds.get_file(fd).read(count)
+        data = entry.read(count)  # a descriptor is an open file or a socket
         self.stats.bytes_read += len(data)
         process.stats.bytes_read += len(data)
         return data
@@ -239,7 +242,7 @@ class SimulatedKernel:
         if isinstance(entry, SocketDescriptor):
             written = self._socket_send(entry, data)
         else:
-            written = process.fds.get_file(fd).write(bytes(data))
+            written = entry.write(bytes(data))
         self.stats.bytes_written += written
         process.stats.bytes_written += written
         return written
@@ -435,61 +438,33 @@ def _comparison_handler(comparison: Callable[[int, int], bool]) -> Callable[...,
     return handler
 
 
-#: Every syscall's handler, with the ``(min, max)`` argument count it
-#: accepts, worked out once at import: a malformed call is refused before
-#: the handler runs, and a ``TypeError`` raised inside a handler stays a bug.
-_HANDLERS: dict[Syscall, tuple[Callable[..., Any], int, Optional[int]]] = {
-    name: (handler, *_positional_arity(handler))
-    for name, handler in {
-        Syscall.EXIT: SimulatedKernel._sys_exit,
-        Syscall.GETPID: SimulatedKernel._sys_getpid,
-        Syscall.FORK: SimulatedKernel._sys_unsupported,
-        Syscall.WAITPID: SimulatedKernel._sys_unsupported,
-        Syscall.KILL: SimulatedKernel._sys_kill,
-        Syscall.GETUID: SimulatedKernel._sys_getuid,
-        Syscall.GETEUID: SimulatedKernel._sys_geteuid,
-        Syscall.GETGID: SimulatedKernel._sys_getgid,
-        Syscall.GETEGID: SimulatedKernel._sys_getegid,
-        Syscall.SETUID: SimulatedKernel._sys_setuid,
-        Syscall.SETEUID: SimulatedKernel._sys_seteuid,
-        Syscall.SETREUID: SimulatedKernel._sys_setreuid,
-        Syscall.SETRESUID: SimulatedKernel._sys_setresuid,
-        Syscall.SETGID: SimulatedKernel._sys_setgid,
-        Syscall.SETEGID: SimulatedKernel._sys_setegid,
-        Syscall.SETGROUPS: SimulatedKernel._sys_setgroups,
-        Syscall.OPEN: SimulatedKernel._sys_open,
-        Syscall.CLOSE: SimulatedKernel._sys_close,
-        Syscall.READ: SimulatedKernel._sys_read,
-        Syscall.WRITE: SimulatedKernel._sys_write,
-        Syscall.LSEEK: SimulatedKernel._sys_lseek,
-        Syscall.STAT: SimulatedKernel._sys_stat,
-        Syscall.FSTAT: SimulatedKernel._sys_fstat,
-        Syscall.ACCESS: SimulatedKernel._sys_access,
-        Syscall.MKDIR: SimulatedKernel._sys_mkdir,
-        Syscall.UNLINK: SimulatedKernel._sys_unlink,
-        Syscall.RENAME: SimulatedKernel._sys_rename,
-        Syscall.CHOWN: SimulatedKernel._sys_chown,
-        Syscall.CHMOD: SimulatedKernel._sys_chmod,
-        Syscall.GETDENTS: SimulatedKernel._sys_getdents,
-        Syscall.CHDIR: SimulatedKernel._sys_chdir,
-        Syscall.SOCKET: SimulatedKernel._sys_socket,
-        Syscall.BIND: SimulatedKernel._sys_bind,
-        Syscall.LISTEN: SimulatedKernel._sys_listen,
-        Syscall.ACCEPT: SimulatedKernel._sys_accept,
-        Syscall.RECV: SimulatedKernel._sys_recv,
-        Syscall.SEND: SimulatedKernel._sys_send,
-        Syscall.SHUTDOWN: SimulatedKernel._sys_shutdown,
-        Syscall.TIME: SimulatedKernel._sys_time,
-        Syscall.GETRANDOM: SimulatedKernel._sys_getrandom,
-        Syscall.NANOSLEEP: SimulatedKernel._sys_nanosleep,
-        Syscall.PEEK: SimulatedKernel._sys_peek,
-        Syscall.UID_VALUE: SimulatedKernel._sys_uid_value,
-        Syscall.COND_CHK: SimulatedKernel._sys_cond_chk,
-        Syscall.CC_EQ: _comparison_handler(lambda a, b: a == b),
-        Syscall.CC_NEQ: _comparison_handler(lambda a, b: a != b),
-        Syscall.CC_LT: _comparison_handler(lambda a, b: a < b),
-        Syscall.CC_LEQ: _comparison_handler(lambda a, b: a <= b),
-        Syscall.CC_GT: _comparison_handler(lambda a, b: a > b),
-        Syscall.CC_GEQ: _comparison_handler(lambda a, b: a >= b),
-    }.items()
+#: The cc_* detection calls, each with the comparison it computes.
+_COMPARISONS = {
+    Syscall.CC_EQ: operator.eq,
+    Syscall.CC_NEQ: operator.ne,
+    Syscall.CC_LT: operator.lt,
+    Syscall.CC_LEQ: operator.le,
+    Syscall.CC_GT: operator.gt,
+    Syscall.CC_GEQ: operator.ge,
 }
+
+
+def _dispatch_entry(name: Syscall) -> tuple[Callable[..., Any], int, Optional[int]]:
+    """*name*'s handler and the ``(min, max)`` argument count it accepts.
+
+    The handler is ``SimulatedKernel._sys_<name>``, save fork/waitpid and
+    the cc_* comparisons.
+    """
+    if name in (Syscall.FORK, Syscall.WAITPID):
+        handler = SimulatedKernel._sys_unsupported
+    elif name in _COMPARISONS:
+        handler = _comparison_handler(_COMPARISONS[name])
+    else:
+        handler = getattr(SimulatedKernel, f"_sys_{name.value}")
+    return (handler, *_positional_arity(handler))
+
+
+#: Every syscall's dispatch entry, worked out once at import: a malformed
+#: call is refused before the handler runs, and a ``TypeError`` raised
+#: inside a handler stays a bug.
+_HANDLERS = {name: _dispatch_entry(name) for name in Syscall}

@@ -27,11 +27,6 @@ SyscallGen = Generator[SyscallRequest, SyscallResult, SyscallResult]
 # ``__getattr__`` hook, several times slower than a module global, and every
 # helper call reads one.
 _EXIT = Syscall.EXIT
-_GETPID = Syscall.GETPID
-_GETUID = Syscall.GETUID
-_GETEUID = Syscall.GETEUID
-_GETGID = Syscall.GETGID
-_GETEGID = Syscall.GETEGID
 _SETUID = Syscall.SETUID
 _SETEUID = Syscall.SETEUID
 _SETGID = Syscall.SETGID
@@ -50,14 +45,12 @@ _UNLINK = Syscall.UNLINK
 _CHOWN = Syscall.CHOWN
 _CHMOD = Syscall.CHMOD
 _GETDENTS = Syscall.GETDENTS
-_SOCKET = Syscall.SOCKET
 _BIND = Syscall.BIND
 _LISTEN = Syscall.LISTEN
 _ACCEPT = Syscall.ACCEPT
 _RECV = Syscall.RECV
 _SEND = Syscall.SEND
 _SHUTDOWN = Syscall.SHUTDOWN
-_TIME = Syscall.TIME
 _GETRANDOM = Syscall.GETRANDOM
 _NANOSLEEP = Syscall.NANOSLEEP
 _PEEK = Syscall.PEEK
@@ -71,13 +64,17 @@ _CC_GT = Syscall.CC_GT
 _CC_GEQ = Syscall.CC_GEQ
 
 
-def _trap(name: Syscall, args: tuple[Any, ...]) -> SyscallGen:
-    """The named helpers' trampoline: yield the request, return the result.
-
-    *name* is a ``Syscall`` member and *args* a tuple by construction, so the
-    request skips the public constructor's checks.
-    """
-    return (yield _trusted_request(name, args))
+# The zero-argument calls carry no per-call data, so each has one request,
+# built once and yielded by every call (requests are frozen).
+_GETPID_REQUEST = _trusted_request(Syscall.GETPID, ())
+_GETUID_REQUEST = _trusted_request(Syscall.GETUID, ())
+_GETEUID_REQUEST = _trusted_request(Syscall.GETEUID, ())
+_GETGID_REQUEST = _trusted_request(Syscall.GETGID, ())
+_GETEGID_REQUEST = _trusted_request(Syscall.GETEGID, ())
+_SOCKET_REQUEST = _trusted_request(Syscall.SOCKET, ())
+_TIME_REQUEST = _trusted_request(Syscall.TIME, ())
+# Descriptors are small, so each of the first 64 has one close request too.
+_CLOSE_REQUESTS = tuple(_trusted_request(_CLOSE, (fd,)) for fd in range(64))
 
 
 class Libc:
@@ -95,185 +92,187 @@ class Libc:
 
     def exit(self, code: int = 0) -> SyscallGen:
         """Terminate the calling program."""
-        return _trap(_EXIT, (code,))
+        return (yield _trusted_request(_EXIT, (code,)))
 
     def getpid(self) -> SyscallGen:
         """Return the process id."""
-        return _trap(_GETPID, ())
+        return (yield _GETPID_REQUEST)
 
     # -- credentials --------------------------------------------------------------
 
     def getuid(self) -> SyscallGen:
         """Return the real user id."""
-        return _trap(_GETUID, ())
+        return (yield _GETUID_REQUEST)
 
     def geteuid(self) -> SyscallGen:
         """Return the effective user id."""
-        return _trap(_GETEUID, ())
+        return (yield _GETEUID_REQUEST)
 
     def getgid(self) -> SyscallGen:
         """Return the real group id."""
-        return _trap(_GETGID, ())
+        return (yield _GETGID_REQUEST)
 
     def getegid(self) -> SyscallGen:
         """Return the effective group id."""
-        return _trap(_GETEGID, ())
+        return (yield _GETEGID_REQUEST)
 
     def setuid(self, uid: int) -> SyscallGen:
         """Set the real/effective/saved user id."""
-        return _trap(_SETUID, (uid,))
+        return (yield _trusted_request(_SETUID, (uid,)))
 
     def seteuid(self, euid: int) -> SyscallGen:
         """Set the effective user id."""
-        return _trap(_SETEUID, (euid,))
+        return (yield _trusted_request(_SETEUID, (euid,)))
 
     def setgid(self, gid: int) -> SyscallGen:
         """Set the real/effective/saved group id."""
-        return _trap(_SETGID, (gid,))
+        return (yield _trusted_request(_SETGID, (gid,)))
 
     def setegid(self, egid: int) -> SyscallGen:
         """Set the effective group id."""
-        return _trap(_SETEGID, (egid,))
+        return (yield _trusted_request(_SETEGID, (egid,)))
 
     def setgroups(self, groups: tuple[int, ...]) -> SyscallGen:
         """Set the supplementary group list."""
-        return _trap(_SETGROUPS, (tuple(groups),))
+        return (yield _trusted_request(_SETGROUPS, (tuple(groups),)))
 
     # -- files ----------------------------------------------------------------------
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> SyscallGen:
         """Open *path*, returning a descriptor in ``result.value``."""
-        return _trap(_OPEN, (path, flags, mode))
+        return (yield _trusted_request(_OPEN, (path, flags, mode)))
 
     def close(self, fd: int) -> SyscallGen:
         """Close descriptor *fd*."""
-        return _trap(_CLOSE, (fd,))
+        if fd.__class__ is int and 0 <= fd < 64:
+            return (yield _CLOSE_REQUESTS[fd])
+        return (yield _trusted_request(_CLOSE, (fd,)))
 
     def read(self, fd: int, count: int) -> SyscallGen:
         """Read up to *count* bytes from *fd*."""
-        return _trap(_READ, (fd, count))
+        return (yield _trusted_request(_READ, (fd, count)))
 
     def write(self, fd: int, data: bytes | str) -> SyscallGen:
         """Write *data* to *fd*."""
-        return _trap(_WRITE, (fd, data))
+        return (yield _trusted_request(_WRITE, (fd, data)))
 
     def lseek(self, fd: int, offset: int, whence: int = 0) -> SyscallGen:
         """Reposition the file offset of *fd*."""
-        return _trap(_LSEEK, (fd, offset, whence))
+        return (yield _trusted_request(_LSEEK, (fd, offset, whence)))
 
     def stat(self, path: str) -> SyscallGen:
         """Stat the inode at *path*."""
-        return _trap(_STAT, (path,))
+        return (yield _trusted_request(_STAT, (path,)))
 
     def fstat(self, fd: int) -> SyscallGen:
         """Stat the inode open at *fd*."""
-        return _trap(_FSTAT, (fd,))
+        return (yield _trusted_request(_FSTAT, (fd,)))
 
     def access(self, path: str, mode: int) -> SyscallGen:
         """Check accessibility of *path* for the caller's credentials."""
-        return _trap(_ACCESS, (path, mode))
+        return (yield _trusted_request(_ACCESS, (path, mode)))
 
     def mkdir(self, path: str, mode: int = 0o755) -> SyscallGen:
         """Create a directory."""
-        return _trap(_MKDIR, (path, mode))
+        return (yield _trusted_request(_MKDIR, (path, mode)))
 
     def unlink(self, path: str) -> SyscallGen:
         """Remove a file."""
-        return _trap(_UNLINK, (path,))
+        return (yield _trusted_request(_UNLINK, (path,)))
 
     def chown(self, path: str, uid: int, gid: int) -> SyscallGen:
         """Change ownership of *path*."""
-        return _trap(_CHOWN, (path, uid, gid))
+        return (yield _trusted_request(_CHOWN, (path, uid, gid)))
 
     def chmod(self, path: str, mode: int) -> SyscallGen:
         """Change the permission bits of *path*."""
-        return _trap(_CHMOD, (path, mode))
+        return (yield _trusted_request(_CHMOD, (path, mode)))
 
     def getdents(self, path: str) -> SyscallGen:
         """List the names in the directory at *path*."""
-        return _trap(_GETDENTS, (path,))
+        return (yield _trusted_request(_GETDENTS, (path,)))
 
     # -- sockets ---------------------------------------------------------------------
 
     def socket(self) -> SyscallGen:
         """Create a socket descriptor."""
-        return _trap(_SOCKET, ())
+        return (yield _SOCKET_REQUEST)
 
     def bind(self, fd: int, port: int) -> SyscallGen:
         """Bind socket *fd* to *port*."""
-        return _trap(_BIND, (fd, port))
+        return (yield _trusted_request(_BIND, (fd, port)))
 
     def listen(self, fd: int, backlog: int = 128) -> SyscallGen:
         """Mark socket *fd* as listening."""
-        return _trap(_LISTEN, (fd, backlog))
+        return (yield _trusted_request(_LISTEN, (fd, backlog)))
 
     def accept(self, fd: int) -> SyscallGen:
         """Accept a pending connection on listening socket *fd*."""
-        return _trap(_ACCEPT, (fd,))
+        return (yield _trusted_request(_ACCEPT, (fd,)))
 
     def recv(self, fd: int, count: int) -> SyscallGen:
         """Receive up to *count* bytes from connected socket *fd*."""
-        return _trap(_RECV, (fd, count))
+        return (yield _trusted_request(_RECV, (fd, count)))
 
     def send(self, fd: int, data: bytes | str) -> SyscallGen:
         """Send *data* on connected socket *fd*."""
-        return _trap(_SEND, (fd, data))
+        return (yield _trusted_request(_SEND, (fd, data)))
 
     def shutdown(self, fd: int) -> SyscallGen:
         """Shut down the socket at *fd*."""
-        return _trap(_SHUTDOWN, (fd,))
+        return (yield _trusted_request(_SHUTDOWN, (fd,)))
 
     # -- misc ----------------------------------------------------------------------------
 
     def time(self) -> SyscallGen:
         """Return the kernel's virtual clock."""
-        return _trap(_TIME, ())
+        return (yield _TIME_REQUEST)
 
     def getrandom(self, count: int) -> SyscallGen:
         """Return *count* deterministic pseudo-random bytes."""
-        return _trap(_GETRANDOM, (count,))
+        return (yield _trusted_request(_GETRANDOM, (count,)))
 
     def nanosleep(self, ticks: int) -> SyscallGen:
         """Advance the virtual clock by *ticks*."""
-        return _trap(_NANOSLEEP, (ticks,))
+        return (yield _trusted_request(_NANOSLEEP, (ticks,)))
 
     def peek(self, address: int, count: int = 4) -> SyscallGen:
         """Checked read of *count* bytes at absolute *address* (EFAULT on miss)."""
-        return _trap(_PEEK, (address, count))
+        return (yield _trusted_request(_PEEK, (address, count)))
 
     # -- detection calls (Table 2 of the paper) ----------------------------------------
 
     def uid_value(self, uid: int) -> SyscallGen:
         """Expose a single UID use to the monitor; returns the passed value."""
-        return _trap(_UID_VALUE, (uid,))
+        return (yield _trusted_request(_UID_VALUE, (uid,)))
 
     def cond_chk(self, condition: bool) -> SyscallGen:
         """Expose a UID-influenced conditional to the monitor."""
-        return _trap(_COND_CHK, (bool(condition),))
+        return (yield _trusted_request(_COND_CHK, (bool(condition),)))
 
     def cc_eq(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID equality comparison."""
-        return _trap(_CC_EQ, (left, right))
+        return (yield _trusted_request(_CC_EQ, (left, right)))
 
     def cc_neq(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID inequality comparison."""
-        return _trap(_CC_NEQ, (left, right))
+        return (yield _trusted_request(_CC_NEQ, (left, right)))
 
     def cc_lt(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID less-than comparison."""
-        return _trap(_CC_LT, (left, right))
+        return (yield _trusted_request(_CC_LT, (left, right)))
 
     def cc_leq(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID less-or-equal comparison."""
-        return _trap(_CC_LEQ, (left, right))
+        return (yield _trusted_request(_CC_LEQ, (left, right)))
 
     def cc_gt(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID greater-than comparison."""
-        return _trap(_CC_GT, (left, right))
+        return (yield _trusted_request(_CC_GT, (left, right)))
 
     def cc_geq(self, left: int, right: int) -> SyscallGen:
         """Cross-checked UID greater-or-equal comparison."""
-        return _trap(_CC_GEQ, (left, right))
+        return (yield _trusted_request(_CC_GEQ, (left, right)))
 
 
 #: A module-level instance; Libc is stateless so sharing it is safe.

@@ -187,8 +187,25 @@ def _trusted_request(name: Syscall, args: tuple[Any, ...]) -> SyscallRequest:
     return trap
 
 
+# The successes the kernel returns most -- small descriptors, counts and
+# zeros, ``True`` and an empty read -- are built once and shared.  Both
+# types are frozen, so a shared instance is indistinguishable from a fresh
+# one to everything but an identity test, and nothing tests them by identity.
+_SHARED_INT_COUNT = 64
+_SHARED_INTS = tuple(SyscallResult(value) for value in range(_SHARED_INT_COUNT))
+_SHARED_TRUE = SyscallResult(True)
+_SHARED_EMPTY = SyscallResult(b"")
+
+
 def _trusted_success(value: Any) -> SyscallResult:
     """``SyscallResult(value, Errno.OK)`` without the dataclass constructor."""
+    if value.__class__ is int:
+        if 0 <= value < _SHARED_INT_COUNT:
+            return _SHARED_INTS[value]
+    elif value is True:
+        return _SHARED_TRUE
+    elif value.__class__ is bytes and not value:
+        return _SHARED_EMPTY
     result = _new_object(SyscallResult)
     _set_result_value(result, value)
     _set_result_errno(result, _ERRNO_OK)

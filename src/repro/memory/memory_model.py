@@ -65,14 +65,19 @@ class MemoryRegion:
     # -- raw access ----------------------------------------------------------
 
     def _check_range(self, address: int, count: int) -> int:
+        """The offset of ``[address, address + count)``, which must lie in the region."""
         if count < 0:
             raise ValueError("negative byte count")
-        if not self.contains(address) or address + count > self.end:
+        # The bounds of ``contains`` and ``end``, computed in place: every
+        # memory access of a variant program comes through here.
+        offset = address - self.base
+        size = len(self.data)
+        if not 0 <= offset < size or offset + count > size:
             raise SegmentationFault(
                 f"access [0x{address:08x}, +{count}) outside region {self.name}",
                 address=address,
             )
-        return address - self.base
+        return offset
 
     def read(self, address: int, count: int) -> bytes:
         """Read *count* bytes at absolute *address*."""
@@ -83,14 +88,6 @@ class MemoryRegion:
         """Write *data* at absolute *address*."""
         offset = self._check_range(address, len(data))
         self.data[offset : offset + len(data)] = data
-
-    def read_word(self, address: int) -> int:
-        """Read a 32-bit little-endian word at *address*."""
-        return int.from_bytes(self.read(address, WORD_SIZE), "little")
-
-    def write_word(self, address: int, value: int) -> None:
-        """Write a 32-bit little-endian word at *address*."""
-        self.write(address, (value & WORD_MASK).to_bytes(WORD_SIZE, "little"))
 
     # -- unchecked access (the vulnerability primitive) ------------------------
 
@@ -144,11 +141,21 @@ class MemoryVariable:
 
     def get(self) -> int:
         """Read the variable as a 32-bit word."""
-        return self.region.read_word(self.address)
+        region = self.region
+        offset = self.offset
+        data = region.data
+        if not 0 <= offset <= len(data) - WORD_SIZE:
+            region._check_range(region.base + offset, WORD_SIZE)
+        return int.from_bytes(data[offset : offset + WORD_SIZE], "little")
 
     def set(self, value: int) -> None:
         """Write the variable as a 32-bit word."""
-        self.region.write_word(self.address, value)
+        region = self.region
+        offset = self.offset
+        data = region.data
+        if not 0 <= offset <= len(data) - WORD_SIZE:
+            region._check_range(region.base + offset, WORD_SIZE)
+        data[offset : offset + WORD_SIZE] = (value & WORD_MASK).to_bytes(WORD_SIZE, "little")
 
 
 class StackFrame:

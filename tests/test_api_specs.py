@@ -106,6 +106,9 @@ class TestSpecRoundTrip:
             FleetSpec(halt_policy="sometimes")
         with pytest.raises(ValueError):
             WorkloadSpec(total_requests=0)
+        # A bool is no count: True once ran as a one-request workload.
+        with pytest.raises(TypeError, match="total_requests must be int, got bool"):
+            WorkloadSpec(total_requests=True)
         with pytest.raises(TypeError):
             VariationSpec("uid", params={"mask": [1, 2]})  # non-scalar parameter
 
@@ -408,6 +411,38 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key} must be" in err
         for raw in ("Traceback", "not supported between", "Unknown format code"):
+            assert raw not in err
+
+    @pytest.mark.parametrize(
+        "fleet, key",
+        [
+            ({"num_sessions": "4"}, "num_sessions"),
+            ({"num_sessions": True}, "num_sessions"),
+            ({"multiplex": 2.0}, "multiplex"),
+            ({"halt_policy": 3}, "halt_policy"),
+            ({"name": 5}, "name"),
+            ({"system": "httpd"}, "system"),
+            ({"workload": {"total_requests": True}}, "total_requests"),
+            ({"workload": {"requests_per_connection": "2"}}, "requests_per_connection"),
+        ],
+    )
+    def test_mistyped_fleet_value_is_a_clean_error(self, tmp_path, capsys, fleet, key):
+        path = self._write_scenario(
+            tmp_path,
+            {
+                "scenario": "throughput",
+                "fleet": {
+                    "system": {"name": "httpd", "variations": ["address", "uid"]},
+                    "num_sessions": 2,
+                    "workload": {"total_requests": 4},
+                    **fleet,
+                },
+            },
+        )
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be" in err
+        for raw in ("Traceback", "not supported between"):
             assert raw not in err
 
     def test_example_scenario_files_load_and_validate(self):

@@ -1,6 +1,9 @@
 """Unit tests for the virtual filesystem and its permission model."""
 
+import posixpath
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.kernel.credentials import root_credentials, user_credentials
 from repro.kernel.errors import Errno, KernelError
@@ -159,3 +162,10 @@ class TestPermissions:
     def test_directory_permissions_checked_for_traversal_mode(self, fs):
         bob = user_credentials(1001, 1001)
         assert not fs.access("/home/alice", bob, W_OK)
+
+
+@given(st.lists(st.sampled_from(["a", "bc", ".", "..", ".d", "e.", ""]), max_size=6), st.booleans())
+def test_normalize_matches_normpath(parts, trailing):
+    path = "/" + "/".join(parts) + ("/" if trailing else "")
+    assert FileSystem._normalize(path) == posixpath.normpath(path)
+    assert FileSystem.split(path) == [part for part in posixpath.normpath(path).split("/") if part]

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.kernel.errors import Errno, KernelError
 from repro.kernel.filesystem import Inode, O_APPEND, O_RDONLY, O_RDWR, O_WRONLY
-from repro.kernel.filetable import FileDescriptorTable, OpenFile
+from repro.kernel.filetable import FileDescriptorTable, OpenFile, SocketDescriptor
 from repro.kernel.passwd import (
     GroupEntry,
     PasswdEntry,
@@ -195,3 +195,15 @@ class TestFileDescriptorTable:
         with pytest.raises(KernelError) as info:
             table.get_socket(fd)
         assert info.value.errno is Errno.ENOTSOCK
+
+    def test_typed_lookups_of_a_closed_fd_raise_ebadf(self):
+        table = FileDescriptorTable()
+        fd = table.allocate(SocketDescriptor(endpoint=None))
+        with pytest.raises(KernelError) as info:
+            table.get_file(fd)
+        assert info.value.errno is Errno.EINVAL
+        table.close(fd)
+        for lookup in (table.get_file, table.get_socket):
+            with pytest.raises(KernelError) as info:
+                lookup(fd)
+            assert info.value.errno is Errno.EBADF

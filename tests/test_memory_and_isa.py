@@ -17,7 +17,7 @@ from repro.memory.corruption import (
     overflow_buffer,
     overflow_payload,
 )
-from repro.memory.memory_model import MemoryRegion, StackFrame
+from repro.memory.memory_model import MemoryRegion, MemoryVariable, StackFrame
 
 words = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -25,8 +25,34 @@ words = st.integers(min_value=0, max_value=0xFFFFFFFF)
 class TestMemoryRegion:
     def test_word_roundtrip(self):
         region = MemoryRegion("r", 0x1000, 64)
-        region.write_word(0x1000, 0xDEADBEEF)
-        assert region.read_word(0x1000) == 0xDEADBEEF
+        word = MemoryVariable("w", region, 4)
+        word.set(0x1DEADBEEF)
+        assert word.get() == 0xDEADBEEF
+        assert region.read(0x1004, 4) == (0xDEADBEEF).to_bytes(4, "little")
+
+    @pytest.mark.parametrize("offset", [-1, 61, 64, 1000])
+    def test_a_word_outside_its_region_faults_like_a_raw_access(self, offset):
+        region = MemoryRegion("r", 0x1000, 64)
+        word = MemoryVariable("w", region, 0)
+        word.offset = offset
+        with pytest.raises(SegmentationFault) as raw:
+            region.read(0x1000 + offset, 4)
+        for access in (word.get, lambda: word.set(7)):
+            with pytest.raises(SegmentationFault) as fault:
+                access()
+            assert str(fault.value) == str(raw.value)
+            assert fault.value.address == raw.value.address
+        assert bytes(region.data) == bytes(64)
+
+    def test_the_region_bounds_hold_at_both_ends(self):
+        region = MemoryRegion("r", 0x1000, 16)
+        assert region.read(0x100C, 4) == bytes(4)
+        assert region.read(0x1010 - 1, 1) == b"\x00"
+        for address, count in ((0x0FFF, 1), (0x100D, 4), (0x1010, 0), (0x1010, 1)):
+            with pytest.raises(SegmentationFault):
+                region.read(address, count)
+        with pytest.raises(ValueError, match="negative"):
+            region.read(0x1000, -1)
 
     def test_out_of_bounds_access_faults(self):
         region = MemoryRegion("r", 0x1000, 16)

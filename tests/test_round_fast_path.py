@@ -3,9 +3,10 @@
 A round hands a call's result to the variation stack only when the call is
 in the stack's declared result footprint, the stack walks only the hook
 chain of variations whose footprint names the call, the UID variation
-decodes a request once per variant, the libc helpers build their requests
-without the public constructor's checks, and the wrapper layer picks its
-execution strategy once per call name.  These tests pin each shortcut
+decodes a request once per variant for both the monitor and the kernel,
+the libc helpers build their requests without the public constructor's
+checks, and the wrapper layer picks its execution strategy once per call
+name.  These tests pin each shortcut
 against the computation it replaces; ``test_cross_app_parity.py`` checks
 end to end that a protected server still answers byte for byte like the
 unprotected one.
@@ -27,6 +28,7 @@ from repro.core.variations import (
     UIDVariation,
     VariationStack,
 )
+from repro.core.monitor import Monitor
 from repro.core.wrappers import SyscallWrappers
 from repro.engine import NVariantSession
 from repro.interpose import PolicyKind, get_table
@@ -332,16 +334,50 @@ def test_decoding_under_new_masks_matches_a_fresh_variation(adopt):
             assert _uid_views(variation, index, request) == _uid_views(fresh, index, request)
 
 
-def test_the_decode_is_shared_between_monitor_and_kernel():
+def test_the_monitor_and_the_kernel_see_one_decode():
     variation = UIDVariation()
     request = SyscallRequest(Syscall.SETEUID, (1000 ^ variation.mask,))
     canonical = variation.canonicalize_request(1, request)
     assert canonical.args == (1000,)
-    assert variation.transform_request(1, request) is canonical
-    # A different request object (even an equal one) is decoded afresh.
-    twin = SyscallRequest(Syscall.SETEUID, request.args)
-    assert variation.transform_request(1, twin) == canonical
-    assert variation.transform_request(1, twin) is not canonical
+    assert variation.transform_request(1, request) == canonical
+    # Variant 0's identity decode keeps the request it was given.
+    plain = SyscallRequest(Syscall.SETEUID, (1000,))
+    assert variation.canonicalize_request(0, plain) is plain
+    assert variation.transform_request(0, plain) is plain
+    stack = VariationStack([AddressPartitioning(), variation])
+    for name in ALL_SYSCALLS:
+        assert stack.shares_rewrite(name) is (name in UIDVariation.shared_rewrite_syscalls), name
+
+
+def test_a_shared_plan_sends_the_canonical_requests_to_the_kernel(monkeypatch):
+    seen = {}
+    check = Monitor.check_syscalls
+    execute = SyscallWrappers._execute_per_variant
+
+    def spy_check(self, canonical, **kwargs):
+        if canonical[0].name is Syscall.SETEUID:
+            seen["canonical"] = list(canonical)
+        return check(self, canonical, **kwargs)
+
+    def spy_execute(self, requests):
+        if requests[0].name is Syscall.SETEUID:
+            seen["outgoing"] = list(requests)
+        return execute(self, requests)
+
+    monkeypatch.setattr(Monitor, "check_syscalls", spy_check)
+    monkeypatch.setattr(SyscallWrappers, "_execute_per_variant", spy_execute)
+
+    def program(context):
+        yield from context.libc.seteuid(context.uid_codec.constant(33))
+        yield from context.libc.exit(0)
+
+    session = NVariantSession(build_standard_host(), program, [UIDVariation()])
+    result = session.run()
+    assert not result.alarms
+    assert session.round_plan(Syscall.SETEUID).shared
+    assert [request.args for request in seen["outgoing"]] == [(33,), (33,)]
+    assert all(out is canon for out, canon in zip(seen["outgoing"], seen["canonical"]))
+    assert [process.credentials.euid for process in session.processes] == [33, 33]
 
 
 @pytest.mark.parametrize(

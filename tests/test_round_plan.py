@@ -21,6 +21,7 @@ from repro.api.spec import keyed_uid_spec
 from repro.apps.clients.webbench import WebBenchWorkload
 from repro.core.variations.address import AddressPartitioning
 from repro.core.variations.base import Variation
+from repro.core.variations.fdspace import FdOrbitVariation
 from repro.core.variations.uid import UIDVariation
 from repro.engine import NVariantSession, SessionState
 from repro.interpose import get_table
@@ -112,6 +113,9 @@ def test_each_plan_equals_the_layered_definition(variations, num_variants, table
         assert plan.transform == stack._chain("transform_request", name), name
         assert plan.result == stack._chain("transform_result", name, reverse=True), name
         assert plan.strategy is session.wrappers.strategy(name), name
+        assert plan.shared == stack.shares_rewrite(name), name
+        if plan.shared:
+            assert not plan.fast and plan.canonicalize, name
         assert session.round_plan(name) is plan
 
 
@@ -123,6 +127,28 @@ def test_the_special_stacks_take_no_raw_compare():
     overridden = _idle_session(OVERRIDDEN_HOOK, 2, "classic")
     time_chain = overridden.round_plan(Syscall.TIME).canonicalize
     assert [hook.__self__ for hook in time_chain] == [WIDER]
+
+
+def test_only_declared_alike_chains_share_their_rewrite():
+    uid_calls = UIDVariation.shared_rewrite_syscalls
+    fd_calls = FdOrbitVariation.shared_rewrite_syscalls
+    stacks = {
+        "uid": ([UIDVariation()], uid_calls),
+        "fd": ([FdOrbitVariation()], fd_calls),
+        "address+uid": ([AddressPartitioning(), UIDVariation()], uid_calls),
+        # Neither canonicalizes the other's calls, so each shares its own.
+        "fd+uid": ([FdOrbitVariation(), UIDVariation()], uid_calls | fd_calls),
+        # An override below the declaration voids it, and so does an
+        # undeclared footprint.
+        "overridden-hook": (OVERRIDDEN_HOOK, frozenset()),
+        "undeclared-footprint": (UNDECLARED_FOOTPRINT + [UIDVariation()], frozenset()),
+    }
+    for label, (variations, expected) in stacks.items():
+        stack = _idle_session(variations, 2, "classic").variations
+        shared = {name for name in ALL_SYSCALLS if stack.shares_rewrite(name)}
+        assert shared == expected, label
+    # uid_value is canonicalized but not transformed: never shared.
+    assert Syscall.UID_VALUE not in uid_calls
 
 
 def test_a_session_resolves_plans_only_for_the_names_it_meets():
@@ -160,8 +186,13 @@ def test_counts_land_on_the_new_monitor_and_wrappers_after_a_restart():
     masks = session.variations.variations[0].masks
 
     session.restart(rotate_keys=True)
-    assert session.variations.variations[0].masks != masks
+    variation = session.variations.variations[0]
+    assert variation.masks != masks
     assert not session._plans
+    # Each variant's codec is bound anew, to the rotated key.
+    for context in session.contexts:
+        assert context.uid_codec.root == variation.encode(context.index, 0)
+        assert context.uid_codec.decode(variation.encode(context.index, 33)) == 33
     _serve(session)
 
     assert session.state is SessionState.COMPLETED and not session.monitor.alarms
