@@ -153,30 +153,51 @@ def split_requests(raw: bytes) -> list[bytes]:
 
 
 def split_responses(raw: bytes) -> list[tuple[int, dict[str, str], bytes]]:
-    """Split a connection's outbound bytes into its Content-Length-framed responses."""
+    """Split a connection's outbound bytes into its Content-Length-framed responses.
+
+    One walk over *raw*: each header block is parsed from its own slice, and
+    each body is one slice, so a long keep-alive stream is never re-copied
+    per response.  A response without ``Content-Length`` takes the rest of
+    the stream, and one without the blank line is all header, with an empty
+    body.  A negative length raises :class:`HttpParseError`: framing never
+    steps backwards.
+    """
     responses = []
-    remaining = raw
-    while remaining:
-        status, headers, rest = parse_response(remaining)
-        length = int(headers.get("content-length", len(rest)))
-        responses.append((status, headers, rest[:length]))
-        remaining = rest[length:]
+    end = len(raw)
+    offset = 0
+    while offset < end:
+        head_end = raw.find(b"\r\n\r\n", offset)
+        if head_end < 0:
+            head_end = body_start = end
+        else:
+            body_start = head_end + 4
+        status, headers = _parse_head(raw, offset, head_end)
+        length = int(headers.get("content-length", end - body_start))
+        if length < 0:
+            raise HttpParseError(f"negative Content-Length: {length}")
+        offset = body_start + length
+        responses.append((status, headers, raw[body_start:offset]))
     return responses
 
 
 def parse_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
     """Client-side helper: split a raw response into status, headers, body."""
-    if b"\r\n\r\n" in raw:
-        head, body = raw.split(b"\r\n\r\n", 1)
-    else:
-        head, body = raw, b""
-    lines = head.decode("latin-1").split("\r\n")
-    if not lines or len(lines[0].split()) < 2:
-        raise HttpParseError(f"malformed status line: {raw[:60]!r}")
+    head_end = raw.find(b"\r\n\r\n")
+    if head_end < 0:
+        return (*_parse_head(raw, 0, len(raw)), b"")
+    status, headers = _parse_head(raw, 0, head_end)
+    return status, headers, raw[head_end + 4 :]
+
+
+def _parse_head(raw: bytes, start: int, end: int) -> tuple[int, dict[str, str]]:
+    """Parse the status line and headers in ``raw[start:end]``."""
+    lines = raw[start:end].decode("latin-1").split("\r\n")
+    if len(lines[0].split()) < 2:
+        raise HttpParseError(f"malformed status line: {raw[start : start + 60]!r}")
     status = int(lines[0].split()[1])
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if ":" in line:
             name, value = line.split(":", 1)
             headers[name.strip().lower()] = value.strip()
-    return status, headers, body
+    return status, headers

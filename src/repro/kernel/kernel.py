@@ -349,7 +349,7 @@ class SimulatedKernel:
     def _socket_send(self, descriptor: SocketDescriptor, data: bytes) -> int:
         if not isinstance(descriptor.endpoint, Connection):
             raise KernelError(Errno.ENOTCONN, "send on a non-connected socket")
-        return descriptor.endpoint.send(bytes(data))
+        return descriptor.endpoint.send(data)
 
     def _sys_recv(self, process: Process, fd: int, count: int) -> bytes:
         data = self._socket_recv(process.fds.get_socket(fd), count)
@@ -368,6 +368,7 @@ class SimulatedKernel:
         descriptor = process.fds.get_socket(fd)
         if isinstance(descriptor.endpoint, Connection):
             descriptor.endpoint.closed_by_server = True
+            self.network.server_closes += 1
         elif isinstance(descriptor.endpoint, ListeningSocket):
             self.network.unbind(descriptor.endpoint.port)
         return 0

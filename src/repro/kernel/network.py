@@ -34,7 +34,9 @@ class Connection:
     connection_id: int
     client: str = "client"
     inbound: bytearray = dataclasses.field(default_factory=bytearray)
-    outbound: bytearray = dataclasses.field(default_factory=bytearray)
+    #: The sent chunks, in send order, each held once as ``bytes``; empty
+    #: (falsy) until the server sends a byte.
+    outbound: list[bytes] = dataclasses.field(default_factory=list)
     closed_by_server: bool = False
 
     def recv(self, count: int) -> bytes:
@@ -46,15 +48,31 @@ class Connection:
         return data
 
     def send(self, data: bytes) -> int:
-        """Server-side send; bytes accumulate for the client to read."""
+        """Server-side send; the chunk is kept for the client to read.
+
+        ``bytes(data)`` snapshots a mutable buffer and returns *data* itself
+        when it already is ``bytes``, so a sent byte is never copied twice.
+        """
         if self.closed_by_server:
             raise KernelError(Errno.EPIPE, "connection closed by server")
-        self.outbound.extend(data)
-        return len(data)
+        chunk = bytes(data)
+        if chunk:
+            self.outbound.append(chunk)
+        return len(chunk)
 
     def response_bytes(self) -> bytes:
-        """Client-side view of everything the server has sent."""
-        return bytes(self.outbound)
+        """Client-side view of everything the server has sent.
+
+        The chunks are joined on the first read that finds more than one,
+        and the joined object replaces them: the bytes are held once, and a
+        repeated read returns the same object.
+        """
+        chunks = self.outbound
+        if not chunks:
+            return b""
+        if len(chunks) > 1:
+            chunks[:] = [b"".join(chunks)]
+        return chunks[0]
 
 
 @dataclasses.dataclass
@@ -101,6 +119,9 @@ class NetworkStack:
     def __init__(self) -> None:
         self.listeners: dict[int, ListeningSocket] = {}
         self.connections: list[Connection] = []
+        #: Connections the server has shut down, counted so a client can
+        #: look for finished responses only after one more closed.
+        self.server_closes = 0
         self._next_connection_id = 1
 
     def bind(self, port: int, backlog: int = 128) -> ListeningSocket:

@@ -62,6 +62,9 @@ ATTACK_KINDS = ("uid-overwrite", "pointer-overwrite")
 #: variant's partition under any address scheme, so dereference diverges.
 _POINTER_TARGET = 0x1000
 
+_RUNNING = SessionState.RUNNING
+_NEVER = float("inf")
+
 
 @dataclasses.dataclass
 class RequestRecord:
@@ -226,6 +229,9 @@ class _OpenLoopRun:
         #: first accept re-bases the timeline to it.
         self.handoff: Optional[int] = None
         self.delivered = 0
+        #: The global tick of the next undelivered arrival (infinity once
+        #: every arrival is delivered): no delivery is due before it.
+        self.next_arrival = records[0].arrival if records else _NEVER
         self.pending: list[RequestRecord] = []
         self.latency = LatencyHistogram()
         self.bursts = 1
@@ -283,8 +289,10 @@ class _OpenLoopRun:
         while self.delivered < len(self.records):
             record = self.records[self.delivered]
             if record.arrival > self.now:
+                self.next_arrival = record.arrival
                 break
             self.delivered += 1
+            self.next_arrival = _NEVER
             decision = self.policy.offer(record.arrival)
             if not decision.admitted:
                 record.shed = True
@@ -401,11 +409,7 @@ class _OpenLoopRun:
 
     def _serve(self) -> None:
         while True:
-            self._deliver_due()
-            if not self.session.done:
-                self.session.step()
-                self._harvest_completions()
-                continue
+            self._run_burst()
             self.rounds += self.session.rounds
             self.ticks += self.session.virtual_elapsed
             self.alarms += len(self.session.monitor.alarms)
@@ -430,6 +434,31 @@ class _OpenLoopRun:
                     listener.bound = False
                 self.session.restart(rotate_keys=False)
             self.bursts += 1
+
+    def _run_burst(self) -> None:
+        """Step the session until it ends, delivering and harvesting only when due.
+
+        Arrivals are delivered once the clock reaches the next one, and
+        completions are looked for only after a round in which the server
+        shut a connection down (the first round of a burst always looks).
+        The locals die with this frame, so a session a migration replaces
+        is not kept alive by them.
+        """
+        session = self.session
+        kernel = session.kernel
+        network = kernel.network
+        step = session.step
+        closes = -1
+        state = session.state
+        while True:
+            if self.base + kernel.clock >= self.next_arrival:
+                self._deliver_due()
+            if state is not _RUNNING:
+                return
+            state = step()
+            if network.server_closes != closes:
+                closes = network.server_closes
+                self._harvest_completions()
 
 
 def run_loadtest(

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api.builders import build_session
 from repro.api.spec import SystemSpec
@@ -20,6 +21,7 @@ from repro.apps.httpd.http import (
     format_request,
     parse_request,
     parse_response,
+    split_responses,
 )
 from repro.apps.httpd.server import MiniHttpd
 from repro.apps.httpd.vulnerable import (
@@ -104,6 +106,113 @@ class TestHttpMessages:
         assert status == 403
         assert headers["content-type"] == "text/html"
         assert b"nope" in body
+
+
+def _oracle_parse_response(raw):
+    """``parse_response`` as it was before the offset walk: the test's oracle."""
+    if b"\r\n\r\n" in raw:
+        head, body = raw.split(b"\r\n\r\n", 1)
+    else:
+        head, body = raw, b""
+    lines = head.decode("latin-1").split("\r\n")
+    if not lines or len(lines[0].split()) < 2:
+        raise HttpParseError(f"malformed status line: {raw[:60]!r}")
+    status = int(lines[0].split()[1])
+    headers = {}
+    for line in lines[1:]:
+        if ":" in line:
+            name, value = line.split(":", 1)
+            headers[name.strip().lower()] = value.strip()
+    return status, headers, body
+
+
+def _oracle_split_responses(raw):
+    """``split_responses`` as it was: re-splits the rest for every response."""
+    responses = []
+    remaining = raw
+    while remaining:
+        status, headers, rest = _oracle_parse_response(remaining)
+        length = int(headers.get("content-length", len(rest)))
+        responses.append((status, headers, rest[:length]))
+        remaining = rest[length:]
+    return responses
+
+
+def _outcome(function, raw):
+    try:
+        return ("ok", function(raw))
+    except ValueError as error:  # HttpParseError is a ValueError
+        return ("error", type(error), str(error))
+
+
+#: Pieces bodies and trailing garbage are made of: enough CR/LF that a
+#: body often holds a header terminator or a status line.  No ``-``, so no
+#: length is ever negative.
+_PIECES = st.sampled_from([b"a", b"\r", b"\n", b"\r\n\r\n", b":", b" ", b"7", b"HTTP/1.0 200 OK"])
+_CHUNK = st.lists(_PIECES, max_size=12).map(b"".join)
+
+
+@st.composite
+def _framed_response(draw):
+    """One response; its length may be exact, absent, zero, short or not a number."""
+    status = draw(st.sampled_from([b"200", b"404", b"503"] * 8 + [b"OK", b""]))
+    body = draw(_CHUNK)
+    lengths = {
+        "exact": st.just(str(len(body))),
+        "absent": st.none(),
+        "zero": st.just("0"),
+        "oversized": st.integers(len(body) + 1, len(body) + 50).map(str),
+        "padded": st.just(f"  {len(body)} "),
+        "word": st.sampled_from(["abc", "1x", "0x10", "+3", "1_0"]),
+        "empty": st.just(""),
+    }
+    value = draw(lengths[draw(st.sampled_from(["exact"] * 10 + sorted(lengths)))])
+    lines = [b"HTTP/1.0 " + status + b" Reason", b"Server: test"]
+    if value is not None:
+        name = draw(st.sampled_from([b"Content-Length", b"content-length", b"CONTENT-LENGTH "]))
+        lines.append(name + b": " + value.encode())
+    head = b"\r\n".join(lines)
+    if draw(st.integers(0, 9)) == 0:
+        return head  # no blank line: the stream ends inside a header block
+    return head + b"\r\n\r\n" + body
+
+
+_STREAMS = st.builds(
+    lambda responses, tail: b"".join(responses) + tail,
+    st.lists(_framed_response(), max_size=6),
+    st.sampled_from([b""] * 3 + [b"junk", b"HTTP/1.0 200 OK\r\n\r\n7", b"\r\n"]),
+)
+
+
+class TestResponseFraming:
+    def test_pipelined_responses_split_into_their_frames(self):
+        first = error_response(404, "gone").to_bytes()
+        second = file_response(b"<html>hi</html>", "/index.html").to_bytes()
+        responses = split_responses(first + second + first)
+        assert [status for status, _, _ in responses] == [404, 200, 404]
+        assert responses[1][2] == b"<html>hi</html>"
+        assert split_responses(b"") == []
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"HTTP/1.0 200 OK\r\nContent-Length: -3\r\n\r\nabcdef",
+            b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\nHTTP/1.0 200 OK\r\ncontent-length: -1",
+        ],
+    )
+    def test_a_negative_length_is_a_parse_error(self, raw):
+        with pytest.raises(HttpParseError, match="negative Content-Length"):
+            split_responses(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_STREAMS)
+    @example(raw=b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nab" * 3)
+    @example(raw=b"HTTP/1.0 200 OK\r\nContent-Length: 9\r\n\r\nab")
+    @example(raw=b"HTTP/1.0 200 OK\r\nContent-Length: x\r\n\r\n")
+    @example(raw=b"garbage")
+    def test_the_offset_walk_matches_the_re_splitting_oracle(self, raw):
+        assert _outcome(split_responses, raw) == _outcome(_oracle_split_responses, raw)
+        assert _outcome(parse_response, raw) == _outcome(_oracle_parse_response, raw)
 
 
 class TestVulnerableState:

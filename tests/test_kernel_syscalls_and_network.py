@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.api.spec import ADDRESS_UID_SPEC
+from repro.attacks.payloads import benign_request
 from repro.kernel.errors import Errno, KernelError
 from repro.kernel.filesystem import O_CREAT, O_RDONLY, O_WRONLY, R_OK
 from repro.kernel.host import build_standard_host
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.network import NetworkStack
 from repro.kernel.syscalls import Syscall, request
+from repro.load import build_serving_session, checkpoint
 
 
 @pytest.fixture
@@ -245,6 +248,86 @@ class TestNetworkStack:
         with pytest.raises(KernelError) as info:
             connection.send(b"late")
         assert info.value.errno is Errno.EPIPE
+
+
+class TestConnectionBytes:
+    """A connection holds each sent chunk once and joins them on the first read."""
+
+    @staticmethod
+    def _served(kernel, proc, request_bytes=b"x"):
+        """A listening socket, one accepted connection, and its descriptor."""
+        sock = call(kernel, proc, Syscall.SOCKET).value
+        call(kernel, proc, Syscall.BIND, sock, 8080)
+        connection = kernel.client_connect(8080, request_bytes)
+        return connection, call(kernel, proc, Syscall.ACCEPT, sock).value
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))])
+    def test_a_buffer_mutated_after_send_leaves_the_response(self, kernel, proc, wrap):
+        connection, fd = self._served(kernel, proc)
+        buffer = wrap(b"pong")
+        assert call(kernel, proc, Syscall.SEND, fd, buffer).value == 4
+        buffer[0:4] = b"XXXX"
+        assert connection.response_bytes() == b"pong"
+        direct = wrap(b"late")
+        connection.send(direct)
+        direct[0:4] = b"YYYY"
+        assert connection.response_bytes() == b"ponglate"
+
+    def test_chunks_join_in_send_order(self, kernel, proc):
+        connection, fd = self._served(kernel, proc)
+        for chunk in (b"HTTP/1.0 200 OK\r\n", b"", b"\r\n", b"body"):
+            call(kernel, proc, Syscall.SEND, fd, chunk)
+        call(kernel, proc, Syscall.WRITE, fd, b"!")
+        assert connection.outbound == [b"HTTP/1.0 200 OK\r\n", b"\r\n", b"body", b"!"]
+        assert connection.response_bytes() == b"HTTP/1.0 200 OK\r\n\r\nbody!"
+
+    def test_a_sent_bytes_object_is_kept_not_copied(self):
+        network = NetworkStack()
+        network.bind(80)
+        connection = network.connect(80, b"x")
+        chunk = b"one response"
+        connection.send(chunk)
+        assert connection.response_bytes() is chunk
+
+    def test_repeated_reads_return_the_same_object(self):
+        network = NetworkStack()
+        network.bind(80)
+        connection = network.connect(80, b"x")
+        connection.send(b"a")
+        connection.send(b"b")
+        first = connection.response_bytes()
+        assert first == b"ab"
+        assert connection.response_bytes() is first
+        assert connection.outbound == [first]
+        connection.send(b"c")
+        assert connection.response_bytes() == b"abc"
+
+    def test_an_empty_connection_reads_empty_and_stays_falsy(self):
+        network = NetworkStack()
+        network.bind(80)
+        connection = network.connect(80, b"x")
+        assert connection.send(b"") == 0
+        assert connection.response_bytes() == b""
+        assert not connection.outbound
+        assert connection.response_bytes() == b""
+        assert not connection.outbound
+
+    def test_send_after_shutdown_raises_epipe_and_counts_one_close(self, kernel, proc):
+        connection, fd = self._served(kernel, proc)
+        call(kernel, proc, Syscall.SEND, fd, b"bye")
+        assert kernel.network.server_closes == 0
+        assert call(kernel, proc, Syscall.SHUTDOWN, fd).ok
+        assert kernel.network.server_closes == 1
+        assert call(kernel, proc, Syscall.SEND, fd, b"late").errno is Errno.EPIPE
+        assert connection.response_bytes() == b"bye"
+
+    def test_a_checkpoint_of_a_pending_connection_keeps_its_record(self):
+        session = build_serving_session(ADDRESS_UID_SPEC, "httpd", max_requests=1)
+        connection = session.kernel.client_connect(80, benign_request(), client="c0")
+        record = checkpoint(session).to_dict()["pending"]
+        assert record == [{"client": "c0", "data": benign_request().hex(), "port": 80}]
+        assert bytes(connection.inbound) == benign_request()
+        assert not connection.outbound
 
 
 class TestKernelBookkeeping:

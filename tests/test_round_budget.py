@@ -15,6 +15,11 @@ the figure this code measured:
 The figures print with ``pytest -s``; ``make round-budget`` runs the suite.
 A change that makes a round cheaper lowers the budget in the same commit.
 
+The socket output path has a byte budget too: a connection holds what the
+server sent once, so reading every response of the fleet shape may add at
+most 5% of the response bytes to traced memory.  Copying the sent bytes on
+the read would add 100%.
+
 The round shares frozen values instead of rebuilding them: the kernel's
 commonest successful results and the zero-argument libc requests are built
 once.  The last tests check that sharing them is safe: both types are
@@ -27,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import sys
+import tracemalloc
 
 import pytest
 
@@ -55,7 +61,7 @@ BUDGETS = {
 }
 
 
-def _fleet():
+def _fleet_engine():
     workload = WebBenchWorkload(total_requests=16, requests_per_connection=4)
     sessions = []
     for number, shard in enumerate(workload.split(2)):
@@ -68,7 +74,11 @@ def _fleet():
             multiplex=4,
         )
         sessions.append(build_session(ADDRESS_UID_SPEC, kernel, factory, name=f"s{number}"))
-    return MultiSessionEngine(sessions, name="budget").run
+    return MultiSessionEngine(sessions, name="budget")
+
+
+def _fleet():
+    return _fleet_engine().run
 
 
 def _ftpd():
@@ -133,6 +143,35 @@ def test_a_round_stays_within_its_budget(shape):
     )
     assert calls <= call_budget, f"{shape}: {calls:.2f} Python calls per round"
     assert allocations <= allocation_budget, f"{shape}: {allocations:.2f} allocations per round"
+
+
+#: What reading every response may add to traced memory, as a share of the
+#: response bytes read.
+READ_BYTE_BUDGET = 0.05
+
+
+def test_reading_the_responses_stays_within_its_byte_budget():
+    engine = _fleet_engine()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        # Traced from before the run, so freeing the sent chunks counts too.
+        engine.run()
+        connections = [c for s in engine.sessions for c in s.kernel.network.connections]
+        before = tracemalloc.get_traced_memory()[0]
+        served = [connection.response_bytes() for connection in connections]
+        added = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    total = sum(map(len, served))
+    print(
+        f"\nfleet-httpd-2x2: reading {len(served)} responses ({total} bytes) "
+        f"added {added} traced bytes (budget {READ_BYTE_BUDGET * total:.0f})"
+    )
+    assert total > 0
+    assert added <= READ_BYTE_BUDGET * total, f"reading the responses added {added} bytes"
 
 
 # -- the shared frozen values ------------------------------------------------------
