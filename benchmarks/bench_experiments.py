@@ -29,14 +29,14 @@ BENCH_PARAMS = {
 
 
 def _check_table1(result) -> None:
-    assert result.all_hold
+    assert result.to_report().failed_claims == []
     assert len(result.rows) == 4
     uid_row = next(row for row in result.rows if row.target_type == "uid")
     assert "7FFFFFFF" in uid_row.reexpression.upper()
 
 
 def _check_table2(result) -> None:
-    assert result.all_correct
+    assert result.to_report().failed_claims == []
     assert len(result.checks) == 8
 
 
@@ -96,7 +96,6 @@ def _check_section4(result) -> None:
 def _check_detection(result) -> None:
     claims = result.claim_results()
     assert all(claims.values()), claims
-    assert result.all_claims_hold
 
 
 def _check_nscaling(result) -> None:
@@ -145,7 +144,6 @@ def _check_corpus(result) -> None:
 def _check_apps(result) -> None:
     claims = result.claim_results()
     assert all(claims.values()), claims
-    assert result.all_claims_hold
     # The matrices agree across apps cell-for-cell, and the alarm telemetry
     # names the interposed syscalls that raised the alarms.
     assert result.matrix("httpd") == result.matrix("ftpd")

@@ -12,13 +12,9 @@ corrupted UID is an ordinary data value, valid in both address spaces), which
 is the gap the paper's data diversity fills.
 """
 
-from repro import ADDRESS_ORBIT_3_SPEC, ADDRESS_PARTITIONING_SPEC
-from repro.attacks.memory_attacks import (
-    run_address_attack_nvariant,
-    run_address_attack_single,
-    standard_address_attacks,
-)
-from repro.attacks.uid_attacks import run_remote_attack_nvariant, standard_uid_attacks
+from repro import ADDRESS_ORBIT_3_SPEC, ADDRESS_PARTITIONING_SPEC, SINGLE_PROCESS_SPEC, run_attack
+from repro.attacks.memory_attacks import standard_address_attacks
+from repro.attacks.uid_attacks import standard_uid_attacks
 from repro.memory.address_space import AddressSpace
 from repro.memory.memory_model import MemoryRegion
 from repro.memory.partition import HighBitScheme, OrbitScheme
@@ -41,9 +37,9 @@ def main() -> None:
 
     print("Absolute-address injection attacks:")
     for attack in standard_address_attacks():
-        single = run_address_attack_single(attack)
-        redundant = run_address_attack_nvariant(attack)
-        orbit = run_address_attack_nvariant(attack, ADDRESS_ORBIT_3_SPEC)
+        single = run_attack(attack, SINGLE_PROCESS_SPEC)
+        redundant = run_attack(attack, ADDRESS_PARTITIONING_SPEC)
+        orbit = run_attack(attack, ADDRESS_ORBIT_3_SPEC)
         print(f"  {attack.name}")
         print(f"    single process        : {single.kind.value}")
         print(f"    2-variant partitioned : {redundant.kind.value} -- {redundant.detail}")
@@ -52,7 +48,7 @@ def main() -> None:
 
     print("The UID-corruption attack against address partitioning alone:")
     uid_attack = next(a for a in standard_uid_attacks() if a.name == "full-word-root-overwrite")
-    outcome = run_remote_attack_nvariant(uid_attack, ADDRESS_PARTITIONING_SPEC)
+    outcome = run_attack(uid_attack, ADDRESS_PARTITIONING_SPEC)
     print(f"  {uid_attack.name}: {outcome.kind.value}")
     print("  (address partitioning does not defend non-control data; the UID")
     print("   variation of the paper exists exactly for this attack class)")

@@ -139,10 +139,6 @@ class AppsResult:
             ] = bool(measurements) and all(m.completed_ok for m in measurements)
         return claims
 
-    @property
-    def all_claims_hold(self) -> bool:
-        """True when every generalisation claim holds."""
-        return all(self.claim_results().values())
 
     # -- report ------------------------------------------------------------------
 

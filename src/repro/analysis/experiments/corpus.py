@@ -70,9 +70,6 @@ class CorpusResult:
             ),
         }
 
-    @property
-    def all_claims_hold(self) -> bool:
-        return all(self.claim_results().values())
 
     def to_report(self) -> ExperimentReport:
         """The graded corpus as a shared experiment report."""

@@ -105,10 +105,6 @@ class DetectionMatrixResult:
             ),
         }
 
-    @property
-    def all_claims_hold(self) -> bool:
-        """True when every reproduced claim holds."""
-        return all(self.claim_results().values())
 
     def to_report(self) -> ExperimentReport:
         """The matrix and claim evaluation as a shared experiment report."""

@@ -131,10 +131,6 @@ class EntropyResult:
             "seeded trials replay identically": self.replay_identical,
         }
 
-    @property
-    def all_claims_hold(self) -> bool:
-        """True when entropy, diversity and determinism all behave as claimed."""
-        return all(self.claim_results().values())
 
     def to_report(self) -> ExperimentReport:
         """The game as a shared experiment report."""

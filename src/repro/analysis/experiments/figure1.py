@@ -14,13 +14,10 @@ from __future__ import annotations
 import dataclasses
 
 from repro.api.experiments import ExperimentReport, ReportKeyValues
-from repro.api.spec import ADDRESS_PARTITIONING_SPEC
+from repro.api.campaign import run_attack
+from repro.api.spec import ADDRESS_PARTITIONING_SPEC, SINGLE_PROCESS_SPEC
 from repro.apps.clients.webbench import WebBenchWorkload, drive_nvariant
-from repro.attacks.memory_attacks import (
-    run_address_attack_nvariant,
-    run_address_attack_single,
-    standard_address_attacks,
-)
+from repro.attacks.memory_attacks import standard_address_attacks
 from repro.attacks.outcomes import AttackOutcome
 from repro.core.properties import EquivalenceVerdict, check_normal_equivalence
 
@@ -95,8 +92,8 @@ def run(benign_requests: int = 8) -> Figure1Result:
     single_outcomes = []
     nvariant_outcomes = []
     for attack in standard_address_attacks():
-        single_outcomes.append(run_address_attack_single(attack))
-        nvariant_outcomes.append(run_address_attack_nvariant(attack))
+        single_outcomes.append(run_attack(attack, SINGLE_PROCESS_SPEC))
+        nvariant_outcomes.append(run_attack(attack, ADDRESS_PARTITIONING_SPEC))
     return Figure1Result(
         equivalence=equivalence,
         benign_statuses=measurement.status_counts,

@@ -167,10 +167,6 @@ class LoadTestResult:
             ] = self.migration_base[field] == self.migration_moved[field]
         return claims
 
-    @property
-    def all_claims_hold(self) -> bool:
-        """True when every overload and migration claim holds."""
-        return all(self.claim_results().values())
 
     # -- report ------------------------------------------------------------------
 

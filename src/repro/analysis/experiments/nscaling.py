@@ -101,10 +101,6 @@ class NScalingResult:
             ),
         }
 
-    @property
-    def all_claims_hold(self) -> bool:
-        """True when detection and cost scale as claimed."""
-        return all(self.claim_results().values())
 
     def to_report(self) -> ExperimentReport:
         """The sweep as a shared experiment report."""

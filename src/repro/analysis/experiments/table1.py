@@ -47,10 +47,6 @@ class Table1Result:
 
     rows: list[Table1Row]
 
-    @property
-    def all_hold(self) -> bool:
-        """True when every variation satisfies inverse and disjointedness."""
-        return all(row.all_properties_hold for row in self.rows)
 
     def to_report(self) -> ExperimentReport:
         """The table plus property checks as a shared experiment report."""

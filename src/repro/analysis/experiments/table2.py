@@ -47,10 +47,6 @@ class Table2Result:
 
     checks: list[DetectionCallCheck]
 
-    @property
-    def all_correct(self) -> bool:
-        """True when every detection call behaves as specified."""
-        return all(check.behaves_correctly for check in self.checks)
 
     def to_report(self) -> ExperimentReport:
         """The table and behaviour summary as a shared experiment report."""

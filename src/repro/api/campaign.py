@@ -1,11 +1,12 @@
 """The unified campaign runner: attacks x system specs, one engine.
 
-The seed repository grew one ad-hoc campaign per attack family
-(``run_uid_campaign``, ``run_address_campaign``), each hand-wiring its own
-configurations.  With systems described by :class:`~repro.api.spec.SystemSpec`
-there is a single cross product left to run: :func:`run_campaign` takes any
-mix of attacks from the library and any list of system specs, turns each
-pair into a :class:`~repro.engine.campaign.CampaignJob` whose preparer is
+:func:`prepare_attack` and :func:`run_attack` are the one way to run an
+attack against a system: every attack family builds its cell from any
+:class:`~repro.api.spec.SystemSpec`, the one-variant baseline included, and
+:func:`~repro.attacks.outcomes.decide` judges every cell by one rule.
+:func:`run_campaign` takes any mix of attacks from the library and any list
+of system specs, turns each pair into a
+:class:`~repro.engine.campaign.CampaignJob` whose preparer is
 ``functools.partial(prepare_attack, attack, spec)`` -- a module-level
 function and two picklable objects -- and hands the list to
 :func:`~repro.engine.campaign.run_jobs`.  The same list runs on either
@@ -17,11 +18,10 @@ there.  Every cell owns its own simulated host, so the per-cell outcomes are
 identical on every backend and worker count (the serial-parity property
 test pins this).
 
-Attack drivers are imported lazily inside the dispatch functions: the attack
-modules themselves build their systems through :mod:`repro.api.builders`, so a
-module-level import in either direction would be circular.
+Attack modules are imported lazily inside the functions that need them: they
+build their systems through :mod:`repro.api.builders`, so a module-level
+import of them here would be circular.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
 from repro.api.experiments import ReportTable
 from repro.api.spec import STANDARD_SYSTEM_SPECS, SystemSpec
+from repro.attacks.outcomes import AttackOutcome, OutcomeKind, prepare_attack
 from repro.engine.campaign import (
-    CAMPAIGN_BACKENDS,
     CampaignExecutionResult,
     CampaignHaltPolicy,
     CampaignJob,
@@ -41,7 +41,6 @@ from repro.engine.procpool import ProcessWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the import cycle
     from repro.attacks.memory_attacks import AddressInjectionAttack
-    from repro.attacks.outcomes import AttackOutcome, PreparedAttack
     from repro.attacks.uid_attacks import UIDAttack
 
     Attack = UIDAttack | AddressInjectionAttack
@@ -57,25 +56,23 @@ class CampaignReport:
     independent of how the campaign was scheduled.
     """
 
-    outcomes: list["AttackOutcome"] = dataclasses.field(default_factory=list)
+    outcomes: list[AttackOutcome] = dataclasses.field(default_factory=list)
     execution: Optional[CampaignExecutionResult] = None
 
-    def add(self, outcome: "AttackOutcome") -> None:
+    def add(self, outcome: AttackOutcome) -> None:
         """Append one outcome."""
         self.outcomes.append(outcome)
 
-    def by_configuration(self, configuration: str) -> list["AttackOutcome"]:
+    def by_configuration(self, configuration: str) -> list[AttackOutcome]:
         """Outcomes recorded against *configuration*."""
         return [o for o in self.outcomes if o.configuration == configuration]
 
-    def security_failures(self) -> list["AttackOutcome"]:
+    def security_failures(self) -> list[AttackOutcome]:
         """Undetected compromises across the whole campaign."""
         return [o for o in self.outcomes if o.is_security_failure]
 
     def detection_rate(self, configuration: str) -> float:
         """Fraction of attacks detected in *configuration*."""
-        from repro.attacks.outcomes import OutcomeKind
-
         outcomes = self.by_configuration(configuration)
         if not outcomes:
             return 0.0
@@ -156,19 +153,7 @@ def attacks_by_name(app: str = "httpd") -> dict[str, "Attack"]:
     return {attack.name: attack for attack in standard_attacks(app)}
 
 
-def prepare_attack(attack: "Attack", spec: SystemSpec) -> "PreparedAttack":
-    """Prepare one attack-x-spec cell: a lazy session plus its finalizer."""
-    from repro.attacks.memory_attacks import AddressInjectionAttack, prepare_address_attack
-    from repro.attacks.uid_attacks import UIDAttack, prepare_uid_attack
-
-    if isinstance(attack, UIDAttack):
-        return prepare_uid_attack(attack, spec)
-    if isinstance(attack, AddressInjectionAttack):
-        return prepare_address_attack(attack, spec)
-    raise TypeError(f"unknown attack type {type(attack).__name__}: cannot dispatch {attack!r}")
-
-
-def run_attack(attack: "Attack", spec: SystemSpec) -> "AttackOutcome":
+def run_attack(attack: "Attack", spec: SystemSpec) -> AttackOutcome:
     """Run one attack against one declaratively specified system."""
     return prepare_attack(attack, spec).run()
 

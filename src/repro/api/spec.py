@@ -34,6 +34,8 @@ def _canonical_params(params: Any, *, what: str = "variation") -> tuple[tuple[st
     """Normalise a parameter mapping into a sorted, hashable tuple of pairs."""
     if params is None:
         return ()
+    if not isinstance(params, tuple):  # a tuple is the canonical form itself
+        _require_mapping(params, f"{what} params")
     items = dict(params).items()
     canonical = []
     for key, value in sorted(items):
@@ -56,6 +58,12 @@ def _require_types(spec: Any, kind: type, keys: tuple[str, ...]) -> None:
         value = getattr(spec, key)
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise TypeError(f"{key} must be {kind.__name__}, got {type(value).__name__} {value!r}")
+
+
+def _require_mapping(value: Any, key: str) -> None:
+    """Raise ``TypeError`` naming *key* and the type when *value* is no JSON object."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{key} must be an object, got {type(value).__name__} {value!r}")
 
 
 def _require_known_keys(data: Mapping[str, Any], known: frozenset[str], what: str) -> None:
@@ -96,7 +104,9 @@ class VariationSpec:
             if "name" not in value:
                 raise ValueError(f"variation spec needs a 'name': {dict(value)!r}")
             return cls(name=value["name"], params=value.get("params") or ())
-        raise TypeError(f"cannot build a VariationSpec from {value!r}")
+        raise TypeError(
+            f"variation must be a name or an object, got {type(value).__name__} {value!r}"
+        )
 
     def params_dict(self) -> dict[str, Any]:
         """The parameters as a plain dict (what the factory receives)."""
@@ -252,6 +262,7 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SystemSpec":
         """Rebuild a spec from :meth:`to_dict` output (unknown keys rejected)."""
+        _require_mapping(data, "system spec")
         _require_known_keys(data, cls._KEYS, "system spec")
         kwargs = dict(data)
         if "variations" in kwargs:

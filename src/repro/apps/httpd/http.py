@@ -159,8 +159,9 @@ def split_responses(raw: bytes) -> list[tuple[int, dict[str, str], bytes]]:
     each body is one slice, so a long keep-alive stream is never re-copied
     per response.  A response without ``Content-Length`` takes the rest of
     the stream, and one without the blank line is all header, with an empty
-    body.  A negative length raises :class:`HttpParseError`: framing never
-    steps backwards.
+    body.  A status or length that is not plain ASCII digits -- a negative
+    length included -- raises :class:`HttpParseError`: framing never steps
+    backwards.
     """
     responses = []
     end = len(raw)
@@ -171,11 +172,8 @@ def split_responses(raw: bytes) -> list[tuple[int, dict[str, str], bytes]]:
             head_end = body_start = end
         else:
             body_start = head_end + 4
-        status, headers = _parse_head(raw, offset, head_end)
-        length = int(headers.get("content-length", end - body_start))
-        if length < 0:
-            raise HttpParseError(f"negative Content-Length: {length}")
-        offset = body_start + length
+        status, headers, length = _parse_head(raw, offset, head_end)
+        offset = end if length is None else body_start + length
         responses.append((status, headers, raw[body_start:offset]))
     return responses
 
@@ -184,20 +182,35 @@ def parse_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
     """Client-side helper: split a raw response into status, headers, body."""
     head_end = raw.find(b"\r\n\r\n")
     if head_end < 0:
-        return (*_parse_head(raw, 0, len(raw)), b"")
-    status, headers = _parse_head(raw, 0, head_end)
+        head_end = len(raw)  # all header: the body slice below is empty
+    status, headers, _ = _parse_head(raw, 0, head_end)
     return status, headers, raw[head_end + 4 :]
 
 
-def _parse_head(raw: bytes, start: int, end: int) -> tuple[int, dict[str, str]]:
-    """Parse the status line and headers in ``raw[start:end]``."""
+def _parse_head(raw: bytes, start: int, end: int) -> tuple[int, dict[str, str], int | None]:
+    """Parse the status line and headers in ``raw[start:end]``.
+
+    Returns the status, the headers (names lower-cased) and the
+    ``Content-Length`` as a number, ``None`` when the header is absent.
+    """
     lines = raw[start:end].decode("latin-1").split("\r\n")
-    if len(lines[0].split()) < 2:
+    fields = lines[0].split()
+    if len(fields) < 2:
         raise HttpParseError(f"malformed status line: {raw[start : start + 60]!r}")
-    status = int(lines[0].split()[1])
+    status = _count("status", fields[1])
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if ":" in line:
             name, value = line.split(":", 1)
             headers[name.strip().lower()] = value.strip()
-    return status, headers
+    length = headers.get("content-length")
+    return status, headers, None if length is None else _count("Content-Length", length)
+
+
+def _count(field: str, text: str) -> int:
+    """*text* as a number of ASCII digits only: no sign, ``_``, space or other script."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
+        raise HttpParseError(f"negative {field}: {text}")
+    raise HttpParseError(f"non-numeric {field}: {text!r}")

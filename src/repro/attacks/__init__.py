@@ -1,12 +1,14 @@
-"""Attack library: payload builders and spec-based attack drivers.
+"""Attack library: the attack families, their payloads and their cells.
 
-Campaigns (attacks x system specs) run through
-:func:`repro.api.campaign.run_campaign`; the legacy ``CampaignConfiguration``
-/ ``run_uid_campaign`` / ``run_address_campaign`` shims were removed after
-their one-release deprecation window.  :class:`~repro.api.campaign.CampaignReport`
-stays importable from here for report-consuming callers.
+Each family -- UID corruption (:mod:`repro.attacks.uid_attacks`) and
+address injection (:mod:`repro.attacks.memory_attacks`) -- has one cell
+builder that takes any :class:`~repro.api.spec.SystemSpec`, the one-variant
+baseline included.  Run one attack against one system with
+:func:`repro.api.campaign.run_attack`, and attacks x system specs with
+:func:`repro.api.campaign.run_campaign`.
+:class:`~repro.api.campaign.CampaignReport` stays importable from here for
+report-consuming callers.
 """
-
 from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(
@@ -21,8 +23,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         "repro.attacks.memory_attacks": (
             "AddressInjectionAttack",
             "INJECTED_ABSOLUTE_ADDRESS",
-            "run_address_attack_nvariant",
-            "run_address_attack_single",
             "standard_address_attacks",
         ),
         "repro.attacks.outcomes": ("AttackOutcome", "OutcomeKind", "classify"),
@@ -37,9 +37,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         "repro.attacks.uid_attacks": (
             "SHADOW_MARKER",
             "UIDAttack",
-            "run_remote_attack_nvariant",
-            "run_remote_attack_single",
-            "run_uid_attack",
             "standard_uid_attacks",
         ),
     },

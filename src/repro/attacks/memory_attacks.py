@@ -4,15 +4,18 @@ The attack overwrites the server's banner pointer with an attacker-chosen
 absolute address via the same header overflow used by the UID attacks.  On
 the next request the server dereferences the pointer:
 
-* in a single-process deployment the injected address is simply read (an
+* in a one-variant deployment the injected address is simply read (an
   information-disclosure/point-the-program-anywhere primitive);
 * under address-space partitioning the injected address lies in at most one
-  variant's partition, so the sibling variant segfaults and the monitor
+  variant's partition, so a sibling variant segfaults and the monitor
   reports the attack -- the guarantee Figure 1 illustrates.
 
-The extended partitioning variation is also exercised with a *partial*
-pointer overwrite (low bytes only), the case plain partitioning cannot detect
-when the attacker preserves the high byte.
+:func:`prepare_address_attack` builds the cell for either deployment from
+its :class:`~repro.api.spec.SystemSpec`, and
+:func:`~repro.attacks.outcomes.decide` judges it.  The extended partitioning
+variation is also exercised with a *partial* pointer overwrite (low bytes
+only; :class:`~repro.attacks.mutators.PartialPointerAttack`), the case plain
+partitioning cannot detect when the attacker preserves the high byte.
 """
 
 from __future__ import annotations
@@ -20,15 +23,14 @@ from __future__ import annotations
 import dataclasses
 
 from repro.api.builders import build_session
-from repro.api.spec import ADDRESS_PARTITIONING_SPEC, SINGLE_PROCESS_SPEC, SystemSpec
+from repro.api.spec import SystemSpec
 # Module (not name) import: repro.apps.catalog imports the payload builders
 # from this package, so binding the module and resolving get_app at call time
 # keeps the import order working from either end of the cycle.
 from repro.apps import catalog as _catalog
 from repro.apps.httpd.vulnerable import BANNER_REGION_BASE
-from repro.attacks.outcomes import AttackOutcome, PreparedAttack, classify
+from repro.attacks.outcomes import AttackOutcome, PreparedAttack, decide
 from repro.kernel.host import build_standard_host
-from repro.kernel.kernel import SimulatedKernel
 
 #: An absolute address the attacker aims the banner pointer at: it lies in
 #: variant 0's partition (high bit clear), a few words into the banner region,
@@ -69,100 +71,33 @@ def standard_address_attacks(app: str = "httpd") -> list[AddressInjectionAttack]
     ]
 
 
-def _prepare_attack_host(attack: AddressInjectionAttack) -> SimulatedKernel:
-    """Build the host and queue the Figure 1 sequence: warm up, corrupt, trigger."""
-    serving = _catalog.get_app(attack.app)
-    kernel = build_standard_host()
-    serving.prepare_host(kernel)
-    serving.connect(kernel, serving.benign_payload())
-    serving.connect(kernel, attack.payload(), client="attacker")
-    serving.connect(kernel, serving.benign_payload(serving.alternate_path), client="attacker")
-    return kernel
+def prepare_address_attack(attack: AddressInjectionAttack, spec: SystemSpec) -> PreparedAttack:
+    """Prepare *attack* against the system *spec* describes, one variant or many.
 
-
-def prepare_address_attack_single(
-    attack: AddressInjectionAttack, *, configuration: str = "single-process"
-) -> PreparedAttack:
-    """Prepare the attack against the single-process server (an N=1 session)."""
-
-    def start():
-        kernel = _prepare_attack_host(attack)
-        serving = _catalog.get_app(attack.app)
-        factory = serving.make_factory(transformed=False, max_requests=3)
-        return build_session(SINGLE_PROCESS_SPEC, kernel, factory, name=serving.name)
-
-    def finish(session) -> AttackOutcome:
-        variant = session.result().variants[0]
-        # Goal for the single process: the dereference of the attacker-chosen
-        # address went through (no crash) -- the attacker now controls what
-        # the server reads.
-        goal = variant.exited_normally
-        crashed = not variant.exited_normally
-        return AttackOutcome(
-            attack=attack.name,
-            configuration=configuration,
-            kind=classify(goal_reached=goal, detected=False, crashed=crashed),
-            goal_reached=goal,
-            detected=False,
-            detail=f"fault={variant.fault}",
-        )
-
-    return PreparedAttack(attack.name, configuration, start, finish)
-
-
-def run_address_attack_single(
-    attack: AddressInjectionAttack, *, configuration: str = "single-process"
-) -> AttackOutcome:
-    """Run the attack against the single-process server."""
-    return prepare_address_attack_single(attack, configuration=configuration).run()
-
-
-def prepare_address_attack_nvariant(
-    attack: AddressInjectionAttack,
-    spec: SystemSpec = ADDRESS_PARTITIONING_SPEC,
-) -> PreparedAttack:
-    """Prepare the attack against a declaratively specified N-variant system.
-
-    The default spec reproduces the address-partitioned 2-variant system of
-    Figure 1; any spec whose stack contains the UID variation must set
+    The Figure 1 sequence is queued on a host running the attack's app: a
+    benign request, the corrupting one, then a benign request that makes the
+    server dereference the pointer.  The attack reaches its goal when that
+    dereference goes through: every variant exits cleanly and none alarms.
+    Any spec whose stack contains the UID variation must set
     ``transformed=True``, since the untransformed server diverges on benign
     traffic under diversified UID representations.
     """
 
     def start():
-        kernel = _prepare_attack_host(attack)
         serving = _catalog.get_app(attack.app)
+        kernel = build_standard_host()
+        serving.prepare_host(kernel)
+        serving.connect(kernel, serving.benign_payload())
+        serving.connect(kernel, attack.payload(), client="attacker")
+        serving.connect(kernel, serving.benign_payload(serving.alternate_path), client="attacker")
         factory = serving.make_factory(transformed=spec.transformed, max_requests=3)
         return build_session(spec, kernel, factory, name=serving.name)
 
     def finish(session) -> AttackOutcome:
         result = session.result()
-        detected = result.attack_detected
-        goal = not detected and all(v.exited_normally for v in result.variants)
-        return AttackOutcome(
-            attack=attack.name,
-            configuration=spec.name,
-            kind=classify(goal_reached=goal, detected=detected),
-            goal_reached=goal,
-            detected=detected,
-            detail=result.first_alarm().describe() if detected else "no alarm",
+        quiet = "no alarm" if spec.redundant else f"fault={result.variants[0].fault}"
+        return decide(
+            attack.name, spec, result, goal_reached=result.completed_normally, quiet=quiet
         )
 
     return PreparedAttack(attack.name, spec.name, start, finish)
-
-
-def run_address_attack_nvariant(
-    attack: AddressInjectionAttack,
-    spec: SystemSpec = ADDRESS_PARTITIONING_SPEC,
-) -> AttackOutcome:
-    """Run the attack against a declaratively specified N-variant system."""
-    return prepare_address_attack_nvariant(attack, spec).run()
-
-
-def prepare_address_attack(
-    attack: AddressInjectionAttack, spec: SystemSpec
-) -> PreparedAttack:
-    """Prepare the appropriate cell for *attack* against the specified system."""
-    if not spec.redundant:
-        return prepare_address_attack_single(attack, configuration=spec.name)
-    return prepare_address_attack_nvariant(attack, spec)

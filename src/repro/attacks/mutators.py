@@ -53,7 +53,7 @@ class PartialPointerAttack(AddressInjectionAttack):
     ``address`` holds the injected low-byte value; ``partial_bytes`` how many
     low-order bytes of it are written.  Reuses the
     :class:`AddressInjectionAttack` driver unchanged (the driver only calls
-    :meth:`payload`), so ``prepare_address_attack`` dispatches it like any
+    :meth:`payload`), so ``prepare_attack`` dispatches it like any
     other pointer attack.
     """
 

@@ -1,4 +1,11 @@
-"""Attack outcome classification shared by every attack driver."""
+"""The attack cell every attack family shares: its outcome, verdict and dispatch.
+
+Each family builds its cells from a :class:`~repro.api.spec.SystemSpec`
+(:func:`~repro.attacks.uid_attacks.prepare_uid_attack`,
+:func:`~repro.attacks.memory_attacks.prepare_address_attack`);
+:func:`prepare_attack` picks the family for an attack, and :func:`decide`
+judges every finished cell by one rule.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,8 @@ import enum
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.spec import SystemSpec
+    from repro.core.nvariant import NVariantResult
     from repro.engine.session import NVariantSession
 
 
@@ -89,3 +98,48 @@ def classify(*, goal_reached: bool, detected: bool, crashed: bool = False) -> Ou
     if crashed:
         return OutcomeKind.CRASHED
     return OutcomeKind.NO_EFFECT
+
+
+def decide(
+    attack: str,
+    spec: "SystemSpec",
+    result: "NVariantResult",
+    *,
+    goal_reached: bool,
+    quiet: str,
+) -> AttackOutcome:
+    """Judge one finished cell of *attack* against the system *spec* describes.
+
+    A one-variant session has no sibling to diverge from, so its only alarm
+    (its own fault) counts as a crash; in a redundant session an alarm is a
+    detection.  The detail is that alarm when it is a detection, and
+    otherwise *quiet*, the family's own text for the cell.
+    """
+    alarm = result.first_alarm()
+    detected = spec.redundant and alarm is not None
+    return AttackOutcome(
+        attack=attack,
+        configuration=spec.name,
+        kind=classify(goal_reached=goal_reached, detected=detected, crashed=alarm is not None),
+        goal_reached=goal_reached,
+        detected=detected,
+        detail=alarm.describe() if detected else quiet,
+    )
+
+
+def prepare_attack(attack, spec: "SystemSpec") -> PreparedAttack:
+    """Prepare one attack-x-spec cell: a lazy session plus its finalizer.
+
+    Public as :func:`repro.api.campaign.prepare_attack`.  It is defined here
+    so that grading corpus records (:func:`repro.corpus.runner.prepare_record`)
+    never loads the campaign layer and its process pool.
+    """
+    # Imported here: both family modules import this one.
+    from repro.attacks.memory_attacks import AddressInjectionAttack, prepare_address_attack
+    from repro.attacks.uid_attacks import UIDAttack, prepare_uid_attack
+
+    if isinstance(attack, UIDAttack):
+        return prepare_uid_attack(attack, spec)
+    if isinstance(attack, AddressInjectionAttack):
+        return prepare_address_attack(attack, spec)
+    raise TypeError(f"unknown attack type {type(attack).__name__}: cannot dispatch {attack!r}")

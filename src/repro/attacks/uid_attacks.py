@@ -11,19 +11,16 @@ Two delivery mechanisms are modelled:
   model fault-style attacks such as the heat-lamp attack the paper cites, and
   they exist mainly to map the *boundary* of the detection guarantee.
 
-Each attack can be run against a single-process server (where the paper's
-claim is that it succeeds) and against any N-variant configuration (where the
-UID variation must detect it, except in the documented high-bit blind spot).
-
-Every driver is split into a ``prepare_*`` half that builds a
-:class:`~repro.attacks.outcomes.PreparedAttack` -- a private kernel, a
-resumable :class:`~repro.engine.session.NVariantSession` and the outcome
-finalizer -- and a ``run_*`` half that simply drives the prepared cell to
-completion.  The campaign scheduler interleaves the same prepared cells, so
-serial and engine-parallel campaigns share one construction path and produce
-identical outcomes by construction.  The single-process deployments run as
-``num_variants=1`` sessions (the monitor degenerates to a no-op for N=1), so
-the engine is the only execution path left.
+One cell builder covers both: :func:`prepare_uid_attack` takes any
+:class:`~repro.api.spec.SystemSpec` -- the one-variant baseline, where the
+paper's claim is that the attack succeeds, as well as any N-variant system,
+where the UID variation must detect it except in the documented high-bit
+blind spot -- and builds the cell's session from that spec.  The cell is a
+:class:`~repro.attacks.outcomes.PreparedAttack`: a private host, a resumable
+lockstep session and a finalizer that hands the finished session to
+:func:`~repro.attacks.outcomes.decide`.  The campaign scheduler interleaves
+the same cells that :func:`~repro.api.campaign.run_attack` runs one by one,
+so every path gives identical outcomes by construction.
 """
 
 from __future__ import annotations
@@ -32,16 +29,15 @@ import dataclasses
 from typing import Optional
 
 from repro.api.builders import build_session
-from repro.api.spec import SINGLE_PROCESS_SPEC, SystemSpec, UID_DIVERSITY_SPEC
+from repro.api.spec import SystemSpec
 # Module (not name) import: repro.apps.catalog imports the payload builders
 # from repro.attacks, so binding the module and resolving get_app at call
 # time keeps the import order working from either end of the cycle.
 from repro.apps import catalog as _catalog
-from repro.attacks.outcomes import AttackOutcome, OutcomeKind, PreparedAttack, classify
+from repro.attacks.outcomes import AttackOutcome, PreparedAttack, decide
 from repro.attacks.payloads import traversal_path
 from repro.core.nvariant import UIDCodec, VariantContext
 from repro.kernel.host import build_standard_host
-from repro.kernel.kernel import SimulatedKernel
 from repro.memory.corruption import CorruptionSpec
 
 #: Marker proving the attacker read /etc/shadow (see the standard host image).
@@ -143,144 +139,7 @@ def standard_uid_attacks(app: str = "httpd") -> list[UIDAttack]:
 
 
 # ---------------------------------------------------------------------------
-# Remote (request-channel-delivered) attacks against a registered serving app
-# ---------------------------------------------------------------------------
-
-
-def _attack_goal_reached(kernel: SimulatedKernel, marker: bytes = SHADOW_MARKER) -> bool:
-    """True when any response leaked the attack's protected target content.
-
-    Deliberately app-agnostic: the scan covers every connection ever made on
-    the host, so leaked content is found whether it travelled on an HTTP
-    response or on an FTP data channel.
-    """
-    return any(marker in conn.response_bytes() for conn in kernel.network.connections)
-
-
-def _prepare_remote_host(attack: UIDAttack, *, warmup_requests: int):
-    """Build the attacked host: app state, warmup traffic, the attack itself.
-
-    Returns ``(kernel, serving app)``; the caller builds the server factory
-    and session.  All app specifics (extra host files, secondary channels,
-    benign payload shape) come from the catalog entry.
-    """
-    serving = _catalog.get_app(attack.app)
-    kernel = build_standard_host()
-    serving.prepare_host(kernel)
-    for _ in range(warmup_requests):
-        serving.connect(kernel, serving.benign_payload())
-    serving.connect(kernel, attack.payload, client="attacker")
-    return kernel, serving
-
-
-def prepare_remote_attack_single(
-    attack: UIDAttack,
-    *,
-    transformed: bool = False,
-    warmup_requests: int = 1,
-    configuration: str | None = None,
-) -> PreparedAttack:
-    """Prepare a remote attack against the single-process server (no redundancy).
-
-    The undefended deployment runs as a ``num_variants=1`` session: with a
-    single variant the monitor can never observe a divergence, so the cell's
-    ``detected`` is structurally ``False`` -- exactly the paper's baseline.
-    """
-    if not attack.remote:
-        raise ValueError(f"{attack.name} is not a remote attack")
-    if configuration is None:
-        configuration = "single-process" + ("-transformed" if transformed else "")
-
-    def start():
-        kernel, serving = _prepare_remote_host(attack, warmup_requests=warmup_requests)
-        factory = serving.make_factory(
-            transformed=transformed, max_requests=warmup_requests + 1
-        )
-        spec = dataclasses.replace(SINGLE_PROCESS_SPEC, transformed=transformed)
-        return build_session(spec, kernel, factory, name=serving.name)
-
-    def finish(session) -> AttackOutcome:
-        result = session.result()
-        variant = result.variants[0]
-        goal = _attack_goal_reached(session.kernel, attack.goal_marker)
-        crashed = not variant.exited_normally
-        kind = classify(goal_reached=goal, detected=False, crashed=crashed)
-        return AttackOutcome(
-            attack=attack.name,
-            configuration=configuration,
-            kind=kind,
-            goal_reached=goal,
-            detected=False,
-            detail=f"exit={variant.exit_code} fault={variant.fault}",
-        )
-
-    return PreparedAttack(attack.name, configuration, start, finish)
-
-
-def run_remote_attack_single(
-    attack: UIDAttack,
-    *,
-    transformed: bool = False,
-    warmup_requests: int = 1,
-    configuration: str | None = None,
-) -> AttackOutcome:
-    """Run a remote attack against the single-process server (no redundancy)."""
-    return prepare_remote_attack_single(
-        attack,
-        transformed=transformed,
-        warmup_requests=warmup_requests,
-        configuration=configuration,
-    ).run()
-
-
-def prepare_remote_attack_nvariant(
-    attack: UIDAttack,
-    spec: SystemSpec = UID_DIVERSITY_SPEC,
-    *,
-    warmup_requests: int = 1,
-) -> PreparedAttack:
-    """Prepare a remote attack against a declaratively specified N-variant system."""
-    if not attack.remote:
-        raise ValueError(f"{attack.name} is not a remote attack")
-
-    def start():
-        kernel, serving = _prepare_remote_host(attack, warmup_requests=warmup_requests)
-        factory = serving.make_factory(
-            transformed=spec.transformed, max_requests=warmup_requests + 1
-        )
-        return build_session(spec, kernel, factory, name=serving.name)
-
-    def finish(session) -> AttackOutcome:
-        result = session.result()
-        goal = _attack_goal_reached(session.kernel, attack.goal_marker)
-        detected = result.attack_detected
-        kind = classify(goal_reached=goal, detected=detected)
-        return AttackOutcome(
-            attack=attack.name,
-            configuration=spec.name,
-            kind=kind,
-            goal_reached=goal,
-            detected=detected,
-            detail=result.first_alarm().describe() if detected else "no alarm",
-        )
-
-    return PreparedAttack(attack.name, spec.name, start, finish)
-
-
-def run_remote_attack_nvariant(
-    attack: UIDAttack,
-    spec: SystemSpec = UID_DIVERSITY_SPEC,
-    *,
-    warmup_requests: int = 1,
-) -> AttackOutcome:
-    """Run a remote attack against a declaratively specified N-variant system."""
-    return prepare_remote_attack_nvariant(
-        attack, spec, warmup_requests=warmup_requests
-    ).run()
-
-
-# ---------------------------------------------------------------------------
-# In-place corruption attacks (fault-style, e.g. single-bit flips)
+# The in-place corruption probe (fault-style attacks, e.g. single-bit flips)
 # ---------------------------------------------------------------------------
 
 
@@ -346,100 +205,51 @@ def _corruption_probe_factory(attack: UIDAttack, *, transformed: bool):
     return factory
 
 
-def prepare_corruption_attack_single(
-    attack: UIDAttack,
-    *,
-    transformed: bool = False,
-    configuration: str | None = None,
-) -> PreparedAttack:
-    """Prepare an in-place corruption attack with no redundancy."""
-    if attack.remote:
-        raise ValueError(f"{attack.name} is a remote attack")
-    if configuration is None:
-        configuration = "single-process" + ("-transformed" if transformed else "")
+def prepare_uid_attack(attack: UIDAttack, spec: SystemSpec) -> PreparedAttack:
+    """Prepare *attack* against the system *spec* describes, one variant or many.
 
-    def start():
-        kernel = build_standard_host()
-        return build_session(
-            SINGLE_PROCESS_SPEC,
-            kernel,
-            _corruption_probe_factory(attack, transformed=transformed),
-            name="probe",
-        )
-
-    def finish(session) -> AttackOutcome:
-        result = session.result()
-        goal = any(v.exit_code == 42 for v in result.variants)
-        crashed = any(not v.exited_normally for v in result.variants)
-        kind = classify(goal_reached=goal, detected=False, crashed=crashed)
-        return AttackOutcome(
-            attack=attack.name,
-            configuration=configuration,
-            kind=kind,
-            goal_reached=goal,
-            detected=False,
-            detail=attack.corruption.describe(),
-        )
-
-    return PreparedAttack(attack.name, configuration, start, finish)
-
-
-def prepare_corruption_attack_nvariant(
-    attack: UIDAttack,
-    spec: SystemSpec = UID_DIVERSITY_SPEC,
-) -> PreparedAttack:
-    """Prepare an in-place corruption attack against a specified N-variant system.
-
-    The corruption probe models the transformed build (the in-place threat
-    model presumes the deployed data-diversity binary), so the probe is
-    always transformed regardless of ``spec.transformed``.
+    A remote attack queues one benign request and then the attacker's on a
+    host running the attack's app; it reaches its goal when any response
+    carries ``attack.goal_marker``.  An in-place corruption runs the
+    privilege probe, transformed whenever the spec is or the system is
+    redundant (the in-place threat model presumes the deployed data-diversity
+    build); it reaches its goal when the probe is still root after its drop.
     """
     if attack.remote:
-        raise ValueError(f"{attack.name} is a remote attack")
 
-    def start():
-        kernel = build_standard_host()
-        return build_session(
-            spec,
-            kernel,
-            _corruption_probe_factory(attack, transformed=True),
-            name="probe",
-        )
+        def start():
+            serving = _catalog.get_app(attack.app)
+            kernel = build_standard_host()
+            serving.prepare_host(kernel)
+            serving.connect(kernel, serving.benign_payload())
+            serving.connect(kernel, attack.payload, client="attacker")
+            factory = serving.make_factory(transformed=spec.transformed, max_requests=2)
+            return build_session(spec, kernel, factory, name=serving.name)
 
-    def finish(session) -> AttackOutcome:
-        result = session.result()
-        goal = any(v.exit_code == 42 for v in result.variants)
-        detected = result.attack_detected
-        kind = classify(goal_reached=goal, detected=detected)
-        return AttackOutcome(
-            attack=attack.name,
-            configuration=spec.name,
-            kind=kind,
-            goal_reached=goal,
-            detected=detected,
-            detail=result.first_alarm().describe() if detected else attack.corruption.describe(),
-        )
+        def finish(session) -> AttackOutcome:
+            result = session.result()
+            # Every connection of the host is scanned, so leaked content is
+            # found whether it travelled on the request channel or on a
+            # secondary one (an FTP data channel).
+            goal = any(
+                attack.goal_marker in connection.response_bytes()
+                for connection in session.kernel.network.connections
+            )
+            lone = result.variants[0]
+            quiet = "no alarm" if spec.redundant else f"exit={lone.exit_code} fault={lone.fault}"
+            return decide(attack.name, spec, result, goal_reached=goal, quiet=quiet)
+
+    else:
+        factory = _corruption_probe_factory(attack, transformed=spec.transformed or spec.redundant)
+
+        def start():
+            return build_session(spec, build_standard_host(), factory, name="probe")
+
+        def finish(session) -> AttackOutcome:
+            result = session.result()
+            goal = any(v.exit_code == 42 for v in result.variants)
+            return decide(
+                attack.name, spec, result, goal_reached=goal, quiet=attack.corruption.describe()
+            )
 
     return PreparedAttack(attack.name, spec.name, start, finish)
-
-
-def prepare_uid_attack(
-    attack: UIDAttack, spec: SystemSpec = UID_DIVERSITY_SPEC
-) -> PreparedAttack:
-    """Prepare the appropriate cell for *attack* against the specified system."""
-    if spec.redundant:
-        if attack.remote:
-            return prepare_remote_attack_nvariant(attack, spec)
-        return prepare_corruption_attack_nvariant(attack, spec)
-    if attack.remote:
-        return prepare_remote_attack_single(
-            attack, transformed=spec.transformed, configuration=spec.name
-        )
-    return prepare_corruption_attack_single(
-        attack, transformed=spec.transformed, configuration=spec.name
-    )
-
-
-def run_uid_attack(attack: UIDAttack, spec: SystemSpec = UID_DIVERSITY_SPEC) -> AttackOutcome:
-    """Dispatch an attack to the appropriate driver for the specified system."""
-    return prepare_uid_attack(attack, spec).run()

@@ -48,9 +48,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "vulnerable_app_interpreter",
         ),
         "repro.core.properties": (
-            "DetectionVerdict",
             "EquivalenceVerdict",
-            "check_detection",
             "check_normal_equivalence",
             "check_variation_reexpression",
         ),

@@ -1,18 +1,15 @@
-"""Checkers for the paper's two framework-level properties.
+"""Checkers for the paper's framework-level properties.
 
 Section 2.2 (normal equivalence) and Section 2.3 (detection) are the two
 obligations a variation designer must discharge.  The reexpression-level
 pieces (inverse property, disjointedness) live in
-:mod:`repro.core.reexpression`; this module provides the system-level
-checkers that run an actual N-variant system:
-
-* :func:`check_normal_equivalence` runs a benign workload and asserts that no
-  alarm fires and that the variants produce identical observable behaviour.
-* :func:`check_detection` runs an attack workload and asserts that the
-  monitor raised an alarm before the attack's goal predicate became true.
-
-Both return structured verdicts rather than raising, so the property-based
-tests and the benchmark harness can aggregate them.
+:mod:`repro.core.reexpression`; :func:`check_variation_reexpression` applies
+them to one variation.  :func:`check_normal_equivalence` runs a benign
+workload on an actual N-variant system and asserts that no alarm fires and
+that the variants produce identical observable behaviour; it returns a
+structured verdict rather than raising.  Detection is judged per attack
+cell: :func:`repro.api.campaign.run_attack` returns an outcome whose
+``is_security_failure`` is the property's violation.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from typing import Callable, Iterable, Sequence
 from repro.core.nvariant import NVariantResult
 from repro.core.reexpression import (
     PropertyReport,
-    ReexpressionFunction,
     check_disjointness,
     check_inverse_property,
     sample_domain,
@@ -43,28 +39,6 @@ class EquivalenceVerdict:
         """One-line summary."""
         status = "normal equivalence holds" if self.holds else "normal equivalence VIOLATED"
         return f"{status}: {self.reason}"
-
-
-@dataclasses.dataclass(frozen=True)
-class DetectionVerdict:
-    """Result of a detection check."""
-
-    detected: bool
-    attack_succeeded: bool
-    reason: str
-
-    @property
-    def holds(self) -> bool:
-        """The detection property holds when no undetected compromise exists."""
-        return self.detected or not self.attack_succeeded
-
-    def describe(self) -> str:
-        """One-line summary."""
-        if self.detected:
-            return f"attack detected: {self.reason}"
-        if self.attack_succeeded:
-            return f"DETECTION FAILED (undetected compromise): {self.reason}"
-        return f"attack had no effect: {self.reason}"
 
 
 def check_variation_reexpression(
@@ -122,27 +96,3 @@ def check_normal_equivalence(
             )
     return EquivalenceVerdict(holds=True, reason="no alarms, all variants exited cleanly", alarms=0)
 
-
-def check_detection(
-    run_attack: Callable[[], NVariantResult],
-    attack_goal_reached: Callable[[NVariantResult], bool],
-) -> DetectionVerdict:
-    """Run an attack workload and verify it is detected (or harmless).
-
-    *attack_goal_reached* inspects the result (and, through closures, the
-    host state) to decide whether the attacker achieved their goal -- e.g.
-    the server kept serving with root privileges after the corruption.
-    """
-    result = run_attack()
-    goal = attack_goal_reached(result)
-    if result.attack_detected:
-        return DetectionVerdict(
-            detected=True,
-            attack_succeeded=goal,
-            reason=result.first_alarm().describe(),
-        )
-    return DetectionVerdict(
-        detected=False,
-        attack_succeeded=goal,
-        reason="no alarm raised",
-    )

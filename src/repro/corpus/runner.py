@@ -17,11 +17,11 @@ import functools
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro.api.spec import SystemSpec
-from repro.attacks.memory_attacks import AddressInjectionAttack, prepare_address_attack
+from repro.attacks.memory_attacks import AddressInjectionAttack
 from repro.attacks.mutators import PartialPointerAttack, annotation_overflow_payload
-from repro.attacks.outcomes import AttackOutcome, PreparedAttack
+from repro.attacks.outcomes import AttackOutcome, PreparedAttack, prepare_attack
 from repro.attacks.payloads import uid_overwrite_payload
-from repro.attacks.uid_attacks import UIDAttack, prepare_uid_attack
+from repro.attacks.uid_attacks import UIDAttack
 from repro.corpus.records import CorpusError, CorpusRecord
 from repro.engine.campaign import CampaignJob, run_jobs
 from repro.memory.corruption import CorruptionSpec
@@ -77,11 +77,7 @@ def build_attack(data: Mapping[str, Any]):
 
 def prepare_record(record: CorpusRecord) -> PreparedAttack:
     """Build the runnable attack-x-configuration cell a record describes."""
-    spec = SystemSpec.from_dict(dict(record.spec))
-    attack = build_attack(record.attack)
-    if isinstance(attack, AddressInjectionAttack):
-        return prepare_address_attack(attack, spec)
-    return prepare_uid_attack(attack, spec)
+    return prepare_attack(build_attack(record.attack), SystemSpec.from_dict(dict(record.spec)))
 
 
 def outcome_to_dict(outcome: AttackOutcome) -> dict[str, Any]:

@@ -414,6 +414,25 @@ class TestCLI:
             assert raw not in err
 
     @pytest.mark.parametrize(
+        "systems, message",
+        [
+            (["2-variant-uid"], "system spec must be an object, got str '2-variant-uid'"),
+            ([3], "system spec must be an object, got int 3"),
+            (
+                [{"name": "x", "variations": [{"name": "uid", "params": "x"}]}],
+                "variation params must be an object, got str 'x'",
+            ),
+        ],
+    )
+    def test_non_object_system_input_is_a_clean_error(self, tmp_path, capsys, systems, message):
+        path = self._write_scenario(
+            tmp_path,
+            {"scenario": "campaign", "systems": systems, "attacks": ["full-word-root-overwrite"]},
+        )
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: bad system spec in scenario: {message}\n"
+
+    @pytest.mark.parametrize(
         "fleet, key",
         [
             ({"num_sessions": "4"}, "num_sessions"),

@@ -1,6 +1,7 @@
 """Tests for the mini-httpd: config, HTTP handling, the server lifecycle and WebBench."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -108,6 +109,15 @@ class TestHttpMessages:
         assert b"nope" in body
 
 
+def _oracle_number(field, text):
+    """A status or length: ASCII digits only, as the framing demands."""
+    if re.fullmatch(r"[0-9]+", text):
+        return int(text)
+    if re.fullmatch(r"-[0-9]+", text):
+        raise HttpParseError(f"negative {field}: {text}")
+    raise HttpParseError(f"non-numeric {field}: {text!r}")
+
+
 def _oracle_parse_response(raw):
     """``parse_response`` as it was before the offset walk: the test's oracle."""
     if b"\r\n\r\n" in raw:
@@ -117,12 +127,14 @@ def _oracle_parse_response(raw):
     lines = head.decode("latin-1").split("\r\n")
     if not lines or len(lines[0].split()) < 2:
         raise HttpParseError(f"malformed status line: {raw[:60]!r}")
-    status = int(lines[0].split()[1])
+    status = _oracle_number("status", lines[0].split()[1])
     headers = {}
     for line in lines[1:]:
         if ":" in line:
             name, value = line.split(":", 1)
             headers[name.strip().lower()] = value.strip()
+    if "content-length" in headers:
+        _oracle_number("Content-Length", headers["content-length"])
     return status, headers, body
 
 
@@ -141,8 +153,8 @@ def _oracle_split_responses(raw):
 def _outcome(function, raw):
     try:
         return ("ok", function(raw))
-    except ValueError as error:  # HttpParseError is a ValueError
-        return ("error", type(error), str(error))
+    except HttpParseError as error:
+        return ("error", str(error))
 
 
 #: Pieces bodies and trailing garbage are made of: enough CR/LF that a
@@ -203,6 +215,28 @@ class TestResponseFraming:
     def test_a_negative_length_is_a_parse_error(self, raw):
         with pytest.raises(HttpParseError, match="negative Content-Length"):
             split_responses(raw)
+
+    @pytest.mark.parametrize("parse", [split_responses, parse_response])
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"HTTP/1.0 OK\r\n\r\n", "non-numeric status: 'OK'"),
+            (b"HTTP/1.0 +200 OK\r\n\r\n", "non-numeric status: '+200'"),
+            (b"HTTP/1.0 2_00 OK", "non-numeric status: '2_00'"),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: 1_0\r\n\r\nab", "non-numeric Content-Length: '1_0'"),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: +3\r\n\r\nabc", "non-numeric Content-Length: '+3'"),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: abc\r\n\r\n", "non-numeric Content-Length: 'abc'"),
+            (b"HTTP/1.0 200 OK\r\nContent-Length:\r\n\r\n", "non-numeric Content-Length: ''"),
+            # A superscript two is a digit to str.isdigit, but not ASCII.
+            (b"HTTP/1.0 200 OK\r\nContent-Length: \xb2\r\n\r\nab", "non-numeric Content-Length: '\xb2'"),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: -3\r\n\r\nabc", "negative Content-Length: -3"),
+        ],
+    )
+    def test_a_status_or_length_of_anything_but_digits_is_a_parse_error(
+        self, parse, raw, message
+    ):
+        with pytest.raises(HttpParseError, match=re.escape(message)):
+            parse(raw)
 
     @settings(max_examples=300, deadline=None)
     @given(raw=_STREAMS)

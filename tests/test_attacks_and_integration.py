@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attacks.code_injection import run_code_injection_tagged, run_code_injection_untagged
-from repro.attacks.memory_attacks import (
-    run_address_attack_nvariant,
-    run_address_attack_single,
-    standard_address_attacks,
-)
+from repro.attacks.memory_attacks import standard_address_attacks
 from repro.attacks.outcomes import AttackOutcome, OutcomeKind, classify
 from repro.attacks.payloads import (
     OverflowSpec,
@@ -16,21 +12,17 @@ from repro.attacks.payloads import (
     traversal_path,
     uid_overwrite_payload,
 )
-from repro.api.campaign import run_campaign
+from repro.api.campaign import prepare_attack, run_attack, run_campaign
 from repro.api.spec import (
     ADDRESS_PARTITIONING_SPEC,
     SINGLE_PROCESS_SPEC,
     UID_DIVERSITY_SPEC,
+    SystemSpec,
 )
-from repro.attacks.uid_attacks import (
-    UIDAttack,
-    run_remote_attack_nvariant,
-    run_remote_attack_single,
-    run_uid_attack,
-    standard_uid_attacks,
-)
+from repro.attacks.uid_attacks import UIDAttack, standard_uid_attacks
 from repro.apps.httpd.http import parse_request
 from repro.apps.httpd.vulnerable import ANNOTATION_BUFFER_SIZE, VULNERABLE_HEADER
+from repro.core.alarm import AlarmType
 from repro.memory.corruption import CorruptionSpec
 
 
@@ -90,38 +82,38 @@ class TestOutcomeClassification:
 class TestUIDAttackEndToEnd:
     def test_root_overwrite_succeeds_against_single_process(self):
         attack = next(a for a in standard_uid_attacks() if a.name == "full-word-root-overwrite")
-        outcome = run_remote_attack_single(attack)
+        outcome = run_attack(attack, SINGLE_PROCESS_SPEC)
         assert outcome.kind is OutcomeKind.UNDETECTED_COMPROMISE
         assert outcome.goal_reached
 
     def test_root_overwrite_detected_by_uid_variation(self):
         attack = next(a for a in standard_uid_attacks() if a.name == "full-word-root-overwrite")
-        outcome = run_remote_attack_nvariant(attack, UID_DIVERSITY_SPEC)
+        outcome = run_attack(attack, UID_DIVERSITY_SPEC)
         assert outcome.kind is OutcomeKind.DETECTED
         assert not outcome.goal_reached
 
     def test_partial_overwrites_detected_by_uid_variation(self):
         for name in ("partial-1-byte-overwrite", "partial-2-byte-overwrite", "partial-3-byte-overwrite"):
             attack = next(a for a in standard_uid_attacks() if a.name == name)
-            outcome = run_uid_attack(attack, UID_DIVERSITY_SPEC)
+            outcome = run_attack(attack, UID_DIVERSITY_SPEC)
             assert outcome.kind is OutcomeKind.DETECTED, name
 
     def test_bit_flips_are_outside_the_guarantee(self):
         for name in ("low-bit-flip", "high-bit-flip"):
             attack = next(a for a in standard_uid_attacks() if a.name == name)
-            outcome = run_uid_attack(attack, UID_DIVERSITY_SPEC)
+            outcome = run_attack(attack, UID_DIVERSITY_SPEC)
             assert outcome.kind is not OutcomeKind.DETECTED, name
 
     def test_address_partitioning_does_not_stop_uid_attack(self):
         attack = next(a for a in standard_uid_attacks() if a.name == "full-word-root-overwrite")
-        outcome = run_remote_attack_nvariant(attack, ADDRESS_PARTITIONING_SPEC)
+        outcome = run_attack(attack, ADDRESS_PARTITIONING_SPEC)
         assert outcome.kind is OutcomeKind.UNDETECTED_COMPROMISE
 
     def test_masquerade_attack_reads_victim_file_when_undetected(self):
         attack = next(a for a in standard_uid_attacks() if a.name == "full-word-user-overwrite")
-        single = run_remote_attack_single(attack)
+        single = run_attack(attack, SINGLE_PROCESS_SPEC)
         assert single.goal_reached
-        protected = run_remote_attack_nvariant(attack, UID_DIVERSITY_SPEC)
+        protected = run_attack(attack, UID_DIVERSITY_SPEC)
         assert protected.detected
 
     @settings(max_examples=8, deadline=None)
@@ -132,15 +124,15 @@ class TestUIDAttackEndToEnd:
             description="property-based complete-value injection",
             payload=uid_overwrite_payload(injected_uid),
         )
-        outcome = run_remote_attack_nvariant(attack, UID_DIVERSITY_SPEC)
+        outcome = run_attack(attack, UID_DIVERSITY_SPEC)
         assert outcome.detected
 
 
 class TestAddressAndCodeInjection:
     def test_address_attack_matrix(self):
         for attack in standard_address_attacks():
-            single = run_address_attack_single(attack)
-            redundant = run_address_attack_nvariant(attack)
+            single = run_attack(attack, SINGLE_PROCESS_SPEC)
+            redundant = run_attack(attack, ADDRESS_PARTITIONING_SPEC)
             assert redundant.detected
             assert not redundant.goal_reached
             assert single.detected is False
@@ -150,6 +142,55 @@ class TestAddressAndCodeInjection:
         protected = run_code_injection_tagged()
         assert baseline.kind is OutcomeKind.UNDETECTED_COMPROMISE
         assert protected.kind is OutcomeKind.DETECTED
+
+
+#: One attack per cell builder: remote UID overwrite, in-place UID
+#: corruption, address injection.
+FAMILY_REPRESENTATIVES = (
+    "full-word-root-overwrite",
+    "low-bit-flip",
+    "absolute-address-injection",
+)
+
+
+def _standard_attack(name):
+    return next(
+        a for a in [*standard_uid_attacks(), *standard_address_attacks()] if a.name == name
+    )
+
+
+def _finished_cell(attack, spec):
+    cell = prepare_attack(attack, spec)
+    session = cell.start()
+    while not session.done:
+        session.step()
+    return session, cell.finish(session)
+
+
+class TestOneVariantCells:
+    @pytest.mark.parametrize("attack_name", FAMILY_REPRESENTATIVES)
+    def test_one_variant_spec_fields_are_honoured(self, attack_name):
+        spec = SystemSpec(
+            name="one-wide", num_variants=1, interposition="wide", max_rounds=777, transformed=True
+        )
+        session, outcome = _finished_cell(_standard_attack(attack_name), spec)
+        assert session.spec is spec
+        assert session.interposition == "wide"
+        assert session.max_rounds == 777
+        # Only the transformed build asks the kernel to decode a UID.
+        assert session.kernel.stats.syscall_breakdown.get("uid_value", 0) > 0
+        assert outcome.configuration == "one-wide"
+
+    def test_faulting_one_variant_session_is_a_crash(self):
+        attack = _standard_attack("high-partition-address-injection")
+        session, outcome = _finished_cell(attack, SINGLE_PROCESS_SPEC)
+        # The lone variant's fault is its only alarm: no sibling diverged.
+        [alarm] = session.monitor.alarms
+        assert alarm.alarm_type is AlarmType.VARIANT_FAULT
+        assert outcome.kind is OutcomeKind.CRASHED
+        assert outcome.detected is False
+        assert not outcome.goal_reached
+        assert outcome.detail.startswith("fault=segfault")
 
 
 class TestCampaignRunner:

@@ -14,6 +14,7 @@ single process.
 import pytest
 
 from repro.analysis.experiments.apps import diversity_spec
+from repro.api.campaign import run_attack
 from repro.api.spec import (
     ADDRESS_UID_SPEC,
     STANDARD_SYSTEM_SPECS,
@@ -22,12 +23,9 @@ from repro.api.spec import (
 )
 from repro.apps.catalog import RequestMixEntry, app_names, get_app
 from repro.apps.clients.webbench import WebBenchWorkload, drive_nvariant, drive_standalone
-from repro.attacks.memory_attacks import (
-    prepare_address_attack,
-    standard_address_attacks,
-)
+from repro.attacks.memory_attacks import standard_address_attacks
 from repro.attacks.outcomes import OutcomeKind
-from repro.attacks.uid_attacks import run_uid_attack, standard_uid_attacks
+from repro.attacks.uid_attacks import standard_uid_attacks
 from repro.kernel.host import build_standard_host
 
 APPS = ("httpd", "ftpd")
@@ -74,10 +72,7 @@ def test_matrix_covers_every_standard_attack():
 def test_cell_classification_is_app_independent(app, attack_name, spec_index):
     attack = _attacks(app)[attack_name]
     spec = STANDARD_SYSTEM_SPECS[spec_index]
-    if attack_name in ("absolute-address-injection", "high-partition-address-injection"):
-        outcome = prepare_address_attack(attack, spec).run()
-    else:
-        outcome = run_uid_attack(attack, spec)
+    outcome = run_attack(attack, spec)
     expected = PARITY_MATRIX[attack_name][spec_index]
     assert outcome.kind is expected, f"{app}: {outcome.describe()}"
 
@@ -89,12 +84,7 @@ def test_apps_agree_cell_for_cell(attack_name):
     for spec in STANDARD_SYSTEM_SPECS:
         kinds = []
         for app in APPS:
-            attack = _attacks(app)[attack_name]
-            if attack_name.endswith("address-injection"):
-                outcome = prepare_address_attack(attack, spec).run()
-            else:
-                outcome = run_uid_attack(attack, spec)
-            kinds.append(outcome.kind)
+            kinds.append(run_attack(_attacks(app)[attack_name], spec).kind)
         assert kinds[0] is kinds[1], f"{attack_name} @ {spec.name}: {kinds}"
 
 

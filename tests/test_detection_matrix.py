@@ -21,6 +21,7 @@ Cell semantics (:class:`repro.attacks.outcomes.OutcomeKind`):
 
 import pytest
 
+from repro.api.campaign import run_attack
 from repro.api.spec import (
     ADDRESS_ORBIT_3_SPEC,
     ADDRESS_UID_SPEC,
@@ -32,13 +33,9 @@ from repro.attacks.code_injection import (
     run_code_injection_tagged,
     run_code_injection_untagged,
 )
-from repro.attacks.memory_attacks import (
-    run_address_attack_nvariant,
-    run_address_attack_single,
-    standard_address_attacks,
-)
+from repro.attacks.memory_attacks import standard_address_attacks
 from repro.attacks.outcomes import OutcomeKind
-from repro.attacks.uid_attacks import run_uid_attack, standard_uid_attacks
+from repro.attacks.uid_attacks import standard_uid_attacks
 from repro.core.alarm import AlarmType
 
 #: The four variation configurations of the matrix, by configuration name.
@@ -86,24 +83,13 @@ def _address_attacks_by_name():
     return {attack.name: attack for attack in standard_address_attacks()}
 
 
-def _address_campaign_cell(attack, configuration: str):
-    """Run one address attack against one named configuration."""
-    spec = next(s for s in STANDARD_SYSTEM_SPECS if s.name == configuration)
-    if not spec.redundant:
-        return run_address_attack_single(attack, configuration=spec.name)
-    # UID-bearing specs carry transformed=True, which is load-bearing: the
-    # untransformed build diverges on benign traffic when UID representations
-    # differ.
-    return run_address_attack_nvariant(attack, spec)
-
-
 class TestUIDAttackMatrix:
     @pytest.mark.parametrize("configuration_index", range(len(CONFIGURATIONS)))
     @pytest.mark.parametrize("attack_name", sorted(UID_MATRIX))
     def test_cell_outcome(self, attack_name, configuration_index):
         attack = _uid_attacks_by_name()[attack_name]
         spec = STANDARD_SYSTEM_SPECS[configuration_index]
-        outcome = run_uid_attack(attack, spec)
+        outcome = run_attack(attack, spec)
         expected = UID_MATRIX[attack_name][configuration_index]
         assert outcome.kind is expected, outcome.describe()
 
@@ -113,14 +99,14 @@ class TestUIDAttackMatrix:
     def test_remote_detection_is_uid_divergence(self):
         """The guaranteed detections classify as UID divergence, not noise."""
         attack = _uid_attacks_by_name()["full-word-root-overwrite"]
-        outcome = run_uid_attack(attack, UID_DIVERSITY_SPEC)
+        outcome = run_attack(attack, UID_DIVERSITY_SPEC)
         assert outcome.kind is DET
         assert AlarmType.UID_DIVERGENCE.value in outcome.detail
 
     def test_shadow_never_leaks_from_protected_configuration(self):
         """Detected means stopped: no protected run may still reach the goal."""
         for attack in standard_uid_attacks():
-            outcome = run_uid_attack(attack, ADDRESS_UID_SPEC)
+            outcome = run_attack(attack, ADDRESS_UID_SPEC)
             if outcome.kind is DET:
                 assert not outcome.goal_reached, outcome.describe()
 
@@ -130,8 +116,10 @@ class TestAddressAttackMatrix:
     @pytest.mark.parametrize("attack_name", sorted(ADDRESS_MATRIX))
     def test_cell_outcome(self, attack_name, configuration_index):
         attack = _address_attacks_by_name()[attack_name]
-        configuration = CONFIGURATIONS[configuration_index]
-        outcome = _address_campaign_cell(attack, configuration)
+        # UID-bearing specs carry transformed=True, which is load-bearing: the
+        # untransformed build diverges on benign traffic when UID
+        # representations differ.
+        outcome = run_attack(attack, STANDARD_SYSTEM_SPECS[configuration_index])
         expected = ADDRESS_MATRIX[attack_name][configuration_index]
         assert outcome.kind is expected, outcome.describe()
 
@@ -147,7 +135,7 @@ class TestOrbitMatrixExtension:
     def test_address_orbit_detects_every_injection(self, attack_name):
         attack = _address_attacks_by_name()[attack_name]
         for spec in (ADDRESS_ORBIT_3_SPEC, COMBINED_ORBIT_3_SPEC):
-            outcome = run_address_attack_nvariant(attack, spec)
+            outcome = run_attack(attack, spec)
             assert outcome.kind is DET, outcome.describe()
 
     @pytest.mark.parametrize("attack_name", sorted(UID_MATRIX))
@@ -156,7 +144,7 @@ class TestOrbitMatrixExtension:
         the UID guarantee: the combined N=3 column equals the paper's
         2-variant address+uid column cell for cell."""
         attack = _uid_attacks_by_name()[attack_name]
-        outcome = run_uid_attack(attack, COMBINED_ORBIT_3_SPEC)
+        outcome = run_attack(attack, COMBINED_ORBIT_3_SPEC)
         expected = UID_MATRIX[attack_name][CONFIGURATIONS.index("2-variant-address+uid")]
         assert outcome.kind is expected, outcome.describe()
 

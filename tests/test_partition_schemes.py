@@ -363,24 +363,23 @@ class TestMemoryAttacksAtN3:
         ids=lambda spec: spec.name,
     )
     def test_every_standard_address_attack_detected(self, spec):
-        from repro.attacks.memory_attacks import (
-            run_address_attack_nvariant,
-            standard_address_attacks,
-        )
+        from repro.api.campaign import run_attack
+        from repro.attacks.memory_attacks import standard_address_attacks
 
         for attack in standard_address_attacks():
-            outcome = run_address_attack_nvariant(attack, spec)
+            outcome = run_attack(attack, spec)
             assert outcome.detected, outcome.describe()
             assert not outcome.goal_reached
 
     def test_combined_orbit_detects_uid_attacks_too(self):
+        from repro.api.campaign import run_attack
         from repro.attacks.outcomes import OutcomeKind
-        from repro.attacks.uid_attacks import run_uid_attack, standard_uid_attacks
+        from repro.attacks.uid_attacks import standard_uid_attacks
 
         for attack in standard_uid_attacks():
             if attack.name in ("low-bit-flip", "high-bit-flip"):
                 continue  # the documented bit-granular exclusions
-            outcome = run_uid_attack(attack, COMBINED_ORBIT_3_SPEC)
+            outcome = run_attack(attack, COMBINED_ORBIT_3_SPEC)
             assert outcome.kind is OutcomeKind.DETECTED, outcome.describe()
 
 

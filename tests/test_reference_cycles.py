@@ -20,13 +20,16 @@ from pathlib import Path
 import pytest
 
 from repro.api.cli import load_scenario, run_scenario
-from repro.api.spec import ADDRESS_UID_SPEC, FleetSpec, WorkloadSpec, uid_orbit_spec
+from repro.api.spec import (
+    ADDRESS_PARTITIONING_SPEC,
+    ADDRESS_UID_SPEC,
+    FleetSpec,
+    WorkloadSpec,
+    uid_orbit_spec,
+)
 from repro.apps.catalog import get_app
 from repro.apps.clients.webbench import drive_engine
-from repro.attacks.memory_attacks import (
-    prepare_address_attack_nvariant,
-    standard_address_attacks,
-)
+from repro.attacks.memory_attacks import prepare_address_attack, standard_address_attacks
 from repro.corpus.generator import generate_corpus
 from repro.corpus.runner import run_corpus_records
 from repro.engine import SessionState
@@ -116,7 +119,7 @@ def test_failed_open_loop_run_releases_the_accept_hook(monkeypatch):
 
 def test_stored_fault_keeps_no_traceback():
     attack = standard_address_attacks()[0]
-    cell = prepare_address_attack_nvariant(attack)
+    cell = prepare_address_attack(attack, ADDRESS_PARTITIONING_SPEC)
     session = cell.start()
     while not session.done:
         session.step()
