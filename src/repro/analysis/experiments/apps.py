@@ -139,7 +139,6 @@ class AppsResult:
             ] = bool(measurements) and all(m.completed_ok for m in measurements)
         return claims
 
-
     # -- report ------------------------------------------------------------------
 
     def to_report(self) -> ExperimentReport:

@@ -70,7 +70,6 @@ class CorpusResult:
             ),
         }
 
-
     def to_report(self) -> ExperimentReport:
         """The graded corpus as a shared experiment report."""
         card = self.scorecard

@@ -105,7 +105,6 @@ class DetectionMatrixResult:
             ),
         }
 
-
     def to_report(self) -> ExperimentReport:
         """The matrix and claim evaluation as a shared experiment report."""
         uid_table = self.uid_report.matrix_table(

@@ -131,7 +131,6 @@ class EntropyResult:
             "seeded trials replay identically": self.replay_identical,
         }
 
-
     def to_report(self) -> ExperimentReport:
         """The game as a shared experiment report."""
         curve_rows = []

@@ -167,7 +167,6 @@ class LoadTestResult:
             ] = self.migration_base[field] == self.migration_moved[field]
         return claims
 
-
     # -- report ------------------------------------------------------------------
 
     def to_report(self) -> ExperimentReport:

@@ -101,7 +101,6 @@ class NScalingResult:
             ),
         }
 
-
     def to_report(self) -> ExperimentReport:
         """The sweep as a shared experiment report."""
         rows = []

@@ -47,7 +47,6 @@ class Table1Result:
 
     rows: list[Table1Row]
 
-
     def to_report(self) -> ExperimentReport:
         """The table plus property checks as a shared experiment report."""
         table = ReportTable(

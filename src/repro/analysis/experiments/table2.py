@@ -47,7 +47,6 @@ class Table2Result:
 
     checks: list[DetectionCallCheck]
 
-
     def to_report(self) -> ExperimentReport:
         """The table and behaviour summary as a shared experiment report."""
         table = ReportTable(

@@ -22,6 +22,7 @@ Attack modules are imported lazily inside the functions that need them: they
 build their systems through :mod:`repro.api.builders`, so a module-level
 import of them here would be circular.
 """
+
 from __future__ import annotations
 
 import dataclasses

@@ -9,6 +9,7 @@ baseline included.  Run one attack against one system with
 :class:`~repro.api.campaign.CampaignReport` stays importable from here for
 report-consuming callers.
 """
+
 from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(

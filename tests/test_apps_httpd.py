@@ -196,6 +196,10 @@ _STREAMS = st.builds(
 )
 
 
+#: A response head up to its Content-Length value.
+_LENGTH = b"HTTP/1.0 200 OK\r\nContent-Length: "
+
+
 class TestResponseFraming:
     def test_pipelined_responses_split_into_their_frames(self):
         first = error_response(404, "gone").to_bytes()
@@ -223,13 +227,13 @@ class TestResponseFraming:
             (b"HTTP/1.0 OK\r\n\r\n", "non-numeric status: 'OK'"),
             (b"HTTP/1.0 +200 OK\r\n\r\n", "non-numeric status: '+200'"),
             (b"HTTP/1.0 2_00 OK", "non-numeric status: '2_00'"),
-            (b"HTTP/1.0 200 OK\r\nContent-Length: 1_0\r\n\r\nab", "non-numeric Content-Length: '1_0'"),
-            (b"HTTP/1.0 200 OK\r\nContent-Length: +3\r\n\r\nabc", "non-numeric Content-Length: '+3'"),
-            (b"HTTP/1.0 200 OK\r\nContent-Length: abc\r\n\r\n", "non-numeric Content-Length: 'abc'"),
-            (b"HTTP/1.0 200 OK\r\nContent-Length:\r\n\r\n", "non-numeric Content-Length: ''"),
+            (_LENGTH + b"1_0\r\n\r\nab", "non-numeric Content-Length: '1_0'"),
+            (_LENGTH + b"+3\r\n\r\nabc", "non-numeric Content-Length: '+3'"),
+            (_LENGTH + b"abc\r\n\r\n", "non-numeric Content-Length: 'abc'"),
+            (_LENGTH + b"\r\n\r\n", "non-numeric Content-Length: ''"),
             # A superscript two is a digit to str.isdigit, but not ASCII.
-            (b"HTTP/1.0 200 OK\r\nContent-Length: \xb2\r\n\r\nab", "non-numeric Content-Length: '\xb2'"),
-            (b"HTTP/1.0 200 OK\r\nContent-Length: -3\r\n\r\nabc", "negative Content-Length: -3"),
+            (_LENGTH + b"\xb2\r\n\r\nab", "non-numeric Content-Length: '\xb2'"),
+            (_LENGTH + b"-3\r\n\r\nabc", "negative Content-Length: -3"),
         ],
     )
     def test_a_status_or_length_of_anything_but_digits_is_a_parse_error(
