@@ -38,11 +38,11 @@ from repro.engine.campaign import (
     CampaignJob,
     run_jobs,
 )
-from repro.engine.procpool import ProcessWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the import cycle
     from repro.attacks.memory_attacks import AddressInjectionAttack
     from repro.attacks.uid_attacks import UIDAttack
+    from repro.engine.procpool import ProcessWorkerPool
 
     Attack = UIDAttack | AddressInjectionAttack
 

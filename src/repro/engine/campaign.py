@@ -86,7 +86,6 @@ class CampaignScheduler:
         parallelism: int = 1,
         rounds_per_turn: int = 8,
         halt_policy: CampaignHaltPolicy = CampaignHaltPolicy.PER_CELL,
-        max_turns: int = 10_000_000,
     ):
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -96,7 +95,6 @@ class CampaignScheduler:
         self.parallelism = parallelism
         self.rounds_per_turn = rounds_per_turn
         self.halt_policy = halt_policy
-        self.max_turns = max_turns
 
     def run(self) -> CampaignExecutionResult:
         """Run every job to completion (or to a campaign-wide halt)."""
@@ -121,7 +119,6 @@ class CampaignScheduler:
             slots=self.parallelism,
             rounds_per_turn=self.rounds_per_turn,
             halt_all=self.halt_policy is CampaignHaltPolicy.HALT_CAMPAIGN,
-            max_turns=self.max_turns,
             finish=finish,
         )
 

@@ -38,6 +38,10 @@ from repro.engine.session import NVariantSession, SessionState
 _RUNNING = SessionState.RUNNING
 _HALTED = SessionState.HALTED
 
+#: The most scheduling turns one :func:`run_round_robin` call may take: a
+#: guard against a session that never ends, far above any real run.
+MAX_TURNS = 10_000_000
+
 
 class HaltPolicy(enum.Enum):
     """What an alarm in one session means for its siblings."""
@@ -177,7 +181,6 @@ def run_round_robin(
     slots: int,
     rounds_per_turn: int,
     halt_all: bool,
-    max_turns: int,
     finish: Callable[[int, NVariantSession], Any],
 ) -> CampaignExecutionResult:
     """Step *sessions* round-robin until every one has ended.
@@ -245,8 +248,8 @@ def run_round_robin(
             max_live = len(live)
         previous = turns
         turns += 1
-        if turns > max_turns:
-            raise RuntimeError(f"scheduler exceeded {max_turns} scheduling turns")
+        if turns > MAX_TURNS:
+            raise RuntimeError(f"scheduler exceeded {MAX_TURNS} scheduling turns")
         ended: list[_Live] = []
         for entry in live:
             if entry.last_turn != previous:
@@ -295,12 +298,10 @@ class MultiSessionEngine:
         sessions: Iterable[NVariantSession] = (),
         *,
         halt_policy: HaltPolicy = HaltPolicy.PER_SESSION,
-        max_turns: int = 10_000_000,
         name: str = "engine",
     ):
         self.name = name
         self.halt_policy = halt_policy
-        self.max_turns = max_turns
         self._sessions: list[NVariantSession] = []
         for session in sessions:
             self.add_session(session)
@@ -331,7 +332,6 @@ class MultiSessionEngine:
             slots=len(sessions),
             rounds_per_turn=1,
             halt_all=self.halt_policy is HaltPolicy.HALT_ALL,
-            max_turns=self.max_turns,
             finish=_session_result,
         )
 

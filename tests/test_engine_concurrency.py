@@ -27,6 +27,7 @@ from repro.engine import (
     SessionState,
     run_sessions,
 )
+from repro.engine import scheduler
 from repro.kernel.host import HTTP_PORT, build_standard_host
 
 
@@ -524,6 +525,13 @@ class TestStepGuards:
         assert isinstance(raised.value, RuntimeError)
         assert session.rounds == 3
         assert session.state is SessionState.RUNNING
+
+    def test_scheduling_past_the_turn_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "MAX_TURNS", 3)
+        session = NVariantSession(build_standard_host(), _looping_factory(None), [])
+        with pytest.raises(RuntimeError, match="exceeded 3 scheduling turns"):
+            MultiSessionEngine([session]).run()
+        assert session.rounds == 3
 
     @pytest.mark.parametrize("halt", [False, True])
     def test_stepping_a_terminal_session_changes_nothing(self, halt):

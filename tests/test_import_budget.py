@@ -97,6 +97,13 @@ def test_import_repro_loads_only_the_package_and_its_version():
     assert set(HASHLIB).isdisjoint(loaded)
 
 
+def test_the_campaign_layer_loads_no_process_pool():
+    # The pool is named only in an annotation; the process backend imports it
+    # when a run asks for it.
+    loaded = run_fresh("import repro.api.campaign")
+    assert {"multiprocessing", "repro.engine.procpool"}.isdisjoint(loaded)
+
+
 @pytest.mark.parametrize(
     "arguments", ["examples/scenarios/loadtest.json", "examples/scenarios/campaign.json --seed 7"]
 )
