@@ -46,6 +46,8 @@
 #                            each workload; fails only on a wrong output, never
 #                            on a timing (not part of `make check`)
 #   make examples         -- run each example script end to end
+#   make size             -- the line count of src/ (the ROADMAP's size figure);
+#                            printed, never gated
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -57,7 +59,7 @@ SCENARIOS := $(wildcard examples/scenarios/*.json)
 
 .PHONY: test check check-parallel check-procs check-bench check-keyed \
 	check-corpus check-apps check-load check-gc round-budget experiments-smoke bench bench-smoke \
-	bench-procpool-smoke bench-diff bench-wall figures examples
+	bench-procpool-smoke bench-diff bench-wall figures examples size
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -216,3 +218,7 @@ examples:
 		echo "== $$example"; \
 		$(PYTHON) $$example > /dev/null; \
 	done; echo "all examples ok"
+
+# The size figure every change reports, counted as ROADMAP.md counts it.
+size:
+	@find src -name '*.py' | xargs cat | wc -l

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.apps.server import parse_directives
 from repro.kernel.host import (
     FTP_DATA_PORT,
     FTP_ERROR_LOG,
@@ -31,6 +32,21 @@ class FtpConfig:
     transfer_log: str = FTP_TRANSFER_LOG
     admin_user: str = "root"
     max_command_size: int = 8192
+
+    @property
+    def listen_ports(self) -> tuple[int, ...]:
+        """The ports the server skeleton listens on: commands, then data."""
+        return (self.listen_port, self.data_port)
+
+    @property
+    def request_log(self) -> str:
+        """The per-request log the server skeleton writes: the transfer log."""
+        return self.transfer_log
+
+    @property
+    def max_request_size(self) -> int:
+        """The skeleton's request size limit: the longest command line."""
+        return self.max_command_size
 
     def validate(self) -> None:
         """Sanity-check the configuration values."""
@@ -62,27 +78,6 @@ _DIRECTIVES = {
 
 
 def parse_ftp_config(text: str) -> FtpConfig:
-    """Parse ``ftpd.conf`` contents into an :class:`FtpConfig`.
-
-    Unknown directives are ignored; malformed values raise ``ValueError`` so
-    misconfiguration surfaces at startup rather than at privilege-drop time.
-    """
-    config = FtpConfig()
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise ValueError(f"malformed directive on line {line_number}: {raw_line!r}")
-        directive, value = parts[0].lower(), parts[1].strip()
-        entry = _DIRECTIVES.get(directive)
-        if entry is None:
-            continue
-        attribute, parser = entry
-        try:
-            setattr(config, attribute, parser(value))
-        except ValueError as error:
-            raise ValueError(f"bad value for {parts[0]} on line {line_number}: {error}") from error
-    config.validate()
-    return config
+    """Parse ``ftpd.conf`` contents into an :class:`FtpConfig` (see
+    :func:`~repro.apps.server.parse_directives` for the rules)."""
+    return parse_directives(text, FtpConfig(), _DIRECTIVES)

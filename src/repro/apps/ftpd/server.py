@@ -1,17 +1,19 @@
 """The mini wu-ftpd: the second serving workload.
 
-A single-process command/data-channel file server written against the same
-simulated system-call interface as the mini-httpd, demonstrating that the
-framework's protections are properties of the *system*, not of one
-application.  Its privilege lifecycle is the same pattern the paper targets:
-the server starts as root, maps its configured ``User``/``Group`` to numeric
-ids via ``/etc/passwd``, caches those ids in memory, and *per transfer* drops
-its effective uid to the worker id, reads the file, and escalates back to
-root for logging.
+A single-process command/data-channel file server on the same server
+skeleton as the mini-httpd (:class:`repro.apps.server.MiniServer`),
+demonstrating that the framework's protections are properties of the
+*system*, not of one application.  Its privilege lifecycle is the same
+pattern the paper targets: the server starts as root, maps its configured
+``User``/``Group`` to numeric ids via ``/etc/passwd``, caches those ids in
+memory, and *per transfer* drops its effective uid to the worker id, reads
+the file, and escalates back to root for logging.  This module is the FTP
+side: pairing each command connection with its data channel, and the verbs.
 
 Crucially the cached ids live in the **identical** vulnerable memory layout
-as the httpd's (:func:`repro.apps.httpd.vulnerable.build_server_state` is
-reused verbatim): a fixed 64-byte annotation buffer copied into without
+as the httpd's (the skeleton builds it with
+:func:`repro.apps.httpd.vulnerable.build_server_state`): a fixed 64-byte
+annotation buffer copied into without
 bounds checks (``SITE ANNOTATE``, the FTP analogue of the ``X-Annotation``
 header) sits directly in front of the worker uid/gid, admin uid and banner
 pointer.  The same overflow payload bytes therefore corrupt the same fields
@@ -37,25 +39,12 @@ the httpd -- so a privilege-retention attack has an observable goal.
 from __future__ import annotations
 
 import posixpath
-from typing import Generator, Optional
 
-from repro.apps.ftpd.config import FtpConfig, parse_ftp_config
-from repro.apps.httpd.server import ServedRequest, ServerReport
-from repro.apps.httpd.vulnerable import (
-    ServerStateLayout,
-    build_server_state,
-    copy_annotation_header,
-    read_banner,
-)
-from repro.core.nvariant import UIDCodec, VariantContext
-from repro.kernel.filesystem import O_APPEND, O_RDONLY, O_WRONLY
+from repro.apps.ftpd.config import parse_ftp_config
+from repro.apps.httpd.vulnerable import copy_annotation_header, read_banner
+from repro.apps.server import Connection, MiniServer
+from repro.kernel.filesystem import O_RDONLY
 from repro.kernel.host import FTPD_CONF
-from repro.kernel.libc import Libc
-from repro.kernel.passwd import UserDatabase
-from repro.kernel.syscalls import SyscallRequest, SyscallResult
-from repro.memory.address_space import AddressSpace
-
-ServerProgram = Generator[SyscallRequest, SyscallResult, ServerReport]
 
 #: Greeting sent on every accepted command connection.
 GREETING = b"220 mini-ftpd ready\r\n"
@@ -66,142 +55,29 @@ def split_commands(raw: bytes) -> list[bytes]:
     return [line for line in raw.split(b"\r\n") if line]
 
 
-class _FtpConnection:
-    """One live command connection and its paired data channel."""
+class MiniFtpd(MiniServer):
+    """One build of the second case-study server (parameters: :class:`MiniServer`).
 
-    def __init__(self, fd: int, data_fd: Optional[int], pending: list[bytes]):
-        self.fd = fd
-        self.data_fd = data_fd
-        self.pending = pending
-
-
-class MiniFtpd:
-    """One build of the second case-study server.
-
-    Parameters mirror :class:`repro.apps.httpd.server.MiniHttpd`:
-    ``transformed`` selects the original or UID-transformed build,
-    ``max_requests`` budgets the number of ``RETR`` transfers served, and
-    ``multiplex`` bounds how many conversations are interleaved (one transfer
-    per live connection per turn).
+    ``max_requests`` budgets the number of ``RETR`` transfers served, and a
+    turn serves one transfer of a conversation.
     """
 
-    def __init__(
-        self,
-        libc: Libc,
-        uid_codec: UIDCodec,
-        address_space: AddressSpace,
-        *,
-        transformed: bool = False,
-        max_requests: Optional[int] = None,
-        multiplex: int = 1,
-        config_path: str = FTPD_CONF,
-    ):
-        if multiplex < 1:
-            raise ValueError("multiplex must be at least 1")
-        self.libc = libc
-        self.codec = uid_codec if transformed else UIDCodec.identity()
-        self.address_space = address_space
-        self.transformed = transformed
-        self.max_requests = max_requests
-        self.multiplex = multiplex
-        self.config_path = config_path
-        self.config: Optional[FtpConfig] = None
-        self.layout: Optional[ServerStateLayout] = None
-        self.report = ServerReport()
+    default_config_path = FTPD_CONF
+    log_verb = "retrieving"
+    parse_config = staticmethod(parse_ftp_config)
 
-    # -- small generator helpers ------------------------------------------------
+    # -- the protocol ----------------------------------------------------------------------
 
-    def _read_whole_file(self, path: str):
-        """Open, read fully and close *path*; returns (ok, data bytes)."""
+    def _admit(self, conn_fd: int, data: bytes):
+        """Pair a command connection with its data channel, and greet it."""
         libc = self.libc
-        opened = yield from libc.open(path, O_RDONLY)
-        if not opened.ok:
-            return False, b""
-        fd = opened.value
-        chunks = []
-        while True:
-            chunk = yield from libc.read(fd, 4096)
-            if not chunk.ok or not chunk.value:
-                break
-            chunks.append(chunk.value)
-        yield from libc.close(fd)
-        return True, b"".join(chunks)
-
-    def _is_root(self):
-        """UID comparison against root, in the build-appropriate form."""
-        libc = self.libc
-        euid = (yield from libc.geteuid()).value
-        if self.transformed:
-            result = yield from libc.cc_eq(euid, self.codec.root)
-            return bool(result.value)
-        return euid == 0
-
-    def _expose_uid(self, uid: int):
-        """uid_value() exposure of a single UID use (transformed build only)."""
-        if self.transformed:
-            result = yield from self.libc.uid_value(uid)
-            return result.value
-        return uid
-
-    # -- startup --------------------------------------------------------------------
-
-    def _startup(self):
-        """Read configuration and accounts, build state, bind both sockets.
-
-        Returns ``(cmd_listen_fd, data_listen_fd, error_fd, transfer_fd)`` or
-        raises ``RuntimeError`` on unrecoverable misconfiguration.
-        """
-        libc = self.libc
-
-        ok, conf_bytes = yield from self._read_whole_file(self.config_path)
-        if not ok:
-            raise RuntimeError(f"cannot read configuration {self.config_path}")
-        self.config = parse_ftp_config(conf_bytes.decode())
-
-        ok, passwd_bytes = yield from self._read_whole_file("/etc/passwd")
-        if not ok:
-            raise RuntimeError("cannot read /etc/passwd")
-        ok, group_bytes = yield from self._read_whole_file("/etc/group")
-        if not ok:
-            raise RuntimeError("cannot read /etc/group")
-        database = UserDatabase.from_text(passwd_bytes.decode(), group_bytes.decode())
-
-        worker_entry = database.getpwnam(self.config.user)
-        group_entry = database.getgrnam(self.config.group)
-        admin_entry = database.getpwnam(self.config.admin_user)
-
-        worker_uid = yield from self._expose_uid(worker_entry.uid)
-        worker_gid = group_entry.gid
-        admin_uid = yield from self._expose_uid(admin_entry.uid)
-
-        # The httpd's vulnerable layout, reused byte-for-byte: the same
-        # overflow payloads reach the same fields in both applications.
-        self.layout = build_server_state(
-            self.address_space,
-            worker_uid=worker_uid,
-            worker_gid=worker_gid,
-            admin_uid=admin_uid,
-        )
-
-        error_fd = (yield from libc.open(self.config.error_log, O_WRONLY | O_APPEND)).value
-        transfer_fd = (yield from libc.open(self.config.transfer_log, O_WRONLY | O_APPEND)).value
-
-        cmd_sock = yield from libc.socket()
-        cmd_listen_fd = cmd_sock.value
-        bound = yield from libc.bind(cmd_listen_fd, self.config.listen_port)
-        if not bound.ok:
-            raise RuntimeError(f"cannot bind port {self.config.listen_port}: {bound.errno.name}")
-        yield from libc.listen(cmd_listen_fd, 128)
-
-        data_sock = yield from libc.socket()
-        data_listen_fd = data_sock.value
-        bound = yield from libc.bind(data_listen_fd, self.config.data_port)
-        if not bound.ok:
-            raise RuntimeError(f"cannot bind port {self.config.data_port}: {bound.errno.name}")
-        yield from libc.listen(data_listen_fd, 128)
-        return cmd_listen_fd, data_listen_fd, error_fd, transfer_fd
-
-    # -- command handling ----------------------------------------------------------------
+        # The data channel was pre-connected by the client and is accepted
+        # FIFO from the data port's listener: n-th command connection, n-th
+        # data channel.
+        data_accepted = yield from libc.accept(self.listen_fds[1])
+        data_fd = data_accepted.value if data_accepted.ok else None
+        yield from libc.send(conn_fd, GREETING)
+        return Connection(conn_fd, split_commands(data), data_fd)
 
     def _resolve_path(self, request_path: str) -> str:
         """Map a RETR argument onto the filesystem -- without '..' sanitisation."""
@@ -210,38 +86,7 @@ class MiniFtpd:
         # makes a privilege-retention attack observable (same as the httpd).
         return posixpath.join(self.config.ftp_root, path.lstrip("/"))
 
-    def _drop_privileges(self):
-        """Per-transfer privilege drop using the cached (possibly corrupted) ids."""
-        libc = self.libc
-        worker_uid = self.layout.worker_uid.get()
-        worker_gid = self.layout.worker_gid.get()
-        am_root = yield from self._is_root()
-        if am_root:
-            yield from libc.setegid(worker_gid)
-            yield from libc.seteuid(worker_uid)
-        return am_root
-
-    def _restore_privileges(self):
-        """Escalate back to root for logging and administrative work."""
-        libc = self.libc
-        yield from libc.seteuid(self.codec.constant(0))
-        yield from libc.setegid(self.codec.constant(0))
-
-    def _log(self, error_fd: int, transfer_fd: int, path: str, status: int, size: int):
-        """Write transfer and error log records (as root)."""
-        libc = self.libc
-        yield from libc.write(transfer_fd, f'client - "{path}" {status} {size}\n')
-        if status >= 400:
-            if self.transformed:
-                # The paper's workaround: drop the UID value from the message
-                # so the diversified representations cannot diverge in output.
-                message = f"[error] status {status} retrieving {path}\n"
-            else:
-                euid = (yield from libc.geteuid()).value
-                message = f"[error] status {status} retrieving {path} euid={euid}\n"
-            yield from libc.write(error_fd, message)
-
-    def _serve_retr(self, connection: _FtpConnection, path: str, error_fd: int, transfer_fd: int):
+    def _serve_retr(self, connection: Connection, path: str):
         """One transfer: banner deref, privilege drop, read, data-channel send."""
         libc = self.libc
 
@@ -280,19 +125,10 @@ class MiniFtpd:
         euid_during = (yield from libc.geteuid()).value
         if was_root:
             yield from self._restore_privileges()
-        yield from self._log(error_fd, transfer_fd, path, status, len(content))
+        yield from self._log(path, status, len(content))
+        self.report.record(path, status, len(content), euid_during)
 
-        self.report.requests_handled += 1
-        self.report.served.append(
-            ServedRequest(
-                path=path,
-                status=status,
-                bytes_sent=len(content),
-                euid_during_serve=euid_during,
-            )
-        )
-
-    def _serve_turn(self, connection: _FtpConnection, error_fd: int, transfer_fd: int):
+    def _serve_turn(self, connection: Connection):
         """Process commands until one transfer is served; True when finished."""
         libc = self.libc
         while connection.pending:
@@ -317,7 +153,7 @@ class MiniFtpd:
                 else:
                     yield from libc.send(connection.fd, b"502 SITE command not implemented.\r\n")
             elif verb == "RETR":
-                yield from self._serve_retr(connection, argument, error_fd, transfer_fd)
+                yield from self._serve_retr(connection, argument)
                 # One transfer per turn; the conversation resumes next turn.
                 return not connection.pending
             elif verb == "QUIT":
@@ -327,99 +163,7 @@ class MiniFtpd:
                 yield from libc.send(connection.fd, b"502 Command not implemented.\r\n")
         return True
 
-    def _close_connection(self, connection: _FtpConnection):
-        libc = self.libc
-        if connection.data_fd is not None:
-            yield from libc.shutdown(connection.data_fd)
-            yield from libc.close(connection.data_fd)
-        yield from libc.shutdown(connection.fd)
-        yield from libc.close(connection.fd)
 
-    # -- the program ----------------------------------------------------------------------------
-
-    def run(self) -> ServerProgram:
-        """The server program: startup, multiplexed conversation loop, shutdown."""
-        libc = self.libc
-        cmd_listen_fd, data_listen_fd, error_fd, transfer_fd = yield from self._startup()
-
-        active: list[_FtpConnection] = []
-        #: Like the httpd: a failed accept means no client will connect
-        #: again, so it permanently closes admission.
-        accepting = True
-
-        def budget_left() -> bool:
-            return self.max_requests is None or self.report.requests_handled < self.max_requests
-
-        while True:
-            while accepting and budget_left() and len(active) < self.multiplex:
-                accepted = yield from libc.accept(cmd_listen_fd)
-                if not accepted.ok:
-                    accepting = False
-                    break
-                conn_fd = accepted.value
-                # Drain the conversation: the scripted client has already
-                # half-closed, exactly like the httpd's keep-alive pipelines.
-                chunks = []
-                while True:
-                    chunk = (
-                        yield from libc.recv(conn_fd, self.config.max_command_size + 4096)
-                    ).value
-                    if not chunk:
-                        break
-                    chunks.append(chunk)
-                # The paired data channel was pre-connected by the client and
-                # is accepted FIFO: n-th command connection, n-th data channel.
-                data_accepted = yield from libc.accept(data_listen_fd)
-                data_fd = data_accepted.value if data_accepted.ok else None
-                yield from libc.send(conn_fd, GREETING)
-                active.append(_FtpConnection(conn_fd, data_fd, split_commands(b"".join(chunks))))
-            if not active or not budget_left():
-                break
-
-            for connection in list(active):
-                if not budget_left():
-                    break
-                finished = yield from self._serve_turn(connection, error_fd, transfer_fd)
-                if finished:
-                    yield from self._close_connection(connection)
-                    active.remove(connection)
-
-        # Budget exhausted with conversations still open: close them unserved.
-        for connection in active:
-            yield from self._close_connection(connection)
-
-        yield from libc.shutdown(cmd_listen_fd)
-        yield from libc.close(cmd_listen_fd)
-        yield from libc.shutdown(data_listen_fd)
-        yield from libc.close(data_listen_fd)
-        yield from libc.close(error_fd)
-        yield from libc.close(transfer_fd)
-        yield from libc.exit(0)
-        return self.report
-
-
-def make_ftpd_factory(
-    *,
-    transformed: bool = True,
-    max_requests: Optional[int] = None,
-    multiplex: int = 1,
-    config_path: str = FTPD_CONF,
-    servers: Optional[list[MiniFtpd]] = None,
-):
-    """Build a program factory, optionally collecting the MiniFtpd instances."""
-
-    def factory(context: VariantContext) -> ServerProgram:
-        server = MiniFtpd(
-            context.libc,
-            context.uid_codec,
-            context.address_space,
-            transformed=transformed,
-            max_requests=max_requests,
-            multiplex=multiplex,
-            config_path=config_path,
-        )
-        if servers is not None:
-            servers.append(server)
-        return server.run()
-
-    return factory
+#: Build a program factory, optionally collecting the MiniFtpd instances
+#: (see :meth:`MiniServer.factory`).
+make_ftpd_factory = MiniFtpd.factory

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.apps.server import parse_directives
 from repro.kernel.host import ACCESS_LOG, DOCROOT, ERROR_LOG, HTTP_PORT
 
 
@@ -26,6 +27,16 @@ class ServerConfig:
     access_log: str = ACCESS_LOG
     admin_user: str = "root"
     max_request_size: int = 8192
+
+    @property
+    def listen_ports(self) -> tuple[int, ...]:
+        """The ports the server skeleton listens on, in bind order."""
+        return (self.listen_port,)
+
+    @property
+    def request_log(self) -> str:
+        """The per-request log the server skeleton writes: the access log."""
+        return self.access_log
 
     def validate(self) -> None:
         """Sanity-check the configuration values."""
@@ -53,28 +64,6 @@ _DIRECTIVES = {
 
 
 def parse_config(text: str) -> ServerConfig:
-    """Parse ``httpd.conf`` contents into a :class:`ServerConfig`.
-
-    Unknown directives are ignored (as Apache does for modules that are not
-    loaded); malformed values raise ``ValueError`` so misconfiguration is
-    caught at startup rather than at privilege-drop time.
-    """
-    config = ServerConfig()
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise ValueError(f"malformed directive on line {line_number}: {raw_line!r}")
-        directive, value = parts[0].lower(), parts[1].strip()
-        entry = _DIRECTIVES.get(directive)
-        if entry is None:
-            continue
-        attribute, parser = entry
-        try:
-            setattr(config, attribute, parser(value))
-        except ValueError as error:
-            raise ValueError(f"bad value for {parts[0]} on line {line_number}: {error}") from error
-    config.validate()
-    return config
+    """Parse ``httpd.conf`` contents into a :class:`ServerConfig` (see
+    :func:`~repro.apps.server.parse_directives` for the rules)."""
+    return parse_directives(text, ServerConfig(), _DIRECTIVES)

@@ -18,6 +18,10 @@ operate on.  It provides:
   library and the detection-property analyses.
 """
 
+# The kernel's processes own address spaces, and this package raises the
+# kernel's SegmentationFault: loading the kernel first lets either package be
+# imported first.
+import repro.kernel  # noqa: F401
 from repro.memory.address_space import ADDRESS_MASK, PARTITION_BIT, AddressSpace
 from repro.memory.partition import (
     ExtendedOrbitScheme,

@@ -24,6 +24,9 @@ from repro.kernel.host import FTP_DATA_PORT, FTP_PORT, build_standard_host, inst
 
 
 class TestFtpConfig:
+    """The ftpd's own directives; the parser's shared cases run on both apps
+    in ``test_apps_httpd.py``."""
+
     def test_defaults_parse_back(self):
         config = parse_ftp_config(
             "Listen 21\nDataPort 20\nUser daemon\nGroup daemon\n"
@@ -31,14 +34,6 @@ class TestFtpConfig:
         )
         assert config.listen_port == 21 and config.data_port == 20
         assert config.user == "daemon" and config.admin_user == "root"
-
-    def test_unknown_directives_are_ignored(self):
-        config = parse_ftp_config("PassivePorts 5000-5100\nListen 2121\n")
-        assert config.listen_port == 2121
-
-    def test_malformed_value_raises(self):
-        with pytest.raises(ValueError):
-            parse_ftp_config("Listen twenty-one\n")
 
     def test_equal_ports_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.apps.clients.webbench import (
     drive_nvariant,
     drive_standalone,
 )
+from repro.apps.ftpd.config import FtpConfig, parse_ftp_config
 from repro.apps.httpd.config import ServerConfig, parse_config
 from repro.apps.httpd.http import (
     HttpParseError,
@@ -39,6 +40,11 @@ from repro.memory.address_space import AddressSpace
 from repro.memory.partition import HighBitScheme
 
 
+#: Each app's directive parser and config class: both parse through
+#: ``repro.apps.server.parse_directives``, so one fault gives one text.
+CONFIGS = {"httpd": (parse_config, ServerConfig), "ftpd": (parse_ftp_config, FtpConfig)}
+
+
 class TestConfig:
     def test_parse_default_config(self):
         config = parse_config(DEFAULT_HTTPD_CONF)
@@ -46,21 +52,42 @@ class TestConfig:
         assert config.user == "www-data"
         assert config.document_root == "/var/www/html"
 
-    def test_unknown_directives_ignored(self):
-        config = parse_config("Listen 8080\nFancyModule on\n")
+    @pytest.mark.parametrize("app", sorted(CONFIGS))
+    def test_unknown_directives_ignored(self, app):
+        parse, _ = CONFIGS[app]
+        config = parse("Listen 8080\nFancyModule on\nPassivePorts 5000-5100\n")
         assert config.listen_port == 8080
 
-    def test_comments_and_blanks_ignored(self):
-        config = parse_config("# comment\n\nUser alice\n")
+    @pytest.mark.parametrize("app", sorted(CONFIGS))
+    def test_comments_and_blanks_ignored(self, app):
+        parse, _ = CONFIGS[app]
+        config = parse("# comment\n\n   \n  # indented comment\nUser alice\n")
         assert config.user == "alice"
 
-    def test_malformed_directive_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config("Listen\n")
+    @pytest.mark.parametrize("app", sorted(CONFIGS))
+    def test_malformed_directive_rejected(self, app):
+        parse, _ = CONFIGS[app]
+        with pytest.raises(ValueError) as raised:
+            parse("# the port\nListen\n")
+        assert str(raised.value) == "malformed directive on line 2: 'Listen'"
 
-    def test_bad_port_value_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config("Listen notaport\n")
+    @pytest.mark.parametrize("app", sorted(CONFIGS))
+    @pytest.mark.parametrize("value", ["notaport", "twenty-one"])
+    def test_bad_port_value_rejected(self, app, value):
+        parse, _ = CONFIGS[app]
+        with pytest.raises(ValueError) as raised:
+            parse(f"Listen {value}\n")
+        assert str(raised.value) == (
+            f"bad value for Listen on line 1: invalid literal for int() with base 10: {value!r}"
+        )
+
+    @pytest.mark.parametrize("app", sorted(CONFIGS))
+    @pytest.mark.parametrize("field, directive", [("user", "User"), ("group", "Group")])
+    def test_empty_user_or_group_rejected(self, app, field, directive):
+        _, config_class = CONFIGS[app]
+        with pytest.raises(ValueError) as raised:
+            config_class(**{field: ""}).validate()
+        assert str(raised.value) == f"{directive} directive must not be empty"
 
     def test_validation_rejects_relative_docroot(self):
         config = ServerConfig(document_root="www")

@@ -179,6 +179,7 @@ LAZY_PACKAGES = (
     "repro.core",
     "repro.core.variations",
     "repro.attacks",
+    "repro.apps.httpd",
 )
 
 #: Re-exported names that are also the names of the submodules defining them.
