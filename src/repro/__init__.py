@@ -33,7 +33,7 @@ The documented import path for the scenario API is this top-level package::
 The package re-exports lazily: ``import repro`` loads no other module, and a
 name's defining module is imported when the name is first used (see
 ``_lazy_exports``, which ``repro.api``, ``repro.engine``, ``repro.core``,
-``repro.core.variations`` and ``repro.attacks`` share).
+``repro.core.variations``, ``repro.attacks`` and ``repro.apps.httpd`` share).
 """
 
 import importlib

@@ -31,7 +31,7 @@ from repro.apps.httpd.vulnerable import (
     copy_annotation_header,
     read_banner,
 )
-# ServedRequest and ServerReport are re-exported here, where they began.
+# ServedRequest and ServerReport stay importable from this module too.
 from repro.apps.server import Connection, MiniServer, ServedRequest, ServerReport
 from repro.kernel.errors import Errno
 from repro.kernel.filesystem import O_RDONLY
