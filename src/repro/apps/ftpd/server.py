@@ -13,10 +13,9 @@ side: pairing each command connection with its data channel, and the verbs.
 Crucially the cached ids live in the **identical** vulnerable memory layout
 as the httpd's (the skeleton builds it with
 :func:`repro.apps.httpd.vulnerable.build_server_state`): a fixed 64-byte
-annotation buffer copied into without
-bounds checks (``SITE ANNOTATE``, the FTP analogue of the ``X-Annotation``
-header) sits directly in front of the worker uid/gid, admin uid and banner
-pointer.  The same overflow payload bytes therefore corrupt the same fields
+annotation buffer copied into without bounds checks (``SITE ANNOTATE``, the
+FTP analogue of the ``X-Annotation`` header) sits directly in front of the
+worker uid/gid, admin uid and banner pointer.  The same overflow payload bytes therefore corrupt the same fields
 in both applications, which is what makes the cross-app detection-parity
 experiments meaningful.
 
