@@ -13,8 +13,9 @@
 #   make check-bench      -- smoke-regenerate benchmarks/results/, then diff
 #                            against the baseline; any flip or numeric move fails
 #   make check-keyed      -- the keyed-scheme/attacker-model tier: both unit
-#                            suites, the round fast-path and round-plan
-#                            suites, plus an entropy-experiment smoke via the CLI
+#                            suites, the round fast-path, round-plan and
+#                            checkpoint suites, plus an entropy-experiment
+#                            smoke via the CLI
 #   make check-corpus     -- the scenario-corpus tier: corpus/seed unit suites
 #                            and the host-image/filesystem suites, then
 #                            generate a small corpus and run the corpus
@@ -105,13 +106,15 @@ check-procs:
 # suite (including the process-backend parity and WorkerError CLI checks),
 # the round fast-path suite (a UID decode must follow a key rotation), the
 # round-plan suite (every session's per-name plan equals the
-# layered definition, and a key-rotating restart leaves no stale plan), and
+# layered definition, and a key-rotating restart leaves no stale plan), the
+# checkpoint suite (restore installs each recorded secret through
+# Variation.rekey, and refuses secrets at any but the keyed positions), and
 # one seeded entropy-experiment smoke through the CLI.
 check-keyed:
 	$(PYTHON) -m pytest -q tests/test_keyed_schemes.py tests/test_security_attacker.py \
-		tests/test_round_fast_path.py tests/test_round_plan.py
+		tests/test_round_fast_path.py tests/test_round_plan.py tests/test_load_checkpoint.py
 	$(PYTHON) -m repro experiment entropy --smoke --seed 20080625 > /dev/null
-	@echo "check-keyed ok: keyed schemes + attacker suite + fast-path and round-plan suites + entropy smoke"
+	@echo "check-keyed ok: keyed schemes + attacker suite + fast-path, round-plan and checkpoint suites + entropy smoke"
 
 # The scenario-corpus gate: the corpus/oracle/scorecard unit suite, the
 # seed/boundary properties, and the host-image suites every cell's host rests

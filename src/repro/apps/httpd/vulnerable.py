@@ -69,25 +69,6 @@ class ServerStateLayout:
     admin_uid: MemoryVariable
     banner_ptr: MemoryVariable
 
-    def overflow_reach(self) -> dict[str, tuple[int, int]]:
-        """Byte distances from the buffer start to each overwritable field.
-
-        Returns ``{field: (start offset, end offset)}`` relative to the start
-        of the annotation buffer -- the numbers an attacker uses to size a
-        payload, and the numbers the attack library uses to build one.
-        """
-        base = self.annotation_buf.offset
-        fields = {
-            "worker_uid": self.worker_uid,
-            "worker_gid": self.worker_gid,
-            "admin_uid": self.admin_uid,
-            "banner_ptr": self.banner_ptr,
-        }
-        return {
-            name: (variable.offset - base, variable.offset - base + variable.size)
-            for name, variable in fields.items()
-        }
-
 
 def build_server_state(
     address_space,

@@ -41,18 +41,13 @@ class AddressPartitioning(Variation):
     With the defaults this is the paper's 2-variant high-bit split; any
     other ``num_variants`` selects the top-bits orbit scheme, and an
     explicit *scheme* overrides the choice entirely (it must carve regions
-    and agree on the partition count).
+    and agree on the partition count).  It diversifies address spaces, not
+    system calls, so it keeps the identity hooks and empty footprints.
     """
 
     name = "address-partitioning"
     target_type = "address"
     reference = "Cox et al., USENIX Security 2006 [16]"
-
-    #: Partitioning diversifies the address *spaces*, not any syscall
-    #: arguments or results, so no request or result is ever rewritten.
-    canonical_syscalls = frozenset()
-    transform_syscalls = frozenset()
-    result_syscalls = frozenset()
 
     def __init__(
         self, num_variants: int = 2, *, scheme: Optional[PartitionScheme] = None
@@ -127,7 +122,9 @@ class KeyedAddressPartitioning(AddressPartitioning):
     here every probe is a guess in a ``2**key_bits`` space, and a guess that
     lands in *some* variant's partition -- but not everyone's -- diverges and
     alarms, which is the probes-to-first-alarm game the `entropy` experiment
-    measures.  Keys rotate on session restart.
+    measures.  Keys rotate on session restart, through :meth:`rekey`;
+    address re-expressions and address spaces are derived from the scheme on
+    demand, so the scheme's own rotation is the whole job.
     """
 
     name = "keyed-address-partitioning"
@@ -149,19 +146,3 @@ class KeyedAddressPartitioning(AddressPartitioning):
         self.key_bits = key_bits
         self.seed = seed
         self.slide = slide
-
-    def rotate_key(self) -> None:
-        """Redraw the slice assignments and slides in place.
-
-        Address re-expressions and address spaces are derived from the
-        scheme on demand, so no cached state needs refreshing.
-        """
-        self.scheme.rotate()
-
-    def install_secret(self, values: "Sequence[int]") -> None:
-        """Adopt a checkpointed secret layout (see :mod:`repro.load.checkpoint`).
-
-        Everything address-side is derived from the scheme on demand, so the
-        scheme-level install is the whole job.
-        """
-        self.scheme.install_secret(values)

@@ -17,6 +17,15 @@ normally equivalent:
 Variations are composable: an N-variant system may run address partitioning
 and the UID variation simultaneously (Configuration 4 of Table 3 layers the
 UID variation on the 2-variant baseline), as long as each hook composes.
+
+Each system-call hook is bounded by a declared *footprint*: the calls it may
+rewrite.  The base hooks are the identity, so the base footprints are empty,
+and a class body that defines a hook must assign that hook's footprint in
+the same body -- class creation refuses it otherwise.  The footprint a
+session trusts is therefore always the one written next to the hook.  A
+variation whose re-expressions come from a keyed scheme changes key through
+one method, :meth:`Variation.rekey`, which session restart and checkpoint
+restore both call.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from repro.core.reexpression import ReexpressionFunction, identity_reexpression
 from repro.kernel.filesystem import FileSystem
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
 from repro.memory.address_space import AddressSpace
+from repro.memory.partition import KeyedScheme, PartitionScheme
 
 
 class Variation:
@@ -44,36 +54,48 @@ class Variation:
     #: Literature reference shown in the Table 1 reproduction.
     reference: str = ""
 
-    #: The system calls :meth:`canonicalize_request` may rewrite, or ``None``
-    #: when the set cannot be stated statically.  A lockstep session's round
-    #: plan for a name outside every variation's footprint compares the raw
-    #: requests, and each plan's hook chains leave out the variations whose
-    #: footprint does not name the call (an empty footprint is never called).
-    #: ``None`` means every call, so an undeclared subclass stays correct,
-    #: just slower.  A subclass overriding :meth:`canonicalize_request`
-    #: without redeclaring this in the same class is detected by
-    #: :class:`VariationStack`, which then treats the footprint as unknown --
-    #: a stale inherited declaration can never silently bypass the
-    #: subclass's canonicalization.  The two footprints below follow the same
-    #: contract and the same guard.  Hooks rewrite arguments and results
-    #: only, never the call name, so a chain chosen by name stays valid for
-    #: the whole walk.
-    canonical_syscalls: Optional[frozenset[Syscall]] = None
+    #: The system calls :meth:`canonicalize_request` may rewrite.  A lockstep
+    #: session's round plan for a name outside every variation's footprint
+    #: compares the raw requests, and each plan's hook chains leave out the
+    #: variations whose footprint does not name the call (an empty footprint
+    #: is never called).  The base hooks are the identity, so every footprint
+    #: defaults to empty; a class body that defines a hook must assign that
+    #: hook's footprint too (:meth:`__init_subclass__`), so an inherited
+    #: declaration never vouches for an override.  Hooks rewrite arguments
+    #: and results only, never the call name, so a chain chosen by name stays
+    #: valid for the whole walk.
+    canonical_syscalls: frozenset[Syscall] = frozenset()
 
     #: The system calls :meth:`transform_request` may rewrite (same contract
     #: as :attr:`canonical_syscalls`, for the outgoing-request hook).
-    transform_syscalls: Optional[frozenset[Syscall]] = None
+    transform_syscalls: frozenset[Syscall] = frozenset()
 
     #: The system calls whose results :meth:`transform_result` may rewrite
     #: (for the incoming-result hook).  Every other call's plan has an empty
     #: result chain, so its results reach the variants as the kernel made them.
-    result_syscalls: Optional[frozenset[Syscall]] = None
+    result_syscalls: frozenset[Syscall] = frozenset()
 
     #: The system calls whose :meth:`transform_request` equals their
     #: :meth:`canonicalize_request`, so a lockstep round may send the canonical
-    #: requests to the kernel (:meth:`VariationStack.shares_rewrite`).  An
-    #: override of either hook below this declaration voids it.
+    #: requests to the kernel (:meth:`VariationStack.shares_rewrite`).  A class
+    #: body that defines either request hook must assign it too.
     shared_rewrite_syscalls: frozenset[Syscall] = frozenset()
+
+    #: The partition scheme the re-expressions derive from, if any.  Only a
+    #: :class:`~repro.memory.partition.KeyedScheme` makes the variation keyed
+    #: (:meth:`rekey`).
+    scheme: Optional[PartitionScheme] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Refuse a class body that defines a hook but not what bounds it."""
+        super().__init_subclass__(**kwargs)
+        body = vars(cls)
+        for hook, attribute in _DECLARATIONS:
+            if hook in body and attribute not in body:
+                raise TypeError(
+                    f"{cls.__name__} defines {hook} but does not assign "
+                    f"{attribute} in the same class body"
+                )
 
     # -- reexpression functions ------------------------------------------------
 
@@ -135,6 +157,28 @@ class Variation:
         self._check_index(index)
         return request
 
+    # -- keys ----------------------------------------------------------------------
+
+    def rekey(self, secret: Optional[Sequence[int]] = None) -> bool:
+        """Rotate a keyed scheme, or install *secret*; return whether it is keyed.
+
+        Session restart rotates (:meth:`NVariantSession.restart
+        <repro.engine.session.NVariantSession.restart>`) and checkpoint
+        restore installs the recorded secret (:mod:`repro.load.checkpoint`).
+        A variation that derives state from its scheme refreshes it here, so
+        no hook keeps re-expressing under the old key.
+        """
+        scheme = self.scheme
+        if not isinstance(scheme, KeyedScheme):
+            if secret is not None:
+                raise ValueError(f"variation {self.name} is not keyed; it takes no secret")
+            return False
+        if secret is None:
+            scheme.rotate()
+        else:
+            scheme.install_secret(secret)
+        return True
+
     # -- reporting ---------------------------------------------------------------
 
     def table1_row(self) -> dict[str, str]:
@@ -178,12 +222,12 @@ class VariationStack:
 
     Each hook walks a *per-name chain* (:meth:`_chain`): the variations, in
     stack order (or reverse order for results), whose declared footprint for
-    that hook contains the call's name, plus every variation whose footprint
-    is unknown.  Leaving out a variation that declares it never rewrites the
-    call is exactly the identity it would have applied, so a chain's result
-    equals the full walk's.  A lockstep session keeps the chains of each
-    name it meets in that name's round plan; the hook methods here build
-    the chain on every call, for the rounds and callers no plan covers.
+    that hook contains the call's name.  Leaving out a variation that
+    declares it never rewrites the call is exactly the identity it would
+    have applied, so a chain's result equals the full walk's.  A lockstep
+    session keeps the chains of each name it meets in that name's round
+    plan; the hook methods here build the chain on every call, for the
+    rounds and callers no plan covers.
     """
 
     def __init__(self, variations: Sequence[Variation], num_variants: int = 2):
@@ -195,98 +239,51 @@ class VariationStack:
                 )
         self.variations = list(variations)
         self.num_variants = num_variants
-        # Per hook: every variation's trusted footprint (None = unknown), and
-        # the stack-wide union.
+        # Per hook: every variation's declared footprint, and their union.
         self._footprints = {
-            hook: [self._footprint(variation, attribute, hook) for variation in self.variations]
+            hook: [getattr(variation, attribute) for variation in self.variations]
             for hook, attribute in _HOOK_FOOTPRINTS
         }
-        self._unions = {hook: self._union(each) for hook, each in self._footprints.items()}
+        self._unions = {
+            hook: frozenset().union(*footprints) for hook, footprints in self._footprints.items()
+        }
         self._shared = frozenset().union(*(v.shared_rewrite_syscalls for v in self.variations))
-
-    @staticmethod
-    def _declaring_class(cls: type, attribute: str) -> Optional[type]:
-        for klass in cls.__mro__:
-            if attribute in vars(klass):
-                return klass
-        return None
-
-    @classmethod
-    def _footprint(
-        cls, variation: Variation, attribute: str, hook: str
-    ) -> Optional[frozenset[Syscall]]:
-        """*variation*'s declared footprint for *hook*, or ``None`` if untrusted."""
-        declared = getattr(variation, attribute)
-        if declared is None:
-            return None
-        # A class that overrides the hook below where the footprint was
-        # declared inherited a footprint that cannot be trusted to cover the
-        # override; fall back to "unknown" so the shortcuts are disabled
-        # rather than silently skipping the new rewrite.
-        hook_class = cls._declaring_class(type(variation), hook)
-        declaration_class = cls._declaring_class(type(variation), attribute)
-        if (
-            hook_class is not None
-            and declaration_class is not None
-            and hook_class is not declaration_class
-            and issubclass(hook_class, declaration_class)
-        ):
-            return None
-        return declared
-
-    @staticmethod
-    def _union(
-        footprints: Sequence[Optional[frozenset[Syscall]]],
-    ) -> Optional[frozenset[Syscall]]:
-        union: frozenset[Syscall] = frozenset()
-        for footprint in footprints:
-            if footprint is None:
-                return None
-            union |= footprint
-        return union
 
     def _chain(self, hook: str, name: Syscall, *, reverse: bool = False) -> tuple[Callable, ...]:
         """The bound *hook* of every variation that may rewrite *name*."""
-        union = self._unions[hook]
-        if union is not None and name not in union:
+        if name not in self._unions[hook]:
             return ()
         pairs = list(zip(self.variations, self._footprints[hook]))
         if reverse:
             pairs.reverse()
-        return tuple(
-            getattr(variation, hook)
-            for variation, footprint in pairs
-            if footprint is None or name in footprint
-        )
+        return tuple(getattr(variation, hook) for variation, footprint in pairs if name in footprint)
 
     def shares_rewrite(self, name: Syscall) -> bool:
         """True when the canonical form of a *name* request is also its outgoing form.
 
         Both request chains of *name* must walk the same variations, each
-        trusted to rewrite it alike (:attr:`Variation.shared_rewrite_syscalls`).
+        declaring that it rewrites *name* alike
+        (:attr:`Variation.shared_rewrite_syscalls`).
         """
         if name not in self._shared:
             return False
         canonical = [hook.__self__ for hook in self._chain("canonicalize_request", name)]
         transform = [hook.__self__ for hook in self._chain("transform_request", name)]
-        return bool(canonical) and canonical == transform and all(
-            name in variation.shared_rewrite_syscalls
-            and self._footprint(variation, "shared_rewrite_syscalls", "canonicalize_request")
-            is not None
-            and self._footprint(variation, "shared_rewrite_syscalls", "transform_request")
-            is not None
-            for variation in canonical
+        return (
+            bool(canonical)
+            and canonical == transform
+            and all(name in variation.shared_rewrite_syscalls for variation in canonical)
         )
 
-    def canonical_syscalls(self) -> Optional[frozenset[Syscall]]:
-        """Union of the stack's canonicalization footprints (``None`` = unknown)."""
+    def canonical_syscalls(self) -> frozenset[Syscall]:
+        """Union of the stack's canonicalization footprints."""
         return self._unions["canonicalize_request"]
 
-    def transform_syscalls(self) -> Optional[frozenset[Syscall]]:
+    def transform_syscalls(self) -> frozenset[Syscall]:
         """Union of the stack's request-transformation footprints."""
         return self._unions["transform_request"]
 
-    def result_syscalls(self) -> Optional[frozenset[Syscall]]:
+    def result_syscalls(self) -> frozenset[Syscall]:
         """Union of the stack's result-transformation footprints."""
         return self._unions["transform_result"]
 
@@ -337,4 +334,9 @@ _HOOK_FOOTPRINTS = (
     ("canonicalize_request", "canonical_syscalls"),
     ("transform_request", "transform_syscalls"),
     ("transform_result", "result_syscalls"),
+)
+#: Each hook with every attribute a class body defining it must assign.
+_DECLARATIONS = _HOOK_FOOTPRINTS + (
+    ("canonicalize_request", "shared_rewrite_syscalls"),
+    ("transform_request", "shared_rewrite_syscalls"),
 )

@@ -27,11 +27,6 @@ class InstructionSetTagging(Variation):
     target_type = "instruction"
     reference = "Cox et al., USENIX Security 2006 [16]"
 
-    #: Tagging rewrites code images, not system calls.
-    canonical_syscalls = frozenset()
-    transform_syscalls = frozenset()
-    result_syscalls = frozenset()
-
     def __init__(self) -> None:
         self.num_variants = 2
 

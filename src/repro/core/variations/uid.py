@@ -133,13 +133,6 @@ class UIDVariation(Variation):
             raise self._index_error(index)
         return self._inverse[index](value)
 
-    def variant_root(self, index: int) -> int:
-        """The concrete value representing root in variant *index*.
-
-        In the paper's words: for variant 1, ``0x7FFFFFFF`` represents root.
-        """
-        return self.encode(index, 0)
-
     # -- system-call hooks ----------------------------------------------------------
 
     def transform_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
@@ -281,10 +274,24 @@ XorMaskScheme.for_uids>` (whose masks come from
                 f"variation wants {num_variants}"
             )
         self.scheme = scheme
-        self.masks = scheme.masks
-        self.mask = scheme.masks[1]  # UIDVariation compatibility: R_1's mask
         self.num_variants = num_variants
         self._install_functions(scheme.reexpressions(domain="uid"))
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Every variant's XOR mask, read from the scheme."""
+        return self.scheme.masks
+
+    @property
+    def mask(self) -> int:
+        """``R_1``'s mask (what :class:`UIDVariation` calls its one mask)."""
+        return self.scheme.masks[1]
+
+    def rekey(self, secret: "Sequence[int] | None" = None) -> bool:
+        """Rekey the scheme, then rebuild the cached per-variant functions."""
+        keyed = super().rekey(secret)
+        self._install_functions(self.scheme.reexpressions(domain="uid"))
+        return keyed
 
 
 class KeyedUIDVariation(OrbitUIDVariation):
@@ -299,7 +306,7 @@ class KeyedUIDVariation(OrbitUIDVariation):
     injected concrete value still decodes differently in at least two
     variants, so detection stays deterministic -- the key only removes the
     attacker's ability to *choose* what any variant decodes.  Keys rotate on
-    session restart (see :meth:`NVariantSession.restart`).
+    session restart, through :meth:`~OrbitUIDVariation.rekey`.
     """
 
     name = "uid-keyed-variation"
@@ -318,25 +325,3 @@ class KeyedUIDVariation(OrbitUIDVariation):
         )
         self.key_bits = key_bits
         self.seed = seed
-
-    def rotate_key(self) -> None:
-        """Redraw the masks and refresh the cached per-variant functions."""
-        self.scheme.rotate()
-        self._adopt_scheme_masks()
-
-    def install_secret(self, values: "Sequence[int]") -> None:
-        """Adopt a checkpointed secret and refresh the cached functions.
-
-        The variation caches the scheme's masks and per-variant re-expression
-        closures at construction, so a scheme-level install alone would leave
-        this object re-expressing under the old key; checkpoint restore goes
-        through here instead (see :mod:`repro.load.checkpoint`).
-        """
-        self.scheme.install_secret(values)
-        self._adopt_scheme_masks()
-
-    def _adopt_scheme_masks(self) -> None:
-        """Re-read the scheme's masks, replacing every cached function and decode."""
-        self.masks = self.scheme.masks
-        self.mask = self.scheme.masks[1]
-        self._install_functions(self.scheme.reexpressions(domain="uid"))

@@ -148,10 +148,6 @@ class SyscallWrappers:
             return SyscallWrappers._execute_once
         return SyscallWrappers._execute_per_variant
 
-    def is_unshared_fd(self, fd: int) -> bool:
-        """True when descriptor *fd* currently refers to an unshared file."""
-        return fd in self._unshared_fds
-
     # -- strategies ----------------------------------------------------------------
 
     def _execute_deny(self, requests: Sequence[SyscallRequest]) -> list[SyscallResult]:

@@ -12,10 +12,11 @@ leaves ``RUNNING``.
 A round's work depends on its call name alone, so a session resolves one
 :class:`RoundPlan` per name on first use and keeps it: raw or canonical
 comparison, detection call or not, the canonicalize/transform/result hook
-chains, and the wrapper strategy.  A *uniform* round (every variant issued
-the same name) runs straight from the plan; for the read/write/open/accept
-bulk of a workload every chain is empty, so that is one compare loop and one
-kernel call.  A mixed-name round, or a raw-compared round whose arguments
+chains (each variation that declares the name in that hook's footprint),
+and the wrapper strategy.  A *uniform* round (every variant issued the same
+name) runs straight from the plan; for the read/write/open/accept bulk of a
+workload every chain is empty, so that is one compare loop and one kernel
+call.  A mixed-name round, or a raw-compared round whose arguments
 differ, takes the layered path (:class:`~repro.core.monitor.SyscallComparator`,
 :meth:`~repro.core.wrappers.SyscallWrappers.execute_round`,
 :meth:`~repro.core.variations.base.VariationStack.transform_result`), so its
@@ -203,29 +204,20 @@ class NVariantSession:
     def restart(self, *, rotate_keys: bool = True) -> SessionState:
         """Reset the session to run its program again from round zero.
 
-        Any keyed variation scheme is rotated first (the key-rotation-on-
-        restart semantics: a restarted fleet faces a fresh secret layout, so
-        knowledge an attacker accumulated across probes dies with the old
-        session) unless *rotate_keys* is False.  The monitor, round plans
-        and per-variant runtimes are all built anew; the previous run's
+        Every keyed variation draws a fresh key first, through
+        :meth:`~repro.core.variations.base.Variation.rekey` (a restarted
+        fleet faces a fresh secret layout, so knowledge an attacker
+        accumulated across probes dies with the old session), unless
+        *rotate_keys* is False.  The monitor, round plans, per-variant
+        runtimes and UID codecs are all built anew; the previous run's
         processes are exited and its alarms discarded.  A rotation also
         rewrites the unshared files (``/etc/passwd-i``, ``/etc/group-i``),
         whose UID columns were encoded under the old key.
         """
-        from repro.memory.partition import KeyedScheme
-
         rotated = False
         if rotate_keys:
             for variation in self.variations:
-                rotate = getattr(variation, "rotate_key", None)
-                if rotate is not None:
-                    rotate()
-                    rotated = True
-                    continue
-                scheme = getattr(variation, "scheme", None)
-                if isinstance(scheme, KeyedScheme):
-                    scheme.rotate()
-                    rotated = True
+                rotated |= variation.rekey()
         for context in self._contexts:
             if context.process.alive:
                 context.process.exit(0)
@@ -372,9 +364,8 @@ class NVariantSession:
         plan = self._plans.get(name)
         if plan is None:
             variations = self.variations
-            canonical = variations.canonical_syscalls()
             plan = self._plans[name] = RoundPlan(
-                fast=canonical is not None and name not in canonical,
+                fast=name not in variations.canonical_syscalls(),
                 detection=name in self.table.detection_syscalls,
                 canonicalize=variations._chain("canonicalize_request", name),
                 transform=variations._chain("transform_request", name),

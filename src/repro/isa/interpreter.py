@@ -12,7 +12,6 @@ import dataclasses
 from typing import Callable, Optional
 
 from repro.isa.instructions import Instruction, Opcode, REGISTER_COUNT
-from repro.isa.tagging import untag_stream
 from repro.kernel.errors import IllegalInstructionFault, SegmentationFault
 
 
@@ -116,21 +115,3 @@ class Interpreter:
             self.execute(state, instructions[state.pc])
             steps += 1
         return state
-
-    def run_tagged(
-        self,
-        tagged_stream: bytes,
-        variant_index: int,
-        *,
-        state: Optional[MachineState] = None,
-        max_steps: int = 10_000,
-    ) -> MachineState:
-        """Check tags, strip them and run -- the full variant execution path.
-
-        This is the composition ``execute ∘ R_i^-1`` from the paper's model:
-        an attack stream whose tags do not match raises
-        :class:`IllegalInstructionFault` before any attacker instruction
-        executes.
-        """
-        instructions = untag_stream(tagged_stream, variant_index)
-        return self.run(instructions, state=state, max_steps=max_steps)

@@ -333,16 +333,6 @@ class FileSystem:
         parent.entries[name] = node
         return node
 
-    def write_file(self, path: str, content: bytes | str) -> Inode:
-        """Replace the content of an existing file at *path*."""
-        if isinstance(content, str):
-            content = content.encode()
-        node = self._lookup(path)
-        if node.is_directory:
-            raise KernelError(Errno.EISDIR, path)
-        node.data = bytes(content)
-        return node
-
     def read_file(self, path: str) -> bytes:
         """Return the full content of the file at *path*."""
         node = self._lookup(path)

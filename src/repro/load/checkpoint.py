@@ -164,12 +164,11 @@ class SessionCheckpoint:
 
 def keyed_secrets(session: NVariantSession) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Every keyed variation's current secret, by stack position."""
-    secrets = []
-    for position, variation in enumerate(session.variations):
-        scheme = getattr(variation, "scheme", None)
-        if isinstance(scheme, KeyedScheme):
-            secrets.append((position, tuple(scheme.secret())))
-    return tuple(secrets)
+    return tuple(
+        (position, tuple(variation.scheme.secret()))
+        for position, variation in enumerate(session.variations)
+        if isinstance(variation.scheme, KeyedScheme)
+    )
 
 
 def build_serving_session(
@@ -247,34 +246,39 @@ def restore(
     Secrets are installed into the freshly built variation stack *before*
     the session spawns its variant processes -- address spaces are carved
     from the scheme layout at spawn, so a post-construction install would
-    leave variant memory in the wrong partitions.  Queued conversations are
-    replayed onto the new kernel's listeners in their original per-port
-    order.
+    leave variant memory in the wrong partitions.  A checkpoint is outside
+    input: its secrets must name exactly the keyed variation positions of
+    the spec's stack, once each, or :class:`LoadError` names the position.
+    Queued conversations are replayed onto the new kernel's listeners in
+    their original per-port order.
     """
+    variations = build_variations(cp.spec)
+    keyed = {
+        position
+        for position, variation in enumerate(variations)
+        if isinstance(variation.scheme, KeyedScheme)
+    }
+    named: set[int] = set()
+    for position, _ in cp.secrets:
+        if position in named:
+            raise LoadError(f"checkpoint names the secret at variation position {position} twice")
+        if position not in keyed:
+            raise LoadError(
+                f"checkpoint names a secret at variation position {position}, but the "
+                f"spec builds no keyed variation there (keyed positions: {sorted(keyed)})"
+            )
+        named.add(position)
+    missing = sorted(keyed - named)
+    if missing:
+        raise LoadError(f"checkpoint holds no secret for the keyed variation at position {missing[0]}")
     app_record = get_app(cp.serving.app)
     if kernel is None:
         kernel = build_standard_host()
         app_record.prepare_host(kernel)
     for entry in cp.pending:
         kernel.client_connect(entry.port, entry.data, client=entry.client)
-    variations = build_variations(cp.spec)
     for position, values in cp.secrets:
-        if position >= len(variations):
-            raise LoadError(
-                f"checkpoint names a secret at variation position {position}, "
-                f"but the spec builds only {len(variations)} variations"
-            )
-        variation = variations[position]
-        install = getattr(variation, "install_secret", None)
-        if install is None:
-            scheme = getattr(variation, "scheme", None)
-            if not isinstance(scheme, KeyedScheme):
-                raise LoadError(
-                    f"checkpoint carries a secret for position {position}, but "
-                    f"variation {type(variation).__name__} is not keyed"
-                )
-            install = scheme.install_secret
-        install(values)
+        variations[position].rekey(values)
     factory = app_record.make_factory(
         transformed=cp.spec.transformed,
         max_requests=cp.serving.max_requests,

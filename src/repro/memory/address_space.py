@@ -156,10 +156,6 @@ class AddressSpace:
         region = self.region_for(address)
         return region.read(address, count)
 
-    def load_word(self, address: int) -> int:
-        """Read a 32-bit little-endian word."""
-        return int.from_bytes(self.load_bytes(address, 4), "little")
-
     def dereference(self, pointer: int, count: int = 4) -> bytes:
         """Follow *pointer* and read *count* bytes -- the operation an
         absolute-address-injection attack ultimately needs to succeed."""

@@ -168,15 +168,6 @@ class PartitionScheme:
         """All partitions' re-expression functions, in partition order."""
         return [self.reexpression(index, domain) for index in range(self.num_partitions)]
 
-    def decodes_of(self, value: int) -> list[int]:
-        """Concrete *value* decoded by every partition's inverse, in order."""
-        return [self.untranslate(index, value) for index in range(self.num_partitions)]
-
-    def disjoint_at(self, value: int) -> bool:
-        """True when the disjoint-inverses invariant holds at *value*."""
-        decoded = self.decodes_of(value)
-        return len(set(decoded)) == len(decoded)
-
     def check_index(self, index: int) -> None:
         """Validate a partition index (raises :class:`PartitionSchemeError`)."""
         if not 0 <= index < self.num_partitions:

@@ -283,9 +283,9 @@ class TestResponseFraming:
 class TestVulnerableState:
     def test_layout_places_uid_after_buffer(self):
         layout = build_server_state(AddressSpace(), worker_uid=33, worker_gid=33, admin_uid=0)
-        reach = layout.overflow_reach()
-        assert reach["worker_uid"][0] == ANNOTATION_BUFFER_SIZE
-        assert reach["banner_ptr"][0] > reach["admin_uid"][0]
+        base = layout.annotation_buf.offset
+        assert layout.worker_uid.offset - base == ANNOTATION_BUFFER_SIZE
+        assert layout.banner_ptr.offset > layout.admin_uid.offset
 
     def test_in_bounds_copy_leaves_uid_intact(self):
         layout = build_server_state(AddressSpace(), worker_uid=33, worker_gid=33, admin_uid=0)

@@ -91,13 +91,11 @@ class TestWrappers:
         fd = results[0].value
         assert results[0] == results[1]
         assert processes[0].fds.get(fd) is processes[1].fds.get(fd)
-        assert not wrappers.is_unshared_fd(fd)
 
     def test_unshared_open_redirects_per_variant(self):
         kernel, processes, wrappers = self._setup()
         results = wrappers.execute_round([request(Syscall.OPEN, "/etc/passwd", O_RDONLY)] * 2)
         fd = results[0].value
-        assert wrappers.is_unshared_fd(fd)
         assert processes[0].fds.get(fd).path == "/etc/passwd-0"
         assert processes[1].fds.get(fd).path == "/etc/passwd-1"
 
@@ -120,8 +118,16 @@ class TestWrappers:
         kernel, processes, wrappers = self._setup()
         fd = wrappers.execute_round([request(Syscall.OPEN, "/etc/passwd", O_RDONLY)] * 2)[0].value
         wrappers.execute_round([request(Syscall.CLOSE, fd)] * 2)
-        assert not wrappers.is_unshared_fd(fd)
         assert fd not in processes[0].fds and fd not in processes[1].fds
+        # The number comes back for a shared file, whose reads replicate again.
+        reopened = wrappers.execute_round(
+            [request(Syscall.OPEN, "/etc/httpd.conf", O_RDONLY)] * 2
+        )[0].value
+        assert reopened == fd
+        replicated = wrappers.stats.replicated_calls
+        reads = wrappers.execute_round([request(Syscall.READ, fd, 64)] * 2)
+        assert reads[0] == reads[1]
+        assert wrappers.stats.replicated_calls > replicated
 
     def test_credential_calls_run_per_variant(self):
         kernel, processes, wrappers = self._setup()

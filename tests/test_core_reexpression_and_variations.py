@@ -97,8 +97,8 @@ class TestReexpressionFunctions:
 
 class TestUIDVariation:
     def test_variant_root_values(self, uid_variation):
-        assert uid_variation.variant_root(0) == 0
-        assert uid_variation.variant_root(1) == 0x7FFFFFFF
+        assert uid_variation.encode(0, 0) == 0
+        assert uid_variation.encode(1, 0) == 0x7FFFFFFF
 
     @given(uid_values)
     def test_encode_decode_roundtrip(self, uid):
@@ -164,7 +164,7 @@ class TestUIDVariation:
 
     def test_full_flip_variant_root_is_the_kernel_sentinel(self):
         variation = FullFlipUIDVariation()
-        assert variation.variant_root(1) == 0xFFFFFFFF
+        assert variation.encode(1, 0) == 0xFFFFFFFF
 
 
 class TestAddressVariations:

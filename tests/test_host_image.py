@@ -110,7 +110,7 @@ class TestClone:
         # An in-place append, as the kernel's write() does, then the
         # whole-file, metadata and directory mutations.
         fs.lookup(ACCESS_LOG).mutable_data().extend(b"appended in place\n")
-        fs.write_file("/etc/passwd", b"mallory:x:0:0::/:/bin/sh\n")
+        fs.create_file("/etc/passwd", b"mallory:x:0:0::/:/bin/sh\n")
         fs.chmod("/etc/shadow", 0o666)
         fs.unlink("/root/secrets.txt")
         assert snapshot(build_standard_host().fs) == reference
@@ -134,7 +134,7 @@ WRITE_PATHS = st.sampled_from(
 WRITES = st.lists(
     st.tuples(
         st.sampled_from(
-            ("append", "overwrite", "truncate", "create", "write_file", "unlink", "rename")
+            ("append", "overwrite", "truncate", "create", "replace", "unlink", "rename")
         ),
         WRITE_PATHS,
         WRITE_PATHS,
@@ -169,9 +169,9 @@ def apply_writes(kernel, writes) -> None:
             write_through(path, O_WRONLY | O_TRUNC, data)
         elif kind == "create":
             write_through(path, O_WRONLY | O_CREAT, data)
-        elif kind == "write_file":
+        elif kind == "replace":
             try:
-                kernel.fs.write_file(path, data)
+                kernel.fs.create_file(path, data)
             except KernelError:
                 pass
         elif kind == "unlink":

@@ -66,8 +66,8 @@ class TestMutation:
         fs.create_file("/etc/hosts", "localhost\n")
         assert fs.read_file("/etc/hosts") == b"localhost\n"
 
-    def test_write_file_replaces_content(self, fs):
-        fs.write_file("/etc/passwd", b"new")
+    def test_create_file_replaces_content(self, fs):
+        fs.create_file("/etc/passwd", b"new")
         assert fs.read_file("/etc/passwd") == b"new"
 
     def test_mkdir_parents(self, fs):

@@ -8,10 +8,10 @@ this module pins is what makes them *keyed*:
 * determinism -- the same ``(key_bits, seed)`` draws the same secret layout,
   different seeds draw different ones, and seedless construction still obeys
   every invariant;
-* rotation -- ``rotate()`` redraws the secret in place (and the variation
-  hooks refresh whatever they cached), including through
-  ``NVariantSession.restart(rotate_keys=True)``, which also re-encodes the
-  unshared account files a served program reads;
+* rotation -- ``rotate()`` redraws the secret in place, and
+  ``Variation.rekey()`` refreshes whatever a variation cached from it, also
+  through ``NVariantSession.restart(rotate_keys=True)`` (which re-encodes the
+  unshared account files a served program reads) and checkpoint restore;
 * plumbing -- registry entries, spec helpers, and
   :func:`~repro.api.seeding.seeded_spec`'s derived-seed injection, so a
   seeded campaign is reproducible across backends.
@@ -27,10 +27,11 @@ from repro.api.seeding import derive_seed, seeded_spec
 from repro.api.spec import SystemSpec, VariationSpec, keyed_address_spec, keyed_uid_spec
 from repro.apps.httpd.server import make_httpd_factory
 from repro.attacks.payloads import benign_request
-from repro.core.variations.address import KeyedAddressPartitioning
-from repro.core.variations.uid import KeyedUIDVariation
-from repro.engine.session import SessionState
+from repro.core.variations.address import AddressPartitioning, KeyedAddressPartitioning
+from repro.core.variations.uid import KeyedUIDVariation, OrbitUIDVariation, UIDVariation
+from repro.engine.session import NVariantSession, SessionState
 from repro.kernel.host import HTTP_PORT, build_standard_host
+from repro.load import build_serving_session, checkpoint, keyed_secrets, restore
 from repro.memory.partition import (
     KeyedAddressScheme,
     KeyedOrbitScheme,
@@ -123,7 +124,7 @@ class TestRotation:
         before = tuple(variation.masks)
         decoded_before = variation.reexpression(1).inverse(variation.masks[1] ^ 1000)
         for _ in range(6):
-            variation.rotate_key()
+            assert variation.rekey()
             if tuple(variation.masks) != before:
                 break
         else:
@@ -133,11 +134,17 @@ class TestRotation:
         decoded_after = variation.reexpression(1).inverse(variation.masks[1] ^ 1000)
         assert decoded_before == decoded_after == 1000
 
+    def test_an_unkeyed_variation_reports_it_and_refuses_a_secret(self):
+        variation = UIDVariation()
+        assert variation.rekey() is False
+        with pytest.raises(ValueError, match="not keyed"):
+            variation.rekey((1, 2))
+
     def test_address_variation_rotate_delegates_to_scheme(self):
         variation = KeyedAddressPartitioning(num_variants=2, key_bits=6, seed=4)
         secrets = {variation.scheme.secret()}
         for _ in range(6):
-            variation.rotate_key()
+            assert variation.rekey()
             secrets.add(variation.scheme.secret())
         assert len(secrets) > 1
 
@@ -219,6 +226,68 @@ class TestSessionRestart:
             response = kernel.network.connections[-1].response_bytes()
             assert response.startswith(b"HTTP/1.0 200 OK")
         assert len(masks) == 4
+
+
+def _assert_on_current_key(session):
+    """Every view of the session's one keyed variation agrees with its secret."""
+    [(position, variation)] = [
+        (position, variation)
+        for position, variation in enumerate(session.variations)
+        if isinstance(variation.scheme, KeyedScheme)
+    ]
+    secret = variation.scheme.secret()
+    assert keyed_secrets(session) == ((position, secret),)
+    for context in session.contexts:
+        index = context.index
+        if isinstance(variation, UIDVariation):
+            # R_i is XOR with the i-th secret mask, so root encodes as the mask.
+            assert variation.encode(index, 0) == secret[index]
+            assert context.uid_codec.root == secret[index]
+            passwd = session.kernel.fs.read_file(f"/etc/passwd-{index}").decode()
+            root = next(line for line in passwd.splitlines() if line.startswith("root:"))
+            assert int(root.split(":")[2]) == secret[index]
+        else:
+            # The secret is the slices, then (with slides) one offset each.
+            slide = secret[session.num_variants + index] if len(secret) > session.num_variants else 0
+            expected = (secret[index] << variation.scheme.shift) + slide
+            assert context.process.address_space.partition_base() == expected
+
+
+HAND_BUILT = {
+    "orbit-uid-keyed-scheme": lambda: OrbitUIDVariation(3, scheme=KeyedXorMaskScheme(3, seed=11)),
+    "address-keyed-orbit-scheme": lambda: AddressPartitioning(
+        3, scheme=KeyedOrbitScheme(3, seed=11)
+    ),
+}
+
+
+class TestRekeyAgreement:
+    """After any change of key, every derived view follows the new secret."""
+
+    @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    def test_a_rotating_restart_moves_a_hand_built_variation(self, build):
+        session = NVariantSession(
+            build_standard_host(), lambda context: context.libc.exit(0), [build()], num_variants=3
+        )
+        _assert_on_current_key(session)
+        before = keyed_secrets(session)
+        session.run()
+        session.restart()
+        assert keyed_secrets(session) != before
+        _assert_on_current_key(session)
+
+    @pytest.mark.parametrize(
+        "spec", [keyed_uid_spec(2, seed=5), keyed_address_spec(2, seed=5)], ids=["uid", "address"]
+    )
+    def test_restart_and_restore_move_a_registered_variation(self, spec):
+        session = build_serving_session(spec, "httpd", max_requests=1)
+        before = keyed_secrets(session)
+        session.restart()
+        assert keyed_secrets(session) != before
+        _assert_on_current_key(session)
+        restored = restore(checkpoint(session))
+        assert keyed_secrets(restored) == keyed_secrets(session)
+        _assert_on_current_key(restored)
 
 
 class TestSpecPlumbing:

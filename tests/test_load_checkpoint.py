@@ -120,6 +120,23 @@ class TestCheckpointFormat:
         with pytest.raises(LoadError, match="position 5"):
             restore(corrupt)
 
+    @pytest.mark.parametrize(
+        "spec,secrets,position",
+        [
+            # The session's keyed UID variation sits at position 0.
+            (keyed_uid_spec(2, seed=5), [{"position": -1, "values": [1, 2]}], -1),
+            (keyed_uid_spec(2, seed=5), [{"position": 0, "values": [1, 2]}] * 2, 0),
+            (keyed_uid_spec(2, seed=5), [], 0),
+            (uid_orbit_spec(2), [{"position": 0, "values": [1, 2]}], 0),
+        ],
+        ids=["negative", "duplicate", "missing", "unkeyed"],
+    )
+    def test_secret_positions_must_be_the_keyed_positions(self, spec, secrets, position):
+        cp = checkpoint(_serving_session(spec, [benign_request()]))
+        corrupt = SessionCheckpoint.from_dict({**cp.to_dict(), "secrets": secrets})
+        with pytest.raises(LoadError, match=f"position {position}\\b"):
+            restore(corrupt)
+
     def test_corrupt_secret_values_rejected(self):
         session = _serving_session(keyed_uid_spec(2, key_bits=8), [benign_request()])
         cp = checkpoint(session)

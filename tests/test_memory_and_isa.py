@@ -95,7 +95,7 @@ class TestAddressSpacePartitioning:
     def test_unpartitioned_accepts_any_mapped_address(self):
         space = AddressSpace()
         region = space.map_region(MemoryRegion("data", 0x1000, 64))
-        assert space.load_word(region.base) == 0
+        assert space.load_bytes(region.base, 4) == bytes(4)
 
     def test_partition_translation_matches_table1(self):
         scheme = HighBitScheme()
@@ -139,7 +139,7 @@ class TestAddressSpacePartitioning:
     def test_unmapped_address_faults(self):
         space = AddressSpace(scheme=HighBitScheme(), index=0)
         with pytest.raises(SegmentationFault):
-            space.load_word(0x5000)
+            space.load_bytes(0x5000, 4)
 
 
 class TestCorruptionPrimitives:
@@ -304,9 +304,9 @@ class TestTagging:
                 faults += 1
         assert faults >= 1
 
-    def test_run_tagged_executes_clean_stream(self):
+    def test_untagged_clean_stream_executes(self):
         program = assemble([(Opcode.LOADI, 1, 11), (Opcode.HALT,)])
-        state = Interpreter().run_tagged(tag_stream(program, 1), 1)
+        state = Interpreter().run(untag_stream(tag_stream(program, 1), 1))
         assert state.registers[1] == 11
 
     def test_truncated_tagged_stream_rejected(self):

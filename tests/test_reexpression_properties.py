@@ -263,44 +263,47 @@ class TestComparatorFastPath:
         assert transformed[0].args == (1,)
         assert transformed[1].args == (5,)
 
-    def test_undeclared_footprint_disables_fast_path(self):
-        """A stack containing a variation with an unknown footprint must
-        canonicalize every round -- correctness never depends on declaration."""
+    def test_a_variation_without_hooks_keeps_the_fast_path(self):
+        """A subclass that defines no hook inherits the identity hooks and
+        their empty footprints, so its rounds compare raw."""
         from repro.core.variations.base import Variation
 
-        class Undeclared(Variation):
-            name = "undeclared"
+        class NoHooks(Variation):
+            name = "no-hooks"
 
-        session = _session_round(
-            [Undeclared()], [request(Syscall.WRITE, 1, b"x") for _ in range(2)]
-        )
-        monitor = session.monitor
-        assert not monitor.alarms
-        assert monitor.stats.fast_path_rounds == 0
+        session = _session_round([NoHooks()], [request(Syscall.WRITE, 1, b"x") for _ in range(2)])
+        assert not session.monitor.alarms
+        assert session.monitor.stats.fast_path_rounds == 1
 
-    def test_overriding_hook_without_redeclaring_footprint_disables_fast_path(self):
-        """A subclass that rewrites more syscalls than its inherited footprint
-        declares must not have its canonicalization skipped -- the stack
-        detects the override and treats the footprint as unknown."""
+    def test_a_redeclared_override_canonicalizes_exactly_its_declared_calls(self):
+        """A subclass that overrides canonicalization for ``write`` and
+        declares it there takes ``write`` off the fast path, and only that."""
+        seen = []
 
         class WiderCanonicalization(UIDVariation):
             name = "wider-canonicalization"
+            canonical_syscalls = UIDVariation.canonical_syscalls | {Syscall.WRITE}
+            shared_rewrite_syscalls = UIDVariation.shared_rewrite_syscalls
 
-            def canonicalize_request(self, index, req):  # inherits stale footprint
+            def canonicalize_request(self, index, req):
+                seen.append(req.name)
                 return super().canonicalize_request(index, req)
 
+        stack = VariationStack([WiderCanonicalization()])
+        assert stack.canonical_syscalls() == WiderCanonicalization.canonical_syscalls
         session = _session_round(
             [WiderCanonicalization()], [request(Syscall.WRITE, 1, b"x") for _ in range(2)]
         )
-        assert session.variations.canonical_syscalls() is None
         assert session.monitor.stats.fast_path_rounds == 0
+        assert seen == [Syscall.WRITE, Syscall.WRITE]
 
-    def test_footprint_declared_alongside_hook_is_trusted(self):
+    def test_shipped_variations_keep_write_on_the_fast_path(self):
         """Shipped variations declare footprint and hook in the same class
-        (or declare a footprint for purely inherited hooks) -- those keep the
-        fast path."""
+        (or inherit both) -- a plain ``write`` stays outside them."""
         from repro.core.variations.address import AddressPartitioning
         from repro.core.variations.uid import FullFlipUIDVariation
 
         for variation in (UIDVariation(), FullFlipUIDVariation(), AddressPartitioning()):
-            assert VariationStack([variation]).canonical_syscalls() is not None, variation.name
+            assert Syscall.WRITE not in VariationStack([variation]).canonical_syscalls(), (
+                variation.name
+            )

@@ -73,7 +73,6 @@ def test_every_registered_kind_is_covered():
 def test_results_outside_the_footprint_pass_through_unchanged(name, num_variants, variation):
     stack = VariationStack([variation], num_variants)
     footprint = stack.result_syscalls()
-    assert footprint is not None, f"{name} declares no result footprint"
     # An int a re-expression would rewrite (a uid, a descriptor), and a failure.
     ok, failed = SyscallResult.success(3), SyscallResult.failure(Errno.EBADF)
     for syscall in ALL_SYSCALLS:
@@ -100,21 +99,32 @@ def test_the_footprint_is_where_results_do_change(kind):
         assert stack.transform_result(1, request, result) != result
 
 
-def test_an_override_without_a_redeclared_footprint_disables_the_fast_path():
-    class Rewrites(UIDVariation):
-        def transform_result(self, index, request, result):
-            return result
+#: Every footprint attribute, with a hook whose definition requires it.
+DECLARATIONS = (
+    ("canonical_syscalls", "canonicalize_request"),
+    ("transform_syscalls", "transform_request"),
+    ("result_syscalls", "transform_result"),
+    ("shared_rewrite_syscalls", "canonicalize_request"),
+    ("shared_rewrite_syscalls", "transform_request"),
+)
 
-    class Redeclares(Rewrites):
-        result_syscalls = frozenset({Syscall.TIME})
 
-    assert VariationStack([UIDVariation()]).result_syscalls() == UIDVariation.result_syscalls
-    assert VariationStack([Rewrites()]).result_syscalls() is None
-    assert VariationStack([Redeclares()]).result_syscalls() == {Syscall.TIME}
+@pytest.mark.parametrize("attribute,hook", DECLARATIONS, ids=[f"{a}-{h}" for a, h in DECLARATIONS])
+def test_a_hook_without_its_footprint_in_the_same_body_is_refused(attribute, hook):
+    # Every other attribute the hook requires is assigned, so the error can
+    # only be about *attribute*; an inherited declaration does not count.
+    body = {hook: getattr(UIDVariation, hook)}
+    body.update({other: frozenset() for other, _ in DECLARATIONS if other != attribute})
+    with pytest.raises(TypeError, match=f"Overrides defines {hook} but does not assign {attribute}"):
+        type("Overrides", (UIDVariation,), body)
+    body[attribute] = frozenset()
+    assert issubclass(type("Overrides", (UIDVariation,), body), UIDVariation)
 
 
 class _CountingUID(UIDVariation):
-    """Counts the calls whose results reach the hook; declares no footprint."""
+    """Counts the calls whose results reach the hook."""
+
+    result_syscalls = UIDVariation.result_syscalls
 
     def __init__(self):
         super().__init__()
@@ -125,8 +135,10 @@ class _CountingUID(UIDVariation):
         return super().transform_result(index, request, result)
 
 
-class _DeclaredCountingUID(_CountingUID):
-    result_syscalls = UIDVariation.result_syscalls
+class _EveryResultUID(_CountingUID):
+    """Declares that its result hook may rewrite every call."""
+
+    result_syscalls = frozenset(Syscall)
 
 
 def _serve(variation):
@@ -143,7 +155,7 @@ def _serve(variation):
 
 
 def test_a_session_transforms_results_only_for_footprint_calls():
-    variation = _DeclaredCountingUID()
+    variation = _CountingUID()
     session, result, kernel = _serve(variation)
     assert session.variations.result_syscalls() == UIDVariation.result_syscalls
     getuid_family = sum(
@@ -156,10 +168,10 @@ def test_a_session_transforms_results_only_for_footprint_calls():
     assert len(variation.seen) == getuid_family
 
 
-def test_an_undeclared_footprint_transforms_every_result():
-    variation = _CountingUID()
+def test_a_footprint_naming_every_call_transforms_every_result():
+    variation = _EveryResultUID()
     session, result, _ = _serve(variation)
-    assert session.variations.result_syscalls() is None
+    assert session.variations.result_syscalls() == frozenset(Syscall)
     assert len(variation.seen) == session.num_variants * result.wrapper_stats.checks
 
 
@@ -220,8 +232,11 @@ def test_per_name_chains_equal_the_full_stack_walk(stack):
                     )
 
 
-class _UndeclaredAddress(AddressPartitioning):
-    """Counts its hook calls; overrides the hooks below the inherited footprints."""
+class _QuietAddress(AddressPartitioning):
+    """Counts its hook calls; declares the empty footprints of its base."""
+
+    canonical_syscalls = transform_syscalls = result_syscalls = frozenset()
+    shared_rewrite_syscalls = frozenset()
 
     def __init__(self):
         super().__init__()
@@ -238,12 +253,6 @@ class _UndeclaredAddress(AddressPartitioning):
     def transform_result(self, index, request, result):
         self.calls += 1
         return super().transform_result(index, request, result)
-
-
-class _QuietAddress(_UndeclaredAddress):
-    """Redeclares the empty footprints, which vouches for the hooks again."""
-
-    canonical_syscalls = transform_syscalls = result_syscalls = frozenset()
 
 
 def _walk_every_hook(stack):
@@ -264,29 +273,34 @@ def test_a_variation_with_an_empty_footprint_is_never_called():
     assert quiet.calls == 0
 
 
-def test_an_override_below_the_footprint_joins_every_chain():
-    # The override guard: the inherited empty footprints cannot vouch for
-    # hooks a subclass overrides, so the variation is treated as unknown.
-    undeclared = _UndeclaredAddress()
-    stack = VariationStack([undeclared, UIDVariation()])
-    assert stack.canonical_syscalls() is None
-    assert stack.transform_syscalls() is None
-    assert stack.result_syscalls() is None
-    rounds = _walk_every_hook(stack)
-    assert undeclared.calls == len(HOOKS) * rounds
+class _WiderCanonicalization(UIDVariation):
+    """Also canonicalizes ``time``, and declares it with the override."""
+
+    canonical_syscalls = UIDVariation.canonical_syscalls | {Syscall.TIME}
+    shared_rewrite_syscalls = UIDVariation.shared_rewrite_syscalls
+
+    def canonicalize_request(self, index, request):
+        if request.name is Syscall.TIME:
+            return request.with_args(("canonical",))
+        return super().canonicalize_request(index, request)
 
 
-def test_an_overridden_hook_rewrites_calls_outside_its_inherited_footprint():
-    class WiderCanonicalization(UIDVariation):
-        def canonicalize_request(self, index, request):
-            if request.name is Syscall.TIME:
-                return request.with_args(("canonical",))
-            return super().canonicalize_request(index, request)
-
-    stack = VariationStack([AddressPartitioning(), WiderCanonicalization()])
+def test_a_redeclared_override_rewrites_exactly_the_calls_it_declares():
+    wider = _WiderCanonicalization()
+    stack = VariationStack([AddressPartitioning(), wider])
+    assert stack.canonical_syscalls() == _WiderCanonicalization.canonical_syscalls
+    for syscall in ALL_SYSCALLS:
+        chain = stack._chain("canonicalize_request", syscall)
+        declared = syscall in _WiderCanonicalization.canonical_syscalls
+        assert [hook.__self__ for hook in chain] == ([wider] if declared else []), syscall
+        for args in CHAIN_ARGS:
+            request = SyscallRequest(syscall, args)
+            for index in range(2):
+                expected = _full_walk(stack, "canonicalize_request", index, request)
+                assert stack.canonicalize_request(index, request) == expected, (syscall, index)
     request = SyscallRequest(Syscall.TIME, ())
     assert stack.canonicalize_request(1, request).args == ("canonical",)
-    # The request hook is not overridden: its footprint still holds.
+    # The request hook is not overridden: its footprint is the base's.
     assert stack.transform_syscalls() == UIDVariation.transform_syscalls
     assert stack.transform_request(1, request) is request
 
@@ -314,7 +328,7 @@ def _uid_views(variation, index, request):
     )
 
 
-@pytest.mark.parametrize("adopt", ["rotate_key", "install_secret"])
+@pytest.mark.parametrize("adopt", ["rotate", "install"])
 def test_decoding_under_new_masks_matches_a_fresh_variation(adopt):
     variation = KeyedUIDVariation(3, seed=5)
     donor = KeyedUIDVariation(3, seed=6)
@@ -323,11 +337,11 @@ def test_decoding_under_new_masks_matches_a_fresh_variation(adopt):
         for index in range(3):
             _uid_views(variation, index, request)
         before = variation.masks
-        if adopt == "rotate_key":
-            variation.rotate_key()
+        if adopt == "rotate":
+            assert variation.rekey()
         else:
-            donor.rotate_key()
-            variation.install_secret(donor.scheme.secret())
+            donor.rekey()
+            assert variation.rekey(donor.scheme.secret())
         assert variation.masks != before
         fresh = OrbitUIDVariation(3, scheme=XorMaskScheme(variation.masks))
         for index in range(3):

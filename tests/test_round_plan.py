@@ -51,7 +51,10 @@ REGISTERED = list(_registered_variations())
 
 
 class _WiderCanonicalization(UIDVariation):
-    """Overrides a hook below its inherited footprint, so it joins every chain."""
+    """Also canonicalizes ``time``, and declares it with the override."""
+
+    canonical_syscalls = UIDVariation.canonical_syscalls | {Syscall.TIME}
+    shared_rewrite_syscalls = UIDVariation.shared_rewrite_syscalls
 
     def canonicalize_request(self, index, request):
         if request.name is Syscall.TIME:
@@ -59,22 +62,22 @@ class _WiderCanonicalization(UIDVariation):
         return super().canonicalize_request(index, request)
 
 
-class _Undeclared(Variation):
-    """Declares no footprint at all."""
+class _NoHooks(Variation):
+    """Defines no hook, so it keeps the base's empty footprints."""
 
-    name = "undeclared"
+    name = "no-hooks"
 
 
 WIDER = _WiderCanonicalization()
 OVERRIDDEN_HOOK = [AddressPartitioning(), WIDER]
-UNDECLARED_FOOTPRINT = [AddressPartitioning(), _Undeclared()]
+NO_HOOKS = [AddressPartitioning(), _NoHooks()]
 
 
 def _stacks():
     for name, num_variants, variation in REGISTERED:
         yield f"{name}-N{num_variants}", [variation], num_variants
     yield "overridden-hook", OVERRIDDEN_HOOK, 2
-    yield "undeclared-footprint", UNDECLARED_FOOTPRINT, 2
+    yield "no-hooks", NO_HOOKS, 2
 
 
 STACKS = list(_stacks())
@@ -107,7 +110,7 @@ def test_each_plan_equals_the_layered_definition(variations, num_variants, table
     detection = get_table(table).detection_syscalls
     for name in ALL_SYSCALLS:
         plan = session.round_plan(name)
-        assert plan.fast == (canonical is not None and name not in canonical), name
+        assert plan.fast == (name not in canonical), name
         assert plan.detection == (name in detection), name
         assert plan.canonicalize == stack._chain("canonicalize_request", name), name
         assert plan.transform == stack._chain("transform_request", name), name
@@ -119,14 +122,16 @@ def test_each_plan_equals_the_layered_definition(variations, num_variants, table
         assert session.round_plan(name) is plan
 
 
-def test_the_special_stacks_take_no_raw_compare():
-    for variations in (OVERRIDDEN_HOOK, UNDECLARED_FOOTPRINT):
-        session = _idle_session(variations, 2, "classic")
-        assert session.variations.canonical_syscalls() is None
-        assert not any(session.round_plan(name).fast for name in ALL_SYSCALLS)
+def test_the_special_stacks_compare_raw_outside_their_declarations():
     overridden = _idle_session(OVERRIDDEN_HOOK, 2, "classic")
+    for name in ALL_SYSCALLS:
+        assert overridden.round_plan(name).fast is (
+            name not in _WiderCanonicalization.canonical_syscalls
+        ), name
     time_chain = overridden.round_plan(Syscall.TIME).canonicalize
     assert [hook.__self__ for hook in time_chain] == [WIDER]
+    no_hooks = _idle_session(NO_HOOKS, 2, "classic")
+    assert all(no_hooks.round_plan(name).fast for name in ALL_SYSCALLS)
 
 
 def test_only_declared_alike_chains_share_their_rewrite():
@@ -138,10 +143,10 @@ def test_only_declared_alike_chains_share_their_rewrite():
         "address+uid": ([AddressPartitioning(), UIDVariation()], uid_calls),
         # Neither canonicalizes the other's calls, so each shares its own.
         "fd+uid": ([FdOrbitVariation(), UIDVariation()], uid_calls | fd_calls),
-        # An override below the declaration voids it, and so does an
-        # undeclared footprint.
-        "overridden-hook": (OVERRIDDEN_HOOK, frozenset()),
-        "undeclared-footprint": (UNDECLARED_FOOTPRINT + [UIDVariation()], frozenset()),
+        # The override redeclares the UID calls as shared; time is only
+        # canonicalized.  A variation without hooks shares nothing.
+        "overridden-hook": (OVERRIDDEN_HOOK, uid_calls),
+        "no-hooks": (NO_HOOKS + [UIDVariation()], uid_calls),
     }
     for label, (variations, expected) in stacks.items():
         stack = _idle_session(variations, 2, "classic").variations
