@@ -29,7 +29,8 @@
 #                            off, must leave no cyclic garbage
 #   make round-budget     -- the interpreter work of one lockstep round (Python
 #                            calls and object.__new__ per round on three fixed
-#                            shapes) against its pinned budget, and the memory
+#                            shapes) and of one corpus cell against their pinned
+#                            budgets, and the memory
 #                            reading every response of the fleet shape adds
 #                            (at most 5% of its bytes), figures printed
 #   make figures          -- re-render benchmarks/figures/ from the committed
@@ -165,13 +166,13 @@ check-gc:
 
 # The round-budget gate: per lockstep round, the Python calls and object.__new__
 # constructions of a 2-session httpd fleet, a three-variant ftpd session and a
-# corpus slice must stay within 5% of the figures tests/test_round_budget.py pins,
-# and reading every response of the fleet shape may add at most 5% of the
-# response bytes to traced memory (also part of tier-1; here with the figures
-# printed).
+# corpus slice, and the same two counts per corpus cell of that slice, must stay
+# within 5% of the figures tests/test_round_budget.py pins, and reading every
+# response of the fleet shape may add at most 5% of the response bytes to traced
+# memory (also part of tier-1; here with the figures printed).
 round-budget:
-	$(PYTHON) -m pytest -q -s tests/test_round_budget.py -k "within_its_budget or byte_budget"
-	@echo "round-budget ok: every shape's round and the response read within their budgets"
+	$(PYTHON) -m pytest -q -s tests/test_round_budget.py -k "within_its_budget or corpus_cell or byte_budget"
+	@echo "round-budget ok: every shape's round, a corpus cell and the response read within their budgets"
 
 figures:
 	$(PYTHON) benchmarks/render_figures.py

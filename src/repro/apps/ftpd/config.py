@@ -8,6 +8,7 @@ paths whose root-only ownership makes privilege handling observable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.apps.server import parse_directives
 from repro.kernel.host import (
@@ -19,7 +20,7 @@ from repro.kernel.host import (
 )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class FtpConfig:
     """Parsed ftpd configuration."""
 
@@ -77,7 +78,12 @@ _DIRECTIVES = {
 }
 
 
+# Every start-up of every variant reads the same few config texts, so parsing
+# is memoised on the text: the config is frozen, so no caller can change the
+# shared instance, and a malformed text raises on every call because
+# ``lru_cache`` does not cache exceptions.
+@functools.lru_cache(maxsize=64)
 def parse_ftp_config(text: str) -> FtpConfig:
-    """Parse ``ftpd.conf`` contents into an :class:`FtpConfig` (see
+    """Parse ``ftpd.conf`` contents into a :class:`FtpConfig` (see
     :func:`~repro.apps.server.parse_directives` for the rules)."""
-    return parse_directives(text, FtpConfig(), _DIRECTIVES)
+    return parse_directives(text, FtpConfig, _DIRECTIVES)

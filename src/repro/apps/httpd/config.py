@@ -10,12 +10,13 @@ ownership makes privilege handling observable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.apps.server import parse_directives
 from repro.kernel.host import ACCESS_LOG, DOCROOT, ERROR_LOG, HTTP_PORT
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ServerConfig:
     """Parsed server configuration."""
 
@@ -63,7 +64,12 @@ _DIRECTIVES = {
 }
 
 
+# Every start-up of every variant reads the same few config texts, so parsing
+# is memoised on the text: the config is frozen, so no caller can change the
+# shared instance, and a malformed text raises on every call because
+# ``lru_cache`` does not cache exceptions.
+@functools.lru_cache(maxsize=64)
 def parse_config(text: str) -> ServerConfig:
     """Parse ``httpd.conf`` contents into a :class:`ServerConfig` (see
     :func:`~repro.apps.server.parse_directives` for the rules)."""
-    return parse_directives(text, ServerConfig(), _DIRECTIVES)
+    return parse_directives(text, ServerConfig, _DIRECTIVES)

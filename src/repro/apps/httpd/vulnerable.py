@@ -24,6 +24,7 @@ exactly like the real bug.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.memory.memory_model import MemoryRegion, MemoryVariable, StackFrame
 
@@ -38,6 +39,9 @@ STATE_REGION_BASE = 0x00400000
 
 #: Nominal base address of the read-only banner region.
 BANNER_REGION_BASE = 0x00200000
+
+#: Size of the server-state region.
+STATE_REGION_SIZE = 256
 
 #: Size of the banner region.
 BANNER_REGION_SIZE = 64
@@ -82,30 +86,46 @@ def build_server_state(
     The regions are declared at nominal addresses and relocated into the
     variant's partition by the address space, so under address partitioning
     the concrete addresses (and hence any legitimate pointer values) differ
-    between variants while the layout stays identical.
+    between variants while the layout stays identical.  Both regions are
+    mapped from templates (:func:`_state_template`): mapping relocates a
+    template into a region of this space's own, its bytes copied in one
+    write, so no two calls share a byte of memory.
     """
-    banner_region = address_space.map_region(
-        MemoryRegion("banner", BANNER_REGION_BASE, BANNER_REGION_SIZE)
-    )
-    banner_region.write(banner_region.base, BANNER_TEXT)
-
-    state_region = address_space.map_region(MemoryRegion("server-state", STATE_REGION_BASE, 256))
-    frame = StackFrame(state_region)
-    annotation_buf = frame.alloc_buffer("annotation_buf", ANNOTATION_BUFFER_SIZE)
-    worker_uid_var = frame.alloc_word("worker_uid", worker_uid)
-    worker_gid_var = frame.alloc_word("worker_gid", worker_gid)
-    admin_uid_var = frame.alloc_word("admin_uid", admin_uid)
-    banner_ptr_var = frame.alloc_word("banner_ptr", banner_region.base)
-
+    banner_region = address_space.map_region(_BANNER_TEMPLATE)
+    template, fields = _state_template(worker_uid, worker_gid, admin_uid, banner_region.base)
+    state_region = address_space.map_region(template)
     return ServerStateLayout(
-        region=state_region,
-        banner_region=banner_region,
-        annotation_buf=annotation_buf,
-        worker_uid=worker_uid_var,
-        worker_gid=worker_gid_var,
-        admin_uid=admin_uid_var,
-        banner_ptr=banner_ptr_var,
+        state_region,
+        banner_region,
+        *[MemoryVariable(name, state_region, offset, kind, size) for name, offset, kind, size in fields],
     )
+
+
+#: The banner region at its nominal base, text written; only ever relocated.
+_BANNER_TEMPLATE = MemoryRegion("banner", BANNER_REGION_BASE, BANNER_REGION_SIZE)
+_BANNER_TEMPLATE.write(BANNER_REGION_BASE, BANNER_TEXT)
+
+
+@functools.lru_cache(maxsize=256)
+def _state_template(
+    worker_uid: int, worker_gid: int, admin_uid: int, banner_pointer: int
+) -> tuple[MemoryRegion, tuple[tuple[str, int, str, int], ...]]:
+    """The state region at its nominal base, initialised, and its fields.
+
+    Laid out by a :class:`~repro.memory.memory_model.StackFrame`, in
+    :class:`ServerStateLayout` order; each field is ``(name, offset, kind,
+    size)``.  The region is only ever relocated, never handed out, so no
+    caller can write to it.
+    """
+    frame = StackFrame(MemoryRegion("server-state", STATE_REGION_BASE, STATE_REGION_SIZE))
+    fields = (
+        frame.alloc_buffer("annotation_buf", ANNOTATION_BUFFER_SIZE),
+        frame.alloc_word("worker_uid", worker_uid),
+        frame.alloc_word("worker_gid", worker_gid),
+        frame.alloc_word("admin_uid", admin_uid),
+        frame.alloc_word("banner_ptr", banner_pointer),
+    )
+    return frame.region, tuple((f.name, f.offset, f.kind, f.size) for f in fields)
 
 
 def copy_annotation_header(layout: ServerStateLayout, value: str) -> int:

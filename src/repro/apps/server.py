@@ -45,17 +45,19 @@ ServerProgram = Generator[SyscallRequest, SyscallResult, "ServerReport"]
 
 
 def parse_directives(
-    text: str, config: Any, directives: dict[str, tuple[str, Callable[[str], Any]]]
+    text: str, config_class: type, directives: dict[str, tuple[str, Callable[[str], Any]]]
 ) -> Any:
-    """Apply a config file's ``Name value`` lines to *config*, validate it, return it.
+    """Build a *config_class* from a config file's ``Name value`` lines, validate it, return it.
 
-    *directives* maps each lower-cased directive name to the attribute it
-    sets and the parser of its value.  Blank lines and ``#`` comments are
-    skipped, and unknown directives are ignored (as Apache does for modules
-    that are not loaded).  A line without a value, or a value its parser
-    rejects, raises ``ValueError`` naming the line, so misconfiguration
-    surfaces at startup rather than at privilege-drop time.
+    *directives* maps each lower-cased directive name to the field it sets
+    and the parser of its value; fields no line sets keep the class's
+    defaults.  Blank lines and ``#`` comments are skipped, and unknown
+    directives are ignored (as Apache does for modules that are not loaded).
+    A line without a value, or a value its parser rejects, raises
+    ``ValueError`` naming the line, so misconfiguration surfaces at startup
+    rather than at privilege-drop time.
     """
+    values: dict[str, Any] = {}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -69,9 +71,10 @@ def parse_directives(
             continue
         attribute, parser = entry
         try:
-            setattr(config, attribute, parser(value))
+            values[attribute] = parser(value)
         except ValueError as error:
             raise ValueError(f"bad value for {parts[0]} on line {line_number}: {error}") from error
+    config = config_class(**values)
     config.validate()
     return config
 

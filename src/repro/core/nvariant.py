@@ -64,8 +64,16 @@ class UIDCodec:
 
     @classmethod
     def identity(cls) -> "UIDCodec":
-        """The codec of an untransformed program."""
-        return cls(lambda value: value, lambda value: value)
+        """The codec of an untransformed program (one instance, shared: a codec
+        holds no per-variant state)."""
+        return _IDENTITY_CODEC
+
+
+def _identity(value: int) -> int:
+    return value
+
+
+_IDENTITY_CODEC = UIDCodec(_identity, _identity)
 
 
 @dataclasses.dataclass

@@ -30,6 +30,7 @@ restore both call.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 from repro.core.reexpression import ReexpressionFunction, identity_reexpression
@@ -213,6 +214,59 @@ class Variation:
         return f"<{type(self).__name__} name={self.name!r} target={self.target_type!r}>"
 
 
+class StackShape:
+    """What a stack's declarations fix, shared by every stack declared alike.
+
+    A stack's *declarations* are, per variation in stack order, its three
+    hook footprints and its :attr:`~Variation.shared_rewrite_syscalls`.  They
+    fix the footprint unions and, for each hook and call name, the stack
+    positions of the variations whose footprint names the call -- everything
+    about a chain except the variation objects it binds.  A shape holds no
+    variation and no key, so every stack with equal declarations shares one
+    (:func:`stack_shape`), whatever its secrets.
+    """
+
+    def __init__(self, declarations: tuple[tuple[frozenset[Syscall], ...], ...]):
+        self.declarations = declarations
+        #: Per hook, the union of its footprints over the stack.
+        self.unions = {
+            hook: frozenset().union(*(declared[column] for declared in declarations))
+            for column, (hook, _) in enumerate(_HOOK_FOOTPRINTS)
+        }
+        self._shared = frozenset().union(*(declared[3] for declared in declarations))
+
+    def positions(self, hook: str, name: Syscall) -> tuple[int, ...]:
+        """The stack positions, in stack order, whose *hook* footprint names *name*."""
+        if name not in self.unions[hook]:
+            return ()
+        column = _HOOK_COLUMNS[hook]
+        return tuple(
+            position
+            for position, declared in enumerate(self.declarations)
+            if name in declared[column]
+        )
+
+    def shares_rewrite(self, name: Syscall) -> bool:
+        """True when the canonical form of a *name* request is also its outgoing form.
+
+        Both request chains of *name* must walk the same variations, each
+        declaring that it rewrites *name* alike
+        (:attr:`Variation.shared_rewrite_syscalls`).
+        """
+        if name not in self._shared:
+            return False
+        canonical = self.positions("canonicalize_request", name)
+        return (
+            bool(canonical)
+            and canonical == self.positions("transform_request", name)
+            and all(name in self.declarations[position][3] for position in canonical)
+        )
+
+
+#: The shape of each distinct declaration tuple, built once (the cache is bounded).
+stack_shape = functools.lru_cache(maxsize=256)(StackShape)
+
+
 class VariationStack:
     """An ordered collection of variations applied together.
 
@@ -224,10 +278,10 @@ class VariationStack:
     stack order (or reverse order for results), whose declared footprint for
     that hook contains the call's name.  Leaving out a variation that
     declares it never rewrites the call is exactly the identity it would
-    have applied, so a chain's result equals the full walk's.  A lockstep
-    session keeps the chains of each name it meets in that name's round
-    plan; the hook methods here build the chain on every call, for the
-    rounds and callers no plan covers.
+    have applied, so a chain's result equals the full walk's.  The chain
+    positions come from the stack's :class:`StackShape`, which every stack
+    declared alike shares; the hook methods here bind the chain on every
+    call, for the rounds and callers no round plan covers.
     """
 
     def __init__(self, variations: Sequence[Variation], num_variants: int = 2):
@@ -239,53 +293,45 @@ class VariationStack:
                 )
         self.variations = list(variations)
         self.num_variants = num_variants
-        # Per hook: every variation's declared footprint, and their union.
-        self._footprints = {
-            hook: [getattr(variation, attribute) for variation in self.variations]
-            for hook, attribute in _HOOK_FOOTPRINTS
-        }
-        self._unions = {
-            hook: frozenset().union(*footprints) for hook, footprints in self._footprints.items()
-        }
-        self._shared = frozenset().union(*(v.shared_rewrite_syscalls for v in self.variations))
+        self.shape = stack_shape(
+            tuple(
+                [
+                    (
+                        variation.canonical_syscalls,
+                        variation.transform_syscalls,
+                        variation.result_syscalls,
+                        variation.shared_rewrite_syscalls,
+                    )
+                    for variation in self.variations
+                ]
+            )
+        )
 
     def _chain(self, hook: str, name: Syscall, *, reverse: bool = False) -> tuple[Callable, ...]:
         """The bound *hook* of every variation that may rewrite *name*."""
-        if name not in self._unions[hook]:
-            return ()
-        pairs = list(zip(self.variations, self._footprints[hook]))
-        if reverse:
-            pairs.reverse()
-        return tuple(getattr(variation, hook) for variation, footprint in pairs if name in footprint)
+        positions = self.shape.positions(hook, name)
+        return self.bind(hook, positions[::-1] if reverse else positions)
+
+    def bind(self, hook: str, positions: tuple[int, ...]) -> tuple[Callable, ...]:
+        """This stack's bound *hook* of the variation at each of *positions*."""
+        variations = self.variations
+        return tuple([getattr(variations[position], hook) for position in positions])
 
     def shares_rewrite(self, name: Syscall) -> bool:
-        """True when the canonical form of a *name* request is also its outgoing form.
-
-        Both request chains of *name* must walk the same variations, each
-        declaring that it rewrites *name* alike
-        (:attr:`Variation.shared_rewrite_syscalls`).
-        """
-        if name not in self._shared:
-            return False
-        canonical = [hook.__self__ for hook in self._chain("canonicalize_request", name)]
-        transform = [hook.__self__ for hook in self._chain("transform_request", name)]
-        return (
-            bool(canonical)
-            and canonical == transform
-            and all(name in variation.shared_rewrite_syscalls for variation in canonical)
-        )
+        """:meth:`StackShape.shares_rewrite` of this stack's shape."""
+        return self.shape.shares_rewrite(name)
 
     def canonical_syscalls(self) -> frozenset[Syscall]:
         """Union of the stack's canonicalization footprints."""
-        return self._unions["canonicalize_request"]
+        return self.shape.unions["canonicalize_request"]
 
     def transform_syscalls(self) -> frozenset[Syscall]:
         """Union of the stack's request-transformation footprints."""
-        return self._unions["transform_request"]
+        return self.shape.unions["transform_request"]
 
     def result_syscalls(self) -> frozenset[Syscall]:
         """Union of the stack's result-transformation footprints."""
-        return self._unions["transform_result"]
+        return self.shape.unions["transform_result"]
 
     def make_address_space(self, index: int) -> AddressSpace:
         """First variation-provided address space, or a default flat space."""
@@ -335,6 +381,8 @@ _HOOK_FOOTPRINTS = (
     ("transform_request", "transform_syscalls"),
     ("transform_result", "result_syscalls"),
 )
+#: Each hook's column in a :class:`StackShape` declaration.
+_HOOK_COLUMNS = {hook: column for column, (hook, _) in enumerate(_HOOK_FOOTPRINTS)}
 #: Each hook with every attribute a class body defining it must assign.
 _DECLARATIONS = _HOOK_FOOTPRINTS + (
     ("canonicalize_request", "shared_rewrite_syscalls"),

@@ -135,18 +135,7 @@ class SyscallWrappers:
 
     def strategy(self, name: Syscall) -> "Strategy":
         """The execution strategy the active table assigns to *name*."""
-        entry = self.table.entry(name)
-        if entry.policy is PolicyKind.DENY:
-            return SyscallWrappers._execute_deny
-        if name is Syscall.OPEN:
-            return SyscallWrappers._execute_open
-        if entry.creates_fd:
-            return SyscallWrappers._execute_descriptor_creating
-        if entry.fd_arg:
-            return SyscallWrappers._execute_fd_call
-        if entry.policy is PolicyKind.REPLICATE:
-            return SyscallWrappers._execute_once
-        return SyscallWrappers._execute_per_variant
+        return getattr(SyscallWrappers, strategy_name(self.table, name))
 
     # -- strategies ----------------------------------------------------------------
 
@@ -233,3 +222,24 @@ class SyscallWrappers:
 #: One of the ``SyscallWrappers._execute_*`` functions, called unbound with
 #: the wrapper instance (so the per-instance cache holds no reference cycle).
 Strategy = Callable[[SyscallWrappers, Sequence[SyscallRequest]], list[SyscallResult]]
+
+
+def strategy_name(table: InterpositionTable, name: Syscall) -> str:
+    """The ``SyscallWrappers`` strategy *table* assigns to *name*, by attribute name.
+
+    The choice depends on the table and the name alone.  It is named, not
+    held, so a round plan shared between sessions can read the attribute as
+    the class holds it when each session takes the plan.
+    """
+    entry = table.entry(name)
+    if entry.policy is PolicyKind.DENY:
+        return "_execute_deny"
+    if name is Syscall.OPEN:
+        return "_execute_open"
+    if entry.creates_fd:
+        return "_execute_descriptor_creating"
+    if entry.fd_arg:
+        return "_execute_fd_call"
+    if entry.policy is PolicyKind.REPLICATE:
+        return "_execute_once"
+    return "_execute_per_variant"

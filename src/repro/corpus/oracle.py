@@ -49,6 +49,7 @@ from repro.apps.httpd.vulnerable import (
     BANNER_REGION_SIZE,
     BANNER_TEXT,
     STATE_REGION_BASE,
+    STATE_REGION_SIZE,
 )
 from repro.attacks.outcomes import OutcomeKind
 from repro.core.variations.uid import UIDVariation
@@ -67,9 +68,6 @@ MAX_VALID_UID = 0x7FFFFFFF
 
 #: Bytes the banner dereference reads on every request.
 BANNER_READ_LEN = len(BANNER_TEXT)
-
-#: Size of the server-state region (see ``build_server_state``).
-STATE_REGION_SIZE = 256
 
 WORD_BYTES = 4
 

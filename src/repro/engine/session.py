@@ -10,13 +10,18 @@ and :func:`~repro.core.nvariant.nvexec` step one session alone until it
 leaves ``RUNNING``.
 
 A round's work depends on its call name alone, so a session resolves one
-:class:`RoundPlan` per name on first use and keeps it: raw or canonical
-comparison, detection call or not, the canonicalize/transform/result hook
-chains (each variation that declares the name in that hook's footprint),
-and the wrapper strategy.  A *uniform* round (every variant issued the same
-name) runs straight from the plan; for the read/write/open/accept bulk of a
-workload every chain is empty, so that is one compare loop and one kernel
-call.  A mixed-name round, or a raw-compared round whose arguments
+:class:`RoundPlan` per name on first use and keeps it until its next
+restart: raw or canonical comparison, detection call or not, the
+canonicalize/transform/result hook chains (each variation that declares the
+name in that hook's footprint), and the wrapper strategy.  Everything but
+the hooks themselves depends only on the stack's declarations and the
+interposition table, so it is worked out once per process for each such
+pair and shared by every session built alike (every cell of a corpus spec,
+every session of a fleet); a session binds only its own variations' hooks,
+for the few names that have any.  A *uniform* round (every variant issued
+the same name) runs straight from the plan; for the read/write/open/accept
+bulk of a workload every chain is empty, so that is one compare loop and one
+kernel call.  A mixed-name round, or a raw-compared round whose arguments
 differ, takes the layered path (:class:`~repro.core.monitor.SyscallComparator`,
 :meth:`~repro.core.wrappers.SyscallWrappers.execute_round`,
 :meth:`~repro.core.variations.base.VariationStack.transform_result`), so its
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.core.monitor import Monitor, SyscallComparator
@@ -38,9 +44,14 @@ from repro.core.nvariant import (
     VariantContext,
     VariantOutcome,
 )
-from repro.core.variations.base import Variation, VariationStack
-from repro.core.wrappers import Strategy, SyscallWrappers, UnsharedFileRegistry
-from repro.interpose import get_table
+from repro.core.variations.base import StackShape, Variation, VariationStack
+from repro.core.wrappers import (
+    Strategy,
+    SyscallWrappers,
+    UnsharedFileRegistry,
+    strategy_name,
+)
+from repro.interpose import InterpositionTable, get_table
 from repro.kernel.errors import VariantFault
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.libc import Libc
@@ -66,10 +77,13 @@ class RoundLimitError(RuntimeError):
 class RoundPlan(NamedTuple):
     """Everything a uniform round of one call name needs, resolved once.
 
-    The chains come from :meth:`~repro.core.variations.base.VariationStack._chain`
-    (results in reverse stack order); ``strategy`` is called unbound with the
-    session's current wrappers.  A plan holds no stats object, so rebuilding
-    the monitor or the wrappers never leaves it stale.
+    The chains hold the session's own bound hooks, at the stack positions
+    its :class:`~repro.core.variations.base.StackShape` gives (results in
+    reverse stack order); ``strategy`` is called unbound with the session's
+    current wrappers.  A plan holds no stats object, so rebuilding the
+    monitor or the wrappers never leaves it stale, and a plan whose chains
+    are all empty holds nothing of any session, so sessions built alike
+    share it.
     """
 
     #: The name is outside the canonicalization footprint: compare raw args.
@@ -102,6 +116,44 @@ def _rewrite(
             request = hook(index, request)
         rewritten.append(request)
     return rewritten
+
+
+#: What a shared plan book holds per name: the plan, the name of its wrapper
+#: strategy, and for a name with hooks the stack positions of its
+#: canonicalize, transform and result chains (the plan's own chains are then
+#: empty until a session binds them).
+_PlanEntry = tuple[RoundPlan, str, Optional[tuple[tuple[int, ...], ...]]]
+
+
+@functools.lru_cache(maxsize=128)
+def _plan_book(shape: StackShape, table: InterpositionTable) -> dict[Syscall, _PlanEntry]:
+    """The plan entries every session of *shape* under *table* shares, filled on first use.
+
+    A plan depends on nothing else: the declarations fix the chains'
+    positions, whether the name compares raw and whether the rewrite is
+    shared; the table fixes the detection flag and the wrapper strategy.
+    Neither a session nor a variation is held, and the cache is bounded.
+    """
+    return {}
+
+
+def _resolve_plan(shape: StackShape, table: InterpositionTable, name: Syscall) -> _PlanEntry:
+    """The shareable entry of *name*'s plan (see :func:`_plan_book`)."""
+    canonicalize = shape.positions("canonicalize_request", name)
+    transform = shape.positions("transform_request", name)
+    result = shape.positions("transform_result", name)[::-1]
+    strategy = strategy_name(table, name)
+    plan = RoundPlan(
+        fast=name not in shape.unions["canonicalize_request"],
+        detection=name in table.detection_syscalls,
+        canonicalize=(),
+        transform=(),
+        result=(),
+        strategy=getattr(SyscallWrappers, strategy),
+        shared=shape.shares_rewrite(name),
+    )
+    hooked = canonicalize or transform or result
+    return plan, strategy, (canonicalize, transform, result) if hooked else None
 
 
 @dataclasses.dataclass
@@ -152,6 +204,8 @@ class NVariantSession:
         self.table = get_table(interposition)
         #: The round plan of each call name this run has met.
         self._plans: dict[Syscall, RoundPlan] = {}
+        #: What the plans of every session of this stack shape and table share.
+        self._book = _plan_book(self.variations.shape, self.table)
         #: Provenance stamps used by checkpoint/migration (repro.load): the
         #: declarative SystemSpec this session was built from (set by
         #: repro.api.builders.build_session) and the serving-app configuration
@@ -177,19 +231,14 @@ class NVariantSession:
         self.state = SessionState.RUNNING
         self._contexts: list[VariantContext] = []
         processes: list[Process] = []
-        for index in range(self.num_variants):
+        for index, codec in enumerate(self._build_codecs()):
             process = self.kernel.spawn_process(
                 f"{self.name}-v{index}",
                 address_space=self.variations.make_address_space(index),
             )
             processes.append(process)
             self._contexts.append(
-                VariantContext(
-                    index=index,
-                    process=process,
-                    libc=Libc(),
-                    uid_codec=self._build_codec(index),
-                )
+                VariantContext(index=index, process=process, libc=Libc(), uid_codec=codec)
             )
         self.wrappers = SyscallWrappers(
             self.kernel, processes, self._unshared_registry, table=self.table
@@ -209,10 +258,12 @@ class NVariantSession:
         fleet faces a fresh secret layout, so knowledge an attacker
         accumulated across probes dies with the old session), unless
         *rotate_keys* is False.  The monitor, round plans, per-variant
-        runtimes and UID codecs are all built anew; the previous run's
-        processes are exited and its alarms discarded.  A rotation also
-        rewrites the unshared files (``/etc/passwd-i``, ``/etc/group-i``),
-        whose UID columns were encoded under the old key.
+        runtimes and UID codecs are all built anew (the plans re-bind this
+        session's hooks from the shared entries, which hold no key, so a
+        rotated key takes effect); the previous run's processes are exited
+        and its alarms discarded.  A rotation also rewrites the unshared
+        files (``/etc/passwd-i``, ``/etc/group-i``), whose UID columns were
+        encoded under the old key.
         """
         rotated = False
         if rotate_keys:
@@ -228,15 +279,18 @@ class NVariantSession:
         self._start()
         return self.state
 
-    def _build_codec(self, index: int) -> UIDCodec:
+    def _build_codecs(self) -> list[UIDCodec]:
+        """Each variant's UID codec, in variant order."""
         from repro.core.variations.uid import UIDVariation
 
-        for variation in self.variations:
+        for variation in self.variations.variations:
             if isinstance(variation, UIDVariation):
                 # Bound to this run's key: only ``restart`` rotates, and it rebuilds the codecs.
-                function = variation.reexpression(index)
-                return UIDCodec(encode=function.forward, decode=function.inverse)
-        return UIDCodec.identity()
+                return [
+                    UIDCodec(encode=function.forward, decode=function.inverse)
+                    for function in variation.reexpressions()
+                ]
+        return [UIDCodec.identity()] * self.num_variants
 
     @property
     def contexts(self) -> list[VariantContext]:
@@ -360,19 +414,36 @@ class NVariantSession:
             self._ticks_consumed += kernel.clock - clock_before
 
     def round_plan(self, name: Syscall) -> RoundPlan:
-        """The plan a uniform round of *name* runs from, resolved on first use."""
+        """The plan a uniform round of *name* runs from, resolved on first use.
+
+        Sessions of one stack shape and table share what a plan holds
+        (:func:`_plan_book`).  A plan with no hook is shared outright; for a
+        name with hooks the shared entry holds stack positions, and this
+        session binds its own variations' hooks at them, so no shared plan
+        holds a hook bound to one session's key.  The strategy is read from
+        :class:`~repro.core.wrappers.SyscallWrappers` as the class holds it
+        now.
+        """
         plan = self._plans.get(name)
         if plan is None:
-            variations = self.variations
-            plan = self._plans[name] = RoundPlan(
-                fast=name not in variations.canonical_syscalls(),
-                detection=name in self.table.detection_syscalls,
-                canonicalize=variations._chain("canonicalize_request", name),
-                transform=variations._chain("transform_request", name),
-                result=variations._chain("transform_result", name, reverse=True),
-                strategy=self.wrappers.strategy_for(name),
-                shared=variations.shares_rewrite(name),
-            )
+            entry = self._book.get(name)
+            if entry is None:
+                entry = self._book[name] = _resolve_plan(self.variations.shape, self.table, name)
+            plan, strategy, positions = entry
+            strategy = getattr(SyscallWrappers, strategy)
+            if positions is not None or strategy is not plan.strategy:
+                bind = self.variations.bind
+                canonicalize, transform, result = positions or ((), (), ())
+                plan = RoundPlan(
+                    plan.fast,
+                    plan.detection,
+                    bind("canonicalize_request", canonicalize) if canonicalize else (),
+                    bind("transform_request", transform) if transform else (),
+                    bind("transform_result", result) if result else (),
+                    strategy,
+                    plan.shared,
+                )
+            self._plans[name] = plan
         return plan
 
     def _layered_round(

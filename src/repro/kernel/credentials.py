@@ -95,11 +95,15 @@ class Credentials:
     groups: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # A plain in-range int is checked in place (every process spawn builds
+        # credentials); anything else goes to the validator, which raises.
         for uid in (self.ruid, self.euid, self.suid):
-            validate_uid(uid)
+            if uid.__class__ is not int or not 0 <= uid <= MAX_VALID_UID:
+                validate_uid(uid)
         for gid in (self.rgid, self.egid, self.sgid):
-            validate_gid(gid)
-        self.groups = tuple(validate_gid(g) for g in self.groups)
+            if gid.__class__ is not int or not 0 <= gid <= MAX_VALID_UID:
+                validate_gid(gid)
+        self.groups = tuple(validate_gid(g) for g in self.groups) if self.groups else ()
 
     # -- queries ----------------------------------------------------------
 

@@ -211,7 +211,7 @@ class FileSystem:
         normalized = FileSystem._normalize(path)
         if normalized == "/":
             return []
-        return [part for part in normalized.split("/") if part]
+        return list(filter(None, normalized.split("/")))
 
     def _lookup(self, path: str) -> Inode:
         node = self.root

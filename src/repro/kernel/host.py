@@ -203,7 +203,7 @@ def install_diversified_user_db(
         variant_passwd = f"{passwd_path}-{index}"
         variant_group = f"{group_path}-{index}"
         passwd_text, group_text = _diversified_user_db(
-            passwd, group, tuple(reexpress(value) for value in ids)
+            passwd, group, tuple(map(reexpress, ids))
         )
         fs.create_file(variant_passwd, passwd_text, mode=0o644)
         fs.create_file(variant_group, group_text, mode=0o644)

@@ -33,7 +33,7 @@ from repro.engine.session import NVariantSession, SessionState
 from repro.kernel.host import build_standard_host
 from repro.kernel.kernel import SimulatedKernel
 from repro.load.arrivals import LoadError
-from repro.memory.partition import KeyedScheme
+from repro.memory.partition import KeyedScheme, PartitionSchemeError
 
 
 def _require_known_keys(kind: str, data: Mapping[str, Any], known: frozenset) -> None:
@@ -43,6 +43,34 @@ def _require_known_keys(kind: str, data: Mapping[str, Any], known: frozenset) ->
             f"unknown {kind} keys: {', '.join(unknown)}; expected a subset of "
             f"{', '.join(sorted(known))}"
         )
+
+
+def _field(kind: str, data: Mapping[str, Any], field: str) -> Any:
+    """``data[field]``, or a :class:`LoadError` naming the missing field."""
+    if not isinstance(data, Mapping):
+        raise LoadError(f"a {kind} must be an object, got {type(data).__name__}")
+    try:
+        return data[field]
+    except KeyError:
+        raise LoadError(f"{kind} is missing {field!r}") from None
+
+
+def _int(kind: str, field: str, value: Any) -> int:
+    """*value* as the integer *field* must hold, or a :class:`LoadError` naming it."""
+    if value.__class__ is not int:
+        raise LoadError(f"{kind} {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _secret(entry: Any) -> tuple[int, tuple[int, ...]]:
+    """One ``{"position": ..., "values": [...]}`` secret entry, parsed."""
+    kind = "checkpoint secret"
+    position = _int(kind, "position", _field(kind, entry, "position"))
+    values = _field(kind, entry, "values")
+    _require_known_keys(kind, entry, frozenset({"position", "values"}))
+    if not isinstance(values, (list, tuple)):
+        raise LoadError(f"{kind} 'values' must be a list of integers, got {values!r}")
+    return position, tuple(_int(kind, "values", value) for value in values)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,12 +113,16 @@ class PendingRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PendingRequest":
-        _require_known_keys("pending request", data, frozenset({"client", "data", "port"}))
-        return cls(
-            port=int(data["port"]),
-            client=str(data["client"]),
-            data=bytes.fromhex(data["data"]),
-        )
+        kind = "pending request"
+        port = _int(kind, "port", _field(kind, data, "port"))
+        client = str(_field(kind, data, "client"))
+        wire = _field(kind, data, "data")
+        _require_known_keys(kind, data, frozenset({"client", "data", "port"}))
+        try:
+            wire = bytes.fromhex(wire)
+        except (TypeError, ValueError):
+            raise LoadError(f"{kind} 'data' must be a hex string, got {wire!r}") from None
+        return cls(port=port, client=client, data=wire)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,10 +186,7 @@ class SessionCheckpoint:
             pending=tuple(
                 PendingRequest.from_dict(entry) for entry in data.get("pending", ())
             ),
-            secrets=tuple(
-                (int(entry["position"]), tuple(int(v) for v in entry["values"]))
-                for entry in data.get("secrets", ())
-            ),
+            secrets=tuple(_secret(entry) for entry in data.get("secrets", ())),
             version=1,
         )
 
@@ -248,7 +277,8 @@ def restore(
     from the scheme layout at spawn, so a post-construction install would
     leave variant memory in the wrong partitions.  A checkpoint is outside
     input: its secrets must name exactly the keyed variation positions of
-    the spec's stack, once each, or :class:`LoadError` names the position.
+    the spec's stack, once each, and each must fit its scheme, or
+    :class:`LoadError` names the position.
     Queued conversations are replayed onto the new kernel's listeners in
     their original per-port order.
     """
@@ -278,7 +308,12 @@ def restore(
     for entry in cp.pending:
         kernel.client_connect(entry.port, entry.data, client=entry.client)
     for position, values in cp.secrets:
-        variations[position].rekey(values)
+        try:
+            variations[position].rekey(values)
+        except PartitionSchemeError as error:
+            raise LoadError(
+                f"checkpoint secret 'values' at variation position {position}: {error}"
+            ) from None
     factory = app_record.make_factory(
         transformed=cp.spec.transformed,
         max_requests=cp.serving.max_requests,

@@ -121,7 +121,7 @@ class AddressSpace:
         """
         if self.scheme is not None:
             capacity = self.scheme.nominal_capacity
-            if region.base + region.size > capacity:
+            if region.base + len(region.data) > capacity:
                 raise ValueError(
                     f"region {region.name} (nominal 0x{region.base:08x}+0x{region.size:x}) "
                     f"exceeds the {self.scheme.kind} scheme's per-partition capacity "

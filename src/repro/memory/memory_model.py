@@ -46,7 +46,7 @@ class MemoryRegion:
     @property
     def end(self) -> int:
         """One past the last valid address."""
-        return self.base + self.size
+        return self.base + len(self.data)
 
     def contains(self, address: int) -> bool:
         """True when *address* falls inside the region."""
@@ -54,11 +54,11 @@ class MemoryRegion:
 
     def overlaps(self, other: "MemoryRegion") -> bool:
         """True when this region overlaps *other*."""
-        return self.base < other.end and other.base < self.end
+        return self.base < other.base + len(other.data) and other.base < self.base + len(self.data)
 
     def relocate(self, new_base: int) -> "MemoryRegion":
         """Return a copy of this region rebased at *new_base*."""
-        clone = MemoryRegion(self.name, new_base, self.size)
+        clone = MemoryRegion(self.name, new_base, len(self.data))
         clone.data[:] = self.data
         return clone
 
@@ -110,7 +110,7 @@ class MemoryRegion:
         return writable
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class MemoryVariable:
     """A typed program variable bound to a fixed location in a region.
 
@@ -124,13 +124,22 @@ class MemoryVariable:
     kind: str = "word"
     size: int = WORD_SIZE
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("word", "buffer"):
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.kind == "word":
-            self.size = WORD_SIZE
-        if self.offset < 0 or self.offset + self.size > self.region.size:
-            raise ValueError(f"variable {self.name} does not fit in region {self.region.name}")
+    def __init__(
+        self, name: str, region: MemoryRegion, offset: int, kind: str = "word", size: int = WORD_SIZE
+    ):
+        # Validated in the constructor itself: every server start-up binds
+        # its state fields anew, so this is one call, not two.
+        if kind == "word":
+            size = WORD_SIZE
+        elif kind != "buffer":
+            raise ValueError(f"unknown variable kind {kind!r}")
+        if offset < 0 or offset + size > len(region.data):
+            raise ValueError(f"variable {name} does not fit in region {region.name}")
+        self.name = name
+        self.region = region
+        self.offset = offset
+        self.kind = kind
+        self.size = size
 
     @property
     def address(self) -> int:

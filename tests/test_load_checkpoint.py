@@ -147,6 +147,65 @@ class TestCheckpointFormat:
             restore(corrupt)
 
 
+    @pytest.mark.parametrize(
+        "entry,field",
+        [
+            ({"values": [1, 2]}, "position"),
+            ({"position": 0}, "values"),
+            ({"position": "first", "values": [1, 2]}, "position"),
+            ({"position": 1.5, "values": [1, 2]}, "position"),
+            ({"position": True, "values": [1, 2]}, "position"),
+            ({"position": 0, "values": [1, "two"]}, "values"),
+            ({"position": 0, "values": 12}, "values"),
+            ({"position": 0, "values": [1, 2], "salt": 9}, "salt"),
+            ("position 0", "object"),
+        ],
+        ids=[
+            "no-position", "no-values", "word-position", "float-position",
+            "bool-position", "word-value", "scalar-values", "unknown-key", "not-an-object",
+        ],
+    )
+    def test_a_malformed_secret_entry_is_a_load_error_naming_the_field(self, entry, field):
+        data = checkpoint(_serving_session(keyed_uid_spec(2, seed=5), [benign_request()])).to_dict()
+        with pytest.raises(LoadError, match=field):
+            SessionCheckpoint.from_dict({**data, "secrets": [entry]})
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"data": "not hex"}, "data"),
+            ({"data": 7}, "data"),
+            ({"port": "eighty"}, "port"),
+            ({"port": 80.0}, "port"),
+            ({"port": None}, "port"),
+        ],
+        ids=["non-hex-data", "numeric-data", "word-port", "float-port", "null-port"],
+    )
+    def test_a_malformed_pending_request_is_a_load_error_naming_the_field(self, change, field):
+        data = checkpoint(_serving_session(uid_orbit_spec(2), [benign_request()])).to_dict()
+        pending = [{**data["pending"][0], **change}]
+        with pytest.raises(LoadError, match=field):
+            SessionCheckpoint.from_dict({**data, "pending": pending})
+
+    @pytest.mark.parametrize("field", ["port", "client", "data"])
+    def test_a_pending_request_missing_a_field_is_a_load_error(self, field):
+        data = checkpoint(_serving_session(uid_orbit_spec(2), [benign_request()])).to_dict()
+        pending = [{k: v for k, v in data["pending"][0].items() if k != field}]
+        with pytest.raises(LoadError, match=f"missing '{field}'"):
+            SessionCheckpoint.from_dict({**data, "pending": pending})
+
+    @pytest.mark.parametrize(
+        "values", [[3], [1, 2, 3], [5, 5]], ids=["short", "long", "repeated"]
+    )
+    def test_secret_values_that_do_not_fit_the_scheme_are_a_load_error(self, values):
+        session = _serving_session(keyed_uid_spec(2, key_bits=8), [benign_request()])
+        corrupt = SessionCheckpoint.from_dict(
+            {**checkpoint(session).to_dict(), "secrets": [{"position": 0, "values": values}]}
+        )
+        with pytest.raises(LoadError, match="'values' at variation position 0"):
+            restore(corrupt)
+
+
 class TestRestoreFidelity:
     def test_restored_session_preserves_keyed_secrets(self):
         session = _serving_session(keyed_uid_spec(2, key_bits=8), [benign_request()])

@@ -12,8 +12,11 @@ the figure this code measured:
 * one ftpd session under the three-variant UID orbit;
 * a 6-record slice of the seeded attack corpus, each cell built and run.
 
-The figures print with ``pytest -s``; ``make round-budget`` runs the suite.
-A change that makes a round cheaper lowers the budget in the same commit.
+A corpus cell is also pinned whole, per cell: its construction (host,
+session, round plans, the server's start-up) is work no per-round figure
+isolates.  The figures print with ``pytest -s``; ``make round-budget`` runs
+the suite.  A change that makes a round or a cell cheaper lowers the budget
+in the same commit.
 
 The socket output path has a byte budget too: a connection holds what the
 server sent once, so reading every response of the fleet shape may add at
@@ -30,6 +33,7 @@ process backend puts them through.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pickle
 import sys
 import tracemalloc
@@ -53,11 +57,13 @@ from repro.load import build_serving_session
 #: figure measured on this code (CPython 3.11) plus 5%.  Before the libc
 #: helpers became the generators, the round shared its frozen values and
 #: the plan its canonical requests, the same shapes measured 47.16 and 4.31
-#: (fleet), 54.47 and 5.57 (ftpd) and 54.26 and 4.80 (corpus).
+#: (fleet), 54.47 and 5.57 (ftpd) and 54.26 and 4.80 (corpus); before
+#: sessions shared their round plans and the server its state template,
+#: 32.02, 37.39 and 41.87 calls.
 BUDGETS = {
-    "fleet-httpd-2x2": (33.45, 2.25),  # measured 31.85 and 2.14
-    "ftpd-orbit-3": (38.98, 3.30),  # measured 37.12 and 3.14
-    "corpus-slice-6": (44.00, 3.11),  # measured 41.90 and 2.95
+    "fleet-httpd-2x2": (31.56, 2.25),  # measured 30.06 and 2.14
+    "ftpd-orbit-3": (37.60, 3.30),  # measured 35.81 and 3.14
+    "corpus-slice-6": (36.77, 3.10),  # measured 35.02 and 2.95
 }
 
 
@@ -89,8 +95,12 @@ def _ftpd():
     return session.run
 
 
+def _corpus_records():
+    return generate_corpus(records=24)[::4]
+
+
 def _corpus():
-    records = generate_corpus(records=24)[::4]
+    records = _corpus_records()
     return lambda: run_corpus_records(records, workers=2)
 
 
@@ -111,7 +121,13 @@ def per_round(shape: str) -> tuple[float, float, int]:
     counting starts; a corpus cell builds its own session inside the run, as
     it does in a real pass.
     """
-    run = SHAPES[shape]()
+    counts = _count(SHAPES[shape]())
+    rounds = counts["rounds"]
+    return counts["call"] / rounds, counts["new"] / rounds, rounds
+
+
+def _count(run) -> dict[str, int]:
+    """The Python calls, ``object.__new__`` calls and lockstep rounds of ``run()``."""
     counts = {"call": 0, "new": 0, "rounds": 0}
 
     def profile(frame, event, arg):
@@ -127,8 +143,7 @@ def per_round(shape: str) -> tuple[float, float, int]:
         run()
     finally:
         sys.setprofile(None)
-    rounds = counts["rounds"]
-    return counts["call"] / rounds, counts["new"] / rounds, rounds
+    return counts
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -143,6 +158,31 @@ def test_a_round_stays_within_its_budget(shape):
     )
     assert calls <= call_budget, f"{shape}: {calls:.2f} Python calls per round"
     assert allocations <= allocation_budget, f"{shape}: {allocations:.2f} allocations per round"
+
+
+#: Per corpus cell of the ``corpus-slice-6`` records, everything included:
+#: (Python calls, ``object.__new__`` calls), each the figure measured on this
+#: code (CPython 3.11) plus 5%.  A cell's construction -- host, session,
+#: round plans, the server's start-up -- is part of the figure, so work
+#: added to what every cell of a spec builds alike shows here even when no
+#: round changes.
+CELL_BUDGET = (1562.7, 131.8)  # measured 1488.3 and 125.5 (1779.3 and 125.5 before)
+
+
+def test_a_corpus_cell_stays_within_its_budget():
+    records = _corpus_records()
+    run = functools.partial(run_corpus_records, records, workers=2)
+    run()  # warm: first-use imports and the shared caches are not a cell's cost
+    counts = _count(run)
+    calls, allocations = counts["call"] / len(records), counts["new"] / len(records)
+    call_budget, allocation_budget = CELL_BUDGET
+    print(
+        f"\ncorpus-slice-6: {len(records)} cells, {calls:.1f} Python calls and "
+        f"{allocations:.1f} object.__new__ per cell "
+        f"(budget {call_budget:.1f} and {allocation_budget:.1f})"
+    )
+    assert calls <= call_budget, f"{calls:.1f} Python calls per cell"
+    assert allocations <= allocation_budget, f"{allocations:.1f} allocations per cell"
 
 
 #: What reading every response may add to traced memory, as a share of the
