@@ -30,10 +30,13 @@ The documented import path for the scenario API is this top-level package::
 
 ``python -m repro run scenario.json`` drives the same API from the shell.
 
-The package re-exports lazily: ``import repro`` loads no other module, and a
-name's defining module is imported when the name is first used (see
-``_lazy_exports``, which ``repro.api``, ``repro.engine``, ``repro.core``,
-``repro.core.variations``, ``repro.attacks`` and ``repro.apps.httpd`` share).
+A name's import path is the module that defines it.  A package re-exports a
+name only where callers import it through the package, and always lazily:
+``import repro`` loads no other module, and a name's defining module is
+imported when the name is first used (see ``_lazy_exports``, which
+``repro.engine``, ``repro.core``, ``repro.core.variations``, ``repro.load``,
+``repro.corpus``, ``repro.interpose``, ``repro.security`` and
+``repro.apps.ftpd`` share).
 """
 
 import importlib
@@ -51,10 +54,10 @@ def _lazy_exports(
     *sources* maps each defining module to the names *package* re-exports
     from it.  A name's module is imported on the name's first access, and the
     value is then cached in the package's globals, so importing a package
-    loads none of the modules behind its re-exports.  A re-exported name that
-    is also a submodule's name must be imported eagerly instead: once the
-    import system binds the submodule under that name, ``__getattr__`` is
-    never consulted.
+    loads none of the modules behind its re-exports.  A package re-exports
+    no name that is also one of its submodules' names: once the import
+    system binds the submodule under that name, ``__getattr__`` is never
+    consulted.
     """
     origins = {name: module for module, names in sources.items() for name in names}
     namespace = vars(sys.modules[package])
@@ -73,23 +76,17 @@ def _lazy_exports(
     return __getattr__, __dir__, list(origins)
 
 
-__getattr__, __dir__, _exports = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.api.builders": ("build_engine", "build_session", "build_variations"),
-        "repro.api.campaign": ("CampaignReport", "prepare_attack", "run_attack", "run_campaign"),
-        "repro.api.experiments": ("ExperimentReport", "experiments"),
-        "repro.api.registry": (
-            "UnknownVariationError",
-            "VariationParameterError",
-            "VariationRegistry",
-            "registry",
-        ),
+        "repro.api.campaign": ("run_attack", "run_campaign"),
+        "repro.api.experiments": ("experiments",),
+        "repro.api.registry": ("UnknownVariationError", "VariationParameterError", "registry"),
         "repro.api.spec": (
             "ADDRESS_ORBIT_3_SPEC",
             "ADDRESS_PARTITIONING_SPEC",
             "ADDRESS_UID_SPEC",
-            "COMBINED_ORBIT_3_SPEC",
             "ExperimentSpec",
             "FleetSpec",
             "SINGLE_PROCESS_SPEC",
@@ -99,12 +96,6 @@ __getattr__, __dir__, _exports = _lazy_exports(
             "UID_ORBIT_3_SPEC",
             "VariationSpec",
             "WorkloadSpec",
-            "address_orbit_spec",
-            "combined_orbit_spec",
-            "keyed_address_spec",
-            "keyed_uid_spec",
-            "uid_orbit_spec",
         ),
     },
 )
-__all__ = ["__version__", *_exports]

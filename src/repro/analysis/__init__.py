@@ -1,20 +1,1 @@
 """Analysis layer: performance model, table rendering and experiment drivers."""
-
-from repro.analysis.perfmodel import (
-    CostParameters,
-    PerfPoint,
-    PerformanceModel,
-    ResourceDemand,
-    percent_change,
-)
-from repro.analysis.tables import render_key_values, render_table
-
-__all__ = [
-    "CostParameters",
-    "PerfPoint",
-    "PerformanceModel",
-    "ResourceDemand",
-    "percent_change",
-    "render_key_values",
-    "render_table",
-]

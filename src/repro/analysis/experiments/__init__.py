@@ -21,14 +21,3 @@ name (``from repro.analysis.experiments import table3``).
 * :mod:`~repro.analysis.experiments.detection` -- the detection matrix.
 * :mod:`~repro.analysis.experiments.ablations` -- design-choice ablations.
 """
-
-__all__ = [
-    "ablations",
-    "detection",
-    "figure1",
-    "figure2",
-    "section4",
-    "table1",
-    "table2",
-    "table3",
-]

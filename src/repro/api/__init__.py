@@ -18,65 +18,3 @@ Typical use::
 ``python -m repro run scenario.json`` drives the same API from the command
 line, so new scenarios require no code at all.
 """
-
-from repro import _lazy_exports
-
-# ``registry`` and ``experiments`` are also the names of the modules that
-# define them, so they are imported eagerly (see ``_lazy_exports``).
-from repro.api.experiments import experiments
-from repro.api.registry import registry
-
-__getattr__, __dir__, _exports = _lazy_exports(
-    __name__,
-    {
-        "repro.api.builders": ("build_engine", "build_session", "build_variations"),
-        "repro.api.campaign": (
-            "CampaignReport",
-            "attacks_by_name",
-            "prepare_attack",
-            "run_attack",
-            "run_campaign",
-            "standard_attacks",
-        ),
-        "repro.api.experiments": (
-            "ExperimentParameter",
-            "ExperimentParameterError",
-            "ExperimentRegistry",
-            "ExperimentRegistryError",
-            "ExperimentReport",
-            "RegisteredExperiment",
-            "ReportKeyValues",
-            "ReportTable",
-            "UnknownExperimentError",
-        ),
-        "repro.api.registry": (
-            "RegisteredVariation",
-            "UnknownVariationError",
-            "VariationParameterError",
-            "VariationRegistry",
-            "VariationRegistryError",
-        ),
-        "repro.api.spec": (
-            "ADDRESS_ORBIT_3_SPEC",
-            "ADDRESS_PARTITIONING_SPEC",
-            "ADDRESS_UID_SPEC",
-            "COMBINED_ORBIT_3_SPEC",
-            "ExperimentSpec",
-            "FLEET_HALT_POLICIES",
-            "FleetSpec",
-            "SINGLE_PROCESS_SPEC",
-            "STANDARD_SYSTEM_SPECS",
-            "SystemSpec",
-            "UID_DIVERSITY_SPEC",
-            "UID_ORBIT_3_SPEC",
-            "VariationSpec",
-            "WorkloadSpec",
-            "address_orbit_spec",
-            "combined_orbit_spec",
-            "keyed_address_spec",
-            "keyed_uid_spec",
-            "uid_orbit_spec",
-        ),
-    },
-)
-__all__ = ["experiments", "registry", *_exports]

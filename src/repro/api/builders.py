@@ -14,20 +14,19 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from repro.api.registry import VariationRegistry, registry as default_registry
+from repro.api.registry import registry
 from repro.api.spec import FleetSpec, SystemSpec
 from repro.core.nvariant import Program, VariantContext
 from repro.core.variations.base import Variation
-from repro.engine.scheduler import HaltPolicy, MultiSessionEngine
+from repro.engine.policy import HaltPolicy
+from repro.engine.scheduler import MultiSessionEngine
 from repro.engine.session import NVariantSession
 from repro.kernel.kernel import SimulatedKernel
 
 ProgramFactory = Callable[[VariantContext], Program]
 
 
-def build_variations(
-    spec: SystemSpec, *, registry: Optional[VariationRegistry] = None
-) -> list[Variation]:
+def build_variations(spec: SystemSpec) -> list[Variation]:
     """Instantiate the spec's variation stack, fresh instances every call.
 
     Freshness matters: two sessions built from the same spec must never share
@@ -39,14 +38,13 @@ def build_variations(
     so N-way variations like the UID orbit follow the system's variant count
     without the spec having to repeat it per variation.
     """
-    resolver = registry if registry is not None else default_registry
     variations = []
     for v in spec.variations:
         params = v.params_dict()
-        entry = resolver.get(v.name)
+        entry = registry.get(v.name)
         if "num_variants" not in params and "num_variants" in entry.parameters():
             params["num_variants"] = spec.num_variants
-        variations.append(resolver.create(v.name, params))
+        variations.append(registry.create(v.name, params))
     return variations
 
 
@@ -56,7 +54,6 @@ def build_session(
     program_factory: ProgramFactory,
     *,
     name: Optional[str] = None,
-    registry: Optional[VariationRegistry] = None,
 ) -> NVariantSession:
     """Build one resumable lockstep session from a spec.
 
@@ -68,7 +65,7 @@ def build_session(
     session = NVariantSession(
         kernel,
         program_factory,
-        build_variations(spec, registry=registry),
+        build_variations(spec),
         num_variants=spec.num_variants,
         halt_on_alarm=spec.halt_on_alarm,
         max_rounds=spec.max_rounds,

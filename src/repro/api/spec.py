@@ -27,6 +27,8 @@ import dataclasses
 import json
 from typing import Any, Mapping, Union
 
+from repro.engine.policy import HaltPolicy
+
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
@@ -315,9 +317,8 @@ class WorkloadSpec:
         return cls(**data)
 
 
-#: Engine halt policies expressible in a fleet spec (values of
-#: :class:`repro.engine.scheduler.HaltPolicy`).
-FLEET_HALT_POLICIES = ("per-session", "halt-all")
+#: Engine halt policies expressible in a fleet spec.
+FLEET_HALT_POLICIES = tuple(policy.value for policy in HaltPolicy)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,27 +1,1 @@
 """Workload generation: the WebBench-style client side of the evaluation."""
-
-from repro.apps.clients.webbench import (
-    DEFAULT_STATIC_MIX,
-    EngineWorkloadMeasurement,
-    RequestMixEntry,
-    SATURATED_WORKLOAD,
-    UNSATURATED_WORKLOAD,
-    WebBenchWorkload,
-    WorkloadMeasurement,
-    drive_engine,
-    drive_nvariant,
-    drive_standalone,
-)
-
-__all__ = [
-    "DEFAULT_STATIC_MIX",
-    "EngineWorkloadMeasurement",
-    "RequestMixEntry",
-    "SATURATED_WORKLOAD",
-    "UNSATURATED_WORKLOAD",
-    "WebBenchWorkload",
-    "WorkloadMeasurement",
-    "drive_engine",
-    "drive_nvariant",
-    "drive_standalone",
-]

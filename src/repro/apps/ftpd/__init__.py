@@ -5,15 +5,12 @@ surface as the mini-httpd (see :mod:`repro.apps.ftpd.server`), used to show
 the framework's protections are application-independent.
 """
 
-from repro.apps.ftpd.config import FtpConfig, parse_ftp_config
-from repro.apps.ftpd.server import (
-    MiniFtpd,
-    make_ftpd_factory,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FtpConfig",
-    "MiniFtpd",
-    "make_ftpd_factory",
-    "parse_ftp_config",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.apps.ftpd.config": ("FtpConfig", "parse_ftp_config"),
+        "repro.apps.ftpd.server": ("MiniFtpd",),
+    },
+)

@@ -23,56 +23,12 @@ from repro import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
-        "repro.core.alarm": ("Alarm", "AlarmType"),
-        "repro.core.detection_calls": (
-            "CC_FAMILY_RATIONALE",
-            "COMPARISON_TO_CALL",
-            "DetectionCallSpec",
-            "TABLE2_DETECTION_CALLS",
-        ),
-        "repro.core.monitor": ("Monitor", "MonitorStats"),
-        "repro.core.nvariant": (
-            "NVariantResult",
-            "UIDCodec",
-            "VariantContext",
-            "VariantOutcome",
-            "nvexec",
-        ),
+        "repro.core.nvariant": ("nvexec",),
         "repro.core.pipeline": (
-            "AppInterpreter",
             "DataDiversityPipeline",
-            "PipelineRun",
-            "PipelineVariant",
             "TargetInterpreter",
-            "faithful_app_interpreter",
             "vulnerable_app_interpreter",
         ),
-        "repro.core.properties": (
-            "EquivalenceVerdict",
-            "check_normal_equivalence",
-            "check_variation_reexpression",
-        ),
-        "repro.core.reexpression": (
-            "PropertyReport",
-            "ReexpressionFunction",
-            "check_disjointness",
-            "check_inverse_property",
-            "check_partial_overwrite_resilience",
-            "identity_reexpression",
-            "offset_reexpression",
-            "sample_domain",
-            "xor_reexpression",
-        ),
-        "repro.core.variations.address": ("AddressPartitioning", "ExtendedAddressPartitioning"),
-        "repro.core.variations.base": ("Variation", "VariationStack"),
-        "repro.core.variations.instruction": ("InstructionSetTagging",),
-        "repro.core.variations.table1": ("TABLE1_VARIATIONS",),
-        "repro.core.variations.uid": (
-            "FullFlipUIDVariation",
-            "UID_MASK_31",
-            "UID_MASK_32",
-            "UIDVariation",
-        ),
-        "repro.core.wrappers": ("SyscallWrappers", "UnsharedFileRegistry", "WrapperStats"),
+        "repro.core.variations.uid": ("UIDVariation",),
     },
 )

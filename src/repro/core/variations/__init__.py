@@ -28,10 +28,9 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         "repro.core.variations.address": (
             "AddressPartitioning",
             "ExtendedAddressPartitioning",
-            "KeyedAddressPartitioning",
             "OrbitAddressPartitioning",
         ),
-        "repro.core.variations.base": ("Variation", "VariationStack"),
+        "repro.core.variations.base": ("VariationStack",),
         "repro.core.variations.fdspace": ("FdOrbitVariation",),
         "repro.core.variations.instruction": ("InstructionSetTagging",),
         "repro.core.variations.table1": ("TABLE1_VARIATIONS",),
@@ -39,8 +38,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "FullFlipUIDVariation",
             "KeyedUIDVariation",
             "OrbitUIDVariation",
-            "UID_MASK_31",
-            "UID_MASK_32",
             "UIDVariation",
         ),
     },

@@ -97,9 +97,8 @@ class SyscallWrappers:
     before the kernel is entered, descriptor-creating and fd-carrying calls
     go through the shared/unshared descriptor machinery, replicated calls
     run once on behalf of all variants, and everything else fans out per
-    variant.  The choice depends only on the call name and the table, so it
-    is made once per name (:meth:`strategy_for`) and remembered; a session's
-    round plan holds the same choice.
+    variant.  The choice depends only on the call name and the table
+    (:func:`strategy_for`); a session's round plan holds it.
     """
 
     def __init__(
@@ -115,7 +114,6 @@ class SyscallWrappers:
         self.table = table if table is not None else CLASSIC_TABLE
         self.stats = WrapperStats()
         self._unshared_fds: set[int] = set()
-        self._strategies: dict[Syscall, Strategy] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -124,18 +122,7 @@ class SyscallWrappers:
         if len(requests) != len(self.processes):
             raise ValueError("one request per variant is required")
         self.stats.checks += 1
-        return self.strategy_for(requests[0].name)(self, requests)
-
-    def strategy_for(self, name: Syscall) -> "Strategy":
-        """:meth:`strategy` for *name*, decided on its first use and remembered."""
-        strategy = self._strategies.get(name)
-        if strategy is None:
-            strategy = self._strategies[name] = self.strategy(name)
-        return strategy
-
-    def strategy(self, name: Syscall) -> "Strategy":
-        """The execution strategy the active table assigns to *name*."""
-        return getattr(SyscallWrappers, strategy_name(self.table, name))
+        return strategy_for(self.table, requests[0].name)(self, requests)
 
     # -- strategies ----------------------------------------------------------------
 
@@ -220,26 +207,24 @@ class SyscallWrappers:
 
 
 #: One of the ``SyscallWrappers._execute_*`` functions, called unbound with
-#: the wrapper instance (so the per-instance cache holds no reference cycle).
+#: the wrapper instance (so a plan shared between sessions holds none).
 Strategy = Callable[[SyscallWrappers, Sequence[SyscallRequest]], list[SyscallResult]]
 
 
-def strategy_name(table: InterpositionTable, name: Syscall) -> str:
-    """The ``SyscallWrappers`` strategy *table* assigns to *name*, by attribute name.
+def strategy_for(table: InterpositionTable, name: Syscall) -> Strategy:
+    """The ``SyscallWrappers`` strategy *table* assigns to *name*.
 
-    The choice depends on the table and the name alone.  It is named, not
-    held, so a round plan shared between sessions can read the attribute as
-    the class holds it when each session takes the plan.
+    The choice depends on the table and the name alone.
     """
     entry = table.entry(name)
     if entry.policy is PolicyKind.DENY:
-        return "_execute_deny"
+        return SyscallWrappers._execute_deny
     if name is Syscall.OPEN:
-        return "_execute_open"
+        return SyscallWrappers._execute_open
     if entry.creates_fd:
-        return "_execute_descriptor_creating"
+        return SyscallWrappers._execute_descriptor_creating
     if entry.fd_arg:
-        return "_execute_fd_call"
+        return SyscallWrappers._execute_fd_call
     if entry.policy is PolicyKind.REPLICATE:
-        return "_execute_once"
-    return "_execute_per_variant"
+        return SyscallWrappers._execute_once
+    return SyscallWrappers._execute_per_variant

@@ -21,30 +21,21 @@ The ``corpus`` experiment (:mod:`repro.analysis.experiments.corpus`) wires
 these together and gates the scorecard under ``bench-diff``.
 """
 
-from repro.corpus.generator import DEFAULT_RECORDS, generate_corpus
-from repro.corpus.records import (
-    EXPECTED_BENIGN,
-    EXPECTED_DETECTED,
-    EXPECTED_EXEMPT,
-    CorpusError,
-    CorpusRecord,
-    read_corpus,
-    write_corpus,
-)
-from repro.corpus.runner import run_corpus_records
-from repro.corpus.scorecard import Scorecard, evaluate_corpus
+from repro import _lazy_exports
 
-__all__ = [
-    "CorpusError",
-    "CorpusRecord",
-    "DEFAULT_RECORDS",
-    "EXPECTED_BENIGN",
-    "EXPECTED_DETECTED",
-    "EXPECTED_EXEMPT",
-    "Scorecard",
-    "evaluate_corpus",
-    "generate_corpus",
-    "read_corpus",
-    "run_corpus_records",
-    "write_corpus",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.corpus.generator": ("generate_corpus",),
+        "repro.corpus.records": (
+            "CorpusError",
+            "CorpusRecord",
+            "EXPECTED_BENIGN",
+            "EXPECTED_DETECTED",
+            "EXPECTED_EXEMPT",
+            "read_corpus",
+            "write_corpus",
+        ),
+        "repro.corpus.runner": ("run_corpus_records",),
+    },
+)

@@ -46,15 +46,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.engine.campaign": ("CampaignJob", "CampaignScheduler", "run_jobs"),
-        "repro.engine.policy": ("CampaignHaltPolicy",),
-        "repro.engine.procpool": ("ProcessWorkerPool", "WorkerError"),
-        "repro.engine.scheduler": (
-            "CampaignExecutionResult",
-            "HaltPolicy",
-            "MultiSessionEngine",
-            "ScheduledJobResult",
-            "run_sessions",
-        ),
-        "repro.engine.session": ("NVariantSession", "RoundLimitError", "RoundPlan", "SessionState"),
+        "repro.engine.policy": ("CampaignHaltPolicy", "HaltPolicy"),
+        "repro.engine.scheduler": ("CampaignExecutionResult", "MultiSessionEngine", "run_sessions"),
+        "repro.engine.session": ("NVariantSession", "RoundLimitError", "SessionState"),
     },
 )

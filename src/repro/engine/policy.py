@@ -1,14 +1,25 @@
-"""A campaign's settings: the execution backends and the halt policies.
+"""The engine's settings: the campaign backends and the halt policies.
 
-Kept apart from the scheduler, so that the scenario layer can declare and
-check these settings (the CLI's flags, the experiments' parameters) without
-importing the engine.  :mod:`repro.engine.campaign` re-exports both names.
+Kept apart from the schedulers, so that the scenario layer can declare and
+check these settings (the CLI's flags, the experiments' parameters, a fleet
+spec's halt policy) without importing the engine.
+:mod:`repro.engine.campaign` re-exports the campaign's two.
 """
 
 import enum
 
 #: The execution backends :func:`~repro.engine.campaign.run_jobs` accepts.
 CAMPAIGN_BACKENDS = ("virtual", "process")
+
+
+class HaltPolicy(enum.Enum):
+    """What an alarm in one session means for its siblings in an engine."""
+
+    #: Halt only the alarming session; the others keep serving (default).
+    PER_SESSION = "per-session"
+    #: Halt every session in the engine at the end of the first turn in
+    #: which any session halted.
+    HALT_ALL = "halt-all"
 
 
 class CampaignHaltPolicy(enum.Enum):

@@ -26,10 +26,10 @@ engine beats the sequential driver.
 from __future__ import annotations
 
 import dataclasses
-import enum
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.nvariant import NVariantResult
+from repro.engine.policy import HaltPolicy
 from repro.engine.session import NVariantSession, SessionState
 
 # Bound once: attribute access on an Enum class goes through the metaclass's
@@ -41,16 +41,6 @@ _HALTED = SessionState.HALTED
 #: The most scheduling turns one :func:`run_round_robin` call may take: a
 #: guard against a session that never ends, far above any real run.
 MAX_TURNS = 10_000_000
-
-
-class HaltPolicy(enum.Enum):
-    """What an alarm in one session means for its siblings."""
-
-    #: Halt only the alarming session; the others keep serving (default).
-    PER_SESSION = "per-session"
-    #: Halt every session in the engine at the end of the first turn in
-    #: which any session halted.
-    HALT_ALL = "halt-all"
 
 
 @dataclasses.dataclass

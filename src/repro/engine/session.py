@@ -45,12 +45,7 @@ from repro.core.nvariant import (
     VariantOutcome,
 )
 from repro.core.variations.base import StackShape, Variation, VariationStack
-from repro.core.wrappers import (
-    Strategy,
-    SyscallWrappers,
-    UnsharedFileRegistry,
-    strategy_name,
-)
+from repro.core.wrappers import Strategy, SyscallWrappers, UnsharedFileRegistry, strategy_for
 from repro.interpose import InterpositionTable, get_table
 from repro.kernel.errors import VariantFault
 from repro.kernel.kernel import SimulatedKernel
@@ -118,11 +113,10 @@ def _rewrite(
     return rewritten
 
 
-#: What a shared plan book holds per name: the plan, the name of its wrapper
-#: strategy, and for a name with hooks the stack positions of its
-#: canonicalize, transform and result chains (the plan's own chains are then
-#: empty until a session binds them).
-_PlanEntry = tuple[RoundPlan, str, Optional[tuple[tuple[int, ...], ...]]]
+#: What a shared plan book holds per name: the plan, and for a name with hooks
+#: the stack positions of its canonicalize, transform and result chains (the
+#: plan's own chains are then empty until a session binds them).
+_PlanEntry = tuple[RoundPlan, Optional[tuple[tuple[int, ...], ...]]]
 
 
 @functools.lru_cache(maxsize=128)
@@ -142,18 +136,17 @@ def _resolve_plan(shape: StackShape, table: InterpositionTable, name: Syscall) -
     canonicalize = shape.positions("canonicalize_request", name)
     transform = shape.positions("transform_request", name)
     result = shape.positions("transform_result", name)[::-1]
-    strategy = strategy_name(table, name)
     plan = RoundPlan(
         fast=name not in shape.unions["canonicalize_request"],
         detection=name in table.detection_syscalls,
         canonicalize=(),
         transform=(),
         result=(),
-        strategy=getattr(SyscallWrappers, strategy),
+        strategy=strategy_for(table, name),
         shared=shape.shares_rewrite(name),
     )
     hooked = canonicalize or transform or result
-    return plan, strategy, (canonicalize, transform, result) if hooked else None
+    return plan, (canonicalize, transform, result) if hooked else None
 
 
 @dataclasses.dataclass
@@ -420,27 +413,24 @@ class NVariantSession:
         (:func:`_plan_book`).  A plan with no hook is shared outright; for a
         name with hooks the shared entry holds stack positions, and this
         session binds its own variations' hooks at them, so no shared plan
-        holds a hook bound to one session's key.  The strategy is read from
-        :class:`~repro.core.wrappers.SyscallWrappers` as the class holds it
-        now.
+        holds a hook bound to one session's key.
         """
         plan = self._plans.get(name)
         if plan is None:
             entry = self._book.get(name)
             if entry is None:
                 entry = self._book[name] = _resolve_plan(self.variations.shape, self.table, name)
-            plan, strategy, positions = entry
-            strategy = getattr(SyscallWrappers, strategy)
-            if positions is not None or strategy is not plan.strategy:
+            plan, positions = entry
+            if positions is not None:
                 bind = self.variations.bind
-                canonicalize, transform, result = positions or ((), (), ())
+                canonicalize, transform, result = positions
                 plan = RoundPlan(
                     plan.fast,
                     plan.detection,
                     bind("canonicalize_request", canonicalize) if canonicalize else (),
                     bind("transform_request", transform) if transform else (),
                     bind("transform_result", result) if result else (),
-                    strategy,
+                    plan.strategy,
                     plan.shared,
                 )
             self._plans[name] = plan

@@ -1,6 +1,6 @@
 """Syscall-table interposition: named, data-driven monitoring policies.
 
-See :mod:`repro.interpose.tables` for the model.  The public surface:
+See :mod:`repro.interpose.tables` for the model and its public surface:
 
 * :class:`InterpositionTable` / :class:`InterpositionEntry` /
   :class:`PolicyKind` -- the policy vocabulary.
@@ -13,26 +13,20 @@ See :mod:`repro.interpose.tables` for the model.  The public surface:
   renders as a clean exit-2 message.
 """
 
-from repro.interpose.tables import (
-    CLASSIC_TABLE,
-    InterpositionEntry,
-    InterpositionError,
-    InterpositionTable,
-    PolicyKind,
-    WIDE_TABLE,
-    get_table,
-    register_table,
-    table_names,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CLASSIC_TABLE",
-    "InterpositionEntry",
-    "InterpositionError",
-    "InterpositionTable",
-    "PolicyKind",
-    "WIDE_TABLE",
-    "get_table",
-    "register_table",
-    "table_names",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.interpose.tables": (
+            "CLASSIC_TABLE",
+            "InterpositionEntry",
+            "InterpositionError",
+            "InterpositionTable",
+            "PolicyKind",
+            "WIDE_TABLE",
+            "get_table",
+            "table_names",
+        ),
+    },
+)

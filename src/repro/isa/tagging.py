@@ -65,17 +65,6 @@ def untag_stream(tagged: bytes, variant_index: int) -> list[Instruction]:
     return instructions
 
 
-def retag_stream(tagged: bytes, from_variant: int, to_variant: int) -> bytes:
-    """Translate a tagged stream from one variant's tagging to another's.
-
-    Used by tests to build the "correctly tagged for the other variant"
-    control case: such a payload executes on the other variant but then
-    faults on the first, so detection still holds.
-    """
-    instructions = untag_stream(tagged, from_variant)
-    return tag_stream(instructions, to_variant)
-
-
 def inject_untagged(benign_tagged: bytes, injected: list[Instruction], position: int) -> bytes:
     """Model a code-injection attack against a tagged instruction stream.
 

@@ -11,82 +11,32 @@ engine; and :mod:`repro.load.driver` wires all four into a deterministic
 run the ``loadtest`` experiment sweeps.
 """
 
-from repro.load.admission import (
-    AcceptAllPolicy,
-    AdmissionDecision,
-    AdmissionPolicy,
-    AdmissionStats,
-    BoundedQueuePolicy,
-    POLICIES,
-    TokenBucketPolicy,
-    UnknownAdmissionError,
-    admission_kinds,
-    create_admission_policy,
-)
-from repro.load.arrivals import (
-    ARRIVALS,
-    ArrivalProcess,
-    BurstyArrivals,
-    ConstantArrivals,
-    LoadError,
-    PoissonArrivals,
-    RampArrivals,
-    UnknownArrivalError,
-    arrival_kinds,
-    create_arrival_process,
-)
-from repro.load.checkpoint import (
-    PendingRequest,
-    ServingConfig,
-    SessionCheckpoint,
-    build_serving_session,
-    checkpoint,
-    keyed_secrets,
-    restore,
-)
-from repro.load.driver import (
-    ATTACK_KINDS,
-    DEFAULT_SEED,
-    LoadRunResult,
-    LoadtestCell,
-    RequestRecord,
-    run_loadtest,
-)
-from repro.load.latency import LatencyHistogram
+from repro import _lazy_exports
 
-__all__ = [
-    "ARRIVALS",
-    "ATTACK_KINDS",
-    "AcceptAllPolicy",
-    "AdmissionDecision",
-    "AdmissionPolicy",
-    "AdmissionStats",
-    "ArrivalProcess",
-    "BoundedQueuePolicy",
-    "BurstyArrivals",
-    "ConstantArrivals",
-    "DEFAULT_SEED",
-    "LatencyHistogram",
-    "LoadError",
-    "LoadRunResult",
-    "LoadtestCell",
-    "POLICIES",
-    "PendingRequest",
-    "PoissonArrivals",
-    "RampArrivals",
-    "RequestRecord",
-    "ServingConfig",
-    "SessionCheckpoint",
-    "TokenBucketPolicy",
-    "UnknownAdmissionError",
-    "UnknownArrivalError",
-    "admission_kinds",
-    "arrival_kinds",
-    "build_serving_session",
-    "checkpoint",
-    "create_admission_policy",
-    "create_arrival_process",
-    "keyed_secrets",
-    "restore",
-    "run_loadtest",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.load.admission": (
+            "AcceptAllPolicy",
+            "BoundedQueuePolicy",
+            "TokenBucketPolicy",
+            "UnknownAdmissionError",
+            "admission_kinds",
+            "create_admission_policy",
+        ),
+        "repro.load.arrivals": (
+            "LoadError",
+            "UnknownArrivalError",
+            "arrival_kinds",
+            "create_arrival_process",
+        ),
+        "repro.load.checkpoint": (
+            "SessionCheckpoint",
+            "build_serving_session",
+            "keyed_secrets",
+            "restore",
+        ),
+        "repro.load.driver": ("ATTACK_KINDS", "LoadtestCell", "run_loadtest"),
+        "repro.load.latency": ("LatencyHistogram",),
+    },
+)

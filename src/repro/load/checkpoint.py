@@ -31,7 +31,6 @@ from repro.api.spec import SystemSpec
 from repro.apps.catalog import ServingApp, get_app
 from repro.engine.session import NVariantSession, SessionState
 from repro.kernel.host import build_standard_host
-from repro.kernel.kernel import SimulatedKernel
 from repro.load.arrivals import LoadError
 from repro.memory.partition import KeyedScheme, PartitionSchemeError
 
@@ -204,7 +203,6 @@ def build_serving_session(
     spec: SystemSpec,
     app: "str | ServingApp",
     *,
-    kernel: Optional[SimulatedKernel] = None,
     name: Optional[str] = None,
     max_requests: Optional[int] = None,
     multiplex: int = 1,
@@ -217,9 +215,8 @@ def build_serving_session(
     here), which is exactly what :func:`checkpoint` serializes.
     """
     app_record = get_app(app) if isinstance(app, str) else app
-    if kernel is None:
-        kernel = build_standard_host()
-        app_record.prepare_host(kernel)
+    kernel = build_standard_host()
+    app_record.prepare_host(kernel)
     factory = app_record.make_factory(
         transformed=spec.transformed, max_requests=max_requests, multiplex=multiplex
     )
@@ -267,7 +264,6 @@ def checkpoint(session: NVariantSession) -> SessionCheckpoint:
 def restore(
     cp: SessionCheckpoint,
     *,
-    kernel: Optional[SimulatedKernel] = None,
     name: Optional[str] = None,
 ) -> NVariantSession:
     """Rebuild a runnable session from a checkpoint on a fresh kernel.
@@ -302,9 +298,8 @@ def restore(
     if missing:
         raise LoadError(f"checkpoint holds no secret for the keyed variation at position {missing[0]}")
     app_record = get_app(cp.serving.app)
-    if kernel is None:
-        kernel = build_standard_host()
-        app_record.prepare_host(kernel)
+    kernel = build_standard_host()
+    app_record.prepare_host(kernel)
     for entry in cp.pending:
         kernel.client_connect(entry.port, entry.data, client=entry.client)
     for position, values in cp.secrets:

@@ -27,40 +27,19 @@ key entropy x N x scheme kind through these pieces and claims the resulting
 probes-to-first-alarm curve.
 """
 
-from repro.security.attacker import (
-    AttackTrace,
-    BruteForceAttacker,
-    ExhaustiveSweepAttacker,
-    PartialKnowledgeAttacker,
-    ProbeTrialPlan,
-    RandomProbingAttacker,
-    expected_exhaustive_probes,
-    plan_trial,
-    run_probe_batch,
-    run_probe_trials,
-)
-from repro.security.probes import (
-    ProbeOutcome,
-    SECRET_NOMINAL_BASE,
-    SECRET_REGION_SIZE,
-    make_probe_factory,
-    prepare_probe_cell,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AttackTrace",
-    "BruteForceAttacker",
-    "ExhaustiveSweepAttacker",
-    "PartialKnowledgeAttacker",
-    "ProbeOutcome",
-    "ProbeTrialPlan",
-    "RandomProbingAttacker",
-    "SECRET_NOMINAL_BASE",
-    "SECRET_REGION_SIZE",
-    "expected_exhaustive_probes",
-    "make_probe_factory",
-    "plan_trial",
-    "prepare_probe_cell",
-    "run_probe_batch",
-    "run_probe_trials",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.security.attacker": (
+            "ExhaustiveSweepAttacker",
+            "PartialKnowledgeAttacker",
+            "RandomProbingAttacker",
+            "expected_exhaustive_probes",
+            "plan_trial",
+            "run_probe_batch",
+        ),
+        "repro.security.probes": ("ProbeOutcome", "SECRET_NOMINAL_BASE", "prepare_probe_cell"),
+    },
+)

@@ -277,42 +277,3 @@ class AttackTrace:
     def successes(self) -> int:
         """Trials that reached an undetected compromise (expected: zero)."""
         return sum(1 for o in self.outcomes if o.probes_to_success is not None)
-
-
-def run_probe_trials(
-    strategy: BruteForceAttacker,
-    *,
-    num_variants: int = 2,
-    key_bits: int = 6,
-    trials: int = 4,
-    seed: int = 0,
-    slide: bool = False,
-    backend: str = "virtual",
-    workers: int = 1,
-    pool: Optional[ProcessWorkerPool] = None,
-) -> AttackTrace:
-    """Run *trials* independent keyed games for one strategy/configuration.
-
-    Each trial draws a fresh key from a seed derived off *seed* and the trial
-    index, so trials are independent samples of the same game and the whole
-    trace is reproducible from one integer.
-    """
-    plans = [
-        plan_trial(
-            strategy,
-            num_variants=num_variants,
-            key_bits=key_bits,
-            seed=derive_seed(seed, "trial", t),
-            slide=slide,
-        )
-        for t in range(trials)
-    ]
-    outcomes = run_probe_batch(plans, backend=backend, workers=workers, pool=pool)
-    return AttackTrace(
-        strategy=strategy.name,
-        num_variants=num_variants,
-        key_bits=key_bits,
-        slide=slide,
-        seed=seed,
-        outcomes=outcomes,
-    )

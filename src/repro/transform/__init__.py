@@ -1,88 +1,1 @@
 """Mini-C front end and the automatic UID-variation source transformation."""
-
-from repro.transform.analysis import (
-    UID_FIELDS,
-    UID_PARAMETER_FUNCTIONS,
-    UID_RETURNING_FUNCTIONS,
-    UIDAnalysis,
-)
-from repro.transform.ast_nodes import (
-    Assignment,
-    Binary,
-    Call,
-    Declaration,
-    Expr,
-    ExprStmt,
-    FieldAccess,
-    Function,
-    GlobalVariable,
-    Identifier,
-    If,
-    IntLiteral,
-    NullLiteral,
-    Parameter,
-    Return,
-    Stmt,
-    StringLiteral,
-    TranslationUnit,
-    Unary,
-    While,
-    walk_expressions,
-    walk_statements,
-)
-from repro.transform.lexer import LexError, Token, TokenType, tokenize
-from repro.transform.parser import ParseError, Parser, parse_source
-from repro.transform.printer import print_expression, print_unit
-from repro.transform.report import (
-    ChangeCategory,
-    ChangeRecord,
-    PAPER_APACHE_COUNTS,
-    PAPER_APACHE_TOTAL,
-    TransformationReport,
-)
-from repro.transform.uid_transform import UIDVariationTransformer, transform_source
-
-__all__ = [
-    "Assignment",
-    "Binary",
-    "Call",
-    "ChangeCategory",
-    "ChangeRecord",
-    "Declaration",
-    "Expr",
-    "ExprStmt",
-    "FieldAccess",
-    "Function",
-    "GlobalVariable",
-    "Identifier",
-    "If",
-    "IntLiteral",
-    "LexError",
-    "NullLiteral",
-    "PAPER_APACHE_COUNTS",
-    "PAPER_APACHE_TOTAL",
-    "ParseError",
-    "Parameter",
-    "Parser",
-    "Return",
-    "Stmt",
-    "StringLiteral",
-    "Token",
-    "TokenType",
-    "TransformationReport",
-    "TranslationUnit",
-    "UIDAnalysis",
-    "UIDVariationTransformer",
-    "UID_FIELDS",
-    "UID_PARAMETER_FUNCTIONS",
-    "UID_RETURNING_FUNCTIONS",
-    "Unary",
-    "While",
-    "parse_source",
-    "print_expression",
-    "print_unit",
-    "tokenize",
-    "transform_source",
-    "walk_expressions",
-    "walk_statements",
-]

@@ -222,7 +222,7 @@ class TestBuilderParity:
 
     def test_build_session_and_engine_respect_fleet_policy(self):
         from repro.apps.httpd.server import make_httpd_factory
-        from repro.engine.scheduler import HaltPolicy
+        from repro.engine.policy import HaltPolicy
 
         fleet = FleetSpec(
             name="parity-fleet",

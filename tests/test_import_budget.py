@@ -12,6 +12,7 @@ SHA-256 comes from the interpreter's builtin module.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -170,25 +171,105 @@ assert values == {namespace["values"]!r}, values
     )
 
 
-# -- the lazy re-exports keep every public import path ----------------------
+# -- one import path per name ----------------------------------------------
 
+SRC = ROOT / "src"
+
+#: Every package that re-exports, all through ``repro._lazy_exports``.
 LAZY_PACKAGES = (
     "repro",
-    "repro.api",
     "repro.engine",
     "repro.core",
     "repro.core.variations",
-    "repro.attacks",
-    "repro.apps.httpd",
+    "repro.load",
+    "repro.corpus",
+    "repro.interpose",
+    "repro.security",
+    "repro.apps.ftpd",
 )
 
-#: Re-exported names that are also the names of the submodules defining them.
-COLLIDING = (
-    ("repro.api", "registry"),
-    ("repro.api", "experiments"),
-    ("repro.load", "checkpoint"),
-    ("repro.kernel", "libc"),
+
+def _module_path(name: str) -> Path:
+    path = SRC.joinpath(*name.split("."))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def _is_module(name: str) -> bool:
+    return _module_path(name).exists()
+
+
+def _import_time_imports(name: str) -> set[str]:
+    """The ``repro`` modules that *name*'s module-level import statements name."""
+    found = set()
+    for node in ast.parse(_module_path(name).read_text()).body:
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+            found.update(
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if _is_module(f"{node.module}.{alias.name}")
+            )
+    return {module for module in found if module.split(".")[0] == "repro"}
+
+
+def _expected_closure(name: str) -> set[str]:
+    """*name*, what it imports (transitively), and the packages of each.
+
+    A package's own imports are not followed: a package loads nothing but
+    ``repro``, and the root loads only ``repro._version``.
+    """
+    expected = {"repro", "repro._version"}
+    pending = [name]
+    while pending:
+        module = pending.pop()
+        if module in expected:
+            continue
+        expected.add(module)
+        parts = module.split(".")
+        expected.update(".".join(parts[:end]) for end in range(1, len(parts)))
+        if _module_path(module).name != "__init__.py":
+            pending.extend(_import_time_imports(module))
+    return expected
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.kernel.syscalls",
+        "repro.corpus.records",
+        "repro.load.arrivals",
+        "repro.isa.instructions",
+        "repro.transform.lexer",
+    ],
 )
+def test_a_leaf_module_loads_only_what_it_imports(module):
+    loaded = run_fresh(f"import {module}")
+    expected = _expected_closure(module)
+    assert sorted(name for name in loaded if name.startswith("repro")) == sorted(expected)
+
+
+def test_a_subpackage_holds_its_docstring_and_at_most_one_lazy_export_call():
+    lazy = {"repro"}  # The root defines the helper; the fresh imports check it.
+    for init in sorted((SRC / "repro").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(SRC).parts)
+        if package == "repro":
+            continue
+        docstring, *rest = ast.parse(init.read_text()).body
+        assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant), package
+        if not rest:
+            continue
+        assert len(rest) == 2, package
+        helper, call = rest
+        assert ast.unparse(helper) == "from repro import _lazy_exports", package
+        assert ast.unparse(call).startswith(
+            "__getattr__, __dir__, __all__ = _lazy_exports(__name__, {"
+        ), package
+        names = [name for names in ast.literal_eval(call.value.args[1]).values() for name in names]
+        assert [name for name in names if _is_module(f"{package}.{name}")] == [], package
+        lazy.add(package)
+    assert lazy == set(LAZY_PACKAGES)
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
@@ -222,37 +303,28 @@ else:
     )
 
 
-def _assert_objects_not_submodules(label: str) -> str:
-    return "".join(
-        f"""
-import {package}
-assert not isinstance({package}.{name}, types.ModuleType), ({label!r}, {package!r}, {name!r})
-from {package} import {name} as value
-assert value is {package}.{name}
+# ``repro.registry`` and ``repro.experiments`` share their names with the
+# modules that define them, one package down.
+_ROOT_OBJECTS = """
+assert not isinstance(repro.registry, types.ModuleType)
+assert not isinstance(repro.experiments, types.ModuleType)
 """
-        for package, name in COLLIDING
-    )
 
 
 def test_colliding_names_return_the_object_when_the_submodule_comes_first():
-    imports = "".join(f"import {package}.{name}\n" for package, name in COLLIDING)
     run_fresh(
-        "import types\n"
-        + imports
-        + _assert_objects_not_submodules("submodule first")
-        + "import repro\nassert not isinstance(repro.registry, types.ModuleType)\n"
-        + "assert not isinstance(repro.experiments, types.ModuleType)\n"
+        "import types\nimport repro.api.registry\nimport repro.api.experiments\nimport repro\n"
+        + _ROOT_OBJECTS
     )
 
 
 def test_colliding_names_return_the_object_when_the_package_comes_first():
-    imports = "".join(f"import {package}.{name}\n" for package, name in COLLIDING)
     run_fresh(
         "import types\nimport repro\n"
         + "registry, experiments = repro.registry, repro.experiments\n"
-        + _assert_objects_not_submodules("package first")
-        + imports
-        + _assert_objects_not_submodules("then the submodule")
+        + _ROOT_OBJECTS
+        + "import repro.api.registry\nimport repro.api.experiments\n"
+        + _ROOT_OBJECTS
         + "assert repro.registry is registry and repro.experiments is experiments\n"
     )
 

@@ -10,7 +10,8 @@ from repro.kernel.host import build_standard_host
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.network import NetworkStack
 from repro.kernel.syscalls import Syscall, request
-from repro.load import build_serving_session, checkpoint
+from repro.load import build_serving_session
+from repro.load.checkpoint import checkpoint
 
 
 @pytest.fixture

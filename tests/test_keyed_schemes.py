@@ -31,7 +31,8 @@ from repro.core.variations.address import AddressPartitioning, KeyedAddressParti
 from repro.core.variations.uid import KeyedUIDVariation, OrbitUIDVariation, UIDVariation
 from repro.engine.session import NVariantSession, SessionState
 from repro.kernel.host import HTTP_PORT, build_standard_host
-from repro.load import build_serving_session, checkpoint, keyed_secrets, restore
+from repro.load import build_serving_session, keyed_secrets, restore
+from repro.load.checkpoint import checkpoint
 from repro.memory.partition import (
     KeyedAddressScheme,
     KeyedOrbitScheme,

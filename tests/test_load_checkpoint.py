@@ -29,11 +29,11 @@ from repro.load import (
     LoadError,
     SessionCheckpoint,
     build_serving_session,
-    checkpoint,
     keyed_secrets,
     restore,
     run_loadtest,
 )
+from repro.load.checkpoint import checkpoint
 
 HTTP_PORT = 80
 

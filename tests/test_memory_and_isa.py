@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.isa.instructions import Instruction, Opcode, assemble, decode_stream, encode_stream
 from repro.isa.interpreter import Interpreter, MachineState
-from repro.isa.tagging import inject_untagged, retag_stream, tag_stream, untag_stream
+from repro.isa.tagging import inject_untagged, tag_stream, untag_stream
 from repro.kernel.errors import IllegalInstructionFault, SegmentationFault
 from repro.memory.address_space import AddressSpace, PARTITION_BIT
 from repro.memory.partition import ExtendedOrbitScheme, HighBitScheme
@@ -289,7 +289,7 @@ class TestTagging:
 
     def test_retag_translates_between_variants(self):
         program = assemble([(Opcode.LOADI, 1, 9), (Opcode.HALT,)])
-        retagged = retag_stream(tag_stream(program, 0), 0, 1)
+        retagged = tag_stream(untag_stream(tag_stream(program, 0), 0), 1)
         assert untag_stream(retagged, 1) == program
 
     def test_injected_untagged_bytes_fault_in_some_variant(self):

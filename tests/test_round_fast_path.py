@@ -29,7 +29,7 @@ from repro.core.variations import (
     VariationStack,
 )
 from repro.core.monitor import Monitor
-from repro.core.wrappers import SyscallWrappers
+from repro.core.wrappers import SyscallWrappers, strategy_for
 from repro.engine import NVariantSession
 from repro.interpose import PolicyKind, get_table
 from repro.kernel.credentials import user_credentials
@@ -364,22 +364,22 @@ def test_the_monitor_and_the_kernel_see_one_decode():
 
 
 def test_a_shared_plan_sends_the_canonical_requests_to_the_kernel(monkeypatch):
-    seen = {}
+    seen = {"outgoing": []}
     check = Monitor.check_syscalls
-    execute = SyscallWrappers._execute_per_variant
+    execute = SimulatedKernel.execute
 
     def spy_check(self, canonical, **kwargs):
         if canonical[0].name is Syscall.SETEUID:
             seen["canonical"] = list(canonical)
         return check(self, canonical, **kwargs)
 
-    def spy_execute(self, requests):
-        if requests[0].name is Syscall.SETEUID:
-            seen["outgoing"] = list(requests)
-        return execute(self, requests)
+    def spy_execute(self, process, request):
+        if request.name is Syscall.SETEUID:
+            seen["outgoing"].append(request)
+        return execute(self, process, request)
 
     monkeypatch.setattr(Monitor, "check_syscalls", spy_check)
-    monkeypatch.setattr(SyscallWrappers, "_execute_per_variant", spy_execute)
+    monkeypatch.setattr(SimulatedKernel, "execute", spy_execute)
 
     def program(context):
         yield from context.libc.seteuid(context.uid_codec.constant(33))
@@ -579,7 +579,7 @@ def test_open_with_create_makes_the_file_once():
 
 
 def _ladder(table, name):
-    """The wrapper's dispatch as it was decided on every call before memoising."""
+    """The wrapper's dispatch, written out: the strategy each table entry gets."""
     entry = table.entry(name)
     if entry.policy is PolicyKind.DENY:
         return SyscallWrappers._execute_deny
@@ -595,13 +595,7 @@ def _ladder(table, name):
 
 
 @pytest.mark.parametrize("table_name", ["classic", "wide"])
-def test_memoised_wrapper_strategy_matches_the_ladder(table_name):
+def test_wrapper_strategy_matches_the_ladder(table_name):
     table = get_table(table_name)
-    kernel = build_standard_host()
-    processes = [kernel.spawn_process(f"v{i}") for i in range(2)]
-    wrappers = SyscallWrappers(kernel, processes, table=table)
     for syscall in ALL_SYSCALLS:
-        assert wrappers.strategy(syscall) is _ladder(table, syscall), syscall
-    wrappers.execute_round([SyscallRequest(Syscall.GETPID)] * 2)
-    wrappers.execute_round([SyscallRequest(Syscall.GETPID)] * 2)
-    assert wrappers._strategies == {Syscall.GETPID: _ladder(table, Syscall.GETPID)}
+        assert strategy_for(table, syscall) is _ladder(table, syscall), syscall

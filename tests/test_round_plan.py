@@ -23,11 +23,13 @@ from repro.core.variations.address import AddressPartitioning
 from repro.core.variations.base import Variation
 from repro.core.variations.fdspace import FdOrbitVariation
 from repro.core.variations.uid import UIDVariation
+from repro.core.wrappers import strategy_for
 from repro.engine import NVariantSession, SessionState
 from repro.interpose import get_table
 from repro.kernel.host import build_standard_host
 from repro.kernel.syscalls import Syscall
-from repro.load import build_serving_session, checkpoint, restore
+from repro.load import build_serving_session, restore
+from repro.load.checkpoint import checkpoint
 
 ALL_SYSCALLS = tuple(Syscall)
 TABLES = ("classic", "wide")
@@ -115,7 +117,7 @@ def test_each_plan_equals_the_layered_definition(variations, num_variants, table
         assert plan.canonicalize == stack._chain("canonicalize_request", name), name
         assert plan.transform == stack._chain("transform_request", name), name
         assert plan.result == stack._chain("transform_result", name, reverse=True), name
-        assert plan.strategy is session.wrappers.strategy(name), name
+        assert plan.strategy is strategy_for(session.wrappers.table, name), name
         assert plan.shared == stack.shares_rewrite(name), name
         if plan.shared:
             assert not plan.fast and plan.canonicalize, name

@@ -27,9 +27,8 @@ from repro.security import (
     plan_trial,
     prepare_probe_cell,
     run_probe_batch,
-    run_probe_trials,
 )
-from repro.security.attacker import BruteForceAttacker
+from repro.security.attacker import AttackTrace, BruteForceAttacker
 
 
 class TestStrategyPlanning:
@@ -123,21 +122,39 @@ class TestProbeMechanics:
         assert session.rounds == 2 * len(misses) + 1
 
 
+def run_trials(strategy, *, num_variants, key_bits, trials, seed, slide=False):
+    """*trials* independent keyed games, planned and run as the entropy experiment does."""
+    plans = [
+        plan_trial(
+            strategy,
+            num_variants=num_variants,
+            key_bits=key_bits,
+            seed=derive_seed(seed, "trial", t),
+            slide=slide,
+        )
+        for t in range(trials)
+    ]
+    return AttackTrace(
+        strategy=strategy.name,
+        num_variants=num_variants,
+        key_bits=key_bits,
+        slide=slide,
+        seed=seed,
+        outcomes=run_probe_batch(plans),
+    )
+
+
 class TestTrials:
     def test_trials_are_reproducible(self):
-        a = run_probe_trials(ExhaustiveSweepAttacker(), num_variants=2, key_bits=4,
-                             trials=3, seed=11)
-        b = run_probe_trials(ExhaustiveSweepAttacker(), num_variants=2, key_bits=4,
-                             trials=3, seed=11)
+        a = run_trials(ExhaustiveSweepAttacker(), num_variants=2, key_bits=4, trials=3, seed=11)
+        b = run_trials(ExhaustiveSweepAttacker(), num_variants=2, key_bits=4, trials=3, seed=11)
         assert a.outcomes == b.outcomes
         assert a.alarm_rate == 1.0
         assert a.successes == 0
 
     def test_different_seeds_draw_different_games(self):
-        a = run_probe_trials(ExhaustiveSweepAttacker(), num_variants=2, key_bits=6,
-                             trials=4, seed=1)
-        b = run_probe_trials(ExhaustiveSweepAttacker(), num_variants=2, key_bits=6,
-                             trials=4, seed=2)
+        a = run_trials(ExhaustiveSweepAttacker(), num_variants=2, key_bits=6, trials=4, seed=1)
+        b = run_trials(ExhaustiveSweepAttacker(), num_variants=2, key_bits=6, trials=4, seed=2)
         assert a.outcomes != b.outcomes
 
     def test_backends_agree_byte_for_byte(self):
@@ -156,12 +173,12 @@ class TestTrials:
 
     def test_partial_knowledge_beats_the_blind_sweep(self):
         kwargs = dict(num_variants=2, key_bits=6, trials=6, seed=99)
-        sweep = run_probe_trials(ExhaustiveSweepAttacker(), **kwargs)
-        leak = run_probe_trials(PartialKnowledgeAttacker(known_bits=2), **kwargs)
+        sweep = run_trials(ExhaustiveSweepAttacker(), **kwargs)
+        leak = run_trials(PartialKnowledgeAttacker(known_bits=2), **kwargs)
         assert leak.mean_probes_to_first_alarm < sweep.mean_probes_to_first_alarm
 
     def test_sliding_scheme_also_plays(self):
-        trace = run_probe_trials(
+        trace = run_trials(
             PartialKnowledgeAttacker(known_bits=2),
             num_variants=2,
             key_bits=5,
