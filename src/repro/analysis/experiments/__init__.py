@@ -1,8 +1,8 @@
 """One experiment driver per paper table/figure plus the ablation suite.
 
-Each module exposes ``run()`` returning a structured result with a
-``to_report()`` method, and an ``experiment()`` entry point registered in
-:data:`repro.api.experiments.experiments` that returns the shared
+Each module exposes ``run()``, registered in
+:data:`repro.api.experiments.experiments`, which returns a structured result
+whose ``to_report()`` method gives the shared
 :class:`~repro.api.experiments.ExperimentReport`.  The CLI
 (``python -m repro experiment <name>``), JSON scenarios
 (``{"scenario": "experiment", ...}``) and the benchmark harness all run

@@ -358,8 +358,3 @@ def run(*, user_space_uses: int = 5, requests: int = 4) -> AblationSuiteResult:
         mask=run_mask_ablation(requests),
         external_data=run_external_data_ablation(),
     )
-
-
-def experiment(*, user_space_uses: int = 5, requests: int = 4) -> ExperimentReport:
-    """Registry entry point: run the suite, return the shared report."""
-    return run(user_space_uses=user_space_uses, requests=requests).to_report()

@@ -228,10 +228,3 @@ def run(*, backend: str = "virtual", workers: int = 4, requests: int = 16) -> Ap
         measurements=measurements,
         alarm_breakdown=dict(sorted(breakdown.items())),
     )
-
-
-def experiment(
-    *, backend: str = "virtual", workers: int = 4, requests: int = 16
-) -> ExperimentReport:
-    """Registry entry point: run the generalisation suite, return the report."""
-    return run(backend=backend, workers=workers, requests=requests).to_report()

@@ -164,21 +164,3 @@ def run(
         regenerate_identical=regenerate_identical,
         corpus_dir=corpus_dir,
     )
-
-
-def experiment(
-    *,
-    records: int = DEFAULT_RECORDS,
-    seed: int = DEFAULT_SEED,
-    backend: str = "virtual",
-    workers: int = 8,
-    corpus_dir: str = "",
-) -> ExperimentReport:
-    """Registry entry point: grade the corpus, return the shared report."""
-    return run(
-        records=records,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        corpus_dir=corpus_dir,
-    ).to_report()

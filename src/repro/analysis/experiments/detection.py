@@ -172,8 +172,3 @@ def run(*, backend: str = "virtual", workers: int = 1) -> DetectionMatrixResult:
         address_report=address_report,
         code_injection_outcomes=code_outcomes,
     )
-
-
-def experiment(*, backend: str = "virtual", workers: int = 1) -> ExperimentReport:
-    """Registry entry point: run the matrix, return the shared report."""
-    return run(backend=backend, workers=workers).to_report()

@@ -346,27 +346,3 @@ def run(
         seed=seed,
         backend=backend,
     )
-
-
-def experiment(
-    *,
-    min_variants: int = 2,
-    max_variants: int = 4,
-    min_key_bits: int = 2,
-    max_key_bits: int = 6,
-    trials: int = 20,
-    seed: int = DEFAULT_SEED,
-    backend: str = "virtual",
-    workers: int = 4,
-) -> ExperimentReport:
-    """Registry entry point: play the game, return the shared report."""
-    return run(
-        min_variants=min_variants,
-        max_variants=max_variants,
-        min_key_bits=min_key_bits,
-        max_key_bits=max_key_bits,
-        trials=trials,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-    ).to_report()

@@ -100,8 +100,3 @@ def run(benign_requests: int = 8) -> Figure1Result:
         single_outcomes=single_outcomes,
         nvariant_outcomes=nvariant_outcomes,
     )
-
-
-def experiment(*, benign_requests: int = 8) -> ExperimentReport:
-    """Registry entry point: run the scenario, return the shared report."""
-    return run(benign_requests=benign_requests).to_report()

@@ -135,8 +135,3 @@ def run() -> Figure2Result:
         kernel_euids_after_drop=euids,
         system_alarms=len(result.alarms),
     )
-
-
-def experiment() -> ExperimentReport:
-    """Registry entry point: run the scenario, return the shared report."""
-    return run().to_report()

@@ -369,25 +369,3 @@ def run(
         migration_base=migration_base,
         migration_moved=migration_moved,
     )
-
-
-def experiment(
-    *,
-    backend: str = "virtual",
-    workers: int = 4,
-    requests: int = 24,
-    rate_steps: int = 4,
-    max_variants: int = 3,
-    capacity: int = 3,
-    seed: int = DEFAULT_SEED,
-) -> ExperimentReport:
-    """Registry entry point: run the open-loop sweep, return the report."""
-    return run(
-        backend=backend,
-        workers=workers,
-        requests=requests,
-        rate_steps=rate_steps,
-        max_variants=max_variants,
-        capacity=capacity,
-        seed=seed,
-    ).to_report()

@@ -197,19 +197,3 @@ def run(
             )
         )
     return NScalingResult(points=points, uid_report=uid_report, address_report=address_report)
-
-
-def experiment(
-    *,
-    min_variants: int = 2,
-    max_variants: int = 6,
-    requests: int = 12,
-    workers: int = 4,
-) -> ExperimentReport:
-    """Registry entry point: run the sweep, return the shared report."""
-    return run(
-        min_variants=min_variants,
-        max_variants=max_variants,
-        requests=requests,
-        workers=workers,
-    ).to_report()

@@ -19,7 +19,7 @@ from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
 from repro.apps.httpd.csource import HTTPD_UID_SOURCE
 from repro.core.variations.uid import UIDVariation
 from repro.transform.printer import print_unit
-from repro.transform.report import PAPER_APACHE_COUNTS, PAPER_APACHE_TOTAL, TransformationReport
+from repro.transform.report import TransformationReport
 from repro.transform.uid_transform import transform_source
 
 
@@ -80,13 +80,3 @@ def run() -> Section4Result:
         original_source=HTTPD_UID_SOURCE,
         transformed_source=print_unit(unit),
     )
-
-
-def experiment() -> ExperimentReport:
-    """Registry entry point: run the transformation, return the shared report."""
-    return run().to_report()
-
-
-#: Re-exported for docs: the paper's numbers.
-PAPER_COUNTS = dict(PAPER_APACHE_COUNTS)
-PAPER_TOTAL = PAPER_APACHE_TOTAL

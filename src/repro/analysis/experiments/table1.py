@@ -109,8 +109,3 @@ def run(sample_count: int = 2048) -> Table1Result:
             )
         )
     return Table1Result(rows=rows)
-
-
-def experiment(*, sample_count: int = 2048) -> ExperimentReport:
-    """Registry entry point: run the table, return the shared report."""
-    return run(sample_count=sample_count).to_report()

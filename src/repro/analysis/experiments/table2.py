@@ -145,8 +145,3 @@ def run() -> Table2Result:
             )
         )
     return Table2Result(checks=checks)
-
-
-def experiment() -> ExperimentReport:
-    """Registry entry point: run the table, return the shared report."""
-    return run().to_report()

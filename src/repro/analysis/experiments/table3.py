@@ -172,15 +172,10 @@ class Table3Result:
         )
 
 
-def run(
-    *,
-    requests: int = 40,
-    workload: WebBenchWorkload | None = None,
-    model: PerformanceModel | None = None,
-) -> Table3Result:
+def run(*, requests: int = 40) -> Table3Result:
     """Run all four configurations and model both load levels."""
-    model = model if model is not None else PerformanceModel()
-    base_workload = workload if workload is not None else WebBenchWorkload(
+    model = PerformanceModel()
+    base_workload = WebBenchWorkload(
         total_requests=requests,
         client_engines=UNSATURATED_WORKLOAD.client_engines,
         client_machines=UNSATURATED_WORKLOAD.client_machines,
@@ -217,8 +212,3 @@ def run(
             )
         )
     return Table3Result(configurations=configurations)
-
-
-def experiment(*, requests: int = 40) -> ExperimentReport:
-    """Registry entry point: run the table, return the shared report."""
-    return run(requests=requests).to_report()

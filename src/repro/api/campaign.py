@@ -32,17 +32,13 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 from repro.api.experiments import ReportTable
 from repro.api.spec import STANDARD_SYSTEM_SPECS, SystemSpec
 from repro.attacks.outcomes import AttackOutcome, OutcomeKind, prepare_attack
-from repro.engine.campaign import (
-    CampaignExecutionResult,
-    CampaignHaltPolicy,
-    CampaignJob,
-    run_jobs,
-)
+from repro.engine.campaign import CampaignJob, run_jobs
+from repro.engine.policy import CampaignHaltPolicy
+from repro.engine.scheduler import CampaignExecutionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the import cycle
     from repro.attacks.memory_attacks import AddressInjectionAttack
     from repro.attacks.uid_attacks import UIDAttack
-    from repro.engine.procpool import ProcessWorkerPool
 
     Attack = UIDAttack | AddressInjectionAttack
 
@@ -167,7 +163,6 @@ def run_campaign(
     rounds_per_turn: int = 8,
     halt: Union[CampaignHaltPolicy, str] = CampaignHaltPolicy.PER_CELL,
     backend: str = "virtual",
-    pool: Optional[ProcessWorkerPool] = None,
     seed: Optional[int] = None,
 ) -> CampaignReport:
     """Run every attack against every system spec and collect the outcomes.
@@ -191,14 +186,12 @@ def run_campaign(
     * ``backend="process"``: the pickled preparers are sharded across
       pre-forked OS worker processes (:mod:`repro.engine.procpool`), so the
       concurrency is physical wall-clock parallelism.  Any attack object
-      that pickles runs there, custom ones included.  Pass ``pool`` to reuse
-      a started :class:`~repro.engine.procpool.ProcessWorkerPool` across
-      campaigns.
+      that pickles runs there, custom ones included.
 
     ``workers`` is the worker count on either backend (1 = the serial order
     every other count reproduces cell-for-cell, since cells share no state).
     ``halt`` chooses what one cell's halt means for the rest of the campaign
-    (:class:`~repro.engine.campaign.CampaignHaltPolicy`).
+    (:class:`~repro.engine.policy.CampaignHaltPolicy`).
 
     ``seed`` pins every seedable (keyed) variation in every spec to a seed
     derived from it (:func:`~repro.api.seeding.seeded_spec`).  The rewrite
@@ -223,7 +216,6 @@ def run_campaign(
         workers=workers,
         rounds_per_turn=rounds_per_turn,
         halt_policy=halt_policy,
-        pool=pool,
     )
     return CampaignReport(
         outcomes=[job.value for job in execution.jobs if job.value is not None],

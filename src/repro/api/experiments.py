@@ -2,11 +2,11 @@
 
 PR 2 made *systems* declarative (``SystemSpec`` + the variation registry);
 this module does the same for *experiments*.  Every paper table/figure driver
-under :mod:`repro.analysis.experiments` registers here under a stable name
-with a typed parameter list, and every one of them returns the same
-:class:`ExperimentReport` -- structured sections (tables and key/value
-blocks), named claim results, and timing/engine telemetry -- instead of a
-bespoke ``format()`` string.  That one shape is what makes experiments data:
+under :mod:`repro.analysis.experiments` registers its ``run`` here under a
+stable name with a typed parameter list, and every run's ``to_report()``
+returns the same :class:`ExperimentReport` -- structured sections (tables
+and key/value blocks), named claim results, and timing/engine telemetry --
+instead of a bespoke ``format()`` string.  That one shape is what makes experiments data:
 
 * ``python -m repro experiment table3 --set requests=20`` runs any registered
   experiment from the shell;
@@ -16,7 +16,7 @@ bespoke ``format()`` string.  That one shape is what makes experiments data:
   report as ``BENCH_<name>.json``.
 
 Experiment modules are imported lazily (each registry entry carries a
-``"module:function"`` loader), so listing experiments stays cheap and the
+``"module:run"`` loader), so listing experiments stays cheap and the
 registry can live in :mod:`repro.api` without dragging the whole analysis
 layer into every import of the scenario API.
 """
@@ -201,9 +201,9 @@ class ExperimentReport:
             "telemetry": _finite_or_none(self.telemetry),
         }
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """The report as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=2)
 
     def format(self, style: str = "text") -> str:
         """Render the full report (sections, then claims, then telemetry; or :meth:`to_json`)."""
@@ -322,21 +322,22 @@ class RegisteredExperiment:
     """One registry entry: name, lazy runner, parameters, documentation.
 
     ``runner`` is either a ``"module:function"`` loader string (preferred for
-    the built-in experiments: listing the registry then costs no analysis
-    imports) or a callable; either way it takes the declared parameters as
-    keyword arguments and returns an :class:`ExperimentReport`.
+    the built-in experiments, which name each module's ``run``: listing the
+    registry then costs no analysis imports) or a callable; either way it
+    takes the declared parameters as keyword arguments and returns a result
+    whose ``to_report()`` gives an :class:`ExperimentReport`.
     ``smoke_params`` are the smallest parameters the experiment runs
     meaningfully with -- what ``--smoke`` and the ``experiments-smoke`` CI
     target use.
     """
 
     name: str
-    runner: Union[str, Callable[..., ExperimentReport]]
+    runner: Union[str, Callable[..., Any]]
     description: str = ""
     parameters: tuple[ExperimentParameter, ...] = ()
     smoke_params: tuple[tuple[str, Any], ...] = ()
 
-    def resolve(self) -> Callable[..., ExperimentReport]:
+    def resolve(self) -> Callable[..., Any]:
         """Import (if needed) and return the runner callable."""
         if callable(self.runner):
             return self.runner
@@ -356,7 +357,7 @@ class ExperimentRegistry:
     def register(
         self,
         name: str,
-        runner: Union[str, Callable[..., ExperimentReport]],
+        runner: Union[str, Callable[..., Any]],
         *,
         description: str = "",
         parameters: Sequence[ExperimentParameter] = (),
@@ -404,9 +405,9 @@ class ExperimentRegistry:
 
         *spec* may be a full :class:`ExperimentSpec` or a bare name (with
         optional *params*).  The registry validates the parameters, times the
-        run, and stamps the report with the spec and wall-clock telemetry --
-        every execution path (CLI, scenarios, benchmarks, library callers)
-        goes through here.
+        run and its ``to_report()``, and stamps the report with the spec and
+        wall-clock telemetry -- every execution path (CLI, scenarios,
+        benchmarks, library callers) goes through here.
         """
         if isinstance(spec, str):
             spec = ExperimentSpec(name=spec, params=tuple(sorted((params or {}).items())))
@@ -415,11 +416,17 @@ class ExperimentRegistry:
         kwargs = self.validate(spec)
         runner = self.get(spec.name).resolve()
         started = time.perf_counter()
-        report = runner(**kwargs)
+        result = runner(**kwargs)
+        if not hasattr(result, "to_report"):
+            raise ExperimentRegistryError(
+                f"experiment {spec.name!r} returned {type(result).__name__}, "
+                f"which has no to_report()"
+            )
+        report = result.to_report()
         elapsed = time.perf_counter() - started
         if not isinstance(report, ExperimentReport):
             raise ExperimentRegistryError(
-                f"experiment {spec.name!r} returned {type(report).__name__}, "
+                f"experiment {spec.name!r} reported {type(report).__name__}, "
                 f"not an ExperimentReport"
             )
         report.spec = spec
@@ -462,13 +469,13 @@ class ExperimentRegistry:
 
 _EXPERIMENTS = "repro.analysis.experiments"
 
-#: The default registry.  Each entry's runner returns an
-#: :class:`ExperimentReport`; parameters mirror the module ``run()`` defaults.
+#: The default registry.  Each entry's runner is its module's ``run``, and
+#: each declared parameter is one of its keyword options, with its default.
 experiments = ExperimentRegistry()
 
 experiments.register(
     "table1",
-    f"{_EXPERIMENTS}.table1:experiment",
+    f"{_EXPERIMENTS}.table1:run",
     description="Table 1: reexpression functions and their inverse/disjointedness properties",
     parameters=(
         ExperimentParameter(
@@ -479,12 +486,12 @@ experiments.register(
 )
 experiments.register(
     "table2",
-    f"{_EXPERIMENTS}.table2:experiment",
+    f"{_EXPERIMENTS}.table2:run",
     description="Table 2: detection system calls exercised live (benign and attack halves)",
 )
 experiments.register(
     "table3",
-    f"{_EXPERIMENTS}.table3:experiment",
+    f"{_EXPERIMENTS}.table3:run",
     description="Table 3: throughput/latency of the four configurations (virtual-time model)",
     parameters=(
         ExperimentParameter("requests", int, 40, "benign requests per configuration", minimum=1),
@@ -493,7 +500,7 @@ experiments.register(
 )
 experiments.register(
     "figure1",
-    f"{_EXPERIMENTS}.figure1:experiment",
+    f"{_EXPERIMENTS}.figure1:run",
     description="Figure 1: two-variant address partitioning (benign equivalence + injection)",
     parameters=(
         ExperimentParameter("benign_requests", int, 8, "benign requests driven", minimum=1),
@@ -502,17 +509,17 @@ experiments.register(
 )
 experiments.register(
     "figure2",
-    f"{_EXPERIMENTS}.figure2:experiment",
+    f"{_EXPERIMENTS}.figure2:run",
     description="Figure 2: the data-diversity pipeline, model-level and end-to-end",
 )
 experiments.register(
     "section4",
-    f"{_EXPERIMENTS}.section4:experiment",
+    f"{_EXPERIMENTS}.section4:run",
     description="Section 4: automatic source-transformation effort accounting",
 )
 experiments.register(
     "detection",
-    f"{_EXPERIMENTS}.detection:experiment",
+    f"{_EXPERIMENTS}.detection:run",
     description="The full detection matrix and the paper's security claims",
     parameters=(
         ExperimentParameter(
@@ -528,7 +535,7 @@ experiments.register(
 )
 experiments.register(
     "nscaling",
-    f"{_EXPERIMENTS}.nscaling:experiment",
+    f"{_EXPERIMENTS}.nscaling:run",
     description=(
         "N-scaling sweep: uid_orbit_spec(n) and address_orbit_spec(n) over a "
         "variant-count range, detection guarantee and lockstep cost vs N"
@@ -545,7 +552,7 @@ experiments.register(
 )
 experiments.register(
     "entropy",
-    f"{_EXPERIMENTS}.entropy:experiment",
+    f"{_EXPERIMENTS}.entropy:run",
     description=(
         "Key entropy vs probes-to-first-alarm: brute-force attacker strategies "
         "against keyed fleets, plus the keyed-UID deterministic-detection control"
@@ -570,7 +577,7 @@ experiments.register(
 )
 experiments.register(
     "corpus",
-    f"{_EXPERIMENTS}.corpus:experiment",
+    f"{_EXPERIMENTS}.corpus:run",
     description=(
         "Generated scenario corpus vs the analytic guarantee: seeded mutation "
         "matrix over scheme x N x mutation class, graded record by record"
@@ -594,7 +601,7 @@ experiments.register(
 )
 experiments.register(
     "apps",
-    f"{_EXPERIMENTS}.apps:experiment",
+    f"{_EXPERIMENTS}.apps:run",
     description=(
         "Cross-app generalisation: the detection matrix and benign workload "
         "sweeps on httpd and ftpd under stacked fd+address+uid orbit "
@@ -617,7 +624,7 @@ experiments.register(
 )
 experiments.register(
     "loadtest",
-    f"{_EXPERIMENTS}.loadtest:experiment",
+    f"{_EXPERIMENTS}.loadtest:run",
     description=(
         "Open-loop load: seeded arrival processes x admission policies x N "
         "with sojourn percentiles, graceful-overload claims, and a session "
@@ -654,7 +661,7 @@ experiments.register(
 )
 experiments.register(
     "ablations",
-    f"{_EXPERIMENTS}.ablations:experiment",
+    f"{_EXPERIMENTS}.ablations:run",
     description="Design-choice ablations: detection calls, reexpression mask, unshared files",
     parameters=(
         ExperimentParameter(

@@ -169,9 +169,9 @@ class ExperimentSpec:
             raise ValueError(f"experiment spec needs a 'name': {dict(data)!r}")
         return cls(name=data["name"], params=data.get("params") or ())
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """The spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -273,9 +273,9 @@ class SystemSpec:
             )
         return cls(**kwargs)
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """The spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SystemSpec":
@@ -371,9 +371,9 @@ class FleetSpec:
         _require_known_keys(data, cls._KEYS, "fleet spec")
         return cls(**data)
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """The spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FleetSpec":
@@ -405,39 +405,6 @@ ADDRESS_UID_SPEC = SystemSpec(
     transformed=True,
 )
 
-#: The N-way sweep entry: three variants, each with its own UID mask.
-UID_ORBIT_3_SPEC = SystemSpec(
-    name="3-variant-uid-orbit",
-    num_variants=3,
-    variations=(VariationSpec("uid-orbit"),),
-    transformed=True,
-)
-
-#: The address-side orbit: three variants in disjoint top-bits partitions.
-ADDRESS_ORBIT_3_SPEC = SystemSpec(
-    name="3-variant-address-orbit",
-    num_variants=3,
-    variations=(VariationSpec("address-orbit"),),
-    transformed=False,
-)
-
-#: Both orbit families layered: three variants, each with its own address
-#: partition AND its own UID mask -- the N>=3 analogue of Table 3's config 4.
-COMBINED_ORBIT_3_SPEC = SystemSpec(
-    name="3-variant-address+uid-orbit",
-    num_variants=3,
-    variations=(VariationSpec("address-orbit"), VariationSpec("uid-orbit")),
-    transformed=True,
-)
-
-#: The four configurations the detection matrix compares, in narrative order.
-STANDARD_SYSTEM_SPECS: tuple[SystemSpec, ...] = (
-    SINGLE_PROCESS_SPEC,
-    ADDRESS_PARTITIONING_SPEC,
-    UID_DIVERSITY_SPEC,
-    ADDRESS_UID_SPEC,
-)
-
 
 def uid_orbit_spec(num_variants: int) -> SystemSpec:
     """The N-variant UID-orbit configuration (variant count as a sweep axis)."""
@@ -467,6 +434,25 @@ def combined_orbit_spec(num_variants: int) -> SystemSpec:
         variations=(VariationSpec("address-orbit"), VariationSpec("uid-orbit")),
         transformed=True,
     )
+
+
+#: The N-way sweep entry: three variants, each with its own UID mask.
+UID_ORBIT_3_SPEC = uid_orbit_spec(3)
+
+#: The address-side orbit: three variants in disjoint top-bits partitions.
+ADDRESS_ORBIT_3_SPEC = address_orbit_spec(3)
+
+#: Both orbit families layered: three variants, each with its own address
+#: partition AND its own UID mask -- the N>=3 analogue of Table 3's config 4.
+COMBINED_ORBIT_3_SPEC = combined_orbit_spec(3)
+
+#: The four configurations the detection matrix compares, in narrative order.
+STANDARD_SYSTEM_SPECS: tuple[SystemSpec, ...] = (
+    SINGLE_PROCESS_SPEC,
+    ADDRESS_PARTITIONING_SPEC,
+    UID_DIVERSITY_SPEC,
+    ADDRESS_UID_SPEC,
+)
 
 
 def keyed_address_spec(

@@ -33,7 +33,8 @@ from typing import Optional, Sequence
 
 from repro.api.builders import build_engine, build_session
 from repro.api.spec import FleetSpec, SystemSpec
-# The mix types live in the catalog; they are re-exported here for clients.
+# The mix types live in the catalog; the wall-clock benchmark's workloads
+# import them from here.
 from repro.apps.catalog import DEFAULT_STATIC_MIX, RequestMixEntry, ServingApp, get_app
 from repro.core.nvariant import NVariantResult
 from repro.engine import CampaignExecutionResult, NVariantSession, run_sessions
@@ -292,8 +293,6 @@ def drive_nvariant(
 
 def drive_nvariant_many(
     jobs: Sequence[tuple[WebBenchWorkload, SystemSpec]],
-    *,
-    multiplex: int = 1,
 ) -> list[tuple[WorkloadMeasurement, NVariantResult]]:
     """Run several (workload, spec) pairs concurrently on one engine.
 
@@ -304,7 +303,7 @@ def drive_nvariant_many(
     in one pass instead of looping serially.
     """
     prepared = [
-        _prepare_session(workload, spec, multiplex=multiplex, name=f"many-{index}-{spec.name}")
+        _prepare_session(workload, spec, multiplex=1, name=f"many-{index}-{spec.name}")
         for index, (workload, spec) in enumerate(jobs)
     ]
     engine_result = run_sessions([session for _, session in prepared], name="nvariant-many")

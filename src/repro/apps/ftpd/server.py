@@ -61,7 +61,7 @@ class MiniFtpd(MiniServer):
     turn serves one transfer of a conversation.
     """
 
-    default_config_path = FTPD_CONF
+    config_path = FTPD_CONF
     log_verb = "retrieving"
     parse_config = staticmethod(parse_ftp_config)
 

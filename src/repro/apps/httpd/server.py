@@ -31,8 +31,7 @@ from repro.apps.httpd.vulnerable import (
     copy_annotation_header,
     read_banner,
 )
-# ServedRequest and ServerReport stay importable from this module too.
-from repro.apps.server import Connection, MiniServer, ServedRequest, ServerReport
+from repro.apps.server import Connection, MiniServer
 from repro.kernel.errors import Errno
 from repro.kernel.filesystem import O_RDONLY
 from repro.kernel.host import HTTPD_CONF
@@ -47,7 +46,7 @@ ADMIN_TOKEN = "letmein"
 class MiniHttpd(MiniServer):
     """One build of the case-study web server (parameters: :class:`MiniServer`)."""
 
-    default_config_path = HTTPD_CONF
+    config_path = HTTPD_CONF
     log_verb = "serving"
     parse_config = staticmethod(parse_config)
 

@@ -140,13 +140,10 @@ class MiniServer:
         of 1 the server is the serial accept-serve-close loop; with ``M > 1``
         it accepts up to M connections and serves one request from each per
         turn, so no single slow client monopolises the server.
-    config_path:
-        Path of the configuration file on the simulated host (``None`` = the
-        app's own, :attr:`default_config_path`).
     """
 
-    #: The configuration file read when the constructor names none.
-    default_config_path: str
+    #: The path of the app's configuration file on the simulated host.
+    config_path: str
     #: The word an error-log line puts before the path ("serving" ...).
     log_verb: str
 
@@ -159,7 +156,6 @@ class MiniServer:
         transformed: bool = False,
         max_requests: Optional[int] = None,
         multiplex: int = 1,
-        config_path: Optional[str] = None,
     ):
         if multiplex < 1:
             raise ValueError("multiplex must be at least 1")
@@ -169,7 +165,6 @@ class MiniServer:
         self.transformed = transformed
         self.max_requests = max_requests
         self.multiplex = multiplex
-        self.config_path = self.default_config_path if config_path is None else config_path
         self.config: Any = None
         self.layout: Optional[ServerStateLayout] = None
         self.report = ServerReport()
@@ -188,29 +183,18 @@ class MiniServer:
         transformed: bool = True,
         max_requests: Optional[int] = None,
         multiplex: int = 1,
-        config_path: Optional[str] = None,
-        servers: Optional[list] = None,
     ) -> Callable[[VariantContext], ServerProgram]:
-        """Build a program factory, optionally collecting the server instances.
-
-        ``servers``, when provided, receives each variant's server object so
-        callers (tests, experiment drivers) can inspect per-variant reports
-        after the run.
-        """
+        """Build a program factory: each variant runs its own server instance."""
 
         def factory(context: VariantContext) -> ServerProgram:
-            server = cls(
+            return cls(
                 context.libc,
                 context.uid_codec,
                 context.address_space,
                 transformed=transformed,
                 max_requests=max_requests,
                 multiplex=multiplex,
-                config_path=config_path,
-            )
-            if servers is not None:
-                servers.append(server)
-            return server.run()
+            ).run()
 
         return factory
 

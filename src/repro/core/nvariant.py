@@ -154,8 +154,6 @@ def nvexec(
     variations: Sequence[Variation] = (),
     *,
     num_variants: int = 2,
-    halt_on_alarm: bool = True,
-    name: str = "nvariant",
 ) -> NVariantResult:
     """Launch and run an N-variant system in one call (the paper's ``nvexec``)."""
     # Deferred import: repro.engine.session imports this module for the
@@ -167,6 +165,5 @@ def nvexec(
         program_factory,
         variations,
         num_variants=num_variants,
-        halt_on_alarm=halt_on_alarm,
-        name=name,
+        name="nvariant",
     ).run()

@@ -52,30 +52,32 @@ class AppInterpreter:
     process: Callable[[bytes, int], int]
 
 
-def faithful_app_interpreter(name: str = "app") -> AppInterpreter:
+def faithful_app_interpreter() -> AppInterpreter:
     """An application layer with no vulnerability: trusted data passes through."""
-    return AppInterpreter(name=name, process=lambda external, trusted: trusted)
+    return AppInterpreter(name="app", process=lambda external, trusted: trusted)
 
 
-def vulnerable_app_interpreter(
-    name: str = "vulnerable-app", *, trigger: bytes = b"EXPLOIT:"
-) -> AppInterpreter:
+#: The external-input prefix that fires :func:`vulnerable_app_interpreter`'s bug.
+EXPLOIT_TRIGGER = b"EXPLOIT:"
+
+
+def vulnerable_app_interpreter() -> AppInterpreter:
     """An application layer with an injection vulnerability.
 
-    If the external input starts with *trigger*, the remainder is parsed as
-    an integer and *replaces* the trusted value -- the same concrete value in
-    every variant, because external input is replicated.
+    If the external input starts with :data:`EXPLOIT_TRIGGER`, the remainder
+    is parsed as an integer and *replaces* the trusted value -- the same
+    concrete value in every variant, because external input is replicated.
     """
 
     def process(external: bytes, trusted: int) -> int:
-        if external.startswith(trigger):
+        if external.startswith(EXPLOIT_TRIGGER):
             try:
-                return int(external[len(trigger):].strip() or b"0", 0)
+                return int(external[len(EXPLOIT_TRIGGER):].strip() or b"0", 0)
             except ValueError:
                 return trusted
         return trusted
 
-    return AppInterpreter(name=name, process=process)
+    return AppInterpreter(name="vulnerable-app", process=process)
 
 
 @dataclasses.dataclass

@@ -15,7 +15,7 @@ cell: :func:`repro.api.campaign.run_attack` returns an outcome whose
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.core.nvariant import NVariantResult
 from repro.core.reexpression import (
@@ -58,18 +58,13 @@ def check_variation_reexpression(
     return reports
 
 
-def check_normal_equivalence(
-    run_benign: Callable[[], NVariantResult],
-    *,
-    observable: Callable[[NVariantResult], Sequence] | None = None,
-) -> EquivalenceVerdict:
+def check_normal_equivalence(run_benign: Callable[[], NVariantResult]) -> EquivalenceVerdict:
     """Run a benign workload and verify the variants stayed equivalent.
 
     *run_benign* builds and runs an N-variant system on non-malicious input.
-    *observable*, when given, extracts the externally visible behaviour from
-    the result (e.g. HTTP responses); normal equivalence additionally
-    requires that it matches what the unmodified program would produce, but
-    at this level we check internal consistency: no alarms and clean exits.
+    Normal equivalence also requires that the externally visible behaviour
+    matches what the unmodified program would produce, but at this level we
+    check internal consistency: no alarms and clean exits.
     """
     result = run_benign()
     if result.alarms:
@@ -86,13 +81,5 @@ def check_normal_equivalence(
             reason=f"variant faulted on benign input: {faults}",
             alarms=0,
         )
-    if observable is not None:
-        observed = observable(result)
-        if len(set(map(repr, observed))) > 1:
-            return EquivalenceVerdict(
-                holds=False,
-                reason="variants produced different observable outputs",
-                alarms=0,
-            )
     return EquivalenceVerdict(holds=True, reason="no alarms, all variants exited cleanly", alarms=0)
 

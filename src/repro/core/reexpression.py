@@ -79,12 +79,12 @@ def xor_reexpression(mask: int, domain: str = "uid") -> ReexpressionFunction:
     )
 
 
-def offset_reexpression(offset: int, modulus: int = 1 << 32, domain: str = "address") -> ReexpressionFunction:
-    """Additive-offset reexpression, e.g. address partitioning's ``a + 0x80000000``."""
+def offset_reexpression(offset: int, domain: str = "address") -> ReexpressionFunction:
+    """Additive-offset reexpression mod 2**32, e.g. partitioning's ``a + 0x80000000``."""
     return ReexpressionFunction(
         name=f"offset-0x{offset:08X}",
-        forward=lambda value: (value + offset) % modulus,
-        inverse=lambda value: (value - offset) % modulus,
+        forward=lambda value: (value + offset) % (1 << 32),
+        inverse=lambda value: (value - offset) % (1 << 32),
         domain=domain,
         formula=f"R(a) = a + 0x{offset:08X}",
         inverse_formula=f"R^-1(a) = a - 0x{offset:08X}",
@@ -146,18 +146,17 @@ def check_partial_overwrite_resilience(
     *,
     byte_count: int,
     injected: int,
-    word_bits: int = 32,
 ) -> bool:
     """Decide whether a low-*byte_count*-byte overwrite is detected.
 
-    The attacker overwrites the low bytes of the targeted word with the same
-    *injected* bytes in every variant, leaving each variant's original high
-    bytes in place (Section 2.3).  Detection happens when the decoded values
-    differ afterwards.  ``originals`` are the per-variant concrete values
-    before the attack (i.e. ``R_i(semantic value)``).
+    The attacker overwrites the low bytes of the targeted 32-bit word with
+    the same *injected* bytes in every variant, leaving each variant's
+    original high bytes in place (Section 2.3).  Detection happens when the
+    decoded values differ afterwards.  ``originals`` are the per-variant
+    concrete values before the attack (i.e. ``R_i(semantic value)``).
     """
     low_mask = (1 << (8 * byte_count)) - 1
-    keep_mask = ((1 << word_bits) - 1) ^ low_mask
+    keep_mask = 0xFFFFFFFF ^ low_mask
     decoded = []
     for original, function in zip(originals, inverses):
         corrupted = (original & keep_mask) | (injected & low_mask)
@@ -165,7 +164,7 @@ def check_partial_overwrite_resilience(
     return len(set(decoded)) > 1
 
 
-def sample_domain(bits: int = 32, *, stride: int = 2654435761, count: int = 4096) -> list[int]:
+def sample_domain(bits: int = 32, *, count: int = 4096) -> list[int]:
     """Deterministic, well-spread sample of a *bits*-wide unsigned domain.
 
     Uses a Weyl-style sequence (golden-ratio stride) so samples cover low,
@@ -176,6 +175,6 @@ def sample_domain(bits: int = 32, *, stride: int = 2654435761, count: int = 4096
     samples = [0, 1, modulus - 1, modulus // 2, modulus // 2 - 1]
     value = 0
     for _ in range(count):
-        value = (value + stride) % modulus
+        value = (value + 2654435761) % modulus
         samples.append(value)
     return samples

@@ -52,9 +52,6 @@ from repro.kernel.syscalls import (
     _trusted_success,
 )
 
-#: ``UID_MASK_31`` (the paper's mask: flips the 31 low bits, leaves the sign
-#: bit alone) is owned by :mod:`repro.memory.partition` and re-exported here.
-
 #: The "ideal" mask discussed and rejected in Section 3.2.
 UID_MASK_32 = 0xFFFFFFFF
 

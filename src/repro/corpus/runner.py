@@ -14,7 +14,7 @@ experiment claims.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.api.spec import SystemSpec
 from repro.attacks.memory_attacks import AddressInjectionAttack
@@ -25,9 +25,6 @@ from repro.attacks.uid_attacks import UIDAttack
 from repro.corpus.records import CorpusError, CorpusRecord
 from repro.engine.campaign import CampaignJob, run_jobs
 from repro.memory.corruption import CorruptionSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; a run needs no worker pool
-    from repro.engine.procpool import ProcessWorkerPool
 
 
 def build_attack(data: Mapping[str, Any]):
@@ -122,8 +119,6 @@ def run_corpus_records(
     *,
     backend: str = "virtual",
     workers: int = 1,
-    rounds_per_turn: int = 8,
-    pool: Optional[ProcessWorkerPool] = None,
 ) -> list[dict[str, Any]]:
     """Run every record; returns outcome dicts in record order.
 
@@ -134,7 +129,5 @@ def run_corpus_records(
         CampaignJob(record.record_id, functools.partial(prepare_record, record))
         for record in records
     ]
-    execution = run_jobs(
-        jobs, backend=backend, workers=workers, rounds_per_turn=rounds_per_turn, pool=pool
-    )
+    execution = run_jobs(jobs, backend=backend, workers=workers)
     return [outcome_to_dict(job.value) for job in execution.jobs]

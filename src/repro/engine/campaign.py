@@ -41,25 +41,14 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.engine.policy import CAMPAIGN_BACKENDS, CampaignHaltPolicy
-from repro.engine.scheduler import (
-    CampaignExecutionResult,
-    ScheduledJobResult,
-    run_round_robin,
-)
+from repro.engine.scheduler import CampaignExecutionResult, run_round_robin
 from repro.engine.session import NVariantSession
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the import cycle
     from repro.engine.procpool import ProcessWorkerPool
 
-__all__ = [
-    "CAMPAIGN_BACKENDS",
-    "CampaignExecutionResult",
-    "CampaignHaltPolicy",
-    "CampaignJob",
-    "CampaignScheduler",
-    "ScheduledJobResult",
-    "run_jobs",
-]
+__all__ = ["CampaignJob", "CampaignScheduler", "run_jobs"]
+
 
 @dataclasses.dataclass
 class CampaignJob:

@@ -43,12 +43,9 @@ import traceback
 from collections import deque
 from typing import Any, Optional, Sequence
 
-from repro.engine.campaign import (
-    CampaignExecutionResult,
-    CampaignHaltPolicy,
-    CampaignJob,
-    ScheduledJobResult,
-)
+from repro.engine.campaign import CampaignJob
+from repro.engine.policy import CampaignHaltPolicy
+from repro.engine.scheduler import CampaignExecutionResult, ScheduledJobResult
 from repro.engine.session import SessionState
 
 

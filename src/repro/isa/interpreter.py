@@ -14,6 +14,9 @@ from typing import Callable, Optional
 from repro.isa.instructions import Instruction, Opcode, REGISTER_COUNT
 from repro.kernel.errors import IllegalInstructionFault, SegmentationFault
 
+#: The steps :meth:`Interpreter.run` takes before it calls a program runaway.
+MAX_STEPS = 10_000
+
 
 @dataclasses.dataclass
 class MachineState:
@@ -104,13 +107,12 @@ class Interpreter:
         instructions: list[Instruction],
         *,
         state: Optional[MachineState] = None,
-        max_steps: int = 10_000,
     ) -> MachineState:
-        """Run a decoded instruction list until HALT or *max_steps*."""
+        """Run a decoded instruction list until HALT or :data:`MAX_STEPS` steps."""
         state = state if state is not None else MachineState()
         steps = 0
         while not state.halted and 0 <= state.pc < len(instructions):
-            if steps >= max_steps:
+            if steps >= MAX_STEPS:
                 raise RuntimeError("interpreter exceeded maximum steps")
             self.execute(state, instructions[state.pc])
             steps += 1

@@ -8,25 +8,23 @@ files that exist purely so a successful privilege-escalation attack has
 something worth reading.
 
 Every campaign cell builds its own host, so :func:`build_standard_host` does
-not rebuild that image each time.  With default arguments it clones one
-private image, built on first use: the image itself is never handed out, so
-nothing a host does to its filesystem can reach the image or the next host.
-The clone shares the image's file contents copy-on-write, and the per-variant
-account databases and document bytes are memoised, so hosts share every
-byte they have not written.
+not rebuild that image each time.  It clones one private image, built on
+first use: the image itself is never handed out, so nothing a host does to
+its filesystem can reach the image or the next host.  The clone shares the
+image's file contents copy-on-write, and the per-variant account databases
+and document bytes are memoised, so hosts share every byte they have not
+written.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.kernel.filesystem import FileSystem
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.passwd import (
-    GroupEntry,
-    PasswdEntry,
     default_group_entries,
     default_passwd_entries,
     diversify_group,
@@ -125,16 +123,8 @@ AdminUser root
 """
 
 
-def build_filesystem(
-    passwd_entries: Sequence[PasswdEntry] | None = None,
-    group_entries: Sequence[GroupEntry] | None = None,
-    documents: Iterable[DocumentSpec] = DEFAULT_DOCUMENTS,
-    httpd_conf: str = DEFAULT_HTTPD_CONF,
-) -> FileSystem:
-    """Build the standard host filesystem image."""
-    passwd_entries = list(passwd_entries) if passwd_entries is not None else default_passwd_entries()
-    group_entries = list(group_entries) if group_entries is not None else default_group_entries()
-
+def build_filesystem() -> FileSystem:
+    """Build the standard host filesystem image afresh."""
     fs = FileSystem()
     for directory in (
         "/etc",
@@ -158,19 +148,19 @@ def build_filesystem(
     # World-writable scratch space, as on a real host.
     fs.chmod("/tmp", 0o777)
 
-    fs.create_file("/etc/passwd", format_passwd(passwd_entries), mode=0o644)
-    fs.create_file("/etc/group", format_group(group_entries), mode=0o644)
+    fs.create_file("/etc/passwd", format_passwd(default_passwd_entries()), mode=0o644)
+    fs.create_file("/etc/group", format_group(default_group_entries()), mode=0o644)
     fs.create_file(
         SHADOW_FILE,
         "root:$6$secrethash$:19000:0:99999:7:::\n",
         mode=0o600,
     )
-    fs.create_file(HTTPD_CONF, httpd_conf, mode=0o644)
+    fs.create_file(HTTPD_CONF, DEFAULT_HTTPD_CONF, mode=0o644)
     fs.create_file(ERROR_LOG, b"", mode=0o640)
     fs.create_file(ACCESS_LOG, b"", mode=0o640)
     fs.create_file("/root/secrets.txt", "top secret\n", mode=0o600)
 
-    for document in documents:
+    for document in DEFAULT_DOCUMENTS:
         fs.create_file(document.path, document.content(), mode=0o644)
 
     # Home directories owned by their users, world-unreadable private files.
@@ -184,31 +174,28 @@ def build_filesystem(
 def install_diversified_user_db(
     fs: FileSystem,
     reexpression_functions: Sequence[Callable[[int], int]],
-    *,
-    passwd_path: str = "/etc/passwd",
-    group_path: str = "/etc/group",
 ) -> list[tuple[str, str]]:
     """Create the per-variant unshared copies of the account databases.
 
-    For each variant *i*, writes ``<passwd_path>-i`` and ``<group_path>-i``
+    For each variant *i*, writes ``/etc/passwd-i`` and ``/etc/group-i``
     whose UID/GID columns are transformed with ``reexpression_functions[i]``
     (Section 3.4 of the paper).  Returns the list of ``(original, variant)``
     path pairs created, which callers register with the unshared-file layer.
     """
-    passwd = fs.read_file(passwd_path)
-    group = fs.read_file(group_path)
+    passwd = fs.read_file("/etc/passwd")
+    group = fs.read_file("/etc/group")
     ids = _account_ids(passwd, group)
     created: list[tuple[str, str]] = []
     for index, reexpress in enumerate(reexpression_functions):
-        variant_passwd = f"{passwd_path}-{index}"
-        variant_group = f"{group_path}-{index}"
+        variant_passwd = f"/etc/passwd-{index}"
+        variant_group = f"/etc/group-{index}"
         passwd_text, group_text = _diversified_user_db(
             passwd, group, tuple(map(reexpress, ids))
         )
         fs.create_file(variant_passwd, passwd_text, mode=0o644)
         fs.create_file(variant_group, group_text, mode=0o644)
-        created.append((passwd_path, variant_passwd))
-        created.append((group_path, variant_group))
+        created.append(("/etc/passwd", variant_passwd))
+        created.append(("/etc/group", variant_group))
     return created
 
 
@@ -260,11 +247,7 @@ AdminUser root
 """
 
 
-def install_ftp_site(
-    fs: FileSystem,
-    documents: Iterable[DocumentSpec] = DEFAULT_FTP_DOCUMENTS,
-    ftpd_conf: str = DEFAULT_FTPD_CONF,
-) -> None:
+def install_ftp_site(fs: FileSystem) -> None:
     """Add the FTP site (root, configuration, logs, documents) to *fs*.
 
     Deliberately additive: the standard host image is left byte-identical so
@@ -279,27 +262,17 @@ def install_ftp_site(
         "/var/log/ftpd",
     ):
         fs.mkdir(directory, parents=True)
-    fs.create_file(FTPD_CONF, ftpd_conf, mode=0o644)
+    fs.create_file(FTPD_CONF, DEFAULT_FTPD_CONF, mode=0o644)
     fs.create_file(FTP_ERROR_LOG, b"", mode=0o640)
     fs.create_file(FTP_TRANSFER_LOG, b"", mode=0o640)
-    for document in documents:
+    for document in DEFAULT_FTP_DOCUMENTS:
         fs.create_file(document.path, document.content(), mode=0o644)
 
 
-def build_standard_host(
-    passwd_entries: Sequence[PasswdEntry] | None = None,
-    group_entries: Sequence[GroupEntry] | None = None,
-    documents: Iterable[DocumentSpec] = DEFAULT_DOCUMENTS,
-) -> SimulatedKernel:
-    """Build a kernel whose filesystem is the standard host image."""
-    if passwd_entries is None and group_entries is None and documents is DEFAULT_DOCUMENTS:
-        fs = _standard_image().clone()
-    else:
-        fs = build_filesystem(passwd_entries, group_entries, documents)
-    return SimulatedKernel(filesystem=fs)
+def build_standard_host() -> SimulatedKernel:
+    """Build a kernel whose filesystem is a clone of the standard host image."""
+    return SimulatedKernel(filesystem=_standard_image().clone())
 
 
-@functools.cache
-def _standard_image() -> FileSystem:
-    """The default host image; only ever cloned, never handed out or mutated."""
-    return build_filesystem()
+#: The standard host image; only ever cloned, never handed out or mutated.
+_standard_image = functools.cache(build_filesystem)

@@ -51,7 +51,6 @@ class Process:
         *,
         credentials: Optional[Credentials] = None,
         address_space: Optional[AddressSpace] = None,
-        cwd: str = "/",
     ):
         self.pid = pid
         self.name = name
@@ -59,7 +58,7 @@ class Process:
         self.address_space = address_space if address_space is not None else AddressSpace()
         self.fds = FileDescriptorTable()
         self.signals = SignalState()
-        self.cwd = cwd
+        self.cwd = "/"
         self.state = ProcessState.RUNNABLE
         self.exit_code: Optional[int] = None
         self.fault_reason: Optional[str] = None

@@ -119,19 +119,14 @@ def overflow_buffer(
     return region.unchecked_copy(buffer.address, data)
 
 
-def overflow_payload(
-    buffer_size: int, overwrite_value: int, *, filler: bytes = b"A", word_bytes: int = WORD_SIZE
-) -> bytes:
+def overflow_payload(buffer_size: int, overwrite_value: int) -> bytes:
     """Build a classic overflow payload.
 
-    The payload fills the vulnerable buffer with *filler* bytes and then
+    The payload fills the vulnerable buffer with ``A`` bytes and then
     appends the little-endian encoding of *overwrite_value*, so an unchecked
     copy places that word exactly over the variable adjacent to the buffer.
     """
-    if len(filler) != 1:
-        raise ValueError("filler must be a single byte")
-    padding = filler * buffer_size
-    return padding + (overwrite_value & WORD_MASK).to_bytes(WORD_SIZE, "little")[:word_bytes]
+    return b"A" * buffer_size + (overwrite_value & WORD_MASK).to_bytes(WORD_SIZE, "little")
 
 
 def corruption_outcomes(

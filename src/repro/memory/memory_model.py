@@ -176,9 +176,9 @@ class StackFrame:
     runs forward into the ``uid_t``.
     """
 
-    def __init__(self, region: MemoryRegion, *, start_offset: int = 0):
+    def __init__(self, region: MemoryRegion):
         self.region = region
-        self._cursor = start_offset
+        self._cursor = 0
         self.variables: dict[str, MemoryVariable] = {}
 
     def alloc_word(self, name: str, initial: int = 0) -> MemoryVariable:

@@ -41,7 +41,6 @@ from typing import Optional, Protocol, Sequence, runtime_checkable
 from repro.api.seeding import derive_seed
 from repro.api.spec import SystemSpec, keyed_address_spec
 from repro.engine.campaign import CampaignJob, run_jobs
-from repro.engine.procpool import ProcessWorkerPool
 from repro.memory.partition import (
     KeyedAddressScheme,
     KeyedOrbitScheme,
@@ -81,7 +80,6 @@ class BruteForceAttacker(Protocol):
         key_bits: int,
         num_variants: int,
         rng: random.Random,
-        nominal_base: int = SECRET_NOMINAL_BASE,
         secret: Optional[tuple[int, ...]] = None,
     ) -> list[int]:
         """The ordered probe addresses for one trial."""
@@ -96,9 +94,9 @@ class ExhaustiveSweepAttacker:
     name: str = "exhaustive-sweep"
     requires_secret: bool = False
 
-    def plan(self, *, key_bits, num_variants, rng, nominal_base=SECRET_NOMINAL_BASE, secret=None):
+    def plan(self, *, key_bits, num_variants, rng, secret=None):
         shift = VALUE_BITS - key_bits
-        addresses = [(s << shift) + nominal_base for s in range(1 << key_bits)]
+        addresses = [(s << shift) + SECRET_NOMINAL_BASE for s in range(1 << key_bits)]
         return addresses[: self.max_probes] if self.max_probes else addresses
 
 
@@ -110,10 +108,12 @@ class RandomProbingAttacker:
     name: str = "random-probing"
     requires_secret: bool = False
 
-    def plan(self, *, key_bits, num_variants, rng, nominal_base=SECRET_NOMINAL_BASE, secret=None):
+    def plan(self, *, key_bits, num_variants, rng, secret=None):
         shift = VALUE_BITS - key_bits
         budget = self.max_probes if self.max_probes else 2 * (1 << key_bits)
-        return [(rng.randrange(1 << key_bits) << shift) + nominal_base for _ in range(budget)]
+        return [
+            (rng.randrange(1 << key_bits) << shift) + SECRET_NOMINAL_BASE for _ in range(budget)
+        ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,7 +130,7 @@ class PartialKnowledgeAttacker:
     name: str = "partial-knowledge"
     requires_secret: bool = True
 
-    def plan(self, *, key_bits, num_variants, rng, nominal_base=SECRET_NOMINAL_BASE, secret=None):
+    def plan(self, *, key_bits, num_variants, rng, secret=None):
         if secret is None:
             raise ValueError("partial-knowledge planning needs the fleet's secret (the leak)")
         shift = VALUE_BITS - key_bits
@@ -143,7 +143,7 @@ class PartialKnowledgeAttacker:
             if candidate & mask not in leaked:
                 continue
             for offset in sorted(set(offsets)):
-                addresses.append((candidate << shift) + offset + nominal_base)
+                addresses.append((candidate << shift) + offset + SECRET_NOMINAL_BASE)
         return addresses
 
 
@@ -205,8 +205,6 @@ def run_probe_batch(
     *,
     backend: str = "virtual",
     workers: int = 1,
-    rounds_per_turn: int = 8,
-    pool: Optional[ProcessWorkerPool] = None,
 ) -> list[ProbeOutcome]:
     """Execute planned trials through the campaign scheduler, in plan order.
 
@@ -231,9 +229,7 @@ def run_probe_batch(
         )
         for plan in plans
     ]
-    execution = run_jobs(
-        jobs, backend=backend, workers=workers, rounds_per_turn=rounds_per_turn, pool=pool
-    )
+    execution = run_jobs(jobs, backend=backend, workers=workers)
     return [
         ProbeOutcome.from_dict(job.value)
         for job in execution.jobs

@@ -80,12 +80,7 @@ class ProbeOutcome:
         return cls(**value)
 
 
-def make_probe_factory(
-    addresses: Sequence[int],
-    *,
-    nominal_base: int = SECRET_NOMINAL_BASE,
-    size: int = SECRET_REGION_SIZE,
-):
+def make_probe_factory(addresses: Sequence[int]):
     """A program factory probing *addresses* in order against its own layout.
 
     Every variant runs the identical program (same probe list, same syscall
@@ -97,9 +92,9 @@ def make_probe_factory(
 
     def factory(context):
         region = context.address_space.map_region(
-            MemoryRegion("secret", nominal_base, size)
+            MemoryRegion("secret", SECRET_NOMINAL_BASE, SECRET_REGION_SIZE)
         )
-        region.write(region.base, b"\x5a" * size)
+        region.write(region.base, b"\x5a" * SECRET_REGION_SIZE)
 
         def program():
             hits = 0

@@ -46,9 +46,8 @@ class ChangeRecord:
 
 @dataclasses.dataclass
 class TransformationReport:
-    """All changes applied while producing one variant."""
+    """All changes applied while producing variant 1 (variant 0 is the source)."""
 
-    variant_index: int = 1
     changes: list[ChangeRecord] = dataclasses.field(default_factory=list)
 
     def record(self, category: ChangeCategory, line: int, description: str) -> None:
@@ -83,7 +82,7 @@ class TransformationReport:
 
     def describe(self) -> str:
         """Multi-line summary of the applied changes."""
-        lines = [f"transformation report for variant {self.variant_index}:"]
+        lines = ["transformation report for variant 1:"]
         for category, count in self.counts().items():
             lines.append(f"  {category.value:34s} {count}")
         lines.append(f"  {'total':34s} {self.total}")

@@ -83,16 +83,15 @@ _DETECTION_CALLS = frozenset({"uid_value", "cond_chk"} | set(_CC_CALLS.values())
 class UIDVariationTransformer:
     """Applies the UID variation to a translation unit."""
 
-    def __init__(self, reexpress: Callable[[int], int], *, variant_index: int = 1):
+    def __init__(self, reexpress: Callable[[int], int]):
         self.reexpress = reexpress
-        self.variant_index = variant_index
 
     # -- public API -------------------------------------------------------------
 
     def transform(self, unit: TranslationUnit) -> tuple[TranslationUnit, TransformationReport]:
         """Return the transformed copy of *unit* and the change report."""
         transformed = copy.deepcopy(unit)
-        report = TransformationReport(variant_index=self.variant_index)
+        report = TransformationReport()
         analysis = UIDAnalysis(transformed)
 
         for variable in transformed.globals:
@@ -288,11 +287,10 @@ class UIDVariationTransformer:
 
 
 def transform_source(
-    source: str, reexpress: Callable[[int], int], *, variant_index: int = 1
+    source: str, reexpress: Callable[[int], int]
 ) -> tuple[TranslationUnit, TransformationReport]:
     """Parse *source*, apply the UID variation and return AST plus report."""
     from repro.transform.parser import parse_source
 
     unit = parse_source(source)
-    transformer = UIDVariationTransformer(reexpress, variant_index=variant_index)
-    return transformer.transform(unit)
+    return UIDVariationTransformer(reexpress).transform(unit)

@@ -33,7 +33,8 @@ from repro import (
     run_campaign,
 )
 from repro.api.cli import ScenarioError, load_scenario, main as cli_main, run_scenario
-from repro.core.variations.uid import UID_MASK_31, UIDVariation
+from repro.core.variations.uid import UIDVariation
+from repro.memory.partition import UID_MASK_31
 
 
 class TestSpecRoundTrip:

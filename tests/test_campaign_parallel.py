@@ -30,11 +30,8 @@ from repro.attacks.memory_attacks import standard_address_attacks
 from repro.attacks.outcomes import OutcomeKind
 from repro.attacks.payloads import uid_overwrite_payload
 from repro.attacks.uid_attacks import UIDAttack, standard_uid_attacks
-from repro.engine.campaign import (
-    CampaignHaltPolicy,
-    CampaignJob,
-    CampaignScheduler,
-)
+from repro.engine.campaign import CampaignJob, CampaignScheduler
+from repro.engine.policy import CampaignHaltPolicy
 
 
 def _serial_outcomes(specs, attacks):

@@ -376,7 +376,8 @@ class TestCampaignSchedulerStress:
         assert result.speedup() > 6.0
 
     def test_fleet_wide_halt_stops_stragglers_and_skips_backlog(self):
-        from repro.engine.campaign import CampaignHaltPolicy, CampaignScheduler
+        from repro.engine.campaign import CampaignScheduler
+        from repro.engine.policy import CampaignHaltPolicy
 
         # One attack session among long-running benign siblings, plus a
         # backlog that must never start once the campaign halts.

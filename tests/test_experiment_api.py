@@ -17,6 +17,7 @@ Covers the contracts the experiment layer adds:
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -173,15 +174,16 @@ class TestRegistry:
     def test_runner_must_return_a_report(self):
         scratch = ExperimentRegistry()
         scratch.register("broken", dict, description="not an experiment")
-        with pytest.raises(ValueError, match="not an ExperimentReport"):
+        with pytest.raises(ValueError, match="returned dict, which has no to_report"):
             scratch.run("broken")
+        scratch.register("unrendered", lambda: SimpleNamespace(to_report=dict))
+        with pytest.raises(ValueError, match="reported dict, not an ExperimentReport"):
+            scratch.run("unrendered")
 
     def test_loader_strings_resolve_lazily(self):
         scratch = ExperimentRegistry()
-        entry = scratch.register(
-            "lazy", "repro.analysis.experiments.figure2:experiment"
-        )
-        assert entry.resolve().__name__ == "experiment"
+        entry = scratch.register("lazy", "repro.analysis.experiments.figure2:run")
+        assert entry.resolve().__name__ == "run"
 
     def test_registry_run_stamps_spec_and_telemetry(self):
         report = experiments.run(_fast_spec("section4"))
@@ -275,7 +277,7 @@ class TestParity:
             result_type = type(report.result)
             assert not hasattr(result_type, "format"), (name, result_type)
             assert hasattr(result_type, "to_report"), (name, result_type)
-            assert module.experiment.__module__ == module.__name__
+            assert experiments.get(name).resolve() is module.run
 
 
 class TestCLI:
@@ -427,7 +429,9 @@ class TestCLI:
         """A run whose claims do not hold is a CI failure, not a success."""
 
         def forced_failure():
-            return ExperimentReport(title="forced failure", claims={"holds": False})
+            return SimpleNamespace(
+                to_report=lambda: ExperimentReport(title="forced failure", claims={"holds": False})
+            )
 
         scratch = ExperimentRegistry()
         entry = scratch.register("forced", forced_failure)

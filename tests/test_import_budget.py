@@ -105,6 +105,12 @@ def test_the_campaign_layer_loads_no_process_pool():
     assert {"multiprocessing", "repro.engine.procpool"}.isdisjoint(loaded)
 
 
+def test_the_attacker_loads_no_process_pool():
+    # The entropy experiment's trials run on the virtual backend by default.
+    loaded = run_fresh("import repro.security.attacker")
+    assert {"multiprocessing", "repro.engine.procpool"}.isdisjoint(loaded)
+
+
 @pytest.mark.parametrize(
     "arguments", ["examples/scenarios/loadtest.json", "examples/scenarios/campaign.json --seed 7"]
 )

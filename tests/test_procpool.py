@@ -18,7 +18,8 @@ from typing import Any
 
 import pytest
 
-from repro.engine.campaign import CampaignHaltPolicy, CampaignJob, run_jobs
+from repro.engine.campaign import CampaignJob, run_jobs
+from repro.engine.policy import CampaignHaltPolicy
 from repro.engine.procpool import ProcessWorkerPool, WorkerError
 from repro.engine.session import SessionState
 
