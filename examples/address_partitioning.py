@@ -17,13 +17,13 @@ from repro.attacks.memory_attacks import standard_address_attacks
 from repro.attacks.uid_attacks import standard_uid_attacks
 from repro.memory.address_space import AddressSpace
 from repro.memory.memory_model import MemoryRegion
-from repro.memory.partition import HighBitScheme, OrbitScheme
+from repro.memory.partition import high_bit_scheme, orbit_scheme
 
 
 def show_partitions() -> None:
     """Print how the same nominal region lands in each variant's partition."""
     print("Address layout of the same nominal region under each scheme:")
-    for scheme in (HighBitScheme(), OrbitScheme(3)):
+    for scheme in (high_bit_scheme(), orbit_scheme(3)):
         print(f"  {scheme.describe()}:")
         for index in range(scheme.num_partitions):
             space = AddressSpace(scheme=scheme, index=index)

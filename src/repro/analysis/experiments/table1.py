@@ -15,13 +15,7 @@ import dataclasses
 from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
 from repro.core.properties import check_variation_reexpression
 from repro.core.reexpression import PropertyReport, sample_domain
-from repro.core.variations import (
-    AddressPartitioning,
-    ExtendedAddressPartitioning,
-    InstructionSetTagging,
-    UIDVariation,
-)
-from repro.core.variations.base import Variation
+from repro.core.variations.table1 import TABLE1_VARIATIONS
 
 
 @dataclasses.dataclass
@@ -77,19 +71,10 @@ class Table1Result:
         )
 
 
-def _variations() -> list[Variation]:
-    return [
-        AddressPartitioning(),
-        ExtendedAddressPartitioning(),
-        InstructionSetTagging(),
-        UIDVariation(),
-    ]
-
-
 def run(sample_count: int = 2048) -> Table1Result:
     """Run the Table 1 reproduction."""
     rows = []
-    for variation in _variations():
+    for variation in [cls() for cls in TABLE1_VARIATIONS]:
         info = variation.table1_row()
         if variation.target_type == "uid":
             samples = sample_domain(bits=31, count=sample_count)

@@ -7,11 +7,12 @@ a complete absolute address can match at most one variant's partition; every
 other variant faults when it dereferences the injected pointer and the
 monitor reports the attack.
 
-Nothing in that argument is specific to N=2, and since PR 5 the variations
-here are thin wrappers over a :class:`~repro.memory.partition.PartitionScheme`:
-the scheme decides how the 32-bit space is carved (high bit, top
-``ceil(log2 N)`` bits, Bruschi's offset-extended slices) and the variation
-merely hands each variant its partition.  Bruschi et al.'s *extended*
+Nothing in that argument is specific to N=2, and the variations here are
+thin wrappers over a :class:`~repro.memory.partition.RegionScheme`: its
+layout decides how the 32-bit space is carved (high bit, top
+``ceil(log2 N)`` bits, Bruschi's offset-extended slices, keyed slices), and
+the :class:`~repro.core.variations.base.VariationStack` builds each
+variant's address space from it.  Bruschi et al.'s *extended*
 partitioning adds a further per-variant offset so that even the low-order
 bytes of equivalent addresses differ across variants, restoring
 (probabilistic) protection against partial pointer overwrites that leave the
@@ -24,14 +25,13 @@ from typing import Optional
 
 from repro.core.reexpression import ReexpressionFunction
 from repro.core.variations.base import Variation
-from repro.memory.address_space import AddressSpace
 from repro.memory.partition import (
-    ExtendedOrbitScheme,
-    HighBitScheme,
-    KeyedAddressScheme,
-    KeyedOrbitScheme,
-    OrbitScheme,
+    KeyedRegionScheme,
     PartitionScheme,
+    RegionScheme,
+    extended_orbit_scheme,
+    high_bit_scheme,
+    orbit_scheme,
 )
 
 
@@ -53,8 +53,8 @@ class AddressPartitioning(Variation):
         self, num_variants: int = 2, *, scheme: Optional[PartitionScheme] = None
     ) -> None:
         if scheme is None:
-            scheme = HighBitScheme() if num_variants == 2 else OrbitScheme(num_variants)
-        if not scheme.carves_regions:
+            scheme = high_bit_scheme() if num_variants == 2 else orbit_scheme(num_variants)
+        if not isinstance(scheme, RegionScheme):
             raise ValueError(
                 f"address partitioning needs a region-carving scheme, "
                 f"got {scheme.kind!r}"
@@ -72,11 +72,6 @@ class AddressPartitioning(Variation):
         self._check_index(index)
         return self.scheme.reexpression(index, domain="address")
 
-    def make_address_space(self, index: int) -> AddressSpace:
-        """Variant *index*'s partitioned address space."""
-        self._check_index(index)
-        return AddressSpace(scheme=self.scheme, index=index)
-
 
 class OrbitAddressPartitioning(AddressPartitioning):
     """The N-ary orbit: top-``ceil(log2 N)``-bits partitions for any N >= 2.
@@ -91,7 +86,7 @@ class OrbitAddressPartitioning(AddressPartitioning):
     reference = "N-way extension of Cox et al. [16] (this reproduction)"
 
     def __init__(self, num_variants: int = 3):
-        super().__init__(num_variants, scheme=OrbitScheme(num_variants))
+        super().__init__(num_variants, scheme=orbit_scheme(num_variants))
 
 
 class ExtendedAddressPartitioning(AddressPartitioning):
@@ -107,7 +102,7 @@ class ExtendedAddressPartitioning(AddressPartitioning):
 
     def __init__(self, offset: int = 0x00010000, num_variants: int = 2):
         super().__init__(
-            num_variants, scheme=ExtendedOrbitScheme(num_variants, offset=offset)
+            num_variants, scheme=extended_orbit_scheme(num_variants, offset=offset)
         )
         self.offset = offset
 
@@ -115,11 +110,11 @@ class ExtendedAddressPartitioning(AddressPartitioning):
 class KeyedAddressPartitioning(AddressPartitioning):
     """Address partitioning with a *secret*, rotatable layout (keyed ASLR).
 
-    Each variant's slice assignment and intra-slice slide come from a
-    :class:`~repro.memory.partition.KeyedAddressScheme` keyed by ``key_bits``
-    of entropy (optionally pinned by *seed*).  Against the public address
-    schemes an attacker can aim an injected pointer into a known partition;
-    here every probe is a guess in a ``2**key_bits`` space, and a guess that
+    Each variant's slice assignment and, with *slide*, intra-slice slide
+    come from a :class:`~repro.memory.partition.KeyedRegionScheme` keyed by
+    ``key_bits`` of entropy (optionally pinned by *seed*).  Against the
+    public address layouts an attacker can aim an injected pointer into a
+    known partition; here every probe is a guess in a ``2**key_bits`` space, and a guess that
     lands in *some* variant's partition -- but not everyone's -- diverges and
     alarms, which is the probes-to-first-alarm game the `entropy` experiment
     measures.  Keys rotate on session restart, through :meth:`rekey`;
@@ -138,10 +133,9 @@ class KeyedAddressPartitioning(AddressPartitioning):
         seed: "int | None" = None,
         slide: bool = True,
     ):
-        scheme_cls = KeyedAddressScheme if slide else KeyedOrbitScheme
         super().__init__(
             num_variants,
-            scheme=scheme_cls(num_variants, key_bits=key_bits, seed=seed),
+            scheme=KeyedRegionScheme(num_variants, key_bits=key_bits, seed=seed, slide=slide),
         )
         self.key_bits = key_bits
         self.seed = seed

@@ -5,7 +5,8 @@ defines the reexpression function each variant uses for its target data type
 (Table 1 of the paper) and the hooks the framework needs to keep the variants
 normally equivalent:
 
-* how to build each variant's address space (address-space partitioning),
+* which region scheme carves each variant's address space (the
+  :attr:`~Variation.scheme` of an address variation),
 * how to rewrite system-call arguments and results so that the kernel -- the
   *target interpreter* for UID data -- always operates on decoded values while
   each variant's user space only ever holds its own representation,
@@ -84,7 +85,8 @@ class Variation:
 
     #: The partition scheme the re-expressions derive from, if any.  Only a
     #: :class:`~repro.memory.partition.KeyedScheme` makes the variation keyed
-    #: (:meth:`rekey`).
+    #: (:meth:`rekey`), and an ``"address"`` variation's scheme carves the
+    #: variants' address spaces (:meth:`VariationStack.make_address_space`).
     scheme: Optional[PartitionScheme] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -110,11 +112,6 @@ class Variation:
         return [self.reexpression(i) for i in range(self.num_variants)]
 
     # -- per-variant construction hooks -------------------------------------------
-
-    def make_address_space(self, index: int) -> Optional[AddressSpace]:
-        """Address space for variant *index*, or ``None`` if unaffected."""
-        self._check_index(index)
-        return None
 
     def setup_unshared_files(self, fs: FileSystem) -> dict[str, list[str]]:
         """Create per-variant copies of trusted external files.
@@ -293,6 +290,11 @@ class VariationStack:
                 )
         self.variations = list(variations)
         self.num_variants = num_variants
+        #: The first address variation's scheme, which carves every variant's
+        #: address space, or ``None`` when no variation partitions memory.
+        self.address_scheme = next(
+            (v.scheme for v in self.variations if v.target_type == "address"), None
+        )
         self.shape = stack_shape(
             tuple(
                 [
@@ -314,8 +316,8 @@ class VariationStack:
 
     def bind(self, hook: str, positions: tuple[int, ...]) -> tuple[Callable, ...]:
         """This stack's bound *hook* of the variation at each of *positions*."""
-        variations = self.variations
-        return tuple([getattr(variations[position], hook) for position in positions])
+        members = self.variations
+        return tuple([getattr(members[position], hook) for position in positions])
 
     def shares_rewrite(self, name: Syscall) -> bool:
         """:meth:`StackShape.shares_rewrite` of this stack's shape."""
@@ -334,12 +336,10 @@ class VariationStack:
         return self.shape.unions["transform_result"]
 
     def make_address_space(self, index: int) -> AddressSpace:
-        """First variation-provided address space, or a default flat space."""
-        for variation in self.variations:
-            space = variation.make_address_space(index)
-            if space is not None:
-                return space
-        return AddressSpace()
+        """Variant *index*'s partition of :attr:`address_scheme`, or a flat space."""
+        if self.address_scheme is None:
+            return AddressSpace()
+        return AddressSpace(scheme=self.address_scheme, index=index)
 
     def setup_unshared_files(self, fs: FileSystem) -> dict[str, list[str]]:
         """Union of every variation's unshared-file mappings."""

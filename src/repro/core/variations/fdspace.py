@@ -24,10 +24,11 @@ interpreter:
   compares semantic descriptors and normally-equivalent variants stay
   indistinguishable.
 
-The re-expression itself is the :class:`~repro.memory.partition.FdOrbitScheme`
-(top-bits orbit over the 32-bit value space), so fd diversity rides the same
-N-ary partition-scheme protocol as the address and UID families and is swept
-by the same invariant suite.
+The re-expression itself is the ``fd-orbit`` region layout
+(:func:`~repro.memory.partition.fd_orbit_scheme`, the top-bits orbit over the
+32-bit value space), so fd diversity rides the same N-ary partition-scheme
+protocol as the address and UID families and is swept by the same invariant
+suite.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.core.reexpression import ReexpressionFunction
 from repro.core.variations.base import Variation
 from repro.interpose import CLASSIC_TABLE
 from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
-from repro.memory.partition import FdOrbitScheme
+from repro.memory.partition import RegionScheme, fd_orbit_scheme
 
 #: Calls whose first argument is a descriptor: the classic fd family plus
 #: ``accept`` (which consumes the listening descriptor it drains).
@@ -61,9 +62,9 @@ class FdOrbitVariation(Variation):
     #: Both request hooks decode the descriptor argument the same way.
     shared_rewrite_syscalls = FD_ARGUMENT_SYSCALLS
 
-    def __init__(self, num_variants: int = 2, *, scheme: "FdOrbitScheme | None" = None):
+    def __init__(self, num_variants: int = 2, *, scheme: "RegionScheme | None" = None):
         if scheme is None:
-            scheme = FdOrbitScheme(num_variants)
+            scheme = fd_orbit_scheme(num_variants)
         if scheme.num_partitions != num_variants:
             raise ValueError(
                 f"scheme {scheme.kind!r} carves {scheme.num_partitions} partitions, "

@@ -38,7 +38,6 @@ from repro.memory.partition import (
     KeyedXorMaskScheme,
     UID_MASK_31,
     XorMaskScheme,
-    default_uid_masks,
 )
 from repro.kernel.host import install_diversified_user_db
 from repro.kernel.syscalls import (
@@ -96,7 +95,8 @@ class UIDVariation(Variation):
             # R_1 would be the identity: root is 0 in both variants, so the
             # variants are not disjoint (Section 2.3) and nothing is detected.
             raise ValueError("mask must be nonzero: mask 0 encodes root as 0 in both variants")
-        self.mask = mask
+        #: Every variant's XOR mask: variant 0 keeps the identity.
+        self.masks = (0, mask)
         self.num_variants = num_variants
         self._install_functions([identity_reexpression("uid"), xor_reexpression(mask, "uid")])
 
@@ -110,6 +110,11 @@ class UIDVariation(Variation):
         self._functions = functions
         self._forward = [function.forward for function in functions]
         self._inverse = [function.inverse for function in functions]
+
+    @property
+    def mask(self) -> int:
+        """``R_1``'s mask."""
+        return self.masks[1]
 
     # -- reexpression ------------------------------------------------------------
 
@@ -278,11 +283,6 @@ XorMaskScheme.for_uids>` (whose masks come from
     def masks(self) -> tuple[int, ...]:
         """Every variant's XOR mask, read from the scheme."""
         return self.scheme.masks
-
-    @property
-    def mask(self) -> int:
-        """``R_1``'s mask (what :class:`UIDVariation` calls its one mask)."""
-        return self.scheme.masks[1]
 
     def rekey(self, secret: "Sequence[int] | None" = None) -> bool:
         """Rekey the scheme, then rebuild the cached per-variant functions."""

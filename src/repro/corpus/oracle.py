@@ -58,7 +58,7 @@ from repro.corpus.records import (
     EXPECTED_DETECTED,
     EXPECTED_EXEMPT,
 )
-from repro.memory.partition import VALUE_MASK, PartitionScheme
+from repro.memory.partition import VALUE_MASK, RegionScheme
 
 #: The worker's semantic uid (``www-data`` in the standard host's passwd).
 WORKER_UID = 33
@@ -95,19 +95,15 @@ def uid_masks_for_spec(spec: SystemSpec) -> tuple[int, ...]:
     """
     for variation in build_variations(spec):
         if isinstance(variation, UIDVariation):
-            masks = getattr(variation, "masks", None)
-            if masks is None:
-                masks = (0, variation.mask)
-            return tuple(int(m) & VALUE_MASK for m in masks)
+            return tuple(int(m) & VALUE_MASK for m in variation.masks)
     return tuple([0] * spec.num_variants)
 
 
-def address_scheme_for_spec(spec: SystemSpec) -> "PartitionScheme | None":
+def address_scheme_for_spec(spec: SystemSpec) -> "RegionScheme | None":
     """The spec's region-carving partition scheme, or ``None``."""
     for variation in build_variations(spec):
-        scheme = getattr(variation, "scheme", None)
-        if scheme is not None and getattr(scheme, "carves_regions", False):
-            return scheme
+        if isinstance(variation.scheme, RegionScheme):
+            return variation.scheme
     return None
 
 
@@ -229,10 +225,10 @@ def corruption_expectation(
 # ---------------------------------------------------------------------------
 
 
-def _read_ok(scheme: PartitionScheme, index: int, pointer: int) -> bool:
+def _read_ok(scheme: RegionScheme, index: int, pointer: int) -> bool:
     """Would variant *index*'s 16-byte banner read at *pointer* succeed?"""
     pointer &= VALUE_MASK
-    if scheme.carves_regions and scheme.partition_of(pointer) != index:
+    if scheme.partition_of(pointer) != index:
         return False
     nominal = scheme.untranslate(index, pointer)
     for base, size in (
@@ -245,7 +241,7 @@ def _read_ok(scheme: PartitionScheme, index: int, pointer: int) -> bool:
 
 
 def pointer_expectation(
-    scheme: PartitionScheme, *, value: int, partial_bytes: int = WORD_BYTES
+    scheme: RegionScheme, *, value: int, partial_bytes: int = WORD_BYTES
 ) -> Expectation:
     """Expected outcome of a (possibly partial) banner-pointer overwrite.
 

@@ -16,7 +16,7 @@ an alarm.
 
 from __future__ import annotations
 
-from repro.isa.instructions import INSTRUCTION_SIZE, Instruction, decode_stream, encode_stream
+from repro.isa.instructions import INSTRUCTION_SIZE, Instruction, encode_stream
 from repro.kernel.errors import IllegalInstructionFault
 
 #: Width of the tag prefix in bytes.

@@ -21,7 +21,7 @@ import inspect
 import operator
 from typing import Any, Callable, Optional
 
-from repro.kernel.credentials import Credentials, ROOT_UID
+from repro.kernel.credentials import Credentials
 from repro.kernel.errors import Errno, KernelError, SegmentationFault
 from repro.kernel.filesystem import (
     FileSystem,

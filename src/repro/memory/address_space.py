@@ -11,13 +11,13 @@ fault which the monitor reports.
 This module models that property directly, for any partition count: an
 :class:`AddressSpace` owns a set of mapped
 :class:`~repro.memory.memory_model.MemoryRegion` objects and (optionally)
-one partition of a :class:`~repro.memory.partition.PartitionScheme`.  Every
+one partition of a :class:`~repro.memory.partition.RegionScheme`.  Every
 load/store validates that the address lies in the space's partition *and*
 inside a mapped region; otherwise it raises
 :class:`~repro.kernel.errors.SegmentationFault`.  Which addresses belong to
 the partition -- the high-bit half, one of N top-bits slices, a
-Bruschi-style offset-extended slice -- is entirely the scheme's decision;
-the address space itself no longer hardcodes any split.
+Bruschi-style offset-extended slice, a keyed slice -- is entirely the
+layout's decision; the address space itself hardcodes no split.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.kernel.errors import SegmentationFault
 from repro.memory.memory_model import MemoryRegion
-from repro.memory.partition import PartitionScheme
+from repro.memory.partition import RegionScheme
 
 #: Size of the simulated address space (32-bit).
 ADDRESS_BITS = 32
@@ -43,24 +43,23 @@ class AddressSpace:
     Parameters
     ----------
     scheme:
-        The :class:`~repro.memory.partition.PartitionScheme` that carves the
+        The :class:`~repro.memory.partition.RegionScheme` that carves the
         address space, or ``None`` for an unpartitioned space (an ordinary
-        process).  The scheme must carve regions (mask schemes such as the
-        UID XOR family re-express values in place and cannot back an address
-        space).
+        process).  Mask schemes such as the UID XOR family re-express values
+        in place and cannot back an address space.
     index:
         Which of the scheme's partitions this space occupies.  Must be 0
         when the space is unpartitioned.
     """
 
-    def __init__(self, scheme: Optional[PartitionScheme] = None, index: int = 0):
+    def __init__(self, scheme: Optional[RegionScheme] = None, index: int = 0):
         if scheme is None:
             if index != 0:
                 raise ValueError(
                     f"an unpartitioned address space has no partition index, got {index}"
                 )
         else:
-            if not scheme.carves_regions:
+            if not isinstance(scheme, RegionScheme):
                 raise ValueError(
                     f"{scheme.kind!r} schemes do not carve address regions and "
                     f"cannot back an address space"

@@ -17,55 +17,51 @@ A :class:`PartitionScheme` captures what both families share: a partition
 count, per-variant ``translate``/``untranslate`` maps (the re-expression
 ``R_i`` and its inverse), and the two invariants the security argument
 needs -- every ``translate``/``untranslate`` pair round-trips (normal
-equivalence) and the inverses are pairwise disjoint (detection).  Schemes
-that carve the value space into *regions* additionally expose ``base_of``
+equivalence) and the inverses are pairwise disjoint (detection).
+
+A region layout is data, not a class per kind: a :class:`RegionScheme` puts
+partition *i* at ``(slices[i] << shift) + offsets[i]`` and adds ``base_of``
 and ``partition_of`` with the placement invariant
 ``partition_of(translate(i, a)) == i`` for every in-capacity nominal ``a``.
+The public layouts are constructors that pick the slices and offsets:
 
-Concrete schemes:
-
-* :class:`HighBitScheme` -- the paper's N=2 high-bit split
-  (``R_1(a) = a + 0x80000000``, Cox et al. 2006).
-* :class:`OrbitScheme` -- the N-ary generalisation: the top
-  ``ceil(log2 N)`` bits select the partition, so any N >= 2 variants get
-  pairwise-disjoint address regions.
-* :class:`ExtendedOrbitScheme` -- Bruschi et al.'s offset-extended
+* :func:`high_bit_scheme` -- the paper's N=2 high-bit split
+  (``R_1(a) = a + 0x80000000``, Cox et al. 2006);
+* :func:`orbit_scheme` -- the N-ary generalisation: the top
+  ``ceil(log2 N)`` bits select the partition;
+* :func:`fd_orbit_scheme` -- the same layout over the file-descriptor
+  value space;
+* :func:`extended_orbit_scheme` -- Bruschi et al.'s offset-extended
   partitioning, N-ary: partition *i* is additionally slid by ``i * offset``
-  so even the low bytes of corresponding addresses differ, restoring
-  probabilistic protection against partial pointer overwrites.
-* :class:`XorMaskScheme` -- the UID re-expression family: per-variant XOR
-  masks (pairwise distinct, sign bit clear).  It does not carve regions --
-  every concrete value is representable in every variant -- but satisfies
-  the same round-trip and disjoint-inverse invariants through the same
-  protocol, which is what lets :class:`~repro.core.variations.uid.\
-OrbitUIDVariation` and the address variations share one API.
+  so even the low bytes of corresponding addresses differ.
 
-Every fixed scheme above is *public*: an attacker who reads the source knows
-every mask and base, so detection is a boolean property of the scheme.  The
-keyed variants turn it probabilistic: :class:`KeyedXorMaskScheme`,
-:class:`KeyedOrbitScheme` and :class:`KeyedAddressScheme` draw their masks,
-slice assignments and slide offsets from an injected :class:`random.Random`
-keyed by a ``key_bits`` parameter, so an attacker must *search* a
-``2**key_bits`` space and every probe risks an alarm (see
-:mod:`repro.security`).  A keyed scheme satisfies the exact same round-trip,
-disjoint-inverse and placement invariants for any drawn key -- the property
-suite sweeps them like every other registered kind.
+:class:`XorMaskScheme` is the UID family: per-variant XOR masks (pairwise
+distinct, sign bit clear).  It carves no regions -- every concrete value is
+representable in every variant -- but satisfies the same round-trip and
+disjoint-inverse invariants, which is what lets
+:class:`~repro.core.variations.uid.OrbitUIDVariation` and the address
+variations share one API.
 
-The module-level :data:`SCHEMES` registry maps stable kind names to
-factories (``create_scheme("orbit", 5)``); new schemes register once and
-become constructible wherever a scheme is accepted.
+Every public layout is known to an attacker who reads the source, so
+detection is a boolean property of the scheme.  The keyed schemes turn it
+probabilistic: :class:`KeyedRegionScheme` draws its slices (and, with
+``slide``, its offsets) and :class:`KeyedXorMaskScheme` its masks from an
+injected :class:`random.Random` keyed by a ``key_bits`` parameter, so an
+attacker must *search* a ``2**key_bits`` space and every probe risks an
+alarm (see :mod:`repro.security`).  A keyed scheme satisfies the same
+invariants for any drawn key.
 
 This module deliberately imports nothing from :mod:`repro.core` at module
 level (``repro.core.variations`` imports :mod:`repro.memory`);
 :class:`~repro.core.reexpression.ReexpressionFunction` objects are built
-lazily inside :meth:`PartitionScheme.reexpression`.
+lazily inside each scheme's ``reexpression``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 #: Width of the partitioned value spaces (32-bit addresses and uid_t).
 VALUE_BITS = 32
@@ -82,28 +78,18 @@ class PartitionSchemeError(ValueError):
 class PartitionScheme:
     """One N-ary re-expression family over a fixed-width value space.
 
-    Subclasses define :meth:`base_of` (region-carving schemes) or override
-    :meth:`translate`/:meth:`untranslate` directly (mask schemes).  The two
-    family-wide invariants -- checked by the property-test suite for every
-    registered scheme -- are:
+    Subclasses define ``translate``/``untranslate`` and ``reexpression``.
+    The two family-wide invariants -- checked by the property-test suite for
+    every scheme kind -- are:
 
     * **round-trip**: ``untranslate(i, translate(i, x)) == x`` for all x;
     * **disjoint inverses**: ``untranslate(i, v)`` are pairwise different
       for every concrete v, so an injected value decodes differently in at
       least two variants.
-
-    Region-carving schemes (:attr:`carves_regions` true) additionally
-    guarantee **placement**: ``partition_of(translate(i, a)) == i`` for
-    every nominal ``a < nominal_capacity``.
     """
 
-    #: Stable kind name (the :data:`SCHEMES` registry key).
+    #: Stable kind name.
     kind: str = "scheme"
-
-    #: True when the scheme assigns each concrete value to at most one
-    #: partition (address-style); False for mask schemes where every value
-    #: is representable in every variant (UID-style).
-    carves_regions: bool = True
 
     def __init__(self, num_partitions: int):
         if num_partitions < 2:
@@ -111,58 +97,6 @@ class PartitionScheme:
                 f"a partition scheme needs at least two partitions, got {num_partitions}"
             )
         self.num_partitions = num_partitions
-
-    # -- the protocol ----------------------------------------------------------
-
-    def base_of(self, index: int) -> int:
-        """The offset partition *index* adds to nominal values (region schemes)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not place partitions at base offsets"
-        )
-
-    def partition_of(self, value: int) -> Optional[int]:
-        """The unique partition containing concrete *value*, or ``None``.
-
-        ``None`` means no partition claims the value: for region schemes a
-        gap every variant faults on, for mask schemes (which do not carve
-        the space) always.
-        """
-        return None
-
-    def translate(self, index: int, value: int) -> int:
-        """Re-express nominal *value* into partition *index* (``R_index``)."""
-        self.check_index(index)
-        return (value + self.base_of(index)) & VALUE_MASK
-
-    def untranslate(self, index: int, value: int) -> int:
-        """Invert :meth:`translate`: concrete *value* back to nominal form."""
-        self.check_index(index)
-        return (value - self.base_of(index)) & VALUE_MASK
-
-    @property
-    def nominal_capacity(self) -> int:
-        """How many nominal values are guaranteed to place correctly.
-
-        Every nominal value in ``[0, nominal_capacity)`` satisfies the
-        placement invariant in every partition; mask schemes re-express the
-        whole space.
-        """
-        return 1 << VALUE_BITS
-
-    # -- derived helpers -------------------------------------------------------
-
-    def reexpression(self, index: int, domain: str = "address"):
-        """Partition *index*'s re-expression as a
-        :class:`~repro.core.reexpression.ReexpressionFunction`."""
-        # Imported lazily: repro.core.variations imports repro.memory, so a
-        # module-level import here would be circular.
-        from repro.core.reexpression import identity_reexpression, offset_reexpression
-
-        self.check_index(index)
-        base = self.base_of(index)
-        if base == 0:
-            return identity_reexpression(domain)
-        return offset_reexpression(base, domain=domain)
 
     def reexpressions(self, domain: str = "address") -> list:
         """All partitions' re-expression functions, in partition order."""
@@ -184,120 +118,141 @@ class PartitionScheme:
         return f"<{type(self).__name__} kind={self.kind!r} N={self.num_partitions}>"
 
 
+class RegionScheme(PartitionScheme):
+    """Partitions carved as disjoint regions of the value space.
+
+    Partition *i* sits at ``(slices[i] << shift) + offsets[i]``: the top
+    bits above *shift* pick its slice, and its offset slides it inside the
+    slice.  A concrete value whose slice no partition holds belongs to no
+    partition (every variant faults there, which only strengthens
+    detection).  Every nominal value below :attr:`nominal_capacity` -- the
+    slice size less the largest offset -- satisfies **placement**:
+    ``partition_of(translate(i, a)) == i``.  The bases, the slice owners and
+    the capacity are computed once, when a layout is placed.
+    """
+
+    def __init__(
+        self, kind: str, slices: Sequence[int], offsets: Sequence[int], shift: int
+    ):
+        super().__init__(len(slices))
+        self.kind = kind
+        self.shift = shift
+        self._place(slices, offsets)
+
+    def _place(self, slices: Sequence[int], offsets: Sequence[int]) -> None:
+        """Adopt a layout: one slice and one offset per partition."""
+        self.slices = tuple(slices)
+        self.offsets = tuple(offsets)
+        self.bases = tuple(
+            (slice_ << self.shift) + offset for slice_, offset in zip(self.slices, self.offsets)
+        )
+        self._owner = {slice_: index for index, slice_ in enumerate(self.slices)}
+        #: How many nominal values are guaranteed to place correctly.
+        self.nominal_capacity = (1 << self.shift) - max(self.offsets)
+
+    def base_of(self, index: int) -> int:
+        """The offset partition *index* adds to nominal values."""
+        self.check_index(index)
+        return self.bases[index]
+
+    def partition_of(self, value: int) -> Optional[int]:
+        """The unique partition containing concrete *value*, or ``None``."""
+        return self._owner.get((value & VALUE_MASK) >> self.shift)
+
+    def translate(self, index: int, value: int) -> int:
+        """Re-express nominal *value* into partition *index* (``R_index``)."""
+        return (value + self.base_of(index)) & VALUE_MASK
+
+    def untranslate(self, index: int, value: int) -> int:
+        """Invert :meth:`translate`: concrete *value* back to nominal form."""
+        return (value - self.base_of(index)) & VALUE_MASK
+
+    def reexpression(self, index: int, domain: str = "address"):
+        """Partition *index*'s re-expression as a
+        :class:`~repro.core.reexpression.ReexpressionFunction`."""
+        # Imported lazily: repro.core.variations imports repro.memory, so a
+        # module-level import here would be circular.
+        from repro.core.reexpression import identity_reexpression, offset_reexpression
+
+        base = self.base_of(index)
+        if base == 0:
+            return identity_reexpression(domain)
+        return offset_reexpression(base, domain=domain)
+
+    def describe(self) -> str:
+        return (
+            f"{self.kind} scheme: {self.num_partitions} partitions in slices of "
+            f"2^{self.shift} addresses"
+        )
+
+
 def _partition_bits(num_partitions: int) -> int:
     """The top bits needed to address *num_partitions* disjoint slices."""
     return max(1, (num_partitions - 1).bit_length())
 
 
-class OrbitScheme(PartitionScheme):
-    """Top-``ceil(log2 N)``-bits partitioning, the N-ary address scheme.
+def _top_bits_scheme(kind: str, num_partitions: int, offset: int = 0) -> RegionScheme:
+    """Partition *i* in the *i*-th top-bits slice, slid by ``i * offset``."""
+    indices = range(num_partitions)
+    return RegionScheme(
+        kind,
+        indices,
+        [index * offset for index in indices],
+        VALUE_BITS - _partition_bits(num_partitions),
+    )
 
-    Partition *i* occupies the slice whose top bits encode *i*; concrete
-    values whose top bits encode an index >= N belong to no partition (every
-    variant faults there, which only strengthens detection).  For N=2 this
-    is numerically the paper's high-bit split.
+
+def orbit_scheme(num_partitions: int) -> RegionScheme:
+    """Top-``ceil(log2 N)``-bits partitioning, the N-ary address layout.
+
+    For N=2 this is numerically the paper's high-bit split.
     """
-
-    kind = "orbit"
-
-    def __init__(self, num_partitions: int):
-        super().__init__(num_partitions)
-        self.partition_bits = _partition_bits(num_partitions)
-        self.shift = VALUE_BITS - self.partition_bits
-
-    def base_of(self, index: int) -> int:
-        self.check_index(index)
-        return index << self.shift
-
-    def partition_of(self, value: int) -> Optional[int]:
-        index = (value & VALUE_MASK) >> self.shift
-        return index if index < self.num_partitions else None
-
-    @property
-    def nominal_capacity(self) -> int:
-        return 1 << self.shift
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind} scheme: top {self.partition_bits} bit(s) select one of "
-            f"{self.num_partitions} partitions of 2^{self.shift} addresses"
-        )
+    return _top_bits_scheme("orbit", num_partitions)
 
 
-class FdOrbitScheme(OrbitScheme):
-    """Orbit partitioning over the file-descriptor value space.
+def fd_orbit_scheme(num_partitions: int) -> RegionScheme:
+    """The orbit layout over the file-descriptor value space.
 
-    Numerically identical to :class:`OrbitScheme` -- descriptors are small
-    non-negative integers, so the top-bits carve leaves every real
-    descriptor in partition 0's nominal range for any practical N -- but
-    registered as its own kind so fd diversity is nameable in scenarios and
-    swept by the invariant suite like every other family.  Variant *i*'s
+    Descriptors are small non-negative integers, so every real descriptor
+    lies in partition 0's nominal range for any practical N.  Variant *i*'s
     user space holds descriptor ``fd + (i << shift)``; the fd variation
     decodes arguments ahead of the kernel and re-expresses descriptor
-    results, so an fd value injected identically into every variant decodes
-    to N pairwise-different descriptors and diverges at first use.
+    results, so an fd injected identically into every variant decodes to N
+    pairwise-different descriptors and diverges at first use.
     """
-
-    kind = "fd-orbit"
-
-    def reexpression(self, index: int, domain: str = "fd"):
-        return super().reexpression(index, domain)
+    return _top_bits_scheme("fd-orbit", num_partitions)
 
 
-class HighBitScheme(OrbitScheme):
-    """The paper's scheme: two partitions split on the address high bit.
+def high_bit_scheme(num_partitions: int = 2) -> RegionScheme:
+    """The paper's layout: two partitions split on the address high bit.
 
     ``R_0(a) = a``; ``R_1(a) = a + 0x80000000`` (Cox et al., USENIX Security
-    2006).  Kept as its own kind so the paper-exact configuration stays
-    nameable even though it coincides with ``OrbitScheme(2)`` numerically.
+    2006).  Its own kind keeps the paper-exact configuration nameable though
+    it coincides with ``orbit_scheme(2)`` numerically.
     """
-
-    kind = "high-bit"
-
-    def __init__(self, num_partitions: int = 2):
-        if num_partitions != 2:
-            raise PartitionSchemeError(
-                f"the high-bit scheme is defined for exactly two partitions, "
-                f"got {num_partitions}"
-            )
-        super().__init__(num_partitions)
+    if num_partitions != 2:
+        raise PartitionSchemeError(
+            f"the high-bit scheme is defined for exactly two partitions, "
+            f"got {num_partitions}"
+        )
+    return _top_bits_scheme("high-bit", num_partitions)
 
 
-class ExtendedOrbitScheme(OrbitScheme):
-    """Orbit partitioning plus a per-partition slide (Bruschi et al. 2007).
+def extended_orbit_scheme(num_partitions: int = 2, offset: int = 0x00010000) -> RegionScheme:
+    """The orbit layout plus a per-partition slide (Bruschi et al. 2007).
 
     Partition *i* starts at ``(i << shift) + i * offset``, so corresponding
     addresses differ across variants even in their low bytes and a partial
     (low-byte) pointer overwrite is detected with high probability.  The
-    N=2 instance reproduces ``ExtendedAddressPartitioning``'s historical
-    layout: variant 1 at ``0x80000000 + offset``.
+    N=2 instance puts variant 1 at ``0x80000000 + offset``.
     """
-
-    kind = "extended-orbit"
-
-    def __init__(self, num_partitions: int = 2, offset: int = 0x00010000):
-        super().__init__(num_partitions)
-        slice_size = 1 << self.shift
-        if offset <= 0 or (num_partitions - 1) * offset >= slice_size:
-            raise PartitionSchemeError(
-                f"offset must be positive and small enough that every slide "
-                f"stays inside its 2^{self.shift}-address slice, got 0x{offset:x}"
-            )
-        self.offset = offset
-
-    def base_of(self, index: int) -> int:
-        self.check_index(index)
-        return (index << self.shift) + index * self.offset
-
-    @property
-    def nominal_capacity(self) -> int:
-        return (1 << self.shift) - (self.num_partitions - 1) * self.offset
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind} scheme: {self.num_partitions} top-bit partitions, "
-            f"each slid by a further 0x{self.offset:x} per index"
+    scheme = _top_bits_scheme("extended-orbit", num_partitions, offset)
+    if offset <= 0 or (num_partitions - 1) * offset >= 1 << scheme.shift:
+        raise PartitionSchemeError(
+            f"offset must be positive and small enough that every slide "
+            f"stays inside its 2^{scheme.shift}-address slice, got 0x{offset:x}"
         )
+    return scheme
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +306,10 @@ class XorMaskScheme(PartitionScheme):
     masks being pairwise distinct, which the constructor enforces.  The
     scheme does not carve the value space -- every concrete value is a legal
     representation in every variant, and detection rests entirely on decode
-    divergence -- so :meth:`partition_of` is always ``None`` and
-    :meth:`base_of` is unavailable.
+    divergence -- so it has no ``base_of`` or ``partition_of``.
     """
 
     kind = "uid-xor"
-    carves_regions = False
 
     def __init__(self, masks: tuple[int, ...]):
         masks = tuple(int(mask) & VALUE_MASK for mask in masks)
@@ -435,10 +388,6 @@ class KeyedScheme:
     the drawn layout is one point in a ``2**key_bits``-sized space.
     """
 
-    #: Every keyed kind reports True so callers can detect rotatable schemes
-    #: without enumerating kinds.
-    keyed: bool = True
-
     def rotate(self) -> None:
         """Redraw the scheme's secrets from its key source, in place."""
         raise NotImplementedError
@@ -460,20 +409,20 @@ class KeyedScheme:
         raise NotImplementedError
 
 
-class KeyedOrbitScheme(KeyedScheme, PartitionScheme):
-    """Orbit partitioning with *secret* slice assignments.
+class KeyedRegionScheme(KeyedScheme, RegionScheme):
+    """A region layout with *secret* slices and, with *slide*, secret offsets.
 
     The top ``key_bits`` bits address ``2**key_bits`` equal slices; each of
     the N partitions lives in a slice drawn (without replacement) from an
-    injected :class:`random.Random`.  The public orbit scheme pins partition
-    *i* to slice *i*; here an attacker guessing where variant data lives must
+    injected :class:`random.Random`.  The public orbit pins partition *i* to
+    slice *i*; here an attacker guessing where variant data lives must
     search the slice space, and any probe that lands inside *some* variant's
-    slice -- but not all of them -- diverges and raises an alarm.  Bases are
-    pairwise distinct by construction, so the round-trip/disjoint-inverse
-    invariants hold for every drawn key.
+    slice -- but not all of them -- diverges and raises an alarm
+    (``keyed-orbit``).  With *slide* each partition is also slid by a secret
+    offset inside its slice, the keyed analogue of the extended orbit, so an
+    attacker who learns a slice still faces low-byte uncertainty
+    (``keyed-address``).  Slices are drawn first, then the offsets.
     """
-
-    kind = "keyed-orbit"
 
     #: Keep at least 2^16 nominal addresses so real program layouts still fit.
     MAX_KEY_BITS = 16
@@ -485,8 +434,16 @@ class KeyedOrbitScheme(KeyedScheme, PartitionScheme):
         key_bits: int = 8,
         seed: Optional[int] = None,
         rng: Optional[random.Random] = None,
+        slide: bool = False,
     ):
-        super().__init__(num_partitions)
+        # The public orbit holds the place until the key is checked and
+        # drawn, so the partition count is checked first.
+        super().__init__(
+            "keyed-address" if slide else "keyed-orbit",
+            range(num_partitions),
+            [0] * num_partitions,
+            VALUE_BITS - _partition_bits(num_partitions),
+        )
         if not 1 <= key_bits <= self.MAX_KEY_BITS:
             raise PartitionSchemeError(
                 f"key_bits must be in 1..{self.MAX_KEY_BITS}, got {key_bits}"
@@ -498,24 +455,42 @@ class KeyedOrbitScheme(KeyedScheme, PartitionScheme):
             )
         self.key_bits = key_bits
         self.shift = VALUE_BITS - key_bits
+        self.slide = slide
+        # Slides stay within a quarter slice so at least 3/4 of each slice
+        # remains usable nominal capacity at any key size.
+        self._span = max(1, (1 << self.shift) >> 2)
         self._rng = _keyed_rng(seed, rng)
         self.rotate()
 
     def rotate(self) -> None:
-        self.slices: tuple[int, ...] = tuple(
-            self._rng.sample(range(1 << self.key_bits), self.num_partitions)
-        )
-        self._slice_owner = {s: i for i, s in enumerate(self.slices)}
+        slices = self._rng.sample(range(1 << self.key_bits), self.num_partitions)
+        if self.slide:
+            offsets = [self._rng.randrange(self._span) for _ in slices]
+        else:
+            offsets = [0] * self.num_partitions
+        self._place(slices, offsets)
 
     def secret(self) -> tuple[int, ...]:
-        return self.slices
+        return self.slices + self.offsets if self.slide else self.slices
 
-    def _check_slices(self, values: Sequence[int]) -> tuple[int, ...]:
-        slices = tuple(int(v) for v in values)
-        if len(slices) != self.num_partitions:
+    def install_secret(self, values: Sequence[int]) -> None:
+        values = tuple(int(v) for v in values)
+        count = self.num_partitions
+        slices, offsets = values, [0] * count
+        if self.slide:
+            if len(values) != 2 * count:
+                raise PartitionSchemeError(
+                    f"{self.kind} secret wants {count} slices plus "
+                    f"{count} offsets, got {len(values)} values"
+                )
+            slices, offsets = values[:count], values[count:]
+            if any(not 0 <= offset < self._span for offset in offsets):
+                raise PartitionSchemeError(
+                    f"{self.kind} offsets must lie in [0, {self._span})"
+                )
+        if len(slices) != count:
             raise PartitionSchemeError(
-                f"{self.kind} secret wants {self.num_partitions} slices, "
-                f"got {len(slices)}"
+                f"{self.kind} secret wants {count} slices, got {len(slices)}"
             )
         if len(set(slices)) != len(slices):
             raise PartitionSchemeError(f"{self.kind} slices must be distinct")
@@ -523,85 +498,7 @@ class KeyedOrbitScheme(KeyedScheme, PartitionScheme):
             raise PartitionSchemeError(
                 f"{self.kind} slices must lie in [0, 2^{self.key_bits})"
             )
-        return slices
-
-    def install_secret(self, values: Sequence[int]) -> None:
-        self.slices = self._check_slices(values)
-        self._slice_owner = {s: i for i, s in enumerate(self.slices)}
-
-    def base_of(self, index: int) -> int:
-        self.check_index(index)
-        return self.slices[index] << self.shift
-
-    def partition_of(self, value: int) -> Optional[int]:
-        return self._slice_owner.get((value & VALUE_MASK) >> self.shift)
-
-    @property
-    def nominal_capacity(self) -> int:
-        return 1 << self.shift
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind} scheme: {self.num_partitions} partitions in secret "
-            f"slices among 2^{self.key_bits} ({self.key_bits}-bit key)"
-        )
-
-
-class KeyedAddressScheme(KeyedOrbitScheme):
-    """Keyed orbit slices plus secret per-partition slides (keyed ASLR).
-
-    On top of the secret slice assignment, each partition is slid by a
-    secret offset inside its slice (the keyed analogue of
-    :class:`ExtendedOrbitScheme`), so even an attacker who learns a slice
-    still faces low-byte uncertainty -- corresponding addresses differ
-    across variants in their low bytes too.  Capacity shrinks by the
-    largest drawn slide so placement holds over the whole nominal range.
-    """
-
-    kind = "keyed-address"
-
-    def rotate(self) -> None:
-        super().rotate()
-        # Slides stay within a quarter slice so at least 3/4 of each slice
-        # remains usable nominal capacity at any key size.
-        span = max(1, (1 << self.shift) >> 2)
-        self.offsets: tuple[int, ...] = tuple(
-            self._rng.randrange(span) for _ in range(self.num_partitions)
-        )
-
-    def secret(self) -> tuple[int, ...]:
-        return self.slices + self.offsets
-
-    def install_secret(self, values: Sequence[int]) -> None:
-        values = tuple(int(v) for v in values)
-        if len(values) != 2 * self.num_partitions:
-            raise PartitionSchemeError(
-                f"{self.kind} secret wants {self.num_partitions} slices plus "
-                f"{self.num_partitions} offsets, got {len(values)} values"
-            )
-        slices, offsets = values[: self.num_partitions], values[self.num_partitions :]
-        span = max(1, (1 << self.shift) >> 2)
-        if any(not 0 <= offset < span for offset in offsets):
-            raise PartitionSchemeError(
-                f"{self.kind} offsets must lie in [0, {span})"
-            )
-        self.slices = self._check_slices(slices)
-        self._slice_owner = {s: i for i, s in enumerate(self.slices)}
-        self.offsets = offsets
-
-    def base_of(self, index: int) -> int:
-        self.check_index(index)
-        return (self.slices[index] << self.shift) + self.offsets[index]
-
-    @property
-    def nominal_capacity(self) -> int:
-        return (1 << self.shift) - max(self.offsets)
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind} scheme: {self.num_partitions} partitions in secret "
-            f"slices among 2^{self.key_bits}, each slid by a secret offset"
-        )
+        self._place(slices, offsets)
 
 
 class KeyedXorMaskScheme(KeyedScheme, XorMaskScheme):
@@ -673,43 +570,6 @@ class KeyedXorMaskScheme(KeyedScheme, XorMaskScheme):
 
 
 # ---------------------------------------------------------------------------
-# The scheme registry
-# ---------------------------------------------------------------------------
-
-SchemeFactory = Callable[..., PartitionScheme]
-
-#: Stable kind name -> factory.  Factories take ``num_partitions`` first and
-#: any scheme-specific keyword parameters after it.
-SCHEMES: dict[str, SchemeFactory] = {
-    HighBitScheme.kind: HighBitScheme,
-    OrbitScheme.kind: OrbitScheme,
-    FdOrbitScheme.kind: FdOrbitScheme,
-    ExtendedOrbitScheme.kind: ExtendedOrbitScheme,
-    XorMaskScheme.kind: XorMaskScheme.for_uids,
-    KeyedOrbitScheme.kind: KeyedOrbitScheme,
-    KeyedAddressScheme.kind: KeyedAddressScheme,
-    KeyedXorMaskScheme.kind: KeyedXorMaskScheme,
-}
-
-
-def scheme_kinds() -> list[str]:
-    """The registered scheme kinds, sorted."""
-    return sorted(SCHEMES)
-
-
-def create_scheme(kind: str, num_partitions: int, **params) -> PartitionScheme:
-    """Build a scheme from its registered kind name."""
-    try:
-        factory = SCHEMES[kind]
-    except KeyError:
-        raise PartitionSchemeError(
-            f"unknown partition scheme {kind!r}; registered schemes: "
-            f"{', '.join(scheme_kinds())}"
-        ) from None
-    return factory(num_partitions, **params)
-
-
-# ---------------------------------------------------------------------------
 # Boundary-value enumeration (the guarantee-edge corpus feeds on this)
 # ---------------------------------------------------------------------------
 
@@ -720,7 +580,8 @@ class BoundaryValue:
 
     ``partition`` is ``scheme.partition_of(value)`` at enumeration time:
     the unique partition whose region contains the value, or ``None`` when
-    no partition claims it (every variant faults there).
+    no partition claims it (every variant faults there) or the scheme
+    carves no regions.
     """
 
     label: str
@@ -738,7 +599,7 @@ GLOBAL_EDGE_VALUES: tuple[tuple[str, int], ...] = (
 )
 
 
-def boundary_values(scheme: PartitionScheme) -> tuple[BoundaryValue, ...]:
+def boundary_values(scheme: "RegionScheme | XorMaskScheme") -> tuple[BoundaryValue, ...]:
     """Enumerate *scheme*'s guarantee-edge concrete values, deterministically.
 
     For region-carving schemes this walks every partition's placement
@@ -755,15 +616,18 @@ def boundary_values(scheme: PartitionScheme) -> tuple[BoundaryValue, ...]:
     """
     entries: list[BoundaryValue] = []
     seen: set[int] = set()
+    regions = isinstance(scheme, RegionScheme)
 
     def add(label: str, value: int) -> None:
         value &= VALUE_MASK
         if value in seen:
             return
         seen.add(value)
-        entries.append(BoundaryValue(label, value, scheme.partition_of(value)))
+        entries.append(
+            BoundaryValue(label, value, scheme.partition_of(value) if regions else None)
+        )
 
-    if scheme.carves_regions:
+    if regions:
         capacity = scheme.nominal_capacity
         for index in range(scheme.num_partitions):
             first = scheme.base_of(index)
@@ -773,7 +637,7 @@ def boundary_values(scheme: PartitionScheme) -> tuple[BoundaryValue, ...]:
             add(f"p{index}-last", last)
             add(f"p{index}-past", last + 1)
     else:
-        for index, mask in enumerate(getattr(scheme, "masks", ())):
+        for index, mask in enumerate(scheme.masks):
             add(f"p{index}-mask", mask)
     for label, value in GLOBAL_EDGE_VALUES:
         add(label, value)

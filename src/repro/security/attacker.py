@@ -41,11 +41,7 @@ from typing import Optional, Protocol, Sequence, runtime_checkable
 from repro.api.seeding import derive_seed
 from repro.api.spec import SystemSpec, keyed_address_spec
 from repro.engine.campaign import CampaignJob, run_jobs
-from repro.memory.partition import (
-    KeyedAddressScheme,
-    KeyedOrbitScheme,
-    VALUE_BITS,
-)
+from repro.memory.partition import VALUE_BITS, KeyedRegionScheme
 from repro.security.probes import (
     ProbeOutcome,
     SECRET_NOMINAL_BASE,
@@ -179,8 +175,9 @@ def plan_trial(
     """
     key_seed = derive_seed(seed, "key", strategy.name, num_variants, key_bits, slide)
     plan_rng = random.Random(derive_seed(seed, "plan", strategy.name, num_variants, key_bits, slide))
-    scheme_cls = KeyedAddressScheme if slide else KeyedOrbitScheme
-    secret = scheme_cls(num_variants, key_bits=key_bits, seed=key_seed).secret()
+    secret = KeyedRegionScheme(
+        num_variants, key_bits=key_bits, seed=key_seed, slide=slide
+    ).secret()
     addresses = strategy.plan(
         key_bits=key_bits,
         num_variants=num_variants,

@@ -17,12 +17,10 @@ from repro.transform.ast_nodes import (
     ExprStmt,
     FieldAccess,
     Function,
-    GlobalVariable,
     Identifier,
     If,
     IntLiteral,
     NullLiteral,
-    Parameter,
     Return,
     Stmt,
     StringLiteral,

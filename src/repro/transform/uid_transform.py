@@ -35,7 +35,6 @@ from typing import Callable
 
 from repro.transform.analysis import (
     UID_PARAMETER_FUNCTIONS,
-    UID_RETURNING_FUNCTIONS,
     UIDAnalysis,
 )
 from repro.transform.ast_nodes import (
@@ -47,7 +46,6 @@ from repro.transform.ast_nodes import (
     Expr,
     ExprStmt,
     Function,
-    Identifier,
     If,
     IntLiteral,
     Return,

@@ -32,7 +32,7 @@ from repro import (
     run_attack,
     run_campaign,
 )
-from repro.api.cli import ScenarioError, load_scenario, main as cli_main, run_scenario
+from repro.api.cli import load_scenario, main as cli_main
 from repro.core.variations.uid import UIDVariation
 from repro.memory.partition import UID_MASK_31
 

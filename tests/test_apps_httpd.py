@@ -33,11 +33,9 @@ from repro.apps.httpd.vulnerable import (
     copy_annotation_header,
     read_banner,
 )
-from repro.core.variations.address import AddressPartitioning
-from repro.core.variations.uid import UIDVariation
 from repro.kernel.host import DEFAULT_HTTPD_CONF, HTTP_PORT, build_standard_host
 from repro.memory.address_space import AddressSpace
-from repro.memory.partition import HighBitScheme
+from repro.memory.partition import high_bit_scheme
 
 
 #: Each app's directive parser and config class: both parse through
@@ -299,7 +297,7 @@ class TestVulnerableState:
         assert layout.worker_uid.get() == 0
 
     def test_banner_readable_through_pointer(self):
-        space = AddressSpace(scheme=HighBitScheme(), index=1)
+        space = AddressSpace(scheme=high_bit_scheme(), index=1)
         layout = build_server_state(space, worker_uid=33, worker_gid=33, admin_uid=0)
         assert read_banner(space, layout) == BANNER_TEXT
 

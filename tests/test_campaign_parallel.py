@@ -16,11 +16,10 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api.campaign import prepare_attack, run_attack, run_campaign, standard_attacks
+from repro.api.campaign import prepare_attack, run_attack, run_campaign
 from repro.api.spec import (
     ADDRESS_PARTITIONING_SPEC,
     SINGLE_PROCESS_SPEC,
-    STANDARD_SYSTEM_SPECS,
     SystemSpec,
     UID_DIVERSITY_SPEC,
     UID_ORBIT_3_SPEC,
@@ -359,7 +358,7 @@ class TestOrbitVariation:
     """The N-way UID orbit: masks, registry resolution, builder injection."""
 
     def test_default_masks_are_pairwise_distinct_31_bit(self):
-        from repro.core.variations.uid import default_uid_masks
+        from repro.memory.partition import default_uid_masks
 
         for count in (2, 3, 8, 16):
             masks = default_uid_masks(count)
@@ -368,7 +367,7 @@ class TestOrbitVariation:
             assert all(0 <= mask <= 0x7FFFFFFF for mask in masks)
 
     def test_masks_need_at_least_two_variants(self):
-        from repro.core.variations.uid import default_uid_masks
+        from repro.memory.partition import default_uid_masks
 
         with pytest.raises(ValueError):
             default_uid_masks(1)

@@ -169,8 +169,8 @@ class TestUIDVariation:
 
 class TestAddressVariations:
     def test_partitioned_spaces_are_disjoint(self, address_partitioning):
-        low = address_partitioning.make_address_space(0)
-        high = address_partitioning.make_address_space(1)
+        stack = VariationStack([address_partitioning])
+        low, high = stack.make_address_space(0), stack.make_address_space(1)
         assert low.partition == 0 and high.partition == 1
         assert low.translate(0x4000) != high.translate(0x4000)
 
@@ -181,7 +181,7 @@ class TestAddressVariations:
     def test_extended_partitioning_adds_offset(self):
         variation = ExtendedAddressPartitioning(offset=0x10000)
         assert variation.reexpression(1)(0x1000) == 0x80011000
-        assert variation.make_address_space(1).partition_base() == 0x80010000
+        assert VariationStack([variation]).make_address_space(1).partition_base() == 0x80010000
 
     def test_extended_offset_validation(self):
         with pytest.raises(ValueError):

@@ -21,9 +21,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api.cli import ScenarioError, load_scenario, main as cli_main, run_scenario
+from repro.api.cli import load_scenario, main as cli_main
 from repro.api.experiments import (
-    ExperimentParameter,
     ExperimentParameterError,
     ExperimentRegistry,
     ExperimentReport,

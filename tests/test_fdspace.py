@@ -26,24 +26,18 @@ from repro.engine.session import NVariantSession
 from repro.kernel.filesystem import O_RDONLY
 from repro.kernel.host import build_standard_host
 from repro.kernel.syscalls import Syscall, request
-from repro.memory.partition import (
-    FdOrbitScheme,
-    SCHEMES,
-    create_scheme,
-    scheme_kinds,
-)
+from repro.memory.partition import fd_orbit_scheme
 
 ALL_N = range(2, 9)
 
 
 class TestFdOrbitScheme:
-    def test_registered_kind(self):
-        assert "fd-orbit" in scheme_kinds()
-        assert SCHEMES["fd-orbit"] is FdOrbitScheme
+    def test_kind(self):
+        assert fd_orbit_scheme(3).kind == "fd-orbit"
 
     @pytest.mark.parametrize("n", ALL_N)
     def test_round_trip_and_disjoint_inverses(self, n):
-        scheme = create_scheme("fd-orbit", n)
+        scheme = fd_orbit_scheme(n)
         for fd in (0, 1, 2, 3, 17, 255):
             for index in range(n):
                 assert scheme.untranslate(index, scheme.translate(index, fd)) == fd
@@ -52,17 +46,16 @@ class TestFdOrbitScheme:
 
     @pytest.mark.parametrize("n", ALL_N)
     def test_real_descriptors_place_in_their_partition(self, n):
-        scheme = FdOrbitScheme(n)
+        scheme = fd_orbit_scheme(n)
         for index in range(n):
             assert scheme.partition_of(scheme.translate(index, 5)) == index
 
     def test_variant_zero_keeps_real_descriptors(self):
-        scheme = FdOrbitScheme(4)
+        scheme = fd_orbit_scheme(4)
         assert scheme.translate(0, 7) == 7
 
     def test_reexpression_domain_is_fd(self):
-        scheme = FdOrbitScheme(2)
-        assert scheme.reexpression(1).domain == "fd"
+        assert FdOrbitVariation(2).reexpression(1).domain == "fd"
 
 
 class TestFdOrbitVariation:
@@ -88,7 +81,7 @@ class TestFdOrbitVariation:
 
     def test_scheme_partition_count_must_match(self):
         with pytest.raises(ValueError):
-            FdOrbitVariation(3, scheme=FdOrbitScheme(2))
+            FdOrbitVariation(3, scheme=fd_orbit_scheme(2))
 
     def test_registered_in_variation_registry(self):
         assert "fd-orbit" in registry

@@ -7,7 +7,6 @@ from repro.kernel.errors import Errno, KernelError
 from repro.kernel.filesystem import Inode, O_APPEND, O_RDONLY, O_RDWR, O_WRONLY
 from repro.kernel.filetable import FileDescriptorTable, OpenFile, SocketDescriptor
 from repro.kernel.passwd import (
-    GroupEntry,
     PasswdEntry,
     UserDatabase,
     default_group_entries,

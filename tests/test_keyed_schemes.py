@@ -2,7 +2,7 @@
 
 The keyed schemes' *structural* invariants (round-trip, disjoint inverses,
 placement) are already pinned by the generic sweep in
-``test_partition_schemes.py`` -- every kind in ``SCHEMES`` rides it.  What
+``test_partition_schemes.py`` -- every scheme kind rides it.  What
 this module pins is what makes them *keyed*:
 
 * determinism -- the same ``(key_bits, seed)`` draws the same secret layout,
@@ -17,6 +17,7 @@ this module pins is what makes them *keyed*:
   seeded campaign is reproducible across backends.
 """
 
+import functools
 import random
 
 import pytest
@@ -34,59 +35,77 @@ from repro.kernel.host import HTTP_PORT, build_standard_host
 from repro.load import build_serving_session, keyed_secrets, restore
 from repro.load.checkpoint import checkpoint
 from repro.memory.partition import (
-    KeyedAddressScheme,
-    KeyedOrbitScheme,
+    KeyedRegionScheme,
     KeyedScheme,
     KeyedXorMaskScheme,
     PartitionSchemeError,
-    SCHEMES,
-    create_scheme,
+    XorMaskScheme,
+    extended_orbit_scheme,
+    high_bit_scheme,
+    orbit_scheme,
 )
 
-KEYED_KINDS = ("keyed-orbit", "keyed-address", "keyed-uid-xor")
+#: Each keyed kind's constructor.
+KEYED = {
+    "keyed-orbit": KeyedRegionScheme,
+    "keyed-address": functools.partial(KeyedRegionScheme, slide=True),
+    "keyed-uid-xor": KeyedXorMaskScheme,
+}
+KEYED_KINDS = tuple(KEYED)
 
 
 class TestKeyedSchemeConstruction:
-    def test_keyed_kinds_are_registered(self):
-        for kind in KEYED_KINDS:
-            assert kind in SCHEMES
-            scheme = create_scheme(kind, 3)
+    def test_keyed_kinds_are_keyed(self):
+        for kind, construct in KEYED.items():
+            scheme = construct(3)
+            assert scheme.kind == kind
             assert isinstance(scheme, KeyedScheme)
-            assert scheme.keyed
 
     def test_public_schemes_are_not_keyed(self):
-        for kind in ("high-bit", "orbit", "extended-orbit", "uid-xor"):
-            scheme = create_scheme(kind, 2 if kind == "high-bit" else 3)
-            assert not getattr(scheme, "keyed", False)
+        public = (high_bit_scheme(), orbit_scheme(3), extended_orbit_scheme(3), XorMaskScheme.for_uids(3))
+        for scheme in public:
+            assert not isinstance(scheme, KeyedScheme)
 
     @pytest.mark.parametrize("kind", KEYED_KINDS)
     def test_same_seed_same_secret(self, kind):
-        a = create_scheme(kind, 4, seed=99)
-        b = create_scheme(kind, 4, seed=99)
+        a = KEYED[kind](4, seed=99)
+        b = KEYED[kind](4, seed=99)
         assert a.secret() == b.secret()
 
     @pytest.mark.parametrize("kind", KEYED_KINDS)
     def test_different_seeds_differ(self, kind):
-        secrets = {create_scheme(kind, 4, seed=s).secret() for s in range(8)}
+        secrets = {KEYED[kind](4, seed=s).secret() for s in range(8)}
         assert len(secrets) > 1
 
+    @pytest.mark.parametrize(
+        "seed,secret",
+        [
+            (7, (165, 77, 202, 405055, 607639, 789620)),
+            (20080625, (99, 129, 100, 1738142, 2367400, 3276149)),
+        ],
+    )
+    def test_seeded_secrets_are_pinned(self, seed, secret):
+        """Slices are drawn before offsets, so seeded specs keep their layouts."""
+        assert KEYED["keyed-orbit"](3, seed=seed).secret() == secret[:3]
+        assert KEYED["keyed-address"](3, seed=seed).secret() == secret
+
     def test_injected_rng_wins_over_seed(self):
-        via_rng = KeyedOrbitScheme(3, key_bits=8, rng=random.Random(5))
-        via_seed = KeyedOrbitScheme(3, key_bits=8, seed=5)
+        via_rng = KeyedRegionScheme(3, key_bits=8, rng=random.Random(5))
+        via_seed = KeyedRegionScheme(3, key_bits=8, seed=5)
         assert via_rng.secret() == via_seed.secret()
 
     def test_key_bits_bounds_enforced(self):
         with pytest.raises(PartitionSchemeError):
-            KeyedOrbitScheme(3, key_bits=0)
+            KeyedRegionScheme(3, key_bits=0)
         with pytest.raises(PartitionSchemeError):
-            KeyedOrbitScheme(3, key_bits=17)
+            KeyedRegionScheme(3, key_bits=17)
         with pytest.raises(PartitionSchemeError):
-            KeyedOrbitScheme(5, key_bits=2)  # 2**2 slices < 5 variants
+            KeyedRegionScheme(5, key_bits=2)  # 2**2 slices < 5 variants
         with pytest.raises(PartitionSchemeError):
             KeyedXorMaskScheme(2, key_bits=32)
 
     def test_slices_are_distinct_and_in_range(self):
-        scheme = KeyedAddressScheme(6, key_bits=5, seed=1)
+        scheme = KeyedRegionScheme(6, key_bits=5, seed=1, slide=True)
         assert len(set(scheme.slices)) == 6
         assert all(0 <= s < 32 for s in scheme.slices)
         assert all(0 <= o < (1 << (scheme.shift - 2)) + 1 for o in scheme.offsets)
@@ -101,7 +120,7 @@ class TestKeyedSchemeConstruction:
 class TestRotation:
     @pytest.mark.parametrize("kind", KEYED_KINDS)
     def test_rotate_redraws_the_secret(self, kind):
-        scheme = create_scheme(kind, 3, seed=7)
+        scheme = KEYED[kind](3, seed=7)
         before = scheme.secret()
         drawn = {before}
         for _ in range(6):
@@ -110,7 +129,7 @@ class TestRotation:
         assert len(drawn) > 1
 
     def test_rotation_preserves_invariants(self):
-        scheme = KeyedAddressScheme(4, key_bits=6, seed=11)
+        scheme = KeyedRegionScheme(4, key_bits=6, seed=11, slide=True)
         for _ in range(4):
             scheme.rotate()
             for index in range(4):
@@ -257,7 +276,7 @@ def _assert_on_current_key(session):
 HAND_BUILT = {
     "orbit-uid-keyed-scheme": lambda: OrbitUIDVariation(3, scheme=KeyedXorMaskScheme(3, seed=11)),
     "address-keyed-orbit-scheme": lambda: AddressPartitioning(
-        3, scheme=KeyedOrbitScheme(3, seed=11)
+        3, scheme=KeyedRegionScheme(3, seed=11)
     ),
 }
 
@@ -312,9 +331,9 @@ class TestSpecPlumbing:
         assert uid.num_variants == 3
         address = build_variations(keyed_address_spec(3, seed=1, slide=False))[0]
         assert isinstance(address, KeyedAddressPartitioning)
-        assert isinstance(address.scheme, KeyedOrbitScheme)
+        assert address.scheme.kind == "keyed-orbit"
         sliding = build_variations(keyed_address_spec(3, seed=1, slide=True))[0]
-        assert isinstance(sliding.scheme, KeyedAddressScheme)
+        assert sliding.scheme.kind == "keyed-address"
 
     def test_derive_seed_is_stable_and_spread(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)

@@ -78,6 +78,15 @@ class TestArrivalProcesses:
         gaps = [b - a for a, b in zip(ticks, ticks[1:])]
         assert gaps[0] > gaps[-1]
 
+    def test_ramp_ends_at_ramp_to(self):
+        flat = create_arrival_process("ramp", 8.0, ramp_from=1.0, ramp_to=1.0).schedule(6)
+        assert flat == create_arrival_process("constant", 8.0).schedule(6)
+        ticks = create_arrival_process("ramp", 8.0, ramp_from=1.0, ramp_to=4.0).schedule(6)
+        assert ticks == [125, 203, 260, 305, 342, 373]
+        assert ticks[-1] - ticks[-2] == round(125 / 4)  # the constant gap over ramp_to
+        with pytest.raises(LoadError, match="ramp_to"):
+            create_arrival_process("ramp", 8.0, ramp_to=0)
+
     def test_unknown_kind_lists_registry(self):
         with pytest.raises(UnknownArrivalError) as excinfo:
             create_arrival_process("sawtooth", 8.0)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa.instructions import Instruction, Opcode, assemble, decode_stream, encode_stream
-from repro.isa.interpreter import Interpreter, MachineState
+from repro.isa.interpreter import Interpreter
 from repro.isa.tagging import inject_untagged, tag_stream, untag_stream
 from repro.kernel.errors import IllegalInstructionFault, SegmentationFault
 from repro.memory.address_space import AddressSpace, PARTITION_BIT
-from repro.memory.partition import ExtendedOrbitScheme, HighBitScheme
+from repro.memory.partition import extended_orbit_scheme, high_bit_scheme
 from repro.memory.corruption import (
     CorruptionSpec,
     apply_corruption,
@@ -98,7 +98,7 @@ class TestAddressSpacePartitioning:
         assert space.load_bytes(region.base, 4) == bytes(4)
 
     def test_partition_translation_matches_table1(self):
-        scheme = HighBitScheme()
+        scheme = high_bit_scheme()
         low = AddressSpace(scheme=scheme, index=0)
         high = AddressSpace(scheme=scheme, index=1)
         assert low.translate(0x1000) == 0x1000
@@ -106,13 +106,13 @@ class TestAddressSpacePartitioning:
         assert high.untranslate(0x80001000) == 0x1000
 
     def test_access_outside_partition_faults(self):
-        high = AddressSpace(scheme=HighBitScheme(), index=1)
+        high = AddressSpace(scheme=high_bit_scheme(), index=1)
         high.map_region(MemoryRegion("data", 0x1000, 64))
         with pytest.raises(SegmentationFault):
             high.load_bytes(0x1000, 4)  # low-partition absolute address
 
     def test_injected_absolute_address_valid_in_at_most_one_variant(self):
-        scheme = HighBitScheme()
+        scheme = high_bit_scheme()
         spaces = [AddressSpace(scheme=scheme, index=i) for i in range(2)]
         for space in spaces:
             space.map_region(MemoryRegion("data", 0x1000, 64))
@@ -127,7 +127,7 @@ class TestAddressSpacePartitioning:
         assert outcomes.count("fault") >= 1
 
     def test_extended_offset_changes_low_bytes(self):
-        space = AddressSpace(scheme=ExtendedOrbitScheme(2, offset=0x12345), index=1)
+        space = AddressSpace(scheme=extended_orbit_scheme(2, offset=0x12345), index=1)
         assert space.translate(0x1000) == (0x1000 + PARTITION_BIT + 0x12345) & 0xFFFFFFFF
 
     def test_overlapping_regions_rejected(self):
@@ -137,7 +137,7 @@ class TestAddressSpacePartitioning:
             space.map_region(MemoryRegion("b", 0x1020, 64))
 
     def test_unmapped_address_faults(self):
-        space = AddressSpace(scheme=HighBitScheme(), index=0)
+        space = AddressSpace(scheme=high_bit_scheme(), index=0)
         with pytest.raises(SegmentationFault):
             space.load_bytes(0x5000, 4)
 

@@ -45,7 +45,6 @@ ALLOWED = {
     "HttpRequest.header(default)": "mirrors dict.get, which the lookup wraps",
     "drive_engine(workload)": "the README documents it",
     "build_serving_session(multiplex)": "a checkpoint records it and restore rebuilds with it",
-    "RampArrivals(ramp_to)": "a scenario's arrival_params sets it, as a test sets ramp_from",
 }
 
 

@@ -2,7 +2,7 @@
 
 The :class:`~repro.memory.partition.PartitionScheme` protocol carries the
 paper's whole security argument, so its invariants are pinned for *every*
-registered scheme across N in 2..8:
+scheme kind's constructor across N in 2..8:
 
 * **round-trip** -- ``untranslate(i, translate(i, x)) == x`` everywhere
   (normal equivalence);
@@ -18,6 +18,8 @@ names (base offsets per partition, the once-dead ``partition_base``
 conditional), registry/spec round-trips for ``"address-orbit"``, and the
 memory-attack / corruption-model behaviour at N >= 3.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,31 +47,48 @@ from repro.memory.corruption import (
     detectable_by_disjoint_inverses,
 )
 from repro.memory.memory_model import MemoryRegion
+from repro.core.variations.base import VariationStack
 from repro.memory.partition import (
-    ExtendedOrbitScheme,
-    HighBitScheme,
-    OrbitScheme,
+    KeyedRegionScheme,
+    KeyedXorMaskScheme,
     PartitionScheme,
     PartitionSchemeError,
-    SCHEMES,
+    RegionScheme,
     XorMaskScheme,
-    create_scheme,
-    scheme_kinds,
+    extended_orbit_scheme,
+    fd_orbit_scheme,
+    high_bit_scheme,
+    orbit_scheme,
 )
 
 #: Variant counts the property suite sweeps.
 SWEPT_COUNTS = tuple(range(2, 9))
 
+#: Every scheme kind's constructor, called with the partition count alone.
+CONSTRUCTORS = {
+    "extended-orbit": extended_orbit_scheme,
+    "fd-orbit": fd_orbit_scheme,
+    "high-bit": high_bit_scheme,
+    "keyed-address": functools.partial(KeyedRegionScheme, slide=True),
+    "keyed-orbit": KeyedRegionScheme,
+    "keyed-uid-xor": KeyedXorMaskScheme,
+    "orbit": orbit_scheme,
+    "uid-xor": XorMaskScheme.for_uids,
+}
+
 
 def _registered_schemes(num_partitions: int) -> list[PartitionScheme]:
-    """Every registered scheme instantiable at *num_partitions*."""
+    """Every scheme kind instantiable at *num_partitions*."""
     schemes = []
-    for kind in scheme_kinds():
+    for kind, construct in CONSTRUCTORS.items():
         try:
-            schemes.append(create_scheme(kind, num_partitions))
+            scheme = construct(num_partitions)
         except PartitionSchemeError:
             # e.g. the paper's high-bit scheme only exists at N=2.
             assert kind == "high-bit" and num_partitions != 2
+            continue
+        assert scheme.kind == kind
+        schemes.append(scheme)
     return schemes
 
 
@@ -83,7 +102,7 @@ concrete_values = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestSchemeInvariants:
-    """The protocol invariants, for every registered scheme and N in 2..8."""
+    """The protocol invariants, for every scheme kind and N in 2..8."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=_scheme_id)
     @settings(max_examples=40)
@@ -103,7 +122,7 @@ class TestSchemeInvariants:
         )
 
     @pytest.mark.parametrize(
-        "scheme", [s for s in ALL_SCHEMES if s.carves_regions], ids=_scheme_id
+        "scheme", [s for s in ALL_SCHEMES if isinstance(s, RegionScheme)], ids=_scheme_id
     )
     @settings(max_examples=40)
     @given(data=st.data())
@@ -115,7 +134,7 @@ class TestSchemeInvariants:
             assert scheme.partition_of(scheme.translate(index, nominal)) == index
 
     @pytest.mark.parametrize(
-        "scheme", [s for s in ALL_SCHEMES if s.carves_regions], ids=_scheme_id
+        "scheme", [s for s in ALL_SCHEMES if isinstance(s, RegionScheme)], ids=_scheme_id
     )
     @settings(max_examples=40)
     @given(value=concrete_values)
@@ -133,33 +152,31 @@ class TestSchemeInvariants:
             assert function.inverse(function.forward(0x1234)) == 0x1234
 
 
-class TestSchemeRegistry:
-    def test_registered_kinds(self):
-        assert {"high-bit", "orbit", "extended-orbit", "uid-xor"} <= set(SCHEMES)
-
-    def test_unknown_kind_is_an_error(self):
-        with pytest.raises(PartitionSchemeError, match="unknown partition scheme"):
-            create_scheme("no-such-scheme", 2)
+class TestSchemeConstructors:
+    def test_every_kind_is_swept_at_every_count(self):
+        swept = {(s.kind, s.num_partitions) for s in ALL_SCHEMES}
+        assert {kind for kind, _ in swept} == set(CONSTRUCTORS)
+        assert len(swept) == 7 * len(SWEPT_COUNTS) + 1  # high-bit at N=2 only
 
     def test_high_bit_is_the_paper_scheme(self):
-        scheme = create_scheme("high-bit", 2)
+        scheme = high_bit_scheme(2)
         assert scheme.base_of(0) == 0
         assert scheme.base_of(1) == PARTITION_BIT
 
     def test_high_bit_rejects_other_counts(self):
         with pytest.raises(PartitionSchemeError):
-            create_scheme("high-bit", 3)
+            high_bit_scheme(3)
 
     def test_orbit_matches_high_bit_at_two(self):
-        orbit, high = OrbitScheme(2), HighBitScheme()
+        orbit, high = orbit_scheme(2), high_bit_scheme()
         for index in range(2):
             assert orbit.base_of(index) == high.base_of(index)
 
     def test_extended_orbit_offset_validation(self):
         with pytest.raises(PartitionSchemeError):
-            ExtendedOrbitScheme(2, offset=0)
+            extended_orbit_scheme(2, offset=0)
         with pytest.raises(PartitionSchemeError):
-            ExtendedOrbitScheme(4, offset=1 << 30)
+            extended_orbit_scheme(4, offset=1 << 30)
 
     def test_xor_masks_must_be_pairwise_distinct(self):
         with pytest.raises(PartitionSchemeError):
@@ -176,10 +193,10 @@ class TestSchemeRegistry:
 
     def test_too_few_partitions_rejected(self):
         with pytest.raises(PartitionSchemeError):
-            OrbitScheme(1)
+            orbit_scheme(1)
 
     def test_index_out_of_range_rejected(self):
-        scheme = OrbitScheme(3)
+        scheme = orbit_scheme(3)
         with pytest.raises(PartitionSchemeError):
             scheme.base_of(3)
         with pytest.raises(PartitionSchemeError):
@@ -209,7 +226,7 @@ class TestAddressSpaceRebase:
     @pytest.mark.parametrize("key", sorted(EXPECTED_BASES))
     def test_partition_base_offsets_pinned(self, key):
         kind, count = key
-        scheme = create_scheme(kind, count)
+        scheme = CONSTRUCTORS[kind](count)
         bases = tuple(
             AddressSpace(scheme=scheme, index=index).partition_base()
             for index in range(count)
@@ -220,7 +237,7 @@ class TestAddressSpaceRebase:
         """The once-dead conditional's contract: partition 0 (and the
         unpartitioned space) add no offset, whatever the scheme's offset."""
         assert AddressSpace().partition_base() == 0
-        for scheme in (HighBitScheme(), OrbitScheme(5), ExtendedOrbitScheme(3, offset=0x123)):
+        for scheme in (high_bit_scheme(), orbit_scheme(5), extended_orbit_scheme(3, offset=0x123)):
             assert AddressSpace(scheme=scheme, index=0).partition_base() == 0
 
     def test_legacy_partition_flag_is_gone(self):
@@ -240,14 +257,14 @@ class TestAddressSpaceRebase:
     def test_region_overhanging_the_partition_is_rejected_at_map_time(self):
         """A nominal base legal under the wide N=2 split must be rejected by
         a narrower scheme when it maps, not fault later mid-workload."""
-        wide = AddressSpace(scheme=HighBitScheme(), index=0)
+        wide = AddressSpace(scheme=high_bit_scheme(), index=0)
         wide.map_region(MemoryRegion("x", 0x50000000, 64))  # fits in 2^31
-        narrow = AddressSpace(scheme=OrbitScheme(3), index=0)
+        narrow = AddressSpace(scheme=orbit_scheme(3), index=0)
         with pytest.raises(ValueError, match="capacity"):
             narrow.map_region(MemoryRegion("x", 0x50000000, 64))  # > 2^30
 
     def test_region_straddling_the_capacity_boundary_is_rejected(self):
-        scheme = OrbitScheme(4)  # capacity 2^30 per partition
+        scheme = orbit_scheme(4)  # capacity 2^30 per partition
         space = AddressSpace(scheme=scheme, index=2)
         space.map_region(MemoryRegion("edge", scheme.nominal_capacity - 64, 64))
         with pytest.raises(ValueError, match="capacity"):
@@ -257,7 +274,7 @@ class TestAddressSpaceRebase:
 
     @pytest.mark.parametrize("count", (3, 4, 5))
     def test_injected_address_valid_in_exactly_one_of_n_variants(self, count):
-        scheme = OrbitScheme(count)
+        scheme = orbit_scheme(count)
         spaces = [AddressSpace(scheme=scheme, index=i) for i in range(count)]
         for space in spaces:
             space.map_region(MemoryRegion("data", 0x1000, 64))
@@ -278,8 +295,8 @@ class TestVariationsOnSchemes:
 
     @pytest.mark.parametrize("count", (2, 3, 5))
     def test_orbit_partitioning_spaces_are_pairwise_disjoint(self, count):
-        variation = OrbitAddressPartitioning(count)
-        bases = [variation.make_address_space(i).partition_base() for i in range(count)]
+        stack = VariationStack([OrbitAddressPartitioning(count)], count)
+        bases = [stack.make_address_space(i).partition_base() for i in range(count)]
         assert len(set(bases)) == count
 
     def test_address_partitioning_defaults_to_the_paper_scheme(self):
@@ -288,7 +305,7 @@ class TestVariationsOnSchemes:
 
     def test_scheme_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="partitions"):
-            AddressPartitioning(2, scheme=OrbitScheme(3))
+            AddressPartitioning(2, scheme=orbit_scheme(3))
 
     def test_mask_scheme_rejected_for_address_partitioning(self):
         with pytest.raises(ValueError, match="region-carving"):
@@ -297,7 +314,8 @@ class TestVariationsOnSchemes:
     @pytest.mark.parametrize("count", (2, 3, 4))
     def test_extended_partitioning_is_n_ary(self, count):
         variation = ExtendedAddressPartitioning(offset=0x10000, num_variants=count)
-        bases = [variation.make_address_space(i).partition_base() for i in range(count)]
+        stack = VariationStack([variation], count)
+        bases = [stack.make_address_space(i).partition_base() for i in range(count)]
         assert len(set(base & 0x00FFFFFF for base in bases)) == count, (
             "the Bruschi slide must change the low 3 bytes per variant"
         )

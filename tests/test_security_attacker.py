@@ -16,7 +16,7 @@ import pytest
 from repro.api.cli import main as cli_main
 from repro.api.seeding import derive_seed
 from repro.engine.session import SessionState
-from repro.memory.partition import KeyedOrbitScheme, VALUE_BITS
+from repro.memory.partition import KeyedRegionScheme, VALUE_BITS
 from repro.security import (
     ExhaustiveSweepAttacker,
     PartialKnowledgeAttacker,
@@ -88,7 +88,7 @@ class TestProbeMechanics:
     def test_exhaustive_sweep_alarms_at_the_lowest_occupied_slice(self):
         plan = plan_trial(ExhaustiveSweepAttacker(), num_variants=2, key_bits=4, seed=77)
         key_seed = derive_seed(77, "key", "exhaustive-sweep", 2, 4, False)
-        slices = KeyedOrbitScheme(2, key_bits=4, seed=key_seed).slices
+        slices = KeyedRegionScheme(2, key_bits=4, seed=key_seed).slices
         cell = prepare_probe_cell(
             plan.spec, plan.addresses, strategy=plan.strategy, key_bits=plan.key_bits
         )
@@ -104,7 +104,7 @@ class TestProbeMechanics:
     def test_unanimous_misses_stay_silent(self):
         plan = plan_trial(ExhaustiveSweepAttacker(), num_variants=2, key_bits=4, seed=77)
         key_seed = derive_seed(77, "key", "exhaustive-sweep", 2, 4, False)
-        slices = KeyedOrbitScheme(2, key_bits=4, seed=key_seed).slices
+        slices = KeyedRegionScheme(2, key_bits=4, seed=key_seed).slices
         # Probe only slices nobody occupies: every variant misses every time.
         misses = [
             address

@@ -21,9 +21,12 @@ from repro.memory.address_space import AddressSpace
 from repro.memory.partition import (
     GLOBAL_EDGE_VALUES,
     VALUE_MASK,
+    KeyedRegionScheme,
     XorMaskScheme,
     boundary_values,
-    create_scheme,
+    extended_orbit_scheme,
+    high_bit_scheme,
+    orbit_scheme,
 )
 from repro.memory.memory_model import MemoryRegion
 
@@ -44,8 +47,10 @@ CARVING_SCHEMES = [
 
 def _build(kind: str, n: int):
     if kind.startswith("keyed"):
-        return create_scheme(kind, n, seed=derive_seed(20080625, "boundary", kind, n))
-    return create_scheme(kind, n)
+        seed = derive_seed(20080625, "boundary", kind, n)
+        return KeyedRegionScheme(n, seed=seed, slide=kind == "keyed-address")
+    public = {"orbit": orbit_scheme, "extended-orbit": extended_orbit_scheme, "high-bit": high_bit_scheme}
+    return public[kind](n)
 
 
 _labels = st.lists(
@@ -136,12 +141,12 @@ class TestPartitionBoundaries:
 
     @pytest.mark.parametrize("n", COUNTS)
     def test_boundary_enumeration_is_deterministic(self, n):
-        scheme = create_scheme("orbit", n)
-        assert boundary_values(scheme) == boundary_values(create_scheme("orbit", n))
+        scheme = orbit_scheme(n)
+        assert boundary_values(scheme) == boundary_values(orbit_scheme(n))
 
     @pytest.mark.parametrize("n", COUNTS)
     def test_past_boundary_dereference_faults_in_the_address_space(self, n):
-        scheme = create_scheme("orbit", n)
+        scheme = orbit_scheme(n)
         capacity = scheme.nominal_capacity
         for index in range(n):
             space = AddressSpace(scheme=scheme, index=index)

@@ -46,7 +46,7 @@ from repro.kernel.process import Process
 from repro.kernel.syscalls import Syscall
 from repro.memory.address_space import AddressSpace
 from repro.memory.memory_model import MemoryRegion
-from repro.memory.partition import HighBitScheme
+from repro.memory.partition import high_bit_scheme
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +243,7 @@ def test_the_spec_cache_is_bounded_and_keeps_no_error(records):
 
 
 def _layout(index):
-    space = AddressSpace(HighBitScheme(), index)
+    space = AddressSpace(high_bit_scheme(), index)
     return build_server_state(space, worker_uid=33, worker_gid=33, admin_uid=0)
 
 

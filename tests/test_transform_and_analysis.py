@@ -8,7 +8,6 @@ from repro.apps.clients.webbench import WebBenchWorkload, drive_standalone
 from repro.apps.httpd.csource import HTTPD_UID_SOURCE
 from repro.core.variations.uid import UIDVariation
 from repro.transform.analysis import UIDAnalysis
-from repro.transform.ast_nodes import Call, Function, Identifier, IntLiteral
 from repro.transform.lexer import LexError, TokenType, tokenize
 from repro.transform.parser import ParseError, parse_source
 from repro.transform.printer import print_unit
