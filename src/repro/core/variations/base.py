@@ -24,6 +24,12 @@ rewrite.  The base hooks are the identity, so the base footprints are empty,
 and a class body that defines a hook must assign that hook's footprint in
 the same body -- class creation refuses it otherwise.  The footprint a
 session trusts is therefore always the one written next to the hook.  A
+variation may also declare the variant indices at which all of its hooks
+are the identity (:meth:`Variation.identity_variants`: variant 0 of every
+public UID scheme), and a round plan then runs none of its hooks for those
+variants.  The safe default is the empty set: the base declares it, and a
+class body that defines a hook without restating the declaration gets it
+back, so an override is called at every index.  A
 variation whose re-expressions come from a keyed scheme changes key through
 one method, :meth:`Variation.rekey`, which session restart and checkpoint
 restore both call.
@@ -90,7 +96,12 @@ class Variation:
     scheme: Optional[PartitionScheme] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Refuse a class body that defines a hook but not what bounds it."""
+        """Refuse a class body that defines a hook but not what bounds it.
+
+        A body that defines a hook without restating
+        :meth:`identity_variants` gets the base's empty set back, so an
+        override is called at every variant index.
+        """
         super().__init_subclass__(**kwargs)
         body = vars(cls)
         for hook, attribute in _DECLARATIONS:
@@ -99,6 +110,8 @@ class Variation:
                     f"{cls.__name__} defines {hook} but does not assign "
                     f"{attribute} in the same class body"
                 )
+        if "identity_variants" not in body and any(hook in body for hook, _ in _HOOK_FOOTPRINTS):
+            cls.identity_variants = Variation.identity_variants
 
     # -- reexpression functions ------------------------------------------------
 
@@ -154,6 +167,16 @@ class Variation:
         """
         self._check_index(index)
         return request
+
+    def identity_variants(self) -> frozenset[int]:
+        """The variant indices at which every system-call hook is the identity.
+
+        A lockstep round plan runs no hook of this variation for these
+        variants (:class:`~repro.engine.session.RoundPlan`).  The default is
+        the empty set, which is always safe: every hook is then called at
+        every index.  A keyed variation reads it again after :meth:`rekey`.
+        """
+        return frozenset()
 
     # -- keys ----------------------------------------------------------------------
 
@@ -318,6 +341,10 @@ class VariationStack:
         """This stack's bound *hook* of the variation at each of *positions*."""
         members = self.variations
         return tuple([getattr(members[position], hook) for position in positions])
+
+    def identity_variants(self) -> tuple[frozenset[int], ...]:
+        """Each variation's :meth:`Variation.identity_variants`, in stack order."""
+        return tuple([variation.identity_variants() for variation in self.variations])
 
     def shares_rewrite(self, name: Syscall) -> bool:
         """:meth:`StackShape.shares_rewrite` of this stack's shape."""

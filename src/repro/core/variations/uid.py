@@ -69,6 +69,8 @@ _ERRNO_OK = Errno.OK
 #: The (uid_t)-1 sentinel in both spellings; never decoded (see
 #: :meth:`UIDVariation._decode_positions`).
 _SENTINELS = (-1, 0xFFFFFFFF)
+#: The positions of the cc_* comparisons' (and ``setreuid``'s) two uid_t arguments.
+_FIRST_TWO = (0, 1)
 
 
 class UIDVariation(Variation):
@@ -105,11 +107,15 @@ class UIDVariation(Variation):
 
         The per-variant forward and inverse callables are unpacked once, so
         the hooks index a list instead of going through :meth:`reexpression`.
-        New masks must go through this method so no hook keeps the old key.
+        New masks must go through this method so no hook keeps the old key,
+        and no round plan skips a variant whose mask is no longer 0.
         """
         self._functions = functions
         self._forward = [function.forward for function in functions]
         self._inverse = [function.inverse for function in functions]
+        self._identity_variants = frozenset(
+            index for index, mask in enumerate(self.masks) if mask == 0
+        )
 
     @property
     def mask(self) -> int:
@@ -136,6 +142,14 @@ class UIDVariation(Variation):
         return self._inverse[index](value)
 
     # -- system-call hooks ----------------------------------------------------------
+
+    def identity_variants(self) -> frozenset[int]:
+        """The variants whose mask is 0 (variant 0 of every public scheme).
+
+        XOR with 0 decodes and encodes every value to itself, so each hook
+        returns a request or result equal to the one it was given.
+        """
+        return self._identity_variants
 
     def transform_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
         """Apply ``R_index^-1`` to uid_t arguments ahead of the kernel.
@@ -175,12 +189,24 @@ class UIDVariation(Variation):
         if positions is None:
             return request
         args = request.args
-        if len(args) == 1 and positions[0] == 0:
+        arity = len(args)
+        if arity == 1 and positions[0] == 0:
             # The setuid family's one argument, decoded without the general loop.
             value = args[0]
             if not isinstance(value, int) or isinstance(value, bool) or value in _SENTINELS:
                 return request
             decoded_args = (self._inverse[index](value),)
+        elif (
+            arity == 2
+            and positions == _FIRST_TWO
+            and args[0].__class__ is int
+            and args[1].__class__ is int
+            and args[0] not in _SENTINELS
+            and args[1] not in _SENTINELS
+        ):
+            # The cc_* comparisons' two plain uid_t values, likewise.
+            inverse = self._inverse[index]
+            decoded_args = (inverse(args[0]), inverse(args[1]))
         else:
             decoded_args = self._decode_positions(index, args, positions)
         # An identity decode (variant 0) keeps the request it was given.
@@ -190,8 +216,7 @@ class UIDVariation(Variation):
 
     def setup_unshared_files(self, fs: FileSystem) -> dict[str, list[str]]:
         """Create ``/etc/passwd-i`` and ``/etc/group-i`` (Section 3.4)."""
-        encoders = [self.reexpression(i).forward for i in range(self.num_variants)]
-        created = install_diversified_user_db(fs, encoders)
+        created = install_diversified_user_db(fs, self.masks)
         mapping: dict[str, list[str]] = {}
         for original, variant_path in created:
             mapping.setdefault(original, []).append(variant_path)

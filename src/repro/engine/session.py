@@ -12,21 +12,29 @@ leaves ``RUNNING``.
 A round's work depends on its call name alone, so a session resolves one
 :class:`RoundPlan` per name on first use and keeps it until its next
 restart: raw or canonical comparison, detection call or not, the
-canonicalize/transform/result hook chains (each variation that declares the
-name in that hook's footprint), and the wrapper strategy.  Everything but
-the hooks themselves depends only on the stack's declarations and the
-interposition table, so it is worked out once per process for each such
-pair and shared by every session built alike (every cell of a corpus spec,
-every session of a fleet); a session binds only its own variations' hooks,
-for the few names that have any.  A *uniform* round (every variant issued
-the same name) runs straight from the plan; for the read/write/open/accept
-bulk of a workload every chain is empty, so that is one compare loop and one
-kernel call.  A mixed-name round, or a raw-compared round whose arguments
-differ, takes the layered path (:class:`~repro.core.monitor.SyscallComparator`,
+canonicalize/transform/result hook chains, and the wrapper strategy.  The
+chains are per variant: variant *i*'s chain holds each variation that
+declares the name in that hook's footprint and is not the identity at *i*
+(:meth:`~repro.core.variations.base.Variation.identity_variants`), and a
+variant whose chain is empty runs no hook at all -- variant 0 of every
+public UID scheme.  Everything but the hooks themselves depends only on the
+stack's declarations, its identity variants and the interposition table,
+so it is worked out once per process for each such combination and shared
+by every session built alike (every cell of a corpus spec, every session of
+a fleet); a session binds only its own variations' hooks, for the few names
+that have any.
+
+A *uniform* round (every variant issued the same name) runs straight from
+the plan; for the read/write/open/accept bulk of a workload every chain is
+empty, so that is one compare loop and one kernel call.  A hooked round
+compares its canonical requests in place and calls
+:meth:`~repro.core.monitor.Monitor.check_syscalls` only when they differ,
+so the monitor alone classifies and records every alarm.  A mixed-name
+round, or a raw-compared round whose arguments differ, takes the layered
+path (:class:`~repro.core.monitor.SyscallComparator`,
 :meth:`~repro.core.wrappers.SyscallWrappers.execute_round`,
-:meth:`~repro.core.variations.base.VariationStack.transform_result`), so its
-alarm is classified and rendered by the monitor alone.  Both paths move every
-monitor and wrapper counter identically.
+:meth:`~repro.core.variations.base.VariationStack.transform_result`).  Every
+path moves every monitor and wrapper counter identically.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from repro.core.monitor import Monitor, SyscallComparator
 from repro.core.nvariant import (
@@ -69,25 +77,34 @@ class RoundLimitError(RuntimeError):
     """A session was stepped past its ``max_rounds`` budget."""
 
 
+#: A plan's hook chains for one hook: ``(variant index, hooks)`` for each
+#: variant whose chain is not empty, in variant order.
+Chains = tuple[tuple[int, tuple[Callable, ...]], ...]
+
+
 class RoundPlan(NamedTuple):
     """Everything a uniform round of one call name needs, resolved once.
 
-    The chains hold the session's own bound hooks, at the stack positions
-    its :class:`~repro.core.variations.base.StackShape` gives (results in
-    reverse stack order); ``strategy`` is called unbound with the session's
+    Each chain field lists ``(index, hooks)`` only for the variants that
+    run a hook: variant *index*'s hooks are the session's own, bound at the
+    stack positions its :class:`~repro.core.variations.base.StackShape`
+    gives (results in reverse stack order), less every variation that is
+    the identity at *index*.  A variant left out keeps its request and its
+    result as they are.  ``strategy`` is called unbound with the session's
     current wrappers.  A plan holds no stats object, so rebuilding the
     monitor or the wrappers never leaves it stale, and a plan whose chains
     are all empty holds nothing of any session, so sessions built alike
-    share it.
+    share it.  The round compares the canonical requests itself and calls
+    the monitor only on a mismatch.
     """
 
     #: The name is outside the canonicalization footprint: compare raw args.
     fast: bool
     #: The name is one of the interposition table's detection calls.
     detection: bool
-    canonicalize: tuple[Callable[..., SyscallRequest], ...]
-    transform: tuple[Callable[..., SyscallRequest], ...]
-    result: tuple[Callable[..., SyscallResult], ...]
+    canonicalize: Chains
+    transform: Chains
+    result: Chains
     strategy: Strategy
     #: The canonical requests are also the outgoing ones
     #: (:meth:`~repro.core.variations.base.VariationStack.shares_rewrite`).
@@ -101,41 +118,57 @@ _RUNNING = SessionState.RUNNING
 _EXIT = Syscall.EXIT
 
 
-def _rewrite(
-    chain: tuple[Callable[..., SyscallRequest], ...], requests: Sequence[SyscallRequest]
-) -> list[SyscallRequest]:
-    """Each variant's request passed through the hooks of *chain*, in order."""
-    rewritten = []
-    for index, request in enumerate(requests):
+def _rewrite(chains: Chains, requests: list[SyscallRequest]) -> list[SyscallRequest]:
+    """*requests* with each listed variant's request passed through its hooks, in order."""
+    rewritten = requests.copy()
+    for index, chain in chains:
+        request = rewritten[index]
         for hook in chain:
             request = hook(index, request)
-        rewritten.append(request)
+        rewritten[index] = request
     return rewritten
 
 
+#: Per hook, ``(variant index, stack positions)`` for each variant that runs
+#: one: a plan's chains before a session binds them.
+_Layout = tuple[tuple[int, tuple[int, ...]], ...]
 #: What a shared plan book holds per name: the plan, and for a name with hooks
-#: the stack positions of its canonicalize, transform and result chains (the
-#: plan's own chains are then empty until a session binds them).
-_PlanEntry = tuple[RoundPlan, Optional[tuple[tuple[int, ...], ...]]]
+#: the layout of its canonicalize, transform and result chains (the plan's
+#: own chains are then empty until a session binds them).
+_PlanEntry = tuple[RoundPlan, Optional[tuple[_Layout, _Layout, _Layout]]]
+#: The hooks of a plan's three chain fields, in field order, each with the
+#: step its chain walks the stack in (results in reverse stack order).
+_HOOKS = (("canonicalize_request", 1), ("transform_request", 1), ("transform_result", -1))
 
 
 @functools.lru_cache(maxsize=128)
-def _plan_book(shape: StackShape, table: InterpositionTable) -> dict[Syscall, _PlanEntry]:
-    """The plan entries every session of *shape* under *table* shares, filled on first use.
+def _plan_book(
+    shape: StackShape,
+    table: InterpositionTable,
+    num_variants: int,
+    identities: tuple[frozenset[int], ...],
+) -> dict[Syscall, _PlanEntry]:
+    """The plan entries every session of this stack and table shares, filled on first use.
 
     A plan depends on nothing else: the declarations fix the chains'
     positions, whether the name compares raw and whether the rewrite is
-    shared; the table fixes the detection flag and the wrapper strategy.
-    Neither a session nor a variation is held, and the cache is bounded.
+    shared; *identities* (each stack position's
+    :meth:`~repro.core.variations.base.Variation.identity_variants`) fix
+    which variants run which of them; the table fixes the detection flag
+    and the wrapper strategy.  Neither a session nor a variation nor a key
+    is held, and the cache is bounded.
     """
     return {}
 
 
-def _resolve_plan(shape: StackShape, table: InterpositionTable, name: Syscall) -> _PlanEntry:
+def _resolve_plan(
+    shape: StackShape,
+    table: InterpositionTable,
+    num_variants: int,
+    identities: tuple[frozenset[int], ...],
+    name: Syscall,
+) -> _PlanEntry:
     """The shareable entry of *name*'s plan (see :func:`_plan_book`)."""
-    canonicalize = shape.positions("canonicalize_request", name)
-    transform = shape.positions("transform_request", name)
-    result = shape.positions("transform_result", name)[::-1]
     plan = RoundPlan(
         fast=name not in shape.unions["canonicalize_request"],
         detection=name in table.detection_syscalls,
@@ -145,8 +178,16 @@ def _resolve_plan(shape: StackShape, table: InterpositionTable, name: Syscall) -
         strategy=strategy_for(table, name),
         shared=shape.shares_rewrite(name),
     )
-    hooked = canonicalize or transform or result
-    return plan, (canonicalize, transform, result) if hooked else None
+    layouts = []
+    for hook, step in _HOOKS:
+        positions = shape.positions(hook, name)[::step]
+        layout = []
+        for index in range(num_variants):
+            kept = tuple([position for position in positions if index not in identities[position]])
+            if kept:
+                layout.append((index, kept))
+        layouts.append(tuple(layout))
+    return plan, tuple(layouts) if any(layouts) else None
 
 
 @dataclasses.dataclass
@@ -197,8 +238,9 @@ class NVariantSession:
         self.table = get_table(interposition)
         #: The round plan of each call name this run has met.
         self._plans: dict[Syscall, RoundPlan] = {}
-        #: What the plans of every session of this stack shape and table share.
-        self._book = _plan_book(self.variations.shape, self.table)
+        #: This session's bound hook chain of each (hook, stack positions)
+        #: pair: a bound hook reads the key when called, so it outlives a rekey.
+        self._chains: dict[tuple[str, tuple[int, ...]], tuple[Callable, ...]] = {}
         #: Provenance stamps used by checkpoint/migration (repro.load): the
         #: declarative SystemSpec this session was built from (set by
         #: repro.api.builders.build_session) and the serving-app configuration
@@ -219,6 +261,15 @@ class NVariantSession:
         """Start a run at round zero: fresh monitor, plans, processes and programs."""
         self.monitor = Monitor(table=self.table)
         self._plans.clear()
+        #: What the plans of every session of this stack, identity variants
+        #: and table share (the identities are read again after any rekey).
+        self._book_key = (
+            self.variations.shape,
+            self.table,
+            self.num_variants,
+            self.variations.identity_variants(),
+        )
+        self._book = _plan_book(*self._book_key)
         self.rounds = 0
         self._ticks_consumed = 0
         self.state = SessionState.RUNNING
@@ -363,17 +414,27 @@ class NVariantSession:
             for request in requests:
                 if request.name is not name or fast and request.args != args:
                     return self._layered_round(runtimes, requests)
-            if fast:
+            matched = True
+            if not fast:
+                canonical = _rewrite(canonicalize, requests)
+                args = canonical[0].args
+                for request in canonical:
+                    if request.args != args:
+                        matched = False
+                        break
+            if matched:
+                # The counters Monitor.check_syscalls moves for an equivalent round.
                 stats = self.monitor.stats
                 stats.lockstep_points += 1
                 stats.syscalls_compared += len(requests)
-                stats.fast_path_rounds += 1
+                if fast:
+                    stats.fast_path_rounds += 1
                 if detection:
                     stats.detection_calls_checked += 1
             else:
-                canonical = _rewrite(canonicalize, requests)
-                alarm = self.monitor.check_syscalls(canonical, lockstep_index=self.rounds)
-                if alarm is not None and self.halt_on_alarm:
+                # Only a mismatch reaches the monitor, which classifies and records it.
+                self.monitor.check_syscalls(canonical, lockstep_index=self.rounds)
+                if self.halt_on_alarm:
                     return self.halt()
 
             if shared:
@@ -388,13 +449,13 @@ class NVariantSession:
             wrappers.stats.checks += 1
             results = strategy(wrappers, outgoing)
 
-            if result_hooks:
-                # Every strategy returns a fresh list, so it is rewritten in place.
-                for index, request in enumerate(requests):
-                    result = results[index]
-                    for hook in result_hooks:
-                        result = hook(index, request, result)
-                    results[index] = result
+            # Every strategy returns a fresh list, so it is rewritten in place.
+            for index, chain in result_hooks:
+                request = requests[index]
+                result = results[index]
+                for hook in chain:
+                    result = hook(index, request, result)
+                results[index] = result
             exiting = name is _EXIT
             for runtime, result in zip(runtimes, results):
                 runtime.pending_result = result
@@ -409,30 +470,31 @@ class NVariantSession:
     def round_plan(self, name: Syscall) -> RoundPlan:
         """The plan a uniform round of *name* runs from, resolved on first use.
 
-        Sessions of one stack shape and table share what a plan holds
-        (:func:`_plan_book`).  A plan with no hook is shared outright; for a
-        name with hooks the shared entry holds stack positions, and this
-        session binds its own variations' hooks at them, so no shared plan
-        holds a hook bound to one session's key.
+        Sessions of one stack shape, identity variants and table share what
+        a plan holds (:func:`_plan_book`).  A plan with no hook to run is
+        shared outright; for a name with hooks the shared entry holds each
+        variant's stack positions, and this session binds its own
+        variations' hooks at them (each distinct chain once a session), so
+        no shared plan holds a hook bound to one session's key.
         """
         plan = self._plans.get(name)
         if plan is None:
             entry = self._book.get(name)
             if entry is None:
-                entry = self._book[name] = _resolve_plan(self.variations.shape, self.table, name)
-            plan, positions = entry
-            if positions is not None:
-                bind = self.variations.bind
-                canonicalize, transform, result = positions
-                plan = RoundPlan(
-                    plan.fast,
-                    plan.detection,
-                    bind("canonicalize_request", canonicalize) if canonicalize else (),
-                    bind("transform_request", transform) if transform else (),
-                    bind("transform_result", result) if result else (),
-                    plan.strategy,
-                    plan.shared,
-                )
+                entry = self._book[name] = _resolve_plan(*self._book_key, name)
+            plan, layouts = entry
+            if layouts is not None:
+                bound = self._chains
+                fields = []
+                for (hook, _), layout in zip(_HOOKS, layouts):
+                    chains = []
+                    for index, positions in layout:
+                        chain = bound.get((hook, positions))
+                        if chain is None:
+                            chain = bound[hook, positions] = self.variations.bind(hook, positions)
+                        chains.append((index, chain))
+                    fields.append(tuple(chains))
+                plan = RoundPlan(plan.fast, plan.detection, *fields, plan.strategy, plan.shared)
             self._plans[name] = plan
         return plan
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.kernel.filesystem import FileSystem
 from repro.kernel.kernel import SimulatedKernel
@@ -171,27 +171,22 @@ def build_filesystem() -> FileSystem:
     return fs
 
 
-def install_diversified_user_db(
-    fs: FileSystem,
-    reexpression_functions: Sequence[Callable[[int], int]],
-) -> list[tuple[str, str]]:
+def install_diversified_user_db(fs: FileSystem, masks: Sequence[int]) -> list[tuple[str, str]]:
     """Create the per-variant unshared copies of the account databases.
 
     For each variant *i*, writes ``/etc/passwd-i`` and ``/etc/group-i``
-    whose UID/GID columns are transformed with ``reexpression_functions[i]``
-    (Section 3.4 of the paper).  Returns the list of ``(original, variant)``
-    path pairs created, which callers register with the unshared-file layer.
+    whose UID/GID columns are XORed with ``masks[i]``, the UID variation's
+    re-expression ``R_i`` (Section 3.4 of the paper; mask 0 is the
+    identity).  Returns the list of ``(original, variant)`` path pairs
+    created, which callers register with the unshared-file layer.
     """
     passwd = fs.read_file("/etc/passwd")
     group = fs.read_file("/etc/group")
-    ids = _account_ids(passwd, group)
     created: list[tuple[str, str]] = []
-    for index, reexpress in enumerate(reexpression_functions):
+    for index, mask in enumerate(masks):
         variant_passwd = f"/etc/passwd-{index}"
         variant_group = f"/etc/group-{index}"
-        passwd_text, group_text = _diversified_user_db(
-            passwd, group, tuple(map(reexpress, ids))
-        )
+        passwd_text, group_text = _diversified_user_db(passwd, group, mask)
         fs.create_file(variant_passwd, passwd_text, mode=0o644)
         fs.create_file(variant_group, group_text, mode=0o644)
         created.append(("/etc/passwd", variant_passwd))
@@ -199,23 +194,13 @@ def install_diversified_user_db(
     return created
 
 
-@functools.lru_cache(maxsize=64)
-def _account_ids(passwd: bytes, group: bytes) -> tuple[int, ...]:
-    """Every UID and GID the two account databases contain, sorted."""
-    ids = {value for entry in parse_passwd(passwd.decode()) for value in (entry.uid, entry.gid)}
-    ids.update(entry.gid for entry in parse_group(group.decode()))
-    return tuple(sorted(ids))
-
-
 # Every cell of a spec diversifies the same databases with the same masks, so
-# the rendered text is memoised.  The key holds the image of every id under
-# the variant's re-expression, so a rotated key misses and takes effect.
+# the rendered text is memoised on the mask.  A rotated key brings new masks,
+# so it misses and takes effect.
 @functools.lru_cache(maxsize=256)
-def _diversified_user_db(
-    passwd: bytes, group: bytes, images: tuple[int, ...]
-) -> tuple[bytes, bytes]:
-    """``passwd`` and ``group`` with every id replaced by its image."""
-    reexpress = dict(zip(_account_ids(passwd, group), images)).__getitem__
+def _diversified_user_db(passwd: bytes, group: bytes, mask: int) -> tuple[bytes, bytes]:
+    """``passwd`` and ``group`` with every id XORed with *mask*."""
+    reexpress = mask.__xor__
     return (
         format_passwd(diversify_passwd(parse_passwd(passwd.decode()), reexpress)).encode(),
         format_group(diversify_group(parse_group(group.decode()), reexpress)).encode(),

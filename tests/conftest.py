@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import gc
+from pathlib import Path
+
 import pytest
 
 from repro.core.variations.address import AddressPartitioning
@@ -32,3 +36,32 @@ def uid_variation():
 def address_partitioning():
     """The address-space partitioning variation."""
     return AddressPartitioning()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The directories whose Python files the static guards read.
+SOURCE_DIRECTORIES = ("src", "tests", "benchmarks", "examples", "wallbench")
+
+
+@pytest.fixture(scope="session")
+def source_trees() -> dict[str, ast.Module]:
+    """Every Python file of :data:`SOURCE_DIRECTORIES`, parsed once a session.
+
+    Keyed by the path relative to the repository root, in POSIX form, each
+    directory's files in sorted order.  ``test_option_callers.py`` and
+    ``test_unused_imports.py`` both read it; neither changes a tree.
+    """
+    # The trees hold some 180k nodes and no cycle; pausing the cyclic
+    # collector while they are built halves the parse's time.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return {
+            path.relative_to(ROOT).as_posix(): ast.parse(path.read_text())
+            for directory in SOURCE_DIRECTORIES
+            for path in sorted((ROOT / directory).rglob("*.py"))
+        }
+    finally:
+        if enabled:
+            gc.enable()

@@ -79,7 +79,7 @@ class TestWrappers:
         registry.register("/etc/passwd", [f"/etc/passwd-{i}" for i in range(num_variants)])
         from repro.kernel.host import install_diversified_user_db
 
-        install_diversified_user_db(kernel.fs, [lambda u: u, lambda u: u ^ 0x7FFFFFFF])
+        install_diversified_user_db(kernel.fs, (0, 0x7FFFFFFF))
         wrappers = SyscallWrappers(kernel, processes, registry)
         return kernel, processes, wrappers
 

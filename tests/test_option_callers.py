@@ -48,11 +48,10 @@ ALLOWED = {
 }
 
 
-def _sources():
+def _sources(source_trees):
     """``(defines options?, tree)`` of every scanned file and README block."""
-    for directory in ("src", "tests", "benchmarks", "examples", "wallbench"):
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            yield directory == "src", ast.parse(path.read_text())
+    for relative, tree in source_trees.items():
+        yield relative.startswith("src/"), tree
     readme = (ROOT / "README.md").read_text()
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         yield False, ast.parse(block)
@@ -202,9 +201,9 @@ def _definitions(tree: ast.Module):
                     yield label, item.name, list(_options(item, method=True))
 
 
-def find_unset_options() -> list[str]:
-    """``label(option)`` of every option that nothing sets."""
-    trees = list(_sources())
+def find_unset_options(source_trees) -> list[str]:
+    """``label(option)`` of every option that nothing sets (see the module docstring)."""
+    trees = list(_sources(source_trees))
     found = _Callers()
     for _, tree in trees:
         found.scan(tree)
@@ -244,13 +243,13 @@ def find_unset_options() -> list[str]:
     return unset
 
 
-def test_every_keyword_option_has_a_caller():
-    # The trees hold some 180k nodes and no cycle; pausing the cyclic
-    # collector while they are built halves the check's time.
+def test_every_keyword_option_has_a_caller(source_trees):
+    # The scan builds many small containers and no cycle; pausing the
+    # cyclic collector keeps each collection from walking the trees again.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        unset = find_unset_options()
+        unset = find_unset_options(source_trees)
     finally:
         if enabled:
             gc.enable()

@@ -59,11 +59,13 @@ from repro.load import build_serving_session
 #: the plan its canonical requests, the same shapes measured 47.16 and 4.31
 #: (fleet), 54.47 and 5.57 (ftpd) and 54.26 and 4.80 (corpus); before
 #: sessions shared their round plans and the server its state template,
-#: 32.02, 37.39 and 41.87 calls.
+#: 32.02, 37.39 and 41.87 calls; before a plan's hook chains were per
+#: variant and an equivalent hooked round skipped the monitor, 30.03, 35.81
+#: and 34.96 calls.
 BUDGETS = {
-    "fleet-httpd-2x2": (31.56, 2.25),  # measured 30.06 and 2.14
-    "ftpd-orbit-3": (37.60, 3.30),  # measured 35.81 and 3.14
-    "corpus-slice-6": (36.77, 3.10),  # measured 35.02 and 2.95
+    "fleet-httpd-2x2": (29.97, 2.25),  # measured 28.54 and 2.14
+    "ftpd-orbit-3": (36.45, 3.30),  # measured 34.71 and 3.14
+    "corpus-slice-6": (35.32, 3.10),  # measured 33.64 and 2.95
 }
 
 
@@ -166,7 +168,9 @@ def test_a_round_stays_within_its_budget(shape):
 #: round plans, the server's start-up -- is part of the figure, so work
 #: added to what every cell of a spec builds alike shows here even when no
 #: round changes.
-CELL_BUDGET = (1562.7, 131.8)  # measured 1488.3 and 125.5 (1779.3 and 125.5 before)
+#: Before per-variant chains and the mask-keyed account files, 1485.8 and
+#: 125.5; before shared plans, 1779.3 and 125.5.
+CELL_BUDGET = (1501.0, 131.8)  # measured 1429.5 and 125.5
 
 
 def test_a_corpus_cell_stays_within_its_budget():

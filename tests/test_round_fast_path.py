@@ -28,9 +28,10 @@ from repro.core.variations import (
     UIDVariation,
     VariationStack,
 )
-from repro.core.monitor import Monitor
+from repro.core.variations.base import Variation
 from repro.core.wrappers import SyscallWrappers, strategy_for
 from repro.engine import NVariantSession
+from repro.engine import session as session_module
 from repro.interpose import PolicyKind, get_table
 from repro.kernel.credentials import user_credentials
 from repro.kernel.errors import Errno
@@ -119,6 +120,19 @@ def test_a_hook_without_its_footprint_in_the_same_body_is_refused(attribute, hoo
         type("Overrides", (UIDVariation,), body)
     body[attribute] = frozenset()
     assert issubclass(type("Overrides", (UIDVariation,), body), UIDVariation)
+
+
+@pytest.mark.parametrize("hook", sorted({hook for _, hook in DECLARATIONS} | {"transform_result"}))
+def test_a_hook_without_the_identity_declaration_runs_at_every_variant(hook):
+    assert Variation().identity_variants() == frozenset()
+    assert UIDVariation().identity_variants() == {0}
+    body = {hook: getattr(UIDVariation, hook)}
+    body.update({attribute: frozenset() for attribute, _ in DECLARATIONS})
+    assert type("Overrides", (UIDVariation,), body)().identity_variants() == frozenset()
+    body["identity_variants"] = UIDVariation.identity_variants
+    assert type("Restated", (UIDVariation,), body)().identity_variants() == {0}
+    # A body that defines no hook keeps the declaration it inherits.
+    assert type("Quiet", (UIDVariation,), {})().identity_variants() == {0}
 
 
 class _CountingUID(UIDVariation):
@@ -364,21 +378,31 @@ def test_the_monitor_and_the_kernel_see_one_decode():
 
 
 def test_a_shared_plan_sends_the_canonical_requests_to_the_kernel(monkeypatch):
-    seen = {"outgoing": []}
-    check = Monitor.check_syscalls
+    seen = {"outgoing": [], "hooked": []}
+    rewrite = session_module._rewrite
+    canonicalize = UIDVariation.canonicalize_request
     execute = SimulatedKernel.execute
 
-    def spy_check(self, canonical, **kwargs):
-        if canonical[0].name is Syscall.SETEUID:
-            seen["canonical"] = list(canonical)
-        return check(self, canonical, **kwargs)
+    # An equivalent round never reaches the monitor, so the canonical
+    # requests are captured where the plan's hooks make them.
+    def spy_rewrite(chains, requests):
+        rewritten = rewrite(chains, requests)
+        if requests[0].name is Syscall.SETEUID:
+            seen["canonical"] = list(rewritten)
+        return rewritten
+
+    def spy_canonicalize(self, index, request):
+        if request.name is Syscall.SETEUID:
+            seen["hooked"].append(index)
+        return canonicalize(self, index, request)
 
     def spy_execute(self, process, request):
         if request.name is Syscall.SETEUID:
             seen["outgoing"].append(request)
         return execute(self, process, request)
 
-    monkeypatch.setattr(Monitor, "check_syscalls", spy_check)
+    monkeypatch.setattr(session_module, "_rewrite", spy_rewrite)
+    monkeypatch.setattr(UIDVariation, "canonicalize_request", spy_canonicalize)
     monkeypatch.setattr(SimulatedKernel, "execute", spy_execute)
 
     def program(context):
@@ -391,6 +415,8 @@ def test_a_shared_plan_sends_the_canonical_requests_to_the_kernel(monkeypatch):
     assert session.round_plan(Syscall.SETEUID).shared
     assert [request.args for request in seen["outgoing"]] == [(33,), (33,)]
     assert all(out is canon for out, canon in zip(seen["outgoing"], seen["canonical"]))
+    # Variant 0's mask is 0, so only variant 1's request passes through a hook.
+    assert seen["hooked"] == [1]
     assert [process.credentials.euid for process in session.processes] == [33, 33]
 
 

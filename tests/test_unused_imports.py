@@ -2,7 +2,7 @@
 
 A name a module imports and never reads is dead weight: it costs an import
 at load time and tells a reader about a dependency that is not there.  The
-check parses every module of ``src/`` and ``tests/`` (package
+check reads every module of ``src/`` and ``tests/`` (package
 ``__init__`` files aside, since they exist to re-export) and fails on a
 module-level imported name that its module never reads and does not list in
 ``__all__``.  A name counts as read when it appears as a name in the code or
@@ -12,10 +12,6 @@ in a string annotation.
 from __future__ import annotations
 
 import ast
-import gc
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
 
 #: Imported names kept only for other modules to import, each with its reason.
 ALLOWED = {
@@ -71,32 +67,25 @@ def _read(tree: ast.Module) -> set[str]:
     return names
 
 
-def _unused() -> list[str]:
+def _unused(source_trees) -> list[str]:
     found = []
-    gc.disable()
-    try:
-        for directory in ("src", "tests"):
-            for path in sorted((ROOT / directory).rglob("*.py")):
-                if path.name == "__init__.py":
-                    continue
-                tree = ast.parse(path.read_text())
-                read = _read(tree)
-                relative = path.relative_to(ROOT).as_posix()
-                for name, line in _imported(tree).items():
-                    if name not in read and f"{relative}:{name}" not in ALLOWED:
-                        found.append(f"{relative}:{line}: {name}")
-    finally:
-        gc.enable()
+    for relative, tree in source_trees.items():
+        if relative.split("/")[0] not in ("src", "tests") or relative.endswith("/__init__.py"):
+            continue
+        read = _read(tree)
+        for name, line in _imported(tree).items():
+            if name not in read and f"{relative}:{name}" not in ALLOWED:
+                found.append(f"{relative}:{line}: {name}")
     return found
 
 
-def test_every_imported_name_is_used():
-    assert _unused() == []
+def test_every_imported_name_is_used(source_trees):
+    assert _unused(source_trees) == []
 
 
-def test_every_allowed_name_is_imported_and_otherwise_unused():
+def test_every_allowed_name_is_imported_and_otherwise_unused(source_trees):
     for entry in ALLOWED:
         relative, name = entry.split(":")
-        tree = ast.parse((ROOT / relative).read_text())
+        tree = source_trees[relative]
         assert name in _imported(tree), entry
         assert name not in _read(tree), entry
