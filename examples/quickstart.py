@@ -61,10 +61,10 @@ def step2_lockstep_engine() -> None:
         def program():
             libc, codec = context.libc, context.uid_codec
             # Drop privileges to www-data using the variant's own constant.
-            yield from libc.setuid(codec.constant(33))
-            euid = (yield from libc.geteuid()).value
-            yield from libc.cc_eq(euid, codec.constant(33))
-            yield from libc.exit(0)
+            yield libc.setuid(codec.constant(33))
+            euid = (yield libc.geteuid()).value
+            yield libc.cc_eq(euid, codec.constant(33))
+            yield libc.exit(0)
 
         return program()
 
@@ -76,8 +76,8 @@ def step2_lockstep_engine() -> None:
         def program():
             # The attacker injects the concrete value 0 (root) -- identical in
             # both variants because inputs are replicated.
-            yield from context.libc.setuid(0)
-            yield from context.libc.exit(0)
+            yield context.libc.setuid(0)
+            yield context.libc.exit(0)
 
         return program()
 

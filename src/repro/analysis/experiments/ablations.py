@@ -99,16 +99,16 @@ def _latency_probe_factory(*, use_detection_calls: bool, user_space_uses: int):
             from repro.kernel.filesystem import O_RDONLY, O_WRONLY, O_APPEND
             from repro.kernel.passwd import parse_passwd
 
-            opened = yield from libc.open("/etc/passwd", O_RDONLY)
-            data = (yield from libc.read(opened.value, 8192)).value
-            yield from libc.close(opened.value)
+            opened = yield libc.open("/etc/passwd", O_RDONLY)
+            data = (yield libc.read(opened.value, 8192)).value
+            yield libc.close(opened.value)
             entries = parse_passwd(data.decode())
             worker_uid = next(e.uid for e in entries if e.name == "www-data")
-            log_fd = (yield from libc.open("/var/log/httpd/error_log", O_WRONLY | O_APPEND)).value
+            log_fd = (yield libc.open("/var/log/httpd/error_log", O_WRONLY | O_APPEND)).value
 
             # Marker call right before the corruption so both builds share the
             # same pre-corruption round count.
-            yield from libc.nanosleep(0)
+            yield libc.nanosleep(0)
 
             # The attack: the same concrete value lands in both variants.
             corrupted = 0
@@ -116,17 +116,17 @@ def _latency_probe_factory(*, use_detection_calls: bool, user_space_uses: int):
             decisions = []
             for _ in range(user_space_uses):
                 if use_detection_calls:
-                    is_root = (yield from libc.cc_eq(corrupted, codec.root)).value
+                    is_root = (yield libc.cc_eq(corrupted, codec.root)).value
                 else:
                     is_root = corrupted == codec.root
                 decisions.append(bool(is_root))
                 # Application work that does not expose the decision to the
                 # kernel: the divergence stays internal.
-                yield from libc.write(log_fd, "request handled\n")
+                yield libc.write(log_fd, "request handled\n")
 
-            yield from libc.seteuid(corrupted)
-            yield from libc.close(log_fd)
-            yield from libc.exit(0)
+            yield libc.seteuid(corrupted)
+            yield libc.close(log_fd)
+            yield libc.exit(0)
 
         return program()
 

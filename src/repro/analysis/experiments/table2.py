@@ -98,15 +98,15 @@ def _probe_factory(syscall: Syscall, *, injected: bool):
             root = 12345 if injected else codec.constant(0)
             other = 67890 if injected else codec.constant(33)
             if syscall is Syscall.UID_VALUE:
-                yield from libc.uid_value(root)
+                yield libc.uid_value(root)
             elif syscall is Syscall.COND_CHK:
                 # A UID-dependent branch decision: with injected data the two
                 # variants would disagree about the comparison's outcome.
                 condition = (codec.decode(root) == 0) if not injected else (context.index == 0)
-                yield from libc.cond_chk(condition)
+                yield libc.cond_chk(condition)
             else:
-                yield from libc.syscall(syscall, root, other)
-            yield from libc.exit(0)
+                yield libc.syscall(syscall, root, other)
+            yield libc.exit(0)
 
         return program()
 

@@ -73,9 +73,9 @@ class MiniFtpd(MiniServer):
         # The data channel was pre-connected by the client and is accepted
         # FIFO from the data port's listener: n-th command connection, n-th
         # data channel.
-        data_accepted = yield from libc.accept(self.listen_fds[1])
+        data_accepted = yield libc.accept(self.listen_fds[1])
         data_fd = data_accepted.value if data_accepted.ok else None
-        yield from libc.send(conn_fd, GREETING)
+        yield libc.send(conn_fd, GREETING)
         return Connection(conn_fd, split_commands(data), data_fd)
 
     def _resolve_path(self, request_path: str) -> str:
@@ -97,31 +97,31 @@ class MiniFtpd(MiniServer):
 
         full_path = self._resolve_path(path)
         content = b""
-        opened = yield from libc.open(full_path, O_RDONLY)
+        opened = yield libc.open(full_path, O_RDONLY)
         if not opened.ok:
             status = 550
-            yield from libc.send(connection.fd, f"550 {path}: not available.\r\n")
+            yield libc.send(connection.fd, f"550 {path}: not available.\r\n")
         else:
             fd = opened.value
             chunks = []
             while True:
-                chunk = yield from libc.read(fd, 8192)
+                chunk = yield libc.read(fd, 8192)
                 if not chunk.ok or not chunk.value:
                     break
                 chunks.append(chunk.value)
-            yield from libc.close(fd)
+            yield libc.close(fd)
             content = b"".join(chunks)
             if connection.data_fd is None:
                 status = 425
-                yield from libc.send(connection.fd, b"425 Can't open data connection.\r\n")
+                yield libc.send(connection.fd, b"425 Can't open data connection.\r\n")
                 content = b""
             else:
                 status = 226
-                yield from libc.send(connection.fd, b"150 Opening data connection.\r\n")
-                yield from libc.send(connection.data_fd, content)
-                yield from libc.send(connection.fd, b"226 Transfer complete.\r\n")
+                yield libc.send(connection.fd, b"150 Opening data connection.\r\n")
+                yield libc.send(connection.data_fd, content)
+                yield libc.send(connection.fd, b"226 Transfer complete.\r\n")
 
-        euid_during = (yield from libc.geteuid()).value
+        euid_during = (yield libc.geteuid()).value
         if was_root:
             yield from self._restore_privileges()
         yield from self._log(path, status, len(content))
@@ -133,33 +133,33 @@ class MiniFtpd(MiniServer):
         while connection.pending:
             line = connection.pending.pop(0)
             if len(line) > self.config.max_command_size:
-                yield from libc.send(connection.fd, b"500 Command line too long.\r\n")
+                yield libc.send(connection.fd, b"500 Command line too long.\r\n")
                 continue
             text = line.decode("latin-1")
             verb, _, argument = text.partition(" ")
             verb = verb.upper()
             if verb == "USER":
-                yield from libc.send(connection.fd, b"331 Password required.\r\n")
+                yield libc.send(connection.fd, b"331 Password required.\r\n")
             elif verb == "PASS":
-                yield from libc.send(connection.fd, b"230 Login successful.\r\n")
+                yield libc.send(connection.fd, b"230 Login successful.\r\n")
             elif verb == "SITE":
                 subverb, _, value = argument.partition(" ")
                 if subverb.upper() == "ANNOTATE":
                     # The vulnerable copy: the FTP analogue of the httpd's
                     # X-Annotation header lands in the same fixed buffer.
                     copy_annotation_header(self.layout, value)
-                    yield from libc.send(connection.fd, b"200 Annotation noted.\r\n")
+                    yield libc.send(connection.fd, b"200 Annotation noted.\r\n")
                 else:
-                    yield from libc.send(connection.fd, b"502 SITE command not implemented.\r\n")
+                    yield libc.send(connection.fd, b"502 SITE command not implemented.\r\n")
             elif verb == "RETR":
                 yield from self._serve_retr(connection, argument)
                 # One transfer per turn; the conversation resumes next turn.
                 return not connection.pending
             elif verb == "QUIT":
-                yield from libc.send(connection.fd, b"221 Goodbye.\r\n")
+                yield libc.send(connection.fd, b"221 Goodbye.\r\n")
                 return True
             else:
-                yield from libc.send(connection.fd, b"502 Command not implemented.\r\n")
+                yield libc.send(connection.fd, b"502 Command not implemented.\r\n")
         return True
 
 

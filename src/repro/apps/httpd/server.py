@@ -65,12 +65,12 @@ class MiniHttpd(MiniServer):
         libc = self.libc
         if request.header(ADMIN_TOKEN_HEADER) != ADMIN_TOKEN:
             return error_response(403, "admin token required")
-        euid = (yield from libc.geteuid()).value
+        euid = (yield libc.geteuid()).value
         already_admin = yield from self._uids_equal(euid, self.layout.admin_uid.get())
         needs_escalation = yield from self._check_condition(not already_admin)
         if needs_escalation:
             # Administrative work requires full privileges.
-            yield from libc.seteuid(self.codec.constant(0))
+            yield libc.seteuid(self.codec.constant(0))
         ok, secret = yield from self._read_whole_file("/root/secrets.txt")
         if not ok:
             return error_response(500, "admin data unavailable")
@@ -81,7 +81,7 @@ class MiniHttpd(MiniServer):
         """Serve a static file with the worker's (dropped) privileges."""
         libc = self.libc
         full_path = self._resolve_path(request.path)
-        opened = yield from libc.open(full_path, O_RDONLY)
+        opened = yield libc.open(full_path, O_RDONLY)
         if not opened.ok:
             if opened.errno is Errno.EACCES:
                 return error_response(403, full_path)
@@ -91,11 +91,11 @@ class MiniHttpd(MiniServer):
         fd = opened.value
         chunks = []
         while True:
-            chunk = yield from libc.read(fd, 8192)
+            chunk = yield libc.read(fd, 8192)
             if not chunk.ok or not chunk.value:
                 break
             chunks.append(chunk.value)
-        yield from libc.close(fd)
+        yield libc.close(fd)
         content = b"".join(chunks)
         response = file_response(content, full_path)
         if request.method == "HEAD":
@@ -103,41 +103,6 @@ class MiniHttpd(MiniServer):
                 status=200, body=b"", content_type=response.content_type
             )
         return response
-
-    def _handle_request(self, raw: bytes):
-        """Process one raw request into a response."""
-        libc = self.libc
-        try:
-            request = parse_request(raw)
-        except HttpParseError as error:
-            return error_response(400, str(error)), "-"
-        if len(raw) > self.config.max_request_size:
-            return error_response(413, "request too large"), request.path
-        if request.method not in ("GET", "HEAD"):
-            return error_response(405, request.method), request.path
-
-        # The vulnerable header copy happens before any privilege operation,
-        # exactly where a parsing/logging helper would copy header data in C.
-        annotation = request.header(VULNERABLE_HEADER)
-        if annotation:
-            copy_annotation_header(self.layout, annotation)
-
-        # Touch the banner through its pointer (address-injection detection
-        # point under address-space partitioning).
-        read_banner(self.address_space, self.layout)
-
-        was_root = yield from self._drop_privileges()
-
-        if request.path.startswith("/admin"):
-            response = yield from self._serve_admin(request)
-        else:
-            response = yield from self._serve_static(request)
-
-        euid_during = (yield from libc.geteuid()).value
-
-        if was_root:
-            yield from self._restore_privileges()
-        return response, request.path, euid_during
 
     # -- the protocol hooks ----------------------------------------------------------------
 
@@ -147,18 +112,48 @@ class MiniHttpd(MiniServer):
         return Connection(conn_fd, split_requests(data))
 
     def _serve_turn(self, connection: Connection):
-        """Handle the connection's next request and send its response."""
+        """Parse the connection's next request, serve it and send the response."""
         libc = self.libc
-        outcome = yield from self._handle_request(connection.pending.pop(0))
-        if len(outcome) == 3:
-            response, path, euid_during = outcome
+        raw = connection.pending.pop(0)
+        try:
+            request = parse_request(raw)
+        except HttpParseError as error:
+            path, response = "-", error_response(400, str(error))
         else:
-            response, path = outcome
-            euid_during = (yield from libc.geteuid()).value
+            path = request.path
+            if len(raw) > self.config.max_request_size:
+                response = error_response(413, "request too large")
+            elif request.method not in ("GET", "HEAD"):
+                response = error_response(405, request.method)
+            else:
+                response = None
+
+        if response is None:
+            # The vulnerable header copy happens before any privilege
+            # operation, exactly where a parsing/logging helper would copy
+            # header data in C.
+            annotation = request.header(VULNERABLE_HEADER)
+            if annotation:
+                copy_annotation_header(self.layout, annotation)
+
+            # Touch the banner through its pointer (address-injection
+            # detection point under address-space partitioning).
+            read_banner(self.address_space, self.layout)
+
+            was_root = yield from self._drop_privileges()
+            if path.startswith("/admin"):
+                response = yield from self._serve_admin(request)
+            else:
+                response = yield from self._serve_static(request)
+            euid_during = (yield libc.geteuid()).value
+            if was_root:
+                yield from self._restore_privileges()
+        else:
+            euid_during = (yield libc.geteuid()).value
 
         size = len(response.body)
         yield from self._log(path, response.status, size)
-        yield from libc.send(connection.fd, response.to_bytes())
+        yield libc.send(connection.fd, response.to_bytes())
         self.report.record(path, response.status, size, euid_during)
         return not connection.pending
 

@@ -203,46 +203,46 @@ class MiniServer:
     def _read_whole_file(self, path: str):
         """Open, read fully and close *path*; returns (ok, data bytes)."""
         libc = self.libc
-        opened = yield from libc.open(path, O_RDONLY)
+        opened = yield libc.open(path, O_RDONLY)
         if not opened.ok:
             return False, b""
         fd = opened.value
         chunks = []
         while True:
-            chunk = yield from libc.read(fd, 4096)
+            chunk = yield libc.read(fd, 4096)
             if not chunk.ok or not chunk.value:
                 break
             chunks.append(chunk.value)
-        yield from libc.close(fd)
+        yield libc.close(fd)
         return True, b"".join(chunks)
 
     def _is_root(self):
         """UID comparison against root, in the build-appropriate form."""
         libc = self.libc
-        euid = (yield from libc.geteuid()).value
+        euid = (yield libc.geteuid()).value
         if self.transformed:
-            result = yield from libc.cc_eq(euid, self.codec.root)
+            result = yield libc.cc_eq(euid, self.codec.root)
             return bool(result.value)
         return euid == 0
 
     def _uids_equal(self, left: int, right: int):
         """UID equality, through cc_eq in the transformed build."""
         if self.transformed:
-            result = yield from self.libc.cc_eq(left, right)
+            result = yield self.libc.cc_eq(left, right)
             return bool(result.value)
         return left == right
 
     def _expose_uid(self, uid: int):
         """uid_value() exposure of a single UID use (transformed build only)."""
         if self.transformed:
-            result = yield from self.libc.uid_value(uid)
+            result = yield self.libc.uid_value(uid)
             return result.value
         return uid
 
     def _check_condition(self, condition: bool):
         """cond_chk() wrapping of a UID-influenced conditional."""
         if self.transformed:
-            result = yield from self.libc.cond_chk(bool(condition))
+            result = yield self.libc.cond_chk(bool(condition))
             return bool(result.value)
         return bool(condition)
 
@@ -286,14 +286,14 @@ class MiniServer:
             admin_uid=admin_uid,
         )
 
-        self.error_fd = (yield from libc.open(config.error_log, O_WRONLY | O_APPEND)).value
-        self.log_fd = (yield from libc.open(config.request_log, O_WRONLY | O_APPEND)).value
+        self.error_fd = (yield libc.open(config.error_log, O_WRONLY | O_APPEND)).value
+        self.log_fd = (yield libc.open(config.request_log, O_WRONLY | O_APPEND)).value
         for port in config.listen_ports:
-            listen_fd = (yield from libc.socket()).value
-            bound = yield from libc.bind(listen_fd, port)
+            listen_fd = (yield libc.socket()).value
+            bound = yield libc.bind(listen_fd, port)
             if not bound.ok:
                 raise RuntimeError(f"cannot bind port {port}: {bound.errno.name}")
-            yield from libc.listen(listen_fd, 128)
+            yield libc.listen(listen_fd, 128)
             self.listen_fds.append(listen_fd)
 
     # -- per request ----------------------------------------------------------------
@@ -305,29 +305,29 @@ class MiniServer:
         worker_gid = self.layout.worker_gid.get()
         am_root = yield from self._is_root()
         if am_root:
-            yield from libc.setegid(worker_gid)
-            yield from libc.seteuid(worker_uid)
+            yield libc.setegid(worker_gid)
+            yield libc.seteuid(worker_uid)
         return am_root
 
     def _restore_privileges(self):
         """Escalate back to root for logging and administrative work."""
         libc = self.libc
-        yield from libc.seteuid(self.codec.constant(0))
-        yield from libc.setegid(self.codec.constant(0))
+        yield libc.seteuid(self.codec.constant(0))
+        yield libc.setegid(self.codec.constant(0))
 
     def _log(self, path: str, status: int, size: int):
         """Write the request-log record and, for a failure, an error line (as root)."""
         libc = self.libc
-        yield from libc.write(self.log_fd, f'client - "{path}" {status} {size}\n')
+        yield libc.write(self.log_fd, f'client - "{path}" {status} {size}\n')
         if status >= 400:
             if self.transformed:
                 # The paper's workaround: drop the UID value from the message
                 # so the diversified representations cannot diverge in output.
                 message = f"[error] status {status} {self.log_verb} {path}\n"
             else:
-                euid = (yield from libc.geteuid()).value
+                euid = (yield libc.geteuid()).value
                 message = f"[error] status {status} {self.log_verb} {path} euid={euid}\n"
-            yield from libc.write(self.error_fd, message)
+            yield libc.write(self.error_fd, message)
 
     def _admit(self, conn_fd: int, data: bytes):
         """Turn an accepted connection and everything it sent into a :class:`Connection`."""
@@ -341,10 +341,10 @@ class MiniServer:
         """Shut down and close a connection, its data channel first."""
         libc = self.libc
         if connection.data_fd is not None:
-            yield from libc.shutdown(connection.data_fd)
-            yield from libc.close(connection.data_fd)
-        yield from libc.shutdown(connection.fd)
-        yield from libc.close(connection.fd)
+            yield libc.shutdown(connection.data_fd)
+            yield libc.close(connection.data_fd)
+        yield libc.shutdown(connection.fd)
+        yield libc.close(connection.fd)
 
     # -- the program ----------------------------------------------------------------------------
 
@@ -374,14 +374,14 @@ class MiniServer:
 
         while True:
             while accepting and budget_left() and len(active) < self.multiplex:
-                accepted = yield from libc.accept(listen_fd)
+                accepted = yield libc.accept(listen_fd)
                 if not accepted.ok:
                     accepting = False
                     break
                 conn_fd = accepted.value
                 chunks = []
                 while True:
-                    chunk = (yield from libc.recv(conn_fd, window)).value
+                    chunk = (yield libc.recv(conn_fd, window)).value
                     if not chunk:
                         break
                     chunks.append(chunk)
@@ -401,9 +401,9 @@ class MiniServer:
             yield from self._close(connection)
 
         for listen_fd in self.listen_fds:
-            yield from libc.shutdown(listen_fd)
-            yield from libc.close(listen_fd)
-        yield from libc.close(self.error_fd)
-        yield from libc.close(self.log_fd)
-        yield from libc.exit(0)
+            yield libc.shutdown(listen_fd)
+            yield libc.close(listen_fd)
+        yield libc.close(self.error_fd)
+        yield libc.close(self.log_fd)
+        yield libc.exit(0)
         return self.report

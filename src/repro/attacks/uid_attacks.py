@@ -165,13 +165,13 @@ def _corruption_probe_factory(attack: UIDAttack, *, transformed: bool):
             from repro.kernel.passwd import parse_passwd
             from repro.memory.corruption import apply_corruption
 
-            opened = yield from libc.open("/etc/passwd", O_RDONLY)
-            data = (yield from libc.read(opened.value, 8192)).value
-            yield from libc.close(opened.value)
+            opened = yield libc.open("/etc/passwd", O_RDONLY)
+            data = (yield libc.read(opened.value, 8192)).value
+            yield libc.close(opened.value)
             entries = parse_passwd(data.decode())
             worker_uid = next(e.uid for e in entries if e.name == "www-data")
             if transformed:
-                worker_uid = (yield from libc.uid_value(worker_uid)).value
+                worker_uid = (yield libc.uid_value(worker_uid)).value
 
             layout = build_server_state(
                 context.address_space,
@@ -181,8 +181,8 @@ def _corruption_probe_factory(attack: UIDAttack, *, transformed: bool):
             )
 
             # Normal lifecycle: drop, then escalate for privileged maintenance.
-            yield from libc.seteuid(layout.worker_uid.get())
-            yield from libc.seteuid(codec.constant(0))
+            yield libc.seteuid(layout.worker_uid.get())
+            yield libc.seteuid(codec.constant(0))
 
             # The attacker's fault lands on the cached value...
             apply_corruption(layout.worker_uid, attack.corruption)
@@ -190,15 +190,15 @@ def _corruption_probe_factory(attack: UIDAttack, *, transformed: bool):
             # ...which the program then trusts for its security-critical drop.
             corrupted = layout.worker_uid.get()
             if transformed:
-                corrupted = (yield from libc.uid_value(corrupted)).value
-            yield from libc.seteuid(corrupted)
+                corrupted = (yield libc.uid_value(corrupted)).value
+            yield libc.seteuid(corrupted)
 
-            euid = (yield from libc.geteuid()).value
+            euid = (yield libc.geteuid()).value
             if transformed:
-                still_root = (yield from libc.cc_eq(euid, codec.root)).value
+                still_root = (yield libc.cc_eq(euid, codec.root)).value
             else:
                 still_root = euid == 0
-            yield from libc.exit(42 if still_root else 0)
+            yield libc.exit(42 if still_root else 0)
 
         return program()
 

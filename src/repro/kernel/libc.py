@@ -1,27 +1,26 @@
 """A tiny "libc" for simulated programs.
 
-Programs are generators that yield system-call requests; writing every call
-site as ``result = yield request(Syscall.OPEN, path, flags)`` quickly becomes
-noisy.  :class:`Libc` provides named helpers that are themselves generators,
+Programs are generators that yield system-call requests and receive each
+call's :class:`~repro.kernel.syscalls.SyscallResult` as the value of the
+``yield``.  :class:`Libc` provides named helpers that build those requests,
 so program code reads like ordinary C-with-syscalls::
 
-    result = yield from libc.open("/etc/passwd", O_RDONLY)
+    result = yield libc.open("/etc/passwd", O_RDONLY)
     if result.ok:
-        data = (yield from libc.read(result.value, 4096)).value
+        data = (yield libc.read(result.value, 4096)).value
 
-Every helper returns the raw :class:`~repro.kernel.syscalls.SyscallResult` so
-programs can implement their own error handling (the mini-httpd, for
+A helper is a plain function that returns its request: the program traps
+with one ``yield``, and no generator is made per call.  The program gets the
+raw result, so it implements its own error handling (the mini-httpd, for
 instance, turns ``ENOENT`` into a 404 response rather than crashing).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any
 
 from repro.kernel.filesystem import O_RDONLY
-from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult, _trusted_request
-
-SyscallGen = Generator[SyscallRequest, SyscallResult, SyscallResult]
+from repro.kernel.syscalls import Syscall, SyscallRequest, _trusted_request
 
 # Bound once: attribute access on an Enum class goes through the metaclass's
 # ``__getattr__`` hook, several times slower than a module global, and every
@@ -65,7 +64,7 @@ _CC_GEQ = Syscall.CC_GEQ
 
 
 # The zero-argument calls carry no per-call data, so each has one request,
-# built once and yielded by every call (requests are frozen).
+# built once and returned by every call (requests are frozen).
 _GETPID_REQUEST = _trusted_request(Syscall.GETPID, ())
 _GETUID_REQUEST = _trusted_request(Syscall.GETUID, ())
 _GETEUID_REQUEST = _trusted_request(Syscall.GETEUID, ())
@@ -78,201 +77,200 @@ _CLOSE_REQUESTS = tuple(_trusted_request(_CLOSE, (fd,)) for fd in range(64))
 
 
 class Libc:
-    """Named system-call helpers for generator programs."""
+    """Named system-call helpers: each returns the request a program yields."""
 
-    # -- the generic trampoline ------------------------------------------------
+    # -- any call ----------------------------------------------------------------
 
     @staticmethod
-    def syscall(name: Syscall, *args: Any) -> SyscallGen:
-        """Issue an arbitrary system call and return its result."""
-        result = yield SyscallRequest(name, tuple(args))
-        return result
+    def syscall(name: Syscall, *args: Any) -> SyscallRequest:
+        """The request for an arbitrary system call (``TypeError`` if *name* is not one)."""
+        return SyscallRequest(name, tuple(args))
 
     # -- process ----------------------------------------------------------------
 
-    def exit(self, code: int = 0) -> SyscallGen:
+    def exit(self, code: int = 0) -> SyscallRequest:
         """Terminate the calling program."""
-        return (yield _trusted_request(_EXIT, (code,)))
+        return _trusted_request(_EXIT, (code,))
 
-    def getpid(self) -> SyscallGen:
+    def getpid(self) -> SyscallRequest:
         """Return the process id."""
-        return (yield _GETPID_REQUEST)
+        return _GETPID_REQUEST
 
     # -- credentials --------------------------------------------------------------
 
-    def getuid(self) -> SyscallGen:
+    def getuid(self) -> SyscallRequest:
         """Return the real user id."""
-        return (yield _GETUID_REQUEST)
+        return _GETUID_REQUEST
 
-    def geteuid(self) -> SyscallGen:
+    def geteuid(self) -> SyscallRequest:
         """Return the effective user id."""
-        return (yield _GETEUID_REQUEST)
+        return _GETEUID_REQUEST
 
-    def getgid(self) -> SyscallGen:
+    def getgid(self) -> SyscallRequest:
         """Return the real group id."""
-        return (yield _GETGID_REQUEST)
+        return _GETGID_REQUEST
 
-    def getegid(self) -> SyscallGen:
+    def getegid(self) -> SyscallRequest:
         """Return the effective group id."""
-        return (yield _GETEGID_REQUEST)
+        return _GETEGID_REQUEST
 
-    def setuid(self, uid: int) -> SyscallGen:
+    def setuid(self, uid: int) -> SyscallRequest:
         """Set the real/effective/saved user id."""
-        return (yield _trusted_request(_SETUID, (uid,)))
+        return _trusted_request(_SETUID, (uid,))
 
-    def seteuid(self, euid: int) -> SyscallGen:
+    def seteuid(self, euid: int) -> SyscallRequest:
         """Set the effective user id."""
-        return (yield _trusted_request(_SETEUID, (euid,)))
+        return _trusted_request(_SETEUID, (euid,))
 
-    def setgid(self, gid: int) -> SyscallGen:
+    def setgid(self, gid: int) -> SyscallRequest:
         """Set the real/effective/saved group id."""
-        return (yield _trusted_request(_SETGID, (gid,)))
+        return _trusted_request(_SETGID, (gid,))
 
-    def setegid(self, egid: int) -> SyscallGen:
+    def setegid(self, egid: int) -> SyscallRequest:
         """Set the effective group id."""
-        return (yield _trusted_request(_SETEGID, (egid,)))
+        return _trusted_request(_SETEGID, (egid,))
 
-    def setgroups(self, groups: tuple[int, ...]) -> SyscallGen:
+    def setgroups(self, groups: tuple[int, ...]) -> SyscallRequest:
         """Set the supplementary group list."""
-        return (yield _trusted_request(_SETGROUPS, (tuple(groups),)))
+        return _trusted_request(_SETGROUPS, (tuple(groups),))
 
     # -- files ----------------------------------------------------------------------
 
-    def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> SyscallGen:
+    def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> SyscallRequest:
         """Open *path*, returning a descriptor in ``result.value``."""
-        return (yield _trusted_request(_OPEN, (path, flags, mode)))
+        return _trusted_request(_OPEN, (path, flags, mode))
 
-    def close(self, fd: int) -> SyscallGen:
+    def close(self, fd: int) -> SyscallRequest:
         """Close descriptor *fd*."""
         if fd.__class__ is int and 0 <= fd < 64:
-            return (yield _CLOSE_REQUESTS[fd])
-        return (yield _trusted_request(_CLOSE, (fd,)))
+            return _CLOSE_REQUESTS[fd]
+        return _trusted_request(_CLOSE, (fd,))
 
-    def read(self, fd: int, count: int) -> SyscallGen:
+    def read(self, fd: int, count: int) -> SyscallRequest:
         """Read up to *count* bytes from *fd*."""
-        return (yield _trusted_request(_READ, (fd, count)))
+        return _trusted_request(_READ, (fd, count))
 
-    def write(self, fd: int, data: bytes | str) -> SyscallGen:
+    def write(self, fd: int, data: bytes | str) -> SyscallRequest:
         """Write *data* to *fd*."""
-        return (yield _trusted_request(_WRITE, (fd, data)))
+        return _trusted_request(_WRITE, (fd, data))
 
-    def lseek(self, fd: int, offset: int, whence: int = 0) -> SyscallGen:
+    def lseek(self, fd: int, offset: int, whence: int = 0) -> SyscallRequest:
         """Reposition the file offset of *fd*."""
-        return (yield _trusted_request(_LSEEK, (fd, offset, whence)))
+        return _trusted_request(_LSEEK, (fd, offset, whence))
 
-    def stat(self, path: str) -> SyscallGen:
+    def stat(self, path: str) -> SyscallRequest:
         """Stat the inode at *path*."""
-        return (yield _trusted_request(_STAT, (path,)))
+        return _trusted_request(_STAT, (path,))
 
-    def fstat(self, fd: int) -> SyscallGen:
+    def fstat(self, fd: int) -> SyscallRequest:
         """Stat the inode open at *fd*."""
-        return (yield _trusted_request(_FSTAT, (fd,)))
+        return _trusted_request(_FSTAT, (fd,))
 
-    def access(self, path: str, mode: int) -> SyscallGen:
+    def access(self, path: str, mode: int) -> SyscallRequest:
         """Check accessibility of *path* for the caller's credentials."""
-        return (yield _trusted_request(_ACCESS, (path, mode)))
+        return _trusted_request(_ACCESS, (path, mode))
 
-    def mkdir(self, path: str, mode: int = 0o755) -> SyscallGen:
+    def mkdir(self, path: str, mode: int = 0o755) -> SyscallRequest:
         """Create a directory."""
-        return (yield _trusted_request(_MKDIR, (path, mode)))
+        return _trusted_request(_MKDIR, (path, mode))
 
-    def unlink(self, path: str) -> SyscallGen:
+    def unlink(self, path: str) -> SyscallRequest:
         """Remove a file."""
-        return (yield _trusted_request(_UNLINK, (path,)))
+        return _trusted_request(_UNLINK, (path,))
 
-    def chown(self, path: str, uid: int, gid: int) -> SyscallGen:
+    def chown(self, path: str, uid: int, gid: int) -> SyscallRequest:
         """Change ownership of *path*."""
-        return (yield _trusted_request(_CHOWN, (path, uid, gid)))
+        return _trusted_request(_CHOWN, (path, uid, gid))
 
-    def chmod(self, path: str, mode: int) -> SyscallGen:
+    def chmod(self, path: str, mode: int) -> SyscallRequest:
         """Change the permission bits of *path*."""
-        return (yield _trusted_request(_CHMOD, (path, mode)))
+        return _trusted_request(_CHMOD, (path, mode))
 
-    def getdents(self, path: str) -> SyscallGen:
+    def getdents(self, path: str) -> SyscallRequest:
         """List the names in the directory at *path*."""
-        return (yield _trusted_request(_GETDENTS, (path,)))
+        return _trusted_request(_GETDENTS, (path,))
 
     # -- sockets ---------------------------------------------------------------------
 
-    def socket(self) -> SyscallGen:
+    def socket(self) -> SyscallRequest:
         """Create a socket descriptor."""
-        return (yield _SOCKET_REQUEST)
+        return _SOCKET_REQUEST
 
-    def bind(self, fd: int, port: int) -> SyscallGen:
+    def bind(self, fd: int, port: int) -> SyscallRequest:
         """Bind socket *fd* to *port*."""
-        return (yield _trusted_request(_BIND, (fd, port)))
+        return _trusted_request(_BIND, (fd, port))
 
-    def listen(self, fd: int, backlog: int = 128) -> SyscallGen:
+    def listen(self, fd: int, backlog: int = 128) -> SyscallRequest:
         """Mark socket *fd* as listening."""
-        return (yield _trusted_request(_LISTEN, (fd, backlog)))
+        return _trusted_request(_LISTEN, (fd, backlog))
 
-    def accept(self, fd: int) -> SyscallGen:
+    def accept(self, fd: int) -> SyscallRequest:
         """Accept a pending connection on listening socket *fd*."""
-        return (yield _trusted_request(_ACCEPT, (fd,)))
+        return _trusted_request(_ACCEPT, (fd,))
 
-    def recv(self, fd: int, count: int) -> SyscallGen:
+    def recv(self, fd: int, count: int) -> SyscallRequest:
         """Receive up to *count* bytes from connected socket *fd*."""
-        return (yield _trusted_request(_RECV, (fd, count)))
+        return _trusted_request(_RECV, (fd, count))
 
-    def send(self, fd: int, data: bytes | str) -> SyscallGen:
+    def send(self, fd: int, data: bytes | str) -> SyscallRequest:
         """Send *data* on connected socket *fd*."""
-        return (yield _trusted_request(_SEND, (fd, data)))
+        return _trusted_request(_SEND, (fd, data))
 
-    def shutdown(self, fd: int) -> SyscallGen:
+    def shutdown(self, fd: int) -> SyscallRequest:
         """Shut down the socket at *fd*."""
-        return (yield _trusted_request(_SHUTDOWN, (fd,)))
+        return _trusted_request(_SHUTDOWN, (fd,))
 
     # -- misc ----------------------------------------------------------------------------
 
-    def time(self) -> SyscallGen:
+    def time(self) -> SyscallRequest:
         """Return the kernel's virtual clock."""
-        return (yield _TIME_REQUEST)
+        return _TIME_REQUEST
 
-    def getrandom(self, count: int) -> SyscallGen:
+    def getrandom(self, count: int) -> SyscallRequest:
         """Return *count* deterministic pseudo-random bytes."""
-        return (yield _trusted_request(_GETRANDOM, (count,)))
+        return _trusted_request(_GETRANDOM, (count,))
 
-    def nanosleep(self, ticks: int) -> SyscallGen:
+    def nanosleep(self, ticks: int) -> SyscallRequest:
         """Advance the virtual clock by *ticks*."""
-        return (yield _trusted_request(_NANOSLEEP, (ticks,)))
+        return _trusted_request(_NANOSLEEP, (ticks,))
 
-    def peek(self, address: int, count: int = 4) -> SyscallGen:
+    def peek(self, address: int, count: int = 4) -> SyscallRequest:
         """Checked read of *count* bytes at absolute *address* (EFAULT on miss)."""
-        return (yield _trusted_request(_PEEK, (address, count)))
+        return _trusted_request(_PEEK, (address, count))
 
     # -- detection calls (Table 2 of the paper) ----------------------------------------
 
-    def uid_value(self, uid: int) -> SyscallGen:
+    def uid_value(self, uid: int) -> SyscallRequest:
         """Expose a single UID use to the monitor; returns the passed value."""
-        return (yield _trusted_request(_UID_VALUE, (uid,)))
+        return _trusted_request(_UID_VALUE, (uid,))
 
-    def cond_chk(self, condition: bool) -> SyscallGen:
+    def cond_chk(self, condition: bool) -> SyscallRequest:
         """Expose a UID-influenced conditional to the monitor."""
-        return (yield _trusted_request(_COND_CHK, (bool(condition),)))
+        return _trusted_request(_COND_CHK, (bool(condition),))
 
-    def cc_eq(self, left: int, right: int) -> SyscallGen:
+    def cc_eq(self, left: int, right: int) -> SyscallRequest:
         """Cross-checked UID equality comparison."""
-        return (yield _trusted_request(_CC_EQ, (left, right)))
+        return _trusted_request(_CC_EQ, (left, right))
 
-    def cc_neq(self, left: int, right: int) -> SyscallGen:
+    def cc_neq(self, left: int, right: int) -> SyscallRequest:
         """Cross-checked UID inequality comparison."""
-        return (yield _trusted_request(_CC_NEQ, (left, right)))
+        return _trusted_request(_CC_NEQ, (left, right))
 
-    def cc_lt(self, left: int, right: int) -> SyscallGen:
+    def cc_lt(self, left: int, right: int) -> SyscallRequest:
         """Cross-checked UID less-than comparison."""
-        return (yield _trusted_request(_CC_LT, (left, right)))
+        return _trusted_request(_CC_LT, (left, right))
 
-    def cc_leq(self, left: int, right: int) -> SyscallGen:
+    def cc_leq(self, left: int, right: int) -> SyscallRequest:
         """Cross-checked UID less-or-equal comparison."""
-        return (yield _trusted_request(_CC_LEQ, (left, right)))
+        return _trusted_request(_CC_LEQ, (left, right))
 
-    def cc_gt(self, left: int, right: int) -> SyscallGen:
+    def cc_gt(self, left: int, right: int) -> SyscallRequest:
         """Cross-checked UID greater-than comparison."""
-        return (yield _trusted_request(_CC_GT, (left, right)))
+        return _trusted_request(_CC_GT, (left, right))
 
-    def cc_geq(self, left: int, right: int) -> SyscallGen:
+    def cc_geq(self, left: int, right: int) -> SyscallRequest:
         """Cross-checked UID greater-or-equal comparison."""
-        return (yield _trusted_request(_CC_GEQ, (left, right)))
+        return _trusted_request(_CC_GEQ, (left, right))
 
 
 #: A module-level instance; Libc is stateless so sharing it is safe.

@@ -100,8 +100,8 @@ def make_probe_factory(addresses: Sequence[int]):
             hits = 0
             first_hit = None
             for number, address in enumerate(plan, start=1):
-                result = yield from context.libc.peek(address, 1)
-                yield from context.libc.cond_chk(result.ok)
+                result = yield context.libc.peek(address, 1)
+                yield context.libc.cond_chk(result.ok)
                 if result.ok:
                     hits += 1
                     if first_hit is None:

@@ -49,8 +49,9 @@ def source_trees() -> dict[str, ast.Module]:
     """Every Python file of :data:`SOURCE_DIRECTORIES`, parsed once a session.
 
     Keyed by the path relative to the repository root, in POSIX form, each
-    directory's files in sorted order.  ``test_option_callers.py`` and
-    ``test_unused_imports.py`` both read it; neither changes a tree.
+    directory's files in sorted order.  ``test_option_callers.py``,
+    ``test_unused_imports.py`` and ``test_libc_trap_sites.py`` read it; none
+    changes a tree.
     """
     # The trees hold some 180k nodes and no cycle; pausing the cyclic
     # collector while they are built halves the parse's time.

@@ -142,11 +142,11 @@ class TestWrappers:
 
 def _benign_factory(ctx):
     def program():
-        opened = yield from ctx.libc.open("/etc/passwd", O_RDONLY)
-        yield from ctx.libc.read(opened.value, 4096)
-        yield from ctx.libc.close(opened.value)
-        yield from ctx.libc.setuid(ctx.uid_codec.constant(33))
-        yield from ctx.libc.exit(0)
+        opened = yield ctx.libc.open("/etc/passwd", O_RDONLY)
+        yield ctx.libc.read(opened.value, 4096)
+        yield ctx.libc.close(opened.value)
+        yield ctx.libc.setuid(ctx.uid_codec.constant(33))
+        yield ctx.libc.exit(0)
 
     return program()
 
@@ -173,8 +173,8 @@ class TestNVariantEngine:
     def test_injected_identical_uid_detected(self):
         def attack_factory(ctx):
             def program():
-                yield from ctx.libc.setuid(0)  # same concrete value in both variants
-                yield from ctx.libc.exit(0)
+                yield ctx.libc.setuid(0)  # same concrete value in both variants
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -186,10 +186,10 @@ class TestNVariantEngine:
         def factory(ctx):
             def program():
                 if ctx.index == 0:
-                    yield from ctx.libc.getuid()
+                    yield ctx.libc.getuid()
                 else:
-                    yield from ctx.libc.getpid()
-                yield from ctx.libc.exit(0)
+                    yield ctx.libc.getpid()
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -200,11 +200,11 @@ class TestNVariantEngine:
     def test_variant_fault_detected(self):
         def factory(ctx):
             def program():
-                yield from ctx.libc.getuid()
+                yield ctx.libc.getuid()
                 if ctx.index == 1:
                     raise SegmentationFault("injected pointer", address=0x1234)
-                yield from ctx.libc.getuid()
-                yield from ctx.libc.exit(0)
+                yield ctx.libc.getuid()
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -216,12 +216,12 @@ class TestNVariantEngine:
     def test_lifecycle_divergence_detected(self):
         def factory(ctx):
             def program():
-                yield from ctx.libc.getuid()
+                yield ctx.libc.getuid()
                 if ctx.index == 0:
-                    yield from ctx.libc.exit(0)
-                yield from ctx.libc.getuid()
-                yield from ctx.libc.getuid()
-                yield from ctx.libc.exit(0)
+                    yield ctx.libc.exit(0)
+                yield ctx.libc.getuid()
+                yield ctx.libc.getuid()
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -233,9 +233,9 @@ class TestNVariantEngine:
     def test_halt_policy_stops_variants(self):
         def attack_factory(ctx):
             def program():
-                yield from ctx.libc.setuid(0)
-                yield from ctx.libc.getuid()
-                yield from ctx.libc.exit(0)
+                yield ctx.libc.setuid(0)
+                yield ctx.libc.getuid()
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -247,8 +247,8 @@ class TestNVariantEngine:
     def test_three_variants_supported_without_uid_variation(self):
         def factory(ctx):
             def program():
-                yield from ctx.libc.getuid()
-                yield from ctx.libc.exit(0)
+                yield ctx.libc.getuid()
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -259,7 +259,7 @@ class TestNVariantEngine:
     def test_one_variant_program_returning_without_exit_exits_zero(self):
         def factory(ctx):
             def program():
-                yield from ctx.libc.getuid()
+                yield ctx.libc.getuid()
                 return "done"
 
             return program()
@@ -273,7 +273,7 @@ class TestNVariantEngine:
     def test_one_variant_fault_raises_one_variant_fault_alarm(self):
         def factory(ctx):
             def program():
-                yield from ctx.libc.getuid()
+                yield ctx.libc.getuid()
                 raise SegmentationFault("injected pointer", address=0x1234)
 
             return program()

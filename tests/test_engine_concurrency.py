@@ -445,8 +445,8 @@ class TestEngineMechanics:
         def factory(context):
             def program():
                 for _ in range(5):
-                    yield from context.libc.getpid()
-                yield from context.libc.exit(0)
+                    yield context.libc.getpid()
+                yield context.libc.exit(0)
 
             return program()
 
@@ -505,9 +505,9 @@ def _looping_factory(calls):
         def program():
             made = 0
             while calls is None or made < calls:
-                yield from context.libc.getpid()
+                yield context.libc.getpid()
                 made += 1
-            yield from context.libc.exit(0)
+            yield context.libc.exit(0)
 
         return program()
 

@@ -100,21 +100,21 @@ def _benign_fd_factory(ctx):
     family (bind/listen/accept/recv/send/shutdown) on a queued connection."""
 
     def program():
-        opened = yield from ctx.libc.open("/etc/passwd", O_RDONLY)
-        yield from ctx.libc.read(opened.value, 64)
-        yield from ctx.libc.lseek(opened.value, 0)
-        yield from ctx.libc.fstat(opened.value)
-        yield from ctx.libc.close(opened.value)
-        sock = yield from ctx.libc.socket()
-        yield from ctx.libc.bind(sock.value, 8080)
-        yield from ctx.libc.listen(sock.value)
-        conn = yield from ctx.libc.accept(sock.value)
-        yield from ctx.libc.recv(conn.value, 64)
-        yield from ctx.libc.send(conn.value, b"ok")
-        yield from ctx.libc.shutdown(conn.value)
-        yield from ctx.libc.close(conn.value)
-        yield from ctx.libc.close(sock.value)
-        yield from ctx.libc.exit(0)
+        opened = yield ctx.libc.open("/etc/passwd", O_RDONLY)
+        yield ctx.libc.read(opened.value, 64)
+        yield ctx.libc.lseek(opened.value, 0)
+        yield ctx.libc.fstat(opened.value)
+        yield ctx.libc.close(opened.value)
+        sock = yield ctx.libc.socket()
+        yield ctx.libc.bind(sock.value, 8080)
+        yield ctx.libc.listen(sock.value)
+        conn = yield ctx.libc.accept(sock.value)
+        yield ctx.libc.recv(conn.value, 64)
+        yield ctx.libc.send(conn.value, b"ok")
+        yield ctx.libc.shutdown(conn.value)
+        yield ctx.libc.close(conn.value)
+        yield ctx.libc.close(sock.value)
+        yield ctx.libc.exit(0)
 
     return program()
 
@@ -134,12 +134,12 @@ class TestFdOrbitEngine:
 
         def attack_factory(ctx):
             def program():
-                opened = yield from ctx.libc.open("/etc/passwd", O_RDONLY)
-                yield from ctx.libc.close(opened.value)
+                opened = yield ctx.libc.open("/etc/passwd", O_RDONLY)
+                yield ctx.libc.close(opened.value)
                 # Raw concrete value, NOT the variant's own representation --
                 # what an overflow that overwrites a stored descriptor plants.
-                yield from ctx.libc.write(3, b"pwned")
-                yield from ctx.libc.exit(0)
+                yield ctx.libc.write(3, b"pwned")
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -154,10 +154,10 @@ class TestFdOrbitEngine:
 
         def attack_factory(ctx):
             def program():
-                opened = yield from ctx.libc.open("/etc/passwd", O_RDONLY)
-                yield from ctx.libc.close(opened.value)
-                yield from ctx.libc.write(3, b"pwned")
-                yield from ctx.libc.exit(0)
+                opened = yield ctx.libc.open("/etc/passwd", O_RDONLY)
+                yield ctx.libc.close(opened.value)
+                yield ctx.libc.write(3, b"pwned")
+                yield ctx.libc.exit(0)
 
             return program()
 

@@ -115,8 +115,8 @@ class TestWideTableEngineBehaviour:
     def test_fork_denied_uniformly_without_entering_the_kernel(self):
         def factory(ctx):
             def program():
-                forked = yield from ctx.libc.syscall(Syscall.FORK)
-                yield from ctx.libc.exit(0 if forked.errno is Errno.EPERM else 1)
+                forked = yield ctx.libc.syscall(Syscall.FORK)
+                yield ctx.libc.exit(0 if forked.errno is Errno.EPERM else 1)
 
             return program()
 
@@ -130,8 +130,8 @@ class TestWideTableEngineBehaviour:
     def test_waitpid_denied_like_fork(self):
         def factory(ctx):
             def program():
-                waited = yield from ctx.libc.syscall(Syscall.WAITPID, 1)
-                yield from ctx.libc.exit(0 if waited.errno is Errno.EPERM else 1)
+                waited = yield ctx.libc.syscall(Syscall.WAITPID, 1)
+                yield ctx.libc.exit(0 if waited.errno is Errno.EPERM else 1)
 
             return program()
 
@@ -144,8 +144,8 @@ class TestWideTableEngineBehaviour:
 
         def factory(ctx):
             def program():
-                forked = yield from ctx.libc.syscall(Syscall.FORK)
-                yield from ctx.libc.exit(0 if forked.errno is Errno.ENOSYS else 1)
+                forked = yield ctx.libc.syscall(Syscall.FORK)
+                yield ctx.libc.exit(0 if forked.errno is Errno.ENOSYS else 1)
 
             return program()
 
@@ -157,8 +157,8 @@ class TestWideTableEngineBehaviour:
     def test_divergent_kill_is_an_output_mismatch_under_wide(self):
         def factory(ctx):
             def program():
-                yield from ctx.libc.syscall(Syscall.KILL, 1, 9 + ctx.index)
-                yield from ctx.libc.exit(0)
+                yield ctx.libc.syscall(Syscall.KILL, 1, 9 + ctx.index)
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -171,8 +171,8 @@ class TestWideTableEngineBehaviour:
     def test_divergent_kill_is_a_generic_mismatch_under_classic(self):
         def factory(ctx):
             def program():
-                yield from ctx.libc.syscall(Syscall.KILL, 1, 9 + ctx.index)
-                yield from ctx.libc.exit(0)
+                yield ctx.libc.syscall(Syscall.KILL, 1, 9 + ctx.index)
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -183,9 +183,9 @@ class TestWideTableEngineBehaviour:
     def test_divergent_bind_is_an_output_mismatch_under_wide(self):
         def factory(ctx):
             def program():
-                sock = yield from ctx.libc.socket()
-                yield from ctx.libc.bind(sock.value, 8080 + ctx.index)
-                yield from ctx.libc.exit(0)
+                sock = yield ctx.libc.socket()
+                yield ctx.libc.bind(sock.value, 8080 + ctx.index)
+                yield ctx.libc.exit(0)
 
             return program()
 
@@ -198,8 +198,8 @@ class TestWideTableEngineBehaviour:
     def test_alarm_breakdown_names_the_diverging_syscall(self):
         def factory(ctx):
             def program():
-                yield from ctx.libc.syscall(Syscall.KILL, 1, 9 + ctx.index)
-                yield from ctx.libc.exit(0)
+                yield ctx.libc.syscall(Syscall.KILL, 1, 9 + ctx.index)
+                yield ctx.libc.exit(0)
 
             return program()
 

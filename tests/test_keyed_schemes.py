@@ -173,7 +173,7 @@ class TestSessionRestart:
     def _session(self, spec):
         def factory(context):
             def program():
-                result = yield from context.libc.getuid()
+                result = yield context.libc.getuid()
                 return result.value
 
             return program()
@@ -286,9 +286,10 @@ class TestRekeyAgreement:
 
     @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
     def test_a_rotating_restart_moves_a_hand_built_variation(self, build):
-        session = NVariantSession(
-            build_standard_host(), lambda context: context.libc.exit(0), [build()], num_variants=3
-        )
+        def program(context):
+            yield context.libc.exit(0)
+
+        session = NVariantSession(build_standard_host(), program, [build()], num_variants=3)
         _assert_on_current_key(session)
         before = keyed_secrets(session)
         session.run()

@@ -204,7 +204,7 @@ def _session_round(variations, requests):
 
     def factory(context):
         issued = requests[context.index]
-        return Libc.syscall(issued.name, *issued.args)
+        yield Libc.syscall(issued.name, *issued.args)
 
     session = NVariantSession(
         build_standard_host(), factory, variations, num_variants=len(requests)

@@ -2,7 +2,8 @@
 
 Every workload spends nearly all of its time in lockstep rounds, and a round
 costs a little in every layer: the engine's step, the variation hooks, the
-wrappers, the kernel and the libc helpers the programs trap through.  This
+wrappers, the kernel and the programs' own frames, which trap with one
+``yield`` of the request a libc helper returns.  This
 suite counts, under ``sys.setprofile``, the Python-level calls (generator
 resumptions included) and the ``object.__new__`` constructions one round
 makes on three fixed shapes, and fails when either rises more than 5% above
@@ -55,17 +56,20 @@ from repro.load import build_serving_session
 
 #: Per lockstep round: (Python calls, ``object.__new__`` calls), each the
 #: figure measured on this code (CPython 3.11) plus 5%.  Before the libc
-#: helpers became the generators, the round shared its frozen values and
-#: the plan its canonical requests, the same shapes measured 47.16 and 4.31
-#: (fleet), 54.47 and 5.57 (ftpd) and 54.26 and 4.80 (corpus); before
-#: sessions shared their round plans and the server its state template,
-#: 32.02, 37.39 and 41.87 calls; before a plan's hook chains were per
-#: variant and an equivalent hooked round skipped the monitor, 30.03, 35.81
-#: and 34.96 calls.
+#: helpers became generators themselves (each then delegated to a shared
+#: trap generator), the round shared its frozen values and the plan its
+#: canonical requests, the same shapes measured 47.16 and 4.31 (fleet),
+#: 54.47 and 5.57 (ftpd) and 54.26 and 4.80 (corpus); before sessions shared
+#: their round plans and the server its state template, 32.02, 37.39 and
+#: 41.87 calls; before a plan's hook chains were per variant and an
+#: equivalent hooked round skipped the monitor, 30.03, 35.81 and 34.96
+#: calls; while each helper was a generator the program drove with ``yield
+#: from`` (one created, resumed twice, per variant per call), 28.54, 34.71
+#: and 33.64 calls.
 BUDGETS = {
-    "fleet-httpd-2x2": (29.97, 2.25),  # measured 28.54 and 2.14
-    "ftpd-orbit-3": (36.45, 3.30),  # measured 34.71 and 3.14
-    "corpus-slice-6": (35.32, 3.10),  # measured 33.64 and 2.95
+    "fleet-httpd-2x2": (26.45, 2.25),  # measured 25.19 and 2.14
+    "ftpd-orbit-3": (33.32, 3.30),  # measured 31.73 and 3.14
+    "corpus-slice-6": (32.54, 3.10),  # measured 30.99 and 2.95
 }
 
 
@@ -168,9 +172,10 @@ def test_a_round_stays_within_its_budget(shape):
 #: round plans, the server's start-up -- is part of the figure, so work
 #: added to what every cell of a spec builds alike shows here even when no
 #: round changes.
-#: Before per-variant chains and the mask-keyed account files, 1485.8 and
-#: 125.5; before shared plans, 1779.3 and 125.5.
-CELL_BUDGET = (1501.0, 131.8)  # measured 1429.5 and 125.5
+#: Before the libc helpers returned their requests, 1429.5 and 125.5; before
+#: per-variant chains and the mask-keyed account files, 1485.8 and 125.5;
+#: before shared plans, 1779.3 and 125.5.
+CELL_BUDGET = (1382.6, 131.8)  # measured 1316.8 and 125.5
 
 
 def test_a_corpus_cell_stays_within_its_budget():
@@ -227,7 +232,7 @@ ZERO_ARGUMENT_HELPERS = ("getpid", "getuid", "geteuid", "getgid", "getegid", "so
 
 def _prebuilt_requests():
     libc = Libc()
-    requests = [next(getattr(libc, helper)()) for helper in ZERO_ARGUMENT_HELPERS]
+    requests = [getattr(libc, helper)() for helper in ZERO_ARGUMENT_HELPERS]
     return requests + list(_CLOSE_REQUESTS)
 
 
@@ -246,9 +251,9 @@ def test_the_kernel_returns_the_shared_results():
 def test_zero_argument_helpers_yield_one_prebuilt_request_each():
     first, second = _prebuilt_requests(), _prebuilt_requests()
     assert all(a is b for a, b in zip(first, second))
-    assert next(Libc().close(3)) is _CLOSE_REQUESTS[3]
-    assert next(Libc().close(64)) == SyscallRequest(Syscall.CLOSE, (64,))
-    assert next(Libc().close(True)).args[0] is True
+    assert Libc().close(3) is _CLOSE_REQUESTS[3]
+    assert Libc().close(64) == SyscallRequest(Syscall.CLOSE, (64,))
+    assert Libc().close(True).args[0] is True
 
 
 @pytest.mark.parametrize("shared", SHARED_RESULTS + tuple(_prebuilt_requests()), ids=repr)

@@ -88,16 +88,16 @@ def mixed_name_rounds():
         libc = context.libc
 
         def program():
-            yield from libc.getpid()
+            yield libc.getpid()
             if context.index == 0:
-                yield from libc.getuid()
+                yield libc.getuid()
             else:
-                yield from libc.getpid()
-            yield from libc.seteuid(context.uid_codec.encode(33))
-            yield from libc.cc_lt(context.uid_codec.encode(33), context.uid_codec.encode(1000))
-            yield from libc.write(1, b"variant %d" % context.index)
-            yield from libc.time()
-            yield from libc.exit(0)
+                yield libc.getpid()
+            yield libc.seteuid(context.uid_codec.encode(33))
+            yield libc.cc_lt(context.uid_codec.encode(33), context.uid_codec.encode(1000))
+            yield libc.write(1, b"variant %d" % context.index)
+            yield libc.time()
+            yield libc.exit(0)
 
         return program()
 

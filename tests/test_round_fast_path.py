@@ -406,8 +406,8 @@ def test_a_shared_plan_sends_the_canonical_requests_to_the_kernel(monkeypatch):
     monkeypatch.setattr(SimulatedKernel, "execute", spy_execute)
 
     def program(context):
-        yield from context.libc.seteuid(context.uid_codec.constant(33))
-        yield from context.libc.exit(0)
+        yield context.libc.seteuid(context.uid_codec.constant(33))
+        yield context.libc.exit(0)
 
     session = NVariantSession(build_standard_host(), program, [UIDVariation()])
     result = session.run()
@@ -510,12 +510,18 @@ def test_every_libc_helper_is_covered():
     ids=[f"{helper}{len(args)}" for helper, args, _, _ in LIBC_CALLS],
 )
 def test_a_libc_helper_traps_with_the_public_request(helper, args, syscall, expected):
-    trap = getattr(Libc(), helper)(*args)
-    request = next(trap)
+    request = getattr(Libc(), helper)(*args)
     assert type(request) is SyscallRequest
     assert request == SyscallRequest(syscall, expected)
     assert type(request.args) is tuple
-    assert request == next(Libc.syscall(syscall, *expected))
+    assert request == Libc.syscall(syscall, *expected)
+
+    # A program traps with one ``yield`` and gets the reply as its value.
+    def program():
+        return (yield getattr(Libc(), helper)(*args))
+
+    trap = program()
+    assert next(trap) == request
     reply = SyscallResult.success(11)
     with pytest.raises(StopIteration) as stop:
         trap.send(reply)
@@ -526,9 +532,9 @@ def test_the_public_request_constructors_still_check_the_name():
     with pytest.raises(TypeError):
         SyscallRequest("read", (3, 10))
     with pytest.raises(TypeError):
-        next(Libc.syscall("read", 3, 10))
+        Libc.syscall("read", 3, 10)
     with pytest.raises(TypeError):
-        next(Libc().syscall(None))
+        Libc().syscall(None)
 
 
 def test_the_kernel_success_result_is_a_plain_ok_result():

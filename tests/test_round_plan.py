@@ -117,10 +117,14 @@ def _layered_chains(stack, hook, name, reverse):
     }
 
 
+def _exit_program(context):
+    yield context.libc.exit(0)
+
+
 def _idle_session(variations, num_variants, table):
     return NVariantSession(
         build_standard_host(),
-        lambda context: context.libc.exit(0),
+        _exit_program,
         variations,
         num_variants=num_variants,
         interposition=table,
@@ -237,9 +241,13 @@ def test_a_keyed_mask_of_zero_runs_no_hook_for_its_variant(num_variants):
 
 def _one_round(variations, requests, halt_on_alarm):
     """A session after one lockstep round in which variant *i* issues ``requests[i]``."""
+
+    def program(context):
+        yield Libc.syscall(requests[context.index].name, *requests[context.index].args)
+
     session = NVariantSession(
         build_standard_host(),
-        lambda context: Libc.syscall(requests[context.index].name, *requests[context.index].args),
+        program,
         variations,
         num_variants=len(requests),
         halt_on_alarm=halt_on_alarm,

@@ -74,11 +74,11 @@ def _uid_probe(log):
         def program():
             libc, codec = context.libc, context.uid_codec
             for _ in range(3):
-                yield from libc.seteuid(codec.constant(33))
-                euid = (yield from libc.geteuid()).value
+                yield libc.seteuid(codec.constant(33))
+                euid = (yield libc.geteuid()).value
                 log.append((context.index, euid))
-                yield from libc.seteuid(codec.constant(0))
-            yield from libc.exit(0)
+                yield libc.seteuid(codec.constant(0))
+            yield libc.exit(0)
 
         return program()
 
@@ -93,9 +93,9 @@ def _address_probe(log):
             space = context.address_space
             region = space.map_region(MemoryRegion("probe", 0x1000, 16))
             region.write(region.base, b"probe")
-            yield from context.libc.getpid()
+            yield context.libc.getpid()
             log.append((context.index, region.base, space.dereference(region.base, 5)))
-            yield from context.libc.exit(0)
+            yield context.libc.exit(0)
 
         return program()
 
