@@ -27,10 +27,10 @@ import dataclasses
 
 from repro.api.builders import build_session
 from repro.api.experiments import ExperimentReport, ReportKeyValues
+from repro.api.registry import registry
 from repro.api.spec import SystemSpec, UID_DIVERSITY_SPEC, VariationSpec
 from repro.apps.clients.webbench import WebBenchWorkload, drive_nvariant_many
 from repro.core.reexpression import sample_domain
-from repro.core.variations.uid import FullFlipUIDVariation, UIDVariation
 from repro.engine import run_sessions
 from repro.kernel.host import build_standard_host
 
@@ -224,8 +224,8 @@ def run_mask_ablation(requests: int = 4) -> MaskAblationResult:
     # Analytical blind-spot check: corrupt only the sign bit with the same
     # concrete change in both variants and ask whether the decoded values
     # differ (Section 2.3's detection rule).
-    paper_variation = UIDVariation()
-    full_variation = FullFlipUIDVariation()
+    paper_variation = registry.create("uid")
+    full_variation = registry.create("uid-full-flip")
 
     def detects_sign_bit_overwrite(variation) -> bool:
         for uid in sample_domain(bits=31, count=64):
@@ -286,7 +286,7 @@ def run_external_data_ablation() -> ExternalDataAblationResult:
     per-variant file, the attacker's single concrete value cannot be valid in
     both variants.
     """
-    variation = UIDVariation()
+    variation = registry.create("uid")
     injected_semantic_uid = 0  # the attacker wants root
 
     # In-process reexpression: each variant encodes the attacker's value.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.api.experiments import ExperimentReport, ReportKeyValues, ReportTable
+from repro.api.registry import registry
 from repro.core.properties import check_variation_reexpression
 from repro.core.reexpression import PropertyReport, sample_domain
 from repro.core.variations.table1 import TABLE1_VARIATIONS
@@ -74,7 +75,7 @@ class Table1Result:
 def run(sample_count: int = 2048) -> Table1Result:
     """Run the Table 1 reproduction."""
     rows = []
-    for variation in [cls() for cls in TABLE1_VARIATIONS]:
+    for variation in [registry.create(name) for name in TABLE1_VARIATIONS]:
         info = variation.table1_row()
         if variation.target_type == "uid":
             samples = sample_domain(bits=31, count=sample_count)

@@ -7,7 +7,8 @@ processes.  The registry is the resolver: it maps a stable public name (plus
 the variation's historical ``Variation.name`` as an alias) to a factory that
 builds a *fresh* instance per call -- sessions must never share variation
 instances, which is why builders always go through :meth:`VariationRegistry.create`
-instead of caching objects.
+instead of caching objects.  A row is data: the factory chooses the masks or
+the scheme of its family's one class, and the row names what it builds.
 
 The default :data:`registry` is pre-populated with every Table 1 variation;
 new diversity techniques register themselves once and immediately become
@@ -24,17 +25,12 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from repro.core.variations.address import (
     AddressPartitioning,
-    ExtendedAddressPartitioning,
-    KeyedAddressPartitioning,
-    OrbitAddressPartitioning,
+    address_extended,
+    address_keyed,
+    address_orbit,
 )
 from repro.core.variations.base import Variation
-from repro.core.variations.uid import (
-    FullFlipUIDVariation,
-    KeyedUIDVariation,
-    OrbitUIDVariation,
-    UIDVariation,
-)
+from repro.core.variations.uid import UIDVariation, uid_full_flip, uid_keyed, uid_orbit
 
 
 class VariationRegistryError(ValueError):
@@ -63,13 +59,16 @@ class VariationParameterError(VariationRegistryError):
 
 @dataclasses.dataclass(frozen=True)
 class RegisteredVariation:
-    """One registry entry: the public name, its factory and documentation."""
+    """One registry row: the public name, its factory, and what its builds are called."""
 
     name: str
     #: The factory, or its ``"module:attribute"`` path, imported on first use.
     factory: Union[Callable[..., Variation], str]
+    #: The historical ``Variation.name`` of every build; it resolves to this row too.
+    variation_name: str
+    #: Every build's literature reference; empty keeps the one its class declares.
+    reference: str = ""
     description: str = ""
-    aliases: tuple[str, ...] = ()
 
     @functools.cached_property
     def resolved_factory(self) -> Callable[..., Variation]:
@@ -116,23 +115,28 @@ class VariationRegistry:
         name: str,
         factory: Union[Callable[..., Variation], str],
         *,
+        variation_name: str,
+        reference: str = "",
         description: str = "",
-        aliases: tuple[str, ...] = (),
     ) -> RegisteredVariation:
-        """Register *factory* under *name* (and optional aliases).
+        """Register *factory* under *name*, its builds named *variation_name*.
 
         *factory* may be a ``"module:attribute"`` path, so that a variation
         whose module is costly to load is imported only when it is used.
+        *variation_name* resolves to the entry too.
 
         Re-registering a name replaces the entry, so tests can shadow a
         variation in a scratch registry without mutating class state.
         """
         entry = RegisteredVariation(
-            name=name, factory=factory, description=description, aliases=tuple(aliases)
+            name=name,
+            factory=factory,
+            variation_name=variation_name,
+            reference=reference,
+            description=description,
         )
         self._entries[name] = entry
-        for alias in entry.aliases:
-            self._aliases[alias] = name
+        self._aliases[variation_name] = name
         return entry
 
     # -- resolution ------------------------------------------------------------
@@ -161,6 +165,9 @@ class VariationRegistry:
             raise VariationParameterError(
                 entry.name, kwargs, f"factory returned {type(variation).__name__}, not a Variation"
             )
+        variation.name = entry.variation_name
+        if entry.reference:
+            variation.reference = entry.reference
         return variation
 
     def describe(self) -> list[dict[str, str]]:
@@ -174,7 +181,7 @@ class VariationRegistry:
         return [
             {
                 "name": entry.name,
-                "aliases": ", ".join(entry.aliases),
+                "aliases": entry.variation_name,
                 "parameters": ", ".join(p for p in entry.parameters() if p not in hidden),
                 "description": entry.description,
             }
@@ -191,87 +198,93 @@ class VariationRegistry:
         return len(self._entries)
 
 
-#: The default registry: every Table 1 variation, under short stable names
-#: with the historical ``Variation.name`` values as aliases.
+#: The default registry: every Table 1 variation and its layouts, under
+#: short stable names, with the historical ``Variation.name`` values as aliases.
 registry = VariationRegistry()
 
 registry.register(
     "uid",
     UIDVariation,
+    variation_name="uid-variation",
     description="UID data diversity: R_1 XORs uid_t values with a 31-bit mask (Section 3)",
-    aliases=("uid-variation",),
 )
 registry.register(
     "uid-orbit",
-    OrbitUIDVariation,
+    uid_orbit,
+    variation_name="uid-orbit-variation",
+    reference="N-way extension of Section 3 (this reproduction)",
     description=(
         "N-way UID orbit: variant i XORs uid_t with a distinct 31-bit mask, "
         "generalising the 2-variant re-expression to any variant count"
     ),
-    aliases=("uid-orbit-variation",),
 )
 registry.register(
     "uid-full-flip",
-    FullFlipUIDVariation,
+    uid_full_flip,
+    variation_name="uid-variation-full-flip",
+    reference="Section 3.2 ablation (rejected design)",
     description="Rejected Section 3.2 ablation: XOR 0xFFFFFFFF flips the sign bit too",
-    aliases=("uid-variation-full-flip",),
 )
 registry.register(
     "address",
     AddressPartitioning,
+    variation_name="address-partitioning",
     description=(
         "Disjoint scheme-carved address-space partitions (high-bit split at N=2, "
         "Cox et al. 2006; top-bits orbit beyond)"
     ),
-    aliases=("address-partitioning",),
 )
 registry.register(
     "address-orbit",
-    OrbitAddressPartitioning,
+    address_orbit,
+    variation_name="address-orbit-partitioning",
+    reference="N-way extension of Cox et al. [16] (this reproduction)",
     description=(
         "N-way address orbit: variant i owns the i-th top-bits slice of the "
         "address space, generalising the 2-variant partitioning to any variant count"
     ),
-    aliases=("address-orbit-partitioning",),
 )
 registry.register(
     "address-extended",
-    ExtendedAddressPartitioning,
+    address_extended,
+    variation_name="extended-address-partitioning",
+    reference="Bruschi et al., IWIA 2007 [9]",
     description="Partitioning plus a per-variant offset (Bruschi et al. 2007), N-ary",
-    aliases=("extended-address-partitioning",),
 )
 registry.register(
     "uid-keyed",
-    KeyedUIDVariation,
+    uid_keyed,
+    variation_name="uid-keyed-variation",
+    reference="keyed extension of Section 3 (this reproduction)",
     description=(
         "Keyed UID orbit: secret pairwise-distinct masks drawn from key_bits "
         "of entropy (optionally pinned by seed), rotated on session restart"
     ),
-    aliases=("uid-keyed-variation",),
 )
 registry.register(
     "address-keyed",
-    KeyedAddressPartitioning,
+    address_keyed,
+    variation_name="keyed-address-partitioning",
+    reference="keyed ASLR-style extension of Cox et al. [16] (this reproduction)",
     description=(
         "Keyed ASLR-style partitioning: secret slice assignments and slides "
         "drawn from key_bits of entropy (optionally pinned by seed)"
     ),
-    aliases=("keyed-address-partitioning",),
 )
 registry.register(
     "fd-orbit",
     "repro.core.variations.fdspace:FdOrbitVariation",
+    variation_name="fd-orbit-variation",
     description=(
         "File-descriptor orbit: variant i holds descriptors re-expressed into "
         "the i-th top-bits slice, decoded ahead of the kernel, so an injected "
         "concrete fd value diverges at first use"
     ),
-    aliases=("fd-orbit-variation",),
 )
 registry.register(
     "instruction-tagging",
     # Instruction tagging loads the instruction-set interpreter.
     "repro.core.variations.instruction:InstructionSetTagging",
+    variation_name="instruction-set-tagging",
     description="Per-variant instruction tags checked before execution",
-    aliases=("instruction-set-tagging",),
 )

@@ -178,15 +178,6 @@ def split_responses(raw: bytes) -> list[tuple[int, dict[str, str], bytes]]:
     return responses
 
 
-def parse_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
-    """Client-side helper: split a raw response into status, headers, body."""
-    head_end = raw.find(b"\r\n\r\n")
-    if head_end < 0:
-        head_end = len(raw)  # all header: the body slice below is empty
-    status, headers, _ = _parse_head(raw, 0, head_end)
-    return status, headers, raw[head_end + 4 :]
-
-
 def _parse_head(raw: bytes, start: int, end: int) -> tuple[int, dict[str, str], int | None]:
     """Parse the status line and headers in ``raw[start:end]``.
 

@@ -52,11 +52,6 @@ class AppInterpreter:
     process: Callable[[bytes, int], int]
 
 
-def faithful_app_interpreter() -> AppInterpreter:
-    """An application layer with no vulnerability: trusted data passes through."""
-    return AppInterpreter(name="app", process=lambda external, trusted: trusted)
-
-
 #: The external-input prefix that fires :func:`vulnerable_app_interpreter`'s bug.
 EXPLOIT_TRIGGER = b"EXPLOIT:"
 

@@ -1,23 +1,21 @@
-"""The four variations of Table 1 plus the ablation variants.
+"""The variation classes, one per diversity family.
 
 * :class:`~repro.core.variations.address.AddressPartitioning` -- disjoint
-  high-bit address spaces (Cox et al. 2006).
-* :class:`~repro.core.variations.address.ExtendedAddressPartitioning` --
-  partitioning plus an extra offset (Bruschi et al. 2007).
+  address spaces carved by a region scheme: the high-bit split (Cox et al.
+  2006), the N-ary top-bits orbit, the offset-extended layout (Bruschi et
+  al. 2007) and keyed layouts.
 * :class:`~repro.core.variations.instruction.InstructionSetTagging` --
   per-variant instruction tags (Cox et al. 2006).
 * :class:`~repro.core.variations.uid.UIDVariation` -- the paper's UID data
-  diversity (identity vs XOR 0x7FFFFFFF).
-* :class:`~repro.core.variations.uid.FullFlipUIDVariation` -- the rejected
-  XOR 0xFFFFFFFF design, kept for the Section 3.2 ablation.
-* :class:`~repro.core.variations.address.OrbitAddressPartitioning` /
-  :class:`~repro.core.variations.uid.OrbitUIDVariation` -- the N-ary
-  generalisations of both families, sharing the
-  :class:`~repro.memory.partition.PartitionScheme` protocol.
-* :class:`~repro.core.variations.address.KeyedAddressPartitioning` /
-  :class:`~repro.core.variations.uid.KeyedUIDVariation` -- the keyed
-  variants: secret layouts/masks drawn from ``key_bits`` of entropy,
-  rotated on session restart (see :mod:`repro.security`).
+  diversity (identity vs XOR 0x7FFFFFFF), and N-ary, keyed and full-flip
+  (the rejected Section 3.2 design) masks.
+* :class:`~repro.core.variations.fdspace.FdOrbitVariation` -- the same
+  orbit over file-descriptor values.
+
+A family's layouts differ only in their masks or scheme: each is a row of
+the variation registry (:mod:`repro.api.registry`), whose factory chooses
+them and which names the result.  :data:`TABLE1_VARIATIONS` lists Table 1's
+rows by registry name.
 """
 
 from repro import _lazy_exports
@@ -25,20 +23,11 @@ from repro import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
-        "repro.core.variations.address": (
-            "AddressPartitioning",
-            "ExtendedAddressPartitioning",
-            "OrbitAddressPartitioning",
-        ),
+        "repro.core.variations.address": ("AddressPartitioning",),
         "repro.core.variations.base": ("VariationStack",),
         "repro.core.variations.fdspace": ("FdOrbitVariation",),
         "repro.core.variations.instruction": ("InstructionSetTagging",),
         "repro.core.variations.table1": ("TABLE1_VARIATIONS",),
-        "repro.core.variations.uid": (
-            "FullFlipUIDVariation",
-            "KeyedUIDVariation",
-            "OrbitUIDVariation",
-            "UIDVariation",
-        ),
+        "repro.core.variations.uid": ("UIDVariation",),
     },
 )

@@ -7,16 +7,24 @@ a complete absolute address can match at most one variant's partition; every
 other variant faults when it dereferences the injected pointer and the
 monitor reports the attack.
 
-Nothing in that argument is specific to N=2, and the variations here are
-thin wrappers over a :class:`~repro.memory.partition.RegionScheme`: its
-layout decides how the 32-bit space is carved (high bit, top
-``ceil(log2 N)`` bits, Bruschi's offset-extended slices, keyed slices), and
-the :class:`~repro.core.variations.base.VariationStack` builds each
-variant's address space from it.  Bruschi et al.'s *extended*
-partitioning adds a further per-variant offset so that even the low-order
-bytes of equivalent addresses differ across variants, restoring
-(probabilistic) protection against partial pointer overwrites that leave the
-high byte intact.  The detection matrix benchmark exercises the difference.
+Nothing in that argument is specific to N=2.  One class,
+:class:`AddressPartitioning`, wraps a
+:class:`~repro.memory.partition.RegionScheme`: its layout decides how the
+32-bit space is carved, and the
+:class:`~repro.core.variations.base.VariationStack` builds each variant's
+address space from it.  Each factory here only chooses the layout, and the
+registry row names the result:
+
+* ``AddressPartitioning(num_variants)`` -- the high bit at N=2 (Cox et al.),
+  the top ``ceil(log2 N)`` bits beyond (``address``);
+* :func:`address_orbit` -- the top-bits orbit at any N;
+* :func:`address_extended` -- Bruschi et al.'s *extended* partitioning,
+  which adds a further per-variant offset so that even the low-order bytes
+  of equivalent addresses differ across variants, restoring (probabilistic)
+  protection against partial pointer overwrites that leave the high byte
+  intact.  The detection matrix benchmark exercises the difference;
+* :func:`address_keyed` -- a secret slice assignment (and slide), redrawn
+  by :meth:`~repro.core.variations.base.Variation.rekey`.
 """
 
 from __future__ import annotations
@@ -73,70 +81,48 @@ class AddressPartitioning(Variation):
         return self.scheme.reexpression(index, domain="address")
 
 
-class OrbitAddressPartitioning(AddressPartitioning):
-    """The N-ary orbit: top-``ceil(log2 N)``-bits partitions for any N >= 2.
+def address_orbit(num_variants: int = 3) -> AddressPartitioning:
+    """Variant *i* owns the *i*-th top-``ceil(log2 N)``-bits slice, for any N >= 2.
 
-    The address-side sibling of the UID orbit: variant *i* owns the *i*-th
-    top-bits slice of the address space, so any injected absolute pointer is
-    valid in at most one of the N variants and every sibling's fault is the
-    detection event.  The campaign layer sweeps variant count through it.
+    The address-side sibling of the UID orbit: any injected absolute pointer
+    is valid in at most one of the N variants, and every sibling's fault is
+    the detection event.  The campaign layer sweeps variant count through it.
     """
-
-    name = "address-orbit-partitioning"
-    reference = "N-way extension of Cox et al. [16] (this reproduction)"
-
-    def __init__(self, num_variants: int = 3):
-        super().__init__(num_variants, scheme=orbit_scheme(num_variants))
+    return AddressPartitioning(num_variants, scheme=orbit_scheme(num_variants))
 
 
-class ExtendedAddressPartitioning(AddressPartitioning):
+def address_extended(offset: int = 0x00010000, num_variants: int = 2) -> AddressPartitioning:
     """Partitioning plus a per-variant offset (Bruschi et al. [9]), N-ary.
 
     The extra offset makes even the low bytes of corresponding addresses
     differ between variants, so a partial (e.g. 3-low-byte) pointer overwrite
     is also detected with high probability.
     """
-
-    name = "extended-address-partitioning"
-    reference = "Bruschi et al., IWIA 2007 [9]"
-
-    def __init__(self, offset: int = 0x00010000, num_variants: int = 2):
-        super().__init__(
-            num_variants, scheme=extended_orbit_scheme(num_variants, offset=offset)
-        )
-        self.offset = offset
+    return AddressPartitioning(
+        num_variants, scheme=extended_orbit_scheme(num_variants, offset=offset)
+    )
 
 
-class KeyedAddressPartitioning(AddressPartitioning):
-    """Address partitioning with a *secret*, rotatable layout (keyed ASLR).
+def address_keyed(
+    num_variants: int = 2,
+    *,
+    key_bits: int = 8,
+    seed: Optional[int] = None,
+    slide: bool = True,
+) -> AddressPartitioning:
+    """A *secret*, rotatable layout (keyed ASLR).
 
     Each variant's slice assignment and, with *slide*, intra-slice slide
     come from a :class:`~repro.memory.partition.KeyedRegionScheme` keyed by
-    ``key_bits`` of entropy (optionally pinned by *seed*).  Against the
-    public address layouts an attacker can aim an injected pointer into a
-    known partition; here every probe is a guess in a ``2**key_bits`` space, and a guess that
-    lands in *some* variant's partition -- but not everyone's -- diverges and
-    alarms, which is the probes-to-first-alarm game the `entropy` experiment
-    measures.  Keys rotate on session restart, through :meth:`rekey`;
-    address re-expressions and address spaces are derived from the scheme on
-    demand, so the scheme's own rotation is the whole job.
+    ``key_bits`` of entropy (pinned by *seed*).  Against the public layouts
+    an attacker can aim an injected pointer into a known partition; here
+    every probe is a guess in a ``2**key_bits`` space, and a guess that
+    lands in *some* variant's partition -- but not everyone's -- diverges
+    and alarms, which is the probes-to-first-alarm game the ``entropy``
+    experiment measures.  Keys rotate on session restart, through
+    :meth:`~repro.core.variations.base.Variation.rekey`; re-expressions and
+    address spaces are derived from the scheme on demand, so the scheme's
+    own rotation is the whole job.
     """
-
-    name = "keyed-address-partitioning"
-    reference = "keyed ASLR-style extension of Cox et al. [16] (this reproduction)"
-
-    def __init__(
-        self,
-        num_variants: int = 2,
-        *,
-        key_bits: int = 8,
-        seed: "int | None" = None,
-        slide: bool = True,
-    ):
-        super().__init__(
-            num_variants,
-            scheme=KeyedRegionScheme(num_variants, key_bits=key_bits, seed=seed, slide=slide),
-        )
-        self.key_bits = key_bits
-        self.seed = seed
-        self.slide = slide
+    scheme = KeyedRegionScheme(num_variants, key_bits=key_bits, seed=seed, slide=slide)
+    return AddressPartitioning(num_variants, scheme=scheme)

@@ -1,16 +1,3 @@
-"""The variations exactly as listed in Table 1, in row order.
+"""The variations of Table 1, in row order, by registry name."""
 
-Kept apart from the package so that importing a variation does not load
-instruction tagging, and with it the instruction-set interpreter.
-"""
-
-from repro.core.variations.address import AddressPartitioning, ExtendedAddressPartitioning
-from repro.core.variations.instruction import InstructionSetTagging
-from repro.core.variations.uid import UIDVariation
-
-TABLE1_VARIATIONS = (
-    AddressPartitioning,
-    ExtendedAddressPartitioning,
-    InstructionSetTagging,
-    UIDVariation,
-)
+TABLE1_VARIATIONS = ("address", "address-extended", "instruction-tagging", "uid")

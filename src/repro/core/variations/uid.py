@@ -1,13 +1,15 @@
 """The UID data variation (Section 3 of the paper).
 
-Variant 0 keeps the ordinary UID representation (``R_0`` is the identity);
-variant 1 stores every UID XORed with ``0x7FFFFFFF``, so root is represented
-as ``0x7FFFFFFF`` instead of 0.  The two inverse functions are disjoint
-(flipping 31 bits always changes the value), so any attacker-injected
-concrete UID decodes to two different users and the monitor raises an alarm
-at the first use.
+Variant *i* stores every UID XORed with its mask ``masks[i]``.  In the
+paper's two variants, variant 0 keeps the ordinary representation (mask 0,
+``R_0`` is the identity) and variant 1 uses ``0x7FFFFFFF``, so root is
+represented as ``0x7FFFFFFF`` instead of 0.  The two inverse functions are
+disjoint (flipping 31 bits always changes the value), so any
+attacker-injected concrete UID decodes to two different users and the
+monitor raises an alarm at the first use.
 
-The variation supplies every hook the framework needs:
+The variation supplies every hook the framework needs, each one XOR with
+the variant's mask:
 
 * inverse reexpression of uid_t arguments ahead of the kernel (``setuid`` and
   friends, plus the cc_* detection comparisons so that ordering comparisons
@@ -18,13 +20,24 @@ The variation supplies every hook the framework needs:
 * per-variant unshared copies of ``/etc/passwd`` and ``/etc/group``
   (Section 3.4), generated by applying ``R_i`` to the numeric columns.
 
-``FullFlipUIDVariation`` (XOR ``0xFFFFFFFF``) is included for the ablation
-discussed in Section 3.2: it flips the sign bit, which the kernel rejects, so
-the benchmark can demonstrate exactly why the paper settled for the 31-bit
-mask and what blind spot that choice leaves (a high-bit-only overwrite).
+One class serves every registered layout; each factory here only chooses
+the masks, and the registry row names the result:
+
+* ``UIDVariation(mask)`` -- the paper's two variants (``uid``);
+* :func:`uid_full_flip` -- XOR ``0xFFFFFFFF``, the ablation discussed in
+  Section 3.2: it flips the sign bit, which the kernel rejects, so the
+  benchmark can show why the paper settled for the 31-bit mask and what
+  blind spot that choice leaves (a high-bit-only overwrite);
+* :func:`uid_orbit` -- N variants, each with its own mask from an
+  :class:`~repro.memory.partition.XorMaskScheme`;
+* :func:`uid_keyed` -- N secret masks drawn from a
+  :class:`~repro.memory.partition.KeyedXorMaskScheme`, redrawn by
+  :meth:`UIDVariation.rekey`.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Sequence
 
 from repro.core.reexpression import (
     ReexpressionFunction,
@@ -74,7 +87,11 @@ _FIRST_TWO = (0, 1)
 
 
 class UIDVariation(Variation):
-    """Diversifies uid_t/gid_t representations across two variants."""
+    """Diversifies uid_t/gid_t representations: variant *i* XORs them with ``masks[i]``.
+
+    ``UIDVariation(mask)`` is the paper's two variants, masks ``(0, mask)``;
+    :meth:`from_scheme` takes N masks from a scheme.
+    """
 
     name = "uid-variation"
     target_type = "uid"
@@ -97,25 +114,26 @@ class UIDVariation(Variation):
             # R_1 would be the identity: root is 0 in both variants, so the
             # variants are not disjoint (Section 2.3) and nothing is detected.
             raise ValueError("mask must be nonzero: mask 0 encodes root as 0 in both variants")
+        if not 0 < mask <= UID_MASK_32:
+            raise ValueError(f"mask must lie in 1..0xFFFFFFFF, a 32-bit uid_t; got {mask}")
         #: Every variant's XOR mask: variant 0 keeps the identity.
         self.masks = (0, mask)
         self.num_variants = num_variants
-        self._install_functions([identity_reexpression("uid"), xor_reexpression(mask, "uid")])
 
-    def _install_functions(self, functions: "list[ReexpressionFunction]") -> None:
-        """Adopt *functions* as ``R_0 .. R_{N-1}``.
-
-        The per-variant forward and inverse callables are unpacked once, so
-        the hooks index a list instead of going through :meth:`reexpression`.
-        New masks must go through this method so no hook keeps the old key,
-        and no round plan skips a variant whose mask is no longer 0.
-        """
-        self._functions = functions
-        self._forward = [function.forward for function in functions]
-        self._inverse = [function.inverse for function in functions]
-        self._identity_variants = frozenset(
-            index for index, mask in enumerate(self.masks) if mask == 0
-        )
+    @classmethod
+    def from_scheme(cls, scheme: XorMaskScheme, num_variants: int) -> "UIDVariation":
+        """*num_variants* variants with *scheme*'s masks, kept in step by :meth:`rekey`."""
+        if scheme.num_partitions != num_variants:
+            raise ValueError(
+                f"scheme {scheme.kind!r} holds {scheme.num_partitions} masks, "
+                f"variation wants {num_variants}"
+            )
+        # The paper's pair, then the scheme's masks in place of its two.
+        variation = cls()
+        variation.scheme = scheme
+        variation.masks = scheme.masks
+        variation.num_variants = num_variants
+        return variation
 
     @property
     def mask(self) -> int:
@@ -125,31 +143,43 @@ class UIDVariation(Variation):
     # -- reexpression ------------------------------------------------------------
 
     def reexpression(self, index: int) -> ReexpressionFunction:
-        """``R_0`` = identity, ``R_1`` = XOR with the mask."""
+        """``R_index``: the identity for mask 0, XOR with the mask otherwise."""
         self._check_index(index)
-        return self._functions[index]
+        mask = self.masks[index]
+        if mask == 0:
+            return identity_reexpression("uid")
+        return xor_reexpression(mask, "uid")
 
     def encode(self, index: int, uid: int) -> int:
         """Variant *index*'s concrete representation of semantic *uid*."""
         if not 0 <= index < self.num_variants:
             raise self._index_error(index)
-        return self._forward[index](uid)
+        return uid ^ self.masks[index]
 
     def decode(self, index: int, value: int) -> int:
         """Semantic UID corresponding to variant *index*'s concrete *value*."""
         if not 0 <= index < self.num_variants:
             raise self._index_error(index)
-        return self._inverse[index](value)
+        return value ^ self.masks[index]
+
+    # -- keys --------------------------------------------------------------------
+
+    def rekey(self, secret: Optional[Sequence[int]] = None) -> bool:
+        """Rekey the scheme, then take its masks, so every hook uses the new key."""
+        keyed = super().rekey(secret)
+        if keyed:
+            self.masks = self.scheme.masks
+        return keyed
 
     # -- system-call hooks ----------------------------------------------------------
 
     def identity_variants(self) -> frozenset[int]:
-        """The variants whose mask is 0 (variant 0 of every public scheme).
+        """The variants whose mask is 0 (variant 0 of every public layout).
 
         XOR with 0 decodes and encodes every value to itself, so each hook
         returns a request or result equal to the one it was given.
         """
-        return self._identity_variants
+        return frozenset([index for index, mask in enumerate(self.masks) if mask == 0])
 
     def transform_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
         """Apply ``R_index^-1`` to uid_t arguments ahead of the kernel.
@@ -173,7 +203,7 @@ class UIDVariation(Variation):
         if not 0 <= index < self.num_variants:
             raise self._index_error(index)
         if request.name in UID_RESULT_SYSCALLS and result.errno is _ERRNO_OK:
-            return _trusted_success(self._forward[index](result.value))
+            return _trusted_success(result.value ^ self.masks[index])
         return result
 
     def canonicalize_request(self, index: int, request: SyscallRequest) -> SyscallRequest:
@@ -195,7 +225,7 @@ class UIDVariation(Variation):
             value = args[0]
             if not isinstance(value, int) or isinstance(value, bool) or value in _SENTINELS:
                 return request
-            decoded_args = (self._inverse[index](value),)
+            decoded_args = (value ^ self.masks[index],)
         elif (
             arity == 2
             and positions == _FIRST_TWO
@@ -205,8 +235,8 @@ class UIDVariation(Variation):
             and args[1] not in _SENTINELS
         ):
             # The cc_* comparisons' two plain uid_t values, likewise.
-            inverse = self._inverse[index]
-            decoded_args = (inverse(args[0]), inverse(args[1]))
+            mask = self.masks[index]
+            decoded_args = (args[0] ^ mask, args[1] ^ mask)
         else:
             decoded_args = self._decode_positions(index, args, positions)
         # An identity decode (variant 0) keeps the request it was given.
@@ -228,7 +258,7 @@ class UIDVariation(Variation):
         self, index: int, args: tuple, positions: tuple[int, ...]
     ) -> tuple:
         """*args* with the uid_t values at *positions* decoded (*index* is valid)."""
-        inverse = self._inverse[index]
+        mask = self.masks[index]
         new_args = list(args)
         for position in positions:
             if position >= len(new_args):
@@ -246,104 +276,51 @@ class UIDVariation(Variation):
             # ablation benchmark).
             if value in _SENTINELS:
                 continue
-            new_args[position] = inverse(value)
+            new_args[position] = value ^ mask
         return tuple(new_args)
 
 
-class FullFlipUIDVariation(UIDVariation):
-    """Ablation variation: XOR with ``0xFFFFFFFF`` (flips the sign bit too).
+def uid_full_flip() -> UIDVariation:
+    """The rejected Section 3.2 design: variant 1 XORs with ``0xFFFFFFFF``.
 
-    Section 3.2 explains why the paper rejected this function: the kernel
-    treats negative UID values specially, so variant 1's representation of an
-    ordinary UID is a value the kernel refuses.  Running this variation shows
-    the failure concretely; it also closes the high-bit-overwrite blind spot
-    of the 31-bit mask in the analytical detection model, which is what makes
-    the trade-off interesting to benchmark.
+    The kernel treats negative UID values specially, so variant 1's
+    representation of an ordinary UID is a value the kernel refuses.
+    Running this layout shows the failure concretely; it also closes the
+    high-bit-overwrite blind spot of the 31-bit mask in the analytical
+    detection model, which is what makes the trade-off worth benchmarking.
     """
-
-    name = "uid-variation-full-flip"
-    reference = "Section 3.2 ablation (rejected design)"
-
-    def __init__(self) -> None:
-        super().__init__(mask=UID_MASK_32)
+    return UIDVariation(UID_MASK_32)
 
 
-class OrbitUIDVariation(UIDVariation):
-    """N-way generalisation of the UID variation (``R_i`` = XOR ``mask_i``).
+def uid_orbit(num_variants: int = 3, *, scheme: Optional[XorMaskScheme] = None) -> UIDVariation:
+    """N variants, each with its own 31-bit XOR mask.
 
     The paper deploys two variants; nothing in its detection argument is
-    specific to N=2.  This variation gives each of N variants its own 31-bit
-    XOR mask (variant 0 keeps the identity, variant 1 keeps the paper's
-    ``0x7FFFFFFF``), so any concrete injected UID decodes to N pairwise
-    different semantic values and the first use diverges in every sibling
-    pair.  The campaign layer uses it to sweep variant count as an axis of
-    the attacks x configurations cross product.
-
-    Since PR 5 the mask derivation runs through the same
-    :class:`~repro.memory.partition.PartitionScheme` protocol the address
-    variations use: the standard orbit is
-    :meth:`XorMaskScheme.for_uids(num_variants) <repro.memory.partition.\
-XorMaskScheme.for_uids>` (whose masks come from
-    :func:`~repro.memory.partition.default_uid_masks`), and any other
-    :class:`~repro.memory.partition.XorMaskScheme` may be injected -- both
-    diversity families now share one re-expression abstraction.
+    specific to N=2.  The standard orbit is :meth:`XorMaskScheme.for_uids
+    <repro.memory.partition.XorMaskScheme.for_uids>` (variant 0 keeps the
+    identity, variant 1 the paper's ``0x7FFFFFFF``), so any concrete
+    injected UID decodes to N pairwise different semantic values and the
+    first use diverges in every sibling pair; any other *scheme* may be
+    injected.  The campaign layer sweeps variant count through it.
     """
-
-    name = "uid-orbit-variation"
-    reference = "N-way extension of Section 3 (this reproduction)"
-
-    def __init__(self, num_variants: int = 3, *, scheme: "XorMaskScheme | None" = None):
-        if scheme is None:
-            scheme = XorMaskScheme.for_uids(num_variants)
-        if scheme.num_partitions != num_variants:
-            raise ValueError(
-                f"scheme {scheme.kind!r} holds {scheme.num_partitions} masks, "
-                f"variation wants {num_variants}"
-            )
-        self.scheme = scheme
-        self.num_variants = num_variants
-        self._install_functions(scheme.reexpressions(domain="uid"))
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """Every variant's XOR mask, read from the scheme."""
-        return self.scheme.masks
-
-    def rekey(self, secret: "Sequence[int] | None" = None) -> bool:
-        """Rekey the scheme, then rebuild the cached per-variant functions."""
-        keyed = super().rekey(secret)
-        self._install_functions(self.scheme.reexpressions(domain="uid"))
-        return keyed
+    if scheme is None:
+        scheme = XorMaskScheme.for_uids(num_variants)
+    return UIDVariation.from_scheme(scheme, num_variants)
 
 
-class KeyedUIDVariation(OrbitUIDVariation):
-    """UID orbit with *secret* masks drawn from a keyed scheme.
+def uid_keyed(
+    num_variants: int = 2, *, key_bits: int = 16, seed: Optional[int] = None
+) -> UIDVariation:
+    """N *secret* masks drawn from ``key_bits`` of entropy (pinned by *seed*).
 
-    Every public UID scheme lets a source-reading attacker compute each
-    variant's concrete representation of root.  Here the masks come from a
-    :class:`~repro.memory.partition.KeyedXorMaskScheme` keyed by ``key_bits``
-    of entropy (optionally pinned by *seed*), so crafting a concrete value
-    that decodes to a chosen UID in even one variant requires guessing that
-    variant's mask.  The pairwise-distinct guarantee is unchanged: any
-    injected concrete value still decodes differently in at least two
-    variants, so detection stays deterministic -- the key only removes the
-    attacker's ability to *choose* what any variant decodes.  Keys rotate on
-    session restart, through :meth:`~OrbitUIDVariation.rekey`.
+    Every public layout lets a source-reading attacker compute each
+    variant's concrete representation of root; here crafting a value that
+    decodes to a chosen UID in even one variant requires guessing that
+    variant's mask.  The masks stay pairwise distinct, so any injected
+    concrete value still decodes differently in at least two variants and
+    detection stays deterministic -- the key only removes the attacker's
+    ability to *choose* what any variant decodes.  Keys rotate on session
+    restart, through :meth:`UIDVariation.rekey`.
     """
-
-    name = "uid-keyed-variation"
-    reference = "keyed extension of Section 3 (this reproduction)"
-
-    def __init__(
-        self,
-        num_variants: int = 2,
-        *,
-        key_bits: int = 16,
-        seed: "int | None" = None,
-    ):
-        super().__init__(
-            num_variants,
-            scheme=KeyedXorMaskScheme(num_variants, key_bits=key_bits, seed=seed),
-        )
-        self.key_bits = key_bits
-        self.seed = seed
+    scheme = KeyedXorMaskScheme(num_variants, key_bits=key_bits, seed=seed)
+    return UIDVariation.from_scheme(scheme, num_variants)

@@ -329,11 +329,9 @@ class NVariantSession:
 
         for variation in self.variations.variations:
             if isinstance(variation, UIDVariation):
-                # Bound to this run's key: only ``restart`` rotates, and it rebuilds the codecs.
-                return [
-                    UIDCodec(encode=function.forward, decode=function.inverse)
-                    for function in variation.reexpressions()
-                ]
+                # XOR with this run's masks: only ``restart`` rotates, and it
+                # rebuilds the codecs.
+                return [UIDCodec(mask.__xor__, mask.__xor__) for mask in variation.masks]
         return [UIDCodec.identity()] * self.num_variants
 
     @property

@@ -99,13 +99,3 @@ def assemble(program: list[tuple]) -> list[Instruction]:
 def encode_stream(instructions: list[Instruction]) -> bytes:
     """Encode a list of instructions into a flat byte stream (no tags)."""
     return b"".join(instruction.encode() for instruction in instructions)
-
-
-def decode_stream(raw: bytes) -> list[Instruction]:
-    """Decode a flat (untagged) byte stream back into instructions."""
-    if len(raw) % INSTRUCTION_SIZE:
-        raise ValueError("stream length is not a multiple of the instruction size")
-    return [
-        Instruction.decode(raw[offset : offset + INSTRUCTION_SIZE])
-        for offset in range(0, len(raw), INSTRUCTION_SIZE)
-    ]

@@ -213,10 +213,3 @@ class Credentials:
 def root_credentials() -> Credentials:
     """Fresh credentials for a process started by init as root."""
     return Credentials()
-
-
-def user_credentials(uid: int, gid: int, groups: Iterable[int] = ()) -> Credentials:
-    """Credentials for an unprivileged user process."""
-    return Credentials(
-        ruid=uid, euid=uid, suid=uid, rgid=gid, egid=gid, sgid=gid, groups=tuple(groups)
-    )

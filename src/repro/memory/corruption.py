@@ -16,7 +16,7 @@ variation defends against:
   regains probabilistic protection.
 
 These helpers express those corruption classes as operations on a
-:class:`~repro.memory.memory_model.MemoryVariable` or raw region address, so
+:class:`~repro.memory.memory_model.MemoryVariable`, so
 attack code and property-based tests share one vocabulary.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Sequence
 
-from repro.memory.memory_model import MemoryRegion, MemoryVariable, WORD_MASK, WORD_SIZE
+from repro.memory.memory_model import MemoryVariable, WORD_MASK, WORD_SIZE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,32 +101,6 @@ def apply_corruption(variable: MemoryVariable, spec: CorruptionSpec) -> int:
     if spec.kind == "partial-bytes":
         return overwrite_low_bytes(variable, spec.payload, spec.byte_count)
     return flip_bit(variable, spec.payload)
-
-
-def overflow_buffer(
-    region: MemoryRegion,
-    buffer: MemoryVariable,
-    data: bytes,
-) -> int:
-    """Simulate an unchecked copy into *buffer* that may overflow.
-
-    Writes *data* starting at the buffer's address with no per-buffer bounds
-    check, so bytes beyond ``buffer.size`` spill into whatever the program
-    laid out after it.  Returns the number of bytes written.
-    """
-    if buffer.region is not region:
-        raise ValueError("buffer does not belong to the given region")
-    return region.unchecked_copy(buffer.address, data)
-
-
-def overflow_payload(buffer_size: int, overwrite_value: int) -> bytes:
-    """Build a classic overflow payload.
-
-    The payload fills the vulnerable buffer with ``A`` bytes and then
-    appends the little-endian encoding of *overwrite_value*, so an unchecked
-    copy places that word exactly over the variable adjacent to the buffer.
-    """
-    return b"A" * buffer_size + (overwrite_value & WORD_MASK).to_bytes(WORD_SIZE, "little")
 
 
 def corruption_outcomes(

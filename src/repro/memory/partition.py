@@ -38,9 +38,10 @@ The public layouts are constructors that pick the slices and offsets:
 :class:`XorMaskScheme` is the UID family: per-variant XOR masks (pairwise
 distinct, sign bit clear).  It carves no regions -- every concrete value is
 representable in every variant -- but satisfies the same round-trip and
-disjoint-inverse invariants, which is what lets
-:class:`~repro.core.variations.uid.OrbitUIDVariation` and the address
-variations share one API.
+disjoint-inverse invariants, which is what lets the N-ary and keyed
+:class:`~repro.core.variations.uid.UIDVariation` layouts
+(:meth:`~repro.core.variations.uid.UIDVariation.from_scheme`) and the
+address variations share one API.
 
 Every public layout is known to an attacker who reads the source, so
 detection is a boolean property of the scheme.  The keyed schemes turn it

@@ -132,6 +132,15 @@ class TestRegistry:
                 registry.create("uid", {"mask": mask})
         assert registry.create("uid-full-flip").mask == 0xFFFFFFFF
 
+    @pytest.mark.parametrize("mask", [-1, 1 << 32])
+    def test_uid_refuses_a_mask_no_uid_t_holds(self, mask):
+        # Such a mask once built: a benign transformed httpd under it served
+        # no request and raised a false UID divergence alarm.
+        with pytest.raises(VariationParameterError, match=rf"0xFFFFFFFF.*got {mask}$"):
+            registry.create("uid", {"mask": mask})
+        # The sign-bit mask is in range: the full-flip ablation uses it.
+        assert registry.create("uid", {"mask": 0xFFFFFFFF}).masks == (0, 0xFFFFFFFF)
+
     def test_aliases_resolve_to_the_same_entry(self):
         assert type(registry.create("address")) is type(registry.create("address-partitioning"))
 
@@ -351,6 +360,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "unknown interposition table" in err
         assert "classic" in err and "wide" in err
+
+    def test_out_of_range_uid_mask_is_a_clean_error(self, tmp_path, capsys):
+        path = self._write_scenario(
+            tmp_path,
+            {
+                "scenario": "campaign",
+                "systems": [{"name": "x", "variations": [{"name": "uid", "params": {"mask": -1}}]}],
+                "attacks": ["full-word-root-overwrite"],
+            },
+        )
+        assert cli_main(["run", str(path)]) == 2
+        assert "got -1" in capsys.readouterr().err
 
     def test_unknown_attack_name_is_a_clean_error(self, tmp_path, capsys):
         path = self._write_scenario(

@@ -18,11 +18,11 @@ from repro.apps.ftpd.config import FtpConfig, parse_ftp_config
 from repro.apps.httpd.config import ServerConfig, parse_config
 from repro.apps.httpd.http import (
     HttpParseError,
+    _parse_head,
     error_response,
     file_response,
     format_request,
     parse_request,
-    parse_response,
     split_responses,
 )
 from repro.apps.httpd.server import MiniHttpd
@@ -36,6 +36,15 @@ from repro.apps.httpd.vulnerable import (
 from repro.kernel.host import DEFAULT_HTTPD_CONF, HTTP_PORT, build_standard_host
 from repro.memory.address_space import AddressSpace
 from repro.memory.partition import high_bit_scheme
+
+
+def parse_response(raw):
+    """A client's view of one raw response: status, headers, and the rest as body."""
+    head_end = raw.find(b"\r\n\r\n")
+    if head_end < 0:
+        head_end = len(raw)  # all header: the body slice below is empty
+    status, headers, _ = _parse_head(raw, 0, head_end)
+    return status, headers, raw[head_end + 4 :]
 
 
 #: Each app's directive parser and config class: both parse through

@@ -373,9 +373,9 @@ class TestOrbitVariation:
             default_uid_masks(1)
 
     def test_injected_value_decodes_pairwise_differently(self):
-        from repro.core.variations.uid import OrbitUIDVariation
+        from repro.api.registry import registry
 
-        variation = OrbitUIDVariation(num_variants=4)
+        variation = registry.create("uid-orbit", {"num_variants": 4})
         injected = 0  # the attacker wants root
         decoded = [variation.decode(i, injected) for i in range(4)]
         assert len(set(decoded)) == 4

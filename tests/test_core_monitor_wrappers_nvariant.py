@@ -6,9 +6,9 @@ from repro.core.alarm import AlarmType
 from repro.core.monitor import Monitor
 from repro.core.nvariant import UIDCodec, nvexec
 from repro.core.pipeline import (
+    AppInterpreter,
     DataDiversityPipeline,
     TargetInterpreter,
-    faithful_app_interpreter,
     vulnerable_app_interpreter,
 )
 from repro.core.variations.address import AddressPartitioning
@@ -19,6 +19,11 @@ from repro.kernel.errors import SegmentationFault
 from repro.kernel.filesystem import O_RDONLY
 from repro.kernel.host import build_standard_host
 from repro.kernel.syscalls import Syscall, request
+
+
+def faithful_app_interpreter():
+    """An application layer with no vulnerability: trusted data passes through."""
+    return AppInterpreter(name="app", process=lambda external, trusted: trusted)
 
 
 class TestMonitor:

@@ -12,10 +12,9 @@ from repro.core.reexpression import (
     sample_domain,
     xor_reexpression,
 )
+from repro.api.registry import registry
 from repro.core.variations import (
     AddressPartitioning,
-    ExtendedAddressPartitioning,
-    FullFlipUIDVariation,
     InstructionSetTagging,
     UIDVariation,
     VariationStack,
@@ -163,7 +162,7 @@ class TestUIDVariation:
         assert "7FFFFFFF" in row["reexpression"]
 
     def test_full_flip_variant_root_is_the_kernel_sentinel(self):
-        variation = FullFlipUIDVariation()
+        variation = registry.create("uid-full-flip")
         assert variation.encode(1, 0) == 0xFFFFFFFF
 
 
@@ -179,16 +178,16 @@ class TestAddressVariations:
         assert r1(0x1000) == 0x80001000
 
     def test_extended_partitioning_adds_offset(self):
-        variation = ExtendedAddressPartitioning(offset=0x10000)
+        variation = registry.create("address-extended", {"offset": 0x10000})
         assert variation.reexpression(1)(0x1000) == 0x80011000
         assert VariationStack([variation]).make_address_space(1).partition_base() == 0x80010000
 
     def test_extended_offset_validation(self):
         with pytest.raises(ValueError):
-            ExtendedAddressPartitioning(offset=0)
+            registry.create("address-extended", {"offset": 0})
 
     def test_properties_hold_for_all_table1_variations(self):
-        for variation in (AddressPartitioning(), ExtendedAddressPartitioning(), InstructionSetTagging(), UIDVariation()):
+        for variation in (AddressPartitioning(), registry.create("address-extended"), InstructionSetTagging(), UIDVariation()):
             samples = sample_domain(bits=31 if variation.target_type == "uid" else 32, count=256)
             reports = check_variation_reexpression(variation, samples)
             assert all(report.holds for report in reports), variation.name

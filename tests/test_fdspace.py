@@ -17,8 +17,6 @@ from repro.core.nvariant import nvexec
 from repro.core.variations import (
     AddressPartitioning,
     FdOrbitVariation,
-    OrbitAddressPartitioning,
-    OrbitUIDVariation,
     UIDVariation,
 )
 from repro.core.variations.fdspace import FD_ARGUMENT_SYSCALLS, FD_RESULT_SYSCALLS
@@ -171,8 +169,8 @@ class TestFdOrbitEngine:
         else:
             stack = [
                 FdOrbitVariation(n),
-                OrbitUIDVariation(n),
-                OrbitAddressPartitioning(n),
+                registry.create("uid-orbit", {"num_variants": n}),
+                registry.create("address-orbit", {"num_variants": n}),
             ]
         kernel = build_standard_host()
         kernel.client_connect(8080, b"hello")

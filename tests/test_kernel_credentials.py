@@ -8,13 +8,19 @@ from repro.kernel.credentials import (
     MAX_VALID_UID,
     ROOT_UID,
     root_credentials,
-    user_credentials,
     validate_gid,
     validate_uid,
 )
 from repro.kernel.errors import Errno, KernelError
 
 valid_uids = st.integers(min_value=0, max_value=MAX_VALID_UID)
+
+
+def user_credentials(uid, gid, groups=()):
+    """Credentials for an unprivileged user process."""
+    return Credentials(
+        ruid=uid, euid=uid, suid=uid, rgid=gid, egid=gid, sgid=gid, groups=tuple(groups)
+    )
 
 
 class TestValidateUid:

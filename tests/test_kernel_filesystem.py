@@ -5,9 +5,16 @@ import posixpath
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.kernel.credentials import root_credentials, user_credentials
+from repro.kernel.credentials import Credentials, root_credentials
 from repro.kernel.errors import Errno, KernelError
 from repro.kernel.filesystem import FileSystem, R_OK, W_OK, X_OK
+
+
+def user_credentials(uid, gid, groups=()):
+    """Credentials for an unprivileged user process."""
+    return Credentials(
+        ruid=uid, euid=uid, suid=uid, rgid=gid, egid=gid, sgid=gid, groups=tuple(groups)
+    )
 
 
 @pytest.fixture

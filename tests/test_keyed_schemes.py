@@ -28,8 +28,8 @@ from repro.api.seeding import derive_seed, seeded_spec
 from repro.api.spec import SystemSpec, VariationSpec, keyed_address_spec, keyed_uid_spec
 from repro.apps.httpd.server import make_httpd_factory
 from repro.attacks.payloads import benign_request
-from repro.core.variations.address import AddressPartitioning, KeyedAddressPartitioning
-from repro.core.variations.uid import KeyedUIDVariation, OrbitUIDVariation, UIDVariation
+from repro.core.variations.address import AddressPartitioning
+from repro.core.variations.uid import UIDVariation
 from repro.engine.session import NVariantSession, SessionState
 from repro.kernel.host import HTTP_PORT, build_standard_host
 from repro.load import build_serving_session, keyed_secrets, restore
@@ -140,7 +140,7 @@ class TestRotation:
                 assert scheme.partition_of(address) == index
 
     def test_uid_variation_rotate_refreshes_cached_masks(self):
-        variation = KeyedUIDVariation(num_variants=3, seed=2)
+        variation = registry.create("uid-keyed", {"num_variants": 3, "seed": 2})
         before = tuple(variation.masks)
         decoded_before = variation.reexpression(1).inverse(variation.masks[1] ^ 1000)
         for _ in range(6):
@@ -161,7 +161,7 @@ class TestRotation:
             variation.rekey((1, 2))
 
     def test_address_variation_rotate_delegates_to_scheme(self):
-        variation = KeyedAddressPartitioning(num_variants=2, key_bits=6, seed=4)
+        variation = registry.create("address-keyed", {"num_variants": 2, "key_bits": 6, "seed": 4})
         secrets = {variation.scheme.secret()}
         for _ in range(6):
             assert variation.rekey()
@@ -274,7 +274,9 @@ def _assert_on_current_key(session):
 
 
 HAND_BUILT = {
-    "orbit-uid-keyed-scheme": lambda: OrbitUIDVariation(3, scheme=KeyedXorMaskScheme(3, seed=11)),
+    "orbit-uid-keyed-scheme": lambda: registry.create(
+        "uid-orbit", {"num_variants": 3, "scheme": KeyedXorMaskScheme(3, seed=11)}
+    ),
     "address-keyed-orbit-scheme": lambda: AddressPartitioning(
         3, scheme=KeyedRegionScheme(3, seed=11)
     ),
@@ -328,10 +330,11 @@ class TestSpecPlumbing:
 
     def test_keyed_specs_build(self):
         uid = build_variations(keyed_uid_spec(3, seed=1))[0]
-        assert isinstance(uid, KeyedUIDVariation)
+        assert isinstance(uid, UIDVariation)
+        assert uid.scheme.kind == "keyed-uid-xor"
         assert uid.num_variants == 3
         address = build_variations(keyed_address_spec(3, seed=1, slide=False))[0]
-        assert isinstance(address, KeyedAddressPartitioning)
+        assert isinstance(address, AddressPartitioning)
         assert address.scheme.kind == "keyed-orbit"
         sliding = build_variations(keyed_address_spec(3, seed=1, slide=True))[0]
         assert sliding.scheme.kind == "keyed-address"

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa.instructions import Instruction, Opcode, assemble, decode_stream, encode_stream
+from repro.isa.instructions import (
+    INSTRUCTION_SIZE,
+    Instruction,
+    Opcode,
+    assemble,
+    encode_stream,
+)
 from repro.isa.interpreter import Interpreter
 from repro.isa.tagging import inject_untagged, tag_stream, untag_stream
 from repro.kernel.errors import IllegalInstructionFault, SegmentationFault
@@ -14,12 +20,23 @@ from repro.memory.corruption import (
     apply_corruption,
     corruption_outcomes,
     detectable_by_disjoint_inverses,
-    overflow_buffer,
-    overflow_payload,
 )
-from repro.memory.memory_model import MemoryRegion, MemoryVariable, StackFrame
+from repro.memory.memory_model import MemoryRegion, MemoryVariable, StackFrame, WORD_SIZE
 
 words = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+
+def overflow_payload(buffer_size, overwrite_value):
+    """A classic overflow: ``A`` fills the buffer, then the little-endian word."""
+    return b"A" * buffer_size + overwrite_value.to_bytes(WORD_SIZE, "little")
+
+
+def decode_stream(raw):
+    """A flat (untagged) byte stream decoded back into instructions."""
+    return [
+        Instruction.decode(raw[offset : offset + INSTRUCTION_SIZE])
+        for offset in range(0, len(raw), INSTRUCTION_SIZE)
+    ]
 
 
 class TestMemoryRegion:
@@ -176,7 +193,8 @@ class TestCorruptionPrimitives:
         frame = StackFrame(region)
         buf = frame.alloc_buffer("buf", 16)
         uid = frame.alloc_word("uid", 33)
-        overflow_buffer(region, buf, overflow_payload(16, 0))
+        # An unchecked copy into the buffer spills into the word after it.
+        region.unchecked_copy(buf.address, overflow_payload(16, 0))
         assert uid.get() == 0
 
     def test_corruption_outcomes_model_matches_memory(self):

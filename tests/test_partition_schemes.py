@@ -33,12 +33,8 @@ from repro.api.spec import (
     address_orbit_spec,
     combined_orbit_spec,
 )
-from repro.core.variations.address import (
-    AddressPartitioning,
-    ExtendedAddressPartitioning,
-    OrbitAddressPartitioning,
-)
-from repro.core.variations.uid import OrbitUIDVariation
+from repro.core.variations.address import AddressPartitioning
+from repro.core.variations.uid import UIDVariation
 from repro.kernel.errors import SegmentationFault
 from repro.memory.address_space import AddressSpace, PARTITION_BIT
 from repro.memory.corruption import (
@@ -295,7 +291,7 @@ class TestVariationsOnSchemes:
 
     @pytest.mark.parametrize("count", (2, 3, 5))
     def test_orbit_partitioning_spaces_are_pairwise_disjoint(self, count):
-        stack = VariationStack([OrbitAddressPartitioning(count)], count)
+        stack = VariationStack([registry.create("address-orbit", {"num_variants": count})], count)
         bases = [stack.make_address_space(i).partition_base() for i in range(count)]
         assert len(set(bases)) == count
 
@@ -313,7 +309,9 @@ class TestVariationsOnSchemes:
 
     @pytest.mark.parametrize("count", (2, 3, 4))
     def test_extended_partitioning_is_n_ary(self, count):
-        variation = ExtendedAddressPartitioning(offset=0x10000, num_variants=count)
+        variation = registry.create(
+            "address-extended", {"offset": 0x10000, "num_variants": count}
+        )
         stack = VariationStack([variation], count)
         bases = [stack.make_address_space(i).partition_base() for i in range(count)]
         assert len(set(base & 0x00FFFFFF for base in bases)) == count, (
@@ -321,7 +319,7 @@ class TestVariationsOnSchemes:
         )
 
     def test_uid_orbit_masks_come_from_the_shared_scheme(self):
-        variation = OrbitUIDVariation(4)
+        variation = registry.create("uid-orbit", {"num_variants": 4})
         assert isinstance(variation.scheme, XorMaskScheme)
         assert variation.masks == variation.scheme.masks
         for index in range(4):
@@ -329,12 +327,12 @@ class TestVariationsOnSchemes:
 
     def test_uid_orbit_accepts_a_custom_scheme(self):
         scheme = XorMaskScheme((0, 0x0000FFFF, 0x00FF00FF))
-        variation = OrbitUIDVariation(3, scheme=scheme)
+        variation = registry.create("uid-orbit", {"num_variants": 3, "scheme": scheme})
         assert variation.masks == (0, 0x0000FFFF, 0x00FF00FF)
 
     def test_uid_orbit_scheme_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="masks"):
-            OrbitUIDVariation(3, scheme=XorMaskScheme.for_uids(4))
+            registry.create("uid-orbit", {"num_variants": 3, "scheme": XorMaskScheme.for_uids(4)})
 
 
 class TestAddressOrbitRegistryAndSpecs:
@@ -344,7 +342,7 @@ class TestAddressOrbitRegistryAndSpecs:
         assert "address-orbit" in registry
         by_name = registry.create("address-orbit", {"num_variants": 4})
         by_alias = registry.create("address-orbit-partitioning", {"num_variants": 4})
-        assert type(by_name) is type(by_alias) is OrbitAddressPartitioning
+        assert type(by_name) is type(by_alias) is AddressPartitioning
         assert by_name.num_variants == 4
 
     def test_builders_forward_num_variants_into_the_scheme(self):
@@ -369,7 +367,7 @@ class TestAddressOrbitRegistryAndSpecs:
 
     def test_combined_spec_builds_both_families(self):
         variations = build_variations(COMBINED_ORBIT_3_SPEC)
-        assert [type(v) for v in variations] == [OrbitAddressPartitioning, OrbitUIDVariation]
+        assert [type(v) for v in variations] == [AddressPartitioning, UIDVariation]
         assert all(v.num_variants == 3 for v in variations)
 
 

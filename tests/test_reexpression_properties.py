@@ -13,6 +13,7 @@ attacker's identical injected value must not.
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.api.registry import registry
 from repro.core.monitor import Monitor, SyscallComparator
 from repro.core.reexpression import (
     check_disjointness,
@@ -21,7 +22,6 @@ from repro.core.reexpression import (
 )
 from repro.core.variations import TABLE1_VARIATIONS
 from repro.core.variations.base import VariationStack
-from repro.core.variations.instruction import InstructionSetTagging
 from repro.core.variations.uid import UIDVariation
 from repro.engine import NVariantSession
 from repro.kernel.host import build_standard_host
@@ -34,9 +34,9 @@ BOUNDARY_VALUES = (0, 1, 65535, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
 
 #: Every (variation name, reexpression function) pair of Table 1.
 TABLE1_FUNCTIONS = [
-    (cls.name, index, cls().reexpression(index))
-    for cls in TABLE1_VARIATIONS
-    for index in range(cls.num_variants)
+    (variation.name, index, variation.reexpression(index))
+    for variation in map(registry.create, TABLE1_VARIATIONS)
+    for index in range(variation.num_variants)
 ]
 
 
@@ -61,14 +61,13 @@ class TestRoundTrips:
         assert function.forward(function.inverse(image_value)) == image_value
 
     @pytest.mark.parametrize(
-        "cls", [c for c in TABLE1_VARIATIONS if c is not InstructionSetTagging]
+        "name", [n for n in TABLE1_VARIATIONS if n != "instruction-tagging"]
     )
     @pytest.mark.parametrize("value", BOUNDARY_VALUES)
-    def test_total_functions_round_trip_both_ways(self, cls, value):
+    def test_total_functions_round_trip_both_ways(self, name, value):
         """The UID/address functions are bijections on the 32-bit domain, so
         the image-restricted property extends to arbitrary concrete values."""
-        for index in range(cls.num_variants):
-            function = cls().reexpression(index)
+        for function in registry.create(name).reexpressions():
             assert function.forward(function.inverse(value)) == value
 
     @pytest.mark.parametrize("entry", TABLE1_FUNCTIONS, ids=_function_id)
@@ -77,15 +76,15 @@ class TestRoundTrips:
         _, _, function = entry
         assert function.round_trips(value)
 
-    @pytest.mark.parametrize("cls", TABLE1_VARIATIONS)
-    def test_inverse_property_over_sampled_domain(self, cls):
-        for index in range(cls.num_variants):
-            report = check_inverse_property(cls().reexpression(index), sample_domain())
+    @pytest.mark.parametrize("name", TABLE1_VARIATIONS)
+    def test_inverse_property_over_sampled_domain(self, name):
+        for function in registry.create(name).reexpressions():
+            report = check_inverse_property(function, sample_domain())
             assert report.holds, report.describe()
 
-    @pytest.mark.parametrize("cls", TABLE1_VARIATIONS)
-    def test_disjointness_over_sampled_domain(self, cls):
-        variation = cls()
+    @pytest.mark.parametrize("name", TABLE1_VARIATIONS)
+    def test_disjointness_over_sampled_domain(self, name):
+        variation = registry.create(name)
         report = check_disjointness(variation.reexpressions(), sample_domain())
         assert report.holds, report.describe()
 
@@ -301,9 +300,8 @@ class TestComparatorFastPath:
         """Shipped variations declare footprint and hook in the same class
         (or inherit both) -- a plain ``write`` stays outside them."""
         from repro.core.variations.address import AddressPartitioning
-        from repro.core.variations.uid import FullFlipUIDVariation
 
-        for variation in (UIDVariation(), FullFlipUIDVariation(), AddressPartitioning()):
+        for variation in (UIDVariation(), registry.create("uid-full-flip"), AddressPartitioning()):
             assert Syscall.WRITE not in VariationStack([variation]).canonical_syscalls(), (
                 variation.name
             )

@@ -23,8 +23,6 @@ from repro.apps.clients.webbench import WebBenchWorkload
 from repro.apps.httpd.server import make_httpd_factory
 from repro.core.variations import (
     AddressPartitioning,
-    KeyedUIDVariation,
-    OrbitUIDVariation,
     UIDVariation,
     VariationStack,
 )
@@ -33,7 +31,7 @@ from repro.core.wrappers import SyscallWrappers, strategy_for
 from repro.engine import NVariantSession
 from repro.engine import session as session_module
 from repro.interpose import PolicyKind, get_table
-from repro.kernel.credentials import user_credentials
+from repro.kernel.credentials import Credentials
 from repro.kernel.errors import Errno
 from repro.kernel.filesystem import FileSystem, O_CREAT, O_RDONLY, O_RDWR, O_WRONLY
 from repro.kernel.host import HTTP_PORT, build_standard_host
@@ -344,8 +342,8 @@ def _uid_views(variation, index, request):
 
 @pytest.mark.parametrize("adopt", ["rotate", "install"])
 def test_decoding_under_new_masks_matches_a_fresh_variation(adopt):
-    variation = KeyedUIDVariation(3, seed=5)
-    donor = KeyedUIDVariation(3, seed=6)
+    variation = registry.create("uid-keyed", {"num_variants": 3, "seed": 5})
+    donor = registry.create("uid-keyed", {"num_variants": 3, "seed": 6})
     for request in UID_REQUESTS:
         # Decode once under the current masks, so a memo holds this request.
         for index in range(3):
@@ -357,7 +355,9 @@ def test_decoding_under_new_masks_matches_a_fresh_variation(adopt):
             donor.rekey()
             assert variation.rekey(donor.scheme.secret())
         assert variation.masks != before
-        fresh = OrbitUIDVariation(3, scheme=XorMaskScheme(variation.masks))
+        fresh = registry.create(
+            "uid-orbit", {"num_variants": 3, "scheme": XorMaskScheme(variation.masks)}
+        )
         for index in range(3):
             assert _uid_views(variation, index, request) == _uid_views(fresh, index, request)
 
@@ -555,7 +555,10 @@ def _open_host():
     fs.create_file("/pub/readme", b"hello", mode=0o644)
     fs.create_file("/pub/secret", b"hidden", mode=0o600)
     kernel = SimulatedKernel(fs)
-    user = kernel.spawn_process("user", credentials=user_credentials(1000, 1000))
+    user = kernel.spawn_process(
+        "user",
+        credentials=Credentials(ruid=1000, euid=1000, suid=1000, rgid=1000, egid=1000, sgid=1000),
+    )
     return kernel, user
 
 
